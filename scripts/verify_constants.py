@@ -18,7 +18,6 @@ def main(argv=None):
     parser.add_argument("--instances", type=int, default=500, help="per inequality sweep")
     parser.add_argument("--optimality-instances", type=int, default=1000)
     parser.add_argument("--n-points", type=int, default=64, help="quadrature points")
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
@@ -33,9 +32,7 @@ def main(argv=None):
     print(f"expansion self-check     {payload['violations']} violations")
     failures += payload["violations"]
 
-    sweeps = run_inequality_sweeps(
-        num_instances=args.instances, base_seed=args.seed, threads=args.threads
-    )
+    sweeps = run_inequality_sweeps(num_instances=args.instances, base_seed=args.seed)
     for name, result in sweeps.items():
         status = "ok" if result.passed else f"FAIL (seeds {result.failing_seeds})"
         print(f"sweep {name:32s} {result.num_instances} instances  {status}")

@@ -25,12 +25,11 @@ eigenvalue than the squared power sum retains.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, NtkMatrix, ShiftOperator, stack
+from .core import Dataset, NtkMatrix, ShiftOperator, as_stacked
 from .hermite import ExpansionConstants, beta_constant, coeff_tau, expansion_constants
 from .ntk import (
     ZVectors,
@@ -41,7 +40,14 @@ from .ntk import (
     filter_ntk,
     z_vectors,
 )
-from .shiftops import GsoSolution, constraint_lhs, power_sum_root
+from .shiftops import (
+    GsoSolution,
+    _checked_system,
+    _gso_solution,
+    constraint_lhs,
+    power_sum,
+    power_sum_root,
+)
 
 SWEEP_TOL = 1e-9
 SIGN_ZERO_ATOL = 1e-12
@@ -62,11 +68,6 @@ def symmetrized_cross_covariance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (c + c.T) / 2.0
 
 
-def _stacked_targets(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    return stack(y) if y.ndim == 2 else y
-
-
 def q_matrix(s: ShiftOperator, y: np.ndarray, num_taps: int) -> np.ndarray:
     """Q = sum_k S~^k y~ y~^T S~^k; symmetric PSD with rank at most K."""
     zy = z_vectors(s, np.asarray(y, dtype=float), num_taps).matrix
@@ -76,7 +77,7 @@ def q_matrix(s: ShiftOperator, y: np.ndarray, num_taps: int) -> np.ndarray:
 def alignment(theta, y) -> float:
     """Quadratic form y~^T Theta~ y~."""
     m = theta.matrix if isinstance(theta, NtkMatrix) else np.asarray(theta, dtype=float)
-    y_st = _stacked_targets(y)
+    y_st = as_stacked(y)
     if y_st.shape[0] != m.shape[0]:
         raise ValueError(f"target length {y_st.shape[0]} does not match kernel size {m.shape[0]}")
     return float(y_st @ (m @ y_st))
@@ -115,11 +116,7 @@ class AlignmentBound:
 def alignment_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) -> AlignmentBound:
     """A_L = ((1/sqrt(K)) tr((sum_k S^k) C_XY))^2, a lower bound on A_filt."""
     c = symmetrized_cross_covariance(data.x, data.y)
-    acc = np.eye(s.num_nodes)
-    power = np.eye(s.num_nodes)
-    for _ in range(1, num_taps):
-        power = power @ s.matrix
-        acc += power
+    acc = power_sum(s.matrix, num_taps)
     value = (np.sum(acc * c) / math.sqrt(num_taps)) ** 2
     return AlignmentBound(float(value), c)
 
@@ -157,13 +154,7 @@ def solve_optimal_gso_linear_gnn(
     must be nonnegative; the nonnegative square-root branch is taken and
     the scalar power-sum solve picks the smallest-magnitude real root.
     """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {c.shape}")
-    if np.abs(c - c.T).max(initial=0.0) > 1e-10:
-        raise ValueError("cross-covariance must be symmetric")
-    if num_taps < 2:
-        raise ValueError("num_taps must be >= 2")
+    c = _checked_system(c, num_taps)
     target = mu * c
     gammas, vecs = np.linalg.eigh(target)
     roots = np.empty_like(gammas)
@@ -171,37 +162,9 @@ def solve_optimal_gso_linear_gnn(
         if gamma < -1e-12:
             raise NegativeEigenvalueError(float(gamma))
         roots[i] = power_sum_root(math.sqrt(max(gamma, 0.0)), num_taps)
-    s_matrix = (vecs * roots) @ vecs.T
-    s_matrix = (s_matrix + s_matrix.T) / 2.0
-
-    acc = np.eye(c.shape[0])
-    power = np.eye(c.shape[0])
-    for _ in range(1, num_taps):
-        power = power @ s_matrix
-        acc += power
-    residual = float(
-        np.linalg.norm(acc @ acc - target) / max(np.linalg.norm(target), 1e-300)
-    )
-    if residual > 1e-8:
-        raise RuntimeError(f"squared power sum misses the target: residual {residual:.3e}")
-
-    scale = 1.0
-    if normalize:
-        fro = np.linalg.norm(s_matrix)
-        if fro == 0.0:
-            raise ValueError("cannot normalize the zero solution")
-        scale = 1.0 / fro
-        operator = ShiftOperator(s_matrix * scale, frobenius_unit=True)
-    else:
-        operator = ShiftOperator(s_matrix)
-    return GsoSolution(
-        operator=operator,
-        mu=float(mu),
-        num_taps=num_taps,
-        eigenvalues=gammas,
-        roots=roots,
-        residual=residual,
-        scale=scale,
+    return _gso_solution(
+        (vecs * roots) @ vecs.T, target, gammas, roots, mu, num_taps, normalize,
+        lift=lambda acc: acc @ acc,
     )
 
 
@@ -645,22 +608,16 @@ def run_inequality_sweeps(
     num_instances: int = 500,
     base_seed: int = 0,
     checks=DEFAULT_SWEEP_CHECKS,
-    threads: int = 1,
 ) -> dict:
     """Run each named check over fresh random instances; count violations.
 
-    Deterministic given base_seed and independent of the thread count
-    (instances are pure functions of their seed and results are collected
-    in order).
+    Deterministic given base_seed: instances are pure functions of their
+    seed.
     """
     results = {}
     for name in checks:
         seeds = [base_seed + i for i in range(num_instances)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                reports = list(pool.map(lambda sd: _run_check(name, sd), seeds))
-        else:
-            reports = [_run_check(name, sd) for sd in seeds]
+        reports = [_run_check(name, sd) for sd in seeds]
         results[name] = _sweep(name, reports, seeds)
     return results
 

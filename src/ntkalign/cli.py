@@ -29,7 +29,7 @@ from .alignment import (
     optimality_sweep,
     run_inequality_sweeps,
 )
-from .core import Dataset, DivergenceError, NtkKind, NtkMatrix, ShiftOperator, stack
+from .core import Dataset, DivergenceError, NtkMatrix, ShiftOperator, stack
 from .dataio import (
     PairExtractionConfig,
     VarProcessConfig,
@@ -337,16 +337,20 @@ def _compute_ntk(cfg: dict, s: ShiftOperator, data: Dataset) -> NtkMatrix:
     if kind == "gnn":
         second = gnn_infinite_ntk(s, data.x, cfg["k"], layer="second")
         first = gnn_infinite_ntk(s, data.x, cfg["k"], layer="first")
-        return NtkMatrix(second.matrix + first.matrix, NtkKind.GNN_INFINITE_QUADRATURE)
-    if kind == "gnn-mc":
+    elif kind == "gnn-mc":
         second = gnn_monte_carlo_ntk(
             s, data.x, cfg["k"], cfg["width"], cfg["seed"], which_layer="second"
         )
         first = gnn_monte_carlo_ntk(
             s, data.x, cfg["k"], cfg["width"], cfg["seed"] + 1, which_layer="first"
         )
-        return NtkMatrix(second.matrix + first.matrix, NtkKind.GNN_MONTE_CARLO)
-    raise CliError(f"unknown NTK kind {kind!r}; choose filter, gnn, or gnn-mc")
+    else:
+        raise CliError(f"unknown NTK kind {kind!r}; choose filter, gnn, or gnn-mc")
+    return NtkMatrix(
+        second.matrix + first.matrix,
+        second.kind,
+        info={"layers": {"second": second.info, "first": first.info}},
+    )
 
 
 def _cmd_ntk(cfg: dict) -> int:
@@ -362,6 +366,7 @@ def _cmd_ntk(cfg: dict) -> int:
         "rank_estimate": theta.rank_estimate(),
         "operator_norm": theta.operator_norm,
         "alignment": theta.quadratic_form(stack(data.y)),
+        "info": theta.info,
         "summary": f"{cfg['kind']} kernel, size {theta.size}, rank {theta.rank_estimate()}",
     }
     return _finish(cfg, "ntk", report, ["ntk.csv"])
@@ -537,7 +542,6 @@ def _cmd_compare(cfg: dict) -> int:
         width=cfg["width"],
         reps=cfg["reps"],
         test_data=test_data,
-        threads=cfg["threads"],
     )
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -575,7 +579,6 @@ def _cmd_verify_bounds(cfg: dict) -> int:
             num_instances=cfg["instances"],
             base_seed=cfg["seed"],
             checks=checks,
-            threads=cfg["threads"],
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -629,7 +632,7 @@ def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, help="master RNG seed")
     sp.add_argument("--out-dir", dest="out_dir", help="directory for artifacts")
     sp.add_argument("--config", help="key = value settings file (flags win)")
-    sp.add_argument("--threads", type=int, help="worker threads where supported")
+    sp.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     sp.add_argument(
         "--json",
         dest="emit_json",

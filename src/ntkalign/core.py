@@ -73,33 +73,6 @@ class Dataset:
             raise ValueError("cannot normalize an all-zero dataset")
         return Dataset(self.x / scale, self.y / scale)
 
-    def stacked(self) -> "StackedData":
-        return StackedData(
-            x=stack(self.x),
-            y=stack(self.y),
-            num_nodes=self.num_nodes,
-            num_samples=self.num_samples,
-        )
-
-
-@dataclass(frozen=True)
-class StackedData:
-    """Sample-major flattened view of a dataset."""
-
-    x: np.ndarray
-    y: np.ndarray
-    num_nodes: int
-    num_samples: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _frozen_array(self.x, ndim=1))
-        object.__setattr__(self, "y", _frozen_array(self.y, ndim=1))
-        expected = self.num_nodes * self.num_samples
-        if self.x.shape[0] != expected or self.y.shape[0] != expected:
-            raise ValueError(
-                f"stacked length must be n*M = {expected}, got {self.x.shape[0]}"
-            )
-
 
 def stack(signals: np.ndarray) -> np.ndarray:
     """Flatten an (n x M) signal matrix into a length-nM vector, sample-major."""
@@ -107,6 +80,12 @@ def stack(signals: np.ndarray) -> np.ndarray:
     if signals.ndim != 2:
         raise ValueError(f"expected 2-d signal matrix, got shape {signals.shape}")
     return signals.ravel(order="F")
+
+
+def as_stacked(v) -> np.ndarray:
+    """Stack an (n x M) signal matrix; pass an already stacked vector through."""
+    v = np.asarray(v, dtype=float)
+    return stack(v) if v.ndim == 2 else v
 
 
 def unstack(v: np.ndarray, num_nodes: int, num_samples: int) -> np.ndarray:
@@ -119,8 +98,26 @@ def unstack(v: np.ndarray, num_nodes: int, num_samples: int) -> np.ndarray:
     return v.reshape(num_nodes, num_samples, order="F")
 
 
+class _MatrixShift:
+    """Diffusion by a square ``matrix`` attribute, shared by every shift type."""
+
+    @property
+    def num_nodes(self) -> int:
+        return self.matrix.shape[0]
+
+    def powers_applied(self, signals: np.ndarray, num_taps: int) -> np.ndarray:
+        """Return [signals, S signals, ..., S^{K-1} signals] stacked on axis 0."""
+        if num_taps < 1:
+            raise ValueError("num_taps must be >= 1")
+        out = np.empty((num_taps,) + np.shape(signals), dtype=float)
+        out[0] = signals
+        for k in range(1, num_taps):
+            out[k] = self.matrix @ out[k - 1]
+        return out
+
+
 @dataclass(frozen=True)
-class ShiftOperator:
+class ShiftOperator(_MatrixShift):
     """Symmetric graph shift operator.
 
     ``frobenius_unit=True`` additionally pins the Frobenius norm to 1, the
@@ -143,73 +140,11 @@ class ShiftOperator:
                 raise ValueError(f"frobenius_unit requested but ||S||_F = {fro!r}")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def num_nodes(self) -> int:
-        return self.matrix.shape[0]
-
     def normalized(self) -> "ShiftOperator":
         fro = np.linalg.norm(self.matrix)
         if fro == 0.0:
             raise ValueError("cannot normalize the zero operator")
         return ShiftOperator(self.matrix / fro, frobenius_unit=True)
-
-    def powers_applied(self, signals: np.ndarray, num_taps: int) -> np.ndarray:
-        """Return [signals, S signals, ..., S^{K-1} signals] stacked on axis 0."""
-        if num_taps < 1:
-            raise ValueError("num_taps must be >= 1")
-        out = np.empty((num_taps,) + np.shape(signals), dtype=float)
-        out[0] = signals
-        for k in range(1, num_taps):
-            out[k] = self.matrix @ out[k - 1]
-        return out
-
-
-@dataclass(frozen=True)
-class BlockDiagShift:
-    """M-fold block-diagonal lift of a shift operator, applied implicitly."""
-
-    operator: ShiftOperator
-    num_samples: int
-
-    def __post_init__(self):
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
-
-    @property
-    def size(self) -> int:
-        return self.operator.num_nodes * self.num_samples
-
-    def apply(self, v: np.ndarray, power: int = 1) -> np.ndarray:
-        """Apply the block-diagonal operator ``power`` times to a stacked vector."""
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.size,):
-            raise ValueError(f"expected stacked vector of length {self.size}")
-        if power == 0:
-            return v.copy()
-        s = self.operator.matrix
-        blocks = v.reshape(self.num_samples, self.operator.num_nodes)
-        for _ in range(power):
-            blocks = blocks @ s.T
-        return blocks.reshape(-1)
-
-    def conjugate(self, a: np.ndarray, power: int = 1) -> np.ndarray:
-        """Return S_block^power @ A @ S_block^power for a dense (nM x nM) matrix."""
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        a = np.asarray(a, dtype=float)
-        if a.shape != (self.size, self.size):
-            raise ValueError(f"expected ({self.size}, {self.size}) matrix")
-        if power == 0:
-            return a.copy()
-        n, m = self.operator.num_nodes, self.num_samples
-        s = self.operator.matrix
-        blk = a.reshape(m, n, m, n)
-        for _ in range(power):
-            blk = np.einsum("ab,ibjc->iajc", s, blk)
-            blk = np.einsum("ibjd,dc->ibjc", blk, s)
-        return blk.reshape(self.size, self.size)
 
 
 class NtkKind(enum.Enum):
@@ -220,6 +155,10 @@ class NtkKind(enum.Enum):
     GNN_INFINITE_QUADRATURE = "gnn_infinite_quadrature"
     GNN_INFINITE_SERIES = "gnn_infinite_series"
     GNN_MONTE_CARLO = "gnn_monte_carlo"
+
+
+# A loss above this multiple of its starting value counts as divergence.
+DIVERGENCE_FACTOR = 1e6
 
 
 class DivergenceError(RuntimeError):

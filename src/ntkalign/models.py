@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,37 +134,6 @@ class TwoLayerGnnParams:
         return self.g.shape[1]
 
 
-@dataclass(frozen=True)
-class MimoGnnParams:
-    """Multi-layer GNN with parallel features; layer ell maps F_in to F_out
-    features through an (F_out, F_in, K) bank of filter taps.
-
-    One input and one output feature; the final layer stays linear.  No
-    width normalization is applied (absorb it into the taps if needed).
-    """
-
-    layers: tuple
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        layers = tuple(_frozen_array(w, ndim=3) for w in self.layers)
-        object.__setattr__(self, "layers", layers)
-        if not layers:
-            raise ValueError("need at least one layer")
-        if layers[0].shape[1] != 1:
-            raise ValueError("first layer must take a single input feature")
-        if layers[-1].shape[0] != 1:
-            raise ValueError("last layer must produce a single output feature")
-        for a, b in zip(layers, layers[1:]):
-            if b.shape[1] != a.shape[0]:
-                raise ValueError(f"feature chain broken: {a.shape} feeds {b.shape}")
-        get_activation(self.activation)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-
 def init_filter(num_taps: int, cfg: InitConfig) -> FilterParams:
     rng = np.random.default_rng(cfg.seed)
     return FilterParams(rng.normal(0.0, cfg.kappa, size=num_taps))
@@ -175,16 +144,6 @@ def init_gnn2(width: int, num_taps: int, cfg: InitConfig, activation: str = "tan
     g = rng.normal(0.0, cfg.kappa, size=(width, num_taps))
     h = rng.normal(0.0, cfg.kappa, size=(width, num_taps))
     return TwoLayerGnnParams(g, h, activation)
-
-
-def init_mimo(feature_sizes, num_taps: int, cfg: InitConfig, activation: str = "tanh") -> MimoGnnParams:
-    """feature_sizes = [1, F_1, ..., F_{L-1}, 1] gives L layers."""
-    rng = np.random.default_rng(cfg.seed)
-    layers = [
-        rng.normal(0.0, cfg.kappa, size=(f_out, f_in, num_taps))
-        for f_in, f_out in zip(feature_sizes, feature_sizes[1:])
-    ]
-    return MimoGnnParams(tuple(layers), activation)
 
 
 def _check_signal(s: ShiftOperator, x: np.ndarray) -> np.ndarray:
@@ -294,34 +253,12 @@ def gnn2_jacobian(
     return jac[:n] if squeeze else jac
 
 
-def mimo_forward(s: ShiftOperator, params: MimoGnnParams, x: np.ndarray) -> np.ndarray:
-    """Layer recursion q_f <- sigma(sum_{f'} sum_k W[f,f',k] S^k q_{f'})."""
-    x = _check_signal(s, x)
-    act = get_activation(params.activation)
-    squeeze = x.ndim == 1
-    xm = x[:, None] if squeeze else x
-    num_samples = xm.shape[1]
-    n = s.num_nodes
-
-    q = xm[:, None, :]  # (n, F=1, M)
-    for idx, w in enumerate(params.layers):
-        f_out, f_in, num_taps = w.shape
-        q_flat = q.reshape(n, f_in * num_samples)
-        powers = s.powers_applied(q_flat, num_taps).reshape(num_taps, n, f_in, num_samples)
-        u = np.einsum("oik,knim->nom", w, powers)
-        q = u if idx == len(params.layers) - 1 else act.fn(u)
-    out = q[:, 0, :]
-    return out[:, 0] if squeeze else out
-
-
 def flatten_params(params) -> np.ndarray:
     """Flat vector in (layer, feature, tap) order."""
     if isinstance(params, FilterParams):
         return params.taps.copy()
     if isinstance(params, TwoLayerGnnParams):
         return np.concatenate([params.g.ravel(), params.h.ravel()])
-    if isinstance(params, MimoGnnParams):
-        return np.concatenate([w.ravel() for w in params.layers])
     raise TypeError(f"unsupported params type {type(params).__name__}")
 
 
@@ -342,15 +279,6 @@ def unflatten_params(flat: np.ndarray, like):
             flat[size:].reshape(like.h.shape),
             like.activation,
         )
-    if isinstance(like, MimoGnnParams):
-        sizes = [w.size for w in like.layers]
-        if flat.shape != (sum(sizes),):
-            raise ValueError(f"expected {sum(sizes)} entries, got {flat.shape}")
-        out, start = [], 0
-        for w in like.layers:
-            out.append(flat[start : start + w.size].reshape(w.shape))
-            start += w.size
-        return MimoGnnParams(tuple(out), like.activation)
     raise TypeError(f"unsupported params type {type(like).__name__}")
 
 
@@ -362,12 +290,6 @@ def _shape_header(params) -> dict:
             "kind": "gnn2",
             "width": params.width,
             "num_taps": params.num_taps,
-            "activation": params.activation,
-        }
-    if isinstance(params, MimoGnnParams):
-        return {
-            "kind": "mimo",
-            "layer_shapes": [list(w.shape) for w in params.layers],
             "activation": params.activation,
         }
     raise TypeError(f"unsupported params type {type(params).__name__}")
@@ -394,11 +316,6 @@ def load_params(path):
     elif kind == "gnn2":
         shape = (header["width"], header["num_taps"])
         like = TwoLayerGnnParams(np.zeros(shape), np.zeros(shape), header["activation"])
-    elif kind == "mimo":
-        like = MimoGnnParams(
-            tuple(np.zeros(tuple(sh)) for sh in header["layer_shapes"]),
-            header["activation"],
-        )
     else:
         raise ValueError(f"unknown params kind {kind!r}")
     return unflatten_params(values, like)

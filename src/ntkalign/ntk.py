@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DIVERGENCE_FACTOR,
     Dataset,
     DivergenceError,
     NtkKind,
@@ -50,7 +51,6 @@ SERIES_DEFAULT_DEGREE = 21
 SERIES_QUADRATURE_POINTS = 512
 RHO_OVERSHOOT_TOL = 1e-9
 SERIES_WARNING_FACTOR = 1e-4
-DIVERGENCE_FACTOR = 1e6
 
 
 def _signals(data) -> np.ndarray:
@@ -455,41 +455,25 @@ def ntk_drift(
     seed: int,
     activation: str = "tanh",
     kappa: float = 1.0,
-    model: str = "gnn2",
 ) -> tuple[DriftPoint, ...]:
-    """Largest relative NTK movement during a short gradient-descent run.
+    """Largest relative two-layer-GNN NTK movement during a short GD run.
 
     For each width F, trains on the squared loss for num_steps and reports
-    max_t ||Theta_t - Theta_0||_F / ||Theta_0||_F.  A graph filter has a
-    parameter-free NTK, so its drift is exactly zero; wider GNNs should
-    drift less.  Raises DivergenceError when the loss blows up.
+    max_t ||Theta_t - Theta_0||_F / ||Theta_0||_F; wider GNNs should drift
+    less.  (A graph filter's NTK is parameter-free, so it cannot drift.)
+    Raises DivergenceError when the loss blows up.
     """
-    if model not in ("gnn2", "filter"):
-        raise ValueError(f"model must be 'gnn2' or 'filter', got {model!r}")
     y_stacked = stack(data.y)
     out = []
     for width in widths:
-        if model == "filter":
-            params = FilterParams(
-                np.random.default_rng(seed).normal(0.0, kappa, size=num_taps)
-            )
-            forward = lambda p: (filter_jacobian(s, data.x, num_taps) @ p.taps).reshape(
-                data.num_samples, data.num_nodes
-            ).T
-        else:
-            params = init_gnn2(int(width), num_taps, InitConfig(kappa=kappa, seed=seed), activation)
-            forward = lambda p: gnn2_forward(s, p, data.x)
+        params = init_gnn2(int(width), num_taps, InitConfig(kappa=kappa, seed=seed), activation)
         theta0 = empirical_ntk(s, params, data.x).matrix
         norm0 = np.linalg.norm(theta0)
         drift = 0.0
         initial_loss = None
         for step in range(num_steps):
-            jac = (
-                filter_jacobian(s, data.x, num_taps)
-                if model == "filter"
-                else gnn2_jacobian(s, params, data.x)
-            )
-            resid = stack(forward(params)) - y_stacked
+            jac = gnn2_jacobian(s, params, data.x)
+            resid = stack(gnn2_forward(s, params, data.x)) - y_stacked
             loss = 0.5 * float(resid @ resid)
             if initial_loss is None:
                 initial_loss = max(loss, 1e-300)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ShiftOperator
+from .core import ShiftOperator, _MatrixShift
 
 RESIDUAL_RTOL = 1e-8
 REAL_ROOT_IMAG_TOL = 1e-8
@@ -44,7 +44,7 @@ def covariance(x: np.ndarray) -> ShiftOperator:
 
 
 @dataclass(frozen=True)
-class AsymmetricShift:
+class AsymmetricShift(_MatrixShift):
     """Square matrix standing in for a shift operator in training runs only.
 
     Forward passes and Jacobians just diffuse signals, so they accept this
@@ -61,19 +61,6 @@ class AsymmetricShift:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.matrix.shape[0]
-
-    def powers_applied(self, signals: np.ndarray, num_taps: int) -> np.ndarray:
-        if num_taps < 1:
-            raise ValueError("num_taps must be >= 1")
-        out = np.empty((num_taps,) + np.shape(signals), dtype=float)
-        out[0] = signals
-        for k in range(1, num_taps):
-            out[k] = self.matrix @ out[k - 1]
-        return out
 
 
 @dataclass(frozen=True)
@@ -117,17 +104,22 @@ def cross_covariance(x: np.ndarray, y: np.ndarray, symmetrize: bool = True) -> C
     return CrossCovariance(out, symmetrized=symmetrize)
 
 
+def power_sum(matrix: np.ndarray, num_taps: int) -> np.ndarray:
+    """sum_{k=0}^{K-1} S^k as a dense matrix."""
+    acc = np.eye(matrix.shape[0])
+    power = np.eye(matrix.shape[0])
+    for _ in range(1, num_taps):
+        power = power @ matrix
+        acc += power
+    return acc
+
+
 def constraint_lhs(s: ShiftOperator | np.ndarray, num_taps: int) -> float:
     """Frobenius norm of sum_{k=0}^{K-1} S^k, the budget side of the constraint."""
     m = s.matrix if isinstance(s, ShiftOperator) else np.asarray(s, dtype=float)
     if num_taps < 1:
         raise ValueError("num_taps must be >= 1")
-    acc = np.eye(m.shape[0])
-    power = np.eye(m.shape[0])
-    for _ in range(1, num_taps):
-        power = power @ m
-        acc += power
-    return float(np.linalg.norm(acc))
+    return float(np.linalg.norm(power_sum(m, num_taps)))
 
 
 def mu_from_budget(alpha: float, eta: float, num_samples: int, c_norm: float = 1.0) -> float:
@@ -184,25 +176,8 @@ class GsoSolution:
     scale: float  # 1.0 unless unit-Frobenius normalization was applied
 
 
-def solve_optimal_gso(
-    c: np.ndarray | CrossCovariance,
-    num_taps: int,
-    mu: float = 1.0,
-    method: str = "auto",
-    normalize: bool = False,
-) -> GsoSolution:
-    """Solve sum_{k=0}^{K-1} S^k = mu C for a symmetric S.
-
-    ``method='closed_form'`` is the K = 2 shortcut S = mu C - I;
-    ``method='eigen'`` goes through the eigendecomposition and works for any
-    K >= 2; ``'auto'`` picks the shortcut when available.  ``normalize``
-    rescales the result to unit Frobenius norm after the residual check,
-    for use where only the direction of the operator matters.
-    """
-    if isinstance(c, CrossCovariance):
-        if not c.symmetrized:
-            raise ValueError("optimal-shift solve requires the symmetrized cross-covariance")
-        c = c.matrix
+def _checked_system(c, num_taps: int) -> np.ndarray:
+    """Validate the right-hand side C and the tap count of a power-sum solve."""
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"expected square matrix, got shape {c.shape}")
@@ -210,28 +185,28 @@ def solve_optimal_gso(
         raise ValueError("cross-covariance must be symmetric")
     if num_taps < 2:
         raise ValueError("num_taps must be >= 2; K = 1 leaves no taps to solve for")
-    if method not in ("auto", "closed_form", "eigen"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed_form" and num_taps != 2:
-        raise ValueError("closed form only exists for K = 2")
+    return c
 
-    target = mu * c
-    gammas, vecs = np.linalg.eigh(target)
-    if method == "eigen" or (method == "auto" and num_taps > 2):
-        roots = np.array([power_sum_root(g, num_taps) for g in gammas])
-        s_matrix = (vecs * roots) @ vecs.T
-    else:
-        s_matrix = target - np.eye(c.shape[0])
-        roots = gammas - 1.0
+
+def _gso_solution(
+    s_matrix: np.ndarray,
+    target: np.ndarray,
+    gammas: np.ndarray,
+    roots: np.ndarray,
+    mu: float,
+    num_taps: int,
+    normalize: bool,
+    lift,
+) -> GsoSolution:
+    """Symmetrize a solved S, check it against the target, package it.
+
+    ``lift`` maps the power sum sum_k S^k to the matrix that must equal the
+    target mu C; the relative residual must stay below RESIDUAL_RTOL.
+    ``normalize`` rescales S to unit Frobenius norm after that check.
+    """
     s_matrix = (s_matrix + s_matrix.T) / 2.0
-
-    acc = np.eye(c.shape[0])
-    power = np.eye(c.shape[0])
-    for _ in range(1, num_taps):
-        power = power @ s_matrix
-        acc += power
     scale_ref = max(np.linalg.norm(target), 1e-300)
-    residual = float(np.linalg.norm(acc - target) / scale_ref)
+    residual = float(np.linalg.norm(lift(power_sum(s_matrix, num_taps)) - target) / scale_ref)
     if residual > RESIDUAL_RTOL:
         raise RuntimeError(
             f"reconstructed power sum misses the target: relative residual {residual:.3e}"
@@ -254,4 +229,42 @@ def solve_optimal_gso(
         roots=roots,
         residual=residual,
         scale=scale,
+    )
+
+
+def solve_optimal_gso(
+    c: np.ndarray | CrossCovariance,
+    num_taps: int,
+    mu: float = 1.0,
+    method: str = "auto",
+    normalize: bool = False,
+) -> GsoSolution:
+    """Solve sum_{k=0}^{K-1} S^k = mu C for a symmetric S.
+
+    ``method='closed_form'`` is the K = 2 shortcut S = mu C - I;
+    ``method='eigen'`` goes through the eigendecomposition and works for any
+    K >= 2; ``'auto'`` picks the shortcut when available.  ``normalize``
+    rescales the result to unit Frobenius norm after the residual check,
+    for use where only the direction of the operator matters.
+    """
+    if isinstance(c, CrossCovariance):
+        if not c.symmetrized:
+            raise ValueError("optimal-shift solve requires the symmetrized cross-covariance")
+        c = c.matrix
+    c = _checked_system(c, num_taps)
+    if method not in ("auto", "closed_form", "eigen"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "closed_form" and num_taps != 2:
+        raise ValueError("closed form only exists for K = 2")
+
+    target = mu * c
+    gammas, vecs = np.linalg.eigh(target)
+    if method == "eigen" or (method == "auto" and num_taps > 2):
+        roots = np.array([power_sum_root(g, num_taps) for g in gammas])
+        s_matrix = (vecs * roots) @ vecs.T
+    else:
+        s_matrix = target - np.eye(c.shape[0])
+        roots = gammas - 1.0
+    return _gso_solution(
+        s_matrix, target, gammas, roots, mu, num_taps, normalize, lift=lambda acc: acc
     )

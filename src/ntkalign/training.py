@@ -16,12 +16,19 @@ breaks the lower bound.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, DivergenceError, NtkMatrix, ShiftOperator, stack
+from .core import (
+    DIVERGENCE_FACTOR,
+    Dataset,
+    DivergenceError,
+    NtkMatrix,
+    ShiftOperator,
+    as_stacked,
+    stack,
+)
 from .models import (
     FilterParams,
     InitConfig,
@@ -37,7 +44,6 @@ from .models import (
 )
 from .ntk import filter_ntk
 
-DIVERGENCE_FACTOR = 1e6
 PINV_RTOL = 1e-10
 DEFAULT_SLACK_FACTOR = 10.0
 ADAM_BETA1 = 0.9
@@ -106,7 +112,6 @@ class TrainTrace:
     test_losses: np.ndarray
     param_movement: np.ndarray
     final_params: object
-    drift: tuple = ()
 
     def __post_init__(self):
         sizes = {len(self.train_losses), len(self.test_losses), len(self.param_movement)}
@@ -204,11 +209,6 @@ def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: D
     )
 
 
-def _stacked(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    return stack(y) if y.ndim == 2 else y
-
-
 def _kernel_matrix(theta) -> np.ndarray:
     return theta.matrix if isinstance(theta, NtkMatrix) else np.asarray(theta, dtype=float)
 
@@ -229,7 +229,7 @@ def linearized_dynamics(theta, y, f0, eta: float, epochs: int) -> LinearizedDyna
     still returned (they grow) so callers can inspect the regime.
     """
     matrix = _kernel_matrix(theta)
-    r0 = _stacked(f0) - _stacked(y)
+    r0 = as_stacked(f0) - as_stacked(y)
     evals, vecs = np.linalg.eigh(matrix)
     coeffs = vecs.T @ r0
     factors = 1.0 - eta * evals
@@ -321,7 +321,7 @@ def pinv_quadratic(theta, y) -> float:
     evals, vecs = _positive_eigenpairs(_kernel_matrix(theta))
     if evals.size == 0:
         return 0.0
-    coeffs = vecs.T @ _stacked(y)
+    coeffs = vecs.T @ as_stacked(y)
     return float(np.sum(coeffs * coeffs / evals))
 
 
@@ -464,19 +464,6 @@ class GsoComparison:
         }
 
 
-def _comparison_arm(args):
-    name, s, data, cfg, rep, model, width, num_taps, activation, test_data = args
-    seed = cfg.seed + rep
-    if model == "filter":
-        params0 = init_filter(num_taps, InitConfig(kappa=cfg.kappa, seed=seed))
-    elif model == "gnn2":
-        params0 = init_gnn2(width, num_taps, InitConfig(kappa=cfg.kappa, seed=seed), activation)
-    else:
-        raise ValueError(f"model must be 'filter' or 'gnn2', got {model!r}")
-    trace = train(params0, s, data, cfg, test_data=test_data)
-    return name, rep, trace
-
-
 def compare_gso(
     data: Dataset,
     num_taps: int,
@@ -487,7 +474,6 @@ def compare_gso(
     reps: int = 10,
     test_data: Dataset | None = None,
     activation: str = "tanh",
-    threads: int = 1,
 ) -> GsoComparison:
     """Train matched models per shift operator over seeded repetitions.
 
@@ -499,23 +485,21 @@ def compare_gso(
     names = tuple(name for name, _ in gso_list)
     if len(set(names)) != len(names):
         raise ValueError("shift-operator names must be unique")
-
-    jobs = [
-        (name, s, data, cfg, rep, model, width, num_taps, activation, test_data)
-        for name, s in gso_list
-        for rep in range(reps)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_comparison_arm, jobs))
-    else:
-        results = [_comparison_arm(job) for job in jobs]
+    if model not in ("filter", "gnn2"):
+        raise ValueError(f"model must be 'filter' or 'gnn2', got {model!r}")
 
     train_curves = {name: np.empty((reps, cfg.epochs + 1)) for name in names}
     test_curves = {name: np.empty((reps, cfg.epochs + 1)) for name in names}
-    for name, rep, trace in results:
-        train_curves[name][rep] = trace.train_losses
-        test_curves[name][rep] = trace.test_losses
+    for name, s in gso_list:
+        for rep in range(reps):
+            init = InitConfig(kappa=cfg.kappa, seed=cfg.seed + rep)
+            if model == "filter":
+                params0 = init_filter(num_taps, init)
+            else:
+                params0 = init_gnn2(width, num_taps, init, activation)
+            trace = train(params0, s, data, cfg, test_data=test_data)
+            train_curves[name][rep] = trace.train_losses
+            test_curves[name][rep] = trace.test_losses
     return GsoComparison(
         names=names, num_reps=reps, train_curves=train_curves, test_curves=test_curves
     )

@@ -136,7 +136,7 @@ def test_inequality_sweeps_are_violation_free():
     from ntkalign.alignment import run_inequality_sweeps
 
     start = time.perf_counter()
-    sweeps = run_inequality_sweeps(num_instances=500, base_seed=0, threads=4)
+    sweeps = run_inequality_sweeps(num_instances=500, base_seed=0)
     assert len(sweeps) == 5
     for name, result in sweeps.items():
         assert result.violations == 0, f"{name}: failing seeds {result.failing_seeds}"

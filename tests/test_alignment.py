@@ -385,8 +385,8 @@ def test_quadrature_alignment_matches_series_alignment():
     assert abs(via_quad - via_series) <= slack
 
 
-def test_run_inequality_sweeps_clean_and_thread_invariant():
-    serial = run_inequality_sweeps(num_instances=60, base_seed=0, threads=1)
+def test_run_inequality_sweeps_clean():
+    serial = run_inequality_sweeps(num_instances=60, base_seed=0)
     assert set(serial) == {
         "filter_lower_bound",
         "linear_lower_bound",
@@ -397,8 +397,6 @@ def test_run_inequality_sweeps_clean_and_thread_invariant():
     for name, result in serial.items():
         assert result.violations == 0, (name, result.failing_seeds)
         assert result.num_instances == 60
-    threaded = run_inequality_sweeps(num_instances=60, base_seed=0, threads=3)
-    assert threaded == serial
 
 
 def test_sweep_result_payload_roundtrips():

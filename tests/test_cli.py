@@ -147,6 +147,24 @@ class TestNtkCommand:
         assert eigs.min() > -1e-8 * eigs.max()
         report = json.loads((out / "report.json").read_text())
         assert report["kind"] == "gnn" and report["size"] == kernel.shape[0]
+        layers = report["info"]["layers"]
+        assert layers["second"]["method"] == "quadrature"
+        assert layers["first"]["method"] == "first_layer_quadrature"
+        assert layers["second"]["n_points"] == layers["first"]["n_points"] == 64
+
+    def test_gnn_report_keeps_zero_rows(self, tmp_path):
+        rng = np.random.default_rng(12)
+        x = 0.3 * rng.standard_normal((3, 2))
+        x[:, 0] = 0.0  # sample 0 has a zero shift profile: stacked rows 0..2
+        y = 0.3 * rng.standard_normal((3, 2))
+        save_csv(x, tmp_path / "x.csv")
+        save_csv(y, tmp_path / "y.csv")
+        out = tmp_path / "out"
+        assert run("ntk", "--x", tmp_path / "x.csv", "--y", tmp_path / "y.csv",
+                   "--kind", "gnn", "--out-dir", out) == 0
+        layers = json.loads((out / "report.json").read_text())["info"]["layers"]
+        assert layers["second"]["zero_rows"] == [0, 1, 2]
+        assert layers["first"]["zero_rows"] == [0, 1, 2]
 
     def test_monte_carlo_kind_runs(self, tiny_data, tmp_path):
         _, _, x_path, y_path = tiny_data
@@ -154,6 +172,9 @@ class TestNtkCommand:
         assert run("ntk", "--x", x_path, "--y", y_path, "--kind", "gnn-mc",
                    "--width", 32, "--out-dir", out) == 0
         assert load_csv(out / "ntk.csv").shape == (60, 60)
+        layers = json.loads((out / "report.json").read_text())["info"]["layers"]
+        assert layers["second"]["num_features"] == layers["first"]["num_features"] == 32
+        assert (layers["second"]["seed"], layers["first"]["seed"]) == (0, 1)
 
 
 class TestAlignCommand:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntkalign.core import (
-    BlockDiagShift,
     Dataset,
     NtkKind,
     NtkMatrix,
@@ -20,15 +19,6 @@ def random_symmetric(rng, n, unit_fro=True):
     if unit_fro:
         s = s / np.linalg.norm(s)
     return s
-
-
-def dense_block_diag(s, m):
-    """Materialised block-diagonal lift, the oracle for BlockDiagShift.apply."""
-    n = s.shape[0]
-    out = np.zeros((n * m, n * m))
-    for i in range(m):
-        out[i * n : (i + 1) * n, i * n : (i + 1) * n] = s
-    return out
 
 
 class TestStacking:
@@ -81,13 +71,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.zeros((2, 2))).normalized()
 
-    def test_stacked_matches_stack(self):
-        rng = np.random.default_rng(4)
-        ds = Dataset(rng.standard_normal((3, 5)), rng.standard_normal((3, 5)))
-        st_data = ds.stacked()
-        assert np.array_equal(st_data.x, stack(ds.x))
-        assert np.array_equal(st_data.y, stack(ds.y))
-
     def test_arrays_immutable(self):
         ds = Dataset(np.ones((2, 2)), np.ones((2, 2)))
         with pytest.raises(ValueError):
@@ -121,50 +104,6 @@ class TestShiftOperator:
         pows = s.powers_applied(x, 4)
         assert pows.shape == (4, 4, 3)
         np.testing.assert_allclose(pows[3], s.matrix @ s.matrix @ s.matrix @ x, atol=1e-12)
-
-
-class TestBlockDiagShift:
-    @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (5, 4), (4, 3)])
-    def test_apply_matches_dense_oracle(self, n, m):
-        rng = np.random.default_rng(n * 10 + m)
-        s = ShiftOperator(random_symmetric(rng, n))
-        block = BlockDiagShift(s, m)
-        dense = dense_block_diag(s.matrix, m)
-        v = rng.standard_normal(n * m)
-        for k in range(4):
-            np.testing.assert_allclose(
-                block.apply(v, k), np.linalg.matrix_power(dense, k) @ v, atol=1e-12
-            )
-
-    @given(
-        j=st.integers(min_value=0, max_value=3),
-        k=st.integers(min_value=0, max_value=3),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_power_composition(self, j, k, seed):
-        rng = np.random.default_rng(seed)
-        s = ShiftOperator(random_symmetric(rng, 4))
-        block = BlockDiagShift(s, 3)
-        v = rng.standard_normal(12)
-        left = block.apply(block.apply(v, j), k)
-        right = block.apply(v, j + k)
-        np.testing.assert_allclose(left, right, atol=1e-10)
-
-    def test_conjugate_matches_dense_oracle(self):
-        rng = np.random.default_rng(7)
-        s = ShiftOperator(random_symmetric(rng, 3))
-        block = BlockDiagShift(s, 2)
-        dense = dense_block_diag(s.matrix, 2)
-        a = rng.standard_normal((6, 6))
-        for k in range(3):
-            dk = np.linalg.matrix_power(dense, k)
-            np.testing.assert_allclose(block.conjugate(a, k), dk @ a @ dk, atol=1e-12)
-
-    def test_negative_power_rejected(self):
-        block = BlockDiagShift(ShiftOperator(np.eye(2)), 2)
-        with pytest.raises(ValueError):
-            block.apply(np.ones(4), -1)
 
 
 class TestNtkMatrix:

@@ -8,7 +8,6 @@ from ntkalign.models import (
     ACTIVATIONS,
     FilterParams,
     InitConfig,
-    MimoGnnParams,
     TwoLayerGnnParams,
     filter_forward,
     filter_jacobian,
@@ -18,9 +17,7 @@ from ntkalign.models import (
     gnn2_jacobian,
     init_filter,
     init_gnn2,
-    init_mimo,
     load_params,
-    mimo_forward,
     save_params,
     unflatten_params,
 )
@@ -285,64 +282,14 @@ class TestInit:
         with pytest.raises(ValueError):
             InitConfig(kappa=0.0, seed=1)
 
-    def test_filter_and_mimo_shapes(self):
+    def test_filter_shapes(self):
         assert init_filter(4, InitConfig(kappa=1.0, seed=0)).num_taps == 4
-        mimo = init_mimo([1, 3, 2, 1], 2, InitConfig(kappa=1.0, seed=0))
-        assert [w.shape for w in mimo.layers] == [(3, 1, 2), (2, 3, 2), (1, 2, 2)]
-
-
-class TestMimo:
-    def test_two_layer_config_collapses_to_gnn2(self):
-        rng = np.random.default_rng(15)
-        s = random_shift(rng, 5)
-        x = rng.standard_normal((5, 3))
-        params = init_gnn2(4, 2, InitConfig(kappa=0.9, seed=7))
-        # mimo has no width scaling, so fold 1/sqrt(F) into the readout taps
-        layers = (params.g[:, None, :], (params.h / np.sqrt(4))[None, :, :])
-        mimo = MimoGnnParams(layers, params.activation)
-        assert np.allclose(mimo_forward(s, mimo, x), gnn2_forward(s, params, x), atol=1e-12)
-
-    def test_zero_taps(self):
-        rng = np.random.default_rng(16)
-        s = random_shift(rng, 3)
-        mimo = MimoGnnParams((np.zeros((2, 1, 2)), np.zeros((1, 2, 2))))
-        assert np.allclose(mimo_forward(s, mimo, rng.standard_normal(3)), 0.0)
-
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_identity_activation_matches_block_polynomial(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(1, 3))
-        sizes = [1, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 1]
-        s = random_shift(rng, n)
-        mimo = init_mimo(sizes, k, InitConfig(kappa=1.0, seed=seed), "identity")
-        x = rng.standard_normal(n)
-        total = np.eye(n)
-        for w in mimo.layers:
-            block = sum(
-                np.kron(w[:, :, j], np.linalg.matrix_power(s.matrix, j))
-                for j in range(w.shape[2])
-            )
-            total = block @ total
-        assert np.allclose(mimo_forward(s, mimo, x), total @ x, atol=1e-10)
-
-    def test_rejects_broken_feature_chain(self):
-        with pytest.raises(ValueError):
-            MimoGnnParams((np.zeros((3, 1, 2)), np.zeros((1, 4, 2))))
-
-    def test_rejects_multi_feature_ends(self):
-        with pytest.raises(ValueError):
-            MimoGnnParams((np.zeros((3, 2, 2)), np.zeros((1, 3, 2))))
-        with pytest.raises(ValueError):
-            MimoGnnParams((np.zeros((3, 1, 2)), np.zeros((2, 3, 2))))
 
 
 class TestSerialization:
     @pytest.mark.parametrize("make", [
         lambda: init_filter(3, InitConfig(kappa=1.2, seed=30)),
         lambda: init_gnn2(3, 2, InitConfig(kappa=0.4, seed=31), "sigmoid"),
-        lambda: init_mimo([1, 2, 1], 3, InitConfig(kappa=0.8, seed=32), "relu"),
     ])
     def test_round_trip(self, make, tmp_path):
         params = make()

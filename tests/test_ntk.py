@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from ntkalign.core import Dataset, DivergenceError, NtkKind, ShiftOperator, stack
 from ntkalign.models import (
     FilterParams,
-    InitConfig,
     TwoLayerGnnParams,
     init_gnn2,
-    init_mimo,
 )
 from ntkalign.ntk import (
     ExpectationMatrix,
@@ -158,12 +156,11 @@ class TestEmpiricalNtk:
         theta = empirical_ntk(s, zero_h, x, which_layer="second")
         assert np.linalg.norm(theta.matrix) > 1e-6
 
-    def test_rejects_mimo(self):
+    def test_rejects_unsupported_params(self):
         rng = np.random.default_rng(7)
         s = random_shift(rng, 3)
-        mimo = init_mimo([1, 2, 1], 2, InitConfig(kappa=1.0, seed=0))
         with pytest.raises(TypeError):
-            empirical_ntk(s, mimo, rng.standard_normal((3, 2)))
+            empirical_ntk(s, np.zeros(2), rng.standard_normal((3, 2)))
 
 
 class TestExpectationQuadrature:
@@ -432,13 +429,6 @@ class TestMonteCarloNtk:
 
 
 class TestNtkDrift:
-    def test_filter_drift_is_exactly_zero(self):
-        rng = np.random.default_rng(26)
-        s = random_shift(rng, 4)
-        data = random_dataset(rng, 4, 3)
-        points = ntk_drift(s, data, 2, widths=[1], eta=0.05, num_steps=5, seed=0, model="filter")
-        assert points[0].drift == 0.0
-
     def test_zero_steps_means_zero_drift(self):
         rng = np.random.default_rng(27)
         s = random_shift(rng, 3)

@@ -505,18 +505,6 @@ class TestCompareGso:
                 data, 1, TrainConfig(eta=0.1, epochs=1), [("a", s)], model="mlp"
             )
 
-    def test_threading_does_not_change_results(self):
-        rng = np.random.default_rng(56)
-        s1 = random_shift(rng, 4)
-        s2 = random_shift(rng, 4)
-        data = random_dataset(rng, 4, 3)
-        cfg = TrainConfig(eta=0.05, epochs=4, kappa=0.5, seed=57)
-        arms = [("one", s1), ("two", s2)]
-        serial = compare_gso(data, 2, cfg, arms, reps=4, threads=1)
-        parallel = compare_gso(data, 2, cfg, arms, reps=4, threads=3)
-        for name in ("one", "two"):
-            assert np.array_equal(serial.train_curves[name], parallel.train_curves[name])
-
     def test_gnn_arms_track_test_losses(self):
         rng = np.random.default_rng(58)
         s = random_shift(rng, 4)
