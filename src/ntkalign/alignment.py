@@ -35,8 +35,10 @@ from .ntk import (
     ZVectors,
     b_lin,
     expectation_E_first_layer,
+    expectation_E_first_layer_series,
     expectation_E_quadrature,
     expectation_E_series,
+    expectation_info,
     filter_ntk,
     z_vectors,
 )
@@ -135,14 +137,18 @@ def alignment_lin_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) ->
     return AlignmentBound(float(value), c)
 
 
+def _xi(a_lin: float, q: np.ndarray, blin: np.ndarray) -> float:
+    denom = np.linalg.norm(q) * np.linalg.norm(blin)
+    return 0.0 if denom == 0.0 else a_lin / denom
+
+
 def xi_observed(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
     """A_lin / (||Q||_F ||B_lin||_F), the measured assumption level."""
-    q = q_matrix(s, data.y, num_taps)
-    blin = b_lin(s, data.x, num_taps)
-    denom = np.linalg.norm(q) * np.linalg.norm(blin)
-    if denom == 0.0:
-        return 0.0
-    return alignment_lin(s, data, num_taps) / denom
+    return _xi(
+        alignment_lin(s, data, num_taps),
+        q_matrix(s, data.y, num_taps),
+        b_lin(s, data.x, num_taps),
+    )
 
 
 def solve_optimal_gso_linear_gnn(
@@ -351,31 +357,79 @@ def _conditional_alignment_check(
     return report
 
 
+@dataclass(frozen=True)
+class GnnAlignmentTerms:
+    """Per-instance quantities shared by the alignment report and both checks.
+
+    ``a`` and ``a_first_layer`` are tr(Q E) and tr(Q E1); ``layers`` holds
+    each expectation matrix's diagnostics (method, degree, residual).
+    """
+
+    a: float
+    a_first_layer: float
+    a_lin: float
+    xi_observed: float
+    constants: ExpansionConstants
+    layers: dict
+
+
+def gnn_alignment_terms(
+    s: ShiftOperator,
+    data: Dataset,
+    num_taps: int,
+    spectral_bound: float = 1.0,
+    method: str = "series",
+) -> GnnAlignmentTerms:
+    """Build z, Q, E, E1 and the constants of one instance once.
+
+    ``method='series'`` takes E and E1 from certified Hermite series,
+    ``method='quadrature'`` from the 64-point pair rule.
+    """
+    z = z_vectors(s, data.x, num_taps)
+    q = q_matrix(s, data.y, num_taps)
+    if method == "series":
+        e, e1 = expectation_E_series(z), expectation_E_first_layer_series(z)
+    elif method == "quadrature":
+        e, e1 = expectation_E_quadrature(z), expectation_E_first_layer(z)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    a_lin = alignment_lin(s, data, num_taps)
+    return GnnAlignmentTerms(
+        a=float(np.sum(q * e.matrix)),
+        a_first_layer=float(np.sum(q * e1.matrix)),
+        a_lin=a_lin,
+        xi_observed=_xi(a_lin, q, z.gram()),
+        constants=expansion_constants(num_taps, spectral_bound),
+        layers={"second": expectation_info(e), "first": expectation_info(e1)},
+    )
+
+
 def check_gnn_alignment_lower_bound(
     s: ShiftOperator,
     data: Dataset,
     num_taps: int,
     spectral_bound: float = 1.0,
     xi: float | None = None,
-    n_points: int = 64,
+    method: str = "series",
+    terms: GnnAlignmentTerms | None = None,
 ) -> CheckReport:
     """A >= (c - d/xi) A_lin for the infinite-width tanh GNN second layer.
 
     xi=None measures xi on the instance; a requested xi below the observed
     level skips the instance (reported, not failed).  When the factor
     c - d/xi is nonpositive the bound is vacuous and passes trivially.
+    ``terms`` from ``gnn_alignment_terms`` replaces the computation from
+    the instance, ``spectral_bound`` and ``method``.
     """
-    z = z_vectors(s, data.x, num_taps)
-    q = q_matrix(s, data.y, num_taps)
-    e = expectation_E_quadrature(z, n_points=n_points)
-    consts = expansion_constants(num_taps, spectral_bound)
+    if terms is None:
+        terms = gnn_alignment_terms(s, data, num_taps, spectral_bound, method)
     return _conditional_alignment_check(
         "gnn_alignment_lower_bound",
-        float(np.sum(q * e.matrix)),
-        alignment_lin(s, data, num_taps),
-        xi_observed(s, data, num_taps),
-        consts.gain_second_layer,
-        consts.penalty_second_layer,
+        terms.a,
+        terms.a_lin,
+        terms.xi_observed,
+        terms.constants.gain_second_layer,
+        terms.constants.penalty_second_layer,
         xi,
     )
 
@@ -386,20 +440,19 @@ def check_first_layer_alignment_lower_bound(
     num_taps: int,
     spectral_bound: float = 1.0,
     xi: float | None = None,
-    n_points: int = 64,
+    method: str = "series",
+    terms: GnnAlignmentTerms | None = None,
 ) -> CheckReport:
     """First-layer analog with tau-based constants."""
-    z = z_vectors(s, data.x, num_taps)
-    q = q_matrix(s, data.y, num_taps)
-    e1 = expectation_E_first_layer(z, n_points=n_points)
-    consts = expansion_constants(num_taps, spectral_bound)
+    if terms is None:
+        terms = gnn_alignment_terms(s, data, num_taps, spectral_bound, method)
     return _conditional_alignment_check(
         "first_layer_alignment_lower_bound",
-        float(np.sum(q * e1.matrix)),
-        alignment_lin(s, data, num_taps),
-        xi_observed(s, data, num_taps),
-        consts.gain_first_layer,
-        consts.penalty_first_layer,
+        terms.a_first_layer,
+        terms.a_lin,
+        terms.xi_observed,
+        terms.constants.gain_first_layer,
+        terms.constants.penalty_first_layer,
         xi,
     )
 
@@ -451,21 +504,22 @@ def alignment_report(
     eta: float = 1.0,
     alpha: float = 1.0,
     spectral_bound: float = 1.0,
-    n_points: int = 64,
+    method: str = "series",
+    terms: GnnAlignmentTerms | None = None,
 ) -> AlignmentReport:
-    z = z_vectors(s, data.x, num_taps)
-    q = q_matrix(s, data.y, num_taps)
-    e = expectation_E_quadrature(z, n_points=n_points)
+    """All alignment functionals; ``terms`` as in the conditional checks."""
+    if terms is None:
+        terms = gnn_alignment_terms(s, data, num_taps, spectral_bound, method)
     return AlignmentReport(
-        a=float(np.sum(q * e.matrix)),
+        a=terms.a,
         a_filt=alignment_filt(s, data, num_taps),
-        a_lin=alignment_lin(s, data, num_taps),
+        a_lin=terms.a_lin,
         a_lower=alignment_lower_bound(s, data, num_taps).value,
         a_lin_lower=alignment_lin_lower_bound(s, data, num_taps).value,
         constraint_lhs=constraint_lhs(s, num_taps),
         budget=math.sqrt(alpha / (eta * data.num_samples)),
-        xi_observed=xi_observed(s, data, num_taps),
-        constants=expansion_constants(num_taps, spectral_bound),
+        xi_observed=terms.xi_observed,
+        constants=terms.constants,
     )
 
 

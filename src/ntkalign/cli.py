@@ -6,7 +6,9 @@ manifest listing every output file.  Numeric CSV output is fixed to 17
 significant digits, so a rerun with the same manifest is byte-identical.
 
 Exit codes: 0 success, 1 property-violation findings, 2 usage or input
-errors.
+errors, including inputs beyond a numerical method's reach (a Hermite
+series that cannot certify its residual, correlations that overshoot
+round-off).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .alignment import (
     alignment_report,
     check_first_layer_alignment_lower_bound,
     check_gnn_alignment_lower_bound,
+    gnn_alignment_terms,
     optimality_sweep,
     run_inequality_sweeps,
 )
@@ -40,9 +43,9 @@ from .dataio import (
     save_csv,
     spectral_radius,
 )
-from .hermite import self_check
+from .hermite import TruncationError, self_check
 from .models import InitConfig, init_filter, init_gnn2, save_params
-from .ntk import filter_ntk, gnn_infinite_ntk, gnn_monte_carlo_ntk
+from .ntk import CorrelationOvershootError, filter_ntk, gnn_infinite_ntk, gnn_monte_carlo_ntk
 from .shiftops import covariance, cross_covariance, mu_from_budget, solve_optimal_gso
 from .training import (
     TrainConfig,
@@ -335,17 +338,15 @@ def _compute_ntk(cfg: dict, s: ShiftOperator, data: Dataset) -> NtkMatrix:
     if kind == "filter":
         return filter_ntk(s, data.x, cfg["k"])
     if kind == "gnn":
-        second = gnn_infinite_ntk(s, data.x, cfg["k"], layer="second")
-        first = gnn_infinite_ntk(s, data.x, cfg["k"], layer="first")
-    elif kind == "gnn-mc":
-        second = gnn_monte_carlo_ntk(
-            s, data.x, cfg["k"], cfg["width"], cfg["seed"], which_layer="second"
-        )
-        first = gnn_monte_carlo_ntk(
-            s, data.x, cfg["k"], cfg["width"], cfg["seed"] + 1, which_layer="first"
-        )
-    else:
+        return gnn_infinite_ntk(s, data.x, cfg["k"], layer="both")
+    if kind != "gnn-mc":
         raise CliError(f"unknown NTK kind {kind!r}; choose filter, gnn, or gnn-mc")
+    second = gnn_monte_carlo_ntk(
+        s, data.x, cfg["k"], cfg["width"], cfg["seed"], which_layer="second"
+    )
+    first = gnn_monte_carlo_ntk(
+        s, data.x, cfg["k"], cfg["width"], cfg["seed"] + 1, which_layer="first"
+    )
     return NtkMatrix(
         second.matrix + first.matrix,
         second.kind,
@@ -375,15 +376,14 @@ def _cmd_ntk(cfg: dict) -> int:
 def _cmd_align(cfg: dict) -> int:
     data = _load_dataset(cfg)
     s = _shift_from(cfg, data)
-    rep = alignment_report(
-        s, data, cfg["k"], eta=cfg["eta"], alpha=cfg["alpha"], spectral_bound=cfg["nu"]
-    )
+    terms = gnn_alignment_terms(s, data, cfg["k"], spectral_bound=cfg["nu"])
+    rep = alignment_report(s, data, cfg["k"], eta=cfg["eta"], alpha=cfg["alpha"], terms=terms)
     checks = {}
     for name, fn in (
         ("gnn_alignment_lower_bound", check_gnn_alignment_lower_bound),
         ("first_layer_alignment_lower_bound", check_first_layer_alignment_lower_bound),
     ):
-        result = fn(s, data, cfg["k"], spectral_bound=cfg["nu"], xi=cfg["xi"])
+        result = fn(s, data, cfg["k"], xi=cfg["xi"], terms=terms)
         checks[name] = {
             "passed": result.passed,
             "skipped": result.skipped,
@@ -395,6 +395,7 @@ def _cmd_align(cfg: dict) -> int:
     report = {
         "alignment": rep.to_dict(),
         "conditional_checks": checks,
+        "info": {"layers": terms.layers},
         "summary": f"A = {rep.a:.6g}, xi_observed = {rep.xi_observed:.4f}"
         + (f", FAILED: {', '.join(failed)}" if failed else ""),
     }
@@ -783,6 +784,9 @@ def main(argv=None) -> int:
         )
         return 2
     except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (TruncationError, CorrelationOvershootError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,9 +13,14 @@ identical under both conventions.  ``sigma_hat`` has supremum 1 here;
 
 Quadrature rules are built by Golub-Welsch on the Jacobi matrix rather than
 ``numpy.polynomial.hermite_e.hermegauss``, whose weight computation
-overflows near 512 nodes.  Fixed rules degrade for arguments beyond y ~ 5,
-so limit constants are evaluated through closed-form sign-function
-coefficients and Parseval identities instead of brute large-y quadrature.
+overflows near 512 nodes.  Coefficients are projected with the Jacobi
+eigenvectors themselves (see ``hermite_projection``): forming w_i p_j(x_i)
+from separately computed weights and polynomial values multiplies tiny,
+inaccurate extreme-node weights into huge polynomial values, and the
+512-point rule's Gram residual reaches 9e7 at degree 20 that way.  Fixed
+rules degrade for arguments beyond y ~ 5, so limit constants are evaluated
+through closed-form sign-function coefficients and Parseval identities
+instead of brute large-y quadrature.
 """
 
 from __future__ import annotations
@@ -36,13 +41,21 @@ SIGMA_HAT_SUP_UNNORMALIZED = SQRT_2PI
 TAU_SUP = 1.0
 
 
+# A series tail below -TAIL_ROUNDOFF times the largest total is not round-off.
+TAIL_ROUNDOFF = 1e-12
+
+
 class TruncationError(RuntimeError):
-    """A series evaluation could not reach the requested residual."""
+    """A series evaluation could not reach or certify the requested residual."""
 
 
 @lru_cache(maxsize=16)
-def gauss_hermite_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and probability weights for E_{u~N(0,1)}[f(u)] ~ sum w_i f(x_i)."""
+def _jacobi_eigensystem(n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and sign-fixed eigenvectors of the n-point Hermite Jacobi matrix.
+
+    Column i is sqrt(w_i) [p_0(x_i), ..., p_{n-1}(x_i)]: the signs are fixed
+    so that row 0 is nonnegative, and p_0 = 1.
+    """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     off = np.sqrt(np.arange(1.0, n_points))
@@ -51,11 +64,58 @@ def gauss_hermite_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     jacobi[idx, idx + 1] = off
     jacobi[idx + 1, idx] = off
     nodes, vecs = np.linalg.eigh(jacobi)
+    vecs *= np.where(vecs[0] < 0.0, -1.0, 1.0)
+    nodes.setflags(write=False)
+    vecs.setflags(write=False)
+    return nodes, vecs
+
+
+@lru_cache(maxsize=16)
+def gauss_hermite_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and probability weights for E_{u~N(0,1)}[f(u)] ~ sum w_i f(x_i)."""
+    nodes, vecs = _jacobi_eigensystem(n_points)
     weights = vecs[0] ** 2
     weights = weights / weights.sum()
-    nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+@lru_cache(maxsize=16)
+def hermite_projection(n_points: int = MAX_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and the projection P with c_j = sum_i P[j, i] f(x_i) ~ E[f p_j].
+
+    P[j, i] = V[0, i] V[j, i] = w_i p_j(x_i) from the sign-fixed Jacobi
+    eigenvectors V, so every factor is bounded by 1 and a coefficient of a
+    bounded f carries absolute error of order machine epsilon at any degree
+    up to n_points - 1.  Row 0 is the weights w_i = V[0, i]^2.  The rows of
+    V are orthonormal, so sum_j c_j^2 = sum_i w_i f(x_i)^2 exactly for the
+    rule: tails taken against that total are discrete Bessel gaps.
+    """
+    nodes, vecs = _jacobi_eigensystem(n_points)
+    proj = vecs * vecs[0]
+    proj.setflags(write=False)
+    return nodes, proj
+
+
+def series_tails(coeffs: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """totals minus the running sum of squared coefficients along the last axis.
+
+    Both must come from one rule (``hermite_projection``), which makes each
+    tail a nonnegative Bessel gap up to round-off.  A tail below
+    -TAIL_ROUNDOFF times the largest total means the coefficients are not a
+    projection of the totals' function; it raises TruncationError rather
+    than being clamped to zero.
+    """
+    totals = np.asarray(totals, dtype=float)
+    tails = totals[..., None] - np.cumsum(coeffs * coeffs, axis=-1)
+    floor = -TAIL_ROUNDOFF * max(float(np.abs(totals).max(initial=0.0)), 1e-300)
+    worst = float(tails.min(initial=0.0))
+    if worst < floor:
+        raise TruncationError(
+            f"series tail {worst:.3e} is below round-off {floor:.1e}: "
+            "the coefficients are not a projection of the function"
+        )
+    return tails
 
 
 def hermite_eval_upto(max_degree: int, u: np.ndarray) -> np.ndarray:
@@ -116,6 +176,14 @@ def _sech2_values(y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return 1.0 - t * t
 
 
+def _projection_upto(max_degree: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and the rows 0..max_degree of the n-point projection."""
+    if not 0 <= max_degree < n_points:
+        raise ValueError("max_degree must lie in [0, n_points)")
+    nodes, proj = hermite_projection(n_points)
+    return nodes, proj[: max_degree + 1]
+
+
 def coeff_g_table(max_degree: int, y, n_points: int | None = None) -> np.ndarray:
     """Hermite coefficients of u -> tanh(y u) for degrees 0..max_degree.
 
@@ -126,9 +194,8 @@ def coeff_g_table(max_degree: int, y, n_points: int | None = None) -> np.ndarray
         raise ValueError("y must be >= 0")
 
     def evaluate(n):
-        nodes, weights = gauss_hermite_rule(n)
-        p = hermite_eval_upto(max_degree, nodes)
-        return _tanh_values(np.atleast_1d(y), nodes) @ (weights[:, None] * p.T)
+        nodes, proj = _projection_upto(max_degree, n)
+        return _tanh_values(np.atleast_1d(y), nodes) @ proj.T
 
     table = _escalate(evaluate, n_points)
     return table.reshape(y.shape + (max_degree + 1,))
@@ -142,9 +209,8 @@ def coeff_tau_table(max_degree: int, z_sq, n_points: int | None = None) -> np.nd
     y = np.sqrt(z_sq)
 
     def evaluate(n):
-        nodes, weights = gauss_hermite_rule(n)
-        p = hermite_eval_upto(max_degree, nodes)
-        return _sech2_values(np.atleast_1d(y), nodes) @ (weights[:, None] * p.T)
+        nodes, proj = _projection_upto(max_degree, n)
+        return _sech2_values(np.atleast_1d(y), nodes) @ proj.T
 
     table = _escalate(evaluate, n_points)
     return table.reshape(z_sq.shape + (max_degree + 1,))
@@ -272,32 +338,26 @@ def beta_first_layer(
     """
     if norm_sq_bound <= 0:
         raise ValueError("norm_sq_bound must be > 0")
-    n = MAX_POINTS if n_points is None else n_points
-    if max_degree > n - 1:
-        raise ValueError("max_degree must stay below the quadrature size")
-    nodes, weights = gauss_hermite_rule(n)
+    nodes, proj = _projection_upto(max_degree, MAX_POINTS if n_points is None else n_points)
     s2 = _sech2_values(np.asarray(norm_sq_bound) ** 0.5, nodes)
-    p = hermite_eval_upto(max_degree, nodes)
-    taus = p @ (weights * s2)
-    total = float(weights @ (s2 * s2))
+    taus = proj @ s2
+    total = float(proj[0] @ (s2 * s2))
     tau0_sq = taus[0] ** 2
-    even_sq = taus[2::2] ** 2
-    tail_total = total - tau0_sq
-    partial = 0.0
-    for i, t_sq in enumerate(even_sq, start=1):
-        partial += t_sq
-        residual = (tail_total - partial) / tau0_sq
-        if residual < residual_tol:
-            return FirstLayerBetaResult(
-                value=partial / tau0_sq,
-                parseval_value=tail_total / tau0_sq,
-                norm_sq_bound=float(norm_sq_bound),
-                num_pairs=i,
-                truncation_residual=residual,
-            )
-    raise TruncationError(
-        f"series residual {residual:.3e} still above {residual_tol:.1e} "
-        f"at degree {max_degree}"
+    # odd coefficients vanish, so only the even ones enter the tails
+    residuals = series_tails(taus[::2], total)[1:] / tau0_sq
+    met = np.flatnonzero(residuals < residual_tol)
+    if not met.size:
+        raise TruncationError(
+            f"series residual {residuals[-1]:.3e} still above {residual_tol:.1e} "
+            f"at degree {max_degree}"
+        )
+    i = int(met[0])
+    return FirstLayerBetaResult(
+        value=float(np.sum(taus[2 : 2 * i + 3 : 2] ** 2)) / tau0_sq,
+        parseval_value=(total - tau0_sq) / tau0_sq,
+        norm_sq_bound=float(norm_sq_bound),
+        num_pairs=i + 1,
+        truncation_residual=float(residuals[i]),
     )
 
 
@@ -334,12 +394,10 @@ def parseval_gap(y: float, max_degree: int, n_points: int = MAX_POINTS) -> float
     Computed end to end with one rule, so the gap is a discrete Bessel gap:
     nonnegative up to round-off and non-increasing in max_degree.
     """
-    nodes, weights = gauss_hermite_rule(n_points)
+    nodes, proj = _projection_upto(max_degree, n_points)
     t = _tanh_values(np.asarray(y, dtype=float), nodes)
-    p = hermite_eval_upto(max_degree, nodes)
-    coeffs = p @ (weights * t)
-    total = float(weights @ (t * t))
-    return total - float(coeffs @ coeffs)
+    coeffs = proj @ t
+    return float(proj[0] @ (t * t)) - float(coeffs @ coeffs)
 
 
 @dataclass(frozen=True)
@@ -476,6 +534,11 @@ def expansion_constants(
     )
 
 
+# Degrees of the self-check's Parseval gaps: up to half the largest rule,
+# the highest degree the series kernels use.
+PARSEVAL_CHECK_DEGREES = (5, 11, 21, 41, 101, MAX_POINTS // 2 - 1)
+
+
 def self_check(n_points: int = DEFAULT_POINTS) -> dict:
     """Full self-verification of the Hermite layer; payload for the CLI.
 
@@ -488,9 +551,18 @@ def self_check(n_points: int = DEFAULT_POINTS) -> dict:
     p = hermite_eval_upto(10, nodes)
     gram = (p * weights) @ p.T
     ortho_residual = float(np.abs(gram - np.eye(11)).max())
-    ortho_ok = ortho_residual < 1e-8
+    # the family the coefficients are projected on: sqrt(w_i) p_j(x_i) for
+    # every degree the largest rule carries
+    _, vecs = _jacobi_eigensystem(MAX_POINTS)
+    proj_residual = float(np.abs(vecs @ vecs.T - np.eye(MAX_POINTS)).max())
+    ortho_ok = ortho_residual < 1e-8 and proj_residual < 1e-12
     violations += not ortho_ok
-    report["orthonormality"] = {"max_residual": ortho_residual, "passed": ortho_ok}
+    report["orthonormality"] = {
+        "max_residual": ortho_residual,
+        "projection_max_residual": proj_residual,
+        "projection_max_degree": MAX_POINTS - 1,
+        "passed": ortho_ok,
+    }
 
     pair_worst = 0.0
     for rho in (-0.9, -0.3, 0.0, 0.5, 0.99):
@@ -511,10 +583,10 @@ def self_check(n_points: int = DEFAULT_POINTS) -> dict:
     gaps_ok = True
     gaps = {}
     for y in (0.5, 2.0, 8.0):
-        series = [parseval_gap(y, L) for L in (5, 11, 21)]
+        series = [parseval_gap(y, L) for L in PARSEVAL_CHECK_DEGREES]
         gaps[str(y)] = series
-        gaps_ok &= all(g >= -1e-9 for g in series)
-        gaps_ok &= series[0] >= series[1] >= series[2]
+        gaps_ok &= all(g >= -TAIL_ROUNDOFF for g in series)
+        gaps_ok &= all(a >= b - TAIL_ROUNDOFF for a, b in zip(series, series[1:]))
     violations += not gaps_ok
     report["parseval_gaps"] = {"by_scale": gaps, "passed": gaps_ok}
 

@@ -5,8 +5,9 @@ Four routes to the stacked nM x nM kernel:
 * empirical: Jacobian product of a concrete finite-width model;
 * analytic graph filter: sum_k S~^k x~ x~^T S~^k, parameter-free;
 * infinite-width GNN: conjugated expectation matrix E (or the first-layer
-  E1), with E computed by pair quadrature or a truncated odd-degree
-  Hermite series;
+  E1), each a Mehler sum of Hermite coefficients truncated at a certified
+  residual (odd tanh degrees for E, even sech^2 degrees for E1), with
+  pair quadrature kept as the reference;
 * Monte Carlo: finite number of random hidden features, for width studies.
 
 Everything here materializes dense matrices; intended for nM up to a few
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .core import (
     _frozen_array,
     stack,
 )
-from .hermite import gauss_hermite_rule, hermite_eval_upto
+from .hermite import TruncationError, gauss_hermite_rule, hermite_projection, series_tails
 from .models import (
     FilterParams,
     InitConfig,
@@ -47,10 +49,16 @@ from .models import (
 )
 
 DEFAULT_QUADRATURE_POINTS = 64
-SERIES_DEFAULT_DEGREE = 21
 SERIES_QUADRATURE_POINTS = 512
+# The series stops at the first degree whose certified residual is at most
+# this fraction of the expectation matrix's largest entry.
+SERIES_RTOL = 1e-10
 RHO_OVERSHOOT_TOL = 1e-9
 SERIES_WARNING_FACTOR = 1e-4
+
+
+class CorrelationOvershootError(RuntimeError):
+    """Row correlations exceed 1 by more than round-off."""
 
 
 def _signals(data) -> np.ndarray:
@@ -83,6 +91,31 @@ class ZVectors:
 
     def gram(self) -> np.ndarray:
         return self.matrix @ self.matrix.T
+
+    @cached_property
+    def correlations(self):
+        """Row norms, clamped correlation matrix, and zero-norm row indices.
+
+        Computed once per instance and shared by every expectation matrix
+        built from it.  Correlations are clamped to [-1, 1]; an overshoot
+        beyond round-off scale raises instead of being hidden.
+        """
+        norms = self.norms
+        zero_rows = np.flatnonzero(norms == 0.0)
+        safe = np.where(norms == 0.0, 1.0, norms)
+        rho = self.gram() / np.outer(safe, safe)
+        overshoot = np.abs(rho).max(initial=0.0) - 1.0
+        if overshoot > RHO_OVERSHOOT_TOL:
+            raise CorrelationOvershootError(
+                f"correlation overshoot {overshoot:.3e} exceeds round-off budget"
+            )
+        rho = np.clip(rho, -1.0, 1.0)
+        rho[zero_rows, :] = 0.0
+        rho[:, zero_rows] = 0.0
+        np.fill_diagonal(rho, 1.0)
+        rho[zero_rows, zero_rows] = 0.0
+        rho.setflags(write=False)
+        return norms, rho, tuple(int(i) for i in zero_rows)
 
 
 def z_vectors(s: ShiftOperator, data, num_taps: int) -> ZVectors:
@@ -131,9 +164,10 @@ class ExpectationMatrix:
     """Hidden-feature second-moment matrix E (or its first-layer analog).
 
     ``zero_rows`` lists stacked indices whose shift profile vanishes; their
-    rows and columns are defined as 0.  For the series method the (B,
-    delta_b) split is kept and ``truncation_residual`` bounds the entrywise
-    error against the untruncated series.
+    rows and columns are defined as 0.  For the series methods
+    ``truncation_residual`` bounds the entrywise error against the
+    untruncated series; the second-layer series also keeps its (B,
+    delta_B) split.
     """
 
     matrix: np.ndarray
@@ -147,23 +181,6 @@ class ExpectationMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_array(self.matrix, ndim=2))
-
-
-def _correlations(z: ZVectors):
-    """Row norms, clamped correlation matrix, and zero-norm row indices."""
-    norms = z.norms
-    zero_rows = np.flatnonzero(norms == 0.0)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    rho = z.gram() / np.outer(safe, safe)
-    overshoot = np.abs(rho).max(initial=0.0) - 1.0
-    if overshoot > RHO_OVERSHOOT_TOL:
-        raise RuntimeError(f"correlation overshoot {overshoot:.3e} exceeds round-off budget")
-    rho = np.clip(rho, -1.0, 1.0)
-    rho[zero_rows, :] = 0.0
-    rho[:, zero_rows] = 0.0
-    np.fill_diagonal(rho, 1.0)
-    rho[zero_rows, zero_rows] = 0.0
-    return norms, rho, tuple(int(i) for i in zero_rows)
 
 
 def _pair_quadrature(fn, norms, rho, n_points, chunk=512) -> np.ndarray:
@@ -208,11 +225,10 @@ def expectation_E_quadrature(
     """E_ab = E[sigma(|z_a| u) sigma(|z_b| u')] by tensor Gauss-Hermite.
 
     u' = rho_ab u + sqrt(1 - rho_ab^2) v reduces each pair to a 2D rule.
-    Correlations are clamped to [-1, 1]; an overshoot beyond round-off
-    scale raises instead of being hidden.
+    It has no error estimate; it is kept as the reference for the series.
     """
     act = _analytic_activation(activation)
-    norms, rho, zero_rows = _correlations(z)
+    norms, rho, zero_rows = z.correlations
     e = _pair_quadrature(act.fn, norms, rho, n_points)
     e = _zero_out(e, zero_rows)
     return ExpectationMatrix(
@@ -220,57 +236,146 @@ def expectation_E_quadrature(
     )
 
 
+def _hermite_series(values, norms, parity, max_degree, row_weight, n_points):
+    """Coefficients of u -> values(|z_a| u) in the degrees of one parity.
+
+    Returns the coefficient columns for degrees parity, parity + 2, ...,
+    the last degree kept and its residual: the largest row_weight-scaled
+    tail.  With max_degree None the last degree is the smallest one whose
+    residual is at most SERIES_RTOL times the largest scaled total, which
+    is the largest entry of the expectation matrix.  Degrees stop at half
+    the rule's size: beyond it aliasing from degrees past the rule's
+    exactness makes the same-rule tail an underestimate (a 2048-point rule
+    shows the sech^2 tail off by 9% at degree 338 and 2.7x at 402).
+    """
+    top = n_points // 2 if max_degree is None else max_degree
+    if top > n_points // 2:
+        raise ValueError(f"max_degree must be <= {n_points // 2} for a {n_points}-point rule")
+    nodes, proj = hermite_projection(n_points)
+    vals = values(np.multiply.outer(norms, nodes))
+    coeffs = vals @ proj[parity : top + 1 : 2].T
+    totals = (vals * vals) @ proj[0]
+    residuals = np.abs(series_tails(coeffs, totals) * row_weight[:, None]).max(axis=0, initial=0.0)
+    if max_degree is not None:
+        keep = coeffs.shape[1]
+    else:
+        target = SERIES_RTOL * float((totals * row_weight).max(initial=0.0))
+        met = np.flatnonzero(residuals <= target)
+        if not met.size:
+            raise TruncationError(
+                f"series residual {residuals[-1]:.3e} still above {target:.1e} at degree "
+                f"{parity + 2 * (coeffs.shape[1] - 1)}: row norm {norms.max():.3f} is beyond "
+                f"the reach of the {n_points}-point rule"
+            )
+        keep = int(met[0]) + 1
+    return coeffs[:, :keep], parity + 2 * (keep - 1), float(residuals[keep - 1])
+
+
+def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray, first_degree: int) -> np.ndarray:
+    """sum_d c_d c_d' * rho^d, column i of coeffs holding degree first_degree + 2i.
+
+    E[f(u) g(u')] for rho-correlated standard Gaussians is sum_d f_d g_d
+    rho^d (Mehler), so one sum serves both layers; Horner in rho^2 keeps
+    it to three passes over the matrix per degree.
+    """
+    rho_sq = rho * rho
+    acc = np.zeros_like(rho)
+    term = np.empty_like(rho)
+    for c in coeffs.T[::-1]:
+        acc *= rho_sq
+        np.multiply.outer(c, c, out=term)
+        acc += term
+    if first_degree:
+        acc *= rho**first_degree
+    return acc
+
+
+def _symmetric(matrix: np.ndarray, zero_rows) -> np.ndarray:
+    return _zero_out((matrix + matrix.T) / 2.0, zero_rows)
+
+
+def _series_matrix(matrix, method, zero_rows, degree, residual, info, **split) -> ExpectationMatrix:
+    warning = residual > SERIES_WARNING_FACTOR * max(np.abs(matrix).max(initial=0.0), 1e-300)
+    return ExpectationMatrix(
+        matrix,
+        method,
+        zero_rows=zero_rows,
+        truncation_residual=residual,
+        truncation_warning=bool(warning),
+        info={"max_degree": degree, **info},
+        **split,
+    )
+
+
 def expectation_E_series(
     z: ZVectors,
-    max_degree: int = SERIES_DEFAULT_DEGREE,
+    max_degree: int | None = None,
     activation: str = "tanh",
     n_points: int = SERIES_QUADRATURE_POINTS,
 ) -> ExpectationMatrix:
     """E = B + delta_B from the odd-degree Hermite expansion of tanh.
 
-    B keeps the degree-1 term; delta_B sums degrees 3, 5, ..., max_degree.
-    The residual bound is Cauchy-Schwarz over the dropped degrees, with the
-    per-row tail computed against the same quadrature rule as the
-    coefficients so it stays nonnegative.  Identity activation has only the
-    degree-1 term, so E reduces to the linear kernel exactly.
+    B keeps the degree-1 term; delta_B sums degrees 3, 5, ..., up to
+    max_degree, or by default up to the first degree whose certified
+    residual meets SERIES_RTOL (TruncationError when no degree the rule
+    resolves does).  ``truncation_residual`` bounds the entrywise error:
+    Cauchy-Schwarz over the dropped degrees gives sqrt(tail_a tail_b),
+    with the per-row tails taken against the same rule as the
+    coefficients.  Identity activation has only the degree-1 term, so E
+    reduces to the linear kernel exactly.
     """
-    if max_degree < 3 or max_degree % 2 == 0:
+    if max_degree is not None and (max_degree < 3 or max_degree % 2 == 0):
         raise ValueError("max_degree must be odd and >= 3")
-    _analytic_activation(activation)
-    norms, rho, zero_rows = _correlations(z)
+    act = _analytic_activation(activation)
+    norms, rho, zero_rows = z.correlations
     if activation == "identity":
         b = z.gram()
         delta = np.zeros_like(b)
-        residual = 0.0
+        degree, residual = 1, 0.0
     else:
-        nodes, weights = gauss_hermite_rule(n_points)
-        vals = np.tanh(np.multiply.outer(norms, nodes))  # (nM, q)
-        p = hermite_eval_upto(max_degree, nodes)  # (L+1, q)
-        coeffs = vals @ (weights[:, None] * p.T)  # (nM, L+1)
-        totals = (vals * vals) @ weights
-        tails = np.maximum(totals - (coeffs * coeffs).sum(axis=1), 0.0)
-        b = np.outer(coeffs[:, 1], coeffs[:, 1]) * rho
-        delta = np.zeros_like(b)
-        rho_power = rho * rho * rho
-        for degree in range(3, max_degree + 1, 2):
-            delta += np.outer(coeffs[:, degree], coeffs[:, degree]) * rho_power
-            rho_power = rho_power * rho * rho
-        # Cauchy-Schwarz over dropped degrees: sqrt(tail_a tail_b) <= max tail
-        residual = float(tails.max(initial=0.0))
-    b = _zero_out((b + b.T) / 2.0, zero_rows)
-    delta = _zero_out((delta + delta.T) / 2.0, zero_rows)
-    e = b + delta
-    warning = residual > SERIES_WARNING_FACTOR * max(np.abs(e).max(initial=0.0), 1e-300)
-    return ExpectationMatrix(
-        e,
-        "series",
-        zero_rows=zero_rows,
-        b=b,
-        delta_b=delta,
-        truncation_residual=residual,
-        truncation_warning=bool(warning),
-        info={"max_degree": max_degree, "n_points": n_points, "activation": activation},
-    )
+        coeffs, degree, residual = _hermite_series(
+            act.fn, norms, 1, max_degree, np.ones_like(norms), n_points
+        )
+        b = _mehler_sum(coeffs[:, :1], rho, 1)
+        delta = _mehler_sum(coeffs[:, 1:], rho, 3)
+    b = _symmetric(b, zero_rows)
+    delta = _symmetric(delta, zero_rows)
+    return _series_matrix(
+        b + delta, "series", zero_rows, degree, residual,
+        {"n_points": n_points, "activation": activation}, b=b, delta_b=delta,
+    )  # fmt: skip
+
+
+def expectation_E_first_layer_series(
+    z: ZVectors,
+    max_degree: int | None = None,
+    activation: str = "tanh",
+    n_points: int = SERIES_QUADRATURE_POINTS,
+) -> ExpectationMatrix:
+    """E1 = (sum_d tau_d tau_d' rho^d) * <z_a, z_b> over the even degrees of sech^2.
+
+    The series counterpart of ``expectation_E_first_layer``, truncated
+    like ``expectation_E_series``; each row's tail is scaled by |z_a|^2,
+    so sqrt(tail_a tail_b) |z_a| |z_b| bounds the entrywise error and
+    ``truncation_residual`` is its largest value.  Identity activation has
+    derivative 1, so E1 is the linear kernel exactly.
+    """
+    if max_degree is not None and (max_degree < 0 or max_degree % 2):
+        raise ValueError("max_degree must be even and >= 0")
+    act = _analytic_activation(activation)
+    norms, rho, zero_rows = z.correlations
+    if activation == "identity":
+        pair, degree, residual = np.ones_like(rho), 0, 0.0
+    else:
+        coeffs, degree, residual = _hermite_series(
+            act.deriv, norms, 0, max_degree, norms * norms, n_points
+        )
+        pair = _mehler_sum(coeffs, rho, 0)
+    e1 = _symmetric(pair * z.gram(), zero_rows)
+    return _series_matrix(
+        e1, "first_layer_series", zero_rows, degree, residual,
+        {"n_points": n_points, "activation": activation},
+    )  # fmt: skip
 
 
 def expectation_E_first_layer(
@@ -283,7 +388,7 @@ def expectation_E_first_layer(
     linear kernel.
     """
     act = _analytic_activation(activation)
-    norms, rho, zero_rows = _correlations(z)
+    norms, rho, zero_rows = z.correlations
     pair = _pair_quadrature(act.deriv, norms, rho, n_points)
     e1 = _zero_out(pair * z.gram(), zero_rows)
     return ExpectationMatrix(
@@ -318,47 +423,62 @@ _INFINITE_KINDS = {
 }
 
 
-def gnn_infinite_ntk(
-    s: ShiftOperator,
-    data,
-    num_taps: int,
-    layer: str = "second",
-    method: str = "quadrature",
-    activation: str = "tanh",
-    n_points: int = DEFAULT_QUADRATURE_POINTS,
-    max_degree: int = SERIES_DEFAULT_DEGREE,
-) -> NtkMatrix:
-    """Infinite-width GNN NTK contribution of one layer: sum_k S~^k E S~^k.
+def _layer_expectation(
+    z: ZVectors, layer: str, method: str, activation: str, n_points: int
+) -> ExpectationMatrix:
+    if method == "series":
+        build = expectation_E_series if layer == "second" else expectation_E_first_layer_series
+        return build(z, activation=activation)
+    if method == "quadrature":
+        build = expectation_E_quadrature if layer == "second" else expectation_E_first_layer
+        return build(z, activation, n_points)
+    raise ValueError(f"unknown method {method!r}")
 
-    ``layer='second'`` uses the activation second-moment matrix E;
-    ``layer='first'`` uses the derivative-weighted Gram E1.  The first-layer
-    path is quadrature-only.
-    """
-    x = _signals(data)
-    z = z_vectors(s, x, num_taps)
-    if layer == "second":
-        if method == "quadrature":
-            e = expectation_E_quadrature(z, activation, n_points)
-        elif method == "series":
-            e = expectation_E_series(z, max_degree, activation)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        kind = _INFINITE_KINDS[method]
-    elif layer == "first":
-        if method != "quadrature":
-            raise ValueError("first-layer expectation is quadrature-only")
-        e = expectation_E_first_layer(z, activation, n_points)
-        kind = NtkKind.GNN_INFINITE_QUADRATURE
-    else:
-        raise ValueError(f"layer must be 'first' or 'second', got {layer!r}")
-    theta = conjugated_power_sum(s, e.matrix, num_taps, x.shape[1])
-    info = {"layer": layer, "method": e.method, "num_taps": num_taps, **e.info}
+
+def expectation_info(e: ExpectationMatrix) -> dict:
+    """The diagnostics of one expectation matrix, as a report carries them."""
+    info = {"method": e.method, **e.info}
     if e.truncation_residual is not None:
         info["truncation_residual"] = e.truncation_residual
         info["truncation_warning"] = e.truncation_warning
     if e.zero_rows:
         info["zero_rows"] = e.zero_rows
-    return NtkMatrix(theta, kind, info=info)
+    return info
+
+
+def gnn_infinite_ntk(
+    s: ShiftOperator,
+    data,
+    num_taps: int,
+    layer: str = "second",
+    method: str = "series",
+    activation: str = "tanh",
+    n_points: int = DEFAULT_QUADRATURE_POINTS,
+) -> NtkMatrix:
+    """Infinite-width GNN NTK contribution: sum_k S~^k E S~^k.
+
+    ``layer='second'`` uses the activation second-moment matrix E,
+    ``layer='first'`` the derivative-weighted Gram E1, and ``layer='both'``
+    their sum, the full kernel: one ``z_vectors``, one set of correlations
+    and one conjugated power sum (the map is linear), with each layer's
+    diagnostics under ``info['layers']``.  ``method='series'`` truncates
+    the Hermite series at a certified residual; ``method='quadrature'``
+    uses the ``n_points`` pair rule.
+    """
+    layers = ("second", "first") if layer == "both" else (layer,)
+    if any(name not in ("second", "first") for name in layers):
+        raise ValueError(f"layer must be 'first', 'second' or 'both', got {layer!r}")
+    x = _signals(data)
+    z = z_vectors(s, x, num_taps)
+    parts = {name: _layer_expectation(z, name, method, activation, n_points) for name in layers}
+    total = sum(e.matrix for e in parts.values())
+    theta = conjugated_power_sum(s, total, num_taps, x.shape[1])
+    if layer == "both":
+        info = {name: expectation_info(e) for name, e in parts.items()}
+        info = {"layer": layer, "num_taps": num_taps, "layers": info}
+    else:
+        info = {"layer": layer, "num_taps": num_taps, **expectation_info(parts[layer])}
+    return NtkMatrix(theta, _INFINITE_KINDS[method], info=info)
 
 
 def _stacked_powers(

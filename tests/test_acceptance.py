@@ -107,10 +107,7 @@ def test_monte_carlo_kernel_converges_with_width():
     rng = np.random.default_rng(40)
     s = random_shift(rng, 5)
     data = random_dataset(rng, 5, 10)
-    reference = (
-        gnn_infinite_ntk(s, data, 2, layer="second").matrix
-        + gnn_infinite_ntk(s, data, 2, layer="first").matrix
-    )
+    reference = gnn_infinite_ntk(s, data, 2, layer="both").matrix
     ref_norm = np.linalg.norm(reference)
 
     def mc_error(num_features, seed):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ntkalign import alignment, cli
 from ntkalign.cli import main
 from ntkalign.dataio import load_csv, save_csv
 from ntkalign.ntk import filter_ntk
@@ -54,6 +55,45 @@ class TestUsageErrors:
                    "--out-dir", tmp_path / "out")
         assert code == 2
         assert "symmetriz" in capsys.readouterr().err
+
+    def test_constants_beyond_series_reach_exit_2(self, tiny_data, tmp_path, capsys):
+        # --nu 3 at K = 3 puts the first-layer constant at squared norm 91
+        _, _, x_path, y_path = tiny_data
+        code = run("align", "--x", x_path, "--y", y_path, "--k", 3, "--nu", 3,
+                   "--out-dir", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "degree 300" in err
+
+    @pytest.mark.parametrize("command", ["ntk", "align"])
+    def test_row_norm_beyond_series_reach_exit_2(self, tmp_path, capsys, command):
+        x = np.zeros((3, 2))
+        x[0, 0] = 5.0  # stacked row 0 has norm at least 5
+        x[:, 1] = [0.2, -0.1, 0.3]
+        save_csv(x, tmp_path / "x.csv")
+        save_csv(0.5 * x, tmp_path / "y.csv")
+        extra = ["--kind", "gnn"] if command == "ntk" else []
+        code = run(command, "--x", tmp_path / "x.csv", "--y", tmp_path / "y.csv", *extra,
+                   "--out-dir", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: series residual") and err.count("\n") == 1
+        assert "beyond the reach" in err
+
+    def test_correlation_overshoot_exit_2(self, tiny_data, tmp_path, capsys, monkeypatch):
+        from ntkalign.ntk import CorrelationOvershootError
+
+        def overshoot(*args, **kwargs):
+            raise CorrelationOvershootError("correlation overshoot 1.000e-06 exceeds round-off")
+
+        monkeypatch.setattr(cli, "gnn_infinite_ntk", overshoot)
+        _, _, x_path, y_path = tiny_data
+        assert run("ntk", "--x", x_path, "--y", y_path, "--kind", "gnn",
+                   "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            "error: correlation overshoot 1.000e-06 exceeds round-off\n"
+        )
 
     def test_divergent_training_exits_with_hint(self, tiny_data, tmp_path, capsys):
         _, _, x_path, y_path = tiny_data
@@ -148,9 +188,13 @@ class TestNtkCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["kind"] == "gnn" and report["size"] == kernel.shape[0]
         layers = report["info"]["layers"]
-        assert layers["second"]["method"] == "quadrature"
-        assert layers["first"]["method"] == "first_layer_quadrature"
-        assert layers["second"]["n_points"] == layers["first"]["n_points"] == 64
+        assert layers["second"]["method"] == "series"
+        assert layers["first"]["method"] == "first_layer_series"
+        assert layers["second"]["max_degree"] % 2 == 1
+        assert layers["first"]["max_degree"] % 2 == 0
+        for layer in layers.values():
+            assert 0.0 <= layer["truncation_residual"] <= 1e-10
+            assert layer["truncation_warning"] is False
 
     def test_gnn_report_keeps_zero_rows(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -192,6 +236,35 @@ class TestAlignCommand:
                                "first_layer_alignment_lower_bound"}
         for entry in checks.values():
             assert entry["passed"] or entry["skipped"]
+
+    def test_each_kernel_builder_runs_once(self, tiny_data, tmp_path, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            original = getattr(alignment, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(alignment, name, wrapper)
+
+        for name in ("expectation_E_series", "expectation_E_first_layer_series",
+                     "expectation_E_quadrature", "expectation_E_first_layer",
+                     "z_vectors", "expansion_constants"):
+            counted(name)
+        _, _, x_path, y_path = tiny_data
+        out = tmp_path / "out"
+        assert run("align", "--x", x_path, "--y", y_path, "--out-dir", out) == 0
+        assert calls == {
+            "expectation_E_series": 1,
+            "expectation_E_first_layer_series": 1,
+            "z_vectors": 2,  # the inputs' and the targets' shift profiles
+            "expansion_constants": 1,
+        }
+        layers = json.loads((out / "report.json").read_text())["info"]["layers"]
+        assert layers["second"]["method"] == "series"
+        assert layers["first"]["method"] == "first_layer_series"
 
     def test_json_flag_prints_the_report(self, tiny_data, tmp_path, capsys):
         _, _, x_path, y_path = tiny_data

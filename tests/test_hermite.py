@@ -60,6 +60,48 @@ class TestQuadratureRule:
         assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
 
 
+class TestProjection:
+    def test_orthonormal_through_full_rule(self):
+        # the projected family sqrt(w_i) p_j(x_i), every degree up to 511
+        nodes, vecs = hm._jacobi_eigensystem(512)
+        assert np.abs(vecs @ vecs.T - np.eye(512)).max() <= 1e-12
+        weights = hm.gauss_hermite_rule(512)[1]
+        np.testing.assert_allclose(vecs[0], np.sqrt(weights), atol=1e-15)
+        np.testing.assert_allclose(vecs[1], np.sqrt(weights) * nodes, atol=1e-14)
+
+    def test_matches_weighted_polynomials_at_low_degree(self):
+        # w_i p_j(x_i) is accurate below degree ten, where the Gram residual is small
+        nodes, proj = hm.hermite_projection(512)
+        naive = hm.gauss_hermite_rule(512)[1] * hm.hermite_eval_upto(10, nodes)
+        np.testing.assert_allclose(proj[:11], naive, atol=1e-12)
+
+    def test_high_degree_coefficients_are_bounded_and_complete(self):
+        y = 3.0
+        nodes, proj = hm.hermite_projection(512)
+        t = np.tanh(y * nodes)
+        coeffs = proj @ t
+        assert np.abs(coeffs).max() <= 1.0
+        # discrete Parseval: all 512 coefficients carry the rule's E[tanh^2]
+        assert coeffs @ coeffs == pytest.approx(proj[0] @ (t * t), abs=1e-13)
+
+    def test_tail_below_roundoff_raises(self):
+        # coefficients from separately computed weights and polynomial values
+        # overshoot the total past degree 20; the tail must not be clamped
+        nodes, weights = hm.gauss_hermite_rule(512)
+        t = np.tanh(8.0 * nodes)
+        unstable = hm.hermite_eval_upto(41, nodes) @ (weights * t)
+        with pytest.raises(hm.TruncationError, match="round-off"):
+            hm.series_tails(unstable, weights @ (t * t))
+        _, proj = hm.hermite_projection(512)
+        tails = hm.series_tails(proj[:42] @ t, proj[0] @ (t * t))
+        assert tails.min() >= 0.0
+        assert np.all(np.diff(tails) <= 1e-15)
+
+    def test_degree_must_stay_below_rule_size(self):
+        with pytest.raises(ValueError):
+            hm.coeff_g_table(64, 1.0, n_points=64)
+
+
 class TestCoefficients:
     def test_even_degree_tanh_coefficient_vanishes(self):
         for y in (0.3, 1.0, 4.0):
@@ -199,9 +241,11 @@ class TestCorrelatedPair:
 class TestParsevalGap:
     @pytest.mark.parametrize("y", [0.5, 2.0, 8.0])
     def test_gap_nonnegative_and_decreasing(self, y):
-        gaps = [hm.parseval_gap(y, L) for L in (5, 11, 21)]
-        assert all(g >= -1e-9 for g in gaps)
+        gaps = [hm.parseval_gap(y, L) for L in (5, 11, 21, 41, 101, 255)]
+        assert all(g >= -1e-12 for g in gaps)
         assert gaps[0] >= gaps[1] >= gaps[2]
+        # past degree 41 the gap at small y is round-off
+        assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
 
 class TestGridChecks:
@@ -252,4 +296,6 @@ class TestExpansionConstants:
 def test_self_check_clean():
     report = hm.self_check()
     assert report["violations"] == 0
+    assert report["orthonormality"]["projection_max_degree"] == 511
+    assert report["orthonormality"]["projection_max_residual"] <= 1e-12
     assert report["beta"]["value"] == pytest.approx(0.5707963267948966, abs=1e-3)

@@ -3,19 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntkalign.alignment import random_instance
 from ntkalign.core import Dataset, DivergenceError, NtkKind, ShiftOperator, stack
+from ntkalign.dataio import (
+    PairExtractionConfig,
+    VarProcessConfig,
+    extract_pairs,
+    generate_var,
+    planted_transition,
+)
+from ntkalign.hermite import TruncationError
 from ntkalign.models import (
     FilterParams,
     TwoLayerGnnParams,
     init_gnn2,
 )
+from ntkalign.shiftops import cross_covariance
 from ntkalign.ntk import (
     ExpectationMatrix,
     ZVectors,
     b_lin,
     conjugated_power_sum,
     empirical_ntk,
+    SERIES_RTOL,
     expectation_E_first_layer,
+    expectation_E_first_layer_series,
     expectation_E_quadrature,
     expectation_E_series,
     filter_ntk,
@@ -42,6 +54,14 @@ def dense_block_diag(s, m):
     for i in range(m):
         out[i * n : (i + 1) * n, i * n : (i + 1) * n] = s
     return out
+
+
+def within_residual(series, reference):
+    """Entrywise gap to a reference is inside the residual, up to round-off."""
+    gap = np.abs(series.matrix - reference.matrix).max()
+    return gap <= series.truncation_residual + 64 * np.finfo(float).eps * max(
+        1.0, np.abs(reference.matrix).max()
+    )
 
 
 def sech2(u):
@@ -271,11 +291,81 @@ class TestExpectationSeries:
         deep = expectation_E_series(z, max_degree=41)
         assert deep.truncation_residual < e.truncation_residual
 
-    @pytest.mark.parametrize("bad", [2, 1, 4])
+    @pytest.mark.parametrize("bad", [2, 1, 4, 257])
     def test_rejects_bad_degree(self, bad):
         z = ZVectors(np.ones((2, 1)), num_nodes=2, num_samples=1)
         with pytest.raises(ValueError):
             expectation_E_series(z, max_degree=bad)
+
+    def test_benchmark_inputs_at_degree_41_within_residual(self):
+        # gen-data --n 20 --len 1000 --dt 1 --anisotropy 0.6 --m-train 3
+        # --m-test 1 --seed 0, cxy shift, K = 2
+        transition, _ = planted_transition(20, seed=0, strength=0.9, background=0.36)
+        series = generate_var(VarProcessConfig(20, 1000, transition, 1.0, 0))
+        train_split, _ = extract_pairs(series, PairExtractionConfig(1, 3, 1, 0))
+        s = cross_covariance(train_split.x, train_split.y).as_shift_operator()
+        z = z_vectors(s, train_split.x, 2)
+        e = expectation_E_series(z, max_degree=41)
+        assert e.truncation_residual < 1e-12
+        assert within_residual(e, expectation_E_quadrature(z, n_points=256))
+
+    @pytest.mark.parametrize("seed", [2, 10, 0, 1])  # K = 1, 2, 3, 4
+    def test_both_layers_match_quadrature_within_residual(self, seed):
+        s, data, k = random_instance(seed)
+        z = z_vectors(s, data.x, k)
+        for build, oracle in (
+            (expectation_E_series, expectation_E_quadrature),
+            (expectation_E_first_layer_series, expectation_E_first_layer),
+        ):
+            e = build(z)
+            assert 0.0 <= e.truncation_residual <= SERIES_RTOL * np.abs(e.matrix).max()
+            assert not e.truncation_warning
+            assert within_residual(e, oracle(z, n_points=256))
+
+    def test_adaptive_degree_is_the_smallest_meeting_the_target(self):
+        s, data, k = random_instance(23)
+        z = z_vectors(s, data.x, k)
+        e = expectation_E_series(z)
+        degree = e.info["max_degree"]
+        shallower = expectation_E_series(z, max_degree=degree - 2)
+        assert shallower.truncation_residual > SERIES_RTOL * np.abs(e.matrix).max()
+        fixed = expectation_E_series(z, max_degree=degree)
+        np.testing.assert_allclose(e.matrix, fixed.matrix, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("build", [expectation_E_series, expectation_E_first_layer_series])
+    def test_target_beyond_rule_raises(self, build):
+        z = ZVectors(np.array([[5.0, 0.0], [0.3, 0.2]]), num_nodes=2, num_samples=1)
+        with pytest.raises(TruncationError, match="row norm 5.000"):
+            build(z)
+
+
+class TestExpectationFirstLayerSeries:
+    def test_identity_activation_recovers_gram(self):
+        rng = np.random.default_rng(14)
+        s = random_shift(rng, 4)
+        z = z_vectors(s, rng.standard_normal((4, 3)), 2)
+        e1 = expectation_E_first_layer_series(z, activation="identity")
+        assert np.array_equal(e1.matrix, z.gram())
+        assert e1.truncation_residual == 0.0
+
+    def test_fixed_degree_and_validation(self):
+        rng = np.random.default_rng(15)
+        z = z_vectors(random_shift(rng, 3), random_dataset(rng, 3, 2), 2)
+        e1 = expectation_E_first_layer_series(z, max_degree=4)
+        assert e1.info["max_degree"] == 4
+        assert e1.method == "first_layer_series"
+        for bad in (3, -2, 258):
+            with pytest.raises(ValueError):
+                expectation_E_first_layer_series(z, max_degree=bad)
+
+    def test_zero_rows_vanish(self):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((3, 2))
+        x[:, 1] = 0.0
+        z = z_vectors(random_shift(rng, 3), x, 2)
+        e1 = expectation_E_first_layer_series(z)
+        assert e1.zero_rows == (3, 4, 5)
+        assert np.all(e1.matrix[3:, :] == 0.0) and np.all(e1.matrix[:, 3:] == 0.0)
 
 
 class TestExpectationFirstLayer:
@@ -338,6 +428,23 @@ class TestInfiniteNtk:
         assert np.allclose(theta.matrix, expected, atol=1e-10)
         assert theta.kind is NtkKind.GNN_INFINITE_SERIES
 
+    @pytest.mark.parametrize("method", ["series", "quadrature"])
+    def test_both_layers_is_the_sum_with_layer_info(self, method):
+        rng = np.random.default_rng(26)
+        s = random_shift(rng, 4)
+        data = random_dataset(rng, 4, 3)
+        both = gnn_infinite_ntk(s, data, 2, layer="both", method=method)
+        second = gnn_infinite_ntk(s, data, 2, layer="second", method=method)
+        first = gnn_infinite_ntk(s, data, 2, layer="first", method=method)
+        np.testing.assert_allclose(both.matrix, second.matrix + first.matrix, atol=1e-14)
+        layers = both.info["layers"]
+        assert layers["second"]["method"] == second.info["method"]
+        assert layers["first"]["method"] == first.info["method"]
+        if method == "series":
+            for name, single in (("second", second), ("first", first)):
+                for key in ("max_degree", "truncation_residual"):
+                    assert layers[name][key] == single.info[key]
+
     def test_conjugated_power_sum_against_dense(self):
         rng = np.random.default_rng(19)
         s = random_shift(rng, 3)
@@ -355,12 +462,16 @@ class TestInfiniteNtk:
         s = random_shift(rng, 3)
         data = random_dataset(rng, 3, 2)
         theta = gnn_infinite_ntk(s, data, 2, layer="first")
-        assert theta.kind is NtkKind.GNN_INFINITE_QUADRATURE
+        assert theta.kind is NtkKind.GNN_INFINITE_SERIES
         assert theta.info["layer"] == "first"
-        with pytest.raises(ValueError):
-            gnn_infinite_ntk(s, data, 2, layer="first", method="series")
+        assert theta.info["method"] == "first_layer_series"
+        quad = gnn_infinite_ntk(s, data, 2, layer="first", method="quadrature")
+        assert quad.kind is NtkKind.GNN_INFINITE_QUADRATURE
+        assert quad.info["method"] == "first_layer_quadrature"
         with pytest.raises(ValueError):
             gnn_infinite_ntk(s, data, 2, layer="middle")
+        with pytest.raises(ValueError):
+            gnn_infinite_ntk(s, data, 2, method="spline")
 
 
 class TestMonteCarloNtk:
