@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import Dataset, NtkMatrix, ShiftOperator, as_stacked
 from .hermite import ExpansionConstants, beta_constant, coeff_tau, expansion_constants
-from .ntk import (
+from .ntk import (  # the quadrature references stay bound here for perfbench/tracer.py
     ZVectors,
     b_lin,
     expectation_E_first_layer,
@@ -374,25 +374,17 @@ class GnnAlignmentTerms:
 
 
 def gnn_alignment_terms(
-    s: ShiftOperator,
-    data: Dataset,
-    num_taps: int,
-    spectral_bound: float = 1.0,
-    method: str = "series",
+    s: ShiftOperator, data: Dataset, num_taps: int, spectral_bound: float = 1.0
 ) -> GnnAlignmentTerms:
     """Build z, Q, E, E1 and the constants of one instance once.
 
-    ``method='series'`` takes E and E1 from certified Hermite series,
-    ``method='quadrature'`` from the 64-point pair rule.
+    E and E1 come from the certified Hermite series; the quadrature
+    references stay available as ``expectation_E_quadrature`` and
+    ``expectation_E_first_layer``.
     """
     z = z_vectors(s, data.x, num_taps)
     q = q_matrix(s, data.y, num_taps)
-    if method == "series":
-        e, e1 = expectation_E_series(z), expectation_E_first_layer_series(z)
-    elif method == "quadrature":
-        e, e1 = expectation_E_quadrature(z), expectation_E_first_layer(z)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    e, e1 = expectation_E_series(z), expectation_E_first_layer_series(z)
     a_lin = alignment_lin(s, data, num_taps)
     return GnnAlignmentTerms(
         a=float(np.sum(q * e.matrix)),
@@ -404,13 +396,25 @@ def gnn_alignment_terms(
     )
 
 
+def _instance_terms(s, data, num_taps, spectral_bound, terms) -> GnnAlignmentTerms:
+    """``terms`` if given and built for num_taps and spectral_bound, else fresh ones."""
+    if terms is None:
+        return gnn_alignment_terms(s, data, num_taps, spectral_bound)
+    built_for = (terms.constants.num_taps, terms.constants.spectral_bound)
+    if built_for != (num_taps, spectral_bound):
+        raise ValueError(
+            f"terms were built for (num_taps, spectral_bound) = {built_for}, "
+            f"not {(num_taps, spectral_bound)}"
+        )
+    return terms
+
+
 def check_gnn_alignment_lower_bound(
     s: ShiftOperator,
     data: Dataset,
     num_taps: int,
     spectral_bound: float = 1.0,
     xi: float | None = None,
-    method: str = "series",
     terms: GnnAlignmentTerms | None = None,
 ) -> CheckReport:
     """A >= (c - d/xi) A_lin for the infinite-width tanh GNN second layer.
@@ -418,11 +422,10 @@ def check_gnn_alignment_lower_bound(
     xi=None measures xi on the instance; a requested xi below the observed
     level skips the instance (reported, not failed).  When the factor
     c - d/xi is nonpositive the bound is vacuous and passes trivially.
-    ``terms`` from ``gnn_alignment_terms`` replaces the computation from
-    the instance, ``spectral_bound`` and ``method``.
+    ``terms`` from ``gnn_alignment_terms`` for the same instance, num_taps
+    and spectral_bound replaces their computation.
     """
-    if terms is None:
-        terms = gnn_alignment_terms(s, data, num_taps, spectral_bound, method)
+    terms = _instance_terms(s, data, num_taps, spectral_bound, terms)
     return _conditional_alignment_check(
         "gnn_alignment_lower_bound",
         terms.a,
@@ -440,12 +443,10 @@ def check_first_layer_alignment_lower_bound(
     num_taps: int,
     spectral_bound: float = 1.0,
     xi: float | None = None,
-    method: str = "series",
     terms: GnnAlignmentTerms | None = None,
 ) -> CheckReport:
     """First-layer analog with tau-based constants."""
-    if terms is None:
-        terms = gnn_alignment_terms(s, data, num_taps, spectral_bound, method)
+    terms = _instance_terms(s, data, num_taps, spectral_bound, terms)
     return _conditional_alignment_check(
         "first_layer_alignment_lower_bound",
         terms.a_first_layer,
@@ -504,12 +505,10 @@ def alignment_report(
     eta: float = 1.0,
     alpha: float = 1.0,
     spectral_bound: float = 1.0,
-    method: str = "series",
     terms: GnnAlignmentTerms | None = None,
 ) -> AlignmentReport:
     """All alignment functionals; ``terms`` as in the conditional checks."""
-    if terms is None:
-        terms = gnn_alignment_terms(s, data, num_taps, spectral_bound, method)
+    terms = _instance_terms(s, data, num_taps, spectral_bound, terms)
     return AlignmentReport(
         a=terms.a,
         a_filt=alignment_filt(s, data, num_taps),

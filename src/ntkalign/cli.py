@@ -377,13 +377,15 @@ def _cmd_align(cfg: dict) -> int:
     data = _load_dataset(cfg)
     s = _shift_from(cfg, data)
     terms = gnn_alignment_terms(s, data, cfg["k"], spectral_bound=cfg["nu"])
-    rep = alignment_report(s, data, cfg["k"], eta=cfg["eta"], alpha=cfg["alpha"], terms=terms)
+    rep = alignment_report(
+        s, data, cfg["k"], eta=cfg["eta"], alpha=cfg["alpha"], spectral_bound=cfg["nu"], terms=terms
+    )
     checks = {}
     for name, fn in (
         ("gnn_alignment_lower_bound", check_gnn_alignment_lower_bound),
         ("first_layer_alignment_lower_bound", check_first_layer_alignment_lower_bound),
     ):
-        result = fn(s, data, cfg["k"], xi=cfg["xi"], terms=terms)
+        result = fn(s, data, cfg["k"], spectral_bound=cfg["nu"], xi=cfg["xi"], terms=terms)
         checks[name] = {
             "passed": result.passed,
             "skipped": result.skipped,
@@ -783,10 +785,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TruncationError, CorrelationOvershootError) as exc:
+    except (ValueError, OSError, TruncationError, CorrelationOvershootError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

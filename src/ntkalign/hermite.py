@@ -147,16 +147,19 @@ def gauss_hermite_expectation(f, n_points: int = DEFAULT_POINTS) -> float:
     return float(weights @ np.asarray(f(nodes), dtype=float))
 
 
-def _escalate(evaluate, n_points: int | None):
-    """Run `evaluate(n)` with n doubling from the default until stable.
+def _escalate(evaluate, n_points: int | None, max_degree: int):
+    """Run `evaluate(n)` with n doubling until stable.
 
-    Stops when successive estimates agree within ESCALATION_RTOL (max-abs),
-    or at MAX_POINTS, whichever comes first.  An explicit n_points skips
-    escalation.
+    Starts at the default rule, or at the smallest doubling of it that
+    carries max_degree.  Stops when successive estimates agree within
+    ESCALATION_RTOL (max-abs), or at MAX_POINTS, whichever comes first.
+    An explicit n_points skips escalation.
     """
     if n_points is not None:
         return evaluate(n_points)
     n = DEFAULT_POINTS
+    while n <= max_degree:
+        n *= 2
     prev = evaluate(n)
     while n < MAX_POINTS:
         n *= 2
@@ -197,7 +200,7 @@ def coeff_g_table(max_degree: int, y, n_points: int | None = None) -> np.ndarray
         nodes, proj = _projection_upto(max_degree, n)
         return _tanh_values(np.atleast_1d(y), nodes) @ proj.T
 
-    table = _escalate(evaluate, n_points)
+    table = _escalate(evaluate, n_points, max_degree)
     return table.reshape(y.shape + (max_degree + 1,))
 
 
@@ -212,7 +215,7 @@ def coeff_tau_table(max_degree: int, z_sq, n_points: int | None = None) -> np.nd
         nodes, proj = _projection_upto(max_degree, n)
         return _sech2_values(np.atleast_1d(y), nodes) @ proj.T
 
-    table = _escalate(evaluate, n_points)
+    table = _escalate(evaluate, n_points, max_degree)
     return table.reshape(z_sq.shape + (max_degree + 1,))
 
 

@@ -49,7 +49,9 @@ from .models import (
 )
 
 DEFAULT_QUADRATURE_POINTS = 64
-SERIES_QUADRATURE_POINTS = 512
+# Rules tried in turn by the series; the largest reaches row norm ~4.5 for
+# E and ~3.45 for E1.
+SERIES_RULES = (512, 1024, 2048)
 # The series stops at the first degree whose certified residual is at most
 # this fraction of the expectation matrix's largest entry.
 SERIES_RTOL = 1e-10
@@ -236,39 +238,44 @@ def expectation_E_quadrature(
     )
 
 
-def _hermite_series(values, norms, parity, max_degree, row_weight, n_points):
+def _hermite_series(values, norms, parity, max_degree, row_weight):
     """Coefficients of u -> values(|z_a| u) in the degrees of one parity.
 
     Returns the coefficient columns for degrees parity, parity + 2, ...,
-    the last degree kept and its residual: the largest row_weight-scaled
-    tail.  With max_degree None the last degree is the smallest one whose
-    residual is at most SERIES_RTOL times the largest scaled total, which
-    is the largest entry of the expectation matrix.  Degrees stop at half
-    the rule's size: beyond it aliasing from degrees past the rule's
-    exactness makes the same-rule tail an underestimate (a 2048-point rule
-    shows the sech^2 tail off by 9% at degree 338 and 2.7x at 402).
+    the last degree kept, its residual (the largest row_weight-scaled
+    tail) and the rule's size.  With max_degree None the last degree is
+    the smallest one whose residual is at most SERIES_RTOL times the
+    largest scaled total, which is the largest entry of the expectation
+    matrix; each rule of SERIES_RULES is tried in turn until one reaches
+    it.  Degrees stop at half a rule's size: beyond it aliasing from
+    degrees past the rule's exactness makes the same-rule tail an
+    underestimate (a 2048-point rule shows the 512-point rule's sech^2
+    tail off by 9% at degree 338 and 2.7x at 402).
     """
-    top = n_points // 2 if max_degree is None else max_degree
-    if top > n_points // 2:
-        raise ValueError(f"max_degree must be <= {n_points // 2} for a {n_points}-point rule")
-    nodes, proj = hermite_projection(n_points)
-    vals = values(np.multiply.outer(norms, nodes))
-    coeffs = vals @ proj[parity : top + 1 : 2].T
-    totals = (vals * vals) @ proj[0]
-    residuals = np.abs(series_tails(coeffs, totals) * row_weight[:, None]).max(axis=0, initial=0.0)
-    if max_degree is not None:
-        keep = coeffs.shape[1]
-    else:
+    if max_degree is not None and 2 * max_degree > SERIES_RULES[-1]:
+        raise ValueError(f"max_degree must be <= {SERIES_RULES[-1] // 2}")
+    for n_points in SERIES_RULES:
+        top = n_points // 2 if max_degree is None else max_degree
+        if 2 * top > n_points:
+            continue
+        nodes, proj = hermite_projection(n_points)
+        vals = values(np.multiply.outer(norms, nodes))
+        coeffs = vals @ proj[parity : top + 1 : 2].T
+        totals = (vals * vals) @ proj[0]
+        tails = series_tails(coeffs, totals) * row_weight[:, None]
+        residuals = np.abs(tails).max(axis=0, initial=0.0)
+        if max_degree is not None:
+            return coeffs, max_degree, float(residuals[-1]), n_points
         target = SERIES_RTOL * float((totals * row_weight).max(initial=0.0))
         met = np.flatnonzero(residuals <= target)
-        if not met.size:
-            raise TruncationError(
-                f"series residual {residuals[-1]:.3e} still above {target:.1e} at degree "
-                f"{parity + 2 * (coeffs.shape[1] - 1)}: row norm {norms.max():.3f} is beyond "
-                f"the reach of the {n_points}-point rule"
-            )
-        keep = int(met[0]) + 1
-    return coeffs[:, :keep], parity + 2 * (keep - 1), float(residuals[keep - 1])
+        if met.size:
+            keep = int(met[0]) + 1
+            return coeffs[:, :keep], parity + 2 * (keep - 1), float(residuals[keep - 1]), n_points
+    raise TruncationError(
+        f"series residual {residuals[-1]:.3e} still above {target:.1e} at degree "
+        f"{parity + 2 * (coeffs.shape[1] - 1)}: row norm {norms.max():.3f} is beyond "
+        f"the reach of the {n_points}-point rule"
+    )
 
 
 def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray, first_degree: int) -> np.ndarray:
@@ -308,21 +315,18 @@ def _series_matrix(matrix, method, zero_rows, degree, residual, info, **split) -
 
 
 def expectation_E_series(
-    z: ZVectors,
-    max_degree: int | None = None,
-    activation: str = "tanh",
-    n_points: int = SERIES_QUADRATURE_POINTS,
+    z: ZVectors, max_degree: int | None = None, activation: str = "tanh"
 ) -> ExpectationMatrix:
     """E = B + delta_B from the odd-degree Hermite expansion of tanh.
 
     B keeps the degree-1 term; delta_B sums degrees 3, 5, ..., up to
     max_degree, or by default up to the first degree whose certified
-    residual meets SERIES_RTOL (TruncationError when no degree the rule
-    resolves does).  ``truncation_residual`` bounds the entrywise error:
-    Cauchy-Schwarz over the dropped degrees gives sqrt(tail_a tail_b),
-    with the per-row tails taken against the same rule as the
-    coefficients.  Identity activation has only the degree-1 term, so E
-    reduces to the linear kernel exactly.
+    residual meets SERIES_RTOL (TruncationError when no degree the
+    largest rule resolves does).  ``truncation_residual`` bounds the
+    entrywise error: Cauchy-Schwarz over the dropped degrees gives
+    sqrt(tail_a tail_b), with the per-row tails taken against the same
+    rule as the coefficients.  Identity activation has only the degree-1
+    term, so E reduces to the linear kernel exactly.
     """
     if max_degree is not None and (max_degree < 3 or max_degree % 2 == 0):
         raise ValueError("max_degree must be odd and >= 3")
@@ -331,10 +335,10 @@ def expectation_E_series(
     if activation == "identity":
         b = z.gram()
         delta = np.zeros_like(b)
-        degree, residual = 1, 0.0
+        degree, residual, n_points = 1, 0.0, None
     else:
-        coeffs, degree, residual = _hermite_series(
-            act.fn, norms, 1, max_degree, np.ones_like(norms), n_points
+        coeffs, degree, residual, n_points = _hermite_series(
+            act.fn, norms, 1, max_degree, np.ones_like(norms)
         )
         b = _mehler_sum(coeffs[:, :1], rho, 1)
         delta = _mehler_sum(coeffs[:, 1:], rho, 3)
@@ -346,29 +350,23 @@ def expectation_E_series(
     )  # fmt: skip
 
 
-def expectation_E_first_layer_series(
-    z: ZVectors,
-    max_degree: int | None = None,
-    activation: str = "tanh",
-    n_points: int = SERIES_QUADRATURE_POINTS,
-) -> ExpectationMatrix:
+def expectation_E_first_layer_series(z: ZVectors, activation: str = "tanh") -> ExpectationMatrix:
     """E1 = (sum_d tau_d tau_d' rho^d) * <z_a, z_b> over the even degrees of sech^2.
 
-    The series counterpart of ``expectation_E_first_layer``, truncated
-    like ``expectation_E_series``; each row's tail is scaled by |z_a|^2,
-    so sqrt(tail_a tail_b) |z_a| |z_b| bounds the entrywise error and
+    The series counterpart of ``expectation_E_first_layer``, truncated at
+    the first degree whose certified residual meets SERIES_RTOL like
+    ``expectation_E_series``; each row's tail is scaled by |z_a|^2, so
+    sqrt(tail_a tail_b) |z_a| |z_b| bounds the entrywise error and
     ``truncation_residual`` is its largest value.  Identity activation has
     derivative 1, so E1 is the linear kernel exactly.
     """
-    if max_degree is not None and (max_degree < 0 or max_degree % 2):
-        raise ValueError("max_degree must be even and >= 0")
     act = _analytic_activation(activation)
     norms, rho, zero_rows = z.correlations
     if activation == "identity":
-        pair, degree, residual = np.ones_like(rho), 0, 0.0
+        pair, degree, residual, n_points = np.ones_like(rho), 0, 0.0, None
     else:
-        coeffs, degree, residual = _hermite_series(
-            act.deriv, norms, 0, max_degree, norms * norms, n_points
+        coeffs, degree, residual, n_points = _hermite_series(
+            act.deriv, norms, 0, None, norms * norms
         )
         pair = _mehler_sum(coeffs, rho, 0)
     e1 = _symmetric(pair * z.gram(), zero_rows)

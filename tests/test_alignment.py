@@ -22,6 +22,7 @@ from ntkalign.alignment import (
     check_gnn_alignment_lower_bound,
     check_linear_lower_bound,
     check_series_tail_domination,
+    gnn_alignment_terms,
     optimality_sweep,
     planted_instance,
     q_matrix,
@@ -340,6 +341,19 @@ class TestConditionalAlignmentChecks:
             # with room to spare
             if not rep.skipped:
                 assert rep.lhs >= -1e-12
+
+    @pytest.mark.parametrize(
+        "check",
+        [check_gnn_alignment_lower_bound, check_first_layer_alignment_lower_bound, alignment_report],
+    )
+    def test_shared_terms_must_match_the_arguments(self, check):
+        s, data, k = planted_instance(3)
+        terms = gnn_alignment_terms(s, data, k, spectral_bound=0.5)
+        shared = check(s, data, k, spectral_bound=0.5, terms=terms)
+        assert shared == check(s, data, k, spectral_bound=0.5)
+        for num_taps, bound in ((k, 1.0), (k + 1, 0.5)):
+            with pytest.raises(ValueError, match="terms were built for"):
+                check(s, data, num_taps, spectral_bound=bound, terms=terms)
 
 
 def test_identity_activation_alignment_equals_linear_alignment():

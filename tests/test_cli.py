@@ -196,6 +196,24 @@ class TestNtkCommand:
             assert 0.0 <= layer["truncation_residual"] <= 1e-10
             assert layer["truncation_warning"] is False
 
+    def test_gnn_row_norm_past_the_first_rule(self, tmp_path):
+        # with K = 1 the shift profile of entry (0, 0) is x[0, 0] itself
+        x = np.array([[2.5, 0.2], [-0.4, 0.7], [0.1, -1.2]])
+        save_csv(x, tmp_path / "x.csv")
+        save_csv(0.5 * x, tmp_path / "y.csv")
+        out = tmp_path / "out"
+        assert run("ntk", "--x", tmp_path / "x.csv", "--y", tmp_path / "y.csv", "--kind", "gnn",
+                   "--k", 1, "--out-dir", out) == 0
+        layers = json.loads((out / "report.json").read_text())["info"]["layers"]
+        assert layers["second"]["n_points"] == 1024
+        assert layers["first"]["n_points"] == 2048
+        # both layers are PSD and, at K = 1, add up to the kernel
+        scale = load_csv(out / "ntk.csv").diagonal().max()
+        for layer in layers.values():
+            assert layer["max_degree"] > 256
+            assert 0.0 < layer["truncation_residual"] <= 1e-10 * scale
+            assert layer["truncation_warning"] is False
+
     def test_gnn_report_keeps_zero_rows(self, tmp_path):
         rng = np.random.default_rng(12)
         x = 0.3 * rng.standard_normal((3, 2))

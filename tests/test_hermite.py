@@ -101,6 +101,12 @@ class TestProjection:
         with pytest.raises(ValueError):
             hm.coeff_g_table(64, 1.0, n_points=64)
 
+    def test_escalation_starts_at_a_rule_carrying_the_degree(self):
+        assert hm.coeff_g(101, 3.0) == pytest.approx(hm.coeff_g(101, 3.0, n_points=512), abs=1e-13)
+        assert hm.coeff_tau(100, 3.0) == pytest.approx(
+            hm.coeff_tau(100, 3.0, n_points=512), abs=1e-13
+        )
+
 
 class TestCoefficients:
     def test_even_degree_tanh_coefficient_vanishes(self):

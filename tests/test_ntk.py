@@ -291,7 +291,7 @@ class TestExpectationSeries:
         deep = expectation_E_series(z, max_degree=41)
         assert deep.truncation_residual < e.truncation_residual
 
-    @pytest.mark.parametrize("bad", [2, 1, 4, 257])
+    @pytest.mark.parametrize("bad", [2, 1, 4, 1025])
     def test_rejects_bad_degree(self, bad):
         z = ZVectors(np.ones((2, 1)), num_nodes=2, num_samples=1)
         with pytest.raises(ValueError):
@@ -332,6 +332,21 @@ class TestExpectationSeries:
         fixed = expectation_E_series(z, max_degree=degree)
         np.testing.assert_allclose(e.matrix, fixed.matrix, rtol=0.0, atol=1e-15)
 
+    def test_norm_beyond_the_first_rule_escalates(self):
+        # |z_0| = 2.5 needs more than the 256 degrees of the 512-point rule
+        # for both layers (E1 more than the 512 of the 1024-point rule); the
+        # 512-point pair rule is itself off by 2e-11 on E's diagonal here
+        z = ZVectors(np.array([[2.0, 1.5], [-0.9, 1.1]]), num_nodes=2, num_samples=1)
+        for build, oracle, rule in (
+            (expectation_E_series, expectation_E_quadrature, 1024),
+            (expectation_E_first_layer_series, expectation_E_first_layer, 2048),
+        ):
+            e = build(z)
+            assert e.info["n_points"] == rule
+            assert e.info["max_degree"] > 256
+            assert 0.0 < e.truncation_residual <= SERIES_RTOL * np.abs(e.matrix).max()
+            assert within_residual(e, oracle(z, n_points=1024))
+
     @pytest.mark.parametrize("build", [expectation_E_series, expectation_E_first_layer_series])
     def test_target_beyond_rule_raises(self, build):
         z = ZVectors(np.array([[5.0, 0.0], [0.3, 0.2]]), num_nodes=2, num_samples=1)
@@ -347,16 +362,6 @@ class TestExpectationFirstLayerSeries:
         e1 = expectation_E_first_layer_series(z, activation="identity")
         assert np.array_equal(e1.matrix, z.gram())
         assert e1.truncation_residual == 0.0
-
-    def test_fixed_degree_and_validation(self):
-        rng = np.random.default_rng(15)
-        z = z_vectors(random_shift(rng, 3), random_dataset(rng, 3, 2), 2)
-        e1 = expectation_E_first_layer_series(z, max_degree=4)
-        assert e1.info["max_degree"] == 4
-        assert e1.method == "first_layer_series"
-        for bad in (3, -2, 258):
-            with pytest.raises(ValueError):
-                expectation_E_first_layer_series(z, max_degree=bad)
 
     def test_zero_rows_vanish(self):
         rng = np.random.default_rng(10)
