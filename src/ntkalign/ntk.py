@@ -50,7 +50,8 @@ from .models import (
 
 DEFAULT_QUADRATURE_POINTS = 64
 # Rules tried in turn by the series; the largest reaches row norm ~4.5 for
-# E and ~3.45 for E1.
+# E and ~3.45 for E1.  Against a 4096-point rule the residual each one
+# certifies bounds the observed error up to those norms.
 SERIES_RULES = (512, 1024, 2048)
 # The series stops at the first degree whose certified residual is at most
 # this fraction of the expectation matrix's largest entry.
