@@ -341,17 +341,7 @@ def _compute_ntk(cfg: dict, s: ShiftOperator, data: Dataset) -> NtkMatrix:
         return gnn_infinite_ntk(s, data.x, cfg["k"], layer="both")
     if kind != "gnn-mc":
         raise CliError(f"unknown NTK kind {kind!r}; choose filter, gnn, or gnn-mc")
-    second = gnn_monte_carlo_ntk(
-        s, data.x, cfg["k"], cfg["width"], cfg["seed"], which_layer="second"
-    )
-    first = gnn_monte_carlo_ntk(
-        s, data.x, cfg["k"], cfg["width"], cfg["seed"] + 1, which_layer="first"
-    )
-    return NtkMatrix(
-        second.matrix + first.matrix,
-        second.kind,
-        info={"layers": {"second": second.info, "first": first.info}},
-    )
+    return gnn_monte_carlo_ntk(s, data.x, cfg["k"], cfg["width"], cfg["seed"], which_layer="both")
 
 
 def _cmd_ntk(cfg: dict) -> int:

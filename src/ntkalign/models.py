@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ShiftOperator, _frozen_array
+from .shiftops import AsymmetricShift
 
 PARAMS_SCHEMA_VERSION = 1
 
@@ -198,15 +199,50 @@ def _gnn2_internals(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray):
     return squeeze, x_powers, u1, q_powers
 
 
+def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray):
+    """gnn2_forward's output together with its pullback r -> J' r.
+
+    The pullback takes a residual of the output's shape and returns the
+    flat gradient in flatten_params order, the same vector as
+    ``gnn2_jacobian(s, params, x).T @ r`` (stacked) without forming J:
+
+        grad_h[f, k] = (1/sqrt(F)) <S^k sigma(u1_f), r>
+        grad_g[f, k] = (1/sqrt(F)) <sigma'(u1_f) * H_f(S)' r, S^k x>
+
+    with H_f(S)' = sum_j h_{f,j} (S^j)'.  The adjoint uses powers of S',
+    so an asymmetric shift gets the transpose it needs.
+    """
+    x = _check_signal(s, x)
+    squeeze, x_powers, u1, q_powers = _gnn2_internals(s, params, x)
+    scale = math.sqrt(params.width)
+    out = np.einsum("fk,knfm->nm", params.h, q_powers) / scale
+    if squeeze:
+        out = out[:, 0]
+
+    def pullback(resid: np.ndarray) -> np.ndarray:
+        r = np.asarray(resid, dtype=float)
+        if r.shape != out.shape:
+            raise ValueError(f"residual shape {r.shape} does not match output {out.shape}")
+        r = r.reshape(x_powers.shape[1:])
+        grad_h = np.einsum("knfm,nm->fk", q_powers, r)
+        num_taps = params.num_taps
+        # (S^j)' r for j < K, flattened to (K, n*M)
+        r_powers = AsymmetricShift(s.matrix.T).powers_applied(r, num_taps).reshape(num_taps, -1)
+        back = params.h @ r_powers  # (F, n*M): H_f(S)' r per feature
+        act = get_activation(params.activation)
+        weighted = act.deriv(u1).reshape(back.shape) * back
+        grad_g = weighted @ x_powers.reshape(num_taps, -1).T
+        return np.concatenate([grad_g.ravel(), grad_h.ravel()]) / scale
+
+    return out, pullback
+
+
 def gnn2_forward(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray) -> np.ndarray:
     """(1/sqrt(F)) sum_f sum_k h_{f,k} S^k sigma(sum_k g_{f,k} S^k x).
 
     The final layer is linear; no output nonlinearity is applied.
     """
-    x = _check_signal(s, x)
-    squeeze, _, _, q_powers = _gnn2_internals(s, params, x)
-    out = np.einsum("fk,knfm->nm", params.h, q_powers) / math.sqrt(params.width)
-    return out[:, 0] if squeeze else out
+    return gnn2_forward_pullback(s, params, x)[0]
 
 
 def gnn2_jacobian(

@@ -511,51 +511,62 @@ def gnn_monte_carlo_ntk(
     Second layer averages (S~^k sigma(Z g_f)) outer products over hidden
     filters g_f ~ N(0, I_K); the first layer additionally draws fresh
     readout taps h_f for the polynomial factor in front of the derivative.
-    ``draws=(g, h)`` overrides the random draws (shapes (F, K)), which pins
-    down degenerate cases in tests.
+    ``which_layer='both'`` sums the two into one kernel, the second layer
+    drawn from ``seed`` and the first from ``seed + 1``, with each layer's
+    info under ``info['layers']``.  ``draws=(g, h)`` overrides the random
+    draws (shapes (F, K)) of every layer, which pins down degenerate cases
+    in tests.
     """
     if num_features < 1:
         raise ValueError("num_features must be >= 1")
+    seeds = {"second": seed, "first": seed + 1} if which_layer == "both" else {which_layer: seed}
+    if any(name not in ("second", "first") for name in seeds):
+        raise ValueError(f"which_layer must be 'first', 'second' or 'both', got {which_layer!r}")
     act = get_activation(activation)
     x = _signals(data)
-    n, num_samples = x.shape
     z = z_vectors(s, x, num_taps).matrix
-    if draws is None:
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((num_features, num_taps))
-        h = rng.standard_normal((num_features, num_taps))
-    else:
-        g, h = (np.asarray(d, dtype=float) for d in draws)
-        if g.shape != (num_features, num_taps) or h.shape != (num_features, num_taps):
-            raise ValueError("draws must have shape (num_features, num_taps)")
-
-    pre = z @ g.T  # (nM, F)
-    if which_layer == "second":
-        feats = act.fn(pre)
-        e_hat = (feats @ feats.T) / num_features
-        theta = conjugated_power_sum(s, e_hat, num_taps, num_samples)
-    elif which_layer == "first":
-        d_vals = act.deriv(pre)  # (nM, F)
-        theta = np.zeros((n * num_samples, n * num_samples))
-        for f in range(num_features):
-            w = d_vals[:, f : f + 1] * z  # (nM, K)
-            powers = _stacked_powers(s, w, n, num_samples, num_taps)
-            c = np.einsum("j,jak->ak", h[f], powers)  # (nM, K)
-            theta += c @ c.T
-        theta /= num_features
-    else:
-        raise ValueError(f"which_layer must be 'first' or 'second', got {which_layer!r}")
-    return NtkMatrix(
-        theta,
-        NtkKind.GNN_MONTE_CARLO,
-        info={
-            "layer": which_layer,
+    theta = None
+    infos = {}
+    for name, layer_seed in seeds.items():
+        if draws is None:
+            rng = np.random.default_rng(layer_seed)
+            g = rng.standard_normal((num_features, num_taps))
+            h = rng.standard_normal((num_features, num_taps))
+        else:
+            g, h = (np.asarray(d, dtype=float) for d in draws)
+            if g.shape != (num_features, num_taps) or h.shape != (num_features, num_taps):
+                raise ValueError("draws must have shape (num_features, num_taps)")
+        part = _monte_carlo_layer(s, x, z, g, h, name, act)
+        theta = part if theta is None else theta + part
+        infos[name] = {
+            "layer": name,
             "num_features": num_features,
-            "seed": seed,
+            "seed": layer_seed,
             "num_taps": num_taps,
             "activation": activation,
-        },
-    )
+        }
+    info = {"layers": infos} if which_layer == "both" else infos[which_layer]
+    return NtkMatrix(theta, NtkKind.GNN_MONTE_CARLO, info=info)
+
+
+def _monte_carlo_layer(s, x, z, g, h, layer: str, act) -> np.ndarray:
+    """One layer's random-feature kernel from the draws g, h (F x K)."""
+    n, num_samples = x.shape
+    num_features, num_taps = g.shape
+    pre = z @ g.T  # (nM, F)
+    if layer == "second":
+        feats = act.fn(pre)
+        e_hat = (feats @ feats.T) / num_features
+        return conjugated_power_sum(s, e_hat, num_taps, num_samples)
+    d_vals = act.deriv(pre)  # (nM, F)
+    theta = np.zeros((n * num_samples, n * num_samples))
+    for f in range(num_features):
+        w = d_vals[:, f : f + 1] * z  # (nM, K)
+        powers = _stacked_powers(s, w, n, num_samples, num_taps)
+        c = np.einsum("j,jak->ak", h[f], powers)  # (nM, K)
+        theta += c @ c.T
+    theta /= num_features
+    return theta
 
 
 @dataclass(frozen=True)
@@ -578,20 +589,21 @@ def ntk_drift(
     """Largest relative two-layer-GNN NTK movement during a short GD run.
 
     For each width F, trains on the squared loss for num_steps and reports
-    max_t ||Theta_t - Theta_0||_F / ||Theta_0||_F; wider GNNs should drift
-    less.  (A graph filter's NTK is parameter-free, so it cannot drift.)
-    Raises DivergenceError when the loss blows up.
+    max_t ||Theta_t - Theta_0||_F / ||Theta_0||_F with Theta_t = J_t J_t';
+    wider GNNs should drift less.  (A graph filter's NTK is parameter-free,
+    so it cannot drift.)  One Jacobian per step serves both Theta_t and the
+    next step's gradient.  Raises DivergenceError when the loss blows up.
     """
     y_stacked = stack(data.y)
     out = []
     for width in widths:
         params = init_gnn2(int(width), num_taps, InitConfig(kappa=kappa, seed=seed), activation)
-        theta0 = empirical_ntk(s, params, data.x).matrix
+        jac = gnn2_jacobian(s, params, data.x)
+        theta0 = jac @ jac.T
         norm0 = np.linalg.norm(theta0)
         drift = 0.0
         initial_loss = None
         for step in range(num_steps):
-            jac = gnn2_jacobian(s, params, data.x)
             resid = stack(gnn2_forward(s, params, data.x)) - y_stacked
             loss = 0.5 * float(resid @ resid)
             if initial_loss is None:
@@ -600,7 +612,8 @@ def ntk_drift(
                 raise DivergenceError(step, loss)
             flat = flatten_params(params) - eta * (jac.T @ resid)
             params = unflatten_params(flat, params)
-            theta_t = empirical_ntk(s, params, data.x).matrix
+            jac = gnn2_jacobian(s, params, data.x)
+            theta_t = jac @ jac.T
             drift = max(drift, float(np.linalg.norm(theta_t - theta0) / norm0))
         out.append(DriftPoint(width=int(width), drift=drift))
     return tuple(out)

@@ -29,7 +29,7 @@ from .core import (
     as_stacked,
     stack,
 )
-from .models import (
+from .models import (  # gnn2_jacobian stays bound here for perfbench/tracer.py
     FilterParams,
     InitConfig,
     TwoLayerGnnParams,
@@ -37,6 +37,7 @@ from .models import (
     filter_jacobian,
     flatten_params,
     gnn2_forward,
+    gnn2_forward_pullback,
     gnn2_jacobian,
     init_filter,
     init_gnn2,
@@ -131,10 +132,19 @@ def _forward(s: ShiftOperator, params, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot train parameters of type {type(params).__name__}")
 
 
-def _jacobian(s: ShiftOperator, params, x: np.ndarray) -> np.ndarray:
+def _residual_pullback(s: ShiftOperator, params, x: np.ndarray, y: np.ndarray):
+    """Residual f(x) - y and the pullback r -> J' r, flat in flatten_params order.
+
+    A filter's Jacobian has only K columns, so its pullback forms it; the
+    GNN's pullback is the fused backward pass of gnn2_forward_pullback.
+    """
     if isinstance(params, FilterParams):
-        return filter_jacobian(s, x, params.num_taps)
-    return gnn2_jacobian(s, params, x, which_layer="both")
+        out = filter_forward(s, params, x)
+        return out - y, lambda r: filter_jacobian(s, x, params.num_taps).T @ as_stacked(r)
+    if isinstance(params, TwoLayerGnnParams):
+        out, pullback = gnn2_forward_pullback(s, params, x)
+        return out - y, pullback
+    raise TypeError(f"cannot train parameters of type {type(params).__name__}")
 
 
 def _half_squared_loss(s, params, data: Dataset) -> float:
@@ -146,10 +156,12 @@ def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: D
     """Gradient descent from the given parameters; deterministic per config.
 
     Full-batch when batch_size is 0, otherwise seeded shuffled minibatches.
-    Raises DivergenceError when the train loss exceeds 10^6 times its
-    initial value (or stops being finite).
+    Each step's gradient is the pullback of the residual, J' r, taken
+    from the same pass that computed the residual.  In full-batch mode
+    the pass that gives an epoch's train loss also gives the next epoch's
+    residual and pullback.  Raises DivergenceError when the train loss
+    exceeds 10^6 times its initial value (or stops being finite).
     """
-    _forward(s, model, data.x[:, :1])  # reject unsupported parameter types early
     flat = flatten_params(model).copy()
     flat0 = flat.copy()
     params = model
@@ -158,7 +170,8 @@ def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: D
     train_losses = np.empty(epochs + 1)
     test_losses = np.full(epochs + 1, np.nan)
     movement = np.zeros(epochs + 1)
-    train_losses[0] = _half_squared_loss(s, params, data)
+    resid, pullback = _residual_pullback(s, params, data.x, data.y)
+    train_losses[0] = 0.5 * float(np.sum(resid * resid))
     if test_data is not None:
         test_losses[0] = _half_squared_loss(s, params, test_data)
     loss_ceiling = DIVERGENCE_FACTOR * max(train_losses[0], 1e-12)
@@ -170,7 +183,7 @@ def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: D
 
     for epoch in range(1, epochs + 1):
         if cfg.batch_size == 0:
-            batches = [slice(None)]
+            batches = [None]  # the full batch: its residual and pullback are at hand
         else:
             order = rng.permutation(data.num_samples)
             batches = [
@@ -178,10 +191,9 @@ def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: D
                 for i in range(0, data.num_samples, cfg.batch_size)
             ]
         for idx in batches:
-            x_b = data.x[:, idx]
-            y_b = data.y[:, idx]
-            resid = stack(_forward(s, params, x_b) - y_b)
-            grad = _jacobian(s, params, x_b).T @ resid
+            if idx is not None:
+                resid, pullback = _residual_pullback(s, params, data.x[:, idx], data.y[:, idx])
+            grad = pullback(resid)
             if cfg.optimizer == "gd":
                 flat -= cfg.eta * grad
             else:
@@ -193,7 +205,8 @@ def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: D
                 flat -= cfg.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             params = unflatten_params(flat, model)
 
-        loss = _half_squared_loss(s, params, data)
+        resid, pullback = _residual_pullback(s, params, data.x, data.y)
+        loss = 0.5 * float(np.sum(resid * resid))
         if not math.isfinite(loss) or loss > loss_ceiling:
             raise DivergenceError(epoch, loss)
         train_losses[epoch] = loss

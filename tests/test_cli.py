@@ -6,9 +6,18 @@ import pytest
 
 from ntkalign import alignment, cli
 from ntkalign.cli import main
+from ntkalign.core import NtkMatrix, stack
 from ntkalign.dataio import load_csv, save_csv
+from ntkalign.models import (
+    InitConfig,
+    flatten_params,
+    gnn2_forward,
+    gnn2_jacobian,
+    init_gnn2,
+    unflatten_params,
+)
 from ntkalign.ntk import filter_ntk
-from ntkalign.shiftops import cross_covariance
+from ntkalign.shiftops import AsymmetricShift, covariance, cross_covariance
 
 
 def run(*argv):
@@ -238,6 +247,20 @@ class TestNtkCommand:
         assert layers["second"]["num_features"] == layers["first"]["num_features"] == 32
         assert (layers["second"]["seed"], layers["first"]["seed"]) == (0, 1)
 
+    def test_monte_carlo_kind_validates_one_kernel(self, tiny_data, tmp_path, monkeypatch):
+        _, _, x_path, y_path = tiny_data
+        calls = {"kernel": 0}
+        init = NtkMatrix.__init__
+
+        def counted_init(self, *args, **kwargs):
+            calls["kernel"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NtkMatrix, "__init__", counted_init)
+        assert run("ntk", "--x", x_path, "--y", y_path, "--kind", "gnn-mc",
+                   "--width", 8, "--out-dir", tmp_path / "out") == 0
+        assert calls == {"kernel": 1}
+
 
 class TestAlignCommand:
     def test_report_has_functionals_and_checks(self, tiny_data, tmp_path):
@@ -384,6 +407,39 @@ class TestCompareCommand:
                    "--out-dir", out) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["comparison"]["names"] == ["cxy_raw"]
+
+    def test_raw_cxy_gnn2_matches_jacobian_reference(self, tiny_data, tmp_path):
+        # the raw arm is an AsymmetricShift, whose gradient needs powers of S'
+        _, _, x_path, y_path = tiny_data
+        out = tmp_path / "out"
+        eta, epochs, width = 0.05, 4, 6
+        assert run("compare", "--x", x_path, "--y", y_path, "--x-test", x_path,
+                   "--y-test", y_path, "--gso", "cxy,cxx", "--raw-cxy", "--model", "gnn2",
+                   "--width", width, "--k", 2, "--optimizer", "gd", "--eta", eta,
+                   "--kappa", 1.0, "--epochs", epochs, "--reps", 2, "--seed", 0,
+                   "--out-dir", out) == 0
+        comparison = json.loads((out / "report.json").read_text())["comparison"]
+        x, y = load_csv(x_path), load_csv(y_path)
+        arms = {
+            "cxy_raw": cross_covariance(x, y, symmetrize=False).as_experiment_operator(),
+            "cxx": covariance(x),
+        }
+        assert isinstance(arms["cxy_raw"], AsymmetricShift)
+
+        def half_loss(s, params):
+            r = gnn2_forward(s, params, x) - y
+            return 0.5 * float(np.sum(r * r))
+
+        for name, s in arms.items():
+            for rep in range(2):
+                params = init_gnn2(width, 2, InitConfig(kappa=1.0, seed=rep))
+                for _ in range(epochs):
+                    resid = stack(gnn2_forward(s, params, x) - y)
+                    flat = flatten_params(params) - eta * (gnn2_jacobian(s, params, x).T @ resid)
+                    params = unflatten_params(flat, params)
+                expected = half_loss(s, params)
+                for split in ("final_train", "final_test"):
+                    assert comparison[split][name][rep] == pytest.approx(expected, rel=1e-10)
 
     def test_unknown_arm_is_a_usage_error(self, tiny_data, tmp_path, capsys):
         _, _, x_path, y_path = tiny_data

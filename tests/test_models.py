@@ -14,6 +14,7 @@ from ntkalign.models import (
     flatten_params,
     get_activation,
     gnn2_forward,
+    gnn2_forward_pullback,
     gnn2_jacobian,
     init_filter,
     init_gnn2,
@@ -21,6 +22,7 @@ from ntkalign.models import (
     save_params,
     unflatten_params,
 )
+from ntkalign.shiftops import AsymmetricShift
 
 
 def random_shift(rng, n):
@@ -256,6 +258,44 @@ class TestGnn2Jacobian:
         params = init_gnn2(1, 1, InitConfig(kappa=1.0, seed=0))
         with pytest.raises(ValueError):
             gnn2_jacobian(s, params, np.ones(2), which_layer="third")
+
+
+class TestGnn2ForwardPullback:
+    """The fused backward pass against the materialised Jacobian."""
+
+    @staticmethod
+    def make_shift(rng, n, symmetric):
+        if symmetric:
+            return random_shift(rng, n)
+        a = rng.standard_normal((n, n))
+        return AsymmetricShift(a / np.linalg.norm(a))
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("samples", [None, 4], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_pullback_matches_jacobian_transpose(self, activation, samples, symmetric):
+        rng = np.random.default_rng(12)
+        n = 6
+        s = self.make_shift(rng, n, symmetric)
+        shape = (n,) if samples is None else (n, samples)
+        x = rng.standard_normal(shape)
+        r = rng.standard_normal(shape)
+        params = init_gnn2(7, 3, InitConfig(kappa=0.9, seed=5), activation)
+        out, pullback = gnn2_forward_pullback(s, params, x)
+        jac = gnn2_jacobian(s, params, x)
+        expected = jac.T @ (r if samples is None else stack(r))
+        got = pullback(r)
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.array_equal(out, gnn2_forward(s, params, x))
+
+    def test_rejects_residual_of_another_shape(self):
+        rng = np.random.default_rng(4)
+        s = random_shift(rng, 4)
+        params = init_gnn2(3, 2, InitConfig(kappa=1.0, seed=0))
+        _, pullback = gnn2_forward_pullback(s, params, rng.standard_normal((4, 2)))
+        with pytest.raises(ValueError, match="residual shape"):
+            pullback(np.zeros(8))
 
 
 class TestInit:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntkalign.alignment import random_instance
-from ntkalign.core import Dataset, DivergenceError, NtkKind, ShiftOperator, stack
+from ntkalign.core import Dataset, DivergenceError, NtkKind, NtkMatrix, ShiftOperator, stack
 from ntkalign.dataio import (
     PairExtractionConfig,
     VarProcessConfig,
@@ -13,10 +13,16 @@ from ntkalign.dataio import (
     planted_transition,
 )
 from ntkalign.hermite import TruncationError
+from ntkalign import ntk
 from ntkalign.models import (
     FilterParams,
+    InitConfig,
     TwoLayerGnnParams,
+    flatten_params,
+    gnn2_forward,
+    gnn2_jacobian,
     init_gnn2,
+    unflatten_params,
 )
 from ntkalign.shiftops import cross_covariance
 from ntkalign.ntk import (
@@ -532,6 +538,16 @@ class TestMonteCarloNtk:
         assert wins >= 2
         assert np.linalg.norm(large.matrix - reference) / ref_norm < 0.2
 
+    def test_both_layers_sum_the_seeded_layers(self):
+        rng = np.random.default_rng(26)
+        s = random_shift(rng, 3)
+        data = random_dataset(rng, 3, 3)
+        both = gnn_monte_carlo_ntk(s, data, 2, num_features=16, seed=7, which_layer="both")
+        second = gnn_monte_carlo_ntk(s, data, 2, num_features=16, seed=7)
+        first = gnn_monte_carlo_ntk(s, data, 2, num_features=16, seed=8, which_layer="first")
+        assert np.array_equal(both.matrix, second.matrix + first.matrix)
+        assert both.info == {"layers": {"second": second.info, "first": first.info}}
+
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(25)
         s = random_shift(rng, 3)
@@ -567,3 +583,40 @@ class TestNtkDrift:
         data = random_dataset(rng, 4, 3)
         with pytest.raises(DivergenceError):
             ntk_drift(s, data, 2, widths=[4], eta=1e4, num_steps=200, seed=1)
+
+    def test_one_jacobian_per_step_and_no_validated_kernel(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        s = random_shift(rng, 4)
+        data = random_dataset(rng, 4, 3)
+        calls = {"jacobian": 0, "kernel": 0}
+        init = NtkMatrix.__init__
+
+        def counted_jacobian(*args, **kwargs):
+            calls["jacobian"] += 1
+            return gnn2_jacobian(*args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            calls["kernel"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ntk, "gnn2_jacobian", counted_jacobian)
+        monkeypatch.setattr(NtkMatrix, "__init__", counted_init)
+        ntk_drift(s, data, 2, widths=[8, 16], eta=0.1, num_steps=5, seed=0)
+        assert calls == {"jacobian": 2 * (5 + 1), "kernel": 0}  # num_steps + 1 per width
+
+    def test_matches_a_loop_over_empirical_kernels(self):
+        rng = np.random.default_rng(31)
+        s = random_shift(rng, 4)
+        data = random_dataset(rng, 4, 3)
+        got = ntk_drift(s, data, 2, widths=[8, 32], eta=0.1, num_steps=6, seed=2)
+        for point in got:
+            params = init_gnn2(point.width, 2, InitConfig(kappa=1.0, seed=2))
+            theta0 = empirical_ntk(s, params, data.x).matrix
+            drift = 0.0
+            for _ in range(6):
+                resid = stack(gnn2_forward(s, params, data.x)) - stack(data.y)
+                grad = gnn2_jacobian(s, params, data.x).T @ resid
+                params = unflatten_params(flatten_params(params) - 0.1 * grad, params)
+                theta = empirical_ntk(s, params, data.x).matrix
+                drift = max(drift, float(np.linalg.norm(theta - theta0) / np.linalg.norm(theta0)))
+            assert point.drift == drift

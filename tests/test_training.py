@@ -18,6 +18,7 @@ from ntkalign.models import (
     unflatten_params,
 )
 from ntkalign.ntk import filter_ntk
+from ntkalign.shiftops import AsymmetricShift
 from ntkalign.training import (
     BoundCheck,
     GsoComparison,
@@ -188,6 +189,70 @@ class TestTrain:
                 param_movement=np.zeros(3),
                 final_params=None,
             )
+
+
+def jacobian_reference_train(params, s, data, cfg, test_data):
+    """Training loop that forms every gradient as J' r from gnn2_jacobian."""
+    flat = flatten_params(params)
+    flat0 = flat.copy()
+    rng = np.random.default_rng(cfg.seed)
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
+    steps = 0
+    curves = [[half_loss(s, params, data, gnn2_forward)],
+              [half_loss(s, params, test_data, gnn2_forward)], [0.0]]
+    for _ in range(cfg.epochs):
+        if cfg.batch_size == 0:
+            batches = [np.arange(data.num_samples)]
+        else:
+            order = rng.permutation(data.num_samples)
+            batches = [order[i : i + cfg.batch_size]
+                       for i in range(0, data.num_samples, cfg.batch_size)]
+        for idx in batches:
+            x, y = data.x[:, idx], data.y[:, idx]
+            grad = gnn2_jacobian(s, params, x).T @ stack(gnn2_forward(s, params, x) - y)
+            if cfg.optimizer == "gd":
+                flat = flat - cfg.eta * grad
+            else:
+                steps += 1
+                m = 0.9 * m + 0.1 * grad
+                v = 0.999 * v + 0.001 * grad * grad
+                m_hat, v_hat = m / (1 - 0.9**steps), v / (1 - 0.999**steps)
+                flat = flat - cfg.eta * m_hat / (np.sqrt(v_hat) + 1e-8)
+            params = unflatten_params(flat, params)
+        curves[0].append(half_loss(s, params, data, gnn2_forward))
+        curves[1].append(half_loss(s, params, test_data, gnn2_forward))
+        curves[2].append(float(np.linalg.norm(flat - flat0)))
+    return [np.array(c) for c in curves]
+
+
+class TestFusedGradientTraining:
+    """gnn2 training through the fused pullback against the Jacobian loop."""
+
+    @pytest.mark.parametrize(
+        "optimizer, eta, batch_size",
+        [("gd", 0.05, 0), ("adam", 0.02, 0), ("adam", 0.02, 3), ("gd", 0.05, 4)],
+        ids=["gd", "adam", "adam-minibatch", "gd-minibatch"],
+    )
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    def test_matches_jacobian_reference(self, optimizer, eta, batch_size, symmetric):
+        rng = np.random.default_rng(31)
+        n = 5
+        if symmetric:
+            s = random_shift(rng, n)
+        else:
+            a = rng.standard_normal((n, n))
+            s = AsymmetricShift(a / np.linalg.norm(a))
+        data = random_dataset(rng, n, 10)
+        test_data = random_dataset(rng, n, 3)
+        cfg = TrainConfig(eta=eta, epochs=25, batch_size=batch_size, optimizer=optimizer, seed=32)
+        params = init_gnn2(8, 3, InitConfig(kappa=0.8, seed=33))
+        trace = train(params, s, data, cfg, test_data=test_data)
+        ref_train, ref_test, ref_movement = jacobian_reference_train(params, s, data, cfg, test_data)
+        assert trace.train_losses[-1] < trace.train_losses[0]
+        assert np.allclose(trace.train_losses, ref_train, rtol=1e-10, atol=0.0)
+        assert np.allclose(trace.test_losses, ref_test, rtol=1e-10, atol=0.0)
+        assert np.allclose(trace.param_movement, ref_movement, rtol=1e-12, atol=0.0)
 
 
 class TestLinearizedDynamics:
