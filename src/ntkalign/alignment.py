@@ -33,7 +33,6 @@ from .core import Dataset, NtkMatrix, ShiftOperator, as_stacked
 from .hermite import ExpansionConstants, beta_constant, coeff_tau, expansion_constants
 from .ntk import (  # the quadrature references stay bound here for perfbench/tracer.py
     ZVectors,
-    b_lin,
     expectation_E_first_layer,
     expectation_E_first_layer_series,
     expectation_E_quadrature,
@@ -71,18 +70,28 @@ def symmetrized_cross_covariance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def q_matrix(s: ShiftOperator, y: np.ndarray, num_taps: int) -> np.ndarray:
-    """Q = sum_k S~^k y~ y~^T S~^k; symmetric PSD with rank at most K."""
+    """Q = sum_k S~^k y~ y~^T S~^k; symmetric PSD with rank at most K.
+
+    The dense reference: the alignment terms use its factor Zy instead.
+    """
     zy = z_vectors(s, np.asarray(y, dtype=float), num_taps).matrix
     return zy @ zy.T
 
 
 def alignment(theta, y) -> float:
-    """Quadratic form y~^T Theta~ y~."""
-    m = theta.matrix if isinstance(theta, NtkMatrix) else np.asarray(theta, dtype=float)
+    """Quadratic form y~^T Theta~ y~; a factored kernel stays factored."""
     y_st = as_stacked(y)
-    if y_st.shape[0] != m.shape[0]:
-        raise ValueError(f"target length {y_st.shape[0]} does not match kernel size {m.shape[0]}")
-    return float(y_st @ (m @ y_st))
+    size = theta.size if isinstance(theta, NtkMatrix) else np.shape(theta)[0]
+    if y_st.shape[0] != size:
+        raise ValueError(f"target length {y_st.shape[0]} does not match kernel size {size}")
+    if isinstance(theta, NtkMatrix):
+        return theta.quadratic_form(y_st)
+    return float(y_st @ (np.asarray(theta, dtype=float) @ y_st))
+
+
+def _trace_q(zy: np.ndarray, e: np.ndarray) -> float:
+    """tr(Q E) with Q = Zy Zy^T left factored: sum(Zy * (E Zy))."""
+    return float(np.sum(zy * (e @ zy)))
 
 
 def _power_traces(s: ShiftOperator, x: np.ndarray, y: np.ndarray, num_powers: int) -> np.ndarray:
@@ -137,8 +146,9 @@ def alignment_lin_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) ->
     return AlignmentBound(float(value), c)
 
 
-def _xi(a_lin: float, q: np.ndarray, blin: np.ndarray) -> float:
-    denom = np.linalg.norm(q) * np.linalg.norm(blin)
+def _xi(a_lin: float, zy: np.ndarray, z: np.ndarray) -> float:
+    # ||Q||_F = ||Zy^T Zy||_F and ||B_lin||_F = ||Z^T Z||_F: K x K, not nM x nM
+    denom = np.linalg.norm(zy.T @ zy) * np.linalg.norm(z.T @ z)
     return 0.0 if denom == 0.0 else a_lin / denom
 
 
@@ -146,8 +156,8 @@ def xi_observed(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
     """A_lin / (||Q||_F ||B_lin||_F), the measured assumption level."""
     return _xi(
         alignment_lin(s, data, num_taps),
-        q_matrix(s, data.y, num_taps),
-        b_lin(s, data.x, num_taps),
+        z_vectors(s, data.y, num_taps).matrix,
+        z_vectors(s, data.x, num_taps).matrix,
     )
 
 
@@ -269,7 +279,7 @@ def check_first_term_lower_bound(
     if op_norm > spectral_bound + 1e-12:
         raise ValueError(f"operator norm {op_norm:.6f} exceeds spectral bound {spectral_bound}")
     z = z_vectors(s, data.x, num_taps)
-    q = q_matrix(s, data.y, num_taps)
+    zy = z_vectors(s, data.y, num_taps).matrix
     consts = expansion_constants(num_taps, spectral_bound)
     if layer == "second":
         series = expectation_E_series(z, max_degree)
@@ -283,7 +293,7 @@ def check_first_term_lower_bound(
         raise ValueError(f"layer must be 'first' or 'second', got {layer!r}")
     return _verdict(
         f"first_term_lower_bound_{layer}",
-        float(np.sum(q * b)),
+        _trace_q(zy, b),
         rho * alignment_lin(s, data, num_taps),
         rho=rho,
     )
@@ -376,21 +386,22 @@ class GnnAlignmentTerms:
 def gnn_alignment_terms(
     s: ShiftOperator, data: Dataset, num_taps: int, spectral_bound: float = 1.0
 ) -> GnnAlignmentTerms:
-    """Build z, Q, E, E1 and the constants of one instance once.
+    """Build z, Zy, E, E1 and the constants of one instance once.
 
     E and E1 come from the certified Hermite series; the quadrature
     references stay available as ``expectation_E_quadrature`` and
-    ``expectation_E_first_layer``.
+    ``expectation_E_first_layer``.  Q = Zy Zy^T and B_lin = Z Z^T are
+    used only through their factors.
     """
     z = z_vectors(s, data.x, num_taps)
-    q = q_matrix(s, data.y, num_taps)
+    zy = z_vectors(s, data.y, num_taps).matrix
     e, e1 = expectation_E_series(z), expectation_E_first_layer_series(z)
     a_lin = alignment_lin(s, data, num_taps)
     return GnnAlignmentTerms(
-        a=float(np.sum(q * e.matrix)),
-        a_first_layer=float(np.sum(q * e1.matrix)),
+        a=_trace_q(zy, e.matrix),
+        a_first_layer=_trace_q(zy, e1.matrix),
         a_lin=a_lin,
-        xi_observed=_xi(a_lin, q, z.gram()),
+        xi_observed=_xi(a_lin, zy, z.matrix),
         constants=expansion_constants(num_taps, spectral_bound),
         layers={"second": expectation_info(e), "first": expectation_info(e1)},
     )

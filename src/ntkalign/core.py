@@ -13,7 +13,8 @@ as an (nM x nM) matrix.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -170,21 +171,33 @@ class DivergenceError(RuntimeError):
         super().__init__(f"training diverged at step {step} (loss {loss:.3e})")
 
 
-@dataclass(frozen=True)
 class NtkMatrix:
-    """Dense stacked tangent-kernel matrix with provenance.
+    """Stacked tangent-kernel matrix with provenance, dense or factored.
 
-    Construction validates symmetry (relative Frobenius) and positive
-    semidefiniteness (smallest eigenvalue above -1e-8 times the operator
-    norm).  Dense storage: intended for nM up to a few thousand.
+    Dense (the default): ``matrix`` is the nM x nM kernel.  Construction
+    validates symmetry (relative Frobenius) and positive semidefiniteness
+    (smallest eigenvalue above -1e-8 times the operator norm).
+
+    Factored (``factored=True``): ``matrix`` is a factor F of size nM x r
+    and the kernel is F F', symmetric PSD by construction, so only F's
+    shape and finiteness are checked.  The spectrum comes from the thin
+    SVD of F, and the nM x nM kernel is formed only when ``.matrix`` is
+    read.
+
+    Each kernel holds one eigendecomposition, computed when first needed
+    (a factored kernel's SVD, or a dense kernel's eigh), which every
+    spectral quantity reads.
     """
 
-    matrix: np.ndarray
-    kind: NtkKind
-    info: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        m = _frozen_array(self.matrix, ndim=2)
+    def __init__(
+        self, matrix, kind: NtkKind, info: Mapping | None = None, *, factored: bool = False
+    ):
+        m = _frozen_array(matrix, ndim=2)
+        self.kind = kind
+        self.info = dict(info or {})
+        if factored:
+            self.factor, self._dense, self._eigenvalues = m, None, None
+            return
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"kernel matrix must be square, got {m.shape}")
         fro = np.linalg.norm(m)
@@ -199,27 +212,72 @@ class NtkMatrix:
                 f"kernel not PSD: min eigenvalue {eigs[0]:.3e} vs scale {op_norm:.3e}"
             )
         eigs.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "info", dict(self.info))
-        object.__setattr__(self, "_eigenvalues", eigs)
+        self.factor, self._dense, self._eigenvalues = None, m, eigs
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The nM x nM kernel; a factored kernel forms F F' on first read."""
+        if self._dense is None:
+            dense = self.factor @ self.factor.T
+            dense.setflags(write=False)
+            self._dense = dense
+        return self._dense
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return (self._dense if self.factor is None else self.factor).shape[0]
+
+    @cached_property
+    def eigenpairs(self) -> tuple:
+        """(eigenvalues ascending, orthonormal eigenvectors as columns).
+
+        A dense kernel gives all nM pairs; a factored kernel gives the
+        min(nM, r) pairs spanning F's columns, and its other eigenvalues
+        are 0.
+        """
+        if self.factor is None:
+            evals, vecs = np.linalg.eigh(self._dense)
+        else:
+            u, sv, _ = np.linalg.svd(self.factor, full_matrices=False)
+            evals, vecs = sv[::-1] ** 2, u[:, ::-1]
+        evals.setflags(write=False)
+        vecs.setflags(write=False)
+        return evals, vecs
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order (computed once at construction)."""
+        """All nM eigenvalues in ascending order.
+
+        A dense kernel's come from its validation at construction; a
+        factored kernel's are the squared singular values of F, padded
+        with zeros.
+        """
+        if self._eigenvalues is None:
+            evals = self.eigenpairs[0]
+            padded = np.concatenate((np.zeros(self.size - evals.size), evals))
+            padded.setflags(write=False)
+            self._eigenvalues = padded
         return self._eigenvalues
 
     @property
     def operator_norm(self) -> float:
-        return float(np.abs(self._eigenvalues).max(initial=0.0))
+        return float(np.abs(self.eigenvalues).max(initial=0.0))
+
+    @property
+    def frobenius_norm(self) -> float:
+        """||Theta~||_F; for a factored kernel ||F' F||_F, which is equal."""
+        if self.factor is None:
+            return float(np.linalg.norm(self._dense))
+        return float(np.linalg.norm(self.factor.T @ self.factor))
 
     def rank_estimate(self, rtol: float = 1e-10) -> int:
         cutoff = rtol * max(self.operator_norm, 1e-300)
-        return int(np.count_nonzero(self._eigenvalues > cutoff))
+        return int(np.count_nonzero(self.eigenvalues > cutoff))
 
     def quadratic_form(self, v: np.ndarray) -> float:
+        """v' Theta~ v; for a factored kernel ||F' v||^2."""
         v = np.asarray(v, dtype=float)
-        return float(v @ self.matrix @ v)
+        if self.factor is None:
+            return float(v @ self.matrix @ v)
+        w = self.factor.T @ v
+        return float(w @ w)

@@ -10,10 +10,13 @@ Four routes to the stacked nM x nM kernel:
   pair quadrature kept as the reference;
 * Monte Carlo: finite number of random hidden features, for width studies.
 
-Everything here materializes dense matrices; intended for nM up to a few
-thousand.  Row ell of the Z matrix is the per-entry vector
-[x~_ell, (S~ x~)_ell, ...], so Z Z^T is the linear kernel B_lin and row
-norms feed the Hermite coefficient tables.
+The analytic filter and empirical kernels are returned in factored form
+(F = Z or F = J, kernel F F^T), so their spectra come from a thin SVD and
+nothing nM x nM is formed unless ``.matrix`` is read.  The infinite-width
+and Monte Carlo kernels are dense; intended for nM up to a few thousand.
+Row ell of the Z matrix is the per-entry vector [x~_ell, (S~ x~)_ell, ...],
+so Z Z^T is the linear kernel B_lin and row norms feed the Hermite
+coefficient tables.
 """
 
 from __future__ import annotations
@@ -129,22 +132,29 @@ def z_vectors(s: ShiftOperator, data, num_taps: int) -> ZVectors:
 
 
 def b_lin(s: ShiftOperator, data, num_taps: int) -> np.ndarray:
-    """Linear kernel sum_k S~^k x~ x~^T S~^k as a plain matrix."""
+    """Linear kernel sum_k S~^k x~ x~^T S~^k as a plain matrix.
+
+    The dense reference for ``filter_ntk``, which keeps it factored.
+    """
     z = z_vectors(s, data, num_taps).matrix
     return z @ z.T
 
 
 def filter_ntk(s: ShiftOperator, data, num_taps: int) -> NtkMatrix:
-    """Analytic graph-filter NTK; independent of the taps, rank at most K."""
+    """Analytic graph-filter NTK Z Z^T, factored as F = Z; rank at most K.
+
+    Independent of the taps.
+    """
     return NtkMatrix(
-        b_lin(s, data, num_taps),
+        z_vectors(s, data, num_taps).matrix,
         NtkKind.FILTER_ANALYTIC,
         info={"num_taps": num_taps},
+        factored=True,
     )
 
 
 def empirical_ntk(s: ShiftOperator, params, data, which_layer: str = "both") -> NtkMatrix:
-    """Jacobian-product NTK of a concrete model at the given parameters."""
+    """Jacobian-product NTK J J^T of a concrete model, factored as F = J."""
     x = _signals(data)
     if isinstance(params, FilterParams):
         jac = filter_jacobian(s, x, params.num_taps)
@@ -159,7 +169,7 @@ def empirical_ntk(s: ShiftOperator, params, data, which_layer: str = "both") -> 
         }
     else:
         raise TypeError(f"no Jacobian route for {type(params).__name__}")
-    return NtkMatrix(jac @ jac.T, NtkKind.EMPIRICAL, info=info)
+    return NtkMatrix(jac, NtkKind.EMPIRICAL, info=info, factored=True)
 
 
 @dataclass(frozen=True)

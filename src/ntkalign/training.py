@@ -222,8 +222,11 @@ def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: D
     )
 
 
-def _kernel_matrix(theta) -> np.ndarray:
-    return theta.matrix if isinstance(theta, NtkMatrix) else np.asarray(theta, dtype=float)
+def _eigenpairs(theta):
+    """An NtkMatrix's cached eigenpairs, or those of a raw kernel array."""
+    if isinstance(theta, NtkMatrix):
+        return theta.eigenpairs
+    return np.linalg.eigh(np.asarray(theta, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -236,26 +239,31 @@ class LinearizedDynamics:
 
 
 def linearized_dynamics(theta, y, f0, eta: float, epochs: int) -> LinearizedDynamics:
-    """||(I - eta Theta~)^t (f0 - y)|| per epoch, by eigendecomposition.
+    """||(I - eta Theta~)^t (f0 - y)|| per epoch, from the kernel's eigenpairs.
 
-    ``convergent`` is False when eta exceeds 1/lambda_max; the norms are
-    still returned (they grow) so callers can inspect the regime.
+    The part of f0 - y outside the eigenvectors' span (for a factored
+    kernel, the null space) is unchanged by every step.  ``convergent`` is
+    True when eta lambda_max < 2, where every eigendirection contracts
+    (|1 - eta lambda| < 1); at 2 the top direction keeps its norm and past
+    it the norms grow.  They are returned either way so callers can
+    inspect the regime.
     """
-    matrix = _kernel_matrix(theta)
+    evals, vecs = _eigenpairs(theta)
     r0 = as_stacked(f0) - as_stacked(y)
-    evals, vecs = np.linalg.eigh(matrix)
     coeffs = vecs.T @ r0
+    outside = r0 - vecs @ coeffs
+    outside_sq = float(outside @ outside)
     factors = 1.0 - eta * evals
     norms = np.empty(epochs + 1)
     scaled = coeffs.copy()
-    norms[0] = np.linalg.norm(scaled)
+    norms[0] = math.sqrt(float(scaled @ scaled) + outside_sq)
     for t in range(1, epochs + 1):
         scaled = scaled * factors
-        norms[t] = np.linalg.norm(scaled)
+        norms[t] = math.sqrt(float(scaled @ scaled) + outside_sq)
     lam_max = float(evals.max(initial=0.0))
     return LinearizedDynamics(
         residual_norms=norms,
-        convergent=bool(eta * lam_max <= 1.0 + 1e-12),
+        convergent=bool(eta * lam_max < 2.0),
         eta_lambda_max=eta * lam_max,
     )
 
@@ -322,19 +330,16 @@ def check_training_sandwich(
     )
 
 
-def _positive_eigenpairs(matrix: np.ndarray):
-    evals, vecs = np.linalg.eigh(matrix)
-    cutoff = PINV_RTOL * max(evals.max(initial=0.0), 0.0)
-    keep = evals > cutoff
-    return evals[keep], vecs[:, keep]
+def _range_coefficients(theta, y):
+    """Eigenvalues above PINV_RTOL lambda_max and y's coefficients on their eigenvectors."""
+    evals, vecs = _eigenpairs(theta)
+    keep = evals > PINV_RTOL * max(evals.max(initial=0.0), 0.0)
+    return evals[keep], vecs[:, keep].T @ as_stacked(y)
 
 
 def pinv_quadratic(theta, y) -> float:
     """y~' pinv(Theta~) y~ with eigenvalues below 1e-10 lambda_max dropped."""
-    evals, vecs = _positive_eigenpairs(_kernel_matrix(theta))
-    if evals.size == 0:
-        return 0.0
-    coeffs = vecs.T @ as_stacked(y)
+    evals, coeffs = _range_coefficients(theta, y)
     return float(np.sum(coeffs * coeffs / evals))
 
 
@@ -405,7 +410,7 @@ def generalization_bound(
     theta = filter_ntk(s, data.x, num_taps)
     y_st = stack(data.y)
     a = theta.quadratic_form(y_st)
-    scale = float(np.linalg.norm(theta.matrix)) * float(y_st @ y_st)
+    scale = theta.frobenius_norm * float(y_st @ y_st)
     if a <= 1e-12 * max(scale, 1e-300):
         raise ValueError("alignment is zero; the sandwich and the bound are undefined")
 
@@ -422,8 +427,7 @@ def generalization_bound(
         2.0 * math.log(4.0 / cfg.delta_budget) / data.num_samples
     )
 
-    evals, vecs = _positive_eigenpairs(theta.matrix)
-    coeffs = vecs.T @ y_st
+    evals, coeffs = _range_coefficients(theta, y_st)
     range_sq = float(coeffs @ coeffs)
     lam_max = float(evals.max()) if evals.size else 0.0
     lam_min = float(evals.min()) if evals.size else 0.0

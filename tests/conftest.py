@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 _OUTCOMES = {}
@@ -33,3 +34,20 @@ def pytest_terminal_summary(terminalreporter):
         title, passed = _OUTCOMES[number]
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {number:2d}: {status}  {title}")
+
+
+@pytest.fixture(params=["tall", "wide", "square", "rank_deficient", "zero"])
+def kernel_factor(request):
+    """A factor F (nM x r) of a kernel F F': r < nM, r >= nM, rank-deficient, all zero."""
+    rng = np.random.default_rng(17)
+    if request.param == "tall":
+        return rng.standard_normal((12, 3))
+    if request.param == "wide":
+        return rng.standard_normal((4, 7))
+    if request.param == "square":
+        return rng.standard_normal((5, 5))
+    if request.param == "rank_deficient":
+        f = rng.standard_normal((10, 3))
+        f[:, 2] = f[:, 0] - 2.0 * f[:, 1]
+        return f
+    return np.zeros((6, 2))

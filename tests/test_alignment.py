@@ -32,9 +32,10 @@ from ntkalign.alignment import (
     symmetrized_cross_covariance,
     xi_observed,
 )
-from ntkalign.core import Dataset, ShiftOperator, stack
+from ntkalign.core import Dataset, NtkMatrix, ShiftOperator, stack
 from ntkalign.ntk import (
     b_lin,
+    expectation_E_first_layer_series,
     expectation_E_quadrature,
     expectation_E_series,
     filter_ntk,
@@ -76,6 +77,30 @@ def test_alignment_accepts_matrix_and_stacked_targets():
     data = random_dataset(rng, 4, 3)
     theta = filter_ntk(s, data.x, 2)
     assert alignment(theta, data.y) == alignment(theta, stack(data.y))
+
+
+def test_alignment_leaves_a_factored_kernel_factored(monkeypatch):
+    rng = np.random.default_rng(4)
+    s = random_shift(rng, 4)
+    data = random_dataset(rng, 4, 3)
+    theta = filter_ntk(s, data.x, 2)
+    expected = float(stack(data.y) @ b_lin(s, data.x, 2) @ stack(data.y))
+    monkeypatch.setattr(NtkMatrix, "matrix", property(lambda self: pytest.fail("materialised")))
+    assert alignment(theta, data.y) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_factored_alignment_terms_match_dense_formulas(seed):
+    s, data, k = random_instance(seed)
+    terms = gnn_alignment_terms(s, data, k)
+    z = z_vectors(s, data.x, k)
+    q = q_matrix(s, data.y, k)
+    e, e1 = expectation_E_series(z), expectation_E_first_layer_series(z)
+    xi = alignment_lin(s, data, k) / (np.linalg.norm(q) * np.linalg.norm(b_lin(s, data.x, k)))
+    assert terms.a == pytest.approx(float(np.sum(q * e.matrix)), rel=1e-12)
+    assert terms.a_first_layer == pytest.approx(float(np.sum(q * e1.matrix)), rel=1e-12)
+    assert terms.xi_observed == pytest.approx(xi, rel=1e-12)
+    assert xi_observed(s, data, k) == pytest.approx(xi, rel=1e-12)
 
 
 def test_alignment_rejects_mismatched_sizes():

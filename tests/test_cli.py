@@ -6,7 +6,7 @@ import pytest
 
 from ntkalign import alignment, cli
 from ntkalign.cli import main
-from ntkalign.core import NtkMatrix, stack
+from ntkalign.core import NtkKind, NtkMatrix, stack
 from ntkalign.dataio import load_csv, save_csv
 from ntkalign.models import (
     InitConfig,
@@ -16,8 +16,9 @@ from ntkalign.models import (
     init_gnn2,
     unflatten_params,
 )
-from ntkalign.ntk import filter_ntk
+from ntkalign.ntk import b_lin, filter_ntk
 from ntkalign.shiftops import AsymmetricShift, covariance, cross_covariance
+from ntkalign.training import predicted_param_movement
 
 
 def run(*argv):
@@ -184,6 +185,19 @@ class TestNtkCommand:
         s = cross_covariance(x, y).as_shift_operator()
         expected = filter_ntk(s, x, 2).matrix
         np.testing.assert_allclose(written, expected, rtol=1e-12)
+
+    def test_filter_kernel_is_written_dense(self, tiny_data, tmp_path):
+        x, y, x_path, y_path = tiny_data
+        out = tmp_path / "out"
+        assert run("ntk", "--x", x_path, "--y", y_path, "--kind", "filter", "--k", 2,
+                   "--out-dir", out) == 0
+        blin = b_lin(cross_covariance(x, y).as_shift_operator(), x, 2)
+        assert np.array_equal(load_csv(out / "ntk.csv"), blin)
+        dense = NtkMatrix(blin, NtkKind.FILTER_ANALYTIC)
+        report = json.loads((out / "report.json").read_text())
+        assert report["rank_estimate"] == dense.rank_estimate() == 2
+        assert report["operator_norm"] == pytest.approx(dense.operator_norm, rel=1e-10)
+        assert report["alignment"] == pytest.approx(dense.quadratic_form(stack(y)), rel=1e-10)
 
     def test_gnn_kernel_is_psd_and_reported(self, tiny_data, tmp_path):
         _, _, x_path, y_path = tiny_data
@@ -364,6 +378,36 @@ class TestTrainCommand:
         assert (out / "params.txt").exists()
         report = json.loads((out / "report.json").read_text())
         assert report["predicted_param_movement"] > 0
+
+    def test_filter_model_stays_factored(self, tiny_data, tmp_path, monkeypatch):
+        x, y, x_path, y_path = tiny_data
+        stacked_size = x.size
+        big_eigs, dense_reads = [], []
+
+        def counted(original):
+            def eig(a, *args, **kwargs):
+                if np.shape(a)[-1] >= stacked_size:
+                    big_eigs.append(np.shape(a)[-1])
+                return original(a, *args, **kwargs)
+
+            return eig
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        dense = NtkMatrix.matrix
+        monkeypatch.setattr(
+            NtkMatrix, "matrix", property(lambda self: dense_reads.append(self) or dense.fget(self))
+        )
+        out = tmp_path / "out"
+        assert run("train", "--x", x_path, "--y", y_path, "--model", "filter", "--k", 2,
+                   "--epochs", 8, "--out-dir", out) == 0
+        assert big_eigs == [] and dense_reads == []
+        monkeypatch.undo()
+        s = cross_covariance(x, y).as_shift_operator()
+        dense_theta = NtkMatrix(b_lin(s, x, 2), NtkKind.FILTER_ANALYTIC)
+        oracle = predicted_param_movement(dense_theta, stack(y))
+        report = json.loads((out / "report.json").read_text())
+        assert report["predicted_param_movement"] == pytest.approx(oracle, rel=1e-10)
 
     def test_gnn_model_with_test_split(self, tiny_data, tmp_path):
         x, y, x_path, y_path = tiny_data

@@ -131,3 +131,49 @@ class TestNtkMatrix:
     def test_quadratic_form(self):
         ntk = NtkMatrix(np.diag([2.0, 3.0]), NtkKind.FILTER_ANALYTIC)
         assert ntk.quadratic_form(np.array([1.0, 1.0])) == pytest.approx(5.0)
+
+
+class TestFactoredNtkMatrix:
+    """The dense kernel NtkMatrix(F F') is the oracle for the factored one."""
+
+    def test_spectrum_and_forms_match_dense_kernel(self, kernel_factor):
+        f = kernel_factor
+        factored = NtkMatrix(f, NtkKind.EMPIRICAL, factored=True)
+        dense = NtkMatrix(f @ f.T, NtkKind.EMPIRICAL)
+        scale = dense.operator_norm
+        assert factored.size == dense.size == f.shape[0]
+        np.testing.assert_allclose(
+            factored.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=1e-10 * scale
+        )
+        assert factored.operator_norm == pytest.approx(scale, rel=1e-10)
+        assert factored.rank_estimate() == dense.rank_estimate()
+        assert factored.frobenius_norm == pytest.approx(dense.frobenius_norm, rel=1e-10)
+        v = np.random.default_rng(3).standard_normal(f.shape[0])
+        assert factored.quadratic_form(v) == pytest.approx(dense.quadratic_form(v), rel=1e-10)
+        assert np.array_equal(factored.matrix, f @ f.T)
+
+    def test_eigenpairs_span_the_factor(self, kernel_factor):
+        f = kernel_factor
+        evals, vecs = NtkMatrix(f, NtkKind.EMPIRICAL, factored=True).eigenpairs
+        assert evals.shape == (min(f.shape),)
+        assert np.all(np.diff(evals) >= 0.0)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(evals.size), atol=1e-12)
+        theta = f @ f.T
+        np.testing.assert_allclose(
+            theta @ vecs, vecs * evals, atol=1e-12 * max(np.abs(theta).max(), 1.0)
+        )
+
+    def test_dense_eigenpairs_are_cached(self):
+        ntk = NtkMatrix(np.diag([2.0, 3.0]), NtkKind.FILTER_ANALYTIC)
+        assert ntk.eigenpairs is ntk.eigenpairs
+        np.testing.assert_array_equal(ntk.eigenpairs[0], [2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "factor",
+        [np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf], [1.0]]), np.ones(3),
+         np.ones((2, 2, 2))],
+        ids=["nan", "inf", "1-d", "3-d"],
+    )
+    def test_factored_rejects_non_finite_and_non_matrix(self, factor):
+        with pytest.raises(ValueError):
+            NtkMatrix(factor, NtkKind.EMPIRICAL, factored=True)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ntkalign.core import Dataset, DivergenceError, ShiftOperator, stack
+from ntkalign import training
+from ntkalign.core import Dataset, DivergenceError, NtkKind, NtkMatrix, ShiftOperator, stack
 from ntkalign.models import (
     InitConfig,
     filter_forward,
@@ -277,6 +278,28 @@ class TestLinearizedDynamics:
         # factor 1 - eta*lambda = -2, so the norm doubles each step
         assert out.residual_norms[-1] == pytest.approx(16.0 * out.residual_norms[0])
 
+    def test_rate_past_one_still_converges(self):
+        # factor 1 - eta*lambda = -0.5: the residual flips sign and halves each step
+        out = linearized_dynamics(3.0 * np.eye(2), np.zeros(2), np.ones(2), eta=0.5, epochs=6)
+        assert np.allclose(out.residual_norms, math.sqrt(2.0) * 0.5 ** np.arange(7), rtol=1e-12)
+        assert out.eta_lambda_max == 1.5
+        assert out.convergent
+
+    def test_rate_two_keeps_norms_constant(self):
+        # factor 1 - eta*lambda = -1: the residual flips sign and keeps its norm
+        out = linearized_dynamics(4.0 * np.eye(2), np.zeros(2), np.ones(2), eta=0.5, epochs=6)
+        assert np.allclose(out.residual_norms, math.sqrt(2.0), rtol=1e-12)
+        assert out.eta_lambda_max == 2.0
+        assert not out.convergent
+
+    def test_null_space_part_stays_constant(self):
+        # the identity kernel's null space within R^3 is the last axis: that part never moves
+        theta = NtkMatrix(np.eye(3)[:, :2], NtkKind.EMPIRICAL, factored=True)
+        r0 = np.array([1.0, 1.0, 2.0])
+        out = linearized_dynamics(theta, np.zeros(3), r0, eta=0.5, epochs=4)
+        expected = np.sqrt(2.0 * 0.25 ** np.arange(5) + 4.0)
+        assert np.allclose(out.residual_norms, expected, rtol=1e-12)
+
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -297,6 +320,45 @@ class TestLinearizedDynamics:
         f0 = filter_forward(s, params0, data.x)
         pred = linearized_dynamics(theta, data.y, f0, eta, 30).residual_norms
         assert np.allclose(observed, pred, rtol=1e-8, atol=1e-10)
+
+
+class TestFactoredKernelOracle:
+    """The dense kernel NtkMatrix(F F') is the oracle for the factored one."""
+
+    def test_pinv_and_dynamics_match_dense_kernel(self, kernel_factor):
+        f = kernel_factor
+        factored = NtkMatrix(f, NtkKind.EMPIRICAL, factored=True)
+        dense = NtkMatrix(f @ f.T, NtkKind.EMPIRICAL)
+        rng = np.random.default_rng(8)
+        y, f0 = rng.standard_normal((2, f.shape[0]))
+        assert pinv_quadratic(factored, y) == pytest.approx(pinv_quadratic(dense, y), rel=1e-10)
+        assert predicted_param_movement(factored, y) == pytest.approx(
+            predicted_param_movement(dense, y), rel=1e-10
+        )
+        eta = 1.5 / dense.operator_norm if dense.operator_norm > 0 else 0.3
+        got = linearized_dynamics(factored, y, f0, eta, 12)
+        want = linearized_dynamics(dense, y, f0, eta, 12)
+        np.testing.assert_allclose(got.residual_norms, want.residual_norms, rtol=1e-10)
+        assert got.eta_lambda_max == pytest.approx(want.eta_lambda_max, rel=1e-10)
+        assert got.convergent == want.convergent
+
+    @pytest.mark.parametrize("n, m, num_taps", [(5, 3, 2), (4, 2, 3), (2, 1, 3), (3, 1, 4)])
+    def test_generalization_bound_matches_dense_kernel(self, n, m, num_taps, monkeypatch):
+        rng = np.random.default_rng(n * 100 + m * 10 + num_taps)
+        s = random_shift(rng, n)
+        data = random_dataset(rng, n, m)
+        cfg = TrainConfig(eta=0.1, epochs=1)
+        got = generalization_bound(s, data, num_taps, cfg).to_dict()
+        factored = training.filter_ntk
+        monkeypatch.setattr(
+            training,
+            "filter_ntk",
+            lambda *args: NtkMatrix(factored(*args).matrix, NtkKind.FILTER_ANALYTIC),
+        )
+        want = generalization_bound(s, data, num_taps, cfg).to_dict()
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-10), key
 
 
 class TestTrainingSandwich:
