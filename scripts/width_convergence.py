@@ -15,7 +15,8 @@ import numpy as np
 
 from ntkalign.core import Dataset, ShiftOperator
 from ntkalign.dataio import save_csv
-from ntkalign.ntk import gnn_infinite_ntk, gnn_monte_carlo_ntk, ntk_drift
+from ntkalign.ntk import gnn_infinite_ntk, gnn_monte_carlo_ntk
+from ntkalign.training import ntk_drift
 
 
 def make_instance(seed, n, m):

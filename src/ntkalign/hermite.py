@@ -379,18 +379,6 @@ def correlated_pair_expectation(f, g, rho: float, n_points: int = DEFAULT_POINTS
     return float(weights @ vals @ weights)
 
 
-def activation_sq_expectation(y: float, kind: str, n_points: int = MAX_POINTS) -> float:
-    """E[a(y u)^2] for a = tanh or sech^2, with the same rule as the coefficients."""
-    nodes, weights = gauss_hermite_rule(n_points)
-    if kind == "tanh":
-        vals = _tanh_values(np.asarray(y, dtype=float), nodes)
-    elif kind == "sech2":
-        vals = _sech2_values(np.asarray(y, dtype=float), nodes)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return float(weights @ (vals * vals))
-
-
 def parseval_gap(y: float, max_degree: int, n_points: int = MAX_POINTS) -> float:
     """E[tanh(y u)^2] minus the energy captured by degrees <= max_degree.
 

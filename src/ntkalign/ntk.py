@@ -8,12 +8,13 @@ Four routes to the stacked nM x nM kernel:
   E1), each a Mehler sum of Hermite coefficients truncated at a certified
   residual (odd tanh degrees for E, even sech^2 degrees for E1), with
   pair quadrature kept as the reference;
-* Monte Carlo: finite number of random hidden features, for width studies.
+* Monte Carlo: the empirical kernel of a random network with a finite
+  number of hidden features, for width studies.
 
-The analytic filter and empirical kernels are returned in factored form
-(F = Z or F = J, kernel F F^T), so their spectra come from a thin SVD and
-nothing nM x nM is formed unless ``.matrix`` is read.  The infinite-width
-and Monte Carlo kernels are dense; intended for nM up to a few thousand.
+The analytic filter, empirical and Monte Carlo kernels are returned in
+factored form (F = Z or F = J, kernel F F^T), so their spectra come from a
+thin SVD and nothing nM x nM is formed unless ``.matrix`` is read.  The
+infinite-width kernel is dense; intended for nM up to a few thousand.
 Row ell of the Z matrix is the per-entry vector [x~_ell, (S~ x~)_ell, ...],
 so Z Z^T is the linear kernel B_lin and row norms feed the Hermite
 coefficient tables.
@@ -21,34 +22,25 @@ coefficient tables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .core import (
-    DIVERGENCE_FACTOR,
     Dataset,
-    DivergenceError,
     NtkKind,
     NtkMatrix,
     ShiftOperator,
     _frozen_array,
-    stack,
 )
 from .hermite import TruncationError, gauss_hermite_rule, hermite_projection, series_tails
 from .models import (
     FilterParams,
-    InitConfig,
     TwoLayerGnnParams,
     filter_jacobian,
-    flatten_params,
     get_activation,
-    gnn2_forward,
     gnn2_jacobian,
-    init_gnn2,
-    unflatten_params,
 )
 
 DEFAULT_QUADRATURE_POINTS = 64
@@ -153,19 +145,18 @@ def filter_ntk(s: ShiftOperator, data, num_taps: int) -> NtkMatrix:
     )
 
 
-def empirical_ntk(s: ShiftOperator, params, data, which_layer: str = "both") -> NtkMatrix:
+def empirical_ntk(s: ShiftOperator, params, data) -> NtkMatrix:
     """Jacobian-product NTK J J^T of a concrete model, factored as F = J."""
     x = _signals(data)
     if isinstance(params, FilterParams):
         jac = filter_jacobian(s, x, params.num_taps)
         info = {"model": "filter", "num_taps": params.num_taps}
     elif isinstance(params, TwoLayerGnnParams):
-        jac = gnn2_jacobian(s, params, x, which_layer)
+        jac = gnn2_jacobian(s, params, x)
         info = {
             "model": "gnn2",
             "width": params.width,
             "num_taps": params.num_taps,
-            "which_layer": which_layer,
         }
     else:
         raise TypeError(f"no Jacobian route for {type(params).__name__}")
@@ -490,22 +481,6 @@ def gnn_infinite_ntk(
     return NtkMatrix(theta, _INFINITE_KINDS[method], info=info)
 
 
-def _stacked_powers(
-    s: ShiftOperator, w: np.ndarray, num_nodes: int, num_samples: int, num_taps: int
-) -> np.ndarray:
-    """[w, S~ w, ..., S~^{K-1} w] for sample-major stacked columns w."""
-    cols = w.shape[1]
-    per_node = (
-        w.reshape(num_samples, num_nodes, cols).transpose(1, 0, 2).reshape(num_nodes, -1)
-    )
-    powers = s.powers_applied(per_node, num_taps)
-    return (
-        powers.reshape(num_taps, num_nodes, num_samples, cols)
-        .transpose(0, 2, 1, 3)
-        .reshape(num_taps, num_samples * num_nodes, cols)
-    )
-
-
 def gnn_monte_carlo_ntk(
     s: ShiftOperator,
     data,
@@ -518,24 +493,25 @@ def gnn_monte_carlo_ntk(
 ) -> NtkMatrix:
     """Finite random-feature estimate of the infinite-width NTK layer terms.
 
-    Second layer averages (S~^k sigma(Z g_f)) outer products over hidden
-    filters g_f ~ N(0, I_K); the first layer additionally draws fresh
-    readout taps h_f for the polynomial factor in front of the derivative.
-    ``which_layer='both'`` sums the two into one kernel, the second layer
-    drawn from ``seed`` and the first from ``seed + 1``, with each layer's
-    info under ``info['layers']``.  ``draws=(g, h)`` overrides the random
-    draws (shapes (F, K)) of every layer, which pins down degenerate cases
-    in tests.
+    The estimate is the empirical kernel J J' of a random width-F network
+    with taps g, h ~ N(0, I_K) per feature, kept factored as F = J.  The
+    second layer's block has columns S~^k sigma(Z g_f) / sqrt(F); the first
+    layer's has H_f(S~)[sigma'(Z g_f) * S~^k x~] / sqrt(F), the readout
+    taps h_f giving the polynomial in front of the derivative.  Each block
+    is ``gnn2_jacobian`` of that layer.  ``which_layer='both'`` stacks them
+    as [J_second, J_first] into one kernel, the second layer drawn from
+    ``seed`` and the first from ``seed + 1``, with each layer's info under
+    ``info['layers']``.  ``draws=(g, h)`` overrides the random draws
+    (shapes (F, K)) of every layer, which pins down degenerate cases in
+    tests.
     """
     if num_features < 1:
         raise ValueError("num_features must be >= 1")
     seeds = {"second": seed, "first": seed + 1} if which_layer == "both" else {which_layer: seed}
     if any(name not in ("second", "first") for name in seeds):
         raise ValueError(f"which_layer must be 'first', 'second' or 'both', got {which_layer!r}")
-    act = get_activation(activation)
     x = _signals(data)
-    z = z_vectors(s, x, num_taps).matrix
-    theta = None
+    blocks = []
     infos = {}
     for name, layer_seed in seeds.items():
         if draws is None:
@@ -546,8 +522,7 @@ def gnn_monte_carlo_ntk(
             g, h = (np.asarray(d, dtype=float) for d in draws)
             if g.shape != (num_features, num_taps) or h.shape != (num_features, num_taps):
                 raise ValueError("draws must have shape (num_features, num_taps)")
-        part = _monte_carlo_layer(s, x, z, g, h, name, act)
-        theta = part if theta is None else theta + part
+        blocks.append(gnn2_jacobian(s, TwoLayerGnnParams(g, h, activation), x, name))
         infos[name] = {
             "layer": name,
             "num_features": num_features,
@@ -556,74 +531,4 @@ def gnn_monte_carlo_ntk(
             "activation": activation,
         }
     info = {"layers": infos} if which_layer == "both" else infos[which_layer]
-    return NtkMatrix(theta, NtkKind.GNN_MONTE_CARLO, info=info)
-
-
-def _monte_carlo_layer(s, x, z, g, h, layer: str, act) -> np.ndarray:
-    """One layer's random-feature kernel from the draws g, h (F x K)."""
-    n, num_samples = x.shape
-    num_features, num_taps = g.shape
-    pre = z @ g.T  # (nM, F)
-    if layer == "second":
-        feats = act.fn(pre)
-        e_hat = (feats @ feats.T) / num_features
-        return conjugated_power_sum(s, e_hat, num_taps, num_samples)
-    d_vals = act.deriv(pre)  # (nM, F)
-    theta = np.zeros((n * num_samples, n * num_samples))
-    for f in range(num_features):
-        w = d_vals[:, f : f + 1] * z  # (nM, K)
-        powers = _stacked_powers(s, w, n, num_samples, num_taps)
-        c = np.einsum("j,jak->ak", h[f], powers)  # (nM, K)
-        theta += c @ c.T
-    theta /= num_features
-    return theta
-
-
-@dataclass(frozen=True)
-class DriftPoint:
-    width: int
-    drift: float
-
-
-def ntk_drift(
-    s: ShiftOperator,
-    data: Dataset,
-    num_taps: int,
-    widths,
-    eta: float,
-    num_steps: int,
-    seed: int,
-    activation: str = "tanh",
-    kappa: float = 1.0,
-) -> tuple[DriftPoint, ...]:
-    """Largest relative two-layer-GNN NTK movement during a short GD run.
-
-    For each width F, trains on the squared loss for num_steps and reports
-    max_t ||Theta_t - Theta_0||_F / ||Theta_0||_F with Theta_t = J_t J_t';
-    wider GNNs should drift less.  (A graph filter's NTK is parameter-free,
-    so it cannot drift.)  One Jacobian per step serves both Theta_t and the
-    next step's gradient.  Raises DivergenceError when the loss blows up.
-    """
-    y_stacked = stack(data.y)
-    out = []
-    for width in widths:
-        params = init_gnn2(int(width), num_taps, InitConfig(kappa=kappa, seed=seed), activation)
-        jac = gnn2_jacobian(s, params, data.x)
-        theta0 = jac @ jac.T
-        norm0 = np.linalg.norm(theta0)
-        drift = 0.0
-        initial_loss = None
-        for step in range(num_steps):
-            resid = stack(gnn2_forward(s, params, data.x)) - y_stacked
-            loss = 0.5 * float(resid @ resid)
-            if initial_loss is None:
-                initial_loss = max(loss, 1e-300)
-            if not math.isfinite(loss) or loss > DIVERGENCE_FACTOR * initial_loss:
-                raise DivergenceError(step, loss)
-            flat = flatten_params(params) - eta * (jac.T @ resid)
-            params = unflatten_params(flat, params)
-            jac = gnn2_jacobian(s, params, data.x)
-            theta_t = jac @ jac.T
-            drift = max(drift, float(np.linalg.norm(theta_t - theta0) / norm0))
-        out.append(DriftPoint(width=int(width), drift=drift))
-    return tuple(out)
+    return NtkMatrix(np.hstack(blocks), NtkKind.GNN_MONTE_CARLO, info=info, factored=True)

@@ -29,7 +29,7 @@ from .core import (
     as_stacked,
     stack,
 )
-from .models import (  # gnn2_jacobian stays bound here for perfbench/tracer.py
+from .models import (
     FilterParams,
     InitConfig,
     TwoLayerGnnParams,
@@ -152,36 +152,31 @@ def _half_squared_loss(s, params, data: Dataset) -> float:
     return 0.5 * float(np.sum(resid * resid))
 
 
-def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: Dataset | None = None) -> TrainTrace:
-    """Gradient descent from the given parameters; deterministic per config.
+def _descent(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig):
+    """Gradient-descent iterates from ``model``: yields (epoch, params, flat, loss).
 
-    Full-batch when batch_size is 0, otherwise seeded shuffled minibatches.
-    Each step's gradient is the pullback of the residual, J' r, taken
-    from the same pass that computed the residual.  In full-batch mode
-    the pass that gives an epoch's train loss also gives the next epoch's
-    residual and pullback.  Raises DivergenceError when the train loss
-    exceeds 10^6 times its initial value (or stops being finite).
+    Epochs run 0 (the initialization) to cfg.epochs, each with its train
+    loss; ``flat`` is updated in place by the next step.  Full-batch when
+    batch_size is 0, otherwise seeded shuffled minibatches.  Each step's
+    gradient is the pullback of the residual, J' r, taken from the same
+    pass that computed the residual.  In full-batch mode the pass that
+    gives an epoch's train loss also gives the next epoch's residual and
+    pullback.  Raises DivergenceError when a train loss exceeds 10^6 times
+    the initial one (floored at 1e-12) or stops being finite.
     """
     flat = flatten_params(model).copy()
-    flat0 = flat.copy()
     params = model
-
-    epochs = cfg.epochs
-    train_losses = np.empty(epochs + 1)
-    test_losses = np.full(epochs + 1, np.nan)
-    movement = np.zeros(epochs + 1)
     resid, pullback = _residual_pullback(s, params, data.x, data.y)
-    train_losses[0] = 0.5 * float(np.sum(resid * resid))
-    if test_data is not None:
-        test_losses[0] = _half_squared_loss(s, params, test_data)
-    loss_ceiling = DIVERGENCE_FACTOR * max(train_losses[0], 1e-12)
+    loss = 0.5 * float(np.sum(resid * resid))
+    loss_ceiling = DIVERGENCE_FACTOR * max(loss, 1e-12)
+    yield 0, params, flat, loss
 
     rng = np.random.default_rng(cfg.seed)
     adam_m = np.zeros_like(flat)
     adam_v = np.zeros_like(flat)
     adam_steps = 0
 
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         if cfg.batch_size == 0:
             batches = [None]  # the full batch: its residual and pullback are at hand
         else:
@@ -209,17 +204,77 @@ def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: D
         loss = 0.5 * float(np.sum(resid * resid))
         if not math.isfinite(loss) or loss > loss_ceiling:
             raise DivergenceError(epoch, loss)
+        yield epoch, params, flat, loss
+
+
+def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: Dataset | None = None) -> TrainTrace:
+    """Gradient descent from the given parameters; deterministic per config.
+
+    Records ``_descent``'s losses and parameter movement per epoch, and the
+    test loss when a test split is given.  Raises DivergenceError when the
+    train loss exceeds 10^6 times its initial value (or stops being finite).
+    """
+    flat0 = flatten_params(model)
+    train_losses = np.empty(cfg.epochs + 1)
+    test_losses = np.full(cfg.epochs + 1, np.nan)
+    movement = np.zeros(cfg.epochs + 1)
+    for epoch, params, flat, loss in _descent(model, s, data, cfg):
         train_losses[epoch] = loss
         movement[epoch] = float(np.linalg.norm(flat - flat0))
         if test_data is not None:
             test_losses[epoch] = _half_squared_loss(s, params, test_data)
-
     return TrainTrace(
         train_losses=train_losses,
         test_losses=test_losses,
         param_movement=movement,
         final_params=params,
     )
+
+
+@dataclass(frozen=True)
+class DriftPoint:
+    width: int
+    drift: float
+
+
+def ntk_drift(
+    s: ShiftOperator,
+    data: Dataset,
+    num_taps: int,
+    widths,
+    eta: float,
+    num_steps: int,
+    seed: int,
+    activation: str = "tanh",
+    kappa: float = 1.0,
+) -> tuple[DriftPoint, ...]:
+    """Largest relative two-layer-GNN NTK movement during a short GD run.
+
+    For each width F, runs ``_descent`` (full-batch GD on the squared loss,
+    ``TrainConfig(eta, num_steps, kappa=kappa, seed=seed)``) and reports
+    max_t ||Theta_t - Theta_0||_F / ||Theta_0||_F with Theta_t = J_t J_t'
+    over steps t = 0..num_steps; wider GNNs should drift less.  (A graph
+    filter's NTK is parameter-free, so it cannot drift.)  Divergence is
+    ``train``'s rule: DivergenceError when a post-step loss, checked
+    through the last step, exceeds 10^6 times the initial loss floored at
+    1e-12.  (A separate loop here once checked only the pre-step losses of
+    steps 0..num_steps-1, with the floor at 1e-300.)  eta <= 0 raises
+    ValueError.
+    """
+    cfg = TrainConfig(eta, num_steps, kappa=kappa, seed=seed)
+    out = []
+    for width in widths:
+        model = init_gnn2(int(width), num_taps, InitConfig(kappa=kappa, seed=seed), activation)
+        drift = 0.0
+        for step, params, _, _ in _descent(model, s, data, cfg):
+            jac = gnn2_jacobian(s, params, data.x)
+            theta = jac @ jac.T
+            if step == 0:
+                theta0, norm0 = theta, np.linalg.norm(theta)
+            else:
+                drift = max(drift, float(np.linalg.norm(theta - theta0) / norm0))
+        out.append(DriftPoint(width=int(width), drift=drift))
+    return tuple(out)
 
 
 def _eigenpairs(theta):

@@ -33,13 +33,13 @@ from ntkalign.ntk import (
     filter_ntk,
     gnn_infinite_ntk,
     gnn_monte_carlo_ntk,
-    ntk_drift,
 )
 from ntkalign.shiftops import covariance, cross_covariance
 from ntkalign.training import (
     TrainConfig,
     check_training_sandwich,
     kappa_for_budget,
+    ntk_drift,
     pinv_quadratic,
     predicted_param_movement,
     slack_from_kappa,

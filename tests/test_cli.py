@@ -262,18 +262,30 @@ class TestNtkCommand:
         assert (layers["second"]["seed"], layers["first"]["seed"]) == (0, 1)
 
     def test_monte_carlo_kind_validates_one_kernel(self, tiny_data, tmp_path, monkeypatch):
-        _, _, x_path, y_path = tiny_data
+        x, _, x_path, y_path = tiny_data
         calls = {"kernel": 0}
+        big_eigs = []
         init = NtkMatrix.__init__
 
         def counted_init(self, *args, **kwargs):
             calls["kernel"] += 1
             init(self, *args, **kwargs)
 
+        def counted(original):
+            def eig(a, *args, **kwargs):
+                if np.shape(a)[-1] >= x.size:
+                    big_eigs.append(np.shape(a)[-1])
+                return original(a, *args, **kwargs)
+
+            return eig
+
         monkeypatch.setattr(NtkMatrix, "__init__", counted_init)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
         assert run("ntk", "--x", x_path, "--y", y_path, "--kind", "gnn-mc",
                    "--width", 8, "--out-dir", tmp_path / "out") == 0
         assert calls == {"kernel": 1}
+        assert big_eigs == []  # the kernel is factored: its spectrum is a thin SVD
 
 
 class TestAlignCommand:

@@ -13,12 +13,14 @@ from ntkalign.dataio import (
     planted_transition,
 )
 from ntkalign.hermite import TruncationError
-from ntkalign import ntk
+from ntkalign import training
 from ntkalign.models import (
+    ACTIVATIONS,
     FilterParams,
     InitConfig,
     TwoLayerGnnParams,
     flatten_params,
+    get_activation,
     gnn2_forward,
     gnn2_jacobian,
     init_gnn2,
@@ -39,9 +41,9 @@ from ntkalign.ntk import (
     filter_ntk,
     gnn_infinite_ntk,
     gnn_monte_carlo_ntk,
-    ntk_drift,
     z_vectors,
 )
+from ntkalign.training import TrainConfig, ntk_drift, train
 
 
 def random_shift(rng, n):
@@ -60,6 +62,31 @@ def dense_block_diag(s, m):
     for i in range(m):
         out[i * n : (i + 1) * n, i * n : (i + 1) * n] = s
     return out
+
+
+def dense_monte_carlo_layer(s, x, num_taps, g, h, layer, activation):
+    """One layer's random-feature kernel as a dense sum over the F features.
+
+    The reference for the factored ``gnn_monte_carlo_ntk``: the second
+    layer conjugates the feature Gram sigma(Z g') sigma(Z g')' / F by the
+    shift powers; the first adds, per feature f, the rank-K term c c' / F
+    with c = sum_j h_fj S~^j [sigma'(Z g_f) * Z].
+    """
+    act = get_activation(activation)
+    z = z_vectors(s, x, num_taps).matrix
+    pre = z @ g.T  # (nM, F)
+    num_features = g.shape[0]
+    if layer == "second":
+        feats = act.fn(pre)
+        return conjugated_power_sum(s, feats @ feats.T / num_features, num_taps, x.shape[1])
+    lift = dense_block_diag(s.matrix, x.shape[1])
+    lift_powers = [np.linalg.matrix_power(lift, j) for j in range(num_taps)]
+    theta = np.zeros((z.shape[0], z.shape[0]))
+    for f in range(num_features):
+        w = act.deriv(pre[:, f])[:, None] * z  # (nM, K)
+        c = sum(h[f, j] * (lift_powers[j] @ w) for j in range(num_taps))
+        theta += c @ c.T
+    return theta / num_features
 
 
 def within_residual(series, reference):
@@ -179,8 +206,8 @@ class TestEmpiricalNtk:
         x = rng.standard_normal((4, 2))
         g = rng.standard_normal((3, 2))
         zero_h = TwoLayerGnnParams(g, np.zeros((3, 2)))
-        theta = empirical_ntk(s, zero_h, x, which_layer="second")
-        assert np.linalg.norm(theta.matrix) > 1e-6
+        second = empirical_ntk(s, zero_h, x).factor[:, g.size :]
+        assert np.linalg.norm(second @ second.T) > 1e-6
 
     def test_rejects_unsupported_params(self):
         rng = np.random.default_rng(7)
@@ -545,8 +572,39 @@ class TestMonteCarloNtk:
         both = gnn_monte_carlo_ntk(s, data, 2, num_features=16, seed=7, which_layer="both")
         second = gnn_monte_carlo_ntk(s, data, 2, num_features=16, seed=7)
         first = gnn_monte_carlo_ntk(s, data, 2, num_features=16, seed=8, which_layer="first")
-        assert np.array_equal(both.matrix, second.matrix + first.matrix)
+        assert np.array_equal(both.factor, np.hstack([second.factor, first.factor]))
+        total = second.matrix + first.matrix
+        assert np.linalg.norm(both.matrix - total) <= 1e-12 * np.linalg.norm(total)
         assert both.info == {"layers": {"second": second.info, "first": first.info}}
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("which_layer", ["second", "first", "both"])
+    def test_matches_dense_per_feature_sum(self, activation, which_layer):
+        rng = np.random.default_rng(32)
+        s = random_shift(rng, 4)
+        data = random_dataset(rng, 4, 3)
+        seeds = {"second": 5, "first": 6} if which_layer == "both" else {which_layer: 5}
+        expected = 0.0
+        for layer, seed in seeds.items():
+            draw = np.random.default_rng(seed)
+            g, h = draw.standard_normal((12, 3)), draw.standard_normal((12, 3))
+            expected = expected + dense_monte_carlo_layer(s, data.x, 3, g, h, layer, activation)
+        theta = gnn_monte_carlo_ntk(
+            s, data, 3, 12, seed=5, which_layer=which_layer, activation=activation
+        )
+        assert theta.factor is not None
+        assert np.linalg.norm(theta.matrix - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("which_layer", ["second", "first", "both"])
+    def test_fixed_draws_match_dense_per_feature_sum(self, which_layer):
+        rng = np.random.default_rng(33)
+        s = random_shift(rng, 3)
+        data = random_dataset(rng, 3, 4)
+        g, h = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+        layers = ("second", "first") if which_layer == "both" else (which_layer,)
+        expected = sum(dense_monte_carlo_layer(s, data.x, 2, g, h, l, "tanh") for l in layers)
+        theta = gnn_monte_carlo_ntk(s, data, 2, 5, seed=0, which_layer=which_layer, draws=(g, h))
+        assert np.linalg.norm(theta.matrix - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(25)
@@ -584,6 +642,25 @@ class TestNtkDrift:
         with pytest.raises(DivergenceError):
             ntk_drift(s, data, 2, widths=[4], eta=1e4, num_steps=200, seed=1)
 
+    def test_divergence_step_matches_train(self):
+        rng = np.random.default_rng(29)
+        s = random_shift(rng, 4)
+        data = random_dataset(rng, 4, 3)
+        with pytest.raises(DivergenceError) as drift_error:
+            ntk_drift(s, data, 2, widths=[4], eta=1e4, num_steps=200, seed=1)
+        model = init_gnn2(4, 2, InitConfig(kappa=1.0, seed=1))
+        with pytest.raises(DivergenceError) as train_error:
+            train(model, s, data, TrainConfig(1e4, epochs=200))
+        assert drift_error.value.step == train_error.value.step
+
+    def test_rejects_nonpositive_eta(self):
+        rng = np.random.default_rng(34)
+        s = random_shift(rng, 3)
+        data = random_dataset(rng, 3, 2)
+        for eta in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                ntk_drift(s, data, 2, widths=[4], eta=eta, num_steps=3, seed=0)
+
     def test_one_jacobian_per_step_and_no_validated_kernel(self, monkeypatch):
         rng = np.random.default_rng(30)
         s = random_shift(rng, 4)
@@ -599,7 +676,7 @@ class TestNtkDrift:
             calls["kernel"] += 1
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(ntk, "gnn2_jacobian", counted_jacobian)
+        monkeypatch.setattr(training, "gnn2_jacobian", counted_jacobian)
         monkeypatch.setattr(NtkMatrix, "__init__", counted_init)
         ntk_drift(s, data, 2, widths=[8, 16], eta=0.1, num_steps=5, seed=0)
         assert calls == {"jacobian": 2 * (5 + 1), "kernel": 0}  # num_steps + 1 per width
@@ -619,4 +696,5 @@ class TestNtkDrift:
                 params = unflatten_params(flatten_params(params) - 0.1 * grad, params)
                 theta = empirical_ntk(s, params, data.x).matrix
                 drift = max(drift, float(np.linalg.norm(theta - theta0) / np.linalg.norm(theta0)))
-            assert point.drift == drift
+            # the run's gradient is the fused pullback, which sums in another order
+            assert point.drift == pytest.approx(drift, rel=1e-12)

@@ -7,7 +7,10 @@ that breaks a script fails here.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ntkalign.dataio import load_csv
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -37,3 +40,8 @@ def load_script(name):
 def test_script_exits_cleanly(name, argv, tmp_path):
     out = [] if name == "verify_constants" else ["--out-dir", str(tmp_path)]
     assert load_script(name).main(argv + out) == 0
+    if name == "width_convergence":
+        for table in ("mc_error.csv", "drift.csv"):
+            values = load_csv(tmp_path / table)
+            assert values.shape == (2, 3)  # one row per width
+            assert np.all(np.isfinite(values))
