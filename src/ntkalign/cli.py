@@ -491,6 +491,8 @@ def _cmd_train(cfg: dict) -> int:
     if cfg["model"] == "filter":
         theta = filter_ntk(s, data.x, cfg["k"])
         report["predicted_param_movement"] = predicted_param_movement(theta, stack(data.y))
+        report["kernel_rank"] = theta.rank_estimate()
+        report["eta_lambda_max"] = eta * theta.operator_norm
     return _finish(cfg, "train", report, ["trace.csv", "params.txt"])
 
 

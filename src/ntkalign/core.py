@@ -99,6 +99,17 @@ def unstack(v: np.ndarray, num_nodes: int, num_samples: int) -> np.ndarray:
     return v.reshape(num_nodes, num_samples, order="F")
 
 
+def matrix_powers_applied(matrix: np.ndarray, signals: np.ndarray, num_taps: int) -> np.ndarray:
+    """Return [signals, A signals, ..., A^{K-1} signals] stacked on axis 0."""
+    if num_taps < 1:
+        raise ValueError("num_taps must be >= 1")
+    out = np.empty((num_taps,) + np.shape(signals), dtype=float)
+    out[0] = signals
+    for k in range(1, num_taps):
+        out[k] = matrix @ out[k - 1]
+    return out
+
+
 class _MatrixShift:
     """Diffusion by a square ``matrix`` attribute, shared by every shift type."""
 
@@ -108,13 +119,7 @@ class _MatrixShift:
 
     def powers_applied(self, signals: np.ndarray, num_taps: int) -> np.ndarray:
         """Return [signals, S signals, ..., S^{K-1} signals] stacked on axis 0."""
-        if num_taps < 1:
-            raise ValueError("num_taps must be >= 1")
-        out = np.empty((num_taps,) + np.shape(signals), dtype=float)
-        out[0] = signals
-        for k in range(1, num_taps):
-            out[k] = self.matrix @ out[k - 1]
-        return out
+        return matrix_powers_applied(self.matrix, signals, num_taps)
 
 
 @dataclass(frozen=True)

@@ -19,19 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ShiftOperator, _frozen_array
-from .shiftops import AsymmetricShift
+from .core import ShiftOperator, _frozen_array, matrix_powers_applied
 
 PARAMS_SCHEMA_VERSION = 1
+# Entries of sigma'(u1) a GNN pullback holds at once (64 KB), so it builds
+# no temporary of the features' size.
+PULLBACK_BLOCK = 8192
 
 
-def _tanh_deriv(u):
-    t = np.tanh(u)
-    return 1.0 - t * t
-
-
-def _sigmoid(u):
-    out = np.empty_like(u, dtype=float)
+def _sigmoid(u, out=None):
+    out = np.empty_like(u, dtype=float) if out is None else out
     pos = u >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
     eu = np.exp(u[~pos])
@@ -39,39 +36,41 @@ def _sigmoid(u):
     return out
 
 
-def _sigmoid_deriv(u):
-    s = _sigmoid(u)
-    return s * (1.0 - s)
-
-
 LEAKY_SLOPE = 0.01
 
 
 @dataclass(frozen=True)
 class Activation:
-    """Pointwise nonlinearity with its derivative.
+    """Pointwise nonlinearity with its derivative, taken from its value.
 
-    relu and leaky_relu derivatives are defined almost everywhere; the value
-    at 0 (0 and the leaky slope respectively) is a convention, not a claim.
+    ``fn(u, out=None)`` may write into ``out``, which may be ``u`` itself.
+    ``deriv_from_value(q)`` is sigma'(u) given q = sigma(u), so a pass that
+    holds sigma(u) never evaluates the activation a second time.  relu and
+    leaky_relu derivatives are defined almost everywhere; the value at 0
+    (0 and the leaky slope respectively) is a convention, not a claim.
     analytic_ntk marks activations with a closed infinite-width NTK path.
     """
 
     name: str
     fn: object
-    deriv: object
+    deriv_from_value: object
     analytic_ntk: bool
+
+    def deriv(self, u):
+        return self.deriv_from_value(self.fn(u))
 
 
 ACTIVATIONS = {
-    "tanh": Activation("tanh", np.tanh, _tanh_deriv, analytic_ntk=True),
-    "identity": Activation("identity", lambda u: np.asarray(u, dtype=float),
-                           lambda u: np.ones_like(u, dtype=float), analytic_ntk=True),
-    "sigmoid": Activation("sigmoid", _sigmoid, _sigmoid_deriv, analytic_ntk=False),
-    "relu": Activation("relu", lambda u: np.maximum(u, 0.0),
-                       lambda u: (u > 0).astype(float), analytic_ntk=False),
+    "tanh": Activation("tanh", np.tanh, lambda t: 1.0 - t * t, analytic_ntk=True),
+    "identity": Activation("identity", lambda u, out=None: np.positive(u, out=out, dtype=float),
+                           lambda q: np.ones_like(q, dtype=float), analytic_ntk=True),
+    "sigmoid": Activation("sigmoid", _sigmoid, lambda q: q * (1.0 - q), analytic_ntk=False),
+    "relu": Activation("relu", lambda u, out=None: np.maximum(u, 0.0, out=out),
+                       lambda q: (q > 0).astype(float), analytic_ntk=False),
     "leaky_relu": Activation("leaky_relu",
-                             lambda u: np.where(u > 0, u, LEAKY_SLOPE * u),
-                             lambda u: np.where(u > 0, 1.0, LEAKY_SLOPE),
+                             lambda u, out=None: np.multiply(
+                                 u, np.where(u > 0, 1.0, LEAKY_SLOPE), out=out),
+                             lambda q: np.where(q > 0, 1.0, LEAKY_SLOPE),
                              analytic_ntk=False),
 }
 
@@ -124,6 +123,8 @@ class TwoLayerGnnParams:
         object.__setattr__(self, "h", _frozen_array(self.h, ndim=2))
         if self.g.shape != self.h.shape:
             raise ValueError(f"layer shapes differ: {self.g.shape} vs {self.h.shape}")
+        if self.g.shape[0] < 1:
+            raise ValueError(f"width must be >= 1, got {self.g.shape[0]}")
         get_activation(self.activation)
 
     @property
@@ -176,62 +177,54 @@ def filter_jacobian(s: ShiftOperator, x: np.ndarray, num_taps: int) -> np.ndarra
     return powers.transpose(2, 1, 0).reshape(-1, num_taps)
 
 
-def _gnn2_internals(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray):
-    """Shared forward computation: shifted inputs, pre-activations, features.
-
-    Returns (x_powers (K,n,M), u1 (F,n,M), q_powers (K,n,F,M)) with a
-    trailing sample axis even for vector input.
-    """
-    squeeze = x.ndim == 1
-    xm = x[:, None] if squeeze else x
-    num_samples = xm.shape[1]
-    width, num_taps = params.g.shape
-    act = get_activation(params.activation)
-
-    x_powers = s.powers_applied(xm, num_taps)  # (K, n, M)
-    u1 = np.einsum("fk,knm->fnm", params.g, x_powers)
-    q1 = act.fn(u1)  # (F, n, M)
-    # shift every feature at once: fold (F, M) into one trailing axis
-    q_flat = q1.transpose(1, 0, 2).reshape(s.num_nodes, width * num_samples)
-    q_powers = s.powers_applied(q_flat, num_taps).reshape(
-        num_taps, s.num_nodes, width, num_samples
-    )
-    return squeeze, x_powers, u1, q_powers
-
-
 def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray):
     """gnn2_forward's output together with its pullback r -> J' r.
 
-    The pullback takes a residual of the output's shape and returns the
-    flat gradient in flatten_params order, the same vector as
+    Adjoint (Horner) form: with X = [S^k x]_k and u1 = g X, the output is
+    sum_k S^k v_k / sqrt(F) with v_k = sum_f h_{f,k} sigma(u1_f), summed
+    by Horner's rule; no feature is ever shifted.  The pullback takes a
+    residual r of the output's shape and returns the flat gradient in
+    flatten_params order, the same vector as
     ``gnn2_jacobian(s, params, x).T @ r`` (stacked) without forming J:
 
-        grad_h[f, k] = (1/sqrt(F)) <S^k sigma(u1_f), r>
-        grad_g[f, k] = (1/sqrt(F)) <sigma'(u1_f) * H_f(S)' r, S^k x>
+        grad_h[f, k] = (1/sqrt(F)) <sigma(u1_f), (S')^k r>
+        grad_g[f, k] = (1/sqrt(F)) sum_j h_{f,j} <sigma'(u1_f), (S')^j r * S^k x>
 
-    with H_f(S)' = sum_j h_{f,j} (S^j)'.  The adjoint uses powers of S',
-    so an asymmetric shift gets the transpose it needs.
+    The inner products of the last line are the product of sigma'(u1)
+    with the K^2 stacked vectors (S')^j r * S^k x, taken PULLBACK_BLOCK
+    entries of sigma' at a time.  sigma' comes from sigma(u1), so the
+    activation is evaluated once per pass.  Powers of S' give an
+    asymmetric shift the transpose it needs.
     """
     x = _check_signal(s, x)
-    squeeze, x_powers, u1, q_powers = _gnn2_internals(s, params, x)
-    scale = math.sqrt(params.width)
-    out = np.einsum("fk,knfm->nm", params.h, q_powers) / scale
-    if squeeze:
-        out = out[:, 0]
+    xm = x[:, None] if x.ndim == 1 else x
+    width, num_taps = params.g.shape
+    act = get_activation(params.activation)
+    scale = math.sqrt(width)
+
+    x_powers = s.powers_applied(xm, num_taps).reshape(num_taps, -1)  # (K, n*M)
+    q1 = params.g @ x_powers  # u1, (F, n*M), overwritten by sigma(u1)
+    act.fn(q1, out=q1)
+    v = (params.h.T @ q1).reshape((num_taps,) + xm.shape)  # (K, n, M)
+    out = v[-1]
+    for k in range(num_taps - 2, -1, -1):
+        out = s.matrix @ out + v[k]
+    out = (out / scale).reshape(x.shape)
 
     def pullback(resid: np.ndarray) -> np.ndarray:
         r = np.asarray(resid, dtype=float)
         if r.shape != out.shape:
             raise ValueError(f"residual shape {r.shape} does not match output {out.shape}")
-        r = r.reshape(x_powers.shape[1:])
-        grad_h = np.einsum("knfm,nm->fk", q_powers, r)
-        num_taps = params.num_taps
-        # (S^j)' r for j < K, flattened to (K, n*M)
-        r_powers = AsymmetricShift(s.matrix.T).powers_applied(r, num_taps).reshape(num_taps, -1)
-        back = params.h @ r_powers  # (F, n*M): H_f(S)' r per feature
-        act = get_activation(params.activation)
-        weighted = act.deriv(u1).reshape(back.shape) * back
-        grad_g = weighted @ x_powers.reshape(num_taps, -1).T
+        r_powers = matrix_powers_applied(s.matrix.T, r.reshape(xm.shape), num_taps)
+        r_powers = r_powers.reshape(num_taps, -1)  # (S')^j r, (K, n*M)
+        grad_h = q1 @ r_powers.T
+        mixed = (r_powers[:, None, :] * x_powers[None, :, :]).reshape(num_taps * num_taps, -1)
+        inner = np.zeros((width, num_taps * num_taps))
+        step = max(1, PULLBACK_BLOCK // width)
+        for lo in range(0, q1.shape[1], step):
+            cols = slice(lo, lo + step)
+            inner += act.deriv_from_value(q1[:, cols]) @ mixed[:, cols].T
+        grad_g = np.einsum("fj,fjk->fk", params.h, inner.reshape(width, num_taps, num_taps))
         return np.concatenate([grad_g.ravel(), grad_h.ravel()]) / scale
 
     return out, pullback
@@ -254,39 +247,28 @@ def gnn2_jacobian(
     """Analytic Jacobian of gnn2_forward with respect to the taps.
 
     Column (f, k) of the second-layer block is (1/sqrt(F)) S^k sigma(u1_f);
-    of the first-layer block, (1/sqrt(F)) H_f(S) [sigma'(u1_f) * S^k x].
-    Column order matches flatten_params: layer 1 first, feature-major.
-    With relu the result is the a.e. derivative; kinks contribute 0.
+    of the first-layer block, (1/sqrt(F)) H_f(S) [sigma'(u1_f) * S^k x]
+    with H_f(S) = sum_j h_{f,j} S^j.  Column order matches flatten_params:
+    layer 1 first, feature-major.  With relu the result is the a.e.
+    derivative; kinks contribute 0.  Every column is formed from the dense
+    powers S^j: J is the reference for gnn2_forward_pullback and the factor
+    of empirical_ntk, the Monte Carlo kernel and ntk_drift.
     """
     if which_layer not in ("first", "second", "both"):
         raise ValueError(f"which_layer must be first/second/both, got {which_layer!r}")
     x = _check_signal(s, x)
-    squeeze, x_powers, u1, q_powers = _gnn2_internals(s, params, x)
-    width, num_taps = params.g.shape
-    n = s.num_nodes
-    num_samples = x_powers.shape[2]
-    scale = 1.0 / math.sqrt(width)
+    xm = x[:, None] if x.ndim == 1 else x
     act = get_activation(params.activation)
-
-    blocks = []
+    x_powers = s.powers_applied(xm, params.num_taps)  # (K, n, M)
+    s_powers = s.powers_applied(np.eye(s.num_nodes), params.num_taps)  # S^j, (K, n, n)
+    q1 = act.fn(np.einsum("fk,knm->fnm", params.g, x_powers))  # sigma(u1), (F, n, M)
+    blocks = []  # each (M, n, F, K): sample-major rows, (feature, tap) columns
     if which_layer in ("first", "both"):
-        d1 = act.deriv(u1)  # (F, n, M)
-        j1 = np.empty((num_samples, n, width, num_taps))
-        for k in range(num_taps):
-            w = d1 * x_powers[k][None, :, :]  # (F, n, M)
-            w_flat = w.transpose(1, 0, 2).reshape(n, width * num_samples)
-            w_powers = s.powers_applied(w_flat, num_taps).reshape(
-                num_taps, n, width, num_samples
-            )
-            # H_f(S) w_f = sum_{k'} h_{f,k'} S^{k'} w_f
-            j1[:, :, :, k] = scale * np.einsum("fj,jnfm->mnf", params.h, w_powers)
-        blocks.append(j1.reshape(num_samples * n, width * num_taps))
+        w = act.deriv_from_value(q1)[:, None] * x_powers  # sigma'(u1_f) * S^k x, (F, K, n, M)
+        blocks.append(np.einsum("fj,jab,fkbm->mafk", params.h, s_powers, w, optimize=True))
     if which_layer in ("second", "both"):
-        # (K, n, F, M) -> (M, n, F, K)
-        j2 = scale * q_powers.transpose(3, 1, 2, 0)
-        blocks.append(j2.reshape(num_samples * n, width * num_taps))
-    jac = np.hstack(blocks) if len(blocks) > 1 else blocks[0]
-    return jac[:n] if squeeze else jac
+        blocks.append(np.einsum("kab,fbm->mafk", s_powers, q1, optimize=True))
+    return np.hstack([b.reshape(xm.size, -1) for b in blocks]) / math.sqrt(params.width)
 
 
 def flatten_params(params) -> np.ndarray:

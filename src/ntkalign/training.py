@@ -559,6 +559,8 @@ def compare_gso(
         raise ValueError("shift-operator names must be unique")
     if model not in ("filter", "gnn2"):
         raise ValueError(f"model must be 'filter' or 'gnn2', got {model!r}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
 
     train_curves = {name: np.empty((reps, cfg.epochs + 1)) for name in names}
     test_curves = {name: np.empty((reps, cfg.epochs + 1)) for name in names}

@@ -18,7 +18,7 @@ from ntkalign.models import (
 )
 from ntkalign.ntk import b_lin, filter_ntk
 from ntkalign.shiftops import AsymmetricShift, covariance, cross_covariance
-from ntkalign.training import predicted_param_movement
+from ntkalign.training import linearized_dynamics, predicted_param_movement
 
 
 def run(*argv):
@@ -421,6 +421,17 @@ class TestTrainCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["predicted_param_movement"] == pytest.approx(oracle, rel=1e-10)
 
+    def test_filter_report_carries_kernel_rank_and_step_size(self, tiny_data, tmp_path):
+        x, y, x_path, y_path = tiny_data
+        out = tmp_path / "out"
+        assert run("train", "--x", x_path, "--y", y_path, "--model", "filter", "--k", 3,
+                   "--epochs", 4, "--out-dir", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        theta = filter_ntk(cross_covariance(x, y).as_shift_operator(), x, 3)
+        dynamics = linearized_dynamics(theta, stack(y), np.zeros(x.size), report["eta"], 4)
+        assert report["eta_lambda_max"] == pytest.approx(dynamics.eta_lambda_max, rel=1e-12)
+        assert report["kernel_rank"] == theta.rank_estimate() == 3
+
     def test_gnn_model_with_test_split(self, tiny_data, tmp_path):
         x, y, x_path, y_path = tiny_data
         test_x, test_y = tmp_path / "tx.csv", tmp_path / "ty.csv"
@@ -502,6 +513,22 @@ class TestCompareCommand:
         assert run("compare", "--x", x_path, "--y", y_path, "--gso", "cxy,laplacian",
                    "--out-dir", tmp_path) == 2
         assert "laplacian" in capsys.readouterr().err
+
+    def test_zero_width_is_a_usage_error(self, tiny_data, tmp_path, capsys):
+        _, _, x_path, y_path = tiny_data
+        assert run("compare", "--x", x_path, "--y", y_path, "--model", "gnn2",
+                   "--width", 0, "--epochs", 2, "--reps", 1, "--out-dir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "width must be >= 1, got 0" in err
+        assert "diverged" not in err
+
+    def test_zero_reps_is_a_usage_error(self, tiny_data, tmp_path, capsys):
+        _, _, x_path, y_path = tiny_data
+        out = tmp_path / "out"
+        assert run("compare", "--x", x_path, "--y", y_path, "--model", "filter",
+                   "--epochs", 2, "--reps", 0, "--out-dir", out) == 2
+        assert "reps must be >= 1, got 0" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
 
 
 class TestVerifyCommands:

@@ -58,6 +58,33 @@ class TestActivations:
         fd = (act.fn(u + 1e-6) - act.fn(u - 1e-6)) / 2e-6
         assert np.allclose(act.deriv(u), fd, atol=1e-7)
 
+    def test_derivative_from_value_matches_direct_formula(self):
+        # the derivative is taken from sigma(u); it must equal the formula in u
+        grid = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 800.0,
+                                -800.0], np.linspace(-30.0, 30.0, 2001)])
+        t = np.tanh(grid)
+        sig = get_activation("sigmoid").fn(grid)
+        direct = {
+            "tanh": 1.0 - t * t,
+            "sigmoid": sig * (1.0 - sig),
+            "relu": (grid > 0).astype(float),
+            "leaky_relu": np.where(grid > 0, 1.0, 0.01),
+            "identity": np.ones_like(grid),
+        }
+        for name, expected in direct.items():
+            got = get_activation(name).deriv(grid.copy())
+            assert got.dtype == float
+            assert np.array_equal(got, expected, equal_nan=True), name
+
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_fn_in_place_matches_fresh_output(self, name):
+        act = get_activation(name)
+        u = np.concatenate([[0.0, -0.0, np.inf, -np.inf], np.linspace(-9.0, 9.0, 37)])
+        fresh = act.fn(u)
+        in_place = u.copy()
+        assert act.fn(in_place, out=in_place) is in_place
+        assert np.array_equal(in_place, fresh)
+
     def test_relu_kink_convention(self):
         act = get_activation("relu")
         assert act.deriv(np.array([0.0]))[0] == 0.0
@@ -289,6 +316,42 @@ class TestGnn2ForwardPullback:
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
         assert np.array_equal(out, gnn2_forward(s, params, x))
 
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_output_and_pullback_match_jacobian(self, activation, k, symmetric):
+        # the output is linear in h: the second-layer Jacobian block times h
+        rng = np.random.default_rng(20 + k)
+        n, samples = 5, 3
+        s = self.make_shift(rng, n, symmetric)
+        x = rng.standard_normal((n, samples))
+        r = rng.standard_normal((n, samples))
+        params = init_gnn2(4, k, InitConfig(kappa=0.9, seed=k), activation)
+        out, pullback = gnn2_forward_pullback(s, params, x)
+        expected = gnn2_jacobian(s, params, x, which_layer="second") @ params.h.ravel()
+        assert np.linalg.norm(stack(out) - expected) <= 1e-12 * np.linalg.norm(expected)
+        grad = gnn2_jacobian(s, params, x).T @ stack(r)
+        assert np.linalg.norm(pullback(r) - grad) <= 1e-12 * np.linalg.norm(grad)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("samples", [None, 3], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_horner_output_matches_explicit_sum(self, k, samples, symmetric):
+        rng = np.random.default_rng(40 + k)
+        n, width = 6, 5
+        s = self.make_shift(rng, n, symmetric)
+        x = rng.standard_normal((n,) if samples is None else (n, samples))
+        params = init_gnn2(width, k, InitConfig(kappa=0.9, seed=k))
+        powers = [np.linalg.matrix_power(s.matrix, j) for j in range(k)]
+        expected = np.zeros_like(x)
+        for f in range(width):
+            q = np.tanh(sum(params.g[f, j] * powers[j] @ x for j in range(k)))
+            expected += sum(params.h[f, j] * powers[j] @ q for j in range(k))
+        expected /= np.sqrt(width)
+        out = gnn2_forward(s, params, x)
+        assert out.shape == x.shape
+        assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+
     def test_rejects_residual_of_another_shape(self):
         rng = np.random.default_rng(4)
         s = random_shift(rng, 4)
@@ -317,6 +380,12 @@ class TestInit:
         x = rng.standard_normal(4)
         out = gnn2_forward(s, init_gnn2(3, 2, InitConfig(kappa=1e-8, seed=2)), x)
         assert np.linalg.norm(out) < 1e-12
+
+    def test_rejects_zero_width(self):
+        with pytest.raises(ValueError, match="width must be >= 1, got 0"):
+            init_gnn2(0, 2, InitConfig(kappa=1.0, seed=0))
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            TwoLayerGnnParams(np.zeros((0, 2)), np.zeros((0, 2)))
 
     def test_rejects_bad_kappa(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ntkalign import training
+from ntkalign import models, training
 from ntkalign.core import Dataset, DivergenceError, NtkKind, NtkMatrix, ShiftOperator, stack
 from ntkalign.models import (
     InitConfig,
@@ -254,6 +255,43 @@ class TestFusedGradientTraining:
         assert np.allclose(trace.train_losses, ref_train, rtol=1e-10, atol=0.0)
         assert np.allclose(trace.test_losses, ref_test, rtol=1e-10, atol=0.0)
         assert np.allclose(trace.param_movement, ref_movement, rtol=1e-12, atol=0.0)
+
+
+class TestGnnPassShape:
+    def test_no_feature_is_shifted_and_tanh_runs_once_per_pass(self, monkeypatch):
+        # the adjoint pass shifts only (n, M) blocks, never the F*M feature columns
+        rng = np.random.default_rng(50)
+        s = random_shift(rng, 5)
+        data = random_dataset(rng, 5, 9)
+        test_data = random_dataset(rng, 5, 4)
+        trailing, tanh_calls, passes = [], [], []
+        powers_applied = ShiftOperator.powers_applied
+
+        def recording_powers(self, signals, num_taps):
+            trailing.append(np.shape(signals)[-1])
+            return powers_applied(self, signals, num_taps)
+
+        def counting_tanh(u, out=None):
+            tanh_calls.append(np.shape(u))
+            return tanh(u, out=out)
+
+        def counting_pass(*args):
+            passes.append(len(args))
+            return forward_pullback(*args)
+
+        forward_pullback = models.gnn2_forward_pullback
+        tanh = np.tanh
+        monkeypatch.setattr(ShiftOperator, "powers_applied", recording_powers)
+        monkeypatch.setattr(np, "tanh", counting_tanh)
+        counted = dataclasses.replace(models.ACTIVATIONS["tanh"], fn=counting_tanh)
+        monkeypatch.setitem(models.ACTIVATIONS, "tanh", counted)
+        monkeypatch.setattr(models, "gnn2_forward_pullback", counting_pass)
+        monkeypatch.setattr(training, "gnn2_forward_pullback", counting_pass)
+        params = init_gnn2(7, 3, InitConfig(kappa=0.8, seed=51))
+        train(params, s, data, TrainConfig(eta=0.05, epochs=4), test_data=test_data)
+        assert len(passes) == 2 * (4 + 1)  # train and test loss per epoch, epoch 0 included
+        assert trailing and max(trailing) <= data.num_samples
+        assert len(tanh_calls) == len(passes)
 
 
 class TestLinearizedDynamics:
