@@ -63,114 +63,20 @@ class CliError(Exception):
     """Usage or input problem; the message tells the user what to change."""
 
 
-def _shared_defaults():
-    return {"seed": 0, "out_dir": ".", "threads": 1, "emit_json": False, "config": None}
+def _config_flags(ns: argparse.Namespace) -> list:
+    """The flags a ``key = value`` settings file stands for.
 
-
-DEFAULTS = {
-    "gen-data": {
-        **_shared_defaults(),
-        "n": 20,
-        "len": 1000,
-        "strength": 0.9,
-        "anisotropy": 0.8,
-        "noise": 1.0,
-        "dt": None,
-        "m_train": 200,
-        "m_test": None,
-    },
-    "ntk": {
-        **_shared_defaults(),
-        "x": None,
-        "y": None,
-        "k": 2,
-        "kind": "filter",
-        "width": 256,
-        "gso": "cxy",
-        "gso_file": None,
-    },
-    "align": {
-        **_shared_defaults(),
-        "x": None,
-        "y": None,
-        "k": 2,
-        "eta": 1.0,
-        "alpha": 1.0,
-        "nu": 1.0,
-        "xi": None,
-        "gso": "cxy",
-        "gso_file": None,
-    },
-    "optimize-gso": {
-        **_shared_defaults(),
-        "x": None,
-        "y": None,
-        "c": None,
-        "k": 2,
-        "mu": None,
-        "alpha": None,
-        "eta": None,
-        "normalize": None,
-    },
-    "train": {
-        **_shared_defaults(),
-        "x": None,
-        "y": None,
-        "x_test": None,
-        "y_test": None,
-        "k": 2,
-        "model": "filter",
-        "width": 50,
-        "eta": None,
-        "epochs": 100,
-        "kappa": 1.0,
-        "optimizer": "adam",
-        "batch_size": 0,
-        "gso": "cxy",
-        "gso_file": None,
-    },
-    "compare": {
-        **_shared_defaults(),
-        "series": None,
-        "dt": 1,
-        "m_train": 200,
-        "m_test": None,
-        "x": None,
-        "y": None,
-        "x_test": None,
-        "y_test": None,
-        "gso": "cxy,cxx",
-        "raw_cxy": False,
-        "k": 2,
-        "model": "gnn2",
-        "width": 50,
-        "eta": None,
-        "epochs": 50,
-        "kappa": 1.0,
-        "optimizer": "adam",
-        "batch_size": 0,
-        "reps": 10,
-    },
-    "verify-bounds": {
-        **_shared_defaults(),
-        "instances": 500,
-        "checks": ",".join(DEFAULT_SWEEP_CHECKS),
-        "optimality_instances": 1000,
-        "k": 2,
-        "alpha": 1.0,
-        "eta": 1.0,
-    },
-    "verify-hermite": {**_shared_defaults(), "n_points": 64},
-}
-
-
-def _read_config_file(path: str, allowed) -> dict:
-    """Flat ``key = value`` lines; values are parsed as JSON when possible."""
+    Values are parsed as JSON when possible and kept as strings otherwise.
+    ``true`` / ``false`` give ``--key`` / ``--no-key``, ``null`` gives
+    nothing (the default stays), and any other value gives ``--key=value``,
+    which argparse then checks exactly like a flag typed on the command line.
+    """
+    path, allowed = ns.config, set(vars(ns)) - {"subcommand", "config", "emit_json"}
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from None
-    out = {}
+    flags = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -185,23 +91,15 @@ def _read_config_file(path: str, allowed) -> dict:
             )
         value = value.strip()
         try:
-            out[key] = json.loads(value)
+            parsed = json.loads(value)
         except json.JSONDecodeError:
-            out[key] = value
-    return out
-
-
-def _resolve_config(ns: argparse.Namespace, subcommand: str) -> dict:
-    cfg = dict(DEFAULTS[subcommand])
-    config_path = getattr(ns, "config", None)
-    if config_path:
-        file_keys = set(cfg) - {"config", "emit_json"}
-        cfg.update(_read_config_file(config_path, file_keys))
-    for key in cfg:
-        value = getattr(ns, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
+            parsed = value
+        flag = key.replace("_", "-")
+        if isinstance(parsed, bool):
+            flags.append(f"--{flag}" if parsed else f"--no-{flag}")
+        elif parsed is not None:
+            flags.append(f"--{flag}={parsed if isinstance(parsed, str) else value}")
+    return flags
 
 
 def _require(cfg: dict, key: str, flag: str):
@@ -240,12 +138,9 @@ def _shift_from(cfg: dict, data: Dataset) -> ShiftOperator:
             return ShiftOperator(matrix)
         except ValueError as exc:
             raise CliError(f"--gso-file: {exc}; symmetrize the matrix first") from None
-    token = cfg.get("gso", "cxy")
-    if token == "cxy":
+    if cfg["gso"] == "cxy":
         return cross_covariance(data.x, data.y).as_shift_operator()
-    if token == "cxx":
-        return covariance(data.x)
-    raise CliError(f"unknown GSO {token!r}; choose cxy, cxx, or --gso-file PATH")
+    return covariance(data.x)
 
 
 def _jsonable(value):
@@ -294,6 +189,14 @@ def _finish(cfg: dict, subcommand: str, report: dict, outputs, exit_code: int = 
     return exit_code
 
 
+def _extract_pairs(cfg: dict, series: np.ndarray):
+    """Train and test pairs at horizon dt; m_test defaults to a tenth of m_train."""
+    m_test = cfg["m_test"] if cfg["m_test"] is not None else max(1, cfg["m_train"] // 10)
+    return extract_pairs(
+        series, PairExtractionConfig(cfg["dt"], cfg["m_train"], m_test, cfg["seed"])
+    )
+
+
 def _cmd_gen_data(cfg: dict) -> int:
     if not 0.0 < cfg["anisotropy"] <= 1.0:
         raise CliError("--anisotropy must be in (0, 1]")
@@ -316,10 +219,7 @@ def _cmd_gen_data(cfg: dict) -> int:
         "summary": f"series {cfg['n']} x {cfg['len']}",
     }
     if cfg["dt"] is not None:
-        m_test = cfg["m_test"] if cfg["m_test"] is not None else max(1, cfg["m_train"] // 10)
-        train_split, test_split = extract_pairs(
-            series, PairExtractionConfig(cfg["dt"], cfg["m_train"], m_test, cfg["seed"])
-        )
+        train_split, test_split = _extract_pairs(cfg, series)
         save_csv(train_split.x, out_dir / "x_train.csv")
         save_csv(train_split.y, out_dir / "y_train.csv")
         outputs += ["x_train.csv", "y_train.csv"]
@@ -339,8 +239,6 @@ def _compute_ntk(cfg: dict, s: ShiftOperator, data: Dataset) -> NtkMatrix:
         return filter_ntk(s, data.x, cfg["k"])
     if kind == "gnn":
         return gnn_infinite_ntk(s, data.x, cfg["k"], layer="both")
-    if kind != "gnn-mc":
-        raise CliError(f"unknown NTK kind {kind!r}; choose filter, gnn, or gnn-mc")
     return gnn_monte_carlo_ntk(s, data.x, cfg["k"], cfg["width"], cfg["seed"], which_layer="both")
 
 
@@ -462,10 +360,8 @@ def _cmd_train(cfg: dict) -> int:
     init = InitConfig(kappa=cfg["kappa"], seed=cfg["seed"])
     if cfg["model"] == "filter":
         params0 = init_filter(cfg["k"], init)
-    elif cfg["model"] == "gnn2":
-        params0 = init_gnn2(cfg["width"], cfg["k"], init)
     else:
-        raise CliError(f"unknown model {cfg['model']!r}; choose filter or gnn2")
+        params0 = init_gnn2(cfg["width"], cfg["k"], init)
     trace = train(params0, s, data, train_cfg, test_data=test_data)
 
     out_dir = Path(cfg["out_dir"])
@@ -498,11 +394,7 @@ def _cmd_train(cfg: dict) -> int:
 
 def _compare_data(cfg: dict):
     if cfg["series"] is not None:
-        series = _load_matrix(cfg["series"], "series")
-        m_test = cfg["m_test"] if cfg["m_test"] is not None else max(1, cfg["m_train"] // 10)
-        return extract_pairs(
-            series, PairExtractionConfig(cfg["dt"], cfg["m_train"], m_test, cfg["seed"])
-        )
+        return _extract_pairs(cfg, _load_matrix(cfg["series"], "series"))
     return _load_dataset(cfg), _maybe_test_dataset(cfg)
 
 
@@ -624,17 +516,22 @@ COMMANDS = {
 
 
 def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, help="master RNG seed")
-    sp.add_argument("--out-dir", dest="out_dir", help="directory for artifacts")
+    sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    sp.add_argument("--out-dir", default=".", help="directory for artifacts")
     sp.add_argument("--config", help="key = value settings file (flags win)")
-    sp.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     sp.add_argument(
-        "--json",
-        dest="emit_json",
-        action="store_true",
-        default=None,
-        help="print the JSON report to stdout",
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
     )
+    sp.add_argument(
+        "--json", dest="emit_json", action="store_true", help="print the JSON report to stdout"
+    )
+
+
+def _add_gso_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument(
+        "--gso", choices=["cxy", "cxx"], default="cxy", help="data-derived shift operator"
+    )
+    sp.add_argument("--gso-file", help="shift operator CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -645,50 +542,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen-data", help="generate a planted VAR series (and pairs)")
-    p.add_argument("--n", type=int, help="number of nodes")
-    p.add_argument("--len", type=int, help="series length")
-    p.add_argument("--strength", type=float, help="planted eigenvalue in (0, 1)")
-    p.add_argument("--anisotropy", type=float, help="planted-direction dominance in (0, 1]")
-    p.add_argument("--noise", type=float, help="innovation scale")
+    p.add_argument("--n", type=int, default=20, help="number of nodes")
+    p.add_argument("--len", type=int, default=1000, help="series length")
+    p.add_argument("--strength", type=float, default=0.9, help="planted eigenvalue in (0, 1)")
+    p.add_argument(
+        "--anisotropy", type=float, default=0.8, help="planted-direction dominance in (0, 1]"
+    )
+    p.add_argument("--noise", type=float, default=1.0, help="innovation scale")
     p.add_argument("--dt", type=int, help="also extract pairs at this horizon")
-    p.add_argument("--m-train", dest="m_train", type=int, help="training pairs")
-    p.add_argument("--m-test", dest="m_test", type=int, help="test pairs (default m_train/10)")
+    p.add_argument("--m-train", type=int, default=200, help="training pairs")
+    p.add_argument("--m-test", type=int, help="test pairs (default m_train/10)")
     _add_shared_flags(p)
 
     p = sub.add_parser("ntk", help="compute a stacked tangent kernel")
     p.add_argument("--x", help="inputs CSV (nodes x samples)")
     p.add_argument("--y", help="targets CSV (nodes x samples)")
-    p.add_argument("--k", type=int, help="filter taps")
-    p.add_argument("--kind", choices=["filter", "gnn", "gnn-mc"], help="kernel kind")
-    p.add_argument("--width", type=int, help="hidden features for gnn-mc")
-    p.add_argument("--gso", choices=["cxy", "cxx"], help="data-derived shift operator")
-    p.add_argument("--gso-file", dest="gso_file", help="shift operator CSV")
+    p.add_argument("--k", type=int, default=2, help="filter taps")
+    p.add_argument(
+        "--kind", choices=["filter", "gnn", "gnn-mc"], default="filter", help="kernel kind"
+    )
+    p.add_argument("--width", type=int, default=256, help="hidden features for gnn-mc")
+    _add_gso_flags(p)
     _add_shared_flags(p)
 
     p = sub.add_parser("align", help="alignment report and conditional bound checks")
     p.add_argument("--x", help="inputs CSV")
     p.add_argument("--y", help="targets CSV")
-    p.add_argument("--k", type=int, help="filter taps")
-    p.add_argument("--eta", type=float, help="learning rate in the budget")
-    p.add_argument("--alpha", type=float, help="kernel-norm budget")
-    p.add_argument("--nu", type=float, help="spectral bound for the constants")
+    p.add_argument("--k", type=int, default=2, help="filter taps")
+    p.add_argument("--eta", type=float, default=1.0, help="learning rate in the budget")
+    p.add_argument("--alpha", type=float, default=1.0, help="kernel-norm budget")
+    p.add_argument("--nu", type=float, default=1.0, help="spectral bound for the constants")
     p.add_argument("--xi", type=float, help="assumed alignment ratio for conditionals")
-    p.add_argument("--gso", choices=["cxy", "cxx"], help="data-derived shift operator")
-    p.add_argument("--gso-file", dest="gso_file", help="shift operator CSV")
+    _add_gso_flags(p)
     _add_shared_flags(p)
 
     p = sub.add_parser("optimize-gso", help="solve for the alignment-optimal shift operator")
     p.add_argument("--x", help="inputs CSV")
     p.add_argument("--y", help="targets CSV")
     p.add_argument("--c", help="cross-covariance CSV (overrides --x/--y)")
-    p.add_argument("--k", type=int, help="filter taps (>= 2)")
+    p.add_argument("--k", type=int, default=2, help="filter taps (>= 2)")
     p.add_argument("--mu", type=float, help="explicit multiplier")
     p.add_argument("--alpha", type=float, help="budget numerator for mu")
     p.add_argument("--eta", type=float, help="learning rate for mu")
     p.add_argument(
         "--normalize",
         action=argparse.BooleanOptionalAction,
-        default=None,
         help="rescale the solution to unit Frobenius norm",
     )
     _add_shared_flags(p)
@@ -696,78 +594,81 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model and write its trace")
     p.add_argument("--x", help="inputs CSV")
     p.add_argument("--y", help="targets CSV")
-    p.add_argument("--x-test", dest="x_test", help="test inputs CSV")
-    p.add_argument("--y-test", dest="y_test", help="test targets CSV")
-    p.add_argument("--k", type=int, help="filter taps")
-    p.add_argument("--model", choices=["filter", "gnn2"], help="model class")
-    p.add_argument("--width", type=int, help="hidden features for gnn2")
+    p.add_argument("--x-test", help="test inputs CSV")
+    p.add_argument("--y-test", help="test targets CSV")
+    p.add_argument("--k", type=int, default=2, help="filter taps")
+    p.add_argument("--model", choices=["filter", "gnn2"], default="filter", help="model class")
+    p.add_argument("--width", type=int, default=50, help="hidden features for gnn2")
     p.add_argument("--eta", type=float, help="learning rate")
-    p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--kappa", type=float, help="initialization scale")
-    p.add_argument("--optimizer", choices=["gd", "adam"], help="update rule")
-    p.add_argument("--batch-size", dest="batch_size", type=int, help="0 = full batch")
-    p.add_argument("--gso", choices=["cxy", "cxx"], help="data-derived shift operator")
-    p.add_argument("--gso-file", dest="gso_file", help="shift operator CSV")
+    p.add_argument("--epochs", type=int, default=100, help="training epochs")
+    p.add_argument("--kappa", type=float, default=1.0, help="initialization scale")
+    p.add_argument("--optimizer", choices=["gd", "adam"], default="adam", help="update rule")
+    p.add_argument("--batch-size", type=int, default=0, help="0 = full batch")
+    _add_gso_flags(p)
     _add_shared_flags(p)
 
     p = sub.add_parser("compare", help="train matched models across shift operators")
     p.add_argument("--series", help="series CSV to extract pairs from")
-    p.add_argument("--dt", type=int, help="pair horizon for --series")
-    p.add_argument("--m-train", dest="m_train", type=int, help="training pairs")
-    p.add_argument("--m-test", dest="m_test", type=int, help="test pairs")
+    p.add_argument("--dt", type=int, default=1, help="pair horizon for --series")
+    p.add_argument("--m-train", type=int, default=200, help="training pairs")
+    p.add_argument("--m-test", type=int, help="test pairs (default m_train/10)")
     p.add_argument("--x", help="inputs CSV (alternative to --series)")
     p.add_argument("--y", help="targets CSV")
-    p.add_argument("--x-test", dest="x_test", help="test inputs CSV")
-    p.add_argument("--y-test", dest="y_test", help="test targets CSV")
-    p.add_argument("--gso", help="comma list of arms from {cxy, cxx}")
+    p.add_argument("--x-test", help="test inputs CSV")
+    p.add_argument("--y-test", help="test targets CSV")
+    p.add_argument("--gso", default="cxy,cxx", help="comma list of arms from {cxy, cxx}")
     p.add_argument(
         "--raw-cxy",
-        dest="raw_cxy",
         action=argparse.BooleanOptionalAction,
-        default=None,
+        default=False,
         help="use the unsymmetrized cross-covariance for the cxy arm",
     )
-    p.add_argument("--k", type=int, help="filter taps")
-    p.add_argument("--model", choices=["filter", "gnn2"], help="model class")
-    p.add_argument("--width", type=int, help="hidden features for gnn2")
+    p.add_argument("--k", type=int, default=2, help="filter taps")
+    p.add_argument("--model", choices=["filter", "gnn2"], default="gnn2", help="model class")
+    p.add_argument("--width", type=int, default=50, help="hidden features for gnn2")
     p.add_argument("--eta", type=float, help="learning rate")
-    p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--kappa", type=float, help="initialization scale")
-    p.add_argument("--optimizer", choices=["gd", "adam"], help="update rule")
-    p.add_argument("--batch-size", dest="batch_size", type=int, help="0 = full batch")
-    p.add_argument("--reps", type=int, help="seeded repetitions")
+    p.add_argument("--epochs", type=int, default=50, help="training epochs")
+    p.add_argument("--kappa", type=float, default=1.0, help="initialization scale")
+    p.add_argument("--optimizer", choices=["gd", "adam"], default="adam", help="update rule")
+    p.add_argument("--batch-size", type=int, default=0, help="0 = full batch")
+    p.add_argument("--reps", type=int, default=10, help="seeded repetitions")
     _add_shared_flags(p)
 
     p = sub.add_parser("verify-bounds", help="run the inequality and optimality sweeps")
-    p.add_argument("--instances", type=int, help="instances per inequality sweep")
-    p.add_argument("--checks", help="comma list of sweep names")
+    p.add_argument("--instances", type=int, default=500, help="instances per inequality sweep")
+    p.add_argument(
+        "--checks", default=",".join(DEFAULT_SWEEP_CHECKS), help="comma list of sweep names"
+    )
     p.add_argument(
         "--optimality-instances",
-        dest="optimality_instances",
         type=int,
+        default=1000,
         help="instances for the optimal-GSO sweep (0 disables)",
     )
-    p.add_argument("--k", type=int, help="taps for the optimality sweep (runs when 2)")
-    p.add_argument("--alpha", type=float, help="budget numerator")
-    p.add_argument("--eta", type=float, help="learning rate in the budget")
+    p.add_argument("--k", type=int, default=2, help="taps for the optimality sweep (runs when 2)")
+    p.add_argument("--alpha", type=float, default=1.0, help="budget numerator")
+    p.add_argument("--eta", type=float, default=1.0, help="learning rate in the budget")
     _add_shared_flags(p)
 
     p = sub.add_parser("verify-hermite", help="self-check the activation-expansion layer")
-    p.add_argument("--n-points", dest="n_points", type=int, help="quadrature points")
+    p.add_argument("--n-points", type=int, default=64, help="quadrature points")
     _add_shared_flags(p)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        if ns.config:
+            # file flags go before the command line's, so a flag given there wins
+            ns = parser.parse_args([argv[0], *_config_flags(ns), *argv[1:]])
+        cfg = vars(ns)
+        return COMMANDS[cfg.pop("subcommand")](cfg)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        cfg = _resolve_config(ns, ns.subcommand)
-        return COMMANDS[ns.subcommand](cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -158,7 +158,6 @@ class NtkKind(enum.Enum):
 
     FILTER_ANALYTIC = "filter_analytic"
     EMPIRICAL = "empirical"
-    GNN_INFINITE_QUADRATURE = "gnn_infinite_quadrature"
     GNN_INFINITE_SERIES = "gnn_infinite_series"
     GNN_MONTE_CARLO = "gnn_monte_carlo"
 

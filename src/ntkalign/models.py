@@ -100,6 +100,8 @@ class FilterParams:
 
     def __post_init__(self):
         object.__setattr__(self, "taps", _frozen_array(self.taps, ndim=1))
+        if self.taps.shape[0] < 1:
+            raise ValueError(f"num_taps must be >= 1, got {self.taps.shape[0]}")
 
     @property
     def num_taps(self) -> int:

@@ -417,22 +417,7 @@ def conjugated_power_sum(
     return acc
 
 
-_INFINITE_KINDS = {
-    "quadrature": NtkKind.GNN_INFINITE_QUADRATURE,
-    "series": NtkKind.GNN_INFINITE_SERIES,
-}
-
-
-def _layer_expectation(
-    z: ZVectors, layer: str, method: str, activation: str, n_points: int
-) -> ExpectationMatrix:
-    if method == "series":
-        build = expectation_E_series if layer == "second" else expectation_E_first_layer_series
-        return build(z, activation=activation)
-    if method == "quadrature":
-        build = expectation_E_quadrature if layer == "second" else expectation_E_first_layer
-        return build(z, activation, n_points)
-    raise ValueError(f"unknown method {method!r}")
+_LAYER_SERIES = {"second": expectation_E_series, "first": expectation_E_first_layer_series}
 
 
 def expectation_info(e: ExpectationMatrix) -> dict:
@@ -451,9 +436,7 @@ def gnn_infinite_ntk(
     data,
     num_taps: int,
     layer: str = "second",
-    method: str = "series",
     activation: str = "tanh",
-    n_points: int = DEFAULT_QUADRATURE_POINTS,
 ) -> NtkMatrix:
     """Infinite-width GNN NTK contribution: sum_k S~^k E S~^k.
 
@@ -461,16 +444,15 @@ def gnn_infinite_ntk(
     ``layer='first'`` the derivative-weighted Gram E1, and ``layer='both'``
     their sum, the full kernel: one ``z_vectors``, one set of correlations
     and one conjugated power sum (the map is linear), with each layer's
-    diagnostics under ``info['layers']``.  ``method='series'`` truncates
-    the Hermite series at a certified residual; ``method='quadrature'``
-    uses the ``n_points`` pair rule.
+    diagnostics under ``info['layers']``.  Each layer's Hermite series is
+    truncated at a certified residual.
     """
     layers = ("second", "first") if layer == "both" else (layer,)
-    if any(name not in ("second", "first") for name in layers):
+    if any(name not in _LAYER_SERIES for name in layers):
         raise ValueError(f"layer must be 'first', 'second' or 'both', got {layer!r}")
     x = _signals(data)
     z = z_vectors(s, x, num_taps)
-    parts = {name: _layer_expectation(z, name, method, activation, n_points) for name in layers}
+    parts = {name: _LAYER_SERIES[name](z, activation=activation) for name in layers}
     total = sum(e.matrix for e in parts.values())
     theta = conjugated_power_sum(s, total, num_taps, x.shape[1])
     if layer == "both":
@@ -478,7 +460,7 @@ def gnn_infinite_ntk(
         info = {"layer": layer, "num_taps": num_taps, "layers": info}
     else:
         info = {"layer": layer, "num_taps": num_taps, **expectation_info(parts[layer])}
-    return NtkMatrix(theta, _INFINITE_KINDS[method], info=info)
+    return NtkMatrix(theta, NtkKind.GNN_INFINITE_SERIES, info=info)
 
 
 def gnn_monte_carlo_ntk(

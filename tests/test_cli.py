@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +139,57 @@ class TestConfigResolution:
         cfg.write_text("n = 5\nnot a pair\n")
         assert run("gen-data", "--config", cfg, "--out-dir", tmp_path) == 2
         assert ":2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ('k = "two"', "argument --k: invalid int value: 'two'"),
+            ("k = 2.5", "argument --k: invalid int value: '2.5'"),
+            ('eta = "fast"', "argument --eta: invalid float value: 'fast'"),
+            ("batch_size = 2.5", "argument --batch-size: invalid int value: '2.5'"),
+            ('width = "x"', "argument --width: invalid int value: 'x'"),
+        ],
+        ids=["k-string", "k-float", "eta-string", "batch-size-float", "width-string"],
+    )
+    def test_file_values_are_checked_like_flags(self, tiny_data, tmp_path, capsys, line, error):
+        _, _, x_path, y_path = tiny_data
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = \"gnn2\"\n{line}\n")
+        out = tmp_path / "out"
+        assert run("train", "--config", cfg, "--x", x_path, "--y", y_path,
+                   "--epochs", 2, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines()[-1] == f"ntkalign train: error: {error}"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, line, flag",
+        [
+            (["optimize-gso", "--mu", 2.5], "normalize = false", "--no-normalize"),
+            (["compare", "--model", "filter", "--epochs", 3, "--reps", 2], "raw_cxy = true",
+             "--raw-cxy"),
+        ],
+        ids=["normalize", "raw-cxy"],
+    )
+    def test_file_switches_match_their_flags(self, tiny_data, tmp_path, command, line, flag):
+        _, _, x_path, y_path = tiny_data
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        args = [*command, "--x", x_path, "--y", y_path]
+        assert run(*args, "--config", cfg, "--out-dir", tmp_path / "file") == 0
+        assert run(*args, flag, "--out-dir", tmp_path / "flag") == 0
+        from_file = (tmp_path / "file" / "report.json").read_bytes()
+        assert from_file == (tmp_path / "flag" / "report.json").read_bytes()
+
+    def test_null_keeps_the_default(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = null\nlen = 120\nm_test = null\n")
+        out = tmp_path / "out"
+        assert run("gen-data", "--config", cfg, "--dt", 1, "--m-train", 30, "--out-dir", out) == 0
+        snap = json.loads((out / "manifest.json").read_text())["config"]
+        assert snap["n"] == 20 and snap["len"] == 120 and snap["m_test"] is None
+        assert load_csv(out / "x_test.csv").shape == (20, 3)  # m_train / 10
 
 
 class TestGenData:
@@ -530,6 +584,13 @@ class TestCompareCommand:
         assert "reps must be >= 1, got 0" in capsys.readouterr().err
         assert not (out / "curves.csv").exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_zero_filter_taps_is_a_usage_error(self, tiny_data, tmp_path, capsys, command):
+        _, _, x_path, y_path = tiny_data
+        assert run(command, "--x", x_path, "--y", y_path, "--model", "filter", "--k", 0,
+                   "--epochs", 2, "--out-dir", tmp_path / "out") == 2
+        assert "num_taps must be >= 1, got 0" in capsys.readouterr().err
+
 
 class TestVerifyCommands:
     def test_verify_hermite_reports_beta(self, tmp_path, capsys):
@@ -557,3 +618,35 @@ class TestVerifyCommands:
         assert run("verify-bounds", "--instances", 2, "--checks", "nonsense",
                    "--out-dir", tmp_path) == 2
         assert "nonsense" in capsys.readouterr().err
+
+
+class TestReadme:
+    """The README's command lines must parse with the current parser."""
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def blocks(self, lang):
+        return re.findall(rf"^```{lang}\n(.*?)^```", self.text, flags=re.M | re.S)
+
+    def test_every_command_line_parses(self):
+        parser = cli.build_parser()
+        commands = []
+        for block in self.blocks("sh"):
+            for line in block.replace("\\\n", " ").splitlines():
+                words = shlex.split(line)
+                if words[:1] == ["ntkalign"]:
+                    commands.append(words[1:])
+        assert len(commands) >= 4
+        for words in commands:
+            ns = parser.parse_args(words)
+            assert ns.subcommand == words[0]
+
+    def test_config_example_runs(self, tmp_path):
+        (example,) = [b for b in self.blocks("ini") if b.startswith("# gen.cfg")]
+        (tmp_path / "gen.cfg").write_text(example)
+        out = tmp_path / "data"
+        assert run("gen-data", "--config", tmp_path / "gen.cfg", "--seed", 3, "--out-dir", out) == 0
+        snap = json.loads((out / "manifest.json").read_text())["config"]
+        assert (snap["n"], snap["len"], snap["dt"], snap["m_train"]) == (20, 1000, 1, 200)
+        assert snap["anisotropy"] == 0.6 and snap["seed"] == 3
+        assert load_csv(out / "x_train.csv").shape == (20, 200)

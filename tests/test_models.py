@@ -135,6 +135,10 @@ class TestFilterForward:
         with pytest.raises(ValueError):
             filter_forward(s, FilterParams(np.ones(2)), np.ones(5))
 
+    def test_empty_taps_are_rejected(self):
+        with pytest.raises(ValueError, match="num_taps must be >= 1, got 0"):
+            FilterParams(np.zeros(0))
+
 
 class TestFilterJacobian:
     def test_single_tap_is_signal(self):

@@ -456,7 +456,7 @@ class TestInfiniteNtk:
         s = random_shift(rng, 3)
         data = random_dataset(rng, 3, 3)
         k = 2
-        theta = gnn_infinite_ntk(s, data, k, method="series", activation="identity")
+        theta = gnn_infinite_ntk(s, data, k, activation="identity")
         lift = dense_block_diag(s.matrix, 3)
         blin = b_lin(s, data.x, k)
         expected = sum(
@@ -466,22 +466,21 @@ class TestInfiniteNtk:
         assert np.allclose(theta.matrix, expected, atol=1e-10)
         assert theta.kind is NtkKind.GNN_INFINITE_SERIES
 
-    @pytest.mark.parametrize("method", ["series", "quadrature"])
+    @pytest.mark.parametrize("method", ["series"])
     def test_both_layers_is_the_sum_with_layer_info(self, method):
         rng = np.random.default_rng(26)
         s = random_shift(rng, 4)
         data = random_dataset(rng, 4, 3)
-        both = gnn_infinite_ntk(s, data, 2, layer="both", method=method)
-        second = gnn_infinite_ntk(s, data, 2, layer="second", method=method)
-        first = gnn_infinite_ntk(s, data, 2, layer="first", method=method)
+        both = gnn_infinite_ntk(s, data, 2, layer="both")
+        second = gnn_infinite_ntk(s, data, 2, layer="second")
+        first = gnn_infinite_ntk(s, data, 2, layer="first")
         np.testing.assert_allclose(both.matrix, second.matrix + first.matrix, atol=1e-14)
         layers = both.info["layers"]
         assert layers["second"]["method"] == second.info["method"]
         assert layers["first"]["method"] == first.info["method"]
-        if method == "series":
-            for name, single in (("second", second), ("first", first)):
-                for key in ("max_degree", "truncation_residual"):
-                    assert layers[name][key] == single.info[key]
+        for name, single in (("second", second), ("first", first)):
+            for key in ("max_degree", "truncation_residual"):
+                assert layers[name][key] == single.info[key]
 
     def test_conjugated_power_sum_against_dense(self):
         rng = np.random.default_rng(19)
@@ -503,13 +502,8 @@ class TestInfiniteNtk:
         assert theta.kind is NtkKind.GNN_INFINITE_SERIES
         assert theta.info["layer"] == "first"
         assert theta.info["method"] == "first_layer_series"
-        quad = gnn_infinite_ntk(s, data, 2, layer="first", method="quadrature")
-        assert quad.kind is NtkKind.GNN_INFINITE_QUADRATURE
-        assert quad.info["method"] == "first_layer_quadrature"
         with pytest.raises(ValueError):
             gnn_infinite_ntk(s, data, 2, layer="middle")
-        with pytest.raises(ValueError):
-            gnn_infinite_ntk(s, data, 2, method="spline")
 
 
 class TestMonteCarloNtk:
