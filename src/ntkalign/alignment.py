@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Dataset, NtkMatrix, ShiftOperator, as_stacked
-from .hermite import ExpansionConstants, beta_constant, coeff_tau, expansion_constants
+from .hermite import BETA_SATURATION, ExpansionConstants, coeff_tau, expansion_constants
 from .ntk import (  # the quadrature references stay bound here for perfbench/tracer.py
     ZVectors,
     expectation_E_first_layer,
@@ -307,7 +307,7 @@ def check_series_tail_domination(z: ZVectors, max_degree: int = 21) -> CheckRepo
     """
     series = expectation_E_series(z, max_degree)
     b, delta = series.b, series.delta_b
-    beta = beta_constant().value
+    beta = BETA_SATURATION
     meaningful = (np.abs(b) > SIGN_ZERO_ATOL) & (np.abs(delta) > SIGN_ZERO_ATOL)
     sign_violations = int(np.count_nonzero((np.sign(b) * np.sign(delta) < 0) & meaningful))
     excess = np.abs(delta) - beta * np.abs(b) - TAIL_SLACK

@@ -9,13 +9,18 @@ Exit codes: 0 success, 1 property-violation findings, 2 usage or input
 errors, including inputs beyond a numerical method's reach (a Hermite
 series that cannot certify its residual, correlations that overshoot
 round-off).
+
+The parser is built once per process, so ``main`` may be called repeatedly
+in-process; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
+import re
 import sys
 import time
 from pathlib import Path
@@ -63,9 +68,14 @@ class CliError(Exception):
     """Usage or input problem; the message tells the user what to change."""
 
 
+# A double-quoted string (kept whole, so a '#' inside it stays) or a comment.
+_QUOTED_OR_COMMENT = re.compile(r'("(?:[^"\\]|\\.)*")|#.*')
+
+
 def _config_flags(ns: argparse.Namespace) -> list:
     """The flags a ``key = value`` settings file stands for.
 
+    ``#`` starts a comment unless it is inside a double-quoted value.
     Values are parsed as JSON when possible and kept as strings otherwise.
     ``true`` / ``false`` give ``--key`` / ``--no-key``, ``null`` gives
     nothing (the default stays), and any other value gives ``--key=value``,
@@ -78,7 +88,7 @@ def _config_flags(ns: argparse.Namespace) -> list:
         raise CliError(f"cannot read config file: {exc}") from None
     flags = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+        body = _QUOTED_OR_COMMENT.sub(r"\1", line).strip()
         if not body:
             continue
         if "=" not in body:
@@ -143,21 +153,15 @@ def _shift_from(cfg: dict, data: Dataset) -> ShiftOperator:
     return covariance(data.x)
 
 
-def _jsonable(value):
-    """Recursively convert numpy scalars and arrays for json.dumps."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _numpy_value(value):
+    """json.dumps hook for the numpy scalars and arrays that json cannot encode."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=_numpy_value)
 
 
 def _finish(cfg: dict, subcommand: str, report: dict, outputs, exit_code: int = 0) -> int:
@@ -165,7 +169,7 @@ def _finish(cfg: dict, subcommand: str, report: dict, outputs, exit_code: int = 
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand, **report}
     report_path = out_dir / "report.json"
-    _write_json(report_path, report)
+    report_path.write_text(_dumps(report) + "\n")
     outputs = [*outputs, report_path.name]
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -180,9 +184,9 @@ def _finish(cfg: dict, subcommand: str, report: dict, outputs, exit_code: int = 
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": outputs,
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    (out_dir / "manifest.json").write_text(_dumps(manifest) + "\n")
     if cfg["emit_json"]:
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+        print(_dumps(report))
     else:
         summary = report.get("summary", f"wrote {len(outputs)} files")
         print(f"{subcommand}: {summary} -> {out_dir}")
@@ -534,7 +538,9 @@ def _add_gso_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--gso-file", help="shift operator CSV")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ntkalign`` parser, built once and shared: parse with it, never change it."""
     parser = argparse.ArgumentParser(
         prog="ntkalign",
         description="Tangent-kernel alignment toolkit: data, kernels, bounds, training",

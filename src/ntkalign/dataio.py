@@ -167,38 +167,36 @@ def save_csv(matrix: np.ndarray, path, header=None) -> None:
     np.savetxt(path, matrix, delimiter=",", fmt="%.17g", header=head, comments="")
 
 
-def _parse_row(cells, row_number, width):
-    if len(cells) != width:
-        raise CsvFormatError(
-            f"row {row_number}: expected {width} columns, got {len(cells)}"
-        )
-    values = np.empty(width)
-    for j, cell in enumerate(cells):
-        try:
-            values[j] = float(cell)
-        except ValueError:
-            raise CsvFormatError(
-                f"row {row_number}, column {j + 1}: not numeric: {cell.strip()!r}"
-            ) from None
-    return values
-
-
 def load_csv(path) -> np.ndarray:
     """Read a rectangular numeric CSV; a non-numeric first row is a header."""
     with open(path, newline="") as fh:
-        rows = [(i + 1, cells) for i, cells in enumerate(csv.reader(fh))]
-    while rows and not any(cell.strip() for cell in rows[-1][1]):
+        rows = list(csv.reader(fh))
+    while rows and not any(cell.strip() for cell in rows[-1]):
         rows.pop()
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
 
-    first_number, first_cells = rows[0]
+    first_row = 1
     try:
-        [float(cell) for cell in first_cells]
+        [float(cell) for cell in rows[0]]
     except ValueError:
-        rows = rows[1:]  # header row
+        rows, first_row = rows[1:], 2  # header row
         if not rows:
             raise EmptyInputError(f"{path}: header only, no data rows") from None
 
-    width = len(rows[0][1])
-    return np.array([_parse_row(cells, number, width) for number, cells in rows])
+    width = len(rows[0])
+    for number, cells in enumerate(rows, first_row):
+        if len(cells) != width:
+            raise CsvFormatError(f"row {number}: expected {width} columns, got {len(cells)}")
+    try:
+        return np.array(rows, dtype=float)  # numpy parses str cells by float()'s rules
+    except ValueError:  # find the cell to name
+        for number, cells in enumerate(rows, first_row):
+            for j, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"row {number}, column {j + 1}: not numeric: {cell.strip()!r}"
+                    ) from None
+        raise

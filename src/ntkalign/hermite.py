@@ -39,6 +39,8 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 SIGMA_HAT_SUP = 1.0
 SIGMA_HAT_SUP_UNNORMALIZED = SQRT_2PI
 TAU_SUP = 1.0
+# beta_constant's closed form, (pi - 2) / 2: the tail ratio in the saturation limit.
+BETA_SATURATION = (1.0 - 2.0 / math.pi) / (2.0 / math.pi)
 
 
 # A series tail below -TAIL_ROUNDOFF times the largest total is not round-off.
@@ -295,7 +297,7 @@ def beta_constant(
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
-    exact = (1.0 - 2.0 / math.pi) / (2.0 / math.pi)
+    exact = BETA_SATURATION
     partial = 0.0
     term = 1.0  # t_0, the g_1 term itself (excluded from the sum)
     for i in range(1, max_terms + 1):
@@ -508,7 +510,7 @@ def expansion_constants(
     norm_sq = float(np.sum(spectral_bound ** (2.0 * np.arange(num_taps))))
     rho = float(sigma_hat(norm_sq, n_points)) ** 2
     rho1 = float(coeff_tau(0, norm_sq, n_points)) ** 2
-    beta = beta_constant().value
+    beta = BETA_SATURATION
     beta1 = beta_first_layer(norm_sq, n_points=n_points).value
     return ExpansionConstants(
         num_taps=num_taps,

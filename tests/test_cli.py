@@ -1,7 +1,9 @@
+import argparse
 import json
 import math
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +192,95 @@ class TestConfigResolution:
         snap = json.loads((out / "manifest.json").read_text())["config"]
         assert snap["n"] == 20 and snap["len"] == 120 and snap["m_test"] is None
         assert load_csv(out / "x_test.csv").shape == (20, 3)  # m_train / 10
+
+    def test_hash_inside_quotes_is_not_a_comment(self, tiny_data, tmp_path):
+        x, y, _, _ = tiny_data
+        (tmp_path / "d#1").mkdir()
+        x_file, y_file = tmp_path / "d#1" / "x_train.csv", tmp_path / "d#1" / "y_train.csv"
+        save_csv(x, x_file)
+        save_csv(y, y_file)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f'x = "{x_file}"  # inputs\ny = "{y_file}"\nk = 3  # taps\n')
+        out = tmp_path / "out"
+        assert run("ntk", "--config", cfg, "--out-dir", out) == 0
+        snap = json.loads((out / "manifest.json").read_text())["config"]
+        assert snap["x"] == str(x_file) and snap["k"] == 3
+
+
+XY = ["--x", "X", "--y", "Y"]
+SUBCOMMAND_RUNS = {
+    "gen-data": ["gen-data", "--n", 5, "--len", 60, "--dt", 1, "--m-train", 20],
+    "ntk-filter": ["ntk", *XY],
+    "ntk-gnn": ["ntk", "--kind", "gnn", *XY],
+    "ntk-gnn-mc": ["ntk", "--kind", "gnn-mc", "--width", 8, *XY],
+    "align": ["align", "--json", *XY],
+    "optimize-gso": ["optimize-gso", *XY],
+    "train-filter": ["train", "--epochs", 5, *XY],
+    "train-gnn2": ["train", "--model", "gnn2", "--width", 6, "--epochs", 3, *XY],
+    "compare": ["compare", "--model", "filter", "--epochs", 3, "--reps", 2, *XY],
+    "verify-bounds": ["verify-bounds", "--instances", 2, "--optimality-instances", 2],
+    "verify-hermite": ["verify-hermite", "--json"],
+}
+
+
+class TestSharedParser:
+    """Calls of ``main`` in one process share one parser and nothing else."""
+
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 6\n")
+        assert run("gen-data", "--len", 50, "--out-dir", tmp_path / "a") == 0
+        assert len(built) == 1 + len(cli.COMMANDS)  # the root parser and one per subcommand
+        assert run("gen-data", "--config", cfg, "--len", 50, "--out-dir", tmp_path / "b") == 0
+        assert run("frobnicate") == 2
+        assert len(built) == 1 + len(cli.COMMANDS)
+
+    def test_config_run_leaves_the_defaults(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 6\nnoise = 2\n")
+        assert run("gen-data", "--config", cfg, "--len", 50, "--out-dir", tmp_path / "file") == 0
+        assert run("gen-data", "--len", 50, "--out-dir", tmp_path / "plain") == 0
+        snap = json.loads((tmp_path / "plain" / "manifest.json").read_text())["config"]
+        assert (snap["n"], snap["noise"], snap["config"]) == (20, 1.0, None)
+
+    def test_failed_run_leaves_no_settings_behind(self, tiny_data, tmp_path, capsys):
+        _, _, x_path, y_path = tiny_data
+        args = ["optimize-gso", "--x", x_path, "--y", y_path]
+        cli.build_parser.cache_clear()
+        assert run(*args, "--out-dir", tmp_path / "alone") == 0
+        bad = tmp_path / "bad.cfg"
+        bad.write_text('normalize = false\nk = "two"\n')
+        assert run(*args, "--config", bad, "--out-dir", tmp_path / "bad") == 2
+        assert run(*args, "--no-normalize", "--mu", "x", "--out-dir", tmp_path / "bad") == 2
+        assert not (tmp_path / "bad").exists()
+        assert run(*args, "--out-dir", tmp_path / "after") == 0
+        alone = (tmp_path / "alone" / "report.json").read_bytes()
+        assert (tmp_path / "after" / "report.json").read_bytes() == alone
+
+    @pytest.mark.parametrize("name", list(SUBCOMMAND_RUNS))
+    def test_second_run_matches_the_first(self, tiny_data, tmp_path, capsys, name):
+        _, _, x_path, y_path = tiny_data
+        argv = [{"X": x_path, "Y": y_path}.get(a, a) for a in SUBCOMMAND_RUNS[name]]
+        out = tmp_path / "out"
+        runs = []
+        for _ in range(2):
+            code = run(*argv, "--out-dir", out)
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            manifest = json.loads(files.pop("manifest.json"))
+            del manifest["timestamp"]
+            runs.append((code, capsys.readouterr().out, manifest, files))
+            shutil.rmtree(out)
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]  # exit code, stdout, manifest; report.json and CSVs byte for byte
 
 
 class TestGenData:

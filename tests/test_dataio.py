@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ntkalign.dataio import (
     save_csv,
     spectral_radius,
 )
+from ntkalign.cli import main
 
 
 class TestVarProcessConfig:
@@ -220,3 +223,94 @@ class TestCsvRoundTrip:
         path = tmp_path / "t.csv"
         path.write_text("1,2\n3,4\n\n")
         assert np.array_equal(load_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def per_cell_load_csv(path):
+    """The cell-by-cell loader that ``load_csv`` replaced, kept as its oracle."""
+    with open(path, newline="") as fh:
+        rows = [(i + 1, cells) for i, cells in enumerate(csv.reader(fh))]
+    while rows and not any(cell.strip() for cell in rows[-1][1]):
+        rows.pop()
+    if not rows:
+        raise EmptyInputError(f"{path}: no data rows")
+    try:
+        [float(cell) for cell in rows[0][1]]
+    except ValueError:
+        rows = rows[1:]  # header row
+        if not rows:
+            raise EmptyInputError(f"{path}: header only, no data rows") from None
+    width = len(rows[0][1])
+    out = []
+    for number, cells in rows:
+        if len(cells) != width:
+            raise CsvFormatError(f"row {number}: expected {width} columns, got {len(cells)}")
+        values = np.empty(width)
+        for j, cell in enumerate(cells):
+            try:
+                values[j] = float(cell)
+            except ValueError:
+                raise CsvFormatError(
+                    f"row {number}, column {j + 1}: not numeric: {cell.strip()!r}"
+                ) from None
+        out.append(values)
+    return np.array(out)
+
+
+class TestLoadCsvMatchesPerCellParser:
+    def assert_same_array(self, path):
+        new, old = load_csv(path), per_cell_load_csv(path)
+        assert (new.shape, new.dtype) == (old.shape, old.dtype)
+        assert new.tobytes() == old.tobytes()  # bit for bit, signed zeros and NaNs too
+
+    def test_gen_data_outputs(self, tmp_path):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--n", "6", "--len", "80", "--dt", "1", "--m-train", "40",
+                     "--out-dir", str(out)]) == 0
+        paths = sorted(out.glob("*.csv"))
+        assert [p.name for p in paths] == [
+            "series.csv", "x_test.csv", "x_train.csv", "y_test.csv", "y_train.csv"
+        ]
+        for path in paths:
+            self.assert_same_array(path)
+
+    def test_edge_cells_header_and_trailing_blank_rows(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text(
+            "a,b,c,d,e\n"
+            '" 1 ",1_000,1e400,-0,"-2.5"\n'
+            "nan,-iNF,\uff11\uff12,Infinity,-nan\n"
+            "+.5,1E-320,-1e400,1.,\t7 \n"
+            "3.141592653589793238462643383279,0.1e-5_0,\u0663,1_0.5,\"1e5\"\n"
+            "\n"
+            ",,,,\n"
+            "\n",
+            encoding="utf-8",
+        )
+        assert load_csv(path).shape == (4, 5)
+        self.assert_same_array(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,2,3\n4,5\n",
+            "1,2\n3,oops\n",
+            "1,2\n3,\n",
+            "x,y\n1,2\n 3 ,0x10\n",
+            '1,2\n"1,5",2\n',
+            "",
+            "\n,\n",
+            "alpha,beta\n",
+            "alpha,beta\n\n",
+        ],
+        ids=["short-row", "non-numeric", "empty-cell", "hex-after-header", "comma-decimal",
+             "empty-file", "blank-rows-only", "header-only", "header-and-blank-row"],
+    )
+    def test_same_error(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as new:
+            load_csv(path)
+        with pytest.raises(ValueError) as old:
+            per_cell_load_csv(path)
+        assert type(new.value) in (CsvFormatError, EmptyInputError)
+        assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))

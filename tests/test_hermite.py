@@ -286,6 +286,11 @@ class TestExpansionConstants:
             ec.rho_first_layer * (1 + ec.beta_first / 2), abs=1e-15
         )
 
+    def test_beta_is_the_closed_form_without_the_partial_sum(self, monkeypatch):
+        exact = hm.beta_constant().value
+        monkeypatch.setattr(hm, "beta_constant", None)  # its 1000-term loop must not run
+        assert hm.expansion_constants(2).beta == exact == hm.BETA_SATURATION
+
     def test_spectral_bound_shrinks_norm(self):
         tight = hm.expansion_constants(3, spectral_bound=0.5)
         loose = hm.expansion_constants(3, spectral_bound=1.0)
