@@ -94,6 +94,8 @@ def planted_transition(
     in these eigenvalues while the lag cross-covariance is odd, so only the
     latter retains the map's directional information.
     """
+    if num_nodes < 1:
+        raise ValueError("num_nodes must be >= 1")
     if not 0.0 <= background < strength < 1.0:
         raise ValueError("need 0 <= background < strength < 1")
     rng = np.random.default_rng(seed)

@@ -13,12 +13,20 @@ identical under both conventions.  ``sigma_hat`` has supremum 1 here;
 
 Quadrature rules are built by Golub-Welsch on the Jacobi matrix rather than
 ``numpy.polynomial.hermite_e.hermegauss``, whose weight computation
-overflows near 512 nodes.  Coefficients are projected with the Jacobi
-eigenvectors themselves (see ``hermite_projection``): forming w_i p_j(x_i)
-from separately computed weights and polynomial values multiplies tiny,
-inaccurate extreme-node weights into huge polynomial values, and the
-512-point rule's Gram residual reaches 9e7 at degree 20 that way.  Fixed
-rules degrade for arguments beyond y ~ 5, so limit constants are evaluated
+overflows near 512 nodes.  ``hermite_coefficients`` is the one projection:
+it evaluates f(y u) on one rule's nodes and projects with the Jacobi
+eigenvectors themselves (see ``hermite_projection``), returning E[f(y u)^2]
+on the same rule.  Forming w_i p_j(x_i) from separately computed weights
+and polynomial values instead multiplies tiny, inaccurate extreme-node
+weights into huge polynomial values, and the 512-point rule's Gram
+residual reaches 9e7 at degree 20 that way.
+
+Rule policy: coefficient tables and the constants built on them use the
+MAX_POINTS-point rule.  Truncated series (the kernels E and E1 in ``ntk``
+and ``beta_first_layer``) all go through ``hermite_series``, which tries
+SERIES_RULES in turn, each up to half its size, and stops at the first
+degree whose same-rule tail meets the caller's target.  Fixed rules
+degrade for arguments beyond y ~ 5, so limit constants are evaluated
 through closed-form sign-function coefficients and Parseval identities
 instead of brute large-y quadrature.
 """
@@ -26,18 +34,26 @@ instead of brute large-y quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 DEFAULT_POINTS = 64
 MAX_POINTS = 512
-ESCALATION_RTOL = 1e-9
+# Rules tried in turn by hermite_series; the largest reaches row norm ~4.5
+# for E and ~3.45 for E1.  Against a 4096-point rule the residual each one
+# certifies bounds the observed error up to those norms.
+SERIES_RULES = (512, 1024, 2048)
+# The kernels' series stop at the first degree whose certified residual is
+# at most this fraction of the expectation matrix's largest entry.
+SERIES_RTOL = 1e-10
+# beta_first_layer stops at the first degree whose certified residual is at
+# most this fraction of tau_0^2.
+BETA_FIRST_RTOL = 1e-6
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SIGMA_HAT_SUP = 1.0
-SIGMA_HAT_SUP_UNNORMALIZED = SQRT_2PI
 TAU_SUP = 1.0
 # beta_constant's closed form, (pi - 2) / 2: the tail ratio in the saturation limit.
 BETA_SATURATION = (1.0 - 2.0 / math.pi) / (2.0 / math.pi)
@@ -149,47 +165,72 @@ def gauss_hermite_expectation(f, n_points: int = DEFAULT_POINTS) -> float:
     return float(weights @ np.asarray(f(nodes), dtype=float))
 
 
-def _escalate(evaluate, n_points: int | None, max_degree: int):
-    """Run `evaluate(n)` with n doubling until stable.
-
-    Starts at the default rule, or at the smallest doubling of it that
-    carries max_degree.  Stops when successive estimates agree within
-    ESCALATION_RTOL (max-abs), or at MAX_POINTS, whichever comes first.
-    An explicit n_points skips escalation.
-    """
-    if n_points is not None:
-        return evaluate(n_points)
-    n = DEFAULT_POINTS
-    while n <= max_degree:
-        n *= 2
-    prev = evaluate(n)
-    while n < MAX_POINTS:
-        n *= 2
-        cur = evaluate(n)
-        if np.max(np.abs(np.asarray(cur) - np.asarray(prev))) < ESCALATION_RTOL:
-            return cur
-        prev = cur
-    return prev
-
-
-def _tanh_values(y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    return np.tanh(np.multiply.outer(y, nodes))
-
-
-def _sech2_values(y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    t = np.tanh(np.multiply.outer(y, nodes))
+def _sech2(x: np.ndarray) -> np.ndarray:
+    t = np.tanh(x)
     return 1.0 - t * t
 
 
-def _projection_upto(max_degree: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and the rows 0..max_degree of the n-point projection."""
-    if not 0 <= max_degree < n_points:
-        raise ValueError("max_degree must lie in [0, n_points)")
+def hermite_coefficients(fn, y, degrees: slice, n_points: int = MAX_POINTS):
+    """Coefficients E[fn(y u) p_j(u)] for j in ``degrees``, and E[fn(y u)^2].
+
+    fn is evaluated once at y * nodes of the n-point rule and projected
+    with ``hermite_projection``.  Returns the coefficients, shape
+    ``y.shape + (number of degrees,)``, and the totals, shape ``y.shape``;
+    both come from the one rule, so ``series_tails`` of the pair is a
+    discrete Bessel gap.
+    """
+    if not 0 < degrees.stop <= n_points:
+        raise ValueError(f"degrees must lie in [0, {n_points})")
     nodes, proj = hermite_projection(n_points)
-    return nodes, proj[: max_degree + 1]
+    vals = fn(np.multiply.outer(y, nodes))
+    return vals @ proj[degrees].T, (vals * vals) @ proj[0]
 
 
-def coeff_g_table(max_degree: int, y, n_points: int | None = None) -> np.ndarray:
+def hermite_series(fn, y, parity, target=None, row_weight=None, max_degree=None):
+    """Coefficients of u -> fn(y_a u) in the degrees of one parity, truncated.
+
+    Returns the coefficient columns for degrees parity, parity + 2, ...,
+    the rule's totals E[fn(y_a u)^2], the last degree kept, its residual
+    (the largest row_weight-scaled tail) and the rule's size.  With
+    max_degree None the last degree is the smallest one whose residual is
+    at most ``target(coeffs, totals)``, by default SERIES_RTOL times the
+    largest scaled total (the largest entry of the kernel E or E1 built
+    from the coefficients); each rule of SERIES_RULES is tried in turn
+    until one reaches it, else TruncationError.  Degrees stop at
+    half a rule's size: beyond it aliasing from degrees past the rule's
+    exactness makes the same-rule tail an underestimate (a 2048-point rule
+    shows the 512-point rule's sech^2 tail off by 9% at degree 338 and
+    2.7x at 402).
+    """
+    if max_degree is not None and 2 * max_degree > SERIES_RULES[-1]:
+        raise ValueError(f"max_degree must be <= {SERIES_RULES[-1] // 2}")
+    weight = np.ones_like(y) if row_weight is None else row_weight
+    for n_points in SERIES_RULES:
+        top = n_points // 2 if max_degree is None else max_degree
+        if 2 * top > n_points:
+            continue
+        coeffs, totals = hermite_coefficients(fn, y, slice(parity, top + 1, 2), n_points)
+        tails = series_tails(coeffs, totals) * weight[:, None]
+        residuals = np.abs(tails).max(axis=0, initial=0.0)
+        if max_degree is not None:
+            return coeffs, totals, max_degree, float(residuals[-1]), n_points
+        if target is None:
+            goal = SERIES_RTOL * float((totals * weight).max(initial=0.0))
+        else:
+            goal = target(coeffs, totals)
+        met = np.flatnonzero(residuals <= goal)
+        if met.size:
+            keep = int(met[0]) + 1
+            degree = parity + 2 * (keep - 1)
+            return coeffs[:, :keep], totals, degree, float(residuals[keep - 1]), n_points
+    raise TruncationError(
+        f"series residual {residuals[-1]:.3e} still above {goal:.1e} at degree "
+        f"{parity + 2 * (coeffs.shape[1] - 1)}: row norm {y.max():.3f} is beyond "
+        f"the reach of the {n_points}-point rule"
+    )
+
+
+def coeff_g_table(max_degree: int, y) -> np.ndarray:
     """Hermite coefficients of u -> tanh(y u) for degrees 0..max_degree.
 
     Returns shape ``y.shape + (max_degree + 1,)``.
@@ -197,43 +238,30 @@ def coeff_g_table(max_degree: int, y, n_points: int | None = None) -> np.ndarray
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise ValueError("y must be >= 0")
-
-    def evaluate(n):
-        nodes, proj = _projection_upto(max_degree, n)
-        return _tanh_values(np.atleast_1d(y), nodes) @ proj.T
-
-    table = _escalate(evaluate, n_points, max_degree)
-    return table.reshape(y.shape + (max_degree + 1,))
+    return hermite_coefficients(np.tanh, y, slice(0, max_degree + 1))[0]
 
 
-def coeff_tau_table(max_degree: int, z_sq, n_points: int | None = None) -> np.ndarray:
+def coeff_tau_table(max_degree: int, z_sq) -> np.ndarray:
     """Hermite coefficients of u -> sech^2(sqrt(z_sq) u), degrees 0..max_degree."""
     z_sq = np.asarray(z_sq, dtype=float)
     if np.any(z_sq < 0):
         raise ValueError("z_sq must be >= 0")
-    y = np.sqrt(z_sq)
-
-    def evaluate(n):
-        nodes, proj = _projection_upto(max_degree, n)
-        return _sech2_values(np.atleast_1d(y), nodes) @ proj.T
-
-    table = _escalate(evaluate, n_points, max_degree)
-    return table.reshape(z_sq.shape + (max_degree + 1,))
+    return hermite_coefficients(_sech2, np.sqrt(z_sq), slice(0, max_degree + 1))[0]
 
 
-def coeff_g(degree: int, y, n_points: int | None = None):
+def coeff_g(degree: int, y):
     """g_degree(y) = E[tanh(y u) p_degree(u)]."""
-    out = coeff_g_table(degree, y, n_points)[..., degree]
+    out = coeff_g_table(degree, y)[..., degree]
     return float(out) if out.ndim == 0 else out
 
 
-def coeff_tau(degree: int, z_sq, n_points: int | None = None):
+def coeff_tau(degree: int, z_sq):
     """tau_degree(z_sq) = E[sech^2(sqrt(z_sq) u) p_degree(u)]."""
-    out = coeff_tau_table(degree, z_sq, n_points)[..., degree]
+    out = coeff_tau_table(degree, z_sq)[..., degree]
     return float(out) if out.ndim == 0 else out
 
 
-def sigma_hat(z_sq, n_points: int | None = None):
+def sigma_hat(z_sq):
     """sigma_hat(z_sq) = g_1(sqrt(z_sq)) / sqrt(z_sq), continuously extended to 1 at 0.
 
     Non-increasing in z_sq; supremum 1 under the probability-measure
@@ -247,7 +275,7 @@ def sigma_hat(z_sq, n_points: int | None = None):
     out = np.ones_like(flat)
     pos = flat > 0
     if np.any(pos):
-        out[pos] = coeff_g(1, flat[pos], n_points) / flat[pos]
+        out[pos] = coeff_g(1, flat[pos]) / flat[pos]
     out = out.reshape(y.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -280,20 +308,14 @@ class BetaResult:
     truncation_residual: float
 
 
-def beta_constant(
-    max_terms: int = 1000,
-    partial_only: bool = False,
-    residual_tol: float = 1e-6,
-) -> BetaResult:
+def beta_constant(max_terms: int = 1000) -> BetaResult:
     """Tail-ratio constant of tanh via its saturation (sign-function) limit.
 
     The limit's coefficient ratios are t_i = ((2i-1)!!)^2 / (2i+1)!, and
     Parseval for the sign function (E[sign^2] = 1, g_1 = sqrt(2/pi)) sums
     the whole series to (1 - 2/pi) / (2/pi) = (pi - 2)/2 exactly.  The raw
     partial sums converge like i^{-1/2}, so `value` uses the closed form;
-    the partial sum is reported for diagnostics.  With ``partial_only`` the
-    truncated sum itself is returned and a residual above ``residual_tol``
-    raises TruncationError.
+    the partial sum is reported for diagnostics.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
@@ -303,15 +325,7 @@ def beta_constant(
     for i in range(1, max_terms + 1):
         term *= (2 * i - 1) ** 2 / ((2 * i) * (2 * i + 1))
         partial += term
-    residual = exact - partial
-    if partial_only:
-        if residual > residual_tol:
-            raise TruncationError(
-                f"partial sum with L={max_terms} terms has residual "
-                f"{residual:.3e} > {residual_tol:.1e}"
-            )
-        return BetaResult(partial, partial, max_terms, residual)
-    return BetaResult(exact, partial, max_terms, residual)
+    return BetaResult(exact, partial, max_terms, exact - partial)
 
 
 @dataclass(frozen=True)
@@ -325,44 +339,28 @@ class FirstLayerBetaResult:
     truncation_residual: float
 
 
-def beta_first_layer(
-    norm_sq_bound: float,
-    residual_tol: float = 1e-6,
-    max_degree: int = 300,
-    n_points: int | None = None,
-) -> FirstLayerBetaResult:
+def beta_first_layer(norm_sq_bound: float) -> FirstLayerBetaResult:
     """Even-coefficient tail ratio of sech^2 at squared-norm bound b.
 
     For a K-tap filter with unit-Frobenius shift the feature rows satisfy
-    ||z||^2 <= K, so the constant is evaluated at b = K.  The series is
-    accumulated until its Parseval-certified residual (relative to tau_0^2)
-    drops below ``residual_tol``; the total sum_{i>=0} tau_{2i}^2 equals
-    E[sech^4(sqrt(b) u)] because odd coefficients vanish.  Total and
-    coefficients share one quadrature rule, which makes the residual a
-    discrete Bessel gap and hence nonnegative to round-off.
+    ||z||^2 <= K, so the constant is evaluated at b = K.  ``hermite_series``
+    truncates the even series at the first degree whose certified residual
+    is at most BETA_FIRST_RTOL tau_0^2, the same rule escalation and
+    half-rule cap as the kernels E and E1; the total sum_{i>=0} tau_{2i}^2
+    equals E[sech^4(sqrt(b) u)] because odd coefficients vanish.
     """
-    if norm_sq_bound <= 0:
-        raise ValueError("norm_sq_bound must be > 0")
-    nodes, proj = _projection_upto(max_degree, MAX_POINTS if n_points is None else n_points)
-    s2 = _sech2_values(np.asarray(norm_sq_bound) ** 0.5, nodes)
-    taus = proj @ s2
-    total = float(proj[0] @ (s2 * s2))
-    tau0_sq = taus[0] ** 2
-    # odd coefficients vanish, so only the even ones enter the tails
-    residuals = series_tails(taus[::2], total)[1:] / tau0_sq
-    met = np.flatnonzero(residuals < residual_tol)
-    if not met.size:
-        raise TruncationError(
-            f"series residual {residuals[-1]:.3e} still above {residual_tol:.1e} "
-            f"at degree {max_degree}"
-        )
-    i = int(met[0])
+    if not (norm_sq_bound > 0 and math.isfinite(norm_sq_bound)):
+        raise ValueError("norm_sq_bound must be positive and finite")
+    taus, totals, degree, residual, _ = hermite_series(
+        _sech2, np.sqrt([norm_sq_bound]), 0, lambda c, _: BETA_FIRST_RTOL * c[0, 0] ** 2
+    )
+    tau0_sq = taus[0, 0] ** 2
     return FirstLayerBetaResult(
-        value=float(np.sum(taus[2 : 2 * i + 3 : 2] ** 2)) / tau0_sq,
-        parseval_value=(total - tau0_sq) / tau0_sq,
+        value=float(np.sum(taus[0, 1:] ** 2)) / tau0_sq,
+        parseval_value=(float(totals[0]) - tau0_sq) / tau0_sq,
         norm_sq_bound=float(norm_sq_bound),
-        num_pairs=i + 1,
-        truncation_residual=float(residuals[i]),
+        num_pairs=degree // 2,
+        truncation_residual=residual / tau0_sq,
     )
 
 
@@ -381,16 +379,15 @@ def correlated_pair_expectation(f, g, rho: float, n_points: int = DEFAULT_POINTS
     return float(weights @ vals @ weights)
 
 
-def parseval_gap(y: float, max_degree: int, n_points: int = MAX_POINTS) -> float:
+def parseval_gap(y: float, max_degree: int) -> float:
     """E[tanh(y u)^2] minus the energy captured by degrees <= max_degree.
 
     Computed end to end with one rule, so the gap is a discrete Bessel gap:
     nonnegative up to round-off and non-increasing in max_degree.
     """
-    nodes, proj = _projection_upto(max_degree, n_points)
-    t = _tanh_values(np.asarray(y, dtype=float), nodes)
-    coeffs = proj @ t
-    return float(proj[0] @ (t * t)) - float(coeffs @ coeffs)
+    y = np.asarray(y, dtype=float)
+    coeffs, total = hermite_coefficients(np.tanh, y, slice(0, max_degree + 1))
+    return float(total) - float(coeffs @ coeffs)
 
 
 @dataclass(frozen=True)
@@ -410,7 +407,6 @@ def verify_sign_constancy(
     kind: str = "tanh_odd",
     degrees: tuple[int, ...] = (1, 3, 5, 7, 9),
     grid: np.ndarray | None = None,
-    n_points: int = MAX_POINTS,
 ) -> GridCheckResult:
     """Check each coefficient keeps one strict sign across a y grid.
 
@@ -421,9 +417,9 @@ def verify_sign_constancy(
         grid = np.geomspace(0.1, 10.0, 40)
     grid = np.asarray(grid, dtype=float)
     if kind == "tanh_odd":
-        table = coeff_g_table(max(degrees), grid, n_points)
+        table = coeff_g_table(max(degrees), grid)
     elif kind == "sech2_even":
-        table = coeff_tau_table(max(degrees), grid, n_points)
+        table = coeff_tau_table(max(degrees), grid)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     violations = []
@@ -443,7 +439,6 @@ def verify_ratio_monotonicity(
     degrees: tuple[int, ...] = (3, 5, 7, 9),
     grid: np.ndarray | None = None,
     tol: float = 1e-7,
-    n_points: int = MAX_POINTS,
 ) -> GridCheckResult:
     """Check |coeff_degree / coeff_base| is non-decreasing along the grid.
 
@@ -454,10 +449,10 @@ def verify_ratio_monotonicity(
         grid = np.geomspace(0.1, 10.0, 40)
     grid = np.asarray(grid, dtype=float)
     if kind == "tanh_odd":
-        table = coeff_g_table(max(degrees), grid, n_points)
+        table = coeff_g_table(max(degrees), grid)
         base = table[:, 1]
     elif kind == "sech2_even":
-        table = coeff_tau_table(max(degrees), grid, n_points)
+        table = coeff_tau_table(max(degrees), grid)
         base = table[:, 0]
     else:
         raise ValueError(f"unknown kind {kind!r}")
@@ -494,24 +489,18 @@ class ExpansionConstants:
     penalty_second_layer: float
     gain_first_layer: float
     penalty_first_layer: float
-    sigma_hat_sup: float = SIGMA_HAT_SUP
-    sigma_hat_sup_unnormalized: float = SIGMA_HAT_SUP_UNNORMALIZED
 
 
-def expansion_constants(
-    num_taps: int,
-    spectral_bound: float = 1.0,
-    n_points: int | None = None,
-) -> ExpansionConstants:
+def expansion_constants(num_taps: int, spectral_bound: float = 1.0) -> ExpansionConstants:
     if num_taps < 1:
         raise ValueError("num_taps must be >= 1")
-    if spectral_bound <= 0:
-        raise ValueError("spectral_bound must be > 0")
+    if not (spectral_bound > 0 and math.isfinite(spectral_bound)):
+        raise ValueError("spectral_bound must be positive and finite")
     norm_sq = float(np.sum(spectral_bound ** (2.0 * np.arange(num_taps))))
-    rho = float(sigma_hat(norm_sq, n_points)) ** 2
-    rho1 = float(coeff_tau(0, norm_sq, n_points)) ** 2
+    rho = float(sigma_hat(norm_sq)) ** 2
+    rho1 = float(coeff_tau(0, norm_sq)) ** 2
     beta = BETA_SATURATION
-    beta1 = beta_first_layer(norm_sq, n_points=n_points).value
+    beta1 = beta_first_layer(norm_sq).value
     return ExpansionConstants(
         num_taps=num_taps,
         spectral_bound=spectral_bound,

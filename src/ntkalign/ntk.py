@@ -34,7 +34,7 @@ from .core import (
     ShiftOperator,
     _frozen_array,
 )
-from .hermite import TruncationError, gauss_hermite_rule, hermite_projection, series_tails
+from .hermite import gauss_hermite_rule, hermite_series
 from .models import (
     FilterParams,
     TwoLayerGnnParams,
@@ -44,13 +44,6 @@ from .models import (
 )
 
 DEFAULT_QUADRATURE_POINTS = 64
-# Rules tried in turn by the series; the largest reaches row norm ~4.5 for
-# E and ~3.45 for E1.  Against a 4096-point rule the residual each one
-# certifies bounds the observed error up to those norms.
-SERIES_RULES = (512, 1024, 2048)
-# The series stops at the first degree whose certified residual is at most
-# this fraction of the expectation matrix's largest entry.
-SERIES_RTOL = 1e-10
 RHO_OVERSHOOT_TOL = 1e-9
 SERIES_WARNING_FACTOR = 1e-4
 
@@ -240,46 +233,6 @@ def expectation_E_quadrature(
     )
 
 
-def _hermite_series(values, norms, parity, max_degree, row_weight):
-    """Coefficients of u -> values(|z_a| u) in the degrees of one parity.
-
-    Returns the coefficient columns for degrees parity, parity + 2, ...,
-    the last degree kept, its residual (the largest row_weight-scaled
-    tail) and the rule's size.  With max_degree None the last degree is
-    the smallest one whose residual is at most SERIES_RTOL times the
-    largest scaled total, which is the largest entry of the expectation
-    matrix; each rule of SERIES_RULES is tried in turn until one reaches
-    it.  Degrees stop at half a rule's size: beyond it aliasing from
-    degrees past the rule's exactness makes the same-rule tail an
-    underestimate (a 2048-point rule shows the 512-point rule's sech^2
-    tail off by 9% at degree 338 and 2.7x at 402).
-    """
-    if max_degree is not None and 2 * max_degree > SERIES_RULES[-1]:
-        raise ValueError(f"max_degree must be <= {SERIES_RULES[-1] // 2}")
-    for n_points in SERIES_RULES:
-        top = n_points // 2 if max_degree is None else max_degree
-        if 2 * top > n_points:
-            continue
-        nodes, proj = hermite_projection(n_points)
-        vals = values(np.multiply.outer(norms, nodes))
-        coeffs = vals @ proj[parity : top + 1 : 2].T
-        totals = (vals * vals) @ proj[0]
-        tails = series_tails(coeffs, totals) * row_weight[:, None]
-        residuals = np.abs(tails).max(axis=0, initial=0.0)
-        if max_degree is not None:
-            return coeffs, max_degree, float(residuals[-1]), n_points
-        target = SERIES_RTOL * float((totals * row_weight).max(initial=0.0))
-        met = np.flatnonzero(residuals <= target)
-        if met.size:
-            keep = int(met[0]) + 1
-            return coeffs[:, :keep], parity + 2 * (keep - 1), float(residuals[keep - 1]), n_points
-    raise TruncationError(
-        f"series residual {residuals[-1]:.3e} still above {target:.1e} at degree "
-        f"{parity + 2 * (coeffs.shape[1] - 1)}: row norm {norms.max():.3f} is beyond "
-        f"the reach of the {n_points}-point rule"
-    )
-
-
 def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray, first_degree: int) -> np.ndarray:
     """sum_d c_d c_d' * rho^d, column i of coeffs holding degree first_degree + 2i.
 
@@ -323,7 +276,7 @@ def expectation_E_series(
 
     B keeps the degree-1 term; delta_B sums degrees 3, 5, ..., up to
     max_degree, or by default up to the first degree whose certified
-    residual meets SERIES_RTOL (TruncationError when no degree the
+    residual meets hermite.SERIES_RTOL (TruncationError when no degree the
     largest rule resolves does).  ``truncation_residual`` bounds the
     entrywise error: Cauchy-Schwarz over the dropped degrees gives
     sqrt(tail_a tail_b), with the per-row tails taken against the same
@@ -339,8 +292,8 @@ def expectation_E_series(
         delta = np.zeros_like(b)
         degree, residual, n_points = 1, 0.0, None
     else:
-        coeffs, degree, residual, n_points = _hermite_series(
-            act.fn, norms, 1, max_degree, np.ones_like(norms)
+        coeffs, _, degree, residual, n_points = hermite_series(
+            act.fn, norms, 1, max_degree=max_degree
         )
         b = _mehler_sum(coeffs[:, :1], rho, 1)
         delta = _mehler_sum(coeffs[:, 1:], rho, 3)
@@ -367,8 +320,8 @@ def expectation_E_first_layer_series(z: ZVectors, activation: str = "tanh") -> E
     if activation == "identity":
         pair, degree, residual, n_points = np.ones_like(rho), 0, 0.0, None
     else:
-        coeffs, degree, residual, n_points = _hermite_series(
-            act.deriv, norms, 0, None, norms * norms
+        coeffs, _, degree, residual, n_points = hermite_series(
+            act.deriv, norms, 0, row_weight=norms * norms
         )
         pair = _mehler_sum(coeffs, rho, 0)
     e1 = _symmetric(pair * z.gram(), zero_rows)

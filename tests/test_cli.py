@@ -79,7 +79,30 @@ class TestUsageErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "degree 300" in err
+        assert "degree 1024" in err and "2048-point rule" in err
+
+    def test_constants_within_series_reach_resolve(self, tiny_data, tmp_path):
+        # K = 2 with --nu 3 puts the first-layer constant at squared norm 10,
+        # which needs more degrees than the 512-point rule certifies
+        _, _, x_path, y_path = tiny_data
+        out = tmp_path / "out"
+        assert run("align", "--x", x_path, "--y", y_path, "--k", 2, "--nu", 3,
+                   "--out-dir", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        beta_first = report["alignment"]["beta_first_layer"]
+        assert beta_first == pytest.approx(1.8101377588354324, rel=1e-12)
+
+    @pytest.mark.parametrize("nu", ["nan", "inf"])
+    def test_non_finite_spectral_bound_exit_2(self, tiny_data, tmp_path, capsys, nu):
+        _, _, x_path, y_path = tiny_data
+        code = run("align", "--x", x_path, "--y", y_path, "--nu", nu,
+                   "--out-dir", tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == "error: spectral_bound must be positive and finite\n"
+
+    def test_gen_data_without_nodes_exit_2(self, tmp_path, capsys):
+        assert run("gen-data", "--n", 0, "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err == "error: num_nodes must be >= 1\n"
 
     @pytest.mark.parametrize("command", ["ntk", "align"])
     def test_row_norm_beyond_series_reach_exit_2(self, tmp_path, capsys, command):

@@ -99,13 +99,9 @@ class TestProjection:
 
     def test_degree_must_stay_below_rule_size(self):
         with pytest.raises(ValueError):
-            hm.coeff_g_table(64, 1.0, n_points=64)
-
-    def test_escalation_starts_at_a_rule_carrying_the_degree(self):
-        assert hm.coeff_g(101, 3.0) == pytest.approx(hm.coeff_g(101, 3.0, n_points=512), abs=1e-13)
-        assert hm.coeff_tau(100, 3.0) == pytest.approx(
-            hm.coeff_tau(100, 3.0, n_points=512), abs=1e-13
-        )
+            hm.coeff_g_table(hm.MAX_POINTS, 1.0)
+        with pytest.raises(ValueError):
+            hm.coeff_tau(-1, 1.0)
 
 
 class TestCoefficients:
@@ -190,14 +186,10 @@ class TestBetaConstant:
         assert r3.partial_sum < r100.partial_sum < r100.value
         assert r3.truncation_residual > r100.truncation_residual > 0
 
-    def test_partial_only_truncation_error(self):
-        with pytest.raises(hm.TruncationError):
-            hm.beta_constant(max_terms=3, partial_only=True)
-
     def test_sign_coefficients_match_quadrature_at_saturation(self):
         # g_ell(y) approaches the sign-function coefficient as y grows
         for ell in (1, 3, 5):
-            assert abs(hm.coeff_g(ell, 12.0, n_points=512) - hm.sign_coefficient(ell)) < 2e-2
+            assert abs(hm.coeff_g(ell, 12.0) - hm.sign_coefficient(ell)) < 2e-2
 
     def test_sign_coefficient_parseval(self):
         partial = np.cumsum([hm.sign_coefficient(ell) ** 2 for ell in range(1, 4000, 2)])
@@ -222,8 +214,40 @@ class TestBetaFirstLayer:
         assert r1.value < r3.value
 
     def test_truncation_error_when_capped(self):
-        with pytest.raises(hm.TruncationError):
-            hm.beta_first_layer(3.0, residual_tol=1e-12, max_degree=10)
+        # b = 91 (K = 3, nu = 3) needs more than the 1024 degrees of the 2048-point rule
+        with pytest.raises(hm.TruncationError, match="degree 1024.*2048-point rule"):
+            hm.beta_first_layer(91.0)
+
+    @pytest.mark.parametrize("b", [3.0, 7.0, 7.5, 10.0])
+    def test_certified_tail_holds_on_a_finer_rule(self, b):
+        # the 2048-point rule's tail past the returned degree meets the target;
+        # a 512-point tail taken beyond degree 256 certified 9.92e-7 at b = 7.5
+        # where this reads 1.031e-6
+        res = hm.beta_first_layer(b)
+        degrees = slice(0, 2 * res.num_pairs + 1, 2)
+        taus, total = hm.hermite_coefficients(hm._sech2, np.sqrt([b]), degrees, 2048)
+        tail = total[0] - np.sum(taus[0] ** 2)
+        assert 0.0 <= tail <= hm.BETA_FIRST_RTOL * taus[0, 0] ** 2
+
+    @pytest.mark.parametrize(
+        "b,value,num_pairs",
+        [
+            (0.5, 0.1229833239975716, 11),
+            (1.0, 0.2658189491908267, 20),
+            (3.0, 0.7324187893317688, 58),
+            (5.0, 1.0979514611770274, 98),
+            (6.5, 1.3346425314896881, 128),
+        ],
+    )
+    def test_degrees_within_the_first_rule_are_unchanged(self, b, value, num_pairs):
+        # frozen from the 512-point rule truncated at degree 300 (values to the bit)
+        res = hm.beta_first_layer(b)
+        assert (res.value, res.num_pairs) == (value, num_pairs)
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_bound(self, b):
+        with pytest.raises(ValueError, match="positive and finite"):
+            hm.beta_first_layer(b)
 
 
 class TestCorrelatedPair:
@@ -300,8 +324,9 @@ class TestExpansionConstants:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             hm.expansion_constants(0)
-        with pytest.raises(ValueError):
-            hm.expansion_constants(2, spectral_bound=0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                hm.expansion_constants(2, spectral_bound=bad)
 
 
 def test_self_check_clean():

@@ -12,7 +12,7 @@ from ntkalign.dataio import (
     generate_var,
     planted_transition,
 )
-from ntkalign.hermite import TruncationError
+from ntkalign.hermite import SERIES_RTOL, TruncationError
 from ntkalign import training
 from ntkalign.models import (
     ACTIVATIONS,
@@ -33,7 +33,6 @@ from ntkalign.ntk import (
     b_lin,
     conjugated_power_sum,
     empirical_ntk,
-    SERIES_RTOL,
     expectation_E_first_layer,
     expectation_E_first_layer_series,
     expectation_E_quadrature,
