@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Dataset, NtkMatrix, ShiftOperator, as_stacked
-from .hermite import BETA_SATURATION, ExpansionConstants, coeff_tau, expansion_constants
+from .hermite import BETA_SATURATION, ExpansionConstants, coeff_g, coeff_tau, expansion_constants
 from .ntk import (  # the quadrature references stay bound here for perfbench/tracer.py
     ZVectors,
     expectation_E_first_layer,
@@ -254,20 +254,25 @@ def check_budget_implies_kernel_bound(
     )
 
 
+def _leading_term(z: ZVectors) -> np.ndarray:
+    """B = g_1 g_1' * rho, the degree-1 term of the second layer's E."""
+    g1 = coeff_g(1, z.norms)
+    return np.outer(g1, g1) * z.correlations[1]
+
+
 def check_first_term_lower_bound(
     s: ShiftOperator,
     data: Dataset,
     num_taps: int,
     spectral_bound: float = 1.0,
     layer: str = "second",
-    max_degree: int = 21,
 ) -> CheckReport:
     """tr(Q B) >= rho A_lin for the leading Hermite term B of either layer.
 
-    The second layer takes B from the tanh series; the first layer takes
-    the even-expansion leading term tau_0 tau_0 <z_a, z_b>.  rho is the
-    squared coefficient floor over the bounded norm domain, so the operator
-    norm of S must not exceed the declared spectral bound.
+    The second layer's B is the degree-1 tanh term g_1 g_1' rho; the first
+    layer's is the even-expansion leading term tau_0 tau_0 <z_a, z_b>.  rho
+    is the squared coefficient floor over the bounded norm domain, so the
+    operator norm of S must not exceed the declared spectral bound.
 
     B is B_lin conjugated by a diagonal D with entries in [sqrt(rho), 1],
     and pinching the quadratic form by min(D)^2 is only sound when the
@@ -282,8 +287,7 @@ def check_first_term_lower_bound(
     zy = z_vectors(s, data.y, num_taps).matrix
     consts = expansion_constants(num_taps, spectral_bound)
     if layer == "second":
-        series = expectation_E_series(z, max_degree)
-        b = series.b
+        b = _leading_term(z)
         rho = consts.rho
     elif layer == "first":
         tau0 = np.asarray(coeff_tau(0, z.norms**2))
@@ -299,14 +303,16 @@ def check_first_term_lower_bound(
     )
 
 
-def check_series_tail_domination(z: ZVectors, max_degree: int = 21) -> CheckReport:
+def check_series_tail_domination(z: ZVectors) -> CheckReport:
     """Tail entries share the sign of the leading term and |dB| <= beta |B|.
 
-    Works on the truncated tail, which can only shrink |dB|; beta is the
-    exact closed-form series ratio at the saturation limit.
+    dB = E - B takes the whole certified series past degree 1; every tail
+    term has the sign of B, so a shorter partial tail could only be
+    smaller.  beta is the exact closed-form series ratio at the saturation
+    limit.
     """
-    series = expectation_E_series(z, max_degree)
-    b, delta = series.b, series.delta_b
+    b = _leading_term(z)
+    delta = expectation_E_series(z).matrix - b
     beta = BETA_SATURATION
     meaningful = (np.abs(b) > SIGN_ZERO_ATOL) & (np.abs(delta) > SIGN_ZERO_ATOL)
     sign_violations = int(np.count_nonzero((np.sign(b) * np.sign(delta) < 0) & meaningful))
@@ -337,6 +343,8 @@ def _conditional_alignment_check(
     penalty: float,
     xi_required: float | None,
 ) -> CheckReport:
+    if xi_required is not None and not (xi_required > 0 and math.isfinite(xi_required)):
+        raise ValueError(f"xi must be positive and finite, got {xi_required}")
     if xi_required is not None and xi_obs < xi_required:
         return CheckReport(
             name=name,
@@ -519,6 +527,9 @@ def alignment_report(
     terms: GnnAlignmentTerms | None = None,
 ) -> AlignmentReport:
     """All alignment functionals; ``terms`` as in the conditional checks."""
+    for name, value in (("eta", eta), ("alpha", alpha)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     terms = _instance_terms(s, data, num_taps, spectral_bound, terms)
     return AlignmentReport(
         a=terms.a,

@@ -14,6 +14,7 @@ directions are untouched and every column norm is at most 1.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ class VarProcessConfig:
             )
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
-        if self.noise_scale <= 0:
-            raise ValueError("noise_scale must be > 0")
+        if not (self.noise_scale > 0 and math.isfinite(self.noise_scale)):
+            raise ValueError("noise_scale must be positive and finite")
         radius = spectral_radius(a)
         if radius >= 1.0:
             raise UnstableProcessError(

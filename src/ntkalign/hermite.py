@@ -186,34 +186,26 @@ def hermite_coefficients(fn, y, degrees: slice, n_points: int = MAX_POINTS):
     return vals @ proj[degrees].T, (vals * vals) @ proj[0]
 
 
-def hermite_series(fn, y, parity, target=None, row_weight=None, max_degree=None):
+def hermite_series(fn, y, parity, target=None, row_weight=None):
     """Coefficients of u -> fn(y_a u) in the degrees of one parity, truncated.
 
     Returns the coefficient columns for degrees parity, parity + 2, ...,
     the rule's totals E[fn(y_a u)^2], the last degree kept, its residual
-    (the largest row_weight-scaled tail) and the rule's size.  With
-    max_degree None the last degree is the smallest one whose residual is
-    at most ``target(coeffs, totals)``, by default SERIES_RTOL times the
-    largest scaled total (the largest entry of the kernel E or E1 built
-    from the coefficients); each rule of SERIES_RULES is tried in turn
-    until one reaches it, else TruncationError.  Degrees stop at
-    half a rule's size: beyond it aliasing from degrees past the rule's
-    exactness makes the same-rule tail an underestimate (a 2048-point rule
-    shows the 512-point rule's sech^2 tail off by 9% at degree 338 and
-    2.7x at 402).
+    (the largest row_weight-scaled tail) and the rule's size.  The last
+    degree is the smallest one whose residual is at most
+    ``target(coeffs, totals)``, by default SERIES_RTOL times the largest
+    scaled total (the largest entry of the kernel E or E1 built from the
+    coefficients); each rule of SERIES_RULES is tried in turn until one
+    reaches it, else TruncationError.  Degrees stop at half a rule's size:
+    beyond it aliasing from degrees past the rule's exactness makes the
+    same-rule tail an underestimate (a 2048-point rule shows the 512-point
+    rule's sech^2 tail off by 9% at degree 338 and 2.7x at 402).
     """
-    if max_degree is not None and 2 * max_degree > SERIES_RULES[-1]:
-        raise ValueError(f"max_degree must be <= {SERIES_RULES[-1] // 2}")
     weight = np.ones_like(y) if row_weight is None else row_weight
     for n_points in SERIES_RULES:
-        top = n_points // 2 if max_degree is None else max_degree
-        if 2 * top > n_points:
-            continue
-        coeffs, totals = hermite_coefficients(fn, y, slice(parity, top + 1, 2), n_points)
+        coeffs, totals = hermite_coefficients(fn, y, slice(parity, n_points // 2 + 1, 2), n_points)
         tails = series_tails(coeffs, totals) * weight[:, None]
         residuals = np.abs(tails).max(axis=0, initial=0.0)
-        if max_degree is not None:
-            return coeffs, totals, max_degree, float(residuals[-1]), n_points
         if target is None:
             goal = SERIES_RTOL * float((totals * weight).max(initial=0.0))
         else:
@@ -572,8 +564,11 @@ def self_check(n_points: int = DEFAULT_POINTS) -> dict:
     violations += not gaps_ok
     report["parseval_gaps"] = {"by_scale": gaps, "passed": gaps_ok}
 
+    # each term C(2i, i) / (4^i (2i + 1)) is below 1 / (2 sqrt(pi) i^1.5), so
+    # the tail past N terms is below 1 / sqrt(pi N)
     beta = beta_constant()
-    beta_ok = abs(beta.value - (math.pi - 2.0) / 2.0) < 1e-12
+    beta_gap = beta.value - beta.partial_sum
+    beta_ok = 0.0 < beta_gap <= 1.0 / math.sqrt(math.pi * beta.num_terms)
     violations += not beta_ok
     report["beta"] = {
         "value": beta.value,
@@ -593,12 +588,14 @@ def self_check(n_points: int = DEFAULT_POINTS) -> dict:
         "passed": b1_ok,
     }
 
-    sup_scaled = SIGMA_HAT_SUP * SQRT_2PI
-    sup_ok = abs(sup_scaled - 2.5066282746310002) < 1e-12 and sup_scaled <= 2.51
+    # sigma_hat is non-increasing, at most its supremum, and reaches it at 0
+    sig = sigma_hat(np.geomspace(1e-14, 10.0, 61))
+    bounded = np.all(np.diff(sig) <= 0.0) and sig.max() <= SIGMA_HAT_SUP
+    sup_ok = bool(bounded and abs(sig[0] - SIGMA_HAT_SUP) <= 1e-12)
     violations += not sup_ok
     report["sigma_hat_sup"] = {
-        "value": SIGMA_HAT_SUP,
-        "unnormalized": sup_scaled,
+        "value": float(sig[0]),
+        "unnormalized": float(sig[0]) * SQRT_2PI,
         "passed": sup_ok,
     }
 

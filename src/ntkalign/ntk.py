@@ -45,7 +45,6 @@ from .models import (
 
 DEFAULT_QUADRATURE_POINTS = 64
 RHO_OVERSHOOT_TOL = 1e-9
-SERIES_WARNING_FACTOR = 1e-4
 
 
 class CorrelationOvershootError(RuntimeError):
@@ -163,17 +162,13 @@ class ExpectationMatrix:
     ``zero_rows`` lists stacked indices whose shift profile vanishes; their
     rows and columns are defined as 0.  For the series methods
     ``truncation_residual`` bounds the entrywise error against the
-    untruncated series; the second-layer series also keeps its (B,
-    delta_B) split.
+    untruncated series.
     """
 
     matrix: np.ndarray
     method: str
     zero_rows: tuple = ()
-    b: np.ndarray | None = None
-    delta_b: np.ndarray | None = None
     truncation_residual: float | None = None
-    truncation_warning: bool = False
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -233,12 +228,14 @@ def expectation_E_quadrature(
     )
 
 
-def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray, first_degree: int) -> np.ndarray:
-    """sum_d c_d c_d' * rho^d, column i of coeffs holding degree first_degree + 2i.
+def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray, parity: int) -> np.ndarray:
+    """sum_d c_d c_d' * rho^d, column i of coeffs holding degree parity + 2i.
 
     E[f(u) g(u')] for rho-correlated standard Gaussians is sum_d f_d g_d
     rho^d (Mehler), so one sum serves both layers; Horner in rho^2 keeps
-    it to three passes over the matrix per degree.
+    it to three passes over the matrix per degree.  Every term is an outer
+    product of one vector times a power of the symmetric rho, so the sum
+    is symmetric entry for entry.
     """
     rho_sq = rho * rho
     acc = np.zeros_like(rho)
@@ -247,88 +244,52 @@ def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray, first_degree: int) -> np.nd
         acc *= rho_sq
         np.multiply.outer(c, c, out=term)
         acc += term
-    if first_degree:
-        acc *= rho**first_degree
+    if parity:
+        acc *= rho
     return acc
 
 
-def _symmetric(matrix: np.ndarray, zero_rows) -> np.ndarray:
-    return _zero_out((matrix + matrix.T) / 2.0, zero_rows)
+def expectation_E_series(z: ZVectors, activation: str = "tanh") -> ExpectationMatrix:
+    """E_ab = sum_d g_d(|z_a|) g_d(|z_b|) rho_ab^d over the odd degrees of tanh.
 
-
-def _series_matrix(matrix, method, zero_rows, degree, residual, info, **split) -> ExpectationMatrix:
-    warning = residual > SERIES_WARNING_FACTOR * max(np.abs(matrix).max(initial=0.0), 1e-300)
-    return ExpectationMatrix(
-        matrix,
-        method,
-        zero_rows=zero_rows,
-        truncation_residual=residual,
-        truncation_warning=bool(warning),
-        info={"max_degree": degree, **info},
-        **split,
-    )
-
-
-def expectation_E_series(
-    z: ZVectors, max_degree: int | None = None, activation: str = "tanh"
-) -> ExpectationMatrix:
-    """E = B + delta_B from the odd-degree Hermite expansion of tanh.
-
-    B keeps the degree-1 term; delta_B sums degrees 3, 5, ..., up to
-    max_degree, or by default up to the first degree whose certified
-    residual meets hermite.SERIES_RTOL (TruncationError when no degree the
-    largest rule resolves does).  ``truncation_residual`` bounds the
-    entrywise error: Cauchy-Schwarz over the dropped degrees gives
-    sqrt(tail_a tail_b), with the per-row tails taken against the same
-    rule as the coefficients.  Identity activation has only the degree-1
-    term, so E reduces to the linear kernel exactly.
+    ``hermite_series`` truncates the coefficients at the first degree whose
+    certified residual meets hermite.SERIES_RTOL; Cauchy-Schwarz over the
+    dropped degrees bounds each entry's error by sqrt(tail_a tail_b), and
+    ``truncation_residual`` is the largest bound.  Identity activation has
+    the one term c = |z_a|, so E is the linear kernel.  Zero rows come out
+    exactly 0, because rho is 0 there.
     """
-    if max_degree is not None and (max_degree < 3 or max_degree % 2 == 0):
-        raise ValueError("max_degree must be odd and >= 3")
     act = _analytic_activation(activation)
     norms, rho, zero_rows = z.correlations
     if activation == "identity":
-        b = z.gram()
-        delta = np.zeros_like(b)
-        degree, residual, n_points = 1, 0.0, None
+        coeffs, degree, residual, n_points = norms[:, None], 1, 0.0, None
     else:
-        coeffs, _, degree, residual, n_points = hermite_series(
-            act.fn, norms, 1, max_degree=max_degree
-        )
-        b = _mehler_sum(coeffs[:, :1], rho, 1)
-        delta = _mehler_sum(coeffs[:, 1:], rho, 3)
-    b = _symmetric(b, zero_rows)
-    delta = _symmetric(delta, zero_rows)
-    return _series_matrix(
-        b + delta, "series", zero_rows, degree, residual,
-        {"n_points": n_points, "activation": activation}, b=b, delta_b=delta,
-    )  # fmt: skip
+        coeffs, _, degree, residual, n_points = hermite_series(act.fn, norms, 1)
+    info = {"max_degree": degree, "n_points": n_points, "activation": activation}
+    return ExpectationMatrix(_mehler_sum(coeffs, rho, 1), "series", zero_rows, residual, info)
 
 
 def expectation_E_first_layer_series(z: ZVectors, activation: str = "tanh") -> ExpectationMatrix:
     """E1 = (sum_d tau_d tau_d' rho^d) * <z_a, z_b> over the even degrees of sech^2.
 
-    The series counterpart of ``expectation_E_first_layer``, truncated at
-    the first degree whose certified residual meets SERIES_RTOL like
-    ``expectation_E_series``; each row's tail is scaled by |z_a|^2, so
-    sqrt(tail_a tail_b) |z_a| |z_b| bounds the entrywise error and
-    ``truncation_residual`` is its largest value.  Identity activation has
-    derivative 1, so E1 is the linear kernel exactly.
+    The series counterpart of ``expectation_E_first_layer``, truncated like
+    ``expectation_E_series`` with each row's tail scaled by |z_a|^2, so
+    sqrt(tail_a tail_b) |z_a| |z_b| bounds the entrywise error.  Identity
+    activation has derivative 1, the one term c = 1, so E1 is the Gram
+    matrix.  Zero rows come out exactly 0, because the Gram matrix is 0 there.
     """
     act = _analytic_activation(activation)
     norms, rho, zero_rows = z.correlations
     if activation == "identity":
-        pair, degree, residual, n_points = np.ones_like(rho), 0, 0.0, None
+        coeffs, degree, residual, n_points = np.ones_like(norms)[:, None], 0, 0.0, None
     else:
         coeffs, _, degree, residual, n_points = hermite_series(
             act.deriv, norms, 0, row_weight=norms * norms
         )
-        pair = _mehler_sum(coeffs, rho, 0)
-    e1 = _symmetric(pair * z.gram(), zero_rows)
-    return _series_matrix(
-        e1, "first_layer_series", zero_rows, degree, residual,
-        {"n_points": n_points, "activation": activation},
-    )  # fmt: skip
+    e1 = _mehler_sum(coeffs, rho, 0)
+    e1 *= z.gram()
+    info = {"max_degree": degree, "n_points": n_points, "activation": activation}
+    return ExpectationMatrix(e1, "first_layer_series", zero_rows, residual, info)
 
 
 def expectation_E_first_layer(
@@ -378,7 +339,6 @@ def expectation_info(e: ExpectationMatrix) -> dict:
     info = {"method": e.method, **e.info}
     if e.truncation_residual is not None:
         info["truncation_residual"] = e.truncation_residual
-        info["truncation_warning"] = e.truncation_warning
     if e.zero_rows:
         info["zero_rows"] = e.zero_rows
     return info

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from ntkalign.alignment import (
     xi_observed,
 )
 from ntkalign.core import Dataset, NtkMatrix, ShiftOperator, stack
+from ntkalign.hermite import coeff_g
 from ntkalign.ntk import (
     b_lin,
     expectation_E_first_layer_series,
@@ -41,7 +43,7 @@ from ntkalign.ntk import (
     filter_ntk,
     z_vectors,
 )
-from ntkalign.shiftops import NoRealRootError
+from ntkalign.shiftops import NoRealRootError, cross_covariance
 
 
 def random_shift(rng, n):
@@ -332,10 +334,27 @@ class TestFirstTermCheck:
 def test_series_tail_domination_on_random_instances():
     for seed in range(100):
         s, data, k = random_instance(seed)
-        rep = check_series_tail_domination(z_vectors(s, data.x, k))
+        z = z_vectors(s, data.x, k)
+        rep = check_series_tail_domination(z)
         assert rep.passed, rep.details
-        series = expectation_E_series(z_vectors(s, data.x, k))
-        assert series.delta_b.diagonal().min(initial=0.0) >= -1e-15
+        tail_diagonal = expectation_E_series(z).matrix.diagonal() - coeff_g(1, z.norms) ** 2
+        assert tail_diagonal.min(initial=0.0) >= -1e-15
+
+
+def test_alignment_terms_peak_memory():
+    # E and E1 are one Mehler sum each; the peak measures 5.2 nM^2 doubles
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((20, 50))
+    data = Dataset(x, 0.8 * x + 0.2 * rng.standard_normal((20, 50))).normalized()
+    s = cross_covariance(data.x, data.y).as_shift_operator()
+    gnn_alignment_terms(s, data, 2)  # builds the cached Hermite rules
+    tracemalloc.start()
+    try:
+        gnn_alignment_terms(s, data, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * 1000**2
 
 
 class TestConditionalAlignmentChecks:

@@ -100,6 +100,29 @@ class TestUsageErrors:
         assert code == 2
         assert capsys.readouterr().err == "error: spectral_bound must be positive and finite\n"
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("xi", "nan"), ("xi", "inf"), ("xi", "-0.5"), ("alpha", "nan"), ("eta", "inf")],
+    )
+    def test_align_rejects_non_positive_or_non_finite(
+        self, tiny_data, tmp_path, capsys, flag, value
+    ):
+        _, _, x_path, y_path = tiny_data
+        out = tmp_path / "out"
+        code = run("align", "--x", x_path, "--y", y_path, f"--{flag}", value, "--out-dir", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be positive and finite, got {float(value)}\n"
+        )
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_gen_data_non_finite_noise_exit_2(self, tmp_path, capsys, noise):
+        out = tmp_path / "out"
+        assert run("gen-data", "--n", 5, "--len", 50, "--noise", noise, "--out-dir", out) == 2
+        assert capsys.readouterr().err == "error: noise_scale must be positive and finite\n"
+        assert not (out / "series.csv").exists()
+
     def test_gen_data_without_nodes_exit_2(self, tmp_path, capsys):
         assert run("gen-data", "--n", 0, "--out-dir", tmp_path) == 2
         assert capsys.readouterr().err == "error: num_nodes must be >= 1\n"
@@ -385,7 +408,6 @@ class TestNtkCommand:
         assert layers["first"]["max_degree"] % 2 == 0
         for layer in layers.values():
             assert 0.0 <= layer["truncation_residual"] <= 1e-10
-            assert layer["truncation_warning"] is False
 
     def test_gnn_row_norm_past_the_first_rule(self, tmp_path):
         # with K = 1 the shift profile of entry (0, 0) is x[0, 0] itself
@@ -403,7 +425,6 @@ class TestNtkCommand:
         for layer in layers.values():
             assert layer["max_degree"] > 256
             assert 0.0 < layer["truncation_residual"] <= 1e-10 * scale
-            assert layer["truncation_warning"] is False
 
     def test_gnn_report_keeps_zero_rows(self, tmp_path):
         rng = np.random.default_rng(12)

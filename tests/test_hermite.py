@@ -335,3 +335,41 @@ def test_self_check_clean():
     assert report["orthonormality"]["projection_max_degree"] == 511
     assert report["orthonormality"]["projection_max_residual"] <= 1e-12
     assert report["beta"]["value"] == pytest.approx(0.5707963267948966, abs=1e-3)
+
+
+
+_SIGMA_HAT = hm.sigma_hat
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        # below the transform's values near 0, or above the value it reaches there
+        ("SIGMA_HAT_SUP", 1.0 - 1e-9),
+        ("SIGMA_HAT_SUP", 1.0 + 1e-9),
+        # a transform that increases, whatever the constant says
+        ("sigma_hat", lambda z_sq: _SIGMA_HAT(z_sq)[::-1]),
+    ],
+)
+def test_self_check_catches_a_wrong_supremum(monkeypatch, name, wrong):
+    monkeypatch.setattr(hm, name, wrong)
+    report = hm.self_check()
+    assert report["sigma_hat_sup"]["passed"] is False
+    assert report["violations"] == 1
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        # the partial sum's gap to the value must lie in (0, 1/sqrt(pi N)]
+        ("BETA_SATURATION", (math.pi - 2.0) / 2.0 + 0.01),
+        ("BETA_SATURATION", (math.pi - 2.0) / 2.0 - 0.02),
+        # a partial sum that claims to have converged
+        ("beta_constant", lambda: hm.BetaResult(hm.BETA_SATURATION, hm.BETA_SATURATION, 1000, 0.0)),
+    ],
+)
+def test_self_check_catches_a_wrong_beta(monkeypatch, name, wrong):
+    monkeypatch.setattr(hm, name, wrong)
+    report = hm.self_check()
+    assert report["beta"]["passed"] is False
+    assert report["violations"] == 1
