@@ -63,6 +63,12 @@ class NegativeEigenvalueError(ValueError):
         super().__init__(f"(sum_k s^k)^2 = {gamma!r} has no real solution")
 
 
+def require_positive_finite(name: str, value: float) -> None:
+    """The budget and xi rule: ValueError unless ``value`` is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def symmetrized_cross_covariance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(X Y^T + Y X^T) / 2 without normalization, as the bounds use it."""
     c = x @ y.T
@@ -343,8 +349,8 @@ def _conditional_alignment_check(
     penalty: float,
     xi_required: float | None,
 ) -> CheckReport:
-    if xi_required is not None and not (xi_required > 0 and math.isfinite(xi_required)):
-        raise ValueError(f"xi must be positive and finite, got {xi_required}")
+    if xi_required is not None:
+        require_positive_finite("xi", xi_required)
     if xi_required is not None and xi_obs < xi_required:
         return CheckReport(
             name=name,
@@ -527,9 +533,8 @@ def alignment_report(
     terms: GnnAlignmentTerms | None = None,
 ) -> AlignmentReport:
     """All alignment functionals; ``terms`` as in the conditional checks."""
-    for name, value in (("eta", eta), ("alpha", alpha)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    require_positive_finite("eta", eta)
+    require_positive_finite("alpha", alpha)
     terms = _instance_terms(s, data, num_taps, spectral_bound, terms)
     return AlignmentReport(
         a=terms.a,

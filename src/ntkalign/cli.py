@@ -35,6 +35,7 @@ from .alignment import (
     check_gnn_alignment_lower_bound,
     gnn_alignment_terms,
     optimality_sweep,
+    require_positive_finite,
     run_inequality_sweeps,
 )
 from .core import Dataset, DivergenceError, NtkMatrix, ShiftOperator, stack
@@ -266,6 +267,10 @@ def _cmd_ntk(cfg: dict) -> int:
 
 
 def _cmd_align(cfg: dict) -> int:
+    # the library rejects these too, but only after the kernels are built
+    for name in ("eta", "alpha", "xi"):
+        if cfg[name] is not None:
+            require_positive_finite(name, cfg[name])
     data = _load_dataset(cfg)
     s = _shift_from(cfg, data)
     terms = gnn_alignment_terms(s, data, cfg["k"], spectral_bound=cfg["nu"])

@@ -109,10 +109,9 @@ class ZVectors:
 
 
 def z_vectors(s: ShiftOperator, data, num_taps: int) -> ZVectors:
+    """Z is the graph filter's Jacobian, ``filter_jacobian``, sample-major."""
     x = _signals(data)
-    powers = s.powers_applied(x, num_taps)  # (K, n, M)
-    z = powers.transpose(2, 1, 0).reshape(-1, num_taps)
-    return ZVectors(z, num_nodes=x.shape[0], num_samples=x.shape[1])
+    return ZVectors(filter_jacobian(s, x, num_taps), num_nodes=x.shape[0], num_samples=x.shape[1])
 
 
 def b_lin(s: ShiftOperator, data, num_taps: int) -> np.ndarray:
@@ -316,7 +315,12 @@ def expectation_E_first_layer(
 def conjugated_power_sum(
     s: ShiftOperator, matrix: np.ndarray, num_taps: int, num_samples: int
 ) -> np.ndarray:
-    """sum_k S~^k A S~^k without materializing the block-diagonal lift."""
+    """sum_k S~^k A S~^k for a symmetric A, without the block-diagonal lift.
+
+    The row and column products round differently, so the result's upper
+    triangle is copied onto its lower one, one block row at a time: the
+    sum is then exactly symmetric, as it is in exact arithmetic.
+    """
     matrix = np.asarray(matrix, dtype=float)
     n = s.num_nodes
     if matrix.shape != (n * num_samples, n * num_samples):
@@ -328,6 +332,12 @@ def conjugated_power_sum(
         blk = np.einsum("ab,ibjc->iajc", s.matrix, blk)
         blk = np.einsum("ibjd,dc->ibjc", blk, s.matrix)
         acc += blk.reshape(matrix.shape)
+    lower = np.tril_indices(n, -1)
+    for i in range(num_samples):
+        rows = slice(i * n, (i + 1) * n)
+        acc[rows, : i * n] = acc[: i * n, rows].T
+        diagonal = acc[rows, rows]
+        diagonal[lower] = diagonal.T[lower]
     return acc
 
 

@@ -2,9 +2,12 @@
 
 Training is plain full-batch (or minibatch/Adam) gradient descent on the
 squared loss, tracked per epoch.  Because graph filters are linear in
-their taps, their gradient-descent trace is reproduced exactly by the
-constant-kernel dynamics r_{t+1} = (I - eta Theta~) r_t, which is what
-the sandwich check, the parameter-movement prediction, and the
+their taps, their Jacobian Z = [S^k x]_k does not depend on the taps:
+training builds it once per run and takes each step from two thin
+products with it.  For the same reason a filter's gradient-descent trace
+is reproduced exactly by the constant-kernel dynamics
+r_{t+1} = (I - eta Theta~) r_t with Theta~ = Z Z', which is what the
+sandwich check, the parameter-movement prediction, and the
 generalization bound all lean on.
 
 The generalization sandwich is evaluated with the target projected onto
@@ -132,19 +135,35 @@ def _forward(s: ShiftOperator, params, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot train parameters of type {type(params).__name__}")
 
 
-def _residual_pullback(s: ShiftOperator, params, x: np.ndarray, y: np.ndarray):
-    """Residual f(x) - y and the pullback r -> J' r, flat in flatten_params order.
+def _training_pass(s: ShiftOperator, model, data: Dataset):
+    """The training split's pass: (params, idx) -> (residual, pullback r -> J' r).
 
-    A filter's Jacobian has only K columns, so its pullback forms it; the
-    GNN's pullback is the fused backward pass of gnn2_forward_pullback.
+    ``idx`` picks a minibatch of samples (None: all of them); the pullback
+    is flat in flatten_params order.  A graph filter is linear in its taps,
+    so its Jacobian Z = [S^k x]_k is built once here: a step's residual is
+    Z taps - y and its pullback Z' r, and a minibatch takes its samples'
+    rows of Z.  A GNN takes one fused gnn2_forward_pullback pass.
     """
-    if isinstance(params, FilterParams):
-        out = filter_forward(s, params, x)
-        return out - y, lambda r: filter_jacobian(s, x, params.num_taps).T @ as_stacked(r)
-    if isinstance(params, TwoLayerGnnParams):
-        out, pullback = gnn2_forward_pullback(s, params, x)
-        return out - y, pullback
-    raise TypeError(f"cannot train parameters of type {type(params).__name__}")
+    if isinstance(model, FilterParams):
+        num_taps = model.num_taps
+        z = filter_jacobian(s, data.x, num_taps).reshape(data.num_samples, -1, num_taps)
+        y = stack(data.y).reshape(data.num_samples, -1)  # both sample-major
+
+        def filter_pass(params, idx):
+            zb = (z if idx is None else z[idx]).reshape(-1, num_taps)
+            yb = (y if idx is None else y[idx]).ravel()
+            return zb @ params.taps - yb, lambda r: zb.T @ r
+
+        return filter_pass
+    if isinstance(model, TwoLayerGnnParams):
+
+        def gnn_pass(params, idx):
+            x, y = (data.x, data.y) if idx is None else (data.x[:, idx], data.y[:, idx])
+            out, pullback = gnn2_forward_pullback(s, params, x)
+            return out - y, pullback
+
+        return gnn_pass
+    raise TypeError(f"cannot train parameters of type {type(model).__name__}")
 
 
 def _half_squared_loss(s, params, data: Dataset) -> float:
@@ -158,15 +177,18 @@ def _descent(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig):
     Epochs run 0 (the initialization) to cfg.epochs, each with its train
     loss; ``flat`` is updated in place by the next step.  Full-batch when
     batch_size is 0, otherwise seeded shuffled minibatches.  Each step's
-    gradient is the pullback of the residual, J' r, taken from the same
-    pass that computed the residual.  In full-batch mode the pass that
-    gives an epoch's train loss also gives the next epoch's residual and
-    pullback.  Raises DivergenceError when a train loss exceeds 10^6 times
-    the initial one (floored at 1e-12) or stops being finite.
+    gradient is the pullback of the residual, J' r, from the same
+    ``_training_pass`` call that computed the residual: two thin products
+    with a graph filter's Jacobian Z, built once per call, or one fused
+    GNN pass.  In full-batch mode the pass that gives an epoch's train
+    loss also gives the next epoch's residual and pullback.  Raises
+    DivergenceError when a train loss exceeds 10^6 times the initial one
+    (floored at 1e-12) or stops being finite.
     """
     flat = flatten_params(model).copy()
     params = model
-    resid, pullback = _residual_pullback(s, params, data.x, data.y)
+    training_pass = _training_pass(s, model, data)
+    resid, pullback = training_pass(params, None)
     loss = 0.5 * float(np.sum(resid * resid))
     loss_ceiling = DIVERGENCE_FACTOR * max(loss, 1e-12)
     yield 0, params, flat, loss
@@ -187,7 +209,7 @@ def _descent(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig):
             ]
         for idx in batches:
             if idx is not None:
-                resid, pullback = _residual_pullback(s, params, data.x[:, idx], data.y[:, idx])
+                resid, pullback = training_pass(params, idx)
             grad = pullback(resid)
             if cfg.optimizer == "gd":
                 flat -= cfg.eta * grad
@@ -200,7 +222,7 @@ def _descent(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig):
                 flat -= cfg.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             params = unflatten_params(flat, model)
 
-        resid, pullback = _residual_pullback(s, params, data.x, data.y)
+        resid, pullback = training_pass(params, None)
         loss = 0.5 * float(np.sum(resid * resid))
         if not math.isfinite(loss) or loss > loss_ceiling:
             raise DivergenceError(epoch, loss)

@@ -116,6 +116,21 @@ class TestUsageErrors:
         )
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [("eta", "inf"), ("alpha", "nan"), ("xi", "-1")])
+    def test_align_rejects_budget_before_building_a_kernel(
+        self, tiny_data, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        def no_kernels(*args, **kwargs):
+            raise AssertionError("the kernels were built before the flags were checked")
+
+        monkeypatch.setattr(cli, "gnn_alignment_terms", no_kernels)
+        _, _, x_path, y_path = tiny_data
+        code = run("align", "--x", x_path, "--y", y_path, f"--{flag}", value,
+                   "--out-dir", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be positive and finite, got {float(value)}\n"
+
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_gen_data_non_finite_noise_exit_2(self, tmp_path, capsys, noise):
         out = tmp_path / "out"

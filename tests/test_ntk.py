@@ -482,6 +482,29 @@ class TestInfiniteNtk:
         )
         assert np.allclose(conjugated_power_sum(s, a, 3, 2), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("n, m, num_taps", [(3, 2, 3), (5, 4, 2), (20, 25, 2)])
+    def test_conjugated_power_sum_is_exactly_symmetric(self, n, m, num_taps):
+        # the row and column products round differently; the sum must not
+        rng = np.random.default_rng(n + m)
+        s = random_shift(rng, n)
+        f = rng.standard_normal((n * m, 7))
+        a = f @ f.T
+        a = (a + a.T) / 2.0
+        theta = conjugated_power_sum(s, a, num_taps, m)
+        assert np.array_equal(theta, theta.T)
+        lift = dense_block_diag(s.matrix, m)
+        expected = sum(
+            np.linalg.matrix_power(lift, j) @ a @ np.linalg.matrix_power(lift, j)
+            for j in range(num_taps)
+        )
+        assert np.abs(theta - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_infinite_kernel_is_exactly_symmetric(self):
+        rng = np.random.default_rng(27)
+        s = random_shift(rng, 6)
+        theta = gnn_infinite_ntk(s, random_dataset(rng, 6, 5), 3, layer="both").matrix
+        assert np.array_equal(theta, theta.T)
+
     def test_first_layer_kind_and_restrictions(self):
         rng = np.random.default_rng(20)
         s = random_shift(rng, 3)

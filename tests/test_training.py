@@ -193,16 +193,24 @@ class TestTrain:
             )
 
 
-def jacobian_reference_train(params, s, data, cfg, test_data):
-    """Training loop that forms every gradient as J' r from gnn2_jacobian."""
+def jacobian_reference_train(params, s, data, cfg, test_data, forward, jacobian):
+    """Training loop that forms every gradient as J' r from a materialised Jacobian.
+
+    Every step recomputes the forward pass and ``jacobian(params, x)`` at
+    that step's samples.  Returns the train and test loss curves (test NaN
+    without a split), the parameter movement and the final parameters.
+    """
     flat = flatten_params(params)
     flat0 = flat.copy()
     rng = np.random.default_rng(cfg.seed)
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
     steps = 0
-    curves = [[half_loss(s, params, data, gnn2_forward)],
-              [half_loss(s, params, test_data, gnn2_forward)], [0.0]]
+
+    def test_loss():
+        return math.nan if test_data is None else half_loss(s, params, test_data, forward)
+
+    curves = [[half_loss(s, params, data, forward)], [test_loss()], [0.0]]
     for _ in range(cfg.epochs):
         if cfg.batch_size == 0:
             batches = [np.arange(data.num_samples)]
@@ -212,7 +220,7 @@ def jacobian_reference_train(params, s, data, cfg, test_data):
                        for i in range(0, data.num_samples, cfg.batch_size)]
         for idx in batches:
             x, y = data.x[:, idx], data.y[:, idx]
-            grad = gnn2_jacobian(s, params, x).T @ stack(gnn2_forward(s, params, x) - y)
+            grad = jacobian(params, x).T @ stack(forward(s, params, x) - y)
             if cfg.optimizer == "gd":
                 flat = flat - cfg.eta * grad
             else:
@@ -222,20 +230,23 @@ def jacobian_reference_train(params, s, data, cfg, test_data):
                 m_hat, v_hat = m / (1 - 0.9**steps), v / (1 - 0.999**steps)
                 flat = flat - cfg.eta * m_hat / (np.sqrt(v_hat) + 1e-8)
             params = unflatten_params(flat, params)
-        curves[0].append(half_loss(s, params, data, gnn2_forward))
-        curves[1].append(half_loss(s, params, test_data, gnn2_forward))
+        curves[0].append(half_loss(s, params, data, forward))
+        curves[1].append(test_loss())
         curves[2].append(float(np.linalg.norm(flat - flat0)))
-    return [np.array(c) for c in curves]
+    return [np.array(c) for c in curves] + [params]
+
+
+OPTIMIZER_CASES = pytest.mark.parametrize(
+    "optimizer, eta, batch_size",
+    [("gd", 0.05, 0), ("adam", 0.02, 0), ("adam", 0.02, 3), ("gd", 0.05, 4)],
+    ids=["gd", "adam", "adam-minibatch", "gd-minibatch"],
+)
 
 
 class TestFusedGradientTraining:
     """gnn2 training through the fused pullback against the Jacobian loop."""
 
-    @pytest.mark.parametrize(
-        "optimizer, eta, batch_size",
-        [("gd", 0.05, 0), ("adam", 0.02, 0), ("adam", 0.02, 3), ("gd", 0.05, 4)],
-        ids=["gd", "adam", "adam-minibatch", "gd-minibatch"],
-    )
+    @OPTIMIZER_CASES
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
     def test_matches_jacobian_reference(self, optimizer, eta, batch_size, symmetric):
         rng = np.random.default_rng(31)
@@ -250,11 +261,70 @@ class TestFusedGradientTraining:
         cfg = TrainConfig(eta=eta, epochs=25, batch_size=batch_size, optimizer=optimizer, seed=32)
         params = init_gnn2(8, 3, InitConfig(kappa=0.8, seed=33))
         trace = train(params, s, data, cfg, test_data=test_data)
-        ref_train, ref_test, ref_movement = jacobian_reference_train(params, s, data, cfg, test_data)
+        ref_train, ref_test, ref_movement, _ = jacobian_reference_train(
+            params, s, data, cfg, test_data, gnn2_forward,
+            lambda p, x: gnn2_jacobian(s, p, x),
+        )  # fmt: skip
         assert trace.train_losses[-1] < trace.train_losses[0]
         assert np.allclose(trace.train_losses, ref_train, rtol=1e-10, atol=0.0)
         assert np.allclose(trace.test_losses, ref_test, rtol=1e-10, atol=0.0)
         assert np.allclose(trace.param_movement, ref_movement, rtol=1e-12, atol=0.0)
+
+
+class TestFixedJacobianFilterTraining:
+    """Graph-filter training on the Z built once, against the per-step Jacobian loop."""
+
+    @OPTIMIZER_CASES
+    @pytest.mark.parametrize("with_test", [True, False], ids=["test-split", "no-test-split"])
+    def test_matches_per_step_reference(self, optimizer, eta, batch_size, with_test):
+        rng = np.random.default_rng(34)
+        n = 6
+        s = random_shift(rng, n)
+        data = random_dataset(rng, n, 11)
+        test_data = random_dataset(rng, n, 4) if with_test else None
+        cfg = TrainConfig(eta=eta, epochs=30, batch_size=batch_size, optimizer=optimizer, seed=35)
+        params = init_filter(3, InitConfig(kappa=0.8, seed=36))
+        trace = train(params, s, data, cfg, test_data=test_data)
+        ref_train, ref_test, ref_movement, ref_params = jacobian_reference_train(
+            params, s, data, cfg, test_data, filter_forward,
+            lambda p, x: filter_jacobian(s, x, p.num_taps),
+        )  # fmt: skip
+        assert trace.train_losses[-1] < trace.train_losses[0]
+        assert np.allclose(trace.train_losses, ref_train, rtol=1e-12, atol=0.0)
+        assert np.allclose(trace.test_losses, ref_test, rtol=1e-12, atol=0.0, equal_nan=True)
+        assert bool(np.isnan(trace.test_losses).all()) is not with_test
+        assert np.allclose(trace.param_movement, ref_movement, rtol=1e-12, atol=0.0)
+        assert np.allclose(trace.final_params.taps, ref_params.taps, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("batch_size", [0, 4], ids=["full-batch", "minibatch"])
+    def test_one_jacobian_per_run_and_no_forward_on_the_training_split(
+        self, monkeypatch, batch_size
+    ):
+        rng = np.random.default_rng(37)
+        s = random_shift(rng, 5)
+        data = random_dataset(rng, 5, 9)
+        test_data = random_dataset(rng, 5, 3)
+        jacobian_calls, forward_inputs = [], []
+
+        def counting_jacobian(*args):
+            jacobian_calls.append(args)
+            return filter_jacobian(*args)
+
+        def recording_forward(s, params, x):
+            forward_inputs.append(x)
+            return filter_forward(s, params, x)
+
+        monkeypatch.setattr(training, "filter_jacobian", counting_jacobian)
+        monkeypatch.setattr(training, "filter_forward", recording_forward)
+        params = init_filter(2, InitConfig(kappa=0.8, seed=38))
+        cfg = TrainConfig(eta=0.05, epochs=6, batch_size=batch_size)
+        train(params, s, data, cfg)
+        assert len(jacobian_calls) == 1
+        assert forward_inputs == []
+        train(params, s, data, cfg, test_data=test_data)
+        assert len(jacobian_calls) == 2
+        assert len(forward_inputs) == cfg.epochs + 1
+        assert all(x is test_data.x for x in forward_inputs)
 
 
 class TestGnnPassShape:
