@@ -66,7 +66,7 @@ def main(argv=None):
             series, PairExtractionConfig(args.dt, args.m_train, args.m_test, seed=seed)
         )
         arms = {
-            "cxy": cross_covariance(train_split.x, train_split.y).as_shift_operator(),
+            "cxy": cross_covariance(train_split.x, train_split.y),
             "cxx": covariance(train_split.x),
         }
         for model, eta in models.items():

@@ -17,13 +17,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--instances", type=int, default=500, help="per inequality sweep")
     parser.add_argument("--optimality-instances", type=int, default=1000)
-    parser.add_argument("--n-points", type=int, default=64, help="quadrature points")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     failures = 0
 
-    payload = self_check(args.n_points)
+    payload = self_check()
     beta = payload["beta"]["value"]
     sup = payload["sigma_hat_sup"]["unnormalized"]
     print(f"tail constant beta       {beta:.6f}  (target 0.570796)")

@@ -23,7 +23,7 @@ def make_instance(seed, n, m):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     sym = (a + a.T) / 2.0
-    s = ShiftOperator(sym / np.linalg.norm(sym), frobenius_unit=True)
+    s = ShiftOperator(sym).normalized()
     data = Dataset(rng.standard_normal((n, m)), rng.standard_normal((n, m))).normalized()
     return s, data
 

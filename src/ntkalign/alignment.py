@@ -29,7 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, NtkMatrix, ShiftOperator, as_stacked
+from .core import (
+    Dataset,
+    NtkMatrix,
+    ShiftOperator,
+    as_stacked,
+    finite_or_none,
+    require_positive_finite,
+)
 from .hermite import BETA_SATURATION, ExpansionConstants, coeff_g, coeff_tau, expansion_constants
 from .ntk import (  # the quadrature references stay bound here for perfbench/tracer.py
     ZVectors,
@@ -42,37 +49,17 @@ from .ntk import (  # the quadrature references stay bound here for perfbench/tr
     z_vectors,
 )
 from .shiftops import (
-    GsoSolution,
-    _checked_system,
-    _gso_solution,
     constraint_lhs,
+    cross_covariance_matrix,
+    frobenius_budget,
+    mu_from_budget,
     power_sum,
-    power_sum_root,
+    solve_optimal_gso,
 )
 
 SWEEP_TOL = 1e-9
 SIGN_ZERO_ATOL = 1e-12
 TAIL_SLACK = 1e-12
-
-
-class NegativeEigenvalueError(ValueError):
-    """The squared power sum cannot match a negative eigenvalue."""
-
-    def __init__(self, gamma: float):
-        self.gamma = gamma
-        super().__init__(f"(sum_k s^k)^2 = {gamma!r} has no real solution")
-
-
-def require_positive_finite(name: str, value: float) -> None:
-    """The budget and xi rule: ValueError unless ``value`` is positive and finite."""
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-def symmetrized_cross_covariance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(X Y^T + Y X^T) / 2 without normalization, as the bounds use it."""
-    c = x @ y.T
-    return (c + c.T) / 2.0
 
 
 def q_matrix(s: ShiftOperator, y: np.ndarray, num_taps: int) -> np.ndarray:
@@ -124,32 +111,24 @@ def alignment_lin(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
     return float(_multiplicities(num_taps) @ (traces * traces))
 
 
-@dataclass(frozen=True)
-class AlignmentBound:
-    value: float
-    c_xy: np.ndarray
-
-
-def alignment_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) -> AlignmentBound:
-    """A_L = ((1/sqrt(K)) tr((sum_k S^k) C_XY))^2, a lower bound on A_filt."""
-    c = symmetrized_cross_covariance(data.x, data.y)
+def alignment_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
+    """A_L = ((1/sqrt(K)) tr((sum_k S^k) C_XY))^2 for the unnormalised C_XY; A_L <= A_filt."""
+    c = cross_covariance_matrix(data.x, data.y)
     acc = power_sum(s.matrix, num_taps)
-    value = (np.sum(acc * c) / math.sqrt(num_taps)) ** 2
-    return AlignmentBound(float(value), c)
+    return float((np.sum(acc * c) / math.sqrt(num_taps)) ** 2)
 
 
-def alignment_lin_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) -> AlignmentBound:
+def alignment_lin_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
     """Lower bound on tr(Q B_lin) with the Cauchy-Schwarz constant 1/K.
 
     The double power sum has K^2 terms, so the tight constant is 1/K (the
     bound meets A_lin when all power traces coincide); at K = 1 it reduces
     to the filter bound.
     """
-    c = symmetrized_cross_covariance(data.x, data.y)
+    c = cross_covariance_matrix(data.x, data.y)
     powers = s.powers_applied(np.eye(s.num_nodes), 2 * num_taps - 1)
     traces = np.einsum("jab,ab->j", powers, c)
-    value = (float(_multiplicities(num_taps) @ traces) / num_taps) ** 2
-    return AlignmentBound(float(value), c)
+    return (float(_multiplicities(num_taps) @ traces) / num_taps) ** 2
 
 
 def _xi(a_lin: float, zy: np.ndarray, z: np.ndarray) -> float:
@@ -164,29 +143,6 @@ def xi_observed(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
         alignment_lin(s, data, num_taps),
         z_vectors(s, data.y, num_taps).matrix,
         z_vectors(s, data.x, num_taps).matrix,
-    )
-
-
-def solve_optimal_gso_linear_gnn(
-    c: np.ndarray, num_taps: int, mu: float = 1.0, normalize: bool = False
-) -> GsoSolution:
-    """Solve (sum_k S^k)^2 = mu C for a symmetric S, per eigenvalue.
-
-    Each eigenvalue gamma of mu C needs (sum_k s^k)^2 = gamma, so gamma
-    must be nonnegative; the nonnegative square-root branch is taken and
-    the scalar power-sum solve picks the smallest-magnitude real root.
-    """
-    c = _checked_system(c, num_taps)
-    target = mu * c
-    gammas, vecs = np.linalg.eigh(target)
-    roots = np.empty_like(gammas)
-    for i, gamma in enumerate(gammas):
-        if gamma < -1e-12:
-            raise NegativeEigenvalueError(float(gamma))
-        roots[i] = power_sum_root(math.sqrt(max(gamma, 0.0)), num_taps)
-    return _gso_solution(
-        (vecs * roots) @ vecs.T, target, gammas, roots, mu, num_taps, normalize,
-        lift=lambda acc: acc @ acc,
     )
 
 
@@ -222,7 +178,7 @@ def check_filter_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) -> 
     return _verdict(
         "filter_lower_bound",
         alignment_filt(s, data, num_taps),
-        alignment_lower_bound(s, data, num_taps).value,
+        alignment_lower_bound(s, data, num_taps),
     )
 
 
@@ -231,7 +187,7 @@ def check_linear_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) -> 
     return _verdict(
         "linear_lower_bound",
         alignment_lin(s, data, num_taps),
-        alignment_lin_lower_bound(s, data, num_taps).value,
+        alignment_lin_lower_bound(s, data, num_taps),
     )
 
 
@@ -533,17 +489,16 @@ def alignment_report(
     terms: GnnAlignmentTerms | None = None,
 ) -> AlignmentReport:
     """All alignment functionals; ``terms`` as in the conditional checks."""
-    require_positive_finite("eta", eta)
-    require_positive_finite("alpha", alpha)
+    budget = frobenius_budget(alpha, eta, data.num_samples)
     terms = _instance_terms(s, data, num_taps, spectral_bound, terms)
     return AlignmentReport(
         a=terms.a,
         a_filt=alignment_filt(s, data, num_taps),
         a_lin=terms.a_lin,
-        a_lower=alignment_lower_bound(s, data, num_taps).value,
-        a_lin_lower=alignment_lin_lower_bound(s, data, num_taps).value,
+        a_lower=alignment_lower_bound(s, data, num_taps),
+        a_lin_lower=alignment_lin_lower_bound(s, data, num_taps),
         constraint_lhs=constraint_lhs(s, num_taps),
-        budget=math.sqrt(alpha / (eta * data.num_samples)),
+        budget=budget,
         xi_observed=terms.xi_observed,
         constants=terms.constants,
     )
@@ -582,7 +537,7 @@ def random_instance(
         sym, x, y = np.abs(sym), np.abs(x), np.abs(y)
     elif entries != "any":
         raise ValueError(f"entries must be 'any' or 'nonnegative', got {entries!r}")
-    s = ShiftOperator(sym / np.linalg.norm(sym), frobenius_unit=True)
+    s = ShiftOperator(sym).normalized()
     return s, Dataset(x, y).normalized(), num_taps
 
 
@@ -594,7 +549,7 @@ def planted_instance(seed: int, max_nodes: int = 8, max_samples: int = 6, max_ta
     num_taps = int(rng.integers(1, max_taps + 1))
     a = rng.standard_normal((n, n))
     sym = (a + a.T) / 2.0
-    s = ShiftOperator(sym / np.linalg.norm(sym), frobenius_unit=True)
+    s = ShiftOperator(sym).normalized()
     x = rng.standard_normal((n, m))
     x = x / np.abs(np.linalg.norm(x, axis=0)).max()
     y = s.powers_applied(x, num_taps).sum(axis=0)  # all-ones taps
@@ -620,7 +575,7 @@ class SweepResult:
             "num_instances": self.num_instances,
             "violations": self.violations,
             "skipped": self.skipped,
-            "worst_margin": self.worst_margin,
+            "worst_margin": finite_or_none(self.worst_margin),
             "failing_seeds": list(self.failing_seeds),
         }
 
@@ -739,18 +694,17 @@ def optimality_sweep(
     n = int(rng.integers(2, max_nodes + 1))
     m = int(rng.integers(1, max_samples + 1))
     data = Dataset(rng.standard_normal((n, m)), rng.standard_normal((n, m))).normalized()
-    c = symmetrized_cross_covariance(data.x, data.y)
-    budget = math.sqrt(alpha / (eta * m))
-    mu = budget / np.linalg.norm(c)
-    s_star = ShiftOperator(mu * c - np.eye(n))
-    best = alignment_lower_bound(s_star, data, num_taps).value
+    c = cross_covariance_matrix(data.x, data.y)
+    budget = frobenius_budget(alpha, eta, m)
+    s_star = solve_optimal_gso(c, num_taps, mu_from_budget(alpha, eta, m, np.linalg.norm(c)))
+    best = alignment_lower_bound(s_star.operator, data, num_taps)
     max_excess = -math.inf
     for _ in range(num_instances):
         a = rng.standard_normal((n, n))
         t = np.eye(n) + (a + a.T) / 2.0
         t *= budget / np.linalg.norm(t)
         candidate = ShiftOperator(t - np.eye(n))
-        value = alignment_lower_bound(candidate, data, num_taps).value
+        value = alignment_lower_bound(candidate, data, num_taps)
         max_excess = max(max_excess, value - best)
     return OptimalitySweepResult(
         num_instances=num_instances,

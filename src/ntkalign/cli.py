@@ -35,10 +35,17 @@ from .alignment import (
     check_gnn_alignment_lower_bound,
     gnn_alignment_terms,
     optimality_sweep,
-    require_positive_finite,
     run_inequality_sweeps,
 )
-from .core import Dataset, DivergenceError, NtkMatrix, ShiftOperator, stack
+from .core import (
+    Dataset,
+    DivergenceError,
+    NtkMatrix,
+    ShiftOperator,
+    finite_or_none,
+    require_positive_finite,
+    stack,
+)
 from .dataio import (
     PairExtractionConfig,
     VarProcessConfig,
@@ -150,7 +157,7 @@ def _shift_from(cfg: dict, data: Dataset) -> ShiftOperator:
         except ValueError as exc:
             raise CliError(f"--gso-file: {exc}; symmetrize the matrix first") from None
     if cfg["gso"] == "cxy":
-        return cross_covariance(data.x, data.y).as_shift_operator()
+        return cross_covariance(data.x, data.y)
     return covariance(data.x)
 
 
@@ -162,7 +169,7 @@ def _numpy_value(value):
 
 
 def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=_numpy_value)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_numpy_value)
 
 
 def _finish(cfg: dict, subcommand: str, report: dict, outputs, exit_code: int = 0) -> int:
@@ -287,7 +294,7 @@ def _cmd_align(cfg: dict) -> int:
             "passed": result.passed,
             "skipped": result.skipped,
             "reason": result.reason,
-            "margin": None if not np.isfinite(result.margin) else result.margin,
+            "margin": finite_or_none(result.margin),
             "details": {k: v for k, v in result.details.items()},
         }
     failed = [n for n, c in checks.items() if not c["passed"] and not c["skipped"]]
@@ -307,10 +314,11 @@ def _cmd_optimize_gso(cfg: dict) -> int:
         c = _load_matrix(cfg["c"], "cross-covariance")
     else:
         data = _load_dataset(cfg)
-        c = cross_covariance(data.x, data.y)
+        c = cross_covariance(data.x, data.y).matrix
         num_samples = data.num_samples
 
     if cfg["mu"] is not None:
+        require_positive_finite("mu", cfg["mu"])
         mu, normalize = cfg["mu"], bool(cfg["normalize"])
     elif cfg["alpha"] is not None:
         if cfg["eta"] is None:
@@ -386,9 +394,7 @@ def _cmd_train(cfg: dict) -> int:
         "model": cfg["model"],
         "eta": eta,
         "final_train_loss": float(trace.train_losses[-1]),
-        "final_test_loss": None
-        if np.isnan(trace.test_losses[-1])
-        else float(trace.test_losses[-1]),
+        "final_test_loss": finite_or_none(trace.test_losses[-1]),
         "param_movement": float(trace.param_movement[-1]),
         "summary": f"{cfg['model']} trained {trace.num_epochs} epochs, "
         f"final loss {trace.train_losses[-1]:.6g}",
@@ -410,11 +416,9 @@ def _compare_data(cfg: dict):
 def _comparison_arms(cfg: dict, data: Dataset):
     arms = []
     for token in (t.strip() for t in cfg["gso"].split(",")):
-        if token == "cxy" and cfg["raw_cxy"]:
-            raw = cross_covariance(data.x, data.y, symmetrize=False)
-            arms.append(("cxy_raw", raw.as_experiment_operator()))
-        elif token == "cxy":
-            arms.append(("cxy", cross_covariance(data.x, data.y).as_shift_operator()))
+        if token == "cxy":
+            name = "cxy_raw" if cfg["raw_cxy"] else "cxy"
+            arms.append((name, cross_covariance(data.x, data.y, symmetrize=not cfg["raw_cxy"])))
         elif token == "cxx":
             arms.append(("cxx", covariance(data.x)))
         elif token:
@@ -469,6 +473,16 @@ def _cmd_compare(cfg: dict) -> int:
 
 
 def _cmd_verify_bounds(cfg: dict) -> int:
+    # the optimality sweep goes first: it rejects a bad --alpha or --eta at once
+    opt = None
+    if cfg["k"] == 2 and cfg["optimality_instances"] > 0:
+        opt = optimality_sweep(
+            num_instances=cfg["optimality_instances"],
+            seed=cfg["seed"],
+            num_taps=cfg["k"],
+            alpha=cfg["alpha"],
+            eta=cfg["eta"],
+        )
     checks = tuple(t.strip() for t in cfg["checks"].split(",") if t.strip())
     try:
         sweeps = run_inequality_sweeps(
@@ -478,21 +492,12 @@ def _cmd_verify_bounds(cfg: dict) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    report = {"sweeps": {name: res.to_dict() for name, res in sweeps.items()}}
+    report = {
+        "sweeps": {name: res.to_dict() for name, res in sweeps.items()},
+        "optimality": None if opt is None else opt.to_dict(),
+    }
     violations = sum(res.violations for res in sweeps.values())
-
-    if cfg["k"] == 2 and cfg["optimality_instances"] > 0:
-        opt = optimality_sweep(
-            num_instances=cfg["optimality_instances"],
-            seed=cfg["seed"],
-            num_taps=cfg["k"],
-            alpha=cfg["alpha"],
-            eta=cfg["eta"],
-        )
-        report["optimality"] = opt.to_dict()
-        violations += 0 if opt.passed else 1
-    else:
-        report["optimality"] = None
+    violations += 0 if opt is None or opt.passed else 1
 
     report["total_violations"] = int(violations)
     report["passed"] = violations == 0
@@ -504,7 +509,7 @@ def _cmd_verify_bounds(cfg: dict) -> int:
 
 
 def _cmd_verify_hermite(cfg: dict) -> int:
-    payload = self_check(cfg["n_points"])
+    payload = self_check()
     payload["summary"] = (
         f"beta = {payload['beta']['value']:.6g}, {payload['violations']} violations"
     )
@@ -662,7 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(p)
 
     p = sub.add_parser("verify-hermite", help="self-check the activation-expansion layer")
-    p.add_argument("--n-points", type=int, default=64, help="quadrature points")
     _add_shared_flags(p)
 
     return parser

@@ -13,6 +13,7 @@ as an (nM x nM) matrix.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -20,9 +21,19 @@ from typing import Mapping
 import numpy as np
 
 SYMMETRY_ATOL = 1e-10
-UNIT_FRO_ATOL = 1e-10
 NTK_SYMMETRY_RTOL = 1e-8
 NTK_PSD_RTOL = 1e-8
+
+
+def require_positive_finite(name: str, value: float) -> None:
+    """The one rule for mu, alpha, eta and xi: ValueError unless positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def finite_or_none(value: float) -> float | None:
+    """``value`` as a float, or None (JSON null) when it is NaN or infinite."""
+    return float(value) if math.isfinite(value) else None
 
 
 def _frozen_array(a, dtype=float, ndim=None) -> np.ndarray:
@@ -121,17 +132,19 @@ class _MatrixShift:
         """Return [signals, S signals, ..., S^{K-1} signals] stacked on axis 0."""
         return matrix_powers_applied(self.matrix, signals, num_taps)
 
+    def normalized(self):
+        """The same kind of operator rescaled to unit Frobenius norm."""
+        fro = np.linalg.norm(self.matrix)
+        if fro == 0.0:
+            raise ValueError("cannot normalize the zero operator")
+        return type(self)(self.matrix / fro)
+
 
 @dataclass(frozen=True)
 class ShiftOperator(_MatrixShift):
-    """Symmetric graph shift operator.
-
-    ``frobenius_unit=True`` additionally pins the Frobenius norm to 1, the
-    normalization under which the alignment bounds and sweeps are stated.
-    """
+    """Symmetric graph shift operator; ``normalized()`` gives it unit Frobenius norm."""
 
     matrix: np.ndarray
-    frobenius_unit: bool = False
 
     def __post_init__(self):
         m = _frozen_array(self.matrix, ndim=2)
@@ -140,17 +153,7 @@ class ShiftOperator(_MatrixShift):
         asym = np.abs(m - m.T).max(initial=0.0)
         if asym > SYMMETRY_ATOL:
             raise ValueError(f"shift operator not symmetric: max |S - S^T| = {asym:.3e}")
-        if self.frobenius_unit:
-            fro = np.linalg.norm(m)
-            if abs(fro - 1.0) > UNIT_FRO_ATOL:
-                raise ValueError(f"frobenius_unit requested but ||S||_F = {fro!r}")
         object.__setattr__(self, "matrix", m)
-
-    def normalized(self) -> "ShiftOperator":
-        fro = np.linalg.norm(self.matrix)
-        if fro == 0.0:
-            raise ValueError("cannot normalize the zero operator")
-        return ShiftOperator(self.matrix / fro, frobenius_unit=True)
 
 
 class NtkKind(enum.Enum):

@@ -513,7 +513,7 @@ def expansion_constants(num_taps: int, spectral_bound: float = 1.0) -> Expansion
 PARSEVAL_CHECK_DEGREES = (5, 11, 21, 41, 101, MAX_POINTS // 2 - 1)
 
 
-def self_check(n_points: int = DEFAULT_POINTS) -> dict:
+def self_check() -> dict:
     """Full self-verification of the Hermite layer; payload for the CLI.
 
     Returns a JSON-ready report; ``violations`` counts failed checks.
@@ -521,7 +521,7 @@ def self_check(n_points: int = DEFAULT_POINTS) -> dict:
     report: dict = {"schema_version": 1}
     violations = 0
 
-    nodes, weights = gauss_hermite_rule(max(n_points, 16))
+    nodes, weights = gauss_hermite_rule(DEFAULT_POINTS)
     p = hermite_eval_upto(10, nodes)
     gram = (p * weights) @ p.T
     ortho_residual = float(np.abs(gram - np.eye(11)).max())
@@ -546,7 +546,6 @@ def self_check(n_points: int = DEFAULT_POINTS) -> dict:
                     lambda u, j=j: hermite_eval(j, u),
                     lambda u, k=k: hermite_eval(k, u),
                     rho,
-                    n_points=max(n_points, 16),
                 )
                 want = rho**j if j == k else 0.0
                 pair_worst = max(pair_worst, abs(got - want))

@@ -1,4 +1,10 @@
-"""Covariance-based shift operators and the alignment-optimal solver.
+"""Data-derived shift operators and the alignment-optimal solvers.
+
+``covariance(x)`` and ``cross_covariance(x, y)`` return unit-Frobenius
+ShiftOperator values that the kernels, bounds and training take as they
+are; ``cross_covariance(x, y, symmetrize=False)`` returns the raw X Y^T as
+an AsymmetricShift, for training runs only.  ``cross_covariance_matrix``
+is the one (unnormalised) C_XY formula, which the bounds also use.
 
 The optimal shift operator maximizing the filter-alignment lower bound under
 a Frobenius budget solves sum_{k=0}^{K-1} S^k = mu C for the (symmetrized)
@@ -6,7 +12,8 @@ cross-covariance C, with mu = sqrt(alpha / (eta M)) / ||C||_F.  For K = 2
 this is the closed form S = mu C - I; for K > 2 it reduces, through the
 eigendecomposition of mu C, to one scalar polynomial root per eigenvalue.
 The scalar equation can lack a real root when K is odd (even-degree
-polynomial), which is surfaced rather than papered over.
+polynomial), which is surfaced rather than papered over.  The linear-GNN
+optimum solves (sum_k S^k)^2 = mu C the same way.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ShiftOperator, _MatrixShift
+from .core import ShiftOperator, _MatrixShift, require_positive_finite
 
 RESIDUAL_RTOL = 1e-8
 REAL_ROOT_IMAG_TOL = 1e-8
@@ -33,14 +40,12 @@ class NoRealRootError(ValueError):
         )
 
 
-def covariance(x: np.ndarray) -> ShiftOperator:
-    """Input covariance X X^T, rescaled to unit Frobenius norm."""
-    x = np.asarray(x, dtype=float)
-    c = x @ x.T
-    fro = np.linalg.norm(c)
-    if fro == 0.0:
-        raise ValueError("covariance is the zero matrix")
-    return ShiftOperator(c / fro, frobenius_unit=True)
+class NegativeEigenvalueError(ValueError):
+    """The squared power sum cannot match a negative eigenvalue."""
+
+    def __init__(self, gamma: float):
+        self.gamma = gamma
+        super().__init__(f"(sum_k s^k)^2 = {gamma!r} has no real solution")
 
 
 @dataclass(frozen=True)
@@ -55,53 +60,37 @@ class AsymmetricShift(_MatrixShift):
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"shift matrix must be square, got {m.shape}")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
-class CrossCovariance:
-    """Unit-Frobenius cross-covariance, symmetrized unless raw is requested."""
-
-    matrix: np.ndarray
-    symmetrized: bool
-
-    def as_shift_operator(self) -> ShiftOperator:
-        if not self.symmetrized:
-            raise ValueError("raw cross-covariance is not symmetric; cannot be a shift operator")
-        return ShiftOperator(self.matrix, frobenius_unit=True)
-
-    def as_experiment_operator(self):
-        """ShiftOperator when symmetrized, AsymmetricShift otherwise."""
-        if self.symmetrized:
-            return self.as_shift_operator()
-        return AsymmetricShift(self.matrix)
-
-
-def cross_covariance(x: np.ndarray, y: np.ndarray, symmetrize: bool = True) -> CrossCovariance:
-    """Cross-covariance between inputs and targets, unit Frobenius norm.
-
-    Default is the symmetrized form (X Y^T + Y X^T)/2 under which the
-    alignment lower bounds are stated; ``symmetrize=False`` keeps the raw
-    X Y^T product (flagged, usable only for replication-style experiments).
-    """
+def covariance(x: np.ndarray) -> ShiftOperator:
+    """Input covariance X X^T, rescaled to unit Frobenius norm."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    return ShiftOperator(x @ x.T).normalized()
+
+
+def cross_covariance_matrix(x: np.ndarray, y: np.ndarray, symmetrize: bool = True) -> np.ndarray:
+    """C_XY = (X Y^T + Y X^T) / 2, or the raw X Y^T; not normalized."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     c = x @ y.T
-    if symmetrize:
-        c = (c + c.T) / 2.0
-    fro = np.linalg.norm(c)
-    if fro == 0.0:
-        raise ValueError("cross-covariance is the zero matrix")
-    out = np.array(c / fro)
-    out.setflags(write=False)
-    return CrossCovariance(out, symmetrized=symmetrize)
+    return (c + c.T) / 2.0 if symmetrize else c
+
+
+def cross_covariance(x: np.ndarray, y: np.ndarray, symmetrize: bool = True):
+    """Cross-covariance operator between inputs and targets, unit Frobenius norm.
+
+    The default is the symmetrized C_XY as a ShiftOperator, under which the
+    alignment lower bounds are stated; ``symmetrize=False`` keeps the raw
+    X Y^T as an AsymmetricShift, usable for replication-style training only.
+    """
+    shift = ShiftOperator if symmetrize else AsymmetricShift
+    return shift(cross_covariance_matrix(x, y, symmetrize)).normalized()
 
 
 def power_sum(matrix: np.ndarray, num_taps: int) -> np.ndarray:
@@ -122,11 +111,19 @@ def constraint_lhs(s: ShiftOperator | np.ndarray, num_taps: int) -> float:
     return float(np.linalg.norm(power_sum(m, num_taps)))
 
 
+def frobenius_budget(alpha: float, eta: float, num_samples: int) -> float:
+    """sqrt(alpha / (eta M)), the Frobenius budget on sum_k S^k."""
+    require_positive_finite("alpha", alpha)
+    require_positive_finite("eta", eta)
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    return math.sqrt(alpha / (eta * num_samples))
+
+
 def mu_from_budget(alpha: float, eta: float, num_samples: int, c_norm: float = 1.0) -> float:
     """mu = sqrt(alpha / (eta M)) / ||C||_F."""
-    if alpha <= 0 or eta <= 0 or num_samples < 1 or c_norm <= 0:
-        raise ValueError("alpha, eta, num_samples and c_norm must be positive")
-    return math.sqrt(alpha / (eta * num_samples)) / c_norm
+    require_positive_finite("c_norm", c_norm)
+    return frobenius_budget(alpha, eta, num_samples) / c_norm
 
 
 def _poly_eval(coeffs_high_to_low: np.ndarray, s: float) -> float:
@@ -176,8 +173,9 @@ class GsoSolution:
     scale: float  # 1.0 unless unit-Frobenius normalization was applied
 
 
-def _checked_system(c, num_taps: int) -> np.ndarray:
-    """Validate the right-hand side C and the tap count of a power-sum solve."""
+def _checked_target(c, num_taps: int, mu: float) -> np.ndarray:
+    """Validate C, the tap count and mu of a power-sum solve; return mu C."""
+    require_positive_finite("mu", mu)
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"expected square matrix, got shape {c.shape}")
@@ -185,7 +183,7 @@ def _checked_system(c, num_taps: int) -> np.ndarray:
         raise ValueError("cross-covariance must be symmetric")
     if num_taps < 2:
         raise ValueError("num_taps must be >= 2; K = 1 leaves no taps to solve for")
-    return c
+    return mu * c
 
 
 def _gso_solution(
@@ -218,11 +216,8 @@ def _gso_solution(
         if fro == 0.0:
             raise ValueError("cannot normalize the zero solution")
         scale = 1.0 / fro
-        operator = ShiftOperator(s_matrix * scale, frobenius_unit=True)
-    else:
-        operator = ShiftOperator(s_matrix)
     return GsoSolution(
-        operator=operator,
+        operator=ShiftOperator(s_matrix * scale if normalize else s_matrix),
         mu=float(mu),
         num_taps=num_taps,
         eigenvalues=gammas,
@@ -233,38 +228,44 @@ def _gso_solution(
 
 
 def solve_optimal_gso(
-    c: np.ndarray | CrossCovariance,
-    num_taps: int,
-    mu: float = 1.0,
-    method: str = "auto",
-    normalize: bool = False,
+    c: np.ndarray, num_taps: int, mu: float = 1.0, normalize: bool = False
 ) -> GsoSolution:
-    """Solve sum_{k=0}^{K-1} S^k = mu C for a symmetric S.
+    """Solve sum_{k=0}^{K-1} S^k = mu C for a symmetric S, given the matrix C.
 
-    ``method='closed_form'`` is the K = 2 shortcut S = mu C - I;
-    ``method='eigen'`` goes through the eigendecomposition and works for any
-    K >= 2; ``'auto'`` picks the shortcut when available.  ``normalize``
-    rescales the result to unit Frobenius norm after the residual check,
-    for use where only the direction of the operator matters.
+    K = 2 has the closed form S = mu C - I; larger K goes through the
+    eigendecomposition of mu C, one scalar power-sum root per eigenvalue.
+    ``normalize`` rescales the result to unit Frobenius norm after the
+    residual check, for use where only the direction of the operator matters.
     """
-    if isinstance(c, CrossCovariance):
-        if not c.symmetrized:
-            raise ValueError("optimal-shift solve requires the symmetrized cross-covariance")
-        c = c.matrix
-    c = _checked_system(c, num_taps)
-    if method not in ("auto", "closed_form", "eigen"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed_form" and num_taps != 2:
-        raise ValueError("closed form only exists for K = 2")
-
-    target = mu * c
+    target = _checked_target(c, num_taps, mu)
     gammas, vecs = np.linalg.eigh(target)
-    if method == "eigen" or (method == "auto" and num_taps > 2):
+    if num_taps == 2:
+        s_matrix, roots = target - np.eye(target.shape[0]), gammas - 1.0
+    else:
         roots = np.array([power_sum_root(g, num_taps) for g in gammas])
         s_matrix = (vecs * roots) @ vecs.T
-    else:
-        s_matrix = target - np.eye(c.shape[0])
-        roots = gammas - 1.0
     return _gso_solution(
         s_matrix, target, gammas, roots, mu, num_taps, normalize, lift=lambda acc: acc
+    )
+
+
+def solve_optimal_gso_linear_gnn(
+    c: np.ndarray, num_taps: int, mu: float = 1.0, normalize: bool = False
+) -> GsoSolution:
+    """Solve (sum_k S^k)^2 = mu C for a symmetric S, per eigenvalue.
+
+    Each eigenvalue gamma of mu C needs (sum_k s^k)^2 = gamma, so gamma
+    must be nonnegative; the nonnegative square-root branch is taken and
+    the scalar power-sum solve picks the smallest-magnitude real root.
+    """
+    target = _checked_target(c, num_taps, mu)
+    gammas, vecs = np.linalg.eigh(target)
+    roots = np.empty_like(gammas)
+    for i, gamma in enumerate(gammas):
+        if gamma < -1e-12:
+            raise NegativeEigenvalueError(float(gamma))
+        roots[i] = power_sum_root(math.sqrt(max(gamma, 0.0)), num_taps)
+    return _gso_solution(
+        (vecs * roots) @ vecs.T, target, gammas, roots, mu, num_taps, normalize,
+        lift=lambda acc: acc @ acc,
     )

@@ -30,6 +30,7 @@ from .core import (
     NtkMatrix,
     ShiftOperator,
     as_stacked,
+    finite_or_none,
     stack,
 )
 from .models import (
@@ -554,7 +555,7 @@ class GsoComparison:
             "num_reps": self.num_reps,
             "mean_train_curves": {n: self.mean_train_curve(n).tolist() for n in self.names},
             "final_train": {n: self.final_train(n).tolist() for n in self.names},
-            "final_test": {n: self.final_test(n).tolist() for n in self.names},
+            "final_test": {n: list(map(finite_or_none, self.final_test(n))) for n in self.names},
         }
 
 

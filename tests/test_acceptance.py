@@ -50,7 +50,7 @@ from ntkalign.training import (
 def random_shift(rng, n):
     a = rng.standard_normal((n, n))
     sym = (a + a.T) / 2.0
-    return ShiftOperator(sym / np.linalg.norm(sym), frobenius_unit=True)
+    return ShiftOperator(sym).normalized()
 
 
 def random_dataset(rng, n, m):
@@ -250,7 +250,7 @@ def test_cross_covariance_beats_covariance():
                 series, PairExtractionConfig(1, 200, 50, seed=seed)
             )
             arms = {
-                "cxy": cross_covariance(train_split.x, train_split.y).as_shift_operator(),
+                "cxy": cross_covariance(train_split.x, train_split.y),
                 "cxx": covariance(train_split.x),
             }
             traces = {}

@@ -280,8 +280,44 @@ SUBCOMMAND_RUNS = {
     "train-gnn2": ["train", "--model", "gnn2", "--width", 6, "--epochs", 3, *XY],
     "compare": ["compare", "--model", "filter", "--epochs", 3, "--reps", 2, *XY],
     "verify-bounds": ["verify-bounds", "--instances", 2, "--optimality-instances", 2],
+    "verify-bounds-empty": ["verify-bounds", "--instances", 0, "--optimality-instances", 2],
     "verify-hermite": ["verify-hermite", "--json"],
 }
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, as RFC 8259 parsers do."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("name", list(SUBCOMMAND_RUNS))
+    def test_reports_parse_as_strict_json(self, tiny_data, tmp_path, name):
+        _, _, x_path, y_path = tiny_data
+        argv = [{"X": x_path, "Y": y_path}.get(a, a) for a in SUBCOMMAND_RUNS[name]]
+        out = tmp_path / "out"
+        assert run(*argv, "--out-dir", out) == 0
+        for artifact in ("report.json", "manifest.json"):
+            strict_json((out / artifact).read_text())
+
+    def test_missing_values_are_null(self, tiny_data, tmp_path):
+        _, _, x_path, y_path = tiny_data
+        assert run("compare", "--x", x_path, "--y", y_path, "--model", "filter",
+                   "--epochs", 2, "--reps", 2, "--out-dir", tmp_path / "compare") == 0
+        report = strict_json((tmp_path / "compare" / "report.json").read_text())
+        assert report["comparison"]["final_test"] == {"cxy": [None, None], "cxx": [None, None]}
+        assert run("verify-bounds", "--instances", 0, "--optimality-instances", 2,
+                   "--out-dir", tmp_path / "bounds") == 0
+        report = strict_json((tmp_path / "bounds" / "report.json").read_text())
+        assert {sweep["worst_margin"] for sweep in report["sweeps"].values()} == {None}
+
+    def test_a_non_finite_value_cannot_be_written(self):
+        with pytest.raises(ValueError):
+            cli._dumps({"value": float("nan")})
 
 
 class TestSharedParser:
@@ -388,7 +424,7 @@ class TestNtkCommand:
         out = tmp_path / "out"
         assert run("ntk", "--x", x_path, "--y", y_path, "--k", 2, "--out-dir", out) == 0
         written = load_csv(out / "ntk.csv")
-        s = cross_covariance(x, y).as_shift_operator()
+        s = cross_covariance(x, y)
         expected = filter_ntk(s, x, 2).matrix
         np.testing.assert_allclose(written, expected, rtol=1e-12)
 
@@ -397,7 +433,7 @@ class TestNtkCommand:
         out = tmp_path / "out"
         assert run("ntk", "--x", x_path, "--y", y_path, "--kind", "filter", "--k", 2,
                    "--out-dir", out) == 0
-        blin = b_lin(cross_covariance(x, y).as_shift_operator(), x, 2)
+        blin = b_lin(cross_covariance(x, y), x, 2)
         assert np.array_equal(load_csv(out / "ntk.csv"), blin)
         dense = NtkMatrix(blin, NtkKind.FILTER_ANALYTIC)
         report = json.loads((out / "report.json").read_text())
@@ -547,6 +583,22 @@ class TestAlignCommand:
 
 
 class TestOptimizeGso:
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--mu"], "mu"), (["--eta", "1", "--alpha"], "alpha"), (["--alpha", "1", "--eta"], "eta")],
+    )
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_rejects_non_positive_or_non_finite(
+        self, tiny_data, tmp_path, capsys, flags, name, value
+    ):
+        _, _, x_path, y_path = tiny_data
+        out = tmp_path / "out"
+        assert run("optimize-gso", "--x", x_path, "--y", y_path, *flags, value,
+                   "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {name} must be positive and finite, got {float(value)}\n"
+        assert not out.exists()
+
     def test_writes_symmetric_solution_with_small_residual(self, tiny_data, tmp_path):
         _, _, x_path, y_path = tiny_data
         out = tmp_path / "out"
@@ -619,7 +671,7 @@ class TestTrainCommand:
                    "--epochs", 8, "--out-dir", out) == 0
         assert big_eigs == [] and dense_reads == []
         monkeypatch.undo()
-        s = cross_covariance(x, y).as_shift_operator()
+        s = cross_covariance(x, y)
         dense_theta = NtkMatrix(b_lin(s, x, 2), NtkKind.FILTER_ANALYTIC)
         oracle = predicted_param_movement(dense_theta, stack(y))
         report = json.loads((out / "report.json").read_text())
@@ -631,7 +683,7 @@ class TestTrainCommand:
         assert run("train", "--x", x_path, "--y", y_path, "--model", "filter", "--k", 3,
                    "--epochs", 4, "--out-dir", out) == 0
         report = json.loads((out / "report.json").read_text())
-        theta = filter_ntk(cross_covariance(x, y).as_shift_operator(), x, 3)
+        theta = filter_ntk(cross_covariance(x, y), x, 3)
         dynamics = linearized_dynamics(theta, stack(y), np.zeros(x.size), report["eta"], 4)
         assert report["eta_lambda_max"] == pytest.approx(dynamics.eta_lambda_max, rel=1e-12)
         assert report["kernel_rank"] == theta.rank_estimate() == 3
@@ -692,7 +744,7 @@ class TestCompareCommand:
         comparison = json.loads((out / "report.json").read_text())["comparison"]
         x, y = load_csv(x_path), load_csv(y_path)
         arms = {
-            "cxy_raw": cross_covariance(x, y, symmetrize=False).as_experiment_operator(),
+            "cxy_raw": cross_covariance(x, y, symmetrize=False),
             "cxx": covariance(x),
         }
         assert isinstance(arms["cxy_raw"], AsymmetricShift)
@@ -764,6 +816,23 @@ class TestVerifyCommands:
         assert report["passed"] is True
         assert report["optimality"]["passed"] is True
 
+    @pytest.mark.parametrize("flag", ["alpha", "eta"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_verify_bounds_rejects_a_bad_budget(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert run("verify-bounds", "--instances", 2, "--optimality-instances", 2,
+                   f"--{flag}", value, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be positive and finite, got {float(value)}\n"
+        assert not out.exists()
+
+    def test_verify_hermite_has_one_quadrature_rule(self, tmp_path, capsys):
+        assert run("verify-hermite", "--n-points", 64, "--out-dir", tmp_path) == 2
+        cfg = tmp_path / "hermite.cfg"
+        cfg.write_text("n_points = 64\n")
+        assert run("verify-hermite", "--config", cfg, "--out-dir", tmp_path) == 2
+        assert "unknown key 'n_points'" in capsys.readouterr().err
+
     def test_verify_bounds_unknown_check_is_a_usage_error(self, tmp_path, capsys):
         assert run("verify-bounds", "--instances", 2, "--checks", "nonsense",
                    "--out-dir", tmp_path) == 2
@@ -790,6 +859,17 @@ class TestReadme:
         for words in commands:
             ns = parser.parse_args(words)
             assert ns.subcommand == words[0]
+
+    def test_python_quickstart_runs(self, monkeypatch, capsys):
+        import ntkalign
+
+        (block,) = self.blocks("python")
+        full = ntkalign.compare_gso
+        monkeypatch.setattr(
+            ntkalign, "compare_gso", lambda *args, **kwargs: full(*args, **{**kwargs, "reps": 1})
+        )
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.endswith(" of 1\n")
 
     def test_config_example_runs(self, tmp_path):
         (example,) = [b for b in self.blocks("ini") if b.startswith("# gen.cfg")]

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from ntkalign.alignment import symmetrized_cross_covariance
+from ntkalign.shiftops import cross_covariance_matrix
 from ntkalign.dataio import (
     CsvFormatError,
     EmptyInputError,
@@ -100,7 +100,7 @@ class TestPlantedTransition:
         for seed in range(3):
             a, u = planted_transition(12, seed=seed, strength=0.9, background=0.15)
             z = generate_var(VarProcessConfig(12, 6000, a, seed=seed + 100))
-            c = symmetrized_cross_covariance(z[:, :-1], z[:, 1:])
+            c = cross_covariance_matrix(z[:, :-1], z[:, 1:])
             _, vecs = np.linalg.eigh(c)
             assert abs(vecs[:, -1] @ u) > 0.9
 

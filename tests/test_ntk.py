@@ -324,7 +324,7 @@ class TestExpectationSeries:
         transition, _ = planted_transition(20, seed=0, strength=0.9, background=0.36)
         series = generate_var(VarProcessConfig(20, 1000, transition, 1.0, 0))
         train_split, _ = extract_pairs(series, PairExtractionConfig(1, 3, 1, 0))
-        s = cross_covariance(train_split.x, train_split.y).as_shift_operator()
+        s = cross_covariance(train_split.x, train_split.y)
         z = z_vectors(s, train_split.x, 2)
         e = expectation_E_series(z)
         assert e.truncation_residual <= SERIES_RTOL * np.abs(e.matrix).max()

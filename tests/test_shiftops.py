@@ -3,18 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ntkalign.core import ShiftOperator
+from ntkalign.alignment import alignment_report
+from ntkalign.core import Dataset, ShiftOperator
+from ntkalign.models import InitConfig, init_filter
+from ntkalign.ntk import filter_ntk, gnn_infinite_ntk
 from ntkalign.shiftops import (
     AsymmetricShift,
-    CrossCovariance,
     NoRealRootError,
     constraint_lhs,
     covariance,
     cross_covariance,
+    cross_covariance_matrix,
     mu_from_budget,
     power_sum_root,
     solve_optimal_gso,
+    solve_optimal_gso_linear_gnn,
 )
+from ntkalign.training import TrainConfig, train
 
 
 def power_sum(s, num_taps):
@@ -37,7 +42,7 @@ class TestCovariance:
     def test_unit_frobenius_and_symmetric(self):
         rng = np.random.default_rng(0)
         c = covariance(rng.standard_normal((5, 12)))
-        assert c.frobenius_unit
+        assert isinstance(c, ShiftOperator)
         assert np.isclose(np.linalg.norm(c.matrix), 1.0)
         assert np.allclose(c.matrix, c.matrix.T)
 
@@ -58,23 +63,23 @@ class TestCrossCovariance:
         x = rng.standard_normal((5, 8))
         y = rng.standard_normal((5, 8))
         c = cross_covariance(x, y)
-        assert c.symmetrized
+        assert isinstance(c, ShiftOperator)
         raw = x @ y.T
         expected = (raw + raw.T) / 2.0
-        expected /= np.linalg.norm(expected)
-        assert np.allclose(c.matrix, expected)
-        c.as_shift_operator()  # symmetric, must not raise
+        assert np.array_equal(cross_covariance_matrix(x, y), expected)
+        assert np.array_equal(c.matrix, expected / np.linalg.norm(expected))
 
     def test_raw_mode_flagged(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 8))
         y = rng.standard_normal((5, 8))
         c = cross_covariance(x, y, symmetrize=False)
-        assert not c.symmetrized
+        assert isinstance(c, AsymmetricShift)
         raw = x @ y.T
-        assert np.allclose(c.matrix, raw / np.linalg.norm(raw))
-        with pytest.raises(ValueError):
-            c.as_shift_operator()
+        assert np.array_equal(cross_covariance_matrix(x, y, symmetrize=False), raw)
+        assert np.array_equal(c.matrix, raw / np.linalg.norm(raw))
+        with pytest.raises(ValueError, match="not symmetric"):
+            ShiftOperator(c.matrix)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -92,16 +97,29 @@ class TestCrossCovariance:
             c.matrix[0, 0] = 7.0
 
 
+class TestOperatorsGoStraightToTheirConsumers:
+    def test_cross_covariance_as_returned(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((4, 6))
+        data = Dataset(x, 0.8 * x + 0.2 * rng.standard_normal((4, 6))).normalized()
+        for s in (cross_covariance(data.x, data.y), covariance(data.x)):
+            trace = train(init_filter(2, InitConfig(1.0, 0)), s, data, TrainConfig(0.1, 3))
+            assert trace.num_epochs == 3
+            assert filter_ntk(s, data.x, 2).size == 24
+            assert gnn_infinite_ntk(s, data.x, 2, layer="both").size == 24
+            assert np.isfinite(alignment_report(s, data, 2).a)
+
+
 class TestAsymmetricShift:
     def test_raw_mode_yields_experiment_operator(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((4, 6))
         y = rng.standard_normal((4, 6))
-        op = cross_covariance(x, y, symmetrize=False).as_experiment_operator()
+        op = cross_covariance(x, y, symmetrize=False)
         assert isinstance(op, AsymmetricShift)
         assert op.num_nodes == 4
-        sym = cross_covariance(x, y).as_experiment_operator()
-        assert isinstance(sym, ShiftOperator)
+        assert np.linalg.norm(op.matrix) == pytest.approx(1.0, abs=1e-15)
+        assert isinstance(op.normalized(), AsymmetricShift)
 
     def test_powers_match_repeated_products(self):
         rng = np.random.default_rng(12)
@@ -156,6 +174,13 @@ class TestMuFromBudget:
         with pytest.raises(ValueError):
             mu_from_budget(**kwargs)
 
+    @pytest.mark.parametrize("name", ["alpha", "eta", "c_norm"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_one_positive_and_finite_rule(self, name, value):
+        kwargs = {"alpha": 1.0, "eta": 1.0, "num_samples": 4, "c_norm": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            mu_from_budget(**kwargs)
+
 
 class TestPowerSumRoot:
     def test_two_taps_is_affine(self):
@@ -199,7 +224,7 @@ class TestSolveOptimalGso:
         rng = np.random.default_rng(6)
         c = cross_covariance(rng.standard_normal((4, 7)), rng.standard_normal((4, 7)))
         mu = 2.3
-        sol = solve_optimal_gso(c, num_taps=2, mu=mu)
+        sol = solve_optimal_gso(c.matrix, num_taps=2, mu=mu)
         assert np.allclose(sol.operator.matrix, mu * c.matrix - np.eye(4), atol=1e-14)
         assert sol.residual <= 1e-8
 
@@ -220,13 +245,16 @@ class TestSolveOptimalGso:
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_eigen_route_matches_closed_form(self, seed):
+        # the K = 2 closed form against V diag(power_sum_root(gamma, 2)) V'
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
-        c = cross_covariance(rng.standard_normal((n, 10)), rng.standard_normal((n, 10)))
+        c = cross_covariance(rng.standard_normal((n, 10)), rng.standard_normal((n, 10))).matrix
         mu = float(rng.uniform(0.1, 5.0))
-        closed = solve_optimal_gso(c, num_taps=2, mu=mu, method="closed_form")
-        eigen = solve_optimal_gso(c, num_taps=2, mu=mu, method="eigen")
-        assert np.abs(closed.operator.matrix - eigen.operator.matrix).max() <= 1e-10
+        closed = solve_optimal_gso(c, num_taps=2, mu=mu)
+        gammas, vecs = np.linalg.eigh(mu * c)
+        roots = np.array([power_sum_root(g, 2) for g in gammas])
+        eigen = (vecs * roots) @ vecs.T
+        assert np.abs(closed.operator.matrix - eigen).max() <= 1e-10
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -256,10 +284,9 @@ class TestSolveOptimalGso:
 
     def test_normalize_mode(self):
         rng = np.random.default_rng(7)
-        c = cross_covariance(rng.standard_normal((5, 9)), rng.standard_normal((5, 9)))
+        c = cross_covariance(rng.standard_normal((5, 9)), rng.standard_normal((5, 9))).matrix
         plain = solve_optimal_gso(c, num_taps=2, mu=1.7)
         unit = solve_optimal_gso(c, num_taps=2, mu=1.7, normalize=True)
-        assert unit.operator.frobenius_unit
         assert np.isclose(np.linalg.norm(unit.operator.matrix), 1.0)
         assert np.allclose(unit.operator.matrix, plain.operator.matrix * unit.scale)
         # residual is checked before rescaling, so both report the same value
@@ -270,8 +297,8 @@ class TestSolveOptimalGso:
         raw = cross_covariance(
             rng.standard_normal((4, 6)), rng.standard_normal((4, 6)), symmetrize=False
         )
-        with pytest.raises(ValueError):
-            solve_optimal_gso(raw, num_taps=2)
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_optimal_gso(raw.matrix, num_taps=2)
 
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError):
@@ -281,10 +308,8 @@ class TestSolveOptimalGso:
         with pytest.raises(ValueError):
             solve_optimal_gso(np.eye(3), num_taps=1)
 
-    def test_rejects_closed_form_for_three_taps(self):
-        with pytest.raises(ValueError):
-            solve_optimal_gso(np.eye(3), num_taps=3, method="closed_form")
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            solve_optimal_gso(np.eye(3), num_taps=2, method="newton")
+    @pytest.mark.parametrize("solver", [solve_optimal_gso, solve_optimal_gso_linear_gnn])
+    @pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_non_positive_or_non_finite_mu(self, solver, mu):
+        with pytest.raises(ValueError, match=f"^mu must be positive and finite, got {mu}$"):
+            solver(np.eye(3), num_taps=2, mu=mu)

@@ -42,7 +42,7 @@ from ntkalign.training import (
 def random_shift(rng, n):
     a = rng.standard_normal((n, n))
     sym = (a + a.T) / 2.0
-    return ShiftOperator(sym / np.linalg.norm(sym), frobenius_unit=True)
+    return ShiftOperator(sym).normalized()
 
 
 def random_dataset(rng, n, m):
