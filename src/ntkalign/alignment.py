@@ -24,8 +24,9 @@ eigenvalue than the squared power sum retains.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .core import (
     NtkMatrix,
     ShiftOperator,
     as_stacked,
-    finite_or_none,
     require_positive_finite,
 )
 from .hermite import BETA_SATURATION, ExpansionConstants, coeff_g, coeff_tau, expansion_constants
@@ -454,29 +454,18 @@ class AlignmentReport:
     constants: ExpansionConstants
 
     def to_dict(self) -> dict:
-        out = {
-            "a": self.a,
-            "a_filt": self.a_filt,
-            "a_lin": self.a_lin,
-            "a_lower": self.a_lower,
-            "a_lin_lower": self.a_lin_lower,
-            "constraint_lhs": self.constraint_lhs,
-            "budget": self.budget,
-            "xi_observed": self.xi_observed,
+        c = self.constants
+        return {
+            **{k: v for k, v in asdict(self).items() if k != "constants"},
+            "rho": c.rho,
+            "rho_first_layer": c.rho_first_layer,
+            "beta": c.beta,
+            "beta_first_layer": c.beta_first,
+            "gain_second_layer": c.gain_second_layer,
+            "penalty_second_layer": c.penalty_second_layer,
+            "gain_first_layer": c.gain_first_layer,
+            "penalty_first_layer": c.penalty_first_layer,
         }
-        out.update(
-            {
-                "rho": self.constants.rho,
-                "rho_first_layer": self.constants.rho_first_layer,
-                "beta": self.constants.beta,
-                "beta_first_layer": self.constants.beta_first,
-                "gain_second_layer": self.constants.gain_second_layer,
-                "penalty_second_layer": self.constants.penalty_second_layer,
-                "gain_first_layer": self.constants.gain_first_layer,
-                "penalty_first_layer": self.constants.penalty_first_layer,
-            }
-        )
-        return out
 
 
 def alignment_report(
@@ -570,14 +559,7 @@ class SweepResult:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "num_instances": self.num_instances,
-            "violations": self.violations,
-            "skipped": self.skipped,
-            "worst_margin": finite_or_none(self.worst_margin),
-            "failing_seeds": list(self.failing_seeds),
-        }
+        return {**asdict(self), "failing_seeds": list(self.failing_seeds)}
 
 
 def _sweep(name, reports, seeds) -> SweepResult:
@@ -602,41 +584,38 @@ def _sweep(name, reports, seeds) -> SweepResult:
     )
 
 
+_nonnegative_entries = functools.partial(random_instance, entries="nonnegative")
+
+# sweep name -> (instance builder: seed -> (s, data, num_taps), check of that instance);
+# the first five, the unconditional inequalities, are the default sweeps
+SWEEP_CHECKS = {
+    "filter_lower_bound": (random_instance, check_filter_lower_bound),
+    "linear_lower_bound": (random_instance, check_linear_lower_bound),
+    "budget_implies_kernel_bound": (functools.partial(random_instance, spectrum="nonnegative"),
+                                    check_budget_implies_kernel_bound),
+    "first_term_lower_bound": (_nonnegative_entries, check_first_term_lower_bound),
+    "series_tail_domination": (random_instance, lambda s, data, num_taps:
+                               check_series_tail_domination(z_vectors(s, data.x, num_taps))),
+    "first_term_lower_bound_first_layer": (
+        _nonnegative_entries, functools.partial(check_first_term_lower_bound, layer="first")),
+    "gnn_alignment_lower_bound": (planted_instance, check_gnn_alignment_lower_bound),
+    "first_layer_alignment_lower_bound": (planted_instance, check_first_layer_alignment_lower_bound),
+}
+DEFAULT_SWEEP_CHECKS = tuple(SWEEP_CHECKS)[:5]
+
+
+def check_names(names) -> tuple:
+    """``names`` as a tuple of SWEEP_CHECKS keys; ValueError names the first unknown one."""
+    names = tuple(names)
+    for name in names:
+        if name not in SWEEP_CHECKS:
+            raise ValueError(f"unknown check {name!r}; choose from {', '.join(SWEEP_CHECKS)}")
+    return names
+
+
 def _run_check(name: str, seed: int) -> CheckReport:
-    if name in ("gnn_alignment_lower_bound", "first_layer_alignment_lower_bound"):
-        s, data, num_taps = planted_instance(seed)
-    elif name == "budget_implies_kernel_bound":
-        s, data, num_taps = random_instance(seed, spectrum="nonnegative")
-    elif name in ("first_term_lower_bound", "first_term_lower_bound_first_layer"):
-        s, data, num_taps = random_instance(seed, entries="nonnegative")
-    else:
-        s, data, num_taps = random_instance(seed)
-    if name == "filter_lower_bound":
-        return check_filter_lower_bound(s, data, num_taps)
-    if name == "linear_lower_bound":
-        return check_linear_lower_bound(s, data, num_taps)
-    if name == "budget_implies_kernel_bound":
-        return check_budget_implies_kernel_bound(s, data, num_taps)
-    if name == "first_term_lower_bound":
-        return check_first_term_lower_bound(s, data, num_taps)
-    if name == "first_term_lower_bound_first_layer":
-        return check_first_term_lower_bound(s, data, num_taps, layer="first")
-    if name == "series_tail_domination":
-        return check_series_tail_domination(z_vectors(s, data.x, num_taps))
-    if name == "gnn_alignment_lower_bound":
-        return check_gnn_alignment_lower_bound(s, data, num_taps)
-    if name == "first_layer_alignment_lower_bound":
-        return check_first_layer_alignment_lower_bound(s, data, num_taps)
-    raise ValueError(f"unknown check {name!r}")
-
-
-DEFAULT_SWEEP_CHECKS = (
-    "filter_lower_bound",
-    "linear_lower_bound",
-    "budget_implies_kernel_bound",
-    "first_term_lower_bound",
-    "series_tail_domination",
-)
+    build, check = SWEEP_CHECKS[name]
+    return check(*build(seed))
 
 
 def run_inequality_sweeps(
@@ -647,8 +626,9 @@ def run_inequality_sweeps(
     """Run each named check over fresh random instances; count violations.
 
     Deterministic given base_seed: instances are pure functions of their
-    seed.
+    seed.  Every name is checked against SWEEP_CHECKS before any sweep runs.
     """
+    checks = check_names(checks)
     results = {}
     for name in checks:
         seeds = [base_seed + i for i in range(num_instances)]
@@ -665,12 +645,7 @@ class OptimalitySweepResult:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "num_instances": self.num_instances,
-            "best_value": self.best_value,
-            "max_excess": self.max_excess,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def optimality_sweep(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import platform
 import re
 import sys
@@ -33,6 +34,7 @@ from .alignment import (
     alignment_report,
     check_first_layer_alignment_lower_bound,
     check_gnn_alignment_lower_bound,
+    check_names,
     gnn_alignment_terms,
     optimality_sweep,
     run_inequality_sweeps,
@@ -42,7 +44,6 @@ from .core import (
     DivergenceError,
     NtkMatrix,
     ShiftOperator,
-    finite_or_none,
     require_positive_finite,
     stack,
 )
@@ -172,10 +173,28 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_numpy_value)
 
 
+def _finite(value, path: str, nonfinite: list):
+    """``value`` with each NaN or infinity as None; their dotted key paths go to ``nonfinite``."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: _finite(v, f"{path}{k}.", nonfinite) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v, f"{path}{i}.", nonfinite) for i, v in enumerate(value)]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        nonfinite.append(path[:-1])
+        return None
+    return value
+
+
 def _finish(cfg: dict, subcommand: str, report: dict, outputs, exit_code: int = 0) -> int:
+    """Write the report (each NaN or infinity as null, its key path in ``nonfinite``) and manifest."""
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand, **report}
+    nonfinite = []
+    report = _finite(report, "", nonfinite)
+    report = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand, **report,
+              "nonfinite": nonfinite}
     report_path = out_dir / "report.json"
     report_path.write_text(_dumps(report) + "\n")
     outputs = [*outputs, report_path.name]
@@ -294,7 +313,7 @@ def _cmd_align(cfg: dict) -> int:
             "passed": result.passed,
             "skipped": result.skipped,
             "reason": result.reason,
-            "margin": finite_or_none(result.margin),
+            "margin": result.margin,
             "details": {k: v for k, v in result.details.items()},
         }
     failed = [n for n, c in checks.items() if not c["passed"] and not c["skipped"]]
@@ -394,7 +413,7 @@ def _cmd_train(cfg: dict) -> int:
         "model": cfg["model"],
         "eta": eta,
         "final_train_loss": float(trace.train_losses[-1]),
-        "final_test_loss": finite_or_none(trace.test_losses[-1]),
+        "final_test_loss": trace.test_losses[-1],
         "param_movement": float(trace.param_movement[-1]),
         "summary": f"{cfg['model']} trained {trace.num_epochs} epochs, "
         f"final loss {trace.train_losses[-1]:.6g}",
@@ -476,35 +495,19 @@ def _cmd_verify_bounds(cfg: dict) -> int:
     # the optimality sweep goes first: it rejects a bad --alpha or --eta at once
     opt = None
     if cfg["k"] == 2 and cfg["optimality_instances"] > 0:
-        opt = optimality_sweep(
-            num_instances=cfg["optimality_instances"],
-            seed=cfg["seed"],
-            num_taps=cfg["k"],
-            alpha=cfg["alpha"],
-            eta=cfg["eta"],
-        )
-    checks = tuple(t.strip() for t in cfg["checks"].split(",") if t.strip())
-    try:
-        sweeps = run_inequality_sweeps(
-            num_instances=cfg["instances"],
-            base_seed=cfg["seed"],
-            checks=checks,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        opt = optimality_sweep(num_instances=cfg["optimality_instances"], seed=cfg["seed"],
+                               num_taps=cfg["k"], alpha=cfg["alpha"], eta=cfg["eta"])
+    sweeps = run_inequality_sweeps(cfg["instances"], cfg["seed"], cfg["checks"])
+    violations = sum(res.violations for res in sweeps.values())
+    violations += 0 if opt is None or opt.passed else 1
     report = {
         "sweeps": {name: res.to_dict() for name, res in sweeps.items()},
         "optimality": None if opt is None else opt.to_dict(),
+        "total_violations": violations,
+        "passed": violations == 0,
+        "summary": f"{len(cfg['checks'])} sweeps x {cfg['instances']} instances, "
+        f"{violations} violations",
     }
-    violations = sum(res.violations for res in sweeps.values())
-    violations += 0 if opt is None or opt.passed else 1
-
-    report["total_violations"] = int(violations)
-    report["passed"] = violations == 0
-    report["summary"] = (
-        f"{len(checks)} sweeps x {cfg['instances']} instances, "
-        f"{violations} violations"
-    )
     return _finish(cfg, "verify-bounds", report, [], exit_code=0 if violations == 0 else 1)
 
 
@@ -539,6 +542,21 @@ def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--json", dest="emit_json", action="store_true", help="print the JSON report to stdout"
     )
+
+
+def _count(text: str) -> int:
+    """argparse type of an instance count: an integer >= 0."""
+    if not re.fullmatch(r"\s*\+?\d+\s*", text):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _sweep_names(text: str) -> tuple:
+    """argparse type of --checks: a comma list of known sweep names."""
+    try:
+        return check_names(t.strip() for t in text.split(",") if t.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_gso_flags(sp: argparse.ArgumentParser) -> None:
@@ -651,13 +669,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(p)
 
     p = sub.add_parser("verify-bounds", help="run the inequality and optimality sweeps")
-    p.add_argument("--instances", type=int, default=500, help="instances per inequality sweep")
-    p.add_argument(
-        "--checks", default=",".join(DEFAULT_SWEEP_CHECKS), help="comma list of sweep names"
-    )
+    p.add_argument("--instances", type=_count, default=500, help="instances per inequality sweep")
+    p.add_argument("--checks", type=_sweep_names, default=",".join(DEFAULT_SWEEP_CHECKS),
+                   help="comma list of sweep names")
     p.add_argument(
         "--optimality-instances",
-        type=int,
+        type=_count,
         default=1000,
         help="instances for the optimal-GSO sweep (0 disables)",
     )

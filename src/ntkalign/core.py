@@ -31,11 +31,6 @@ def require_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def finite_or_none(value: float) -> float | None:
-    """``value`` as a float, or None (JSON null) when it is NaN or infinite."""
-    return float(value) if math.isfinite(value) else None
-
-
 def _frozen_array(a, dtype=float, ndim=None) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     if ndim is not None and out.ndim != ndim:

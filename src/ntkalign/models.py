@@ -22,9 +22,6 @@ import numpy as np
 from .core import ShiftOperator, _frozen_array, matrix_powers_applied
 
 PARAMS_SCHEMA_VERSION = 1
-# Entries of sigma'(u1) a GNN pullback holds at once (64 KB), so it builds
-# no temporary of the features' size.
-PULLBACK_BLOCK = 8192
 
 
 def _sigmoid(u, out=None):
@@ -36,6 +33,15 @@ def _sigmoid(u, out=None):
     return out
 
 
+def _step(q, below, out=None):
+    """1 where q > 0 and ``below`` elsewhere; ``out`` may be ``q`` itself."""
+    above = q > 0
+    out = np.empty_like(q, dtype=float) if out is None else out
+    out[...] = below
+    out[above] = 1.0
+    return out
+
+
 LEAKY_SLOPE = 0.01
 
 
@@ -44,8 +50,9 @@ class Activation:
     """Pointwise nonlinearity with its derivative, taken from its value.
 
     ``fn(u, out=None)`` may write into ``out``, which may be ``u`` itself.
-    ``deriv_from_value(q)`` is sigma'(u) given q = sigma(u), so a pass that
-    holds sigma(u) never evaluates the activation a second time.  relu and
+    ``deriv_from_value(q, out=None)`` is sigma'(u) given q = sigma(u), so a
+    pass that holds sigma(u) never evaluates the activation a second time;
+    its ``out`` may be ``q`` too, and the result is bitwise the same.  relu and
     leaky_relu derivatives are defined almost everywhere; the value at 0
     (0 and the leaky slope respectively) is a convention, not a claim.
     analytic_ntk marks activations with a closed infinite-width NTK path.
@@ -61,16 +68,20 @@ class Activation:
 
 
 ACTIVATIONS = {
-    "tanh": Activation("tanh", np.tanh, lambda t: 1.0 - t * t, analytic_ntk=True),
+    "tanh": Activation("tanh", np.tanh,
+                       lambda t, out=None: np.subtract(1.0, np.multiply(t, t, out=out), out=out),
+                       analytic_ntk=True),
     "identity": Activation("identity", lambda u, out=None: np.positive(u, out=out, dtype=float),
-                           lambda q: np.ones_like(q, dtype=float), analytic_ntk=True),
-    "sigmoid": Activation("sigmoid", _sigmoid, lambda q: q * (1.0 - q), analytic_ntk=False),
+                           lambda q, out=None: _step(q, 1.0, out), analytic_ntk=True),
+    "sigmoid": Activation("sigmoid", _sigmoid,
+                          lambda q, out=None: np.multiply(q, 1.0 - q, out=out),
+                          analytic_ntk=False),
     "relu": Activation("relu", lambda u, out=None: np.maximum(u, 0.0, out=out),
-                       lambda q: (q > 0).astype(float), analytic_ntk=False),
+                       lambda q, out=None: _step(q, 0.0, out), analytic_ntk=False),
     "leaky_relu": Activation("leaky_relu",
                              lambda u, out=None: np.multiply(
                                  u, np.where(u > 0, 1.0, LEAKY_SLOPE), out=out),
-                             lambda q: np.where(q > 0, 1.0, LEAKY_SLOPE),
+                             lambda q, out=None: _step(q, LEAKY_SLOPE, out),
                              analytic_ntk=False),
 }
 
@@ -179,53 +190,60 @@ def filter_jacobian(s: ShiftOperator, x: np.ndarray, num_taps: int) -> np.ndarra
     return powers.transpose(2, 1, 0).reshape(-1, num_taps)
 
 
-def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray):
-    """gnn2_forward's output together with its pullback r -> J' r.
+def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x_powers: np.ndarray):
+    """The GNN's output on the tap stack X = [S^k x]_k, and its pullback r -> J' r.
 
-    Adjoint (Horner) form: with X = [S^k x]_k and u1 = g X, the output is
-    sum_k S^k v_k / sqrt(F) with v_k = sum_f h_{f,k} sigma(u1_f), summed
-    by Horner's rule; no feature is ever shifted.  The pullback takes a
-    residual r of the output's shape and returns the flat gradient in
-    flatten_params order, the same vector as
-    ``gnn2_jacobian(s, params, x).T @ r`` (stacked) without forming J:
+    ``x_powers`` is ``s.powers_applied(x, K)``, shape (K,) + x.shape; a
+    training run builds it once, since x does not change.  Adjoint
+    (Horner) form: with u1 = g X, the output is sum_k S^k v_k / sqrt(F)
+    with v_k = sum_f h_{f,k} sigma(u1_f), summed by Horner's rule; no
+    feature is ever shifted.  The pullback takes a residual r of the
+    output's shape and returns the flat gradient in flatten_params order,
+    the same vector as ``gnn2_jacobian(s, params, x).T @ r`` (stacked)
+    without forming J:
 
         grad_h[f, k] = (1/sqrt(F)) <sigma(u1_f), (S')^k r>
         grad_g[f, k] = (1/sqrt(F)) sum_j h_{f,j} <sigma'(u1_f), (S')^j r * S^k x>
 
-    The inner products of the last line are the product of sigma'(u1)
-    with the K^2 stacked vectors (S')^j r * S^k x, taken PULLBACK_BLOCK
-    entries of sigma' at a time.  sigma' comes from sigma(u1), so the
-    activation is evaluated once per pass.  Powers of S' give an
+    The inner products of the last line are one product of sigma'(u1)
+    with the K^2 stacked vectors (S')^j r * S^k x.  sigma' is taken in
+    place from sigma(u1), in the pass's one (F, nM) buffer, after grad_h
+    has read it: the activation runs once per pass, and the pullback may
+    run once (a second call raises RuntimeError).  Powers of S' give an
     asymmetric shift the transpose it needs.
     """
-    x = _check_signal(s, x)
-    xm = x[:, None] if x.ndim == 1 else x
+    x_powers = np.asarray(x_powers, dtype=float)
     width, num_taps = params.g.shape
+    if len(x_powers) != num_taps:
+        raise ValueError(f"tap stack of {len(x_powers)} taps for a {num_taps}-tap GNN")
+    _check_signal(s, x_powers[0])  # the first tap is x itself
     act = get_activation(params.activation)
     scale = math.sqrt(width)
+    block = (s.num_nodes, -1)  # an (n, M) view of a signal or residual
 
-    x_powers = s.powers_applied(xm, num_taps).reshape(num_taps, -1)  # (K, n*M)
-    q1 = params.g @ x_powers  # u1, (F, n*M), overwritten by sigma(u1)
+    x_cols = x_powers.reshape(num_taps, -1)  # (K, n*M)
+    q1 = params.g @ x_cols  # u1, (F, n*M), overwritten by sigma(u1), then by sigma'
     act.fn(q1, out=q1)
-    v = (params.h.T @ q1).reshape((num_taps,) + xm.shape)  # (K, n, M)
+    v = (params.h.T @ q1).reshape((num_taps,) + block)  # (K, n, M)
     out = v[-1]
     for k in range(num_taps - 2, -1, -1):
         out = s.matrix @ out + v[k]
-    out = (out / scale).reshape(x.shape)
+    out = (out / scale).reshape(x_powers.shape[1:])
+    spent = False
 
     def pullback(resid: np.ndarray) -> np.ndarray:
+        nonlocal spent
+        if spent:
+            raise RuntimeError("this pass's pullback has run: sigma(u1) is overwritten")
         r = np.asarray(resid, dtype=float)
         if r.shape != out.shape:
             raise ValueError(f"residual shape {r.shape} does not match output {out.shape}")
-        r_powers = matrix_powers_applied(s.matrix.T, r.reshape(xm.shape), num_taps)
+        spent = True
+        r_powers = matrix_powers_applied(s.matrix.T, r.reshape(block), num_taps)
         r_powers = r_powers.reshape(num_taps, -1)  # (S')^j r, (K, n*M)
         grad_h = q1 @ r_powers.T
-        mixed = (r_powers[:, None, :] * x_powers[None, :, :]).reshape(num_taps * num_taps, -1)
-        inner = np.zeros((width, num_taps * num_taps))
-        step = max(1, PULLBACK_BLOCK // width)
-        for lo in range(0, q1.shape[1], step):
-            cols = slice(lo, lo + step)
-            inner += act.deriv_from_value(q1[:, cols]) @ mixed[:, cols].T
+        mixed = (r_powers[:, None, :] * x_cols[None, :, :]).reshape(num_taps * num_taps, -1)
+        inner = act.deriv_from_value(q1, out=q1) @ mixed.T  # (F, K^2)
         grad_g = np.einsum("fj,fjk->fk", params.h, inner.reshape(width, num_taps, num_taps))
         return np.concatenate([grad_g.ravel(), grad_h.ravel()]) / scale
 
@@ -237,7 +255,8 @@ def gnn2_forward(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray) -> 
 
     The final layer is linear; no output nonlinearity is applied.
     """
-    return gnn2_forward_pullback(s, params, x)[0]
+    x = _check_signal(s, x)
+    return gnn2_forward_pullback(s, params, s.powers_applied(x, params.num_taps))[0]
 
 
 def gnn2_jacobian(

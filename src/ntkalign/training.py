@@ -1,13 +1,14 @@
 """Gradient-descent training and kernel-regime bound checks.
 
 Training is plain full-batch (or minibatch/Adam) gradient descent on the
-squared loss, tracked per epoch.  Because graph filters are linear in
-their taps, their Jacobian Z = [S^k x]_k does not depend on the taps:
-training builds it once per run and takes each step from two thin
-products with it.  For the same reason a filter's gradient-descent trace
-is reproduced exactly by the constant-kernel dynamics
-r_{t+1} = (I - eta Theta~) r_t with Theta~ = Z Z', which is what the
-sandwich check, the parameter-movement prediction, and the
+squared loss, tracked per epoch.  The tap stack [S^k x]_k does not
+depend on the parameters, so training builds it once per run.  A graph
+filter is linear in its taps: the stack is its Jacobian Z, and each step
+is two thin products with it.  A two-layer GNN takes the stack into one
+fused forward-and-pullback pass per step.  Because a filter is linear,
+its gradient-descent trace is reproduced exactly by the constant-kernel
+dynamics r_{t+1} = (I - eta Theta~) r_t with Theta~ = Z Z', which is what
+the sandwich check, the parameter-movement prediction, and the
 generalization bound all lean on.
 
 The generalization sandwich is evaluated with the target projected onto
@@ -19,7 +20,7 @@ breaks the lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .core import (
     NtkMatrix,
     ShiftOperator,
     as_stacked,
-    finite_or_none,
     stack,
 )
 from .models import (
@@ -140,10 +140,11 @@ def _training_pass(s: ShiftOperator, model, data: Dataset):
     """The training split's pass: (params, idx) -> (residual, pullback r -> J' r).
 
     ``idx`` picks a minibatch of samples (None: all of them); the pullback
-    is flat in flatten_params order.  A graph filter is linear in its taps,
-    so its Jacobian Z = [S^k x]_k is built once here: a step's residual is
-    Z taps - y and its pullback Z' r, and a minibatch takes its samples'
-    rows of Z.  A GNN takes one fused gnn2_forward_pullback pass.
+    is flat in flatten_params order and runs once per pass.  The tap stack
+    [S^k x]_k is built once here, and a minibatch takes its samples' part.
+    A graph filter's is its Jacobian Z (nM x K): a step's residual is
+    Z taps - y and its pullback Z' r.  A GNN takes it as X (K, n, M) into
+    one fused gnn2_forward_pullback pass.
     """
     if isinstance(model, FilterParams):
         num_taps = model.num_taps
@@ -157,11 +158,12 @@ def _training_pass(s: ShiftOperator, model, data: Dataset):
 
         return filter_pass
     if isinstance(model, TwoLayerGnnParams):
+        x_powers = s.powers_applied(data.x, model.num_taps)  # (K, n, M)
 
         def gnn_pass(params, idx):
-            x, y = (data.x, data.y) if idx is None else (data.x[:, idx], data.y[:, idx])
-            out, pullback = gnn2_forward_pullback(s, params, x)
-            return out - y, pullback
+            xb, yb = (x_powers, data.y) if idx is None else (x_powers[:, :, idx], data.y[:, idx])
+            out, pullback = gnn2_forward_pullback(s, params, xb)
+            return out - yb, pullback
 
         return gnn_pass
     raise TypeError(f"cannot train parameters of type {type(model).__name__}")
@@ -180,8 +182,9 @@ def _descent(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig):
     batch_size is 0, otherwise seeded shuffled minibatches.  Each step's
     gradient is the pullback of the residual, J' r, from the same
     ``_training_pass`` call that computed the residual: two thin products
-    with a graph filter's Jacobian Z, built once per call, or one fused
-    GNN pass.  In full-batch mode the pass that gives an epoch's train
+    with a graph filter's Jacobian Z, or one fused GNN pass on the tap
+    stack X, each built once per call.  In full-batch mode the pass that
+    gives an epoch's train
     loss also gives the next epoch's residual and pullback.  Raises
     DivergenceError when a train loss exceeds 10^6 times the initial one
     (floored at 1e-12) or stops being finite.
@@ -458,17 +461,7 @@ class GeneralizationBound:
     movement_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "rademacher_term": self.rademacher_term,
-            "concentration_term": self.concentration_term,
-            "pinv_quadratic": self.pinv_quadratic,
-            "alignment": self.alignment,
-            "sandwich_lower": self.sandwich_lower,
-            "sandwich_upper": self.sandwich_upper,
-            "rho": self.rho,
-            "movement_bound": self.movement_bound,
-        }
+        return asdict(self)
 
 
 def generalization_bound(
@@ -555,7 +548,7 @@ class GsoComparison:
             "num_reps": self.num_reps,
             "mean_train_curves": {n: self.mean_train_curve(n).tolist() for n in self.names},
             "final_train": {n: self.final_train(n).tolist() for n in self.names},
-            "final_test": {n: list(map(finite_or_none, self.final_test(n))) for n in self.names},
+            "final_test": {n: self.final_test(n).tolist() for n in self.names},
         }
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ntkalign.alignment as alignment_module
 from ntkalign.alignment import (
     AlignmentReport,
     CheckReport,
@@ -467,9 +468,13 @@ def test_sweep_result_payload_roundtrips():
     assert isinstance(payload["failing_seeds"], list)
 
 
-def test_rejects_unknown_check_name():
-    with pytest.raises(ValueError, match="unknown check"):
-        run_inequality_sweeps(num_instances=1, checks=("made_up",))
+def test_rejects_unknown_check_name(monkeypatch):
+    calls = []
+    monkeypatch.setattr(alignment_module, "_run_check", lambda *a: calls.append(a))
+    for checks in (("made_up",), ("filter_lower_bound", "made_up")):
+        with pytest.raises(ValueError, match="unknown check 'made_up'"):
+            run_inequality_sweeps(num_instances=1, checks=checks)
+    assert calls == []  # every name is checked before the first sweep
 
 
 def test_optimality_sweep_no_boundary_candidate_beats_solution():

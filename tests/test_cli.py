@@ -294,6 +294,13 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+def resolve(report: dict, path: str):
+    """The value at a dotted key path such as ``comparison.final_test.cxy.1``."""
+    for key in path.split("."):
+        report = report[int(key)] if isinstance(report, list) else report[key]
+    return report
+
+
 class TestStrictJson:
     @pytest.mark.parametrize("name", list(SUBCOMMAND_RUNS))
     def test_reports_parse_as_strict_json(self, tiny_data, tmp_path, name):
@@ -303,6 +310,9 @@ class TestStrictJson:
         assert run(*argv, "--out-dir", out) == 0
         for artifact in ("report.json", "manifest.json"):
             strict_json((out / artifact).read_text())
+        report = strict_json((out / "report.json").read_text())
+        for path in report["nonfinite"]:
+            assert resolve(report, path) is None, path
 
     def test_missing_values_are_null(self, tiny_data, tmp_path):
         _, _, x_path, y_path = tiny_data
@@ -310,10 +320,17 @@ class TestStrictJson:
                    "--epochs", 2, "--reps", 2, "--out-dir", tmp_path / "compare") == 0
         report = strict_json((tmp_path / "compare" / "report.json").read_text())
         assert report["comparison"]["final_test"] == {"cxy": [None, None], "cxx": [None, None]}
+        assert report["nonfinite"] == [f"comparison.final_test.{arm}.{rep}"
+                                       for arm in ("cxy", "cxx") for rep in (0, 1)]
         assert run("verify-bounds", "--instances", 0, "--optimality-instances", 2,
                    "--out-dir", tmp_path / "bounds") == 0
         report = strict_json((tmp_path / "bounds" / "report.json").read_text())
         assert {sweep["worst_margin"] for sweep in report["sweeps"].values()} == {None}
+        assert sorted(report["nonfinite"]) == sorted(
+            f"sweeps.{name}.worst_margin" for name in report["sweeps"])
+        assert run("verify-bounds", "--instances", 2, "--optimality-instances", 2,
+                   "--out-dir", tmp_path / "full") == 0
+        assert strict_json((tmp_path / "full" / "report.json").read_text())["nonfinite"] == []
 
     def test_a_non_finite_value_cannot_be_written(self):
         with pytest.raises(ValueError):
@@ -837,6 +854,31 @@ class TestVerifyCommands:
         assert run("verify-bounds", "--instances", 2, "--checks", "nonsense",
                    "--out-dir", tmp_path) == 2
         assert "nonsense" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--checks", "first_term_lower_bound,series_tail_domination,nonsense"],
+             "argument --checks: unknown check 'nonsense'"),
+            (["--instances", "-1"], "argument --instances: expected an integer >= 0, got '-1'"),
+            (["--optimality-instances", "-1"],
+             "argument --optimality-instances: expected an integer >= 0, got '-1'"),
+            (["--instances", "two"], "argument --instances: expected an integer >= 0, got 'two'"),
+        ],
+        ids=["unknown-after-known", "instances", "optimality-instances", "not-int"],
+    )
+    def test_verify_bounds_rejects_bad_input_before_any_sweep(
+        self, tmp_path, capsys, monkeypatch, args, error
+    ):
+        calls = []
+        monkeypatch.setattr(alignment, "_run_check", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "optimality_sweep", lambda **kw: calls.append(kw))
+        out = tmp_path / "out"
+        assert run("verify-bounds", *args, "--out-dir", out) == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith(f"ntkalign verify-bounds: error: {error}")
+        assert calls == []
+        assert not out.exists()
 
 
 class TestReadme:

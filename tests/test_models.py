@@ -79,11 +79,17 @@ class TestActivations:
     @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
     def test_fn_in_place_matches_fresh_output(self, name):
         act = get_activation(name)
-        u = np.concatenate([[0.0, -0.0, np.inf, -np.inf], np.linspace(-9.0, 9.0, 37)])
+        u = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324],
+                            np.linspace(-9.0, 9.0, 37)])
         fresh = act.fn(u)
         in_place = u.copy()
         assert act.fn(in_place, out=in_place) is in_place
-        assert np.array_equal(in_place, fresh)
+        assert np.array_equal(in_place, fresh, equal_nan=True)
+        # the pullback overwrites sigma(u) with sigma'(u) the same way
+        fresh_deriv = act.deriv_from_value(fresh)
+        assert act.deriv_from_value(in_place, out=in_place) is in_place
+        assert fresh_deriv.dtype == float
+        assert np.array_equal(in_place, fresh_deriv, equal_nan=True)
 
     def test_relu_kink_convention(self):
         act = get_activation("relu")
@@ -312,7 +318,7 @@ class TestGnn2ForwardPullback:
         x = rng.standard_normal(shape)
         r = rng.standard_normal(shape)
         params = init_gnn2(7, 3, InitConfig(kappa=0.9, seed=5), activation)
-        out, pullback = gnn2_forward_pullback(s, params, x)
+        out, pullback = gnn2_forward_pullback(s, params, s.powers_applied(x, 3))
         jac = gnn2_jacobian(s, params, x)
         expected = jac.T @ (r if samples is None else stack(r))
         got = pullback(r)
@@ -331,7 +337,7 @@ class TestGnn2ForwardPullback:
         x = rng.standard_normal((n, samples))
         r = rng.standard_normal((n, samples))
         params = init_gnn2(4, k, InitConfig(kappa=0.9, seed=k), activation)
-        out, pullback = gnn2_forward_pullback(s, params, x)
+        out, pullback = gnn2_forward_pullback(s, params, s.powers_applied(x, k))
         expected = gnn2_jacobian(s, params, x, which_layer="second") @ params.h.ravel()
         assert np.linalg.norm(stack(out) - expected) <= 1e-12 * np.linalg.norm(expected)
         grad = gnn2_jacobian(s, params, x).T @ stack(r)
@@ -360,9 +366,32 @@ class TestGnn2ForwardPullback:
         rng = np.random.default_rng(4)
         s = random_shift(rng, 4)
         params = init_gnn2(3, 2, InitConfig(kappa=1.0, seed=0))
-        _, pullback = gnn2_forward_pullback(s, params, rng.standard_normal((4, 2)))
+        x_powers = s.powers_applied(rng.standard_normal((4, 2)), 2)
+        _, pullback = gnn2_forward_pullback(s, params, x_powers)
         with pytest.raises(ValueError, match="residual shape"):
             pullback(np.zeros(8))
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_pullback_runs_once(self, activation):
+        # sigma' overwrites sigma(u1), so a second call could only return a wrong gradient
+        rng = np.random.default_rng(5)
+        s = random_shift(rng, 4)
+        params = init_gnn2(3, 2, InitConfig(kappa=1.0, seed=0), activation)
+        x = rng.standard_normal((4, 2))
+        _, pullback = gnn2_forward_pullback(s, params, s.powers_applied(x, 2))
+        r = rng.standard_normal((4, 2))
+        grad = pullback(r)
+        assert np.linalg.norm(grad - gnn2_jacobian(s, params, x).T @ stack(r)) <= (
+            1e-12 * np.linalg.norm(grad))
+        with pytest.raises(RuntimeError, match="pullback has run"):
+            pullback(r)
+
+    def test_rejects_a_tap_stack_of_another_shape(self):
+        rng = np.random.default_rng(6)
+        s = random_shift(rng, 4)
+        params = init_gnn2(3, 2, InitConfig(kappa=1.0, seed=0))
+        with pytest.raises(ValueError, match="tap stack of 3 taps"):
+            gnn2_forward_pullback(s, params, s.powers_applied(rng.standard_normal(4), 3))
 
 
 class TestInit:

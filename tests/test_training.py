@@ -329,16 +329,18 @@ class TestFixedJacobianFilterTraining:
 
 class TestGnnPassShape:
     def test_no_feature_is_shifted_and_tanh_runs_once_per_pass(self, monkeypatch):
-        # the adjoint pass shifts only (n, M) blocks, never the F*M feature columns
+        # the adjoint pass shifts only (n, M) blocks, never the F*M feature columns,
+        # and the training inputs' tap stack is built once per run
         rng = np.random.default_rng(50)
         s = random_shift(rng, 5)
         data = random_dataset(rng, 5, 9)
         test_data = random_dataset(rng, 5, 4)
-        trailing, tanh_calls, passes = [], [], []
+        trailing, train_stacks, tanh_calls, passes = [], [], [], []
         powers_applied = ShiftOperator.powers_applied
 
         def recording_powers(self, signals, num_taps):
             trailing.append(np.shape(signals)[-1])
+            train_stacks.extend([signals] if signals is data.x else [])
             return powers_applied(self, signals, num_taps)
 
         def counting_tanh(u, out=None):
@@ -358,10 +360,16 @@ class TestGnnPassShape:
         monkeypatch.setattr(models, "gnn2_forward_pullback", counting_pass)
         monkeypatch.setattr(training, "gnn2_forward_pullback", counting_pass)
         params = init_gnn2(7, 3, InitConfig(kappa=0.8, seed=51))
-        train(params, s, data, TrainConfig(eta=0.05, epochs=4), test_data=test_data)
-        assert len(passes) == 2 * (4 + 1)  # train and test loss per epoch, epoch 0 included
-        assert trailing and max(trailing) <= data.num_samples
-        assert len(tanh_calls) == len(passes)
+        for batch_size in (0, 4):
+            del trailing[:], train_stacks[:], tanh_calls[:], passes[:]
+            cfg = TrainConfig(eta=0.05, epochs=4, batch_size=batch_size)
+            train(params, s, data, cfg, test_data=test_data)
+            # per epoch: the train loss (full batch), the minibatch steps and the test loss
+            train_passes = 1 if batch_size == 0 else 1 + math.ceil(data.num_samples / batch_size)
+            assert len(passes) == 2 + 4 * (train_passes + 1)  # epoch 0 included
+            assert trailing and max(trailing) <= data.num_samples
+            assert len(train_stacks) == 1
+            assert len(tanh_calls) == len(passes)
 
 
 class TestLinearizedDynamics:
