@@ -293,10 +293,6 @@ def _cmd_ntk(cfg: dict) -> int:
 
 
 def _cmd_align(cfg: dict) -> int:
-    # the library rejects these too, but only after the kernels are built
-    for name in ("eta", "alpha", "xi"):
-        if cfg[name] is not None:
-            require_positive_finite(name, cfg[name])
     data = _load_dataset(cfg)
     s = _shift_from(cfg, data)
     terms = gnn_alignment_terms(s, data, cfg["k"], spectral_bound=cfg["nu"])
@@ -337,7 +333,6 @@ def _cmd_optimize_gso(cfg: dict) -> int:
         num_samples = data.num_samples
 
     if cfg["mu"] is not None:
-        require_positive_finite("mu", cfg["mu"])
         mu, normalize = cfg["mu"], bool(cfg["normalize"])
     elif cfg["alpha"] is not None:
         if cfg["eta"] is None:
@@ -492,7 +487,6 @@ def _cmd_compare(cfg: dict) -> int:
 
 
 def _cmd_verify_bounds(cfg: dict) -> int:
-    # the optimality sweep goes first: it rejects a bad --alpha or --eta at once
     opt = None
     if cfg["k"] == 2 and cfg["optimality_instances"] > 0:
         opt = optimality_sweep(num_instances=cfg["optimality_instances"], seed=cfg["seed"],
@@ -551,6 +545,19 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> float:
+    """argparse type of a flag whose domain is positive: ``core.require_positive_finite``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        require_positive_finite("value", value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _sweep_names(text: str) -> tuple:
     """argparse type of --checks: a comma list of known sweep names."""
     try:
@@ -603,10 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="inputs CSV")
     p.add_argument("--y", help="targets CSV")
     p.add_argument("--k", type=int, default=2, help="filter taps")
-    p.add_argument("--eta", type=float, default=1.0, help="learning rate in the budget")
-    p.add_argument("--alpha", type=float, default=1.0, help="kernel-norm budget")
-    p.add_argument("--nu", type=float, default=1.0, help="spectral bound for the constants")
-    p.add_argument("--xi", type=float, help="assumed alignment ratio for conditionals")
+    p.add_argument("--eta", type=_positive, default=1.0, help="learning rate in the budget")
+    p.add_argument("--alpha", type=_positive, default=1.0, help="kernel-norm budget")
+    p.add_argument("--nu", type=_positive, default=1.0, help="spectral bound for the constants")
+    p.add_argument("--xi", type=_positive, help="assumed alignment ratio for conditionals")
     _add_gso_flags(p)
     _add_shared_flags(p)
 
@@ -615,9 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", help="targets CSV")
     p.add_argument("--c", help="cross-covariance CSV (overrides --x/--y)")
     p.add_argument("--k", type=int, default=2, help="filter taps (>= 2)")
-    p.add_argument("--mu", type=float, help="explicit multiplier")
-    p.add_argument("--alpha", type=float, help="budget numerator for mu")
-    p.add_argument("--eta", type=float, help="learning rate for mu")
+    p.add_argument("--mu", type=_positive, help="explicit multiplier")
+    p.add_argument("--alpha", type=_positive, help="budget numerator for mu")
+    p.add_argument("--eta", type=_positive, help="learning rate for mu")
     p.add_argument(
         "--normalize",
         action=argparse.BooleanOptionalAction,
@@ -633,9 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2, help="filter taps")
     p.add_argument("--model", choices=["filter", "gnn2"], default="filter", help="model class")
     p.add_argument("--width", type=int, default=50, help="hidden features for gnn2")
-    p.add_argument("--eta", type=float, help="learning rate")
+    p.add_argument("--eta", type=_positive, help="learning rate")
     p.add_argument("--epochs", type=int, default=100, help="training epochs")
-    p.add_argument("--kappa", type=float, default=1.0, help="initialization scale")
+    p.add_argument("--kappa", type=_positive, default=1.0, help="initialization scale")
     p.add_argument("--optimizer", choices=["gd", "adam"], default="adam", help="update rule")
     p.add_argument("--batch-size", type=int, default=0, help="0 = full batch")
     _add_gso_flags(p)
@@ -660,9 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2, help="filter taps")
     p.add_argument("--model", choices=["filter", "gnn2"], default="gnn2", help="model class")
     p.add_argument("--width", type=int, default=50, help="hidden features for gnn2")
-    p.add_argument("--eta", type=float, help="learning rate")
+    p.add_argument("--eta", type=_positive, help="learning rate")
     p.add_argument("--epochs", type=int, default=50, help="training epochs")
-    p.add_argument("--kappa", type=float, default=1.0, help="initialization scale")
+    p.add_argument("--kappa", type=_positive, default=1.0, help="initialization scale")
     p.add_argument("--optimizer", choices=["gd", "adam"], default="adam", help="update rule")
     p.add_argument("--batch-size", type=int, default=0, help="0 = full batch")
     p.add_argument("--reps", type=int, default=10, help="seeded repetitions")
@@ -679,8 +686,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="instances for the optimal-GSO sweep (0 disables)",
     )
     p.add_argument("--k", type=int, default=2, help="taps for the optimality sweep (runs when 2)")
-    p.add_argument("--alpha", type=float, default=1.0, help="budget numerator")
-    p.add_argument("--eta", type=float, default=1.0, help="learning rate in the budget")
+    p.add_argument("--alpha", type=_positive, default=1.0, help="budget numerator")
+    p.add_argument("--eta", type=_positive, default=1.0, help="learning rate in the budget")
     _add_shared_flags(p)
 
     p = sub.add_parser("verify-hermite", help="self-check the activation-expansion layer")

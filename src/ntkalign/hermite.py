@@ -1,4 +1,4 @@
-"""Hermite-coefficient machinery for activation expectation kernels.
+"""Hermite-coefficient machinery for the tanh expectation kernels.
 
 Everything here is stated against the standard Gaussian *probability*
 measure.  The orthonormal probabilists' polynomials ``p_0 = 1``, ``p_1 = u``,
@@ -159,13 +159,8 @@ def hermite_eval(degree: int, u) -> np.ndarray:
     return hermite_eval_upto(degree, u)[degree]
 
 
-def gauss_hermite_expectation(f, n_points: int = DEFAULT_POINTS) -> float:
-    """E_{u~N(0,1)}[f(u)] by a fixed Gauss-Hermite rule."""
-    nodes, weights = gauss_hermite_rule(n_points)
-    return float(weights @ np.asarray(f(nodes), dtype=float))
-
-
-def _sech2(x: np.ndarray) -> np.ndarray:
+def sech2(x: np.ndarray) -> np.ndarray:
+    """sech^2 = tanh' as 1 - tanh^2, the form the GNN's derivative takes."""
     t = np.tanh(x)
     return 1.0 - t * t
 
@@ -238,7 +233,7 @@ def coeff_tau_table(max_degree: int, z_sq) -> np.ndarray:
     z_sq = np.asarray(z_sq, dtype=float)
     if np.any(z_sq < 0):
         raise ValueError("z_sq must be >= 0")
-    return hermite_coefficients(_sech2, np.sqrt(z_sq), slice(0, max_degree + 1))[0]
+    return hermite_coefficients(sech2, np.sqrt(z_sq), slice(0, max_degree + 1))[0]
 
 
 def coeff_g(degree: int, y):
@@ -344,7 +339,7 @@ def beta_first_layer(norm_sq_bound: float) -> FirstLayerBetaResult:
     if not (norm_sq_bound > 0 and math.isfinite(norm_sq_bound)):
         raise ValueError("norm_sq_bound must be positive and finite")
     taus, totals, degree, residual, _ = hermite_series(
-        _sech2, np.sqrt([norm_sq_bound]), 0, lambda c, _: BETA_FIRST_RTOL * c[0, 0] ** 2
+        sech2, np.sqrt([norm_sq_bound]), 0, lambda c, _: BETA_FIRST_RTOL * c[0, 0] ** 2
     )
     tau0_sq = taus[0, 0] ** 2
     return FirstLayerBetaResult(

@@ -5,6 +5,10 @@ flattened in (layer, feature, tap) order, layer 1 first.  Jacobian columns
 follow the same order, so a flattened gradient maps onto flattened parameters
 without bookkeeping.
 
+The two-layer GNN's nonlinearity is tanh, the activation whose Hermite
+expansion (``hermite``) the infinite-width kernels and alignment bounds
+are built on; its derivative is taken from its value, sigma' = 1 - t^2.
+
 Signals may be a single vector (n,) or a matrix (n, M) of sample columns.
 Forward passes preserve that shape; Jacobians return (n, P) for a vector and
 the sample-major stacked (n*M, P) for a matrix, matching the stacking
@@ -22,75 +26,6 @@ import numpy as np
 from .core import ShiftOperator, _frozen_array, matrix_powers_applied
 
 PARAMS_SCHEMA_VERSION = 1
-
-
-def _sigmoid(u, out=None):
-    out = np.empty_like(u, dtype=float) if out is None else out
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
-
-
-def _step(q, below, out=None):
-    """1 where q > 0 and ``below`` elsewhere; ``out`` may be ``q`` itself."""
-    above = q > 0
-    out = np.empty_like(q, dtype=float) if out is None else out
-    out[...] = below
-    out[above] = 1.0
-    return out
-
-
-LEAKY_SLOPE = 0.01
-
-
-@dataclass(frozen=True)
-class Activation:
-    """Pointwise nonlinearity with its derivative, taken from its value.
-
-    ``fn(u, out=None)`` may write into ``out``, which may be ``u`` itself.
-    ``deriv_from_value(q, out=None)`` is sigma'(u) given q = sigma(u), so a
-    pass that holds sigma(u) never evaluates the activation a second time;
-    its ``out`` may be ``q`` too, and the result is bitwise the same.  relu and
-    leaky_relu derivatives are defined almost everywhere; the value at 0
-    (0 and the leaky slope respectively) is a convention, not a claim.
-    analytic_ntk marks activations with a closed infinite-width NTK path.
-    """
-
-    name: str
-    fn: object
-    deriv_from_value: object
-    analytic_ntk: bool
-
-    def deriv(self, u):
-        return self.deriv_from_value(self.fn(u))
-
-
-ACTIVATIONS = {
-    "tanh": Activation("tanh", np.tanh,
-                       lambda t, out=None: np.subtract(1.0, np.multiply(t, t, out=out), out=out),
-                       analytic_ntk=True),
-    "identity": Activation("identity", lambda u, out=None: np.positive(u, out=out, dtype=float),
-                           lambda q, out=None: _step(q, 1.0, out), analytic_ntk=True),
-    "sigmoid": Activation("sigmoid", _sigmoid,
-                          lambda q, out=None: np.multiply(q, 1.0 - q, out=out),
-                          analytic_ntk=False),
-    "relu": Activation("relu", lambda u, out=None: np.maximum(u, 0.0, out=out),
-                       lambda q, out=None: _step(q, 0.0, out), analytic_ntk=False),
-    "leaky_relu": Activation("leaky_relu",
-                             lambda u, out=None: np.multiply(
-                                 u, np.where(u > 0, 1.0, LEAKY_SLOPE), out=out),
-                             lambda q, out=None: _step(q, LEAKY_SLOPE, out),
-                             analytic_ntk=False),
-}
-
-
-def get_activation(name: str) -> Activation:
-    try:
-        return ACTIVATIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}; choose from {sorted(ACTIVATIONS)}") from None
 
 
 @dataclass(frozen=True)
@@ -121,7 +56,7 @@ class FilterParams:
 
 @dataclass(frozen=True)
 class TwoLayerGnnParams:
-    """Width-F two-layer GNN: F parallel filters, nonlinearity, readout filters.
+    """Width-F two-layer GNN: F parallel filters, tanh, readout filters.
 
     g holds the layer-1 taps (row f = filter feeding feature f), h the
     layer-2 taps.  The forward pass carries the 1/sqrt(F) readout scaling.
@@ -129,7 +64,6 @@ class TwoLayerGnnParams:
 
     g: np.ndarray
     h: np.ndarray
-    activation: str = "tanh"
 
     def __post_init__(self):
         object.__setattr__(self, "g", _frozen_array(self.g, ndim=2))
@@ -138,7 +72,6 @@ class TwoLayerGnnParams:
             raise ValueError(f"layer shapes differ: {self.g.shape} vs {self.h.shape}")
         if self.g.shape[0] < 1:
             raise ValueError(f"width must be >= 1, got {self.g.shape[0]}")
-        get_activation(self.activation)
 
     @property
     def width(self) -> int:
@@ -154,11 +87,11 @@ def init_filter(num_taps: int, cfg: InitConfig) -> FilterParams:
     return FilterParams(rng.normal(0.0, cfg.kappa, size=num_taps))
 
 
-def init_gnn2(width: int, num_taps: int, cfg: InitConfig, activation: str = "tanh") -> TwoLayerGnnParams:
+def init_gnn2(width: int, num_taps: int, cfg: InitConfig) -> TwoLayerGnnParams:
     rng = np.random.default_rng(cfg.seed)
     g = rng.normal(0.0, cfg.kappa, size=(width, num_taps))
     h = rng.normal(0.0, cfg.kappa, size=(width, num_taps))
-    return TwoLayerGnnParams(g, h, activation)
+    return TwoLayerGnnParams(g, h)
 
 
 def _check_signal(s: ShiftOperator, x: np.ndarray) -> np.ndarray:
@@ -206,10 +139,10 @@ def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x_powers:
         grad_g[f, k] = (1/sqrt(F)) sum_j h_{f,j} <sigma'(u1_f), (S')^j r * S^k x>
 
     The inner products of the last line are one product of sigma'(u1)
-    with the K^2 stacked vectors (S')^j r * S^k x.  sigma' is taken in
-    place from sigma(u1), in the pass's one (F, nM) buffer, after grad_h
-    has read it: the activation runs once per pass, and the pullback may
-    run once (a second call raises RuntimeError).  Powers of S' give an
+    with the K^2 stacked vectors (S')^j r * S^k x.  sigma' = 1 - t^2 is
+    taken in place from t = tanh(u1), in the pass's one (F, nM) buffer,
+    after grad_h has read it: tanh runs once per pass, and the pullback
+    may run once (a second call raises RuntimeError).  Powers of S' give an
     asymmetric shift the transpose it needs.
     """
     x_powers = np.asarray(x_powers, dtype=float)
@@ -217,13 +150,12 @@ def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x_powers:
     if len(x_powers) != num_taps:
         raise ValueError(f"tap stack of {len(x_powers)} taps for a {num_taps}-tap GNN")
     _check_signal(s, x_powers[0])  # the first tap is x itself
-    act = get_activation(params.activation)
     scale = math.sqrt(width)
     block = (s.num_nodes, -1)  # an (n, M) view of a signal or residual
 
     x_cols = x_powers.reshape(num_taps, -1)  # (K, n*M)
-    q1 = params.g @ x_cols  # u1, (F, n*M), overwritten by sigma(u1), then by sigma'
-    act.fn(q1, out=q1)
+    q1 = params.g @ x_cols  # u1, (F, n*M), overwritten by tanh(u1), then by sigma'
+    np.tanh(q1, out=q1)
     v = (params.h.T @ q1).reshape((num_taps,) + block)  # (K, n, M)
     out = v[-1]
     for k in range(num_taps - 2, -1, -1):
@@ -243,7 +175,8 @@ def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x_powers:
         r_powers = r_powers.reshape(num_taps, -1)  # (S')^j r, (K, n*M)
         grad_h = q1 @ r_powers.T
         mixed = (r_powers[:, None, :] * x_cols[None, :, :]).reshape(num_taps * num_taps, -1)
-        inner = act.deriv_from_value(q1, out=q1) @ mixed.T  # (F, K^2)
+        np.subtract(1.0, np.multiply(q1, q1, out=q1), out=q1)  # sigma' = 1 - tanh^2
+        inner = q1 @ mixed.T  # (F, K^2)
         grad_g = np.einsum("fj,fjk->fk", params.h, inner.reshape(width, num_taps, num_taps))
         return np.concatenate([grad_g.ravel(), grad_h.ravel()]) / scale
 
@@ -251,7 +184,7 @@ def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x_powers:
 
 
 def gnn2_forward(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray) -> np.ndarray:
-    """(1/sqrt(F)) sum_f sum_k h_{f,k} S^k sigma(sum_k g_{f,k} S^k x).
+    """(1/sqrt(F)) sum_f sum_k h_{f,k} S^k tanh(sum_k g_{f,k} S^k x).
 
     The final layer is linear; no output nonlinearity is applied.
     """
@@ -269,23 +202,22 @@ def gnn2_jacobian(
 
     Column (f, k) of the second-layer block is (1/sqrt(F)) S^k sigma(u1_f);
     of the first-layer block, (1/sqrt(F)) H_f(S) [sigma'(u1_f) * S^k x]
-    with H_f(S) = sum_j h_{f,j} S^j.  Column order matches flatten_params:
-    layer 1 first, feature-major.  With relu the result is the a.e.
-    derivative; kinks contribute 0.  Every column is formed from the dense
-    powers S^j: J is the reference for gnn2_forward_pullback and the factor
-    of empirical_ntk, the Monte Carlo kernel and ntk_drift.
+    with H_f(S) = sum_j h_{f,j} S^j, sigma = tanh and sigma' = 1 - tanh^2.
+    Column order matches flatten_params: layer 1 first, feature-major.
+    Every column is formed from the dense powers S^j: J is the reference
+    for gnn2_forward_pullback and the factor of empirical_ntk, the Monte
+    Carlo kernel and ntk_drift.
     """
     if which_layer not in ("first", "second", "both"):
         raise ValueError(f"which_layer must be first/second/both, got {which_layer!r}")
     x = _check_signal(s, x)
     xm = x[:, None] if x.ndim == 1 else x
-    act = get_activation(params.activation)
     x_powers = s.powers_applied(xm, params.num_taps)  # (K, n, M)
     s_powers = s.powers_applied(np.eye(s.num_nodes), params.num_taps)  # S^j, (K, n, n)
-    q1 = act.fn(np.einsum("fk,knm->fnm", params.g, x_powers))  # sigma(u1), (F, n, M)
+    q1 = np.tanh(np.einsum("fk,knm->fnm", params.g, x_powers))  # sigma(u1), (F, n, M)
     blocks = []  # each (M, n, F, K): sample-major rows, (feature, tap) columns
     if which_layer in ("first", "both"):
-        w = act.deriv_from_value(q1)[:, None] * x_powers  # sigma'(u1_f) * S^k x, (F, K, n, M)
+        w = (1.0 - q1 * q1)[:, None] * x_powers  # sigma'(u1_f) * S^k x, (F, K, n, M)
         blocks.append(np.einsum("fj,jab,fkbm->mafk", params.h, s_powers, w, optimize=True))
     if which_layer in ("second", "both"):
         blocks.append(np.einsum("kab,fbm->mafk", s_powers, q1, optimize=True))
@@ -316,7 +248,6 @@ def unflatten_params(flat: np.ndarray, like):
         return TwoLayerGnnParams(
             flat[:size].reshape(like.g.shape),
             flat[size:].reshape(like.h.shape),
-            like.activation,
         )
     raise TypeError(f"unsupported params type {type(like).__name__}")
 
@@ -329,7 +260,7 @@ def _shape_header(params) -> dict:
             "kind": "gnn2",
             "width": params.width,
             "num_taps": params.num_taps,
-            "activation": params.activation,
+            "activation": "tanh",
         }
     raise TypeError(f"unsupported params type {type(params).__name__}")
 
@@ -344,6 +275,7 @@ def save_params(path, params) -> None:
 
 
 def load_params(path):
+    """Read ``save_params`` output; a gnn2 header must name tanh as its activation."""
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         values = np.array([float(v) for v in fh.readline().strip().split(",")])
@@ -353,8 +285,10 @@ def load_params(path):
     if kind == "filter":
         like = FilterParams(np.zeros(header["num_taps"]))
     elif kind == "gnn2":
+        if header.get("activation") != "tanh":
+            raise ValueError(f"unsupported activation {header.get('activation')!r}; only tanh")
         shape = (header["width"], header["num_taps"])
-        like = TwoLayerGnnParams(np.zeros(shape), np.zeros(shape), header["activation"])
+        like = TwoLayerGnnParams(np.zeros(shape), np.zeros(shape))
     else:
         raise ValueError(f"unknown params kind {kind!r}")
     return unflatten_params(values, like)

@@ -5,9 +5,9 @@ Four routes to the stacked nM x nM kernel:
 * empirical: Jacobian product of a concrete finite-width model;
 * analytic graph filter: sum_k S~^k x~ x~^T S~^k, parameter-free;
 * infinite-width GNN: conjugated expectation matrix E (or the first-layer
-  E1), each a Mehler sum of Hermite coefficients truncated at a certified
-  residual (odd tanh degrees for E, even sech^2 degrees for E1), with
-  pair quadrature kept as the reference;
+  E1) of the tanh network, each a Mehler sum of Hermite coefficients
+  truncated at a certified residual (odd tanh degrees for E, even sech^2
+  degrees for E1), with pair quadrature kept as the reference;
 * Monte Carlo: the empirical kernel of a random network with a finite
   number of hidden features, for width studies.
 
@@ -34,14 +34,8 @@ from .core import (
     ShiftOperator,
     _frozen_array,
 )
-from .hermite import gauss_hermite_rule, hermite_series
-from .models import (
-    FilterParams,
-    TwoLayerGnnParams,
-    filter_jacobian,
-    get_activation,
-    gnn2_jacobian,
-)
+from .hermite import gauss_hermite_rule, hermite_series, sech2
+from .models import FilterParams, TwoLayerGnnParams, filter_jacobian, gnn2_jacobian
 
 DEFAULT_QUADRATURE_POINTS = 64
 RHO_OVERSHOOT_TOL = 1e-9
@@ -203,28 +197,17 @@ def _zero_out(matrix: np.ndarray, zero_rows) -> np.ndarray:
     return matrix
 
 
-def _analytic_activation(name: str):
-    act = get_activation(name)
-    if not act.analytic_ntk:
-        raise ValueError(f"no infinite-width path for activation {name!r}")
-    return act
-
-
 def expectation_E_quadrature(
-    z: ZVectors, activation: str = "tanh", n_points: int = DEFAULT_QUADRATURE_POINTS
+    z: ZVectors, n_points: int = DEFAULT_QUADRATURE_POINTS
 ) -> ExpectationMatrix:
-    """E_ab = E[sigma(|z_a| u) sigma(|z_b| u')] by tensor Gauss-Hermite.
+    """E_ab = E[tanh(|z_a| u) tanh(|z_b| u')] by tensor Gauss-Hermite.
 
     u' = rho_ab u + sqrt(1 - rho_ab^2) v reduces each pair to a 2D rule.
     It has no error estimate; it is kept as the reference for the series.
     """
-    act = _analytic_activation(activation)
     norms, rho, zero_rows = z.correlations
-    e = _pair_quadrature(act.fn, norms, rho, n_points)
-    e = _zero_out(e, zero_rows)
-    return ExpectationMatrix(
-        e, "quadrature", zero_rows=zero_rows, info={"n_points": n_points, "activation": activation}
-    )
+    e = _zero_out(_pair_quadrature(np.tanh, norms, rho, n_points), zero_rows)
+    return ExpectationMatrix(e, "quadrature", zero_rows=zero_rows, info={"n_points": n_points})
 
 
 def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray, parity: int) -> np.ndarray:
@@ -248,67 +231,50 @@ def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray, parity: int) -> np.ndarray:
     return acc
 
 
-def expectation_E_series(z: ZVectors, activation: str = "tanh") -> ExpectationMatrix:
+def expectation_E_series(z: ZVectors) -> ExpectationMatrix:
     """E_ab = sum_d g_d(|z_a|) g_d(|z_b|) rho_ab^d over the odd degrees of tanh.
 
     ``hermite_series`` truncates the coefficients at the first degree whose
     certified residual meets hermite.SERIES_RTOL; Cauchy-Schwarz over the
     dropped degrees bounds each entry's error by sqrt(tail_a tail_b), and
-    ``truncation_residual`` is the largest bound.  Identity activation has
-    the one term c = |z_a|, so E is the linear kernel.  Zero rows come out
+    ``truncation_residual`` is the largest bound.  Zero rows come out
     exactly 0, because rho is 0 there.
     """
-    act = _analytic_activation(activation)
     norms, rho, zero_rows = z.correlations
-    if activation == "identity":
-        coeffs, degree, residual, n_points = norms[:, None], 1, 0.0, None
-    else:
-        coeffs, _, degree, residual, n_points = hermite_series(act.fn, norms, 1)
-    info = {"max_degree": degree, "n_points": n_points, "activation": activation}
+    coeffs, _, degree, residual, n_points = hermite_series(np.tanh, norms, 1)
+    info = {"max_degree": degree, "n_points": n_points}
     return ExpectationMatrix(_mehler_sum(coeffs, rho, 1), "series", zero_rows, residual, info)
 
 
-def expectation_E_first_layer_series(z: ZVectors, activation: str = "tanh") -> ExpectationMatrix:
+def expectation_E_first_layer_series(z: ZVectors) -> ExpectationMatrix:
     """E1 = (sum_d tau_d tau_d' rho^d) * <z_a, z_b> over the even degrees of sech^2.
 
     The series counterpart of ``expectation_E_first_layer``, truncated like
     ``expectation_E_series`` with each row's tail scaled by |z_a|^2, so
-    sqrt(tail_a tail_b) |z_a| |z_b| bounds the entrywise error.  Identity
-    activation has derivative 1, the one term c = 1, so E1 is the Gram
-    matrix.  Zero rows come out exactly 0, because the Gram matrix is 0 there.
+    sqrt(tail_a tail_b) |z_a| |z_b| bounds the entrywise error.  Zero rows
+    come out exactly 0, because the Gram matrix is 0 there.
     """
-    act = _analytic_activation(activation)
     norms, rho, zero_rows = z.correlations
-    if activation == "identity":
-        coeffs, degree, residual, n_points = np.ones_like(norms)[:, None], 0, 0.0, None
-    else:
-        coeffs, _, degree, residual, n_points = hermite_series(
-            act.deriv, norms, 0, row_weight=norms * norms
-        )
+    coeffs, _, degree, residual, n_points = hermite_series(
+        sech2, norms, 0, row_weight=norms * norms
+    )
     e1 = _mehler_sum(coeffs, rho, 0)
     e1 *= z.gram()
-    info = {"max_degree": degree, "n_points": n_points, "activation": activation}
+    info = {"max_degree": degree, "n_points": n_points}
     return ExpectationMatrix(e1, "first_layer_series", zero_rows, residual, info)
 
 
 def expectation_E_first_layer(
-    z: ZVectors, activation: str = "tanh", n_points: int = DEFAULT_QUADRATURE_POINTS
+    z: ZVectors, n_points: int = DEFAULT_QUADRATURE_POINTS
 ) -> ExpectationMatrix:
-    """First-layer analog: E[sigma'(|z_a| u) sigma'(|z_b| u')] <z_a, z_b>.
+    """First-layer analog: E[sech^2(|z_a| u) sech^2(|z_b| u')] <z_a, z_b>.
 
-    The derivative pair expectation multiplies the Gram matrix entrywise;
-    identity activation makes the derivative factor 1 and recovers the
-    linear kernel.
+    The derivative pair expectation multiplies the Gram matrix entrywise.
     """
-    act = _analytic_activation(activation)
     norms, rho, zero_rows = z.correlations
-    pair = _pair_quadrature(act.deriv, norms, rho, n_points)
-    e1 = _zero_out(pair * z.gram(), zero_rows)
+    e1 = _zero_out(_pair_quadrature(sech2, norms, rho, n_points) * z.gram(), zero_rows)
     return ExpectationMatrix(
-        e1,
-        "first_layer_quadrature",
-        zero_rows=zero_rows,
-        info={"n_points": n_points, "activation": activation},
+        e1, "first_layer_quadrature", zero_rows=zero_rows, info={"n_points": n_points}
     )
 
 
@@ -359,11 +325,10 @@ def gnn_infinite_ntk(
     data,
     num_taps: int,
     layer: str = "second",
-    activation: str = "tanh",
 ) -> NtkMatrix:
     """Infinite-width GNN NTK contribution: sum_k S~^k E S~^k.
 
-    ``layer='second'`` uses the activation second-moment matrix E,
+    ``layer='second'`` uses the tanh second-moment matrix E,
     ``layer='first'`` the derivative-weighted Gram E1, and ``layer='both'``
     their sum, the full kernel: one ``z_vectors``, one set of correlations
     and one conjugated power sum (the map is linear), with each layer's
@@ -375,7 +340,7 @@ def gnn_infinite_ntk(
         raise ValueError(f"layer must be 'first', 'second' or 'both', got {layer!r}")
     x = _signals(data)
     z = z_vectors(s, x, num_taps)
-    parts = {name: _LAYER_SERIES[name](z, activation=activation) for name in layers}
+    parts = {name: _LAYER_SERIES[name](z) for name in layers}
     total = sum(e.matrix for e in parts.values())
     theta = conjugated_power_sum(s, total, num_taps, x.shape[1])
     if layer == "both":
@@ -393,12 +358,11 @@ def gnn_monte_carlo_ntk(
     num_features: int,
     seed: int,
     which_layer: str = "second",
-    activation: str = "tanh",
     draws: tuple | None = None,
 ) -> NtkMatrix:
     """Finite random-feature estimate of the infinite-width NTK layer terms.
 
-    The estimate is the empirical kernel J J' of a random width-F network
+    The estimate is the empirical kernel J J' of a random width-F tanh network
     with taps g, h ~ N(0, I_K) per feature, kept factored as F = J.  The
     second layer's block has columns S~^k sigma(Z g_f) / sqrt(F); the first
     layer's has H_f(S~)[sigma'(Z g_f) * S~^k x~] / sqrt(F), the readout
@@ -427,13 +391,12 @@ def gnn_monte_carlo_ntk(
             g, h = (np.asarray(d, dtype=float) for d in draws)
             if g.shape != (num_features, num_taps) or h.shape != (num_features, num_taps):
                 raise ValueError("draws must have shape (num_features, num_taps)")
-        blocks.append(gnn2_jacobian(s, TwoLayerGnnParams(g, h, activation), x, name))
+        blocks.append(gnn2_jacobian(s, TwoLayerGnnParams(g, h), x, name))
         infos[name] = {
             "layer": name,
             "num_features": num_features,
             "seed": layer_seed,
             "num_taps": num_taps,
-            "activation": activation,
         }
     info = {"layers": infos} if which_layer == "both" else infos[which_layer]
     return NtkMatrix(np.hstack(blocks), NtkKind.GNN_MONTE_CARLO, info=info, factored=True)

@@ -31,6 +31,7 @@ from .core import (
     NtkMatrix,
     ShiftOperator,
     as_stacked,
+    require_positive_finite,
     stack,
 )
 from .models import (
@@ -58,11 +59,13 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer settings plus the probabilistic-bound budgets.
+    """Optimizer settings plus the probabilistic-bound budget.
 
-    ``eps_budget`` and ``delta_budget`` parameterize the kernel-regime
+    ``delta_budget`` is the failure probability in the kernel-regime
     slack: an initialization scale kappa = eps sqrt(delta/(nM)) keeps the
-    finite-width deviation terms O(eps) with probability 1 - delta.
+    finite-width deviation terms O(eps) with probability 1 - delta
+    (``kappa_for_budget``, ``slack_from_kappa``).  eta and kappa must be
+    positive and finite.
     """
 
     eta: float
@@ -71,22 +74,19 @@ class TrainConfig:
     optimizer: str = "gd"
     kappa: float = 1.0
     seed: int = 0
-    eps_budget: float = 0.01
     delta_budget: float = 0.05
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
+        require_positive_finite("eta", self.eta)
+        require_positive_finite("kappa", self.kappa)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 0:
             raise ValueError("batch_size must be >= 0 (0 = full batch)")
         if self.optimizer not in ("gd", "adam"):
             raise ValueError(f"optimizer must be 'gd' or 'adam', got {self.optimizer!r}")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be > 0")
-        if self.eps_budget <= 0 or self.delta_budget <= 0:
-            raise ValueError("budgets must be > 0")
+        if self.delta_budget <= 0:
+            raise ValueError("delta_budget must be > 0")
 
 
 def kappa_for_budget(eps: float, delta: float, num_nodes: int, num_samples: int) -> float:
@@ -271,7 +271,6 @@ def ntk_drift(
     eta: float,
     num_steps: int,
     seed: int,
-    activation: str = "tanh",
     kappa: float = 1.0,
 ) -> tuple[DriftPoint, ...]:
     """Largest relative two-layer-GNN NTK movement during a short GD run.
@@ -284,13 +283,13 @@ def ntk_drift(
     ``train``'s rule: DivergenceError when a post-step loss, checked
     through the last step, exceeds 10^6 times the initial loss floored at
     1e-12.  (A separate loop here once checked only the pre-step losses of
-    steps 0..num_steps-1, with the floor at 1e-300.)  eta <= 0 raises
-    ValueError.
+    steps 0..num_steps-1, with the floor at 1e-300.)  An eta or kappa
+    that is not positive and finite raises ValueError.
     """
     cfg = TrainConfig(eta, num_steps, kappa=kappa, seed=seed)
     out = []
     for width in widths:
-        model = init_gnn2(int(width), num_taps, InitConfig(kappa=kappa, seed=seed), activation)
+        model = init_gnn2(int(width), num_taps, InitConfig(kappa=kappa, seed=seed))
         drift = 0.0
         for step, params, _, _ in _descent(model, s, data, cfg):
             jac = gnn2_jacobian(s, params, data.x)
@@ -561,7 +560,6 @@ def compare_gso(
     width: int = 50,
     reps: int = 10,
     test_data: Dataset | None = None,
-    activation: str = "tanh",
 ) -> GsoComparison:
     """Train matched models per shift operator over seeded repetitions.
 
@@ -586,7 +584,7 @@ def compare_gso(
             if model == "filter":
                 params0 = init_filter(num_taps, init)
             else:
-                params0 = init_gnn2(width, num_taps, init, activation)
+                params0 = init_gnn2(width, num_taps, init)
             trace = train(params0, s, data, cfg, test_data=test_data)
             train_curves[name][rep] = trace.train_losses
             test_curves[name][rep] = trace.test_losses

@@ -403,16 +403,6 @@ class TestConditionalAlignmentChecks:
                 check(s, data, num_taps, spectral_bound=bound, terms=terms)
 
 
-def test_identity_activation_alignment_equals_linear_alignment():
-    rng = np.random.default_rng(9)
-    s = random_shift(rng, 4)
-    data = random_dataset(rng, 4, 3)
-    z = z_vectors(s, data.x, 2)
-    e = expectation_E_series(z, activation="identity")
-    got = float(np.sum(q_matrix(s, data.y, 2) * e.matrix))
-    assert got == pytest.approx(alignment_lin(s, data, 2), rel=1e-12)
-
-
 def test_planted_targets_are_exact_filter_outputs():
     s, data, k = planted_instance(12)
     rebuilt = s.powers_applied(data.x, k).sum(axis=0)

@@ -30,6 +30,21 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def flag_error(subcommand, flag, value):
+    """The last stderr line when a positive flag gets a value outside its domain."""
+    return (f"ntkalign {subcommand}: error: argument --{flag}: "
+            f"value must be positive and finite, got {float(value)}")
+
+
+# every flag whose domain is the positive reals, by subcommand
+POSITIVE_FLAGS = [
+    ("align", "eta"), ("align", "alpha"), ("align", "nu"), ("align", "xi"),
+    ("optimize-gso", "mu"), ("optimize-gso", "alpha"), ("optimize-gso", "eta"),
+    ("train", "eta"), ("train", "kappa"), ("compare", "eta"), ("compare", "kappa"),
+    ("verify-bounds", "alpha"), ("verify-bounds", "eta"),
+]
+
+
 @pytest.fixture
 def tiny_data(tmp_path):
     """Small paired CSVs plus the shift-operator source data."""
@@ -98,7 +113,23 @@ class TestUsageErrors:
         code = run("align", "--x", x_path, "--y", y_path, "--nu", nu,
                    "--out-dir", tmp_path / "out")
         assert code == 2
-        assert capsys.readouterr().err == "error: spectral_bound must be positive and finite\n"
+        assert capsys.readouterr().err.splitlines()[-1] == flag_error("align", "nu", nu)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("subcommand, flag", POSITIVE_FLAGS)
+    def test_positive_flag_rejects_bad_value(
+        self, tiny_data, tmp_path, capsys, subcommand, flag, value
+    ):
+        # an unused flag is checked too: verify-bounds without its optimality
+        # sweep never reads --alpha or --eta
+        _, _, x_path, y_path = tiny_data
+        inputs = ["--x", x_path, "--y", y_path]
+        if subcommand == "verify-bounds":
+            inputs = ["--instances", 1, "--optimality-instances", 0]
+        out = tmp_path / "out"
+        assert run(subcommand, *inputs, f"--{flag}={value}", "--out-dir", out) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == flag_error(subcommand, flag, value)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -111,9 +142,7 @@ class TestUsageErrors:
         out = tmp_path / "out"
         code = run("align", "--x", x_path, "--y", y_path, f"--{flag}", value, "--out-dir", out)
         assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: {flag} must be positive and finite, got {float(value)}\n"
-        )
+        assert capsys.readouterr().err.splitlines()[-1] == flag_error("align", flag, value)
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("flag, value", [("eta", "inf"), ("alpha", "nan"), ("xi", "-1")])
@@ -128,8 +157,7 @@ class TestUsageErrors:
         code = run("align", "--x", x_path, "--y", y_path, f"--{flag}", value,
                    "--out-dir", tmp_path / "out")
         assert code == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {flag} must be positive and finite, got {float(value)}\n"
+        assert capsys.readouterr().err.splitlines()[-1] == flag_error("align", flag, value)
 
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_gen_data_non_finite_noise_exit_2(self, tmp_path, capsys, noise):
@@ -613,7 +641,7 @@ class TestOptimizeGso:
         assert run("optimize-gso", "--x", x_path, "--y", y_path, *flags, value,
                    "--out-dir", out) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {name} must be positive and finite, got {float(value)}\n"
+        assert err.splitlines()[-1] == flag_error("optimize-gso", name, value)
         assert not out.exists()
 
     def test_writes_symmetric_solution_with_small_residual(self, tiny_data, tmp_path):
@@ -840,7 +868,7 @@ class TestVerifyCommands:
         assert run("verify-bounds", "--instances", 2, "--optimality-instances", 2,
                    f"--{flag}", value, "--out-dir", out) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {flag} must be positive and finite, got {float(value)}\n"
+        assert err.splitlines()[-1] == flag_error("verify-bounds", flag, value)
         assert not out.exists()
 
     def test_verify_hermite_has_one_quadrature_rule(self, tmp_path, capsys):

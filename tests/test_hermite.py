@@ -48,12 +48,12 @@ class TestQuadratureRule:
 
     @pytest.mark.parametrize("moment,expected", [(0, 1.0), (2, 1.0), (4, 3.0), (6, 15.0)])
     def test_even_moments_double_factorial(self, moment, expected):
-        got = hm.gauss_hermite_expectation(lambda u: u**moment, n_points=64)
-        assert got == pytest.approx(expected, rel=1e-12)
+        nodes, weights = hm.gauss_hermite_rule(64)
+        assert weights @ nodes**moment == pytest.approx(expected, rel=1e-12)
 
     def test_min_points_enforced(self):
         with pytest.raises(ValueError):
-            hm.gauss_hermite_expectation(lambda u: u, n_points=1)
+            hm.gauss_hermite_rule(1)
 
     def test_large_rule_finite(self):
         nodes, weights = hm.gauss_hermite_rule(512)
@@ -124,6 +124,12 @@ class TestCoefficients:
         for y in (0.5, 1.0, 2.0):
             want = adaptive_gaussian_expectation(lambda u, y=y: math.tanh(y * u) * u)
             assert hm.coeff_g(1, y) == pytest.approx(want, abs=1e-10)
+
+    def test_sech2_is_the_tanh_derivative(self):
+        u = np.linspace(-4, 4, 41)
+        fd = (np.tanh(u + 1e-6) - np.tanh(u - 1e-6)) / 2e-6
+        assert np.allclose(hm.sech2(u), fd, atol=1e-7)
+        assert np.allclose(hm.sech2(u), 1.0 / np.cosh(u) ** 2, rtol=1e-12, atol=1e-15)
 
     def test_odd_degree_sech2_coefficient_vanishes(self):
         for z in (0.3, 1.0, 4.0):
@@ -225,7 +231,7 @@ class TestBetaFirstLayer:
         # where this reads 1.031e-6
         res = hm.beta_first_layer(b)
         degrees = slice(0, 2 * res.num_pairs + 1, 2)
-        taus, total = hm.hermite_coefficients(hm._sech2, np.sqrt([b]), degrees, 2048)
+        taus, total = hm.hermite_coefficients(hm.sech2, np.sqrt([b]), degrees, 2048)
         tail = total[0] - np.sum(taus[0] ** 2)
         assert 0.0 <= tail <= hm.BETA_FIRST_RTOL * taus[0, 0] ** 2
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +7,12 @@ from hypothesis import strategies as st
 
 from ntkalign.core import ShiftOperator, stack
 from ntkalign.models import (
-    ACTIVATIONS,
     FilterParams,
     InitConfig,
     TwoLayerGnnParams,
     filter_forward,
     filter_jacobian,
     flatten_params,
-    get_activation,
     gnn2_forward,
     gnn2_forward_pullback,
     gnn2_jacobian,
@@ -41,73 +41,6 @@ def fd_jacobian(fn, params, step=1e-5):
         lo[j] -= step
         cols.append((fn(unflatten_params(hi, params)) - fn(unflatten_params(lo, params))) / (2 * step))
     return np.column_stack(cols)
-
-
-class TestActivations:
-    def test_registry_names(self):
-        assert set(ACTIVATIONS) == {"tanh", "identity", "sigmoid", "relu", "leaky_relu"}
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            get_activation("swish")
-
-    @pytest.mark.parametrize("name", ["tanh", "sigmoid"])
-    def test_smooth_derivative_matches_fd(self, name):
-        act = get_activation(name)
-        u = np.linspace(-4, 4, 41)
-        fd = (act.fn(u + 1e-6) - act.fn(u - 1e-6)) / 2e-6
-        assert np.allclose(act.deriv(u), fd, atol=1e-7)
-
-    def test_derivative_from_value_matches_direct_formula(self):
-        # the derivative is taken from sigma(u); it must equal the formula in u
-        grid = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 800.0,
-                                -800.0], np.linspace(-30.0, 30.0, 2001)])
-        t = np.tanh(grid)
-        sig = get_activation("sigmoid").fn(grid)
-        direct = {
-            "tanh": 1.0 - t * t,
-            "sigmoid": sig * (1.0 - sig),
-            "relu": (grid > 0).astype(float),
-            "leaky_relu": np.where(grid > 0, 1.0, 0.01),
-            "identity": np.ones_like(grid),
-        }
-        for name, expected in direct.items():
-            got = get_activation(name).deriv(grid.copy())
-            assert got.dtype == float
-            assert np.array_equal(got, expected, equal_nan=True), name
-
-    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
-    def test_fn_in_place_matches_fresh_output(self, name):
-        act = get_activation(name)
-        u = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324],
-                            np.linspace(-9.0, 9.0, 37)])
-        fresh = act.fn(u)
-        in_place = u.copy()
-        assert act.fn(in_place, out=in_place) is in_place
-        assert np.array_equal(in_place, fresh, equal_nan=True)
-        # the pullback overwrites sigma(u) with sigma'(u) the same way
-        fresh_deriv = act.deriv_from_value(fresh)
-        assert act.deriv_from_value(in_place, out=in_place) is in_place
-        assert fresh_deriv.dtype == float
-        assert np.array_equal(in_place, fresh_deriv, equal_nan=True)
-
-    def test_relu_kink_convention(self):
-        act = get_activation("relu")
-        assert act.deriv(np.array([0.0]))[0] == 0.0
-        leaky = get_activation("leaky_relu")
-        assert leaky.fn(np.array([-2.0]))[0] == pytest.approx(-0.02)
-
-    def test_sigmoid_stable_at_extremes(self):
-        act = get_activation("sigmoid")
-        out = act.fn(np.array([-800.0, 800.0]))
-        assert np.all(np.isfinite(out))
-        assert out[0] == pytest.approx(0.0, abs=1e-300)
-        assert out[1] == pytest.approx(1.0)
-
-    def test_analytic_ntk_flags(self):
-        assert get_activation("tanh").analytic_ntk
-        assert get_activation("identity").analytic_ntk
-        assert not get_activation("relu").analytic_ntk
 
 
 class TestFilterForward:
@@ -189,29 +122,15 @@ class TestGnn2Forward:
         s = random_shift(rng, 5)
         x = rng.standard_normal(5)
         e0 = np.array([[1.0, 0.0]])
-        params = TwoLayerGnnParams(e0, e0, "identity")
-        assert np.allclose(gnn2_forward(s, params, x), x, atol=1e-14)
-
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_identity_activation_collapses_to_tap_convolution(self, seed):
-        rng = np.random.default_rng(seed)
-        n, width, k = int(rng.integers(2, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        s = random_shift(rng, n)
-        g = rng.standard_normal((width, k))
-        h = rng.standard_normal((width, k))
-        x = rng.standard_normal(n)
-        params = TwoLayerGnnParams(g, h, "identity")
-        eff = sum(np.convolve(g[f], h[f]) for f in range(width)) / np.sqrt(width)
-        expected = filter_forward(s, FilterParams(eff), x)
-        assert np.allclose(gnn2_forward(s, params, x), expected, atol=1e-10)
+        params = TwoLayerGnnParams(e0, e0)
+        assert np.allclose(gnn2_forward(s, params, x), np.tanh(x), atol=1e-14)
 
     def test_one_homogeneous_in_second_layer(self):
         rng = np.random.default_rng(6)
         s = random_shift(rng, 4)
         x = rng.standard_normal((4, 2))
         params = init_gnn2(3, 2, InitConfig(kappa=0.7, seed=11))
-        scaled = TwoLayerGnnParams(params.g, 3.5 * params.h, params.activation)
+        scaled = TwoLayerGnnParams(params.g, 3.5 * params.h)
         assert np.allclose(gnn2_forward(s, scaled, x), 3.5 * gnn2_forward(s, params, x))
 
     def test_matrix_input_matches_per_column(self):
@@ -226,15 +145,15 @@ class TestGnn2Forward:
 
 class TestGnn2Jacobian:
     def test_second_layer_identity_passthrough(self):
-        # sigma = identity with g = e0 makes every feature equal to x
+        # g = e0 passes x through the first filter, so every feature is tanh(x)
         rng = np.random.default_rng(8)
         s = random_shift(rng, 4)
         x = rng.standard_normal(4)
         width, k = 3, 2
         g = np.tile([1.0, 0.0], (width, 1))
-        params = TwoLayerGnnParams(g, rng.standard_normal((width, k)), "identity")
+        params = TwoLayerGnnParams(g, rng.standard_normal((width, k)))
         jac = gnn2_jacobian(s, params, x, which_layer="second")
-        powers = s.powers_applied(x, k)
+        powers = s.powers_applied(np.tanh(x), k)
         for f in range(width):
             for j in range(k):
                 assert np.allclose(jac[:, f * k + j], powers[j] / np.sqrt(width))
@@ -255,8 +174,7 @@ class TestGnn2Jacobian:
         fd = fd_jacobian(lambda p: gnn2_forward(s, p, x), params)
         assert np.linalg.norm(jac - fd) <= 1e-5 * np.linalg.norm(fd)
 
-    @pytest.mark.parametrize("activation", ["tanh", "identity", "sigmoid"])
-    def test_smooth_activations_fifty_instances(self, activation):
+    def test_fifty_random_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             n = int(rng.integers(2, 6))
@@ -264,9 +182,8 @@ class TestGnn2Jacobian:
             k = int(rng.integers(1, 4))
             s = random_shift(rng, n)
             x = rng.standard_normal(n)
-            params = TwoLayerGnnParams(
-                rng.standard_normal((width, k)), rng.standard_normal((width, k)), activation
-            )
+            g, h = rng.standard_normal((2, width, k))
+            params = TwoLayerGnnParams(g, h)
             jac = gnn2_jacobian(s, params, x)
             fd = fd_jacobian(lambda p: gnn2_forward(s, p, x), params)
             assert np.linalg.norm(jac - fd) <= 1e-4 * max(np.linalg.norm(fd), 1e-12)
@@ -309,15 +226,14 @@ class TestGnn2ForwardPullback:
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
     @pytest.mark.parametrize("samples", [None, 4], ids=["vector", "matrix"])
-    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
-    def test_pullback_matches_jacobian_transpose(self, activation, samples, symmetric):
+    def test_pullback_is_jacobian_transpose(self, samples, symmetric):
         rng = np.random.default_rng(12)
         n = 6
         s = self.make_shift(rng, n, symmetric)
         shape = (n,) if samples is None else (n, samples)
         x = rng.standard_normal(shape)
         r = rng.standard_normal(shape)
-        params = init_gnn2(7, 3, InitConfig(kappa=0.9, seed=5), activation)
+        params = init_gnn2(7, 3, InitConfig(kappa=0.9, seed=5))
         out, pullback = gnn2_forward_pullback(s, params, s.powers_applied(x, 3))
         jac = gnn2_jacobian(s, params, x)
         expected = jac.T @ (r if samples is None else stack(r))
@@ -328,15 +244,14 @@ class TestGnn2ForwardPullback:
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
     @pytest.mark.parametrize("k", [1, 4])
-    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
-    def test_output_and_pullback_match_jacobian(self, activation, k, symmetric):
+    def test_output_and_pullback_match_jacobian(self, k, symmetric):
         # the output is linear in h: the second-layer Jacobian block times h
         rng = np.random.default_rng(20 + k)
         n, samples = 5, 3
         s = self.make_shift(rng, n, symmetric)
         x = rng.standard_normal((n, samples))
         r = rng.standard_normal((n, samples))
-        params = init_gnn2(4, k, InitConfig(kappa=0.9, seed=k), activation)
+        params = init_gnn2(4, k, InitConfig(kappa=0.9, seed=k))
         out, pullback = gnn2_forward_pullback(s, params, s.powers_applied(x, k))
         expected = gnn2_jacobian(s, params, x, which_layer="second") @ params.h.ravel()
         assert np.linalg.norm(stack(out) - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -371,12 +286,11 @@ class TestGnn2ForwardPullback:
         with pytest.raises(ValueError, match="residual shape"):
             pullback(np.zeros(8))
 
-    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
-    def test_pullback_runs_once(self, activation):
+    def test_pullback_runs_once(self):
         # sigma' overwrites sigma(u1), so a second call could only return a wrong gradient
         rng = np.random.default_rng(5)
         s = random_shift(rng, 4)
-        params = init_gnn2(3, 2, InitConfig(kappa=1.0, seed=0), activation)
+        params = init_gnn2(3, 2, InitConfig(kappa=1.0, seed=0))
         x = rng.standard_normal((4, 2))
         _, pullback = gnn2_forward_pullback(s, params, s.powers_applied(x, 2))
         r = rng.standard_normal((4, 2))
@@ -431,7 +345,7 @@ class TestInit:
 class TestSerialization:
     @pytest.mark.parametrize("make", [
         lambda: init_filter(3, InitConfig(kappa=1.2, seed=30)),
-        lambda: init_gnn2(3, 2, InitConfig(kappa=0.4, seed=31), "sigmoid"),
+        lambda: init_gnn2(3, 2, InitConfig(kappa=0.4, seed=31)),
     ])
     def test_round_trip(self, make, tmp_path):
         params = make()
@@ -440,8 +354,6 @@ class TestSerialization:
         loaded = load_params(path)
         assert type(loaded) is type(params)
         assert np.array_equal(flatten_params(loaded), flatten_params(params))
-        if hasattr(params, "activation"):
-            assert loaded.activation == params.activation
 
     def test_flatten_round_trip_preserves_layout(self):
         params = init_gnn2(2, 3, InitConfig(kappa=1.0, seed=33))
@@ -456,6 +368,23 @@ class TestSerialization:
         params = init_filter(3, InitConfig(kappa=1.0, seed=34))
         with pytest.raises(ValueError):
             unflatten_params(np.zeros(4), params)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", None])
+    def test_load_reads_only_the_tanh_header(self, tmp_path, activation):
+        # the header keeps its activation key, so the file format is unchanged
+        header = {"schema_version": 1, "kind": "gnn2", "width": 1, "num_taps": 2}
+        if activation is not None:
+            header["activation"] = activation
+        path = tmp_path / "params.txt"
+        path.write_text(json.dumps(header) + "\n0.5,-1,2,0.25\n")
+        if activation != "tanh":
+            with pytest.raises(ValueError, match="only tanh"):
+                load_params(path)
+            return
+        loaded = load_params(path)
+        assert np.array_equal(loaded.g, [[0.5, -1.0]]) and np.array_equal(loaded.h, [[2.0, 0.25]])
+        save_params(tmp_path / "again.txt", loaded)
+        assert (tmp_path / "again.txt").read_text() == path.read_text()
 
     def test_load_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.csv"

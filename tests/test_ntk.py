@@ -12,15 +12,19 @@ from ntkalign.dataio import (
     generate_var,
     planted_transition,
 )
-from ntkalign.hermite import SERIES_RTOL, TruncationError, hermite_coefficients, series_tails
+from ntkalign.hermite import (
+    SERIES_RTOL,
+    TruncationError,
+    hermite_coefficients,
+    sech2,
+    series_tails,
+)
 from ntkalign import training
 from ntkalign.models import (
-    ACTIVATIONS,
     FilterParams,
     InitConfig,
     TwoLayerGnnParams,
     flatten_params,
-    get_activation,
     gnn2_forward,
     gnn2_jacobian,
     init_gnn2,
@@ -63,26 +67,25 @@ def dense_block_diag(s, m):
     return out
 
 
-def dense_monte_carlo_layer(s, x, num_taps, g, h, layer, activation):
+def dense_monte_carlo_layer(s, x, num_taps, g, h, layer):
     """One layer's random-feature kernel as a dense sum over the F features.
 
     The reference for the factored ``gnn_monte_carlo_ntk``: the second
     layer conjugates the feature Gram sigma(Z g') sigma(Z g')' / F by the
     shift powers; the first adds, per feature f, the rank-K term c c' / F
-    with c = sum_j h_fj S~^j [sigma'(Z g_f) * Z].
+    with c = sum_j h_fj S~^j [sigma'(Z g_f) * Z], sigma = tanh.
     """
-    act = get_activation(activation)
     z = z_vectors(s, x, num_taps).matrix
     pre = z @ g.T  # (nM, F)
     num_features = g.shape[0]
     if layer == "second":
-        feats = act.fn(pre)
+        feats = np.tanh(pre)
         return conjugated_power_sum(s, feats @ feats.T / num_features, num_taps, x.shape[1])
     lift = dense_block_diag(s.matrix, x.shape[1])
     lift_powers = [np.linalg.matrix_power(lift, j) for j in range(num_taps)]
     theta = np.zeros((z.shape[0], z.shape[0]))
     for f in range(num_features):
-        w = act.deriv(pre[:, f])[:, None] * z  # (nM, K)
+        w = sech2(pre[:, f])[:, None] * z  # (nM, K)
         c = sum(h[f, j] * (lift_powers[j] @ w) for j in range(num_taps))
         theta += c @ c.T
     return theta / num_features
@@ -94,11 +97,6 @@ def within_residual(series, reference):
     return gap <= series.truncation_residual + 64 * np.finfo(float).eps * max(
         1.0, np.abs(reference.matrix).max()
     )
-
-
-def sech2(u):
-    t = np.tanh(u)
-    return 1.0 - t * t
 
 
 def gaussian_expectation(f):
@@ -273,22 +271,8 @@ class TestExpectationQuadrature:
         assert np.all(np.abs(e) <= bound + 1e-10)
         assert np.allclose(e, e.T)
 
-    def test_rejects_non_analytic_activation(self):
-        z = ZVectors(np.ones((2, 1)), num_nodes=2, num_samples=1)
-        with pytest.raises(ValueError):
-            expectation_E_quadrature(z, activation="relu")
-
 
 class TestExpectationSeries:
-    def test_identity_activation_is_linear_kernel(self):
-        rng = np.random.default_rng(12)
-        s = random_shift(rng, 4)
-        x = rng.standard_normal((4, 3))
-        z = z_vectors(s, x, 2)
-        e = expectation_E_series(z, activation="identity")
-        assert np.allclose(e.matrix, z.gram(), atol=1e-12)
-        assert e.truncation_residual == 0.0
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_agrees_with_quadrature(self, seed):
         rng = np.random.default_rng(seed)
@@ -376,14 +360,6 @@ class TestExpectationSeries:
 
 
 class TestExpectationFirstLayerSeries:
-    def test_identity_activation_recovers_gram(self):
-        rng = np.random.default_rng(14)
-        s = random_shift(rng, 4)
-        z = z_vectors(s, rng.standard_normal((4, 3)), 2)
-        e1 = expectation_E_first_layer_series(z, activation="identity")
-        assert np.array_equal(e1.matrix, z.gram())
-        assert e1.truncation_residual == 0.0
-
     def test_zero_rows_vanish(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((3, 2))
@@ -395,14 +371,6 @@ class TestExpectationFirstLayerSeries:
 
 
 class TestExpectationFirstLayer:
-    def test_identity_activation_recovers_gram(self):
-        rng = np.random.default_rng(14)
-        s = random_shift(rng, 4)
-        x = rng.standard_normal((4, 3))
-        z = z_vectors(s, x, 2)
-        e1 = expectation_E_first_layer(z, activation="identity")
-        assert np.allclose(e1.matrix, z.gram(), atol=1e-10)
-
     def test_diagonal_positive_and_matches_oracle(self):
         rng = np.random.default_rng(15)
         s = random_shift(rng, 3)
@@ -438,21 +406,6 @@ class TestInfiniteNtk:
         theta = gnn_infinite_ntk(s, data, num_taps=3)
         e = expectation_E_quadrature(z_vectors(s, data, 3))
         assert np.allclose(theta.matrix, e.matrix, atol=1e-12)
-
-    def test_identity_activation_double_power_sum(self):
-        rng = np.random.default_rng(18)
-        s = random_shift(rng, 3)
-        data = random_dataset(rng, 3, 3)
-        k = 2
-        theta = gnn_infinite_ntk(s, data, k, activation="identity")
-        lift = dense_block_diag(s.matrix, 3)
-        blin = b_lin(s, data.x, k)
-        expected = sum(
-            np.linalg.matrix_power(lift, j) @ blin @ np.linalg.matrix_power(lift, j)
-            for j in range(k)
-        )
-        assert np.allclose(theta.matrix, expected, atol=1e-10)
-        assert theta.kind is NtkKind.GNN_INFINITE_SERIES
 
     @pytest.mark.parametrize("method", ["series"])
     def test_both_layers_is_the_sum_with_layer_info(self, method):
@@ -528,17 +481,6 @@ class TestMonteCarloNtk:
         c = gnn_monte_carlo_ntk(s, data, 2, num_features=16, seed=8)
         assert not np.array_equal(a.matrix, c.matrix)
 
-    def test_forced_identity_draw_gives_linear_kernel(self):
-        rng = np.random.default_rng(22)
-        s = random_shift(rng, 4)
-        data = random_dataset(rng, 4, 2)
-        draws = (np.array([[1.0, 0.0]]), np.array([[0.3, -0.8]]))
-        theta = gnn_monte_carlo_ntk(
-            s, data, 2, num_features=1, seed=0, activation="identity", draws=draws
-        )
-        assert np.allclose(theta.matrix, b_lin(s, data.x, 2), atol=1e-12)
-        assert theta.rank_estimate() <= 2
-
     def test_second_layer_converges_to_quadrature(self):
         rng = np.random.default_rng(23)
         s = random_shift(rng, 5)
@@ -582,9 +524,8 @@ class TestMonteCarloNtk:
         assert np.linalg.norm(both.matrix - total) <= 1e-12 * np.linalg.norm(total)
         assert both.info == {"layers": {"second": second.info, "first": first.info}}
 
-    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     @pytest.mark.parametrize("which_layer", ["second", "first", "both"])
-    def test_matches_dense_per_feature_sum(self, activation, which_layer):
+    def test_matches_dense_per_feature_sum(self, which_layer):
         rng = np.random.default_rng(32)
         s = random_shift(rng, 4)
         data = random_dataset(rng, 4, 3)
@@ -593,10 +534,8 @@ class TestMonteCarloNtk:
         for layer, seed in seeds.items():
             draw = np.random.default_rng(seed)
             g, h = draw.standard_normal((12, 3)), draw.standard_normal((12, 3))
-            expected = expected + dense_monte_carlo_layer(s, data.x, 3, g, h, layer, activation)
-        theta = gnn_monte_carlo_ntk(
-            s, data, 3, 12, seed=5, which_layer=which_layer, activation=activation
-        )
+            expected = expected + dense_monte_carlo_layer(s, data.x, 3, g, h, layer)
+        theta = gnn_monte_carlo_ntk(s, data, 3, 12, seed=5, which_layer=which_layer)
         assert theta.factor is not None
         assert np.linalg.norm(theta.matrix - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -607,7 +546,7 @@ class TestMonteCarloNtk:
         data = random_dataset(rng, 3, 4)
         g, h = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
         layers = ("second", "first") if which_layer == "both" else (which_layer,)
-        expected = sum(dense_monte_carlo_layer(s, data.x, 2, g, h, l, "tanh") for l in layers)
+        expected = sum(dense_monte_carlo_layer(s, data.x, 2, g, h, l) for l in layers)
         theta = gnn_monte_carlo_ntk(s, data, 2, 5, seed=0, which_layer=which_layer, draws=(g, h))
         assert np.linalg.norm(theta.matrix - expected) <= 1e-12 * np.linalg.norm(expected)
 

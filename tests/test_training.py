@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -64,8 +63,11 @@ class TestTrainConfig:
             {"eta": 0.1, "epochs": 1, "batch_size": -2},
             {"eta": 0.1, "epochs": 1, "optimizer": "sgd"},
             {"eta": 0.1, "epochs": 1, "kappa": 0.0},
-            {"eta": 0.1, "epochs": 1, "eps_budget": 0.0},
+            {"eta": math.nan, "epochs": 1},
             {"eta": 0.1, "epochs": 1, "delta_budget": -0.5},
+            {"eta": math.inf, "epochs": 1},
+            {"eta": 0.1, "epochs": 1, "kappa": math.nan},
+            {"eta": 0.1, "epochs": 1, "kappa": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -355,8 +357,6 @@ class TestGnnPassShape:
         tanh = np.tanh
         monkeypatch.setattr(ShiftOperator, "powers_applied", recording_powers)
         monkeypatch.setattr(np, "tanh", counting_tanh)
-        counted = dataclasses.replace(models.ACTIVATIONS["tanh"], fn=counting_tanh)
-        monkeypatch.setitem(models.ACTIVATIONS, "tanh", counted)
         monkeypatch.setattr(models, "gnn2_forward_pullback", counting_pass)
         monkeypatch.setattr(training, "gnn2_forward_pullback", counting_pass)
         params = init_gnn2(7, 3, InitConfig(kappa=0.8, seed=51))
