@@ -125,12 +125,6 @@ class TestCoefficients:
             want = adaptive_gaussian_expectation(lambda u, y=y: math.tanh(y * u) * u)
             assert hm.coeff_g(1, y) == pytest.approx(want, abs=1e-10)
 
-    def test_sech2_is_the_tanh_derivative(self):
-        u = np.linspace(-4, 4, 41)
-        fd = (np.tanh(u + 1e-6) - np.tanh(u - 1e-6)) / 2e-6
-        assert np.allclose(hm.sech2(u), fd, atol=1e-7)
-        assert np.allclose(hm.sech2(u), 1.0 / np.cosh(u) ** 2, rtol=1e-12, atol=1e-15)
-
     def test_odd_degree_sech2_coefficient_vanishes(self):
         for z in (0.3, 1.0, 4.0):
             assert abs(hm.coeff_tau(1, z)) < 1e-12

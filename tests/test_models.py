@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntkalign.core import ShiftOperator, stack
+from ntkalign.hermite import sech2
 from ntkalign.models import (
     FilterParams,
     InitConfig,
@@ -41,6 +42,21 @@ def fd_jacobian(fn, params, step=1e-5):
         lo[j] -= step
         cols.append((fn(unflatten_params(hi, params)) - fn(unflatten_params(lo, params))) / (2 * step))
     return np.column_stack(cols)
+
+
+# The GNN's activations by the name params.txt records, with their derivatives;
+# the model fixes tanh, so the per-activation cases below run once each.
+ACTIVATIONS = {"tanh": (np.tanh, sech2)}
+
+
+class TestActivations:
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_smooth_derivative_matches_fd(self, name):
+        fn, deriv = ACTIVATIONS[name]
+        u = np.linspace(-4, 4, 41)
+        fd = (fn(u + 1e-6) - fn(u - 1e-6)) / 2e-6
+        assert np.allclose(deriv(u), fd, atol=1e-7)
+        assert np.allclose(sech2(u), 1.0 / np.cosh(u) ** 2, rtol=1e-12, atol=1e-15)
 
 
 class TestFilterForward:
@@ -174,7 +190,8 @@ class TestGnn2Jacobian:
         fd = fd_jacobian(lambda p: gnn2_forward(s, p, x), params)
         assert np.linalg.norm(jac - fd) <= 1e-5 * np.linalg.norm(fd)
 
-    def test_fifty_random_instances(self):
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_smooth_activations_fifty_instances(self, activation):
         rng = np.random.default_rng(11)
         for _ in range(50):
             n = int(rng.integers(2, 6))
@@ -226,7 +243,8 @@ class TestGnn2ForwardPullback:
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
     @pytest.mark.parametrize("samples", [None, 4], ids=["vector", "matrix"])
-    def test_pullback_is_jacobian_transpose(self, samples, symmetric):
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_pullback_matches_jacobian_transpose(self, activation, samples, symmetric):
         rng = np.random.default_rng(12)
         n = 6
         s = self.make_shift(rng, n, symmetric)
@@ -244,7 +262,8 @@ class TestGnn2ForwardPullback:
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
     @pytest.mark.parametrize("k", [1, 4])
-    def test_output_and_pullback_match_jacobian(self, k, symmetric):
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_output_and_pullback_match_jacobian(self, activation, k, symmetric):
         # the output is linear in h: the second-layer Jacobian block times h
         rng = np.random.default_rng(20 + k)
         n, samples = 5, 3
@@ -286,7 +305,8 @@ class TestGnn2ForwardPullback:
         with pytest.raises(ValueError, match="residual shape"):
             pullback(np.zeros(8))
 
-    def test_pullback_runs_once(self):
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_pullback_runs_once(self, activation):
         # sigma' overwrites sigma(u1), so a second call could only return a wrong gradient
         rng = np.random.default_rng(5)
         s = random_shift(rng, 4)

@@ -67,25 +67,31 @@ def dense_block_diag(s, m):
     return out
 
 
-def dense_monte_carlo_layer(s, x, num_taps, g, h, layer):
+# The GNN's activations by name, with their derivatives; the model fixes tanh,
+# so the per-activation cases run once each.
+ACTIVATIONS = {"tanh": (np.tanh, sech2)}
+
+
+def dense_monte_carlo_layer(s, x, num_taps, g, h, layer, activation="tanh"):
     """One layer's random-feature kernel as a dense sum over the F features.
 
     The reference for the factored ``gnn_monte_carlo_ntk``: the second
     layer conjugates the feature Gram sigma(Z g') sigma(Z g')' / F by the
     shift powers; the first adds, per feature f, the rank-K term c c' / F
-    with c = sum_j h_fj S~^j [sigma'(Z g_f) * Z], sigma = tanh.
+    with c = sum_j h_fj S~^j [sigma'(Z g_f) * Z], (sigma, sigma') = ACTIVATIONS[activation].
     """
+    fn, deriv = ACTIVATIONS[activation]
     z = z_vectors(s, x, num_taps).matrix
     pre = z @ g.T  # (nM, F)
     num_features = g.shape[0]
     if layer == "second":
-        feats = np.tanh(pre)
+        feats = fn(pre)
         return conjugated_power_sum(s, feats @ feats.T / num_features, num_taps, x.shape[1])
     lift = dense_block_diag(s.matrix, x.shape[1])
     lift_powers = [np.linalg.matrix_power(lift, j) for j in range(num_taps)]
     theta = np.zeros((z.shape[0], z.shape[0]))
     for f in range(num_features):
-        w = sech2(pre[:, f])[:, None] * z  # (nM, K)
+        w = deriv(pre[:, f])[:, None] * z  # (nM, K)
         c = sum(h[f, j] * (lift_powers[j] @ w) for j in range(num_taps))
         theta += c @ c.T
     return theta / num_features
@@ -524,8 +530,9 @@ class TestMonteCarloNtk:
         assert np.linalg.norm(both.matrix - total) <= 1e-12 * np.linalg.norm(total)
         assert both.info == {"layers": {"second": second.info, "first": first.info}}
 
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     @pytest.mark.parametrize("which_layer", ["second", "first", "both"])
-    def test_matches_dense_per_feature_sum(self, which_layer):
+    def test_matches_dense_per_feature_sum(self, activation, which_layer):
         rng = np.random.default_rng(32)
         s = random_shift(rng, 4)
         data = random_dataset(rng, 4, 3)
@@ -534,7 +541,7 @@ class TestMonteCarloNtk:
         for layer, seed in seeds.items():
             draw = np.random.default_rng(seed)
             g, h = draw.standard_normal((12, 3)), draw.standard_normal((12, 3))
-            expected = expected + dense_monte_carlo_layer(s, data.x, 3, g, h, layer)
+            expected = expected + dense_monte_carlo_layer(s, data.x, 3, g, h, layer, activation)
         theta = gnn_monte_carlo_ntk(s, data, 3, 12, seed=5, which_layer=which_layer)
         assert theta.factor is not None
         assert np.linalg.norm(theta.matrix - expected) <= 1e-12 * np.linalg.norm(expected)
