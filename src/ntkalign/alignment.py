@@ -5,10 +5,11 @@ targets; larger alignment means faster kernel gradient descent and a
 smaller generalization bound.  For graph filters and linear GNNs the
 alignment has closed trace forms in S, X, Y, which admit Cauchy-Schwarz
 lower bounds whose maximizers over a Frobenius ball are functions of the
-symmetrized cross-covariance C_XY.  For tanh GNNs the bounds become
-conditional: they hold when the linear alignment is a large enough
-fraction xi of its Cauchy-Schwarz ceiling, with constants from the
-Hermite expansion of tanh.
+symmetrized cross-covariance C_XY.  They are read off the tap stacks Z, Zy
+of X and Y as C = Zy^T Z (K x K): A_filt = ||C[0]||^2, A_lin = ||C||_F^2.
+For tanh GNNs the bounds become conditional: they hold when the linear
+alignment is a large enough fraction xi of its Cauchy-Schwarz ceiling,
+with constants from the Hermite expansion of tanh.
 
 Checkers return CheckReport values rather than raising on violation, so
 sweeps can count failures and record the seeds that produced them.
@@ -39,7 +40,7 @@ from .core import (
 )
 from .hermite import BETA_SATURATION, ExpansionConstants, coeff_g, coeff_tau, expansion_constants
 from .ntk import (  # the quadrature references stay bound here for perfbench/tracer.py
-    ZVectors,
+    TapStack,
     expectation_E_first_layer,
     expectation_E_first_layer_series,
     expectation_E_quadrature,
@@ -62,15 +63,6 @@ SIGN_ZERO_ATOL = 1e-12
 TAIL_SLACK = 1e-12
 
 
-def q_matrix(s: ShiftOperator, y: np.ndarray, num_taps: int) -> np.ndarray:
-    """Q = sum_k S~^k y~ y~^T S~^k; symmetric PSD with rank at most K.
-
-    The dense reference: the alignment terms use its factor Zy instead.
-    """
-    zy = z_vectors(s, np.asarray(y, dtype=float), num_taps).matrix
-    return zy @ zy.T
-
-
 def alignment(theta, y) -> float:
     """Quadratic form y~^T Theta~ y~; a factored kernel stays factored."""
     y_st = as_stacked(y)
@@ -87,16 +79,16 @@ def _trace_q(zy: np.ndarray, e: np.ndarray) -> float:
     return float(np.sum(zy * (e @ zy)))
 
 
-def _power_traces(s: ShiftOperator, x: np.ndarray, y: np.ndarray, num_powers: int) -> np.ndarray:
-    """tr(Y^T S^j X) for j = 0 .. num_powers-1."""
-    powers = s.powers_applied(x, num_powers)  # (J, n, M)
-    return np.einsum("nm,jnm->j", y, powers)
+def _tap_stacks(s: ShiftOperator, data: Dataset, num_taps: int):
+    """The tap stacks z of X and zy of Y, and C = Zy^T Z: C[k, k'] = tr(Y^T S^(k+k') X)."""
+    z, zy = z_vectors(s, data.x, num_taps), z_vectors(s, data.y, num_taps)
+    return z, zy, zy.matrix.T @ z.matrix
 
 
 def alignment_filt(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
-    """sum_k tr(Y^T S^k X)^2 without materializing the kernel."""
-    traces = _power_traces(s, data.x, data.y, num_taps)
-    return float(traces @ traces)
+    """sum_k tr(Y^T S^k X)^2 = ||C[0]||^2, without materializing the kernel."""
+    c = _tap_stacks(s, data, num_taps)[2]
+    return float(c[0] @ c[0])
 
 
 def _multiplicities(num_taps: int) -> np.ndarray:
@@ -106,9 +98,9 @@ def _multiplicities(num_taps: int) -> np.ndarray:
 
 
 def alignment_lin(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
-    """tr(Q B_lin) via the multiplicity-weighted power traces."""
-    traces = _power_traces(s, data.x, data.y, 2 * num_taps - 1)
-    return float(_multiplicities(num_taps) @ (traces * traces))
+    """tr(Q B_lin) = ||Zy^T Z||_F^2 = ||C||_F^2."""
+    c = _tap_stacks(s, data, num_taps)[2]
+    return float(np.sum(c * c))
 
 
 def alignment_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
@@ -139,11 +131,8 @@ def _xi(a_lin: float, zy: np.ndarray, z: np.ndarray) -> float:
 
 def xi_observed(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
     """A_lin / (||Q||_F ||B_lin||_F), the measured assumption level."""
-    return _xi(
-        alignment_lin(s, data, num_taps),
-        z_vectors(s, data.y, num_taps).matrix,
-        z_vectors(s, data.x, num_taps).matrix,
-    )
+    z, zy, c = _tap_stacks(s, data, num_taps)
+    return _xi(float(np.sum(c * c)), zy.matrix, z.matrix)
 
 
 @dataclass(frozen=True)
@@ -216,7 +205,7 @@ def check_budget_implies_kernel_bound(
     )
 
 
-def _leading_term(z: ZVectors) -> np.ndarray:
+def _leading_term(z: TapStack) -> np.ndarray:
     """B = g_1 g_1' * rho, the degree-1 term of the second layer's E."""
     g1 = coeff_g(1, z.norms)
     return np.outer(g1, g1) * z.correlations[1]
@@ -245,8 +234,7 @@ def check_first_term_lower_bound(
     op_norm = float(np.abs(np.linalg.eigvalsh(s.matrix)).max())
     if op_norm > spectral_bound + 1e-12:
         raise ValueError(f"operator norm {op_norm:.6f} exceeds spectral bound {spectral_bound}")
-    z = z_vectors(s, data.x, num_taps)
-    zy = z_vectors(s, data.y, num_taps).matrix
+    z, zy, c = _tap_stacks(s, data, num_taps)
     consts = expansion_constants(num_taps, spectral_bound)
     if layer == "second":
         b = _leading_term(z)
@@ -259,13 +247,13 @@ def check_first_term_lower_bound(
         raise ValueError(f"layer must be 'first' or 'second', got {layer!r}")
     return _verdict(
         f"first_term_lower_bound_{layer}",
-        _trace_q(zy, b),
-        rho * alignment_lin(s, data, num_taps),
+        _trace_q(zy.matrix, b),
+        rho * float(np.sum(c * c)),
         rho=rho,
     )
 
 
-def check_series_tail_domination(z: ZVectors) -> CheckReport:
+def check_series_tail_domination(z: TapStack) -> CheckReport:
     """Tail entries share the sign of the leading term and |dB| <= beta |B|.
 
     dB = E - B takes the whole certified series past degree 1; every tail
@@ -341,12 +329,13 @@ def _conditional_alignment_check(
 class GnnAlignmentTerms:
     """Per-instance quantities shared by the alignment report and both checks.
 
-    ``a`` and ``a_first_layer`` are tr(Q E) and tr(Q E1); ``layers`` holds
-    each expectation matrix's diagnostics (method, degree, residual).
+    ``a`` and ``a_first_layer`` are tr(Q E) and tr(Q E1), next to A_filt and
+    A_lin; ``layers`` holds each expectation's diagnostics (method, degree, residual).
     """
 
     a: float
     a_first_layer: float
+    a_filt: float
     a_lin: float
     xi_observed: float
     constants: ExpansionConstants
@@ -356,22 +345,22 @@ class GnnAlignmentTerms:
 def gnn_alignment_terms(
     s: ShiftOperator, data: Dataset, num_taps: int, spectral_bound: float = 1.0
 ) -> GnnAlignmentTerms:
-    """Build z, Zy, E, E1 and the constants of one instance once.
+    """Build z, Zy, C, E, E1 and the constants of one instance once.
 
     E and E1 come from the certified Hermite series; the quadrature
     references stay available as ``expectation_E_quadrature`` and
     ``expectation_E_first_layer``.  Q = Zy Zy^T and B_lin = Z Z^T are
-    used only through their factors.
+    used only through their factors, and A_filt and A_lin through C.
     """
-    z = z_vectors(s, data.x, num_taps)
-    zy = z_vectors(s, data.y, num_taps).matrix
+    z, zy, c = _tap_stacks(s, data, num_taps)
     e, e1 = expectation_E_series(z), expectation_E_first_layer_series(z)
-    a_lin = alignment_lin(s, data, num_taps)
+    a_lin = float(np.sum(c * c))
     return GnnAlignmentTerms(
-        a=_trace_q(zy, e.matrix),
-        a_first_layer=_trace_q(zy, e1.matrix),
+        a=_trace_q(zy.matrix, e.matrix),
+        a_first_layer=_trace_q(zy.matrix, e1.matrix),
+        a_filt=float(c[0] @ c[0]),
         a_lin=a_lin,
-        xi_observed=_xi(a_lin, zy, z.matrix),
+        xi_observed=_xi(a_lin, zy.matrix, z.matrix),
         constants=expansion_constants(num_taps, spectral_bound),
         layers={"second": expectation_info(e), "first": expectation_info(e1)},
     )
@@ -482,7 +471,7 @@ def alignment_report(
     terms = _instance_terms(s, data, num_taps, spectral_bound, terms)
     return AlignmentReport(
         a=terms.a,
-        a_filt=alignment_filt(s, data, num_taps),
+        a_filt=terms.a_filt,
         a_lin=terms.a_lin,
         a_lower=alignment_lower_bound(s, data, num_taps),
         a_lin_lower=alignment_lin_lower_bound(s, data, num_taps),

@@ -488,9 +488,9 @@ def _cmd_compare(cfg: dict) -> int:
 
 def _cmd_verify_bounds(cfg: dict) -> int:
     opt = None
-    if cfg["k"] == 2 and cfg["optimality_instances"] > 0:
+    if cfg["optimality_instances"] > 0:
         opt = optimality_sweep(num_instances=cfg["optimality_instances"], seed=cfg["seed"],
-                               num_taps=cfg["k"], alpha=cfg["alpha"], eta=cfg["eta"])
+                               alpha=cfg["alpha"], eta=cfg["eta"])
     sweeps = run_inequality_sweeps(cfg["instances"], cfg["seed"], cfg["checks"])
     violations = sum(res.violations for res in sweeps.values())
     violations += 0 if opt is None or opt.passed else 1
@@ -538,11 +538,14 @@ def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
     )
 
 
-def _count(text: str) -> int:
-    """argparse type of an instance count: an integer >= 0."""
-    if not re.fullmatch(r"\s*\+?\d+\s*", text):
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+def _count(text: str, low: int = 0) -> int:
+    """argparse type of an instance count: an integer >= ``low`` (0)."""
+    if not re.fullmatch(r"\s*\+?\d+\s*", text) or int(text) < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return int(text)
+
+
+_size = functools.partial(_count, low=1)  # taps, width, nodes, series length, samples, reps
 
 
 def _positive(text: str) -> float:
@@ -583,33 +586,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen-data", help="generate a planted VAR series (and pairs)")
-    p.add_argument("--n", type=int, default=20, help="number of nodes")
-    p.add_argument("--len", type=int, default=1000, help="series length")
+    p.add_argument("--n", type=_size, default=20, help="number of nodes")
+    p.add_argument("--len", type=_size, default=1000, help="series length")
     p.add_argument("--strength", type=float, default=0.9, help="planted eigenvalue in (0, 1)")
     p.add_argument(
         "--anisotropy", type=float, default=0.8, help="planted-direction dominance in (0, 1]"
     )
     p.add_argument("--noise", type=float, default=1.0, help="innovation scale")
     p.add_argument("--dt", type=int, help="also extract pairs at this horizon")
-    p.add_argument("--m-train", type=int, default=200, help="training pairs")
+    p.add_argument("--m-train", type=_size, default=200, help="training pairs")
     p.add_argument("--m-test", type=int, help="test pairs (default m_train/10)")
     _add_shared_flags(p)
 
     p = sub.add_parser("ntk", help="compute a stacked tangent kernel")
     p.add_argument("--x", help="inputs CSV (nodes x samples)")
     p.add_argument("--y", help="targets CSV (nodes x samples)")
-    p.add_argument("--k", type=int, default=2, help="filter taps")
+    p.add_argument("--k", type=_size, default=2, help="filter taps")
     p.add_argument(
         "--kind", choices=["filter", "gnn", "gnn-mc"], default="filter", help="kernel kind"
     )
-    p.add_argument("--width", type=int, default=256, help="hidden features for gnn-mc")
+    p.add_argument("--width", type=_size, default=256, help="hidden features for gnn-mc")
     _add_gso_flags(p)
     _add_shared_flags(p)
 
     p = sub.add_parser("align", help="alignment report and conditional bound checks")
     p.add_argument("--x", help="inputs CSV")
     p.add_argument("--y", help="targets CSV")
-    p.add_argument("--k", type=int, default=2, help="filter taps")
+    p.add_argument("--k", type=_size, default=2, help="filter taps")
     p.add_argument("--eta", type=_positive, default=1.0, help="learning rate in the budget")
     p.add_argument("--alpha", type=_positive, default=1.0, help="kernel-norm budget")
     p.add_argument("--nu", type=_positive, default=1.0, help="spectral bound for the constants")
@@ -621,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="inputs CSV")
     p.add_argument("--y", help="targets CSV")
     p.add_argument("--c", help="cross-covariance CSV (overrides --x/--y)")
-    p.add_argument("--k", type=int, default=2, help="filter taps (>= 2)")
+    p.add_argument("--k", type=_size, default=2, help="filter taps (>= 2)")
     p.add_argument("--mu", type=_positive, help="explicit multiplier")
     p.add_argument("--alpha", type=_positive, help="budget numerator for mu")
     p.add_argument("--eta", type=_positive, help="learning rate for mu")
@@ -637,9 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", help="targets CSV")
     p.add_argument("--x-test", help="test inputs CSV")
     p.add_argument("--y-test", help="test targets CSV")
-    p.add_argument("--k", type=int, default=2, help="filter taps")
+    p.add_argument("--k", type=_size, default=2, help="filter taps")
     p.add_argument("--model", choices=["filter", "gnn2"], default="filter", help="model class")
-    p.add_argument("--width", type=int, default=50, help="hidden features for gnn2")
+    p.add_argument("--width", type=_size, default=50, help="hidden features for gnn2")
     p.add_argument("--eta", type=_positive, help="learning rate")
     p.add_argument("--epochs", type=int, default=100, help="training epochs")
     p.add_argument("--kappa", type=_positive, default=1.0, help="initialization scale")
@@ -651,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="train matched models across shift operators")
     p.add_argument("--series", help="series CSV to extract pairs from")
     p.add_argument("--dt", type=int, default=1, help="pair horizon for --series")
-    p.add_argument("--m-train", type=int, default=200, help="training pairs")
+    p.add_argument("--m-train", type=_size, default=200, help="training pairs")
     p.add_argument("--m-test", type=int, help="test pairs (default m_train/10)")
     p.add_argument("--x", help="inputs CSV (alternative to --series)")
     p.add_argument("--y", help="targets CSV")
@@ -664,15 +667,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=False,
         help="use the unsymmetrized cross-covariance for the cxy arm",
     )
-    p.add_argument("--k", type=int, default=2, help="filter taps")
+    p.add_argument("--k", type=_size, default=2, help="filter taps")
     p.add_argument("--model", choices=["filter", "gnn2"], default="gnn2", help="model class")
-    p.add_argument("--width", type=int, default=50, help="hidden features for gnn2")
+    p.add_argument("--width", type=_size, default=50, help="hidden features for gnn2")
     p.add_argument("--eta", type=_positive, help="learning rate")
     p.add_argument("--epochs", type=int, default=50, help="training epochs")
     p.add_argument("--kappa", type=_positive, default=1.0, help="initialization scale")
     p.add_argument("--optimizer", choices=["gd", "adam"], default="adam", help="update rule")
     p.add_argument("--batch-size", type=int, default=0, help="0 = full batch")
-    p.add_argument("--reps", type=int, default=10, help="seeded repetitions")
+    p.add_argument("--reps", type=_size, default=10, help="seeded repetitions")
     _add_shared_flags(p)
 
     p = sub.add_parser("verify-bounds", help="run the inequality and optimality sweeps")
@@ -683,9 +686,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--optimality-instances",
         type=_count,
         default=1000,
-        help="instances for the optimal-GSO sweep (0 disables)",
+        help="instances for the optimal-GSO sweep, which runs at K = 2 (0 disables)",
     )
-    p.add_argument("--k", type=int, default=2, help="taps for the optimality sweep (runs when 2)")
     p.add_argument("--alpha", type=_positive, default=1.0, help="budget numerator")
     p.add_argument("--eta", type=_positive, default=1.0, help="learning rate in the budget")
     _add_shared_flags(p)

@@ -15,9 +15,9 @@ The analytic filter, empirical and Monte Carlo kernels are returned in
 factored form (F = Z or F = J, kernel F F^T), so their spectra come from a
 thin SVD and nothing nM x nM is formed unless ``.matrix`` is read.  The
 infinite-width kernel is dense; intended for nM up to a few thousand.
-Row ell of the Z matrix is the per-entry vector [x~_ell, (S~ x~)_ell, ...],
-so Z Z^T is the linear kernel B_lin and row norms feed the Hermite
-coefficient tables.
+Kernels, training and alignment read the tap stack [S~^k x~]_k from one
+``TapStack`` per (S, x, K).  Row ell of its Z is [x~_ell, (S~ x~)_ell, ...],
+so Z Z^T is the linear kernel B_lin; row norms feed the Hermite series.
 """
 
 from __future__ import annotations
@@ -53,8 +53,12 @@ def _signals(data) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ZVectors:
-    """Per-entry shift profiles: row ell is [x~_ell, (S~ x~)_ell, ...]."""
+class TapStack:
+    """The tap stack [S~^k x~]_k of one (S, x, K) in three layouts, built by ``z_vectors``.
+
+    ``matrix`` is Z (nM x K), the filter Jacobian; ``blocks`` views it per
+    sample (M, n, K); ``x_powers`` is X (K, n, M) for the GNN pass, cached.
+    """
 
     matrix: np.ndarray
     num_nodes: int
@@ -68,6 +72,16 @@ class ZVectors:
     @property
     def num_taps(self) -> int:
         return self.matrix.shape[1]
+
+    @property
+    def blocks(self) -> np.ndarray:
+        return self.matrix.reshape(self.num_samples, self.num_nodes, self.num_taps)
+
+    @cached_property
+    def x_powers(self) -> np.ndarray:
+        x = np.ascontiguousarray(self.blocks.transpose(2, 1, 0))  # s.powers_applied's layout
+        x.setflags(write=False)
+        return x
 
     @property
     def norms(self) -> np.ndarray:
@@ -102,19 +116,10 @@ class ZVectors:
         return norms, rho, tuple(int(i) for i in zero_rows)
 
 
-def z_vectors(s: ShiftOperator, data, num_taps: int) -> ZVectors:
-    """Z is the graph filter's Jacobian, ``filter_jacobian``, sample-major."""
+def z_vectors(s: ShiftOperator, data, num_taps: int) -> TapStack:
+    """The tap stack of (s, x, K): Z is ``filter_jacobian``, sample-major."""
     x = _signals(data)
-    return ZVectors(filter_jacobian(s, x, num_taps), num_nodes=x.shape[0], num_samples=x.shape[1])
-
-
-def b_lin(s: ShiftOperator, data, num_taps: int) -> np.ndarray:
-    """Linear kernel sum_k S~^k x~ x~^T S~^k as a plain matrix.
-
-    The dense reference for ``filter_ntk``, which keeps it factored.
-    """
-    z = z_vectors(s, data, num_taps).matrix
-    return z @ z.T
+    return TapStack(filter_jacobian(s, x, num_taps), num_nodes=x.shape[0], num_samples=x.shape[1])
 
 
 def filter_ntk(s: ShiftOperator, data, num_taps: int) -> NtkMatrix:
@@ -198,7 +203,7 @@ def _zero_out(matrix: np.ndarray, zero_rows) -> np.ndarray:
 
 
 def expectation_E_quadrature(
-    z: ZVectors, n_points: int = DEFAULT_QUADRATURE_POINTS
+    z: TapStack, n_points: int = DEFAULT_QUADRATURE_POINTS
 ) -> ExpectationMatrix:
     """E_ab = E[tanh(|z_a| u) tanh(|z_b| u')] by tensor Gauss-Hermite.
 
@@ -231,7 +236,7 @@ def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray, parity: int) -> np.ndarray:
     return acc
 
 
-def expectation_E_series(z: ZVectors) -> ExpectationMatrix:
+def expectation_E_series(z: TapStack) -> ExpectationMatrix:
     """E_ab = sum_d g_d(|z_a|) g_d(|z_b|) rho_ab^d over the odd degrees of tanh.
 
     ``hermite_series`` truncates the coefficients at the first degree whose
@@ -246,7 +251,7 @@ def expectation_E_series(z: ZVectors) -> ExpectationMatrix:
     return ExpectationMatrix(_mehler_sum(coeffs, rho, 1), "series", zero_rows, residual, info)
 
 
-def expectation_E_first_layer_series(z: ZVectors) -> ExpectationMatrix:
+def expectation_E_first_layer_series(z: TapStack) -> ExpectationMatrix:
     """E1 = (sum_d tau_d tau_d' rho^d) * <z_a, z_b> over the even degrees of sech^2.
 
     The series counterpart of ``expectation_E_first_layer``, truncated like
@@ -265,7 +270,7 @@ def expectation_E_first_layer_series(z: ZVectors) -> ExpectationMatrix:
 
 
 def expectation_E_first_layer(
-    z: ZVectors, n_points: int = DEFAULT_QUADRATURE_POINTS
+    z: TapStack, n_points: int = DEFAULT_QUADRATURE_POINTS
 ) -> ExpectationMatrix:
     """First-layer analog: E[sech^2(|z_a| u) sech^2(|z_b| u')] <z_a, z_b>.
 
@@ -338,11 +343,10 @@ def gnn_infinite_ntk(
     layers = ("second", "first") if layer == "both" else (layer,)
     if any(name not in _LAYER_SERIES for name in layers):
         raise ValueError(f"layer must be 'first', 'second' or 'both', got {layer!r}")
-    x = _signals(data)
-    z = z_vectors(s, x, num_taps)
+    z = z_vectors(s, data, num_taps)
     parts = {name: _LAYER_SERIES[name](z) for name in layers}
     total = sum(e.matrix for e in parts.values())
-    theta = conjugated_power_sum(s, total, num_taps, x.shape[1])
+    theta = conjugated_power_sum(s, total, num_taps, z.num_samples)
     if layer == "both":
         info = {name: expectation_info(e) for name, e in parts.items()}
         info = {"layer": layer, "num_taps": num_taps, "layers": info}

@@ -1,11 +1,12 @@
 """Gradient-descent training and kernel-regime bound checks.
 
 Training is plain full-batch (or minibatch/Adam) gradient descent on the
-squared loss, tracked per epoch.  The tap stack [S^k x]_k does not
-depend on the parameters, so training builds it once per run.  A graph
-filter is linear in its taps: the stack is its Jacobian Z, and each step
-is two thin products with it.  A two-layer GNN takes the stack into one
-fused forward-and-pullback pass per step.  Because a filter is linear,
+squared loss, tracked per epoch.  The tap stack [S^k x]_k does not depend
+on the parameters, so each split's is built once per run (per arm in
+``compare_gso``).  A graph filter is linear in its taps: the stack is its
+Jacobian Z, and each step is two thin products with it.  A two-layer GNN
+takes it into one fused forward-and-pullback pass per step, and the test
+loss takes the same pass on the test stack.  Because a filter is linear,
 its gradient-descent trace is reproduced exactly by the constant-kernel
 dynamics r_{t+1} = (I - eta Theta~) r_t with Theta~ = Z Z', which is what
 the sandwich check, the parameter-movement prediction, and the
@@ -19,6 +20,7 @@ breaks the lower bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -34,7 +36,7 @@ from .core import (
     require_positive_finite,
     stack,
 )
-from .models import (
+from .models import (  # filter_jacobian and gnn2_forward stay bound here for perfbench/tracer.py
     FilterParams,
     InitConfig,
     TwoLayerGnnParams,
@@ -48,7 +50,7 @@ from .models import (
     init_gnn2,
     unflatten_params,
 )
-from .ntk import filter_ntk
+from .ntk import TapStack, filter_ntk, z_vectors
 
 PINV_RTOL = 1e-10
 DEFAULT_SLACK_FACTOR = 10.0
@@ -128,28 +130,19 @@ class TrainTrace:
         return len(self.train_losses) - 1
 
 
-def _forward(s: ShiftOperator, params, x: np.ndarray) -> np.ndarray:
-    if isinstance(params, FilterParams):
-        return filter_forward(s, params, x)
-    if isinstance(params, TwoLayerGnnParams):
-        return gnn2_forward(s, params, x)
-    raise TypeError(f"cannot train parameters of type {type(params).__name__}")
+def _training_pass(s: ShiftOperator, model, taps: TapStack, y: np.ndarray):
+    """One split's pass: (params, idx) -> (residual, pullback r -> J' r).
 
-
-def _training_pass(s: ShiftOperator, model, data: Dataset):
-    """The training split's pass: (params, idx) -> (residual, pullback r -> J' r).
-
-    ``idx`` picks a minibatch of samples (None: all of them); the pullback
-    is flat in flatten_params order and runs once per pass.  The tap stack
-    [S^k x]_k is built once here, and a minibatch takes its samples' part.
-    A graph filter's is its Jacobian Z (nM x K): a step's residual is
-    Z taps - y and its pullback Z' r.  A GNN takes it as X (K, n, M) into
-    one fused gnn2_forward_pullback pass.
+    ``taps`` is the split's tap stack and ``y`` its targets; ``idx`` picks
+    a minibatch of samples (None: all of them).  The pullback is flat in
+    flatten_params order and runs once per pass.  A graph filter reads the
+    stack's per-sample blocks of Z: a step's residual is Z taps - y and its
+    pullback Z' r.  A GNN takes its X (K, n, M) into one fused
+    gnn2_forward_pullback pass.
     """
     if isinstance(model, FilterParams):
-        num_taps = model.num_taps
-        z = filter_jacobian(s, data.x, num_taps).reshape(data.num_samples, -1, num_taps)
-        y = stack(data.y).reshape(data.num_samples, -1)  # both sample-major
+        z, num_taps = taps.blocks, taps.num_taps
+        y = stack(y).reshape(taps.num_samples, -1)  # sample-major, like z
 
         def filter_pass(params, idx):
             zb = (z if idx is None else z[idx]).reshape(-1, num_taps)
@@ -157,43 +150,51 @@ def _training_pass(s: ShiftOperator, model, data: Dataset):
             return zb @ params.taps - yb, lambda r: zb.T @ r
 
         return filter_pass
-    if isinstance(model, TwoLayerGnnParams):
-        x_powers = s.powers_applied(data.x, model.num_taps)  # (K, n, M)
+    x_powers = taps.x_powers
 
-        def gnn_pass(params, idx):
-            xb, yb = (x_powers, data.y) if idx is None else (x_powers[:, :, idx], data.y[:, idx])
-            out, pullback = gnn2_forward_pullback(s, params, xb)
-            return out - yb, pullback
+    def gnn_pass(params, idx):
+        xb, yb = (x_powers, y) if idx is None else (x_powers[:, :, idx], y[:, idx])
+        out, pullback = gnn2_forward_pullback(s, params, xb)
+        return out - yb, pullback
 
-        return gnn_pass
-    raise TypeError(f"cannot train parameters of type {type(model).__name__}")
+    return gnn_pass
 
 
-def _half_squared_loss(s, params, data: Dataset) -> float:
-    resid = _forward(s, params, data.x) - data.y
+def _split_passes(s: ShiftOperator, model, *splits):
+    """One ``_training_pass`` per split (None for None) on its stack; ``model`` gives type and K.
+
+    A type that cannot be trained raises TypeError before any stack is built.
+    """
+    if not isinstance(model, (FilterParams, TwoLayerGnnParams)):
+        raise TypeError(f"cannot train parameters of type {type(model).__name__}")
+    return [
+        None if split is None
+        else _training_pass(s, model, z_vectors(s, split.x, model.num_taps), split.y)
+        for split in splits
+    ]
+
+
+def _half_loss(resid: np.ndarray) -> float:
     return 0.5 * float(np.sum(resid * resid))
 
 
-def _descent(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig):
+def _descent(model, training_pass, num_samples: int, cfg: TrainConfig):
     """Gradient-descent iterates from ``model``: yields (epoch, params, flat, loss).
 
     Epochs run 0 (the initialization) to cfg.epochs, each with its train
     loss; ``flat`` is updated in place by the next step.  Full-batch when
-    batch_size is 0, otherwise seeded shuffled minibatches.  Each step's
-    gradient is the pullback of the residual, J' r, from the same
-    ``_training_pass`` call that computed the residual: two thin products
-    with a graph filter's Jacobian Z, or one fused GNN pass on the tap
-    stack X, each built once per call.  In full-batch mode the pass that
-    gives an epoch's train
-    loss also gives the next epoch's residual and pullback.  Raises
-    DivergenceError when a train loss exceeds 10^6 times the initial one
-    (floored at 1e-12) or stops being finite.
+    batch_size is 0, otherwise seeded shuffled minibatches of the
+    ``num_samples`` training samples.  Each step's gradient is the pullback
+    of the residual, J' r, from the same ``training_pass`` call that
+    computed the residual.  In full-batch mode the pass that gives an
+    epoch's train loss also gives the next epoch's residual and pullback.
+    Raises DivergenceError when a train loss exceeds 10^6 times the
+    initial one (floored at 1e-12) or stops being finite.
     """
     flat = flatten_params(model).copy()
     params = model
-    training_pass = _training_pass(s, model, data)
     resid, pullback = training_pass(params, None)
-    loss = 0.5 * float(np.sum(resid * resid))
+    loss = _half_loss(resid)
     loss_ceiling = DIVERGENCE_FACTOR * max(loss, 1e-12)
     yield 0, params, flat, loss
 
@@ -206,11 +207,8 @@ def _descent(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig):
         if cfg.batch_size == 0:
             batches = [None]  # the full batch: its residual and pullback are at hand
         else:
-            order = rng.permutation(data.num_samples)
-            batches = [
-                order[i : i + cfg.batch_size]
-                for i in range(0, data.num_samples, cfg.batch_size)
-            ]
+            order = rng.permutation(num_samples)
+            batches = [order[i : i + cfg.batch_size] for i in range(0, num_samples, cfg.batch_size)]
         for idx in batches:
             if idx is not None:
                 resid, pullback = training_pass(params, idx)
@@ -227,7 +225,7 @@ def _descent(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig):
             params = unflatten_params(flat, model)
 
         resid, pullback = training_pass(params, None)
-        loss = 0.5 * float(np.sum(resid * resid))
+        loss = _half_loss(resid)
         if not math.isfinite(loss) or loss > loss_ceiling:
             raise DivergenceError(epoch, loss)
         yield epoch, params, flat, loss
@@ -237,18 +235,24 @@ def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: D
     """Gradient descent from the given parameters; deterministic per config.
 
     Records ``_descent``'s losses and parameter movement per epoch, and the
-    test loss when a test split is given.  Raises DivergenceError when the
-    train loss exceeds 10^6 times its initial value (or stops being finite).
+    test loss when a test split is given, each split on its own tap stack.
+    Raises DivergenceError when the train loss exceeds 10^6 times its
+    initial value (or stops being finite).
     """
+    return _trace(model, cfg, data.num_samples, *_split_passes(s, model, data, test_data))
+
+
+def _trace(model, cfg: TrainConfig, num_samples: int, train_pass, test_pass) -> TrainTrace:
+    """``train`` on passes already built; ``test_pass`` None records no test loss."""
     flat0 = flatten_params(model)
     train_losses = np.empty(cfg.epochs + 1)
     test_losses = np.full(cfg.epochs + 1, np.nan)
     movement = np.zeros(cfg.epochs + 1)
-    for epoch, params, flat, loss in _descent(model, s, data, cfg):
+    for epoch, params, flat, loss in _descent(model, train_pass, num_samples, cfg):
         train_losses[epoch] = loss
         movement[epoch] = float(np.linalg.norm(flat - flat0))
-        if test_data is not None:
-            test_losses[epoch] = _half_squared_loss(s, params, test_data)
+        if test_pass is not None:
+            test_losses[epoch] = _half_loss(test_pass(params, None)[0])
     return TrainTrace(
         train_losses=train_losses,
         test_losses=test_losses,
@@ -287,11 +291,13 @@ def ntk_drift(
     that is not positive and finite raises ValueError.
     """
     cfg = TrainConfig(eta, num_steps, kappa=kappa, seed=seed)
+    taps = z_vectors(s, data.x, num_taps)  # one tap stack serves every width
     out = []
     for width in widths:
         model = init_gnn2(int(width), num_taps, InitConfig(kappa=kappa, seed=seed))
         drift = 0.0
-        for step, params, _, _ in _descent(model, s, data, cfg):
+        training_pass = _training_pass(s, model, taps, data.y)
+        for step, params, _, _ in _descent(model, training_pass, data.num_samples, cfg):
             jac = gnn2_jacobian(s, params, data.x)
             theta = jac @ jac.T
             if step == 0:
@@ -434,8 +440,8 @@ def rademacher_bound_value(
     """B rho sqrt(2K max_{k,i} ||S^k x_i||^2 / M)."""
     if b < 0:
         raise ValueError("movement radius must be >= 0")
-    powers = s.powers_applied(data.x, num_taps)  # (K, n, M)
-    max_sq = float(np.max(np.sum(powers * powers, axis=1)))
+    blocks = z_vectors(s, data.x, num_taps).blocks  # (M, n, K)
+    max_sq = float(np.max(np.sum(blocks * blocks, axis=1)))
     return b * rho_clip * math.sqrt(2.0 * num_taps * max_sq / data.num_samples)
 
 
@@ -485,7 +491,7 @@ def generalization_bound(
         raise ValueError("alignment is zero; the sandwich and the bound are undefined")
 
     if rho_clip is None:
-        preds = _forward(s, params, data.x) if params is not None else 0.0
+        preds = filter_forward(s, params, data.x) if params is not None else 0.0
         rho = float(np.linalg.norm(data.y - preds, axis=0).max())
     else:
         rho = float(rho_clip)
@@ -565,7 +571,7 @@ def compare_gso(
 
     Repetition r initializes every arm from the same seed (cfg.seed + r),
     so differences come from the operator alone.  Identical operators in
-    the list therefore produce identical curves.
+    the list therefore produce identical curves.  Repetitions share tap stacks.
     """
     gso_list = list(gso_list)
     names = tuple(name for name, _ in gso_list)
@@ -576,16 +582,14 @@ def compare_gso(
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
 
+    init = init_filter if model == "filter" else functools.partial(init_gnn2, width)
+    models0 = [init(num_taps, InitConfig(cfg.kappa, cfg.seed + rep)) for rep in range(reps)]
     train_curves = {name: np.empty((reps, cfg.epochs + 1)) for name in names}
     test_curves = {name: np.empty((reps, cfg.epochs + 1)) for name in names}
     for name, s in gso_list:
-        for rep in range(reps):
-            init = InitConfig(kappa=cfg.kappa, seed=cfg.seed + rep)
-            if model == "filter":
-                params0 = init_filter(num_taps, init)
-            else:
-                params0 = init_gnn2(width, num_taps, init)
-            trace = train(params0, s, data, cfg, test_data=test_data)
+        passes = _split_passes(s, models0[0], data, test_data)  # reused by every repetition
+        for rep, params0 in enumerate(models0):
+            trace = _trace(params0, cfg, data.num_samples, *passes)
             train_curves[name][rep] = trace.train_losses
             test_curves[name][rep] = trace.test_losses
     return GsoComparison(

@@ -26,7 +26,6 @@ from ntkalign.alignment import (
     gnn_alignment_terms,
     optimality_sweep,
     planted_instance,
-    q_matrix,
     random_instance,
     run_inequality_sweeps,
     xi_observed,
@@ -34,7 +33,6 @@ from ntkalign.alignment import (
 from ntkalign.core import Dataset, NtkMatrix, ShiftOperator, stack
 from ntkalign.hermite import coeff_g
 from ntkalign.ntk import (
-    b_lin,
     expectation_E_first_layer_series,
     expectation_E_quadrature,
     expectation_E_series,
@@ -73,7 +71,7 @@ def test_q_matrix_matches_dense_block_conjugation():
     for k in range(3):
         v = np.linalg.matrix_power(big, k) @ y_st
         expected += np.outer(v, v)
-    assert np.allclose(q_matrix(s, y, 3), expected, atol=1e-12)
+    assert np.allclose(filter_ntk(s, y, 3).matrix, expected, atol=1e-12)
 
 
 def test_alignment_accepts_matrix_and_stacked_targets():
@@ -89,7 +87,7 @@ def test_alignment_leaves_a_factored_kernel_factored(monkeypatch):
     s = random_shift(rng, 4)
     data = random_dataset(rng, 4, 3)
     theta = filter_ntk(s, data.x, 2)
-    expected = float(stack(data.y) @ b_lin(s, data.x, 2) @ stack(data.y))
+    expected = float(stack(data.y) @ filter_ntk(s, data.x, 2).matrix @ stack(data.y))
     monkeypatch.setattr(NtkMatrix, "matrix", property(lambda self: pytest.fail("materialised")))
     assert alignment(theta, data.y) == pytest.approx(expected, rel=1e-12)
 
@@ -99,9 +97,10 @@ def test_factored_alignment_terms_match_dense_formulas(seed):
     s, data, k = random_instance(seed)
     terms = gnn_alignment_terms(s, data, k)
     z = z_vectors(s, data.x, k)
-    q = q_matrix(s, data.y, k)
+    q, b_lin = filter_ntk(s, data.y, k).matrix, filter_ntk(s, data.x, k).matrix
     e, e1 = expectation_E_series(z), expectation_E_first_layer_series(z)
-    xi = alignment_lin(s, data, k) / (np.linalg.norm(q) * np.linalg.norm(b_lin(s, data.x, k)))
+    xi = float(np.sum(q * b_lin)) / (np.linalg.norm(q) * np.linalg.norm(b_lin))
+    assert terms.a_filt == pytest.approx(float(stack(data.y) @ b_lin @ stack(data.y)), rel=1e-12)
     assert terms.a == pytest.approx(float(np.sum(q * e.matrix)), rel=1e-12)
     assert terms.a_first_layer == pytest.approx(float(np.sum(q * e1.matrix)), rel=1e-12)
     assert terms.xi_observed == pytest.approx(xi, rel=1e-12)
@@ -143,9 +142,25 @@ def test_linear_alignment_equals_trace_against_linear_kernel(n, m, k, seed):
     rng = np.random.default_rng(seed)
     s = random_shift(rng, n)
     data = random_dataset(rng, n, m)
-    q = q_matrix(s, data.y, k)
-    expected = float(np.sum(q * b_lin(s, data.x, k)))
+    q = filter_ntk(s, data.y, k).matrix
+    expected = float(np.sum(q * filter_ntk(s, data.x, k).matrix))
     assert alignment_lin(s, data, k) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_alignments_match_multiplicity_weighted_power_traces(seed):
+    # the formulas A_filt and A_lin had before they were read off C = Zy'Z
+    s, data, k = random_instance(seed)
+    traces = np.einsum("nm,jnm->j", data.y, s.powers_applied(data.x, 2 * k - 1))
+    j = np.arange(2 * k - 1)
+    multiplicities = k - np.abs(j - (k - 1))
+    a_filt = float(traces[:k] @ traces[:k])
+    a_lin = float(multiplicities @ (traces * traces))
+    assert alignment_filt(s, data, k) == pytest.approx(a_filt, rel=1e-12)
+    assert alignment_lin(s, data, k) == pytest.approx(a_lin, rel=1e-12)
+    terms = gnn_alignment_terms(s, data, k)
+    assert terms.a_filt == pytest.approx(a_filt, rel=1e-12)
+    assert terms.a_lin == pytest.approx(a_lin, rel=1e-12)
 
 
 def test_identity_shift_alignment_closed_forms():
@@ -428,7 +443,7 @@ def test_alignment_report_fields_and_payload():
 def test_quadrature_alignment_matches_series_alignment():
     s, data, k = random_instance(33)
     z = z_vectors(s, data.x, k)
-    q = q_matrix(s, data.y, k)
+    q = filter_ntk(s, data.y, k).matrix
     via_quad = float(np.sum(q * expectation_E_quadrature(z, n_points=256).matrix))
     series = expectation_E_series(z)
     via_series = float(np.sum(q * series.matrix))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ntkalign import alignment, cli
+from ntkalign import alignment, cli, core
 from ntkalign.cli import main
 from ntkalign.core import NtkKind, NtkMatrix, stack
 from ntkalign.dataio import load_csv, save_csv
@@ -21,7 +21,7 @@ from ntkalign.models import (
     init_gnn2,
     unflatten_params,
 )
-from ntkalign.ntk import b_lin, filter_ntk
+from ntkalign.ntk import filter_ntk
 from ntkalign.shiftops import AsymmetricShift, covariance, cross_covariance
 from ntkalign.training import linearized_dynamics, predicted_param_movement
 
@@ -30,10 +30,11 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def flag_error(subcommand, flag, value):
-    """The last stderr line when a positive flag gets a value outside its domain."""
-    return (f"ntkalign {subcommand}: error: argument --{flag}: "
-            f"value must be positive and finite, got {float(value)}")
+def flag_error(subcommand, flag, value, size=False):
+    """The last stderr line when a positive flag (a size flag, with ``size``) is out of domain."""
+    reason = (f"expected an integer >= 1, got {value!r}" if size
+              else f"value must be positive and finite, got {float(value)}")
+    return f"ntkalign {subcommand}: error: argument --{flag}: {reason}"
 
 
 # every flag whose domain is the positive reals, by subcommand
@@ -42,6 +43,14 @@ POSITIVE_FLAGS = [
     ("optimize-gso", "mu"), ("optimize-gso", "alpha"), ("optimize-gso", "eta"),
     ("train", "eta"), ("train", "kappa"), ("compare", "eta"), ("compare", "kappa"),
     ("verify-bounds", "alpha"), ("verify-bounds", "eta"),
+]
+
+# every flag whose domain is the integers >= 1, by subcommand
+SIZE_FLAGS = [
+    ("gen-data", "n"), ("gen-data", "len"), ("gen-data", "m-train"),
+    ("ntk", "k"), ("ntk", "width"), ("align", "k"), ("optimize-gso", "k"),
+    ("train", "k"), ("train", "width"),
+    ("compare", "k"), ("compare", "width"), ("compare", "reps"), ("compare", "m-train"),
 ]
 
 
@@ -131,6 +140,20 @@ class TestUsageErrors:
         assert capsys.readouterr().err.splitlines()[-1] == flag_error(subcommand, flag, value)
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("subcommand, flag", SIZE_FLAGS)
+    def test_size_flag_rejects_bad_value(
+        self, tiny_data, tmp_path, capsys, subcommand, flag, value
+    ):
+        # at parse time, with the flag's name: numpy's "negative dimensions" names none
+        _, _, x_path, y_path = tiny_data
+        inputs = [] if subcommand == "gen-data" else ["--x", x_path, "--y", y_path]
+        out = tmp_path / "out"
+        assert run(subcommand, *inputs, f"--{flag}", value, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == flag_error(subcommand, flag, value, size=True)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value",
         [("xi", "nan"), ("xi", "inf"), ("xi", "-0.5"), ("alpha", "nan"), ("eta", "inf")],
@@ -168,7 +191,8 @@ class TestUsageErrors:
 
     def test_gen_data_without_nodes_exit_2(self, tmp_path, capsys):
         assert run("gen-data", "--n", 0, "--out-dir", tmp_path) == 2
-        assert capsys.readouterr().err == "error: num_nodes must be >= 1\n"
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == flag_error("gen-data", "n", "0", size=True)
 
     @pytest.mark.parametrize("command", ["ntk", "align"])
     def test_row_norm_beyond_series_reach_exit_2(self, tmp_path, capsys, command):
@@ -234,11 +258,11 @@ class TestConfigResolution:
     @pytest.mark.parametrize(
         "line, error",
         [
-            ('k = "two"', "argument --k: invalid int value: 'two'"),
-            ("k = 2.5", "argument --k: invalid int value: '2.5'"),
+            ('k = "two"', "argument --k: expected an integer >= 1, got 'two'"),
+            ("k = 2.5", "argument --k: expected an integer >= 1, got '2.5'"),
             ('eta = "fast"', "argument --eta: invalid float value: 'fast'"),
             ("batch_size = 2.5", "argument --batch-size: invalid int value: '2.5'"),
-            ('width = "x"', "argument --width: invalid int value: 'x'"),
+            ('width = "x"', "argument --width: expected an integer >= 1, got 'x'"),
         ],
         ids=["k-string", "k-float", "eta-string", "batch-size-float", "width-string"],
     )
@@ -478,7 +502,7 @@ class TestNtkCommand:
         out = tmp_path / "out"
         assert run("ntk", "--x", x_path, "--y", y_path, "--kind", "filter", "--k", 2,
                    "--out-dir", out) == 0
-        blin = b_lin(cross_covariance(x, y), x, 2)
+        blin = filter_ntk(cross_covariance(x, y), x, 2).matrix
         assert np.array_equal(load_csv(out / "ntk.csv"), blin)
         dense = NtkMatrix(blin, NtkKind.FILTER_ANALYTIC)
         report = json.loads((out / "report.json").read_text())
@@ -717,7 +741,7 @@ class TestTrainCommand:
         assert big_eigs == [] and dense_reads == []
         monkeypatch.undo()
         s = cross_covariance(x, y)
-        dense_theta = NtkMatrix(b_lin(s, x, 2), NtkKind.FILTER_ANALYTIC)
+        dense_theta = NtkMatrix(filter_ntk(s, x, 2).matrix, NtkKind.FILTER_ANALYTIC)
         oracle = predicted_param_movement(dense_theta, stack(y))
         report = json.loads((out / "report.json").read_text())
         assert report["predicted_param_movement"] == pytest.approx(oracle, rel=1e-10)
@@ -820,7 +844,7 @@ class TestCompareCommand:
         assert run("compare", "--x", x_path, "--y", y_path, "--model", "gnn2",
                    "--width", 0, "--epochs", 2, "--reps", 1, "--out-dir", tmp_path) == 2
         err = capsys.readouterr().err
-        assert "width must be >= 1, got 0" in err
+        assert err.splitlines()[-1] == flag_error("compare", "width", "0", size=True)
         assert "diverged" not in err
 
     def test_zero_reps_is_a_usage_error(self, tiny_data, tmp_path, capsys):
@@ -828,7 +852,8 @@ class TestCompareCommand:
         out = tmp_path / "out"
         assert run("compare", "--x", x_path, "--y", y_path, "--model", "filter",
                    "--epochs", 2, "--reps", 0, "--out-dir", out) == 2
-        assert "reps must be >= 1, got 0" in capsys.readouterr().err
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == flag_error("compare", "reps", "0", size=True)
         assert not (out / "curves.csv").exists()
 
     @pytest.mark.parametrize("command", ["train", "compare"])
@@ -836,7 +861,78 @@ class TestCompareCommand:
         _, _, x_path, y_path = tiny_data
         assert run(command, "--x", x_path, "--y", y_path, "--model", "filter", "--k", 0,
                    "--epochs", 2, "--out-dir", tmp_path / "out") == 2
-        assert "num_taps must be >= 1, got 0" in capsys.readouterr().err
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == flag_error(command, "k", "0", size=True)
+
+
+class TestOneTapStack:
+    """Each data split's tap stack [S^k x]_k is built once per (S, split, K).
+
+    The count is of ``core.matrix_powers_applied`` calls on a split's
+    signals, which every ``powers_applied`` goes through.  The GNN
+    pullback's powers of the residual go through ``models``' own binding
+    and are not counted; nor are the powers of S alone (on the identity).
+    """
+
+    @pytest.fixture
+    def splits(self, tiny_data, tmp_path):
+        x, y, x_path, y_path = tiny_data
+        x_test, y_test = x[:, :4], y[:, :4]
+        save_csv(x_test, tmp_path / "x_test.csv")
+        save_csv(y_test, tmp_path / "y_test.csv")
+        paths = ["--x", x_path, "--y", y_path]
+        test_paths = ["--x-test", tmp_path / "x_test.csv", "--y-test", tmp_path / "y_test.csv"]
+        arrays = {"x": x, "y": y, "x_test": x_test, "y_test": y_test}
+        return arrays, paths, test_paths
+
+    @staticmethod
+    def stacks_built(monkeypatch, arrays, *argv):
+        """Run the command; count stacks by (split, S, K), each split matched by value."""
+        built = {}
+        powers_applied = core.matrix_powers_applied
+
+        def counted(matrix, signals, num_taps):
+            for name, a in arrays.items():
+                if np.shape(signals) == a.shape and np.array_equal(signals, a):
+                    key = (name, matrix.tobytes(), num_taps)
+                    built[key] = built.get(key, 0) + 1
+            return powers_applied(matrix, signals, num_taps)
+
+        monkeypatch.setattr(core, "matrix_powers_applied", counted)
+        assert run(*argv) == 0
+        monkeypatch.undo()
+        return sorted((name, count) for (name, _, _), count in built.items())
+
+    @pytest.mark.parametrize("kind", ["filter", "gnn"])
+    def test_ntk(self, splits, tmp_path, monkeypatch, kind):
+        arrays, paths, _ = splits
+        built = self.stacks_built(monkeypatch, arrays, "ntk", *paths, "--kind", kind,
+                                  "--out-dir", tmp_path / "out")
+        assert built == [("x", 1)]
+
+    def test_align(self, splits, tmp_path, monkeypatch):
+        arrays, paths, _ = splits
+        built = self.stacks_built(monkeypatch, arrays, "align", *paths, "--out-dir", tmp_path / "o")
+        assert built == [("x", 1), ("y", 1)]
+
+    @pytest.mark.parametrize("batch_size", [0, 5], ids=["full-batch", "minibatch"])
+    @pytest.mark.parametrize("model", ["filter", "gnn2"])
+    def test_train(self, splits, tmp_path, monkeypatch, model, batch_size):
+        arrays, paths, test_paths = splits
+        built = self.stacks_built(monkeypatch, arrays, "train", *paths, *test_paths,
+                                  "--model", model, "--width", 4, "--epochs", 3,
+                                  "--batch-size", batch_size, "--out-dir", tmp_path / "out")
+        # the filter report's kernel builds the training split's stack a second time
+        assert built == [("x", 2 if model == "filter" else 1), ("x_test", 1)]
+
+    @pytest.mark.parametrize("model", ["filter", "gnn2"])
+    def test_compare(self, splits, tmp_path, monkeypatch, model):
+        arrays, paths, test_paths = splits
+        built = self.stacks_built(monkeypatch, arrays, "compare", *paths, *test_paths,
+                                  "--model", model, "--width", 4, "--epochs", 3, "--reps", 3,
+                                  "--out-dir", tmp_path / "out")
+        # once per arm (cxy, cxx), for all three repetitions
+        assert built == [("x", 1), ("x", 1), ("x_test", 1), ("x_test", 1)]
 
 
 class TestVerifyCommands:
@@ -877,6 +973,11 @@ class TestVerifyCommands:
         cfg.write_text("n_points = 64\n")
         assert run("verify-hermite", "--config", cfg, "--out-dir", tmp_path) == 2
         assert "unknown key 'n_points'" in capsys.readouterr().err
+
+    def test_verify_bounds_has_no_taps_flag(self, tmp_path, capsys):
+        # the optimality sweep runs at K = 2; --optimality-instances 0 turns it off
+        assert run("verify-bounds", "--k", 3, "--out-dir", tmp_path / "out") == 2
+        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
 
     def test_verify_bounds_unknown_check_is_a_usage_error(self, tmp_path, capsys):
         assert run("verify-bounds", "--instances", 2, "--checks", "nonsense",

@@ -33,8 +33,7 @@ from ntkalign.models import (
 from ntkalign.shiftops import cross_covariance
 from ntkalign.ntk import (
     ExpectationMatrix,
-    ZVectors,
-    b_lin,
+    TapStack,
     conjugated_power_sum,
     empirical_ntk,
     expectation_E_first_layer,
@@ -142,9 +141,22 @@ class TestZVectors:
         )
         assert np.allclose(z_vectors(s, x, k).gram(), expected, atol=1e-12)
 
+    def test_layouts_hold_the_same_powers(self):
+        # Z, its per-sample blocks and X are one stack: X is s.powers_applied exactly
+        rng = np.random.default_rng(2)
+        s = random_shift(rng, 4)
+        x = rng.standard_normal((4, 5))
+        z = z_vectors(s, x, 3)
+        powers = s.powers_applied(x, 3)
+        assert np.array_equal(z.x_powers, powers)
+        assert z.x_powers.flags.c_contiguous and not z.x_powers.flags.writeable
+        assert z.x_powers is z.x_powers
+        assert np.array_equal(z.blocks, powers.transpose(2, 1, 0))
+        assert np.shares_memory(z.blocks, z.matrix)
+
     def test_rejects_bad_row_count(self):
         with pytest.raises(ValueError):
-            ZVectors(np.ones((5, 2)), num_nodes=2, num_samples=3)
+            TapStack(np.ones((5, 2)), num_nodes=2, num_samples=3)
 
 
 class TestFilterNtk:
@@ -177,7 +189,9 @@ class TestFilterNtk:
         s = random_shift(rng, 4)
         x = rng.standard_normal((4, 3))
         theta = filter_ntk(s, x, 2)
-        assert np.array_equal(theta.matrix, b_lin(s, x, 2))
+        lift, xt = dense_block_diag(s.matrix, 3), stack(x)
+        b_lin = np.outer(xt, xt) + lift @ np.outer(xt, xt) @ lift
+        assert np.allclose(theta.matrix, b_lin, atol=1e-12)
         assert theta.kind is NtkKind.FILTER_ANALYTIC
 
     def test_diag_is_z_row_norms(self):
@@ -185,7 +199,7 @@ class TestFilterNtk:
         s = random_shift(rng, 4)
         x = rng.standard_normal((4, 3))
         z = z_vectors(s, x, 3)
-        assert np.allclose(np.diag(b_lin(s, x, 3)), z.norms**2)
+        assert np.allclose(np.diag(filter_ntk(s, x, 3).matrix), z.norms**2)
 
 
 class TestEmpiricalNtk:
@@ -233,7 +247,7 @@ class TestExpectationQuadrature:
             assert 0.0 < e.matrix[a, a] < 1.0
 
     def test_orthogonal_rows_give_zero(self):
-        z = ZVectors(np.array([[1.5, 0.0], [0.0, 0.8]]), num_nodes=2, num_samples=1)
+        z = TapStack(np.array([[1.5, 0.0], [0.0, 0.8]]), num_nodes=2, num_samples=1)
         e = expectation_E_quadrature(z)
         assert e.matrix[0, 1] == pytest.approx(0.0, abs=1e-12)
 
@@ -303,7 +317,7 @@ class TestExpectationSeries:
             assert not e[list(z.correlations[2])].any()
 
     def test_orthogonal_rows_vanish_in_both_parts(self):
-        z = ZVectors(np.array([[1.0, 0.0], [0.0, 2.0]]), num_nodes=2, num_samples=1)
+        z = TapStack(np.array([[1.0, 0.0], [0.0, 2.0]]), num_nodes=2, num_samples=1)
         e = expectation_E_series(z)
         assert e.matrix[0, 1] == 0.0
         assert e.matrix[1, 0] == 0.0
@@ -347,7 +361,7 @@ class TestExpectationSeries:
         # |z_0| = 2.5 needs more than the 256 degrees of the 512-point rule
         # for both layers (E1 more than the 512 of the 1024-point rule); the
         # 512-point pair rule is itself off by 2e-11 on E's diagonal here
-        z = ZVectors(np.array([[2.0, 1.5], [-0.9, 1.1]]), num_nodes=2, num_samples=1)
+        z = TapStack(np.array([[2.0, 1.5], [-0.9, 1.1]]), num_nodes=2, num_samples=1)
         for build, oracle, rule in (
             (expectation_E_series, expectation_E_quadrature, 1024),
             (expectation_E_first_layer_series, expectation_E_first_layer, 2048),
@@ -360,7 +374,7 @@ class TestExpectationSeries:
 
     @pytest.mark.parametrize("build", [expectation_E_series, expectation_E_first_layer_series])
     def test_target_beyond_rule_raises(self, build):
-        z = ZVectors(np.array([[5.0, 0.0], [0.3, 0.2]]), num_nodes=2, num_samples=1)
+        z = TapStack(np.array([[5.0, 0.0], [0.3, 0.2]]), num_nodes=2, num_samples=1)
         with pytest.raises(TruncationError, match="row norm 5.000"):
             build(z)
 

@@ -18,7 +18,7 @@ from ntkalign.models import (
     init_gnn2,
     unflatten_params,
 )
-from ntkalign.ntk import filter_ntk
+from ntkalign.ntk import filter_ntk, z_vectors
 from ntkalign.shiftops import AsymmetricShift
 from ntkalign.training import (
     BoundCheck,
@@ -178,10 +178,11 @@ class TestTrain:
             half_loss(s, params, test_data, filter_forward)
         )
 
-    def test_rejects_unsupported_parameter_types(self):
+    def test_rejects_unsupported_parameter_types(self, monkeypatch):
         rng = np.random.default_rng(13)
         s = random_shift(rng, 3)
         data = random_dataset(rng, 3, 2)
+        monkeypatch.setattr(training, "z_vectors", lambda *a: pytest.fail("a stack was built"))
         with pytest.raises(TypeError):
             train(np.zeros(3), s, data, TrainConfig(eta=0.1, epochs=1))
 
@@ -302,31 +303,47 @@ class TestFixedJacobianFilterTraining:
     def test_one_jacobian_per_run_and_no_forward_on_the_training_split(
         self, monkeypatch, batch_size
     ):
+        # one tap stack per split and run, and no forward pass on either split:
+        # the test loss comes from the test split's stack, like the train loss
         rng = np.random.default_rng(37)
         s = random_shift(rng, 5)
         data = random_dataset(rng, 5, 9)
         test_data = random_dataset(rng, 5, 3)
-        jacobian_calls, forward_inputs = [], []
+        stacked = []
 
-        def counting_jacobian(*args):
-            jacobian_calls.append(args)
-            return filter_jacobian(*args)
+        def counting_stack(s, x, num_taps):
+            stacked.append(x)
+            return z_vectors(s, x, num_taps)
 
-        def recording_forward(s, params, x):
-            forward_inputs.append(x)
-            return filter_forward(s, params, x)
+        def no_forward(*args):
+            pytest.fail("a forward pass ran during training")
 
-        monkeypatch.setattr(training, "filter_jacobian", counting_jacobian)
-        monkeypatch.setattr(training, "filter_forward", recording_forward)
+        monkeypatch.setattr(training, "z_vectors", counting_stack)
+        for module in (training, models):
+            monkeypatch.setattr(module, "filter_forward", no_forward)
+            monkeypatch.setattr(module, "gnn2_forward", no_forward)
         params = init_filter(2, InitConfig(kappa=0.8, seed=38))
         cfg = TrainConfig(eta=0.05, epochs=6, batch_size=batch_size)
         train(params, s, data, cfg)
-        assert len(jacobian_calls) == 1
-        assert forward_inputs == []
+        assert len(stacked) == 1 and stacked[0] is data.x
         train(params, s, data, cfg, test_data=test_data)
-        assert len(jacobian_calls) == 2
-        assert len(forward_inputs) == cfg.epochs + 1
-        assert all(x is test_data.x for x in forward_inputs)
+        assert len(stacked) == 3 and stacked[1] is data.x and stacked[2] is test_data.x
+
+    @pytest.mark.parametrize("batch_size", [0, 4], ids=["full-batch", "minibatch"])
+    def test_test_loss_matches_filter_forward(self, batch_size):
+        # the test loss from the test stack against the forward pass of each epoch's taps
+        rng = np.random.default_rng(39)
+        s = random_shift(rng, 5)
+        data = random_dataset(rng, 5, 9)
+        test_data = random_dataset(rng, 5, 4)
+        params = init_filter(3, InitConfig(kappa=0.8, seed=40))
+        cfg = TrainConfig(eta=0.05, epochs=6, batch_size=batch_size, seed=41)
+        trace = train(params, s, data, cfg, test_data=test_data)
+        for epoch in range(cfg.epochs + 1):
+            shorter = TrainConfig(eta=0.05, epochs=epoch, batch_size=batch_size, seed=41)
+            taps = train(params, s, data, shorter).final_params
+            expected = half_loss(s, taps, test_data, filter_forward)
+            assert trace.test_losses[epoch] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 class TestGnnPassShape:
