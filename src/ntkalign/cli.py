@@ -414,7 +414,7 @@ def _cmd_train(cfg: dict) -> int:
         f"final loss {trace.train_losses[-1]:.6g}",
     }
     if cfg["model"] == "filter":
-        theta = filter_ntk(s, data.x, cfg["k"])
+        theta = trace.tap_stack.kernel()  # the stack the filter trained on
         report["predicted_param_movement"] = predicted_param_movement(theta, stack(data.y))
         report["kernel_rank"] = theta.rank_estimate()
         report["eta_lambda_max"] = eta * theta.operator_norm
@@ -539,7 +539,7 @@ def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _count(text: str, low: int = 0) -> int:
-    """argparse type of an instance count: an integer >= ``low`` (0)."""
+    """argparse type of a count (instances, epochs, batch size): an integer >= ``low`` (0)."""
     if not re.fullmatch(r"\s*\+?\d+\s*", text) or int(text) < low:
         raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return int(text)
@@ -644,10 +644,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["filter", "gnn2"], default="filter", help="model class")
     p.add_argument("--width", type=_size, default=50, help="hidden features for gnn2")
     p.add_argument("--eta", type=_positive, help="learning rate")
-    p.add_argument("--epochs", type=int, default=100, help="training epochs")
+    p.add_argument("--epochs", type=_count, default=100, help="training epochs")
     p.add_argument("--kappa", type=_positive, default=1.0, help="initialization scale")
     p.add_argument("--optimizer", choices=["gd", "adam"], default="adam", help="update rule")
-    p.add_argument("--batch-size", type=int, default=0, help="0 = full batch")
+    p.add_argument("--batch-size", type=_count, default=0, help="0 = full batch")
     _add_gso_flags(p)
     _add_shared_flags(p)
 
@@ -671,10 +671,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["filter", "gnn2"], default="gnn2", help="model class")
     p.add_argument("--width", type=_size, default=50, help="hidden features for gnn2")
     p.add_argument("--eta", type=_positive, help="learning rate")
-    p.add_argument("--epochs", type=int, default=50, help="training epochs")
+    p.add_argument("--epochs", type=_count, default=50, help="training epochs")
     p.add_argument("--kappa", type=_positive, default=1.0, help="initialization scale")
     p.add_argument("--optimizer", choices=["gd", "adam"], default="adam", help="update rule")
-    p.add_argument("--batch-size", type=int, default=0, help="0 = full batch")
+    p.add_argument("--batch-size", type=_count, default=0, help="0 = full batch")
     p.add_argument("--reps", type=_size, default=10, help="seeded repetitions")
     _add_shared_flags(p)
 

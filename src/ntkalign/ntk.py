@@ -39,6 +39,7 @@ from .models import FilterParams, TwoLayerGnnParams, filter_jacobian, gnn2_jacob
 
 DEFAULT_QUADRATURE_POINTS = 64
 RHO_OVERSHOOT_TOL = 1e-9
+ROW_BLOCK = 256  # rows per in-place product with an nM x nM array
 
 
 class CorrelationOvershootError(RuntimeError):
@@ -90,6 +91,12 @@ class TapStack:
     def gram(self) -> np.ndarray:
         return self.matrix @ self.matrix.T
 
+    def kernel(self) -> NtkMatrix:
+        """The analytic graph-filter NTK Z Z^T, factored as F = Z; rank at most K."""
+        return NtkMatrix(
+            self.matrix, NtkKind.FILTER_ANALYTIC, info={"num_taps": self.num_taps}, factored=True
+        )
+
     @cached_property
     def correlations(self):
         """Row norms, clamped correlation matrix, and zero-norm row indices.
@@ -123,16 +130,11 @@ def z_vectors(s: ShiftOperator, data, num_taps: int) -> TapStack:
 
 
 def filter_ntk(s: ShiftOperator, data, num_taps: int) -> NtkMatrix:
-    """Analytic graph-filter NTK Z Z^T, factored as F = Z; rank at most K.
+    """Analytic graph-filter NTK of (s, x, K): ``TapStack.kernel``.
 
     Independent of the taps.
     """
-    return NtkMatrix(
-        z_vectors(s, data, num_taps).matrix,
-        NtkKind.FILTER_ANALYTIC,
-        info={"num_taps": num_taps},
-        factored=True,
-    )
+    return z_vectors(s, data, num_taps).kernel()
 
 
 def empirical_ntk(s: ShiftOperator, params, data) -> NtkMatrix:
@@ -256,15 +258,21 @@ def expectation_E_first_layer_series(z: TapStack) -> ExpectationMatrix:
 
     The series counterpart of ``expectation_E_first_layer``, truncated like
     ``expectation_E_series`` with each row's tail scaled by |z_a|^2, so
-    sqrt(tail_a tail_b) |z_a| |z_b| bounds the entrywise error.  Zero rows
-    come out exactly 0, because the Gram matrix is 0 there.
+    sqrt(tail_a tail_b) |z_a| |z_b| bounds the entrywise error.  The Gram
+    factor <z_a, z_b> = rho_ab (|z_a| |z_b|) is applied in place, a block of
+    rows at a time, so no nM x nM array is made beyond rho and the sum, and
+    the sum stays exactly symmetric.  Zero rows come out exactly 0, because
+    rho is 0 there.
     """
     norms, rho, zero_rows = z.correlations
     coeffs, _, degree, residual, n_points = hermite_series(
         sech2, norms, 0, row_weight=norms * norms
     )
     e1 = _mehler_sum(coeffs, rho, 0)
-    e1 *= z.gram()
+    e1 *= rho
+    for start in range(0, len(norms), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        e1[rows] *= np.multiply.outer(norms[rows], norms)
     info = {"max_degree": degree, "n_points": n_points}
     return ExpectationMatrix(e1, "first_layer_series", zero_rows, residual, info)
 

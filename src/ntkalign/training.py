@@ -4,9 +4,12 @@ Training is plain full-batch (or minibatch/Adam) gradient descent on the
 squared loss, tracked per epoch.  The tap stack [S^k x]_k does not depend
 on the parameters, so each split's is built once per run (per arm in
 ``compare_gso``).  A graph filter is linear in its taps: the stack is its
-Jacobian Z, and each step is two thin products with it.  A two-layer GNN
-takes it into one fused forward-and-pullback pass per step, and the test
-loss takes the same pass on the test stack.  Because a filter is linear,
+Jacobian Z, whose thin QR is taken once per split, so a full-batch epoch
+works on K-vectors only; a minibatch step takes its samples' rows of Z.
+A two-layer GNN takes the stack into one fused forward-and-pullback pass
+per step, and the test loss takes the same pass on the test stack.
+Passes and the descent work on the flat parameter vector; a params object
+is built only where a model is needed.  Because a filter is linear,
 its gradient-descent trace is reproduced exactly by the constant-kernel
 dynamics r_{t+1} = (I - eta Theta~) r_t with Theta~ = Z Z', which is what
 the sandwich check, the parameter-movement prediction, and the
@@ -112,13 +115,15 @@ class TrainTrace:
     """Per-epoch record, epoch 0 (initialization) included.
 
     ``train_losses`` holds (1/2) sum_i ||f(x_i) - y_i||^2; ``test_losses``
-    is NaN-filled when no test split was given.
+    is NaN-filled when no test split was given.  ``tap_stack`` is the
+    training split's stack, when the run built it (``train``).
     """
 
     train_losses: np.ndarray
     test_losses: np.ndarray
     param_movement: np.ndarray
     final_params: object
+    tap_stack: TapStack | None = None
 
     def __post_init__(self):
         sizes = {len(self.train_losses), len(self.test_losses), len(self.param_movement)}
@@ -130,73 +135,109 @@ class TrainTrace:
         return len(self.train_losses) - 1
 
 
-def _training_pass(s: ShiftOperator, model, taps: TapStack, y: np.ndarray):
-    """One split's pass: (params, idx) -> (residual, pullback r -> J' r).
+def _params_of(model):
+    """flat -> params shaped like ``model`` (at first ``model`` itself), rebuilt when flat changes.
+
+    The passes of one run share it, so an epoch's train and test pass read
+    one params object, as do a step and the Jacobian ``ntk_drift`` takes.
+    A change is told by flat's bytes, which is cheaper than array_equal.
+    """
+    last_key, last = flatten_params(model).tobytes(), model
+
+    def params_of(flat):
+        nonlocal last_key, last
+        key = flat.tobytes()
+        if key != last_key:
+            last_key, last = key, unflatten_params(flat, model)
+        return last
+
+    return params_of
+
+
+def _training_pass(s: ShiftOperator, model, taps: TapStack, y: np.ndarray, params_of=None):
+    """One split's pass: (flat, idx) -> (loss, thunk of the flat gradient).
 
     ``taps`` is the split's tap stack and ``y`` its targets; ``idx`` picks
-    a minibatch of samples (None: all of them).  The pullback is flat in
-    flatten_params order and runs once per pass.  A graph filter reads the
-    stack's per-sample blocks of Z: a step's residual is Z taps - y and its
-    pullback Z' r.  A GNN takes its X (K, n, M) into one fused
-    gnn2_forward_pullback pass.
+    a minibatch of samples (None: all of them).  The loss is (1/2)||f - y||^2
+    over the batch and the thunk gives J' (f - y), in flatten_params order.
+
+    A graph filter's taps are ``flat`` itself.  Its full batch runs on the
+    thin QR Z = QR taken here, with c = Q'y and floor = (1/2)||y - Qc||^2:
+    the loss is (1/2)||R h - c||^2 + floor and the gradient R'(R h - c),
+    exact for any Z (a rank-deficient one too) because Q has orthonormal
+    columns, and nothing of size nM is read after set-up.  (The Gram form
+    (1/2)(y'y - 2b'h + h'Gh) would cancel near a good fit.)  A minibatch
+    takes its samples' rows Z_b of the stack: Z_b'(Z_b h - y_b).  A GNN
+    takes its X (K, n, M) into one fused gnn2_forward_pullback pass, on the
+    params ``params_of(flat)`` gives (default: its own ``_params_of``).
     """
     if isinstance(model, FilterParams):
-        z, num_taps = taps.blocks, taps.num_taps
-        y = stack(y).reshape(taps.num_samples, -1)  # sample-major, like z
+        y = stack(y)
+        q, r = np.linalg.qr(taps.matrix)
+        c = q.T @ y
+        floor = _half_loss(y - q @ c)
+        y = y.reshape(taps.num_samples, -1)  # sample-major, like the blocks
+        z = taps.blocks
 
-        def filter_pass(params, idx):
-            zb = (z if idx is None else z[idx]).reshape(-1, num_taps)
-            yb = (y if idx is None else y[idx]).ravel()
-            return zb @ params.taps - yb, lambda r: zb.T @ r
+        def filter_pass(flat, idx):
+            if idx is None:
+                resid = r @ flat - c  # a K-vector: a dot spares np.sum's overhead
+                return 0.5 * float(resid @ resid) + floor, lambda: r.T @ resid
+            zb = z[idx].reshape(-1, taps.num_taps)
+            resid = zb @ flat - y[idx].ravel()
+            return _half_loss(resid), lambda: zb.T @ resid
 
         return filter_pass
     x_powers = taps.x_powers
+    params_of = params_of or _params_of(model)
 
-    def gnn_pass(params, idx):
+    def gnn_pass(flat, idx):
         xb, yb = (x_powers, y) if idx is None else (x_powers[:, :, idx], y[:, idx])
-        out, pullback = gnn2_forward_pullback(s, params, xb)
-        return out - yb, pullback
+        out, pullback = gnn2_forward_pullback(s, params_of(flat), xb)
+        resid = out - yb
+        return _half_loss(resid), lambda: pullback(resid)
 
     return gnn_pass
 
 
 def _split_passes(s: ShiftOperator, model, *splits):
-    """One ``_training_pass`` per split (None for None) on its stack; ``model`` gives type and K.
+    """Tap stacks and ``_training_pass``es of the splits (None for None), as two lists.
 
-    A type that cannot be trained raises TypeError before any stack is built.
+    ``model`` gives type and K; the passes share one ``_params_of``.  A type
+    that cannot be trained raises TypeError before any stack is built.
     """
     if not isinstance(model, (FilterParams, TwoLayerGnnParams)):
         raise TypeError(f"cannot train parameters of type {type(model).__name__}")
-    return [
-        None if split is None
-        else _training_pass(s, model, z_vectors(s, split.x, model.num_taps), split.y)
-        for split in splits
+    params_of = _params_of(model)
+    stacks = [None if split is None else z_vectors(s, split.x, model.num_taps) for split in splits]
+    passes = [
+        None if taps is None else _training_pass(s, model, taps, split.y, params_of)
+        for taps, split in zip(stacks, splits)
     ]
+    return stacks, passes
 
 
 def _half_loss(resid: np.ndarray) -> float:
     return 0.5 * float(np.sum(resid * resid))
 
 
-def _descent(model, training_pass, num_samples: int, cfg: TrainConfig):
-    """Gradient-descent iterates from ``model``: yields (epoch, params, flat, loss).
+def _descent(flat0: np.ndarray, training_pass, num_samples: int, cfg: TrainConfig):
+    """Gradient-descent iterates from ``flat0``: yields (epoch, flat, loss).
 
     Epochs run 0 (the initialization) to cfg.epochs, each with its train
-    loss; ``flat`` is updated in place by the next step.  Full-batch when
-    batch_size is 0, otherwise seeded shuffled minibatches of the
-    ``num_samples`` training samples.  Each step's gradient is the pullback
-    of the residual, J' r, from the same ``training_pass`` call that
-    computed the residual.  In full-batch mode the pass that gives an
-    epoch's train loss also gives the next epoch's residual and pullback.
-    Raises DivergenceError when a train loss exceeds 10^6 times the
-    initial one (floored at 1e-12) or stops being finite.
+    loss; ``flat`` is a copy of ``flat0`` updated in place by the next
+    step.  Full-batch when batch_size is 0, otherwise seeded shuffled
+    minibatches of the ``num_samples`` training samples.  Each step's
+    gradient comes from the same ``training_pass`` call as its loss; in
+    full-batch mode the pass that gives an epoch's train loss also gives
+    the next step's gradient.  Raises DivergenceError when a train loss
+    exceeds 10^6 times the initial one (floored at 1e-12) or stops being
+    finite.
     """
-    flat = flatten_params(model).copy()
-    params = model
-    resid, pullback = training_pass(params, None)
-    loss = _half_loss(resid)
+    flat = np.array(flat0, dtype=float)
+    loss, gradient = training_pass(flat, None)
     loss_ceiling = DIVERGENCE_FACTOR * max(loss, 1e-12)
-    yield 0, params, flat, loss
+    yield 0, flat, loss
 
     rng = np.random.default_rng(cfg.seed)
     adam_m = np.zeros_like(flat)
@@ -205,14 +246,14 @@ def _descent(model, training_pass, num_samples: int, cfg: TrainConfig):
 
     for epoch in range(1, cfg.epochs + 1):
         if cfg.batch_size == 0:
-            batches = [None]  # the full batch: its residual and pullback are at hand
+            batches = [None]  # the full batch: its gradient is at hand
         else:
             order = rng.permutation(num_samples)
             batches = [order[i : i + cfg.batch_size] for i in range(0, num_samples, cfg.batch_size)]
         for idx in batches:
             if idx is not None:
-                resid, pullback = training_pass(params, idx)
-            grad = pullback(resid)
+                gradient = training_pass(flat, idx)[1]
+            grad = gradient()
             if cfg.optimizer == "gd":
                 flat -= cfg.eta * grad
             else:
@@ -222,42 +263,45 @@ def _descent(model, training_pass, num_samples: int, cfg: TrainConfig):
                 m_hat = adam_m / (1.0 - ADAM_BETA1**adam_steps)
                 v_hat = adam_v / (1.0 - ADAM_BETA2**adam_steps)
                 flat -= cfg.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            params = unflatten_params(flat, model)
 
-        resid, pullback = training_pass(params, None)
-        loss = _half_loss(resid)
+        loss, gradient = training_pass(flat, None)
         if not math.isfinite(loss) or loss > loss_ceiling:
             raise DivergenceError(epoch, loss)
-        yield epoch, params, flat, loss
+        yield epoch, flat, loss
 
 
 def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: Dataset | None = None) -> TrainTrace:
     """Gradient descent from the given parameters; deterministic per config.
 
     Records ``_descent``'s losses and parameter movement per epoch, and the
-    test loss when a test split is given, each split on its own tap stack.
-    Raises DivergenceError when the train loss exceeds 10^6 times its
-    initial value (or stops being finite).
+    test loss when a test split is given, each split on its own tap stack;
+    the trace carries the training split's.  Raises DivergenceError when
+    the train loss exceeds 10^6 times its initial value (or stops being
+    finite).
     """
-    return _trace(model, cfg, data.num_samples, *_split_passes(s, model, data, test_data))
+    stacks, passes = _split_passes(s, model, data, test_data)
+    return _trace(model, cfg, data.num_samples, *passes, tap_stack=stacks[0])
 
 
-def _trace(model, cfg: TrainConfig, num_samples: int, train_pass, test_pass) -> TrainTrace:
+def _trace(
+    model, cfg: TrainConfig, num_samples: int, train_pass, test_pass, tap_stack=None
+) -> TrainTrace:
     """``train`` on passes already built; ``test_pass`` None records no test loss."""
     flat0 = flatten_params(model)
     train_losses = np.empty(cfg.epochs + 1)
     test_losses = np.full(cfg.epochs + 1, np.nan)
     movement = np.zeros(cfg.epochs + 1)
-    for epoch, params, flat, loss in _descent(model, train_pass, num_samples, cfg):
+    for epoch, flat, loss in _descent(flat0, train_pass, num_samples, cfg):
         train_losses[epoch] = loss
         movement[epoch] = float(np.linalg.norm(flat - flat0))
         if test_pass is not None:
-            test_losses[epoch] = _half_loss(test_pass(params, None)[0])
+            test_losses[epoch] = test_pass(flat, None)[0]
     return TrainTrace(
         train_losses=train_losses,
         test_losses=test_losses,
         param_movement=movement,
-        final_params=params,
+        final_params=unflatten_params(flat, model),
+        tap_stack=tap_stack,
     )
 
 
@@ -296,9 +340,10 @@ def ntk_drift(
     for width in widths:
         model = init_gnn2(int(width), num_taps, InitConfig(kappa=kappa, seed=seed))
         drift = 0.0
-        training_pass = _training_pass(s, model, taps, data.y)
-        for step, params, _, _ in _descent(model, training_pass, data.num_samples, cfg):
-            jac = gnn2_jacobian(s, params, data.x)
+        params_of = _params_of(model)
+        training_pass = _training_pass(s, model, taps, data.y, params_of)
+        for step, flat, _ in _descent(flatten_params(model), training_pass, data.num_samples, cfg):
+            jac = gnn2_jacobian(s, params_of(flat), data.x)
             theta = jac @ jac.T
             if step == 0:
                 theta0, norm0 = theta, np.linalg.norm(theta)
@@ -587,7 +632,7 @@ def compare_gso(
     train_curves = {name: np.empty((reps, cfg.epochs + 1)) for name in names}
     test_curves = {name: np.empty((reps, cfg.epochs + 1)) for name in names}
     for name, s in gso_list:
-        passes = _split_passes(s, models0[0], data, test_data)  # reused by every repetition
+        passes = _split_passes(s, models0[0], data, test_data)[1]  # reused by every repetition
         for rep, params0 in enumerate(models0):
             trace = _trace(params0, cfg, data.num_samples, *passes)
             train_curves[name][rep] = trace.train_losses

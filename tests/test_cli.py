@@ -21,7 +21,7 @@ from ntkalign.models import (
     init_gnn2,
     unflatten_params,
 )
-from ntkalign.ntk import filter_ntk
+from ntkalign.ntk import TapStack, filter_ntk
 from ntkalign.shiftops import AsymmetricShift, covariance, cross_covariance
 from ntkalign.training import linearized_dynamics, predicted_param_movement
 
@@ -30,9 +30,9 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def flag_error(subcommand, flag, value, size=False):
-    """The last stderr line when a positive flag (a size flag, with ``size``) is out of domain."""
-    reason = (f"expected an integer >= 1, got {value!r}" if size
+def flag_error(subcommand, flag, value, low=None):
+    """The last stderr line when a positive flag (an integer flag >= ``low``) is out of domain."""
+    reason = (f"expected an integer >= {low}, got {value!r}" if low is not None
               else f"value must be positive and finite, got {float(value)}")
     return f"ntkalign {subcommand}: error: argument --{flag}: {reason}"
 
@@ -51,6 +51,11 @@ SIZE_FLAGS = [
     ("ntk", "k"), ("ntk", "width"), ("align", "k"), ("optimize-gso", "k"),
     ("train", "k"), ("train", "width"),
     ("compare", "k"), ("compare", "width"), ("compare", "reps"), ("compare", "m-train"),
+]
+
+# every flag whose domain is the integers >= 0, by subcommand
+COUNT_FLAGS = [
+    ("train", "epochs"), ("train", "batch-size"), ("compare", "epochs"), ("compare", "batch-size"),
 ]
 
 
@@ -151,7 +156,21 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert run(subcommand, *inputs, f"--{flag}", value, "--out-dir", out) == 2
         err = capsys.readouterr().err
-        assert err.splitlines()[-1] == flag_error(subcommand, flag, value, size=True)
+        assert err.splitlines()[-1] == flag_error(subcommand, flag, value, low=1)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "-3"])
+    @pytest.mark.parametrize("subcommand, flag", COUNT_FLAGS)
+    def test_count_flag_rejects_negative_value(
+        self, tiny_data, tmp_path, capsys, subcommand, flag, value
+    ):
+        # at parse time, with the flag's name: TrainConfig's own check names none
+        _, _, x_path, y_path = tiny_data
+        out = tmp_path / "out"
+        assert run(subcommand, "--x", x_path, "--y", y_path, f"--{flag}", value,
+                   "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == flag_error(subcommand, flag, value, low=0)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -192,7 +211,7 @@ class TestUsageErrors:
     def test_gen_data_without_nodes_exit_2(self, tmp_path, capsys):
         assert run("gen-data", "--n", 0, "--out-dir", tmp_path) == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == flag_error("gen-data", "n", "0", size=True)
+        assert last == flag_error("gen-data", "n", "0", low=1)
 
     @pytest.mark.parametrize("command", ["ntk", "align"])
     def test_row_norm_beyond_series_reach_exit_2(self, tmp_path, capsys, command):
@@ -261,7 +280,7 @@ class TestConfigResolution:
             ('k = "two"', "argument --k: expected an integer >= 1, got 'two'"),
             ("k = 2.5", "argument --k: expected an integer >= 1, got '2.5'"),
             ('eta = "fast"', "argument --eta: invalid float value: 'fast'"),
-            ("batch_size = 2.5", "argument --batch-size: invalid int value: '2.5'"),
+            ("batch_size = 2.5", "argument --batch-size: expected an integer >= 0, got '2.5'"),
             ('width = "x"', "argument --width: expected an integer >= 1, got 'x'"),
         ],
         ids=["k-string", "k-float", "eta-string", "batch-size-float", "width-string"],
@@ -844,7 +863,7 @@ class TestCompareCommand:
         assert run("compare", "--x", x_path, "--y", y_path, "--model", "gnn2",
                    "--width", 0, "--epochs", 2, "--reps", 1, "--out-dir", tmp_path) == 2
         err = capsys.readouterr().err
-        assert err.splitlines()[-1] == flag_error("compare", "width", "0", size=True)
+        assert err.splitlines()[-1] == flag_error("compare", "width", "0", low=1)
         assert "diverged" not in err
 
     def test_zero_reps_is_a_usage_error(self, tiny_data, tmp_path, capsys):
@@ -853,7 +872,7 @@ class TestCompareCommand:
         assert run("compare", "--x", x_path, "--y", y_path, "--model", "filter",
                    "--epochs", 2, "--reps", 0, "--out-dir", out) == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == flag_error("compare", "reps", "0", size=True)
+        assert last == flag_error("compare", "reps", "0", low=1)
         assert not (out / "curves.csv").exists()
 
     @pytest.mark.parametrize("command", ["train", "compare"])
@@ -862,7 +881,7 @@ class TestCompareCommand:
         assert run(command, "--x", x_path, "--y", y_path, "--model", "filter", "--k", 0,
                    "--epochs", 2, "--out-dir", tmp_path / "out") == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == flag_error(command, "k", "0", size=True)
+        assert last == flag_error(command, "k", "0", low=1)
 
 
 class TestOneTapStack:
@@ -922,8 +941,17 @@ class TestOneTapStack:
         built = self.stacks_built(monkeypatch, arrays, "train", *paths, *test_paths,
                                   "--model", model, "--width", 4, "--epochs", 3,
                                   "--batch-size", batch_size, "--out-dir", tmp_path / "out")
-        # the filter report's kernel builds the training split's stack a second time
-        assert built == [("x", 2 if model == "filter" else 1), ("x_test", 1)]
+        assert built == [("x", 1), ("x_test", 1)]
+
+    @pytest.mark.parametrize("argv", [["ntk", "--kind", "gnn"], ["align"]], ids=["ntk", "align"])
+    def test_one_gram_matrix_per_run(self, splits, tmp_path, monkeypatch, argv):
+        # the correlations form Z Z' once; E1 reuses them rather than a second Z Z'
+        _, paths, _ = splits
+        formed = []
+        gram = TapStack.gram
+        monkeypatch.setattr(TapStack, "gram", lambda z: formed.append(z) or gram(z))
+        assert run(*argv, *paths, "--out-dir", tmp_path / "out") == 0
+        assert len(formed) == 1
 
     @pytest.mark.parametrize("model", ["filter", "gnn2"])
     def test_compare(self, splits, tmp_path, monkeypatch, model):

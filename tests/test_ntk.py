@@ -16,10 +16,11 @@ from ntkalign.hermite import (
     SERIES_RTOL,
     TruncationError,
     hermite_coefficients,
+    hermite_series,
     sech2,
     series_tails,
 )
-from ntkalign import training
+from ntkalign import ntk, training
 from ntkalign.models import (
     FilterParams,
     InitConfig,
@@ -380,6 +381,21 @@ class TestExpectationSeries:
 
 
 class TestExpectationFirstLayerSeries:
+    @pytest.mark.parametrize("row_block", [3, 256])
+    def test_gram_factor_in_place_matches_gram_matrix(self, monkeypatch, row_block):
+        # rho |z_a| |z_b| a block of rows at a time against the Mehler sum times Z Z'
+        monkeypatch.setattr(ntk, "ROW_BLOCK", row_block)
+        s, data, k = random_instance(5)
+        x = data.x.copy()
+        x[:, 1] = 0.0
+        z = z_vectors(s, x, k)
+        norms, rho, _ = z.correlations
+        coeffs = hermite_series(sech2, norms, 0, row_weight=norms * norms)[0]
+        expected = ntk._mehler_sum(coeffs, rho, 0) * z.gram()
+        e1 = expectation_E_first_layer_series(z).matrix
+        assert np.abs(e1 - expected).max() <= 1e-15 * np.abs(expected).max()
+        assert np.array_equal(e1, e1.T)
+
     def test_zero_rows_vanish(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((3, 2))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ntkalign import models, training
 from ntkalign.core import Dataset, DivergenceError, NtkKind, NtkMatrix, ShiftOperator, stack
 from ntkalign.models import (
+    FilterParams,
     InitConfig,
     filter_forward,
     filter_jacobian,
@@ -18,7 +19,7 @@ from ntkalign.models import (
     init_gnn2,
     unflatten_params,
 )
-from ntkalign.ntk import filter_ntk, z_vectors
+from ntkalign.ntk import TapStack, filter_ntk, z_vectors
 from ntkalign.shiftops import AsymmetricShift
 from ntkalign.training import (
     BoundCheck,
@@ -344,6 +345,107 @@ class TestFixedJacobianFilterTraining:
             taps = train(params, s, data, shorter).final_params
             expected = half_loss(s, taps, test_data, filter_forward)
             assert trace.test_losses[epoch] == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def _tap_matrix(case, rng, n, m):
+    """An nM x 3 tap matrix: random, with two equal taps, or with two taps 1e-9 apart."""
+    z = rng.standard_normal((n * m, 3))
+    if case == "equal-taps":
+        z[:, 2] = z[:, 1]
+    elif case == "near-collinear":
+        z[:, 2] = z[:, 1] + 1e-9 * rng.standard_normal(n * m)
+    return z
+
+
+def _poison(obj, size) -> int:
+    """NaN-fill ``obj`` if it is (or is a TapStack of) an array of at least ``size`` entries."""
+    arr = obj.matrix if isinstance(obj, TapStack) else obj
+    if not isinstance(arr, np.ndarray) or arr.size < size:
+        return 0
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    arr.setflags(write=True)
+    arr.fill(np.nan)
+    return 1
+
+
+class TestFilterQrPass:
+    """The filter pass's thin-QR full batch against the residual form 1/2 ||Z h - y||^2."""
+
+    @pytest.mark.parametrize("case", ["random", "equal-taps", "near-collinear", "planted"])
+    def test_loss_and_gradient_match_residual_form(self, case):
+        rng = np.random.default_rng(60)
+        n, m = 4, 7
+        z = _tap_matrix("random" if case == "planted" else case, rng, n, m)
+        h = rng.standard_normal(3)
+        if case == "planted":
+            # exactly fitted targets, evaluated a little off the planted taps
+            y_st, h = z @ h, h + 0.01 * rng.standard_normal(3)
+        else:
+            y_st = rng.standard_normal(n * m)
+        y = y_st.reshape(m, n).T  # (n, M), sample-major when stacked
+        training_pass = training._training_pass(None, FilterParams(h), TapStack(z, n, m), y)
+        for idx in (None, np.array([5, 1, 3])):
+            rows = slice(None) if idx is None else (idx[:, None] * n + np.arange(n)).ravel()
+            resid = z[rows] @ h - y_st[rows]
+            loss, gradient = training_pass(h, idx)
+            assert loss == pytest.approx(0.5 * float(resid @ resid), rel=1e-12, abs=0.0)
+            expected = z[rows].T @ resid
+            assert np.linalg.norm(gradient() - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_full_batch_epochs_touch_nothing_of_size_nm(self, monkeypatch):
+        # once a split's pass is built, every nM-sized array it holds is NaN-filled:
+        # full-batch training and test losses come out as before, minibatches diverge
+        rng = np.random.default_rng(61)
+        s = random_shift(rng, 5)
+        data = random_dataset(rng, 5, 9)
+        test_data = random_dataset(rng, 5, 4)
+        params = init_filter(3, InitConfig(kappa=0.8, seed=62))
+        cfg = TrainConfig(eta=0.02, epochs=8, optimizer="adam")
+        clean = train(params, s, data, cfg, test_data=test_data)
+        build, poisoned = training._training_pass, []
+
+        def build_then_poison(s, model, taps, y, *args):
+            training_pass = build(s, model, taps, y, *args)
+            cells = [cell.cell_contents for cell in training_pass.__closure__]
+            poisoned.append(sum(_poison(c, taps.num_nodes * taps.num_samples) for c in cells))
+            return training_pass
+
+        monkeypatch.setattr(training, "_training_pass", build_then_poison)
+        trace = train(params, s, data, cfg, test_data=test_data)
+        assert len(poisoned) == 2 and min(poisoned) >= 2  # each split's stack and targets
+        assert np.array_equal(trace.train_losses, clean.train_losses)
+        assert np.array_equal(trace.test_losses, clean.test_losses)
+        assert np.array_equal(trace.final_params.taps, clean.final_params.taps)
+        with pytest.raises(DivergenceError):
+            train(params, s, data, TrainConfig(eta=0.02, epochs=2, batch_size=4), test_data)
+
+    def test_trace_carries_the_training_stack(self):
+        rng = np.random.default_rng(63)
+        s = random_shift(rng, 4)
+        data = random_dataset(rng, 4, 6)
+        trace = train(init_filter(2, InitConfig(kappa=0.8, seed=64)), s, data,
+                      TrainConfig(eta=0.05, epochs=2), test_data=random_dataset(rng, 4, 3))
+        assert np.array_equal(trace.tap_stack.matrix, filter_jacobian(s, data.x, 2))
+
+    @pytest.mark.parametrize("batch_size", [0, 4], ids=["full-batch", "minibatch"])
+    def test_gnn_builds_one_params_object_per_step(self, monkeypatch, batch_size):
+        # the train and test pass of an epoch share it; the final params are one more
+        rng = np.random.default_rng(65)
+        s = random_shift(rng, 4)
+        data = random_dataset(rng, 4, 9)
+        built = []
+
+        def counting_unflatten(flat, like):
+            built.append(flat.shape)
+            return unflatten_params(flat, like)
+
+        monkeypatch.setattr(training, "unflatten_params", counting_unflatten)
+        cfg = TrainConfig(eta=0.05, epochs=5, batch_size=batch_size)
+        train(init_gnn2(6, 2, InitConfig(kappa=0.8, seed=66)), s, data, cfg,
+              test_data=random_dataset(rng, 4, 3))
+        steps = 1 if batch_size == 0 else math.ceil(data.num_samples / batch_size)
+        assert len(built) == cfg.epochs * steps + 1
 
 
 class TestGnnPassShape:
