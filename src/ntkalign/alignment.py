@@ -33,9 +33,7 @@ import numpy as np
 
 from .core import (
     Dataset,
-    NtkMatrix,
     ShiftOperator,
-    as_stacked,
     require_positive_finite,
 )
 from .hermite import BETA_SATURATION, ExpansionConstants, coeff_g, coeff_tau, expansion_constants
@@ -61,17 +59,6 @@ from .shiftops import (
 SWEEP_TOL = 1e-9
 SIGN_ZERO_ATOL = 1e-12
 TAIL_SLACK = 1e-12
-
-
-def alignment(theta, y) -> float:
-    """Quadratic form y~^T Theta~ y~; a factored kernel stays factored."""
-    y_st = as_stacked(y)
-    size = theta.size if isinstance(theta, NtkMatrix) else np.shape(theta)[0]
-    if y_st.shape[0] != size:
-        raise ValueError(f"target length {y_st.shape[0]} does not match kernel size {size}")
-    if isinstance(theta, NtkMatrix):
-        return theta.quadratic_form(y_st)
-    return float(y_st @ (np.asarray(theta, dtype=float) @ y_st))
 
 
 def _trace_q(zy: np.ndarray, e: np.ndarray) -> float:

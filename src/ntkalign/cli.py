@@ -229,8 +229,6 @@ def _extract_pairs(cfg: dict, series: np.ndarray):
 
 
 def _cmd_gen_data(cfg: dict) -> int:
-    if not 0.0 < cfg["anisotropy"] <= 1.0:
-        raise CliError("--anisotropy must be in (0, 1]")
     background = cfg["strength"] * (1.0 - cfg["anisotropy"])
     transition, direction = planted_transition(
         cfg["n"], seed=cfg["seed"], strength=cfg["strength"], background=background
@@ -238,6 +236,7 @@ def _cmd_gen_data(cfg: dict) -> int:
     series = generate_var(
         VarProcessConfig(cfg["n"], cfg["len"], transition, cfg["noise"], cfg["seed"])
     )
+    pairs = _extract_pairs(cfg, series) if cfg["dt"] is not None else None  # fails before writing
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     save_csv(series, out_dir / "series.csv")
@@ -249,8 +248,8 @@ def _cmd_gen_data(cfg: dict) -> int:
         "planted_direction": direction.tolist(),
         "summary": f"series {cfg['n']} x {cfg['len']}",
     }
-    if cfg["dt"] is not None:
-        train_split, test_split = _extract_pairs(cfg, series)
+    if pairs is not None:
+        train_split, test_split = pairs
         save_csv(train_split.x, out_dir / "x_train.csv")
         save_csv(train_split.y, out_dir / "y_train.csv")
         outputs += ["x_train.csv", "y_train.csv"]
@@ -539,7 +538,7 @@ def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _count(text: str, low: int = 0) -> int:
-    """argparse type of a count (instances, epochs, batch size): an integer >= ``low`` (0)."""
+    """argparse type of a count (instances, epochs, batch size, horizon): an integer >= ``low``."""
     if not re.fullmatch(r"\s*\+?\d+\s*", text) or int(text) < low:
         raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return int(text)
@@ -548,16 +547,28 @@ def _count(text: str, low: int = 0) -> int:
 _size = functools.partial(_count, low=1)  # taps, width, nodes, series length, samples, reps
 
 
-def _positive(text: str) -> float:
-    """argparse type of a flag whose domain is positive: ``core.require_positive_finite``."""
+def _float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _positive(text: str) -> float:
+    """argparse type of a flag whose domain is positive: ``core.require_positive_finite``."""
+    value = _float(text)
     try:
         require_positive_finite("value", value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _fraction(text: str, closed: bool = False) -> float:
+    """argparse type of a fraction: a float in (0, 1), or in (0, 1] when ``closed``."""
+    value, domain = _float(text), "(0, 1]" if closed else "(0, 1)"
+    if not (0.0 < value < 1.0 or (closed and value == 1.0)):
+        raise argparse.ArgumentTypeError(f"expected a value in {domain}, got {text!r}")
     return value
 
 
@@ -588,14 +599,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a planted VAR series (and pairs)")
     p.add_argument("--n", type=_size, default=20, help="number of nodes")
     p.add_argument("--len", type=_size, default=1000, help="series length")
-    p.add_argument("--strength", type=float, default=0.9, help="planted eigenvalue in (0, 1)")
-    p.add_argument(
-        "--anisotropy", type=float, default=0.8, help="planted-direction dominance in (0, 1]"
-    )
-    p.add_argument("--noise", type=float, default=1.0, help="innovation scale")
-    p.add_argument("--dt", type=int, help="also extract pairs at this horizon")
+    p.add_argument("--strength", type=_fraction, default=0.9, help="planted eigenvalue in (0, 1)")
+    p.add_argument("--anisotropy", type=functools.partial(_fraction, closed=True), default=0.8,
+                   help="planted-direction dominance in (0, 1]")
+    p.add_argument("--noise", type=_positive, default=1.0, help="innovation scale")
+    p.add_argument("--dt", type=_count, help="also extract pairs at this horizon")
     p.add_argument("--m-train", type=_size, default=200, help="training pairs")
-    p.add_argument("--m-test", type=int, help="test pairs (default m_train/10)")
+    p.add_argument("--m-test", type=_count, help="test pairs (default m_train/10)")
     _add_shared_flags(p)
 
     p = sub.add_parser("ntk", help="compute a stacked tangent kernel")
@@ -653,9 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="train matched models across shift operators")
     p.add_argument("--series", help="series CSV to extract pairs from")
-    p.add_argument("--dt", type=int, default=1, help="pair horizon for --series")
+    p.add_argument("--dt", type=_count, default=1, help="pair horizon for --series")
     p.add_argument("--m-train", type=_size, default=200, help="training pairs")
-    p.add_argument("--m-test", type=int, help="test pairs (default m_train/10)")
+    p.add_argument("--m-test", type=_count, help="test pairs (default m_train/10)")
     p.add_argument("--x", help="inputs CSV (alternative to --series)")
     p.add_argument("--y", help="targets CSV")
     p.add_argument("--x-test", help="test inputs CSV")

@@ -12,7 +12,6 @@ as an (nM x nM) matrix.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,9 +69,6 @@ class Dataset:
         ny = np.linalg.norm(self.y, axis=0)
         return float(max(nx.max(initial=0.0), ny.max(initial=0.0)))
 
-    def is_normalized(self, atol: float = 1e-12) -> bool:
-        return self.max_column_norm <= 1.0 + atol
-
     def normalized(self) -> "Dataset":
         """Globally rescale so the largest column norm is exactly 1."""
         scale = self.max_column_norm
@@ -93,16 +89,6 @@ def as_stacked(v) -> np.ndarray:
     """Stack an (n x M) signal matrix; pass an already stacked vector through."""
     v = np.asarray(v, dtype=float)
     return stack(v) if v.ndim == 2 else v
-
-
-def unstack(v: np.ndarray, num_nodes: int, num_samples: int) -> np.ndarray:
-    """Inverse of :func:`stack`."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (num_nodes * num_samples,):
-        raise ValueError(
-            f"expected vector of length {num_nodes * num_samples}, got shape {v.shape}"
-        )
-    return v.reshape(num_nodes, num_samples, order="F")
 
 
 def matrix_powers_applied(matrix: np.ndarray, signals: np.ndarray, num_taps: int) -> np.ndarray:
@@ -151,15 +137,6 @@ class ShiftOperator(_MatrixShift):
         object.__setattr__(self, "matrix", m)
 
 
-class NtkKind(enum.Enum):
-    """How a tangent-kernel matrix was produced."""
-
-    FILTER_ANALYTIC = "filter_analytic"
-    EMPIRICAL = "empirical"
-    GNN_INFINITE_SERIES = "gnn_infinite_series"
-    GNN_MONTE_CARLO = "gnn_monte_carlo"
-
-
 # A loss above this multiple of its starting value counts as divergence.
 DIVERGENCE_FACTOR = 1e6
 
@@ -174,7 +151,10 @@ class DivergenceError(RuntimeError):
 
 
 class NtkMatrix:
-    """Stacked tangent-kernel matrix with provenance, dense or factored.
+    """Stacked tangent-kernel matrix, dense or factored.
+
+    ``info`` records how the kernel was built (model, layer, taps, seeds,
+    truncation diagnostics); each constructor in ``ntk`` fills it in.
 
     Dense (the default): ``matrix`` is the nM x nM kernel.  Construction
     validates symmetry (relative Frobenius) and positive semidefiniteness
@@ -191,11 +171,8 @@ class NtkMatrix:
     spectral quantity reads.
     """
 
-    def __init__(
-        self, matrix, kind: NtkKind, info: Mapping | None = None, *, factored: bool = False
-    ):
+    def __init__(self, matrix, info: Mapping | None = None, *, factored: bool = False):
         m = _frozen_array(matrix, ndim=2)
-        self.kind = kind
         self.info = dict(info or {})
         if factored:
             self.factor, self._dense, self._eigenvalues = m, None, None

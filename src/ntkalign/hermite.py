@@ -267,24 +267,6 @@ def sigma_hat(z_sq):
     return float(out) if out.ndim == 0 else out
 
 
-def sign_coefficient(degree: int) -> float:
-    """Closed-form Hermite coefficient of the sign function.
-
-    E[sign(u) p_{2i+1}(u)] = sqrt(2/pi) (-1)^i (2i-1)!! / sqrt((2i+1)!);
-    even degrees vanish.  This is the y -> infinity limit of g_degree(y).
-    """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if degree % 2 == 0:
-        return 0.0
-    i = (degree - 1) // 2
-    log_mag = 0.5 * math.log(2.0 / math.pi)
-    # (2i-1)!! / sqrt((2i+1)!) computed in log space
-    log_mag += sum(math.log(2 * j - 1) for j in range(1, i + 1))
-    log_mag -= 0.5 * math.lgamma(degree + 1)
-    return (-1.0) ** i * math.exp(log_mag)
-
-
 @dataclass(frozen=True)
 class BetaResult:
     """Tail-ratio constant sum_{i>=1} g_{2i+1}^2 / g_1^2 in the saturation limit."""

@@ -29,7 +29,6 @@ import numpy as np
 
 from .core import (
     Dataset,
-    NtkKind,
     NtkMatrix,
     ShiftOperator,
     _frozen_array,
@@ -93,9 +92,7 @@ class TapStack:
 
     def kernel(self) -> NtkMatrix:
         """The analytic graph-filter NTK Z Z^T, factored as F = Z; rank at most K."""
-        return NtkMatrix(
-            self.matrix, NtkKind.FILTER_ANALYTIC, info={"num_taps": self.num_taps}, factored=True
-        )
+        return NtkMatrix(self.matrix, info={"num_taps": self.num_taps}, factored=True)
 
     @cached_property
     def correlations(self):
@@ -152,7 +149,7 @@ def empirical_ntk(s: ShiftOperator, params, data) -> NtkMatrix:
         }
     else:
         raise TypeError(f"no Jacobian route for {type(params).__name__}")
-    return NtkMatrix(jac, NtkKind.EMPIRICAL, info=info, factored=True)
+    return NtkMatrix(jac, info=info, factored=True)
 
 
 @dataclass(frozen=True)
@@ -360,7 +357,7 @@ def gnn_infinite_ntk(
         info = {"layer": layer, "num_taps": num_taps, "layers": info}
     else:
         info = {"layer": layer, "num_taps": num_taps, **expectation_info(parts[layer])}
-    return NtkMatrix(theta, NtkKind.GNN_INFINITE_SERIES, info=info)
+    return NtkMatrix(theta, info=info)
 
 
 def gnn_monte_carlo_ntk(
@@ -370,7 +367,6 @@ def gnn_monte_carlo_ntk(
     num_features: int,
     seed: int,
     which_layer: str = "second",
-    draws: tuple | None = None,
 ) -> NtkMatrix:
     """Finite random-feature estimate of the infinite-width NTK layer terms.
 
@@ -382,9 +378,8 @@ def gnn_monte_carlo_ntk(
     is ``gnn2_jacobian`` of that layer.  ``which_layer='both'`` stacks them
     as [J_second, J_first] into one kernel, the second layer drawn from
     ``seed`` and the first from ``seed + 1``, with each layer's info under
-    ``info['layers']``.  ``draws=(g, h)`` overrides the random draws
-    (shapes (F, K)) of every layer, which pins down degenerate cases in
-    tests.
+    ``info['layers']``.  Each layer draws g, then h, from
+    ``np.random.default_rng`` of its seed.
     """
     if num_features < 1:
         raise ValueError("num_features must be >= 1")
@@ -395,14 +390,9 @@ def gnn_monte_carlo_ntk(
     blocks = []
     infos = {}
     for name, layer_seed in seeds.items():
-        if draws is None:
-            rng = np.random.default_rng(layer_seed)
-            g = rng.standard_normal((num_features, num_taps))
-            h = rng.standard_normal((num_features, num_taps))
-        else:
-            g, h = (np.asarray(d, dtype=float) for d in draws)
-            if g.shape != (num_features, num_taps) or h.shape != (num_features, num_taps):
-                raise ValueError("draws must have shape (num_features, num_taps)")
+        rng = np.random.default_rng(layer_seed)
+        g = rng.standard_normal((num_features, num_taps))
+        h = rng.standard_normal((num_features, num_taps))
         blocks.append(gnn2_jacobian(s, TwoLayerGnnParams(g, h), x, name))
         infos[name] = {
             "layer": name,
@@ -411,4 +401,4 @@ def gnn_monte_carlo_ntk(
             "num_taps": num_taps,
         }
     info = {"layers": infos} if which_layer == "both" else infos[which_layer]
-    return NtkMatrix(np.hstack(blocks), NtkKind.GNN_MONTE_CARLO, info=info, factored=True)
+    return NtkMatrix(np.hstack(blocks), info=info, factored=True)

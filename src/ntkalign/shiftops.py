@@ -12,8 +12,7 @@ cross-covariance C, with mu = sqrt(alpha / (eta M)) / ||C||_F.  For K = 2
 this is the closed form S = mu C - I; for K > 2 it reduces, through the
 eigendecomposition of mu C, to one scalar polynomial root per eigenvalue.
 The scalar equation can lack a real root when K is odd (even-degree
-polynomial), which is surfaced rather than papered over.  The linear-GNN
-optimum solves (sum_k S^k)^2 = mu C the same way.
+polynomial), which is surfaced rather than papered over.
 """
 
 from __future__ import annotations
@@ -38,14 +37,6 @@ class NoRealRootError(ValueError):
         super().__init__(
             f"sum_k s^k = {gamma!r} has no real root for K = {num_taps}"
         )
-
-
-class NegativeEigenvalueError(ValueError):
-    """The squared power sum cannot match a negative eigenvalue."""
-
-    def __init__(self, gamma: float):
-        self.gamma = gamma
-        super().__init__(f"(sum_k s^k)^2 = {gamma!r} has no real solution")
 
 
 @dataclass(frozen=True)
@@ -126,13 +117,6 @@ def mu_from_budget(alpha: float, eta: float, num_samples: int, c_norm: float = 1
     return frobenius_budget(alpha, eta, num_samples) / c_norm
 
 
-def _poly_eval(coeffs_high_to_low: np.ndarray, s: float) -> float:
-    out = 0.0
-    for c in coeffs_high_to_low:
-        out = out * s + c
-    return out
-
-
 def power_sum_root(gamma: float, num_taps: int) -> float:
     """Smallest-magnitude real s with sum_{k=0}^{K-1} s^k = gamma.
 
@@ -152,14 +136,13 @@ def power_sum_root(gamma: float, num_taps: int) -> float:
         raise NoRealRootError(float(gamma), num_taps)
     s = float(candidates[np.argmin(np.abs(candidates))])
     # Newton polish; np.roots is eigenvalue-based and can drift a few ulp
-    deriv = np.polyder(np.poly1d(coeffs))
+    deriv = np.polyder(coeffs)
     for _ in range(3):
-        f = _poly_eval(coeffs, s)
-        df = deriv(s)
+        df = np.polyval(deriv, s)
         if df == 0.0:
             break
-        s -= f / df
-    return s
+        s -= np.polyval(coeffs, s) / df
+    return float(s)
 
 
 @dataclass(frozen=True)
@@ -173,8 +156,18 @@ class GsoSolution:
     scale: float  # 1.0 unless unit-Frobenius normalization was applied
 
 
-def _checked_target(c, num_taps: int, mu: float) -> np.ndarray:
-    """Validate C, the tap count and mu of a power-sum solve; return mu C."""
+def solve_optimal_gso(
+    c: np.ndarray, num_taps: int, mu: float = 1.0, normalize: bool = False
+) -> GsoSolution:
+    """Solve sum_{k=0}^{K-1} S^k = mu C for a symmetric S, given the matrix C.
+
+    K = 2 has the closed form S = mu C - I; larger K goes through the
+    eigendecomposition of mu C, one scalar power-sum root per eigenvalue.
+    The relative residual of the power sum against mu C must stay below
+    RESIDUAL_RTOL.  ``normalize`` rescales the result to unit Frobenius
+    norm after that check, for use where only the direction of the
+    operator matters.
+    """
     require_positive_finite("mu", mu)
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -183,28 +176,16 @@ def _checked_target(c, num_taps: int, mu: float) -> np.ndarray:
         raise ValueError("cross-covariance must be symmetric")
     if num_taps < 2:
         raise ValueError("num_taps must be >= 2; K = 1 leaves no taps to solve for")
-    return mu * c
-
-
-def _gso_solution(
-    s_matrix: np.ndarray,
-    target: np.ndarray,
-    gammas: np.ndarray,
-    roots: np.ndarray,
-    mu: float,
-    num_taps: int,
-    normalize: bool,
-    lift,
-) -> GsoSolution:
-    """Symmetrize a solved S, check it against the target, package it.
-
-    ``lift`` maps the power sum sum_k S^k to the matrix that must equal the
-    target mu C; the relative residual must stay below RESIDUAL_RTOL.
-    ``normalize`` rescales S to unit Frobenius norm after that check.
-    """
+    target = mu * c
+    gammas, vecs = np.linalg.eigh(target)
+    if num_taps == 2:
+        s_matrix, roots = target - np.eye(target.shape[0]), gammas - 1.0
+    else:
+        roots = np.array([power_sum_root(g, num_taps) for g in gammas])
+        s_matrix = (vecs * roots) @ vecs.T
     s_matrix = (s_matrix + s_matrix.T) / 2.0
     scale_ref = max(np.linalg.norm(target), 1e-300)
-    residual = float(np.linalg.norm(lift(power_sum(s_matrix, num_taps)) - target) / scale_ref)
+    residual = float(np.linalg.norm(power_sum(s_matrix, num_taps) - target) / scale_ref)
     if residual > RESIDUAL_RTOL:
         raise RuntimeError(
             f"reconstructed power sum misses the target: relative residual {residual:.3e}"
@@ -224,48 +205,4 @@ def _gso_solution(
         roots=roots,
         residual=residual,
         scale=scale,
-    )
-
-
-def solve_optimal_gso(
-    c: np.ndarray, num_taps: int, mu: float = 1.0, normalize: bool = False
-) -> GsoSolution:
-    """Solve sum_{k=0}^{K-1} S^k = mu C for a symmetric S, given the matrix C.
-
-    K = 2 has the closed form S = mu C - I; larger K goes through the
-    eigendecomposition of mu C, one scalar power-sum root per eigenvalue.
-    ``normalize`` rescales the result to unit Frobenius norm after the
-    residual check, for use where only the direction of the operator matters.
-    """
-    target = _checked_target(c, num_taps, mu)
-    gammas, vecs = np.linalg.eigh(target)
-    if num_taps == 2:
-        s_matrix, roots = target - np.eye(target.shape[0]), gammas - 1.0
-    else:
-        roots = np.array([power_sum_root(g, num_taps) for g in gammas])
-        s_matrix = (vecs * roots) @ vecs.T
-    return _gso_solution(
-        s_matrix, target, gammas, roots, mu, num_taps, normalize, lift=lambda acc: acc
-    )
-
-
-def solve_optimal_gso_linear_gnn(
-    c: np.ndarray, num_taps: int, mu: float = 1.0, normalize: bool = False
-) -> GsoSolution:
-    """Solve (sum_k S^k)^2 = mu C for a symmetric S, per eigenvalue.
-
-    Each eigenvalue gamma of mu C needs (sum_k s^k)^2 = gamma, so gamma
-    must be nonnegative; the nonnegative square-root branch is taken and
-    the scalar power-sum solve picks the smallest-magnitude real root.
-    """
-    target = _checked_target(c, num_taps, mu)
-    gammas, vecs = np.linalg.eigh(target)
-    roots = np.empty_like(gammas)
-    for i, gamma in enumerate(gammas):
-        if gamma < -1e-12:
-            raise NegativeEigenvalueError(float(gamma))
-        roots[i] = power_sum_root(math.sqrt(max(gamma, 0.0)), num_taps)
-    return _gso_solution(
-        (vecs * roots) @ vecs.T, target, gammas, roots, mu, num_taps, normalize,
-        lift=lambda acc: acc @ acc,
     )

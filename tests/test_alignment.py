@@ -10,7 +10,6 @@ import ntkalign.alignment as alignment_module
 from ntkalign.alignment import (
     AlignmentReport,
     CheckReport,
-    alignment,
     alignment_filt,
     alignment_lin,
     alignment_lin_lower_bound,
@@ -39,12 +38,7 @@ from ntkalign.ntk import (
     filter_ntk,
     z_vectors,
 )
-from ntkalign.shiftops import (
-    NegativeEigenvalueError,
-    NoRealRootError,
-    cross_covariance,
-    solve_optimal_gso_linear_gnn,
-)
+from ntkalign.shiftops import cross_covariance
 
 
 def random_shift(rng, n):
@@ -74,14 +68,6 @@ def test_q_matrix_matches_dense_block_conjugation():
     assert np.allclose(filter_ntk(s, y, 3).matrix, expected, atol=1e-12)
 
 
-def test_alignment_accepts_matrix_and_stacked_targets():
-    rng = np.random.default_rng(1)
-    s = random_shift(rng, 4)
-    data = random_dataset(rng, 4, 3)
-    theta = filter_ntk(s, data.x, 2)
-    assert alignment(theta, data.y) == alignment(theta, stack(data.y))
-
-
 def test_alignment_leaves_a_factored_kernel_factored(monkeypatch):
     rng = np.random.default_rng(4)
     s = random_shift(rng, 4)
@@ -89,7 +75,7 @@ def test_alignment_leaves_a_factored_kernel_factored(monkeypatch):
     theta = filter_ntk(s, data.x, 2)
     expected = float(stack(data.y) @ filter_ntk(s, data.x, 2).matrix @ stack(data.y))
     monkeypatch.setattr(NtkMatrix, "matrix", property(lambda self: pytest.fail("materialised")))
-    assert alignment(theta, data.y) == pytest.approx(expected, rel=1e-12)
+    assert theta.quadratic_form(stack(data.y)) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -107,14 +93,6 @@ def test_factored_alignment_terms_match_dense_formulas(seed):
     assert xi_observed(s, data, k) == pytest.approx(xi, rel=1e-12)
 
 
-def test_alignment_rejects_mismatched_sizes():
-    rng = np.random.default_rng(2)
-    s = random_shift(rng, 3)
-    theta = filter_ntk(s, rng.standard_normal((3, 2)), 2)
-    with pytest.raises(ValueError, match="does not match"):
-        alignment(theta, np.ones(5))
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(2, 5),
@@ -126,7 +104,7 @@ def test_filter_alignment_equals_kernel_quadratic_form(n, m, k, seed):
     rng = np.random.default_rng(seed)
     s = random_shift(rng, n)
     data = random_dataset(rng, n, m)
-    via_kernel = alignment(filter_ntk(s, data.x, k), data.y)
+    via_kernel = filter_ntk(s, data.x, k).quadratic_form(stack(data.y))
     via_traces = alignment_filt(s, data, k)
     assert via_traces == pytest.approx(via_kernel, rel=1e-10, abs=1e-12)
 
@@ -235,58 +213,6 @@ def test_xi_observed_unit_interval_and_target_scale_invariance():
         assert -1e-12 <= xi <= 1.0 + 1e-12
         doubled = Dataset(data.x, 2.0 * data.y)
         assert xi_observed(s, doubled, k) == pytest.approx(xi, rel=1e-10)
-
-
-class TestSolveOptimalGsoLinearGnn:
-    def test_identity_target_gives_zero_shift(self):
-        sol = solve_optimal_gso_linear_gnn(np.eye(3), 2, mu=1.0)
-        assert np.abs(sol.operator.matrix).max() < 1e-12
-
-    def test_four_identity_target_gives_identity_shift(self):
-        sol = solve_optimal_gso_linear_gnn(4.0 * np.eye(3), 2, mu=1.0)
-        assert np.allclose(sol.operator.matrix, np.eye(3), atol=1e-12)
-
-    def test_matches_matrix_square_root_for_two_taps(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((4, 4))
-        c = a @ a.T + 0.1 * np.eye(4)
-        sol = solve_optimal_gso_linear_gnn(c, 2, mu=1.0)
-        evals, vecs = np.linalg.eigh(c)
-        root = (vecs * np.sqrt(evals)) @ vecs.T
-        assert np.allclose(sol.operator.matrix, root - np.eye(4), atol=1e-9)
-
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(2, 5), k=st.integers(2, 4), seed=st.integers(0, 10_000))
-    def test_squared_power_sum_reconstructs_target(self, n, k, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n))
-        c = a @ a.T + np.eye(n)  # eigenvalues >= 1 keep odd-tap solves real
-        sol = solve_optimal_gso_linear_gnn(c, k, mu=1.0)
-        acc = np.zeros((n, n))
-        for j in range(k):
-            acc += np.linalg.matrix_power(sol.operator.matrix, j)
-        assert np.allclose(acc @ acc, c, rtol=1e-8, atol=1e-8)
-        assert sol.residual <= 1e-8
-
-    def test_negative_eigenvalue_is_rejected(self):
-        with pytest.raises(NegativeEigenvalueError) as exc:
-            solve_optimal_gso_linear_gnn(np.diag([1.0, -1.0]), 2)
-        assert exc.value.gamma == pytest.approx(-1.0)
-
-    def test_unsolvable_odd_tap_count_propagates(self):
-        with pytest.raises(NoRealRootError):
-            solve_optimal_gso_linear_gnn(0.01 * np.eye(2), 3)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            solve_optimal_gso_linear_gnn(np.array([[0.0, 1.0], [0.0, 0.0]]), 2)
-        with pytest.raises(ValueError, match="num_taps"):
-            solve_optimal_gso_linear_gnn(np.eye(2), 1)
-
-    def test_normalize_rescales_to_unit_frobenius(self):
-        sol = solve_optimal_gso_linear_gnn(4.0 * np.eye(3), 2, normalize=True)
-        assert np.linalg.norm(sol.operator.matrix) == pytest.approx(1.0)
-        assert sol.scale == pytest.approx(1.0 / math.sqrt(3.0))
 
 
 class TestBudgetCheck:
@@ -422,7 +348,7 @@ def test_planted_targets_are_exact_filter_outputs():
     s, data, k = planted_instance(12)
     rebuilt = s.powers_applied(data.x, k).sum(axis=0)
     assert np.allclose(rebuilt, data.y, atol=1e-12)
-    assert data.is_normalized()
+    assert data.max_column_norm <= 1.0 + 1e-12
 
 
 def test_alignment_report_fields_and_payload():

@@ -11,7 +11,7 @@ import pytest
 
 from ntkalign import alignment, cli, core
 from ntkalign.cli import main
-from ntkalign.core import NtkKind, NtkMatrix, stack
+from ntkalign.core import NtkMatrix, stack
 from ntkalign.dataio import load_csv, save_csv
 from ntkalign.models import (
     InitConfig,
@@ -55,7 +55,9 @@ SIZE_FLAGS = [
 
 # every flag whose domain is the integers >= 0, by subcommand
 COUNT_FLAGS = [
+    ("gen-data", "dt"), ("gen-data", "m-test"),
     ("train", "epochs"), ("train", "batch-size"), ("compare", "epochs"), ("compare", "batch-size"),
+    ("compare", "dt"), ("compare", "m-test"),
 ]
 
 
@@ -164,11 +166,12 @@ class TestUsageErrors:
     def test_count_flag_rejects_negative_value(
         self, tiny_data, tmp_path, capsys, subcommand, flag, value
     ):
-        # at parse time, with the flag's name: TrainConfig's own check names none
+        # at parse time, with the flag's name: the TrainConfig and
+        # PairExtractionConfig checks name none
         _, _, x_path, y_path = tiny_data
+        inputs = [] if subcommand == "gen-data" else ["--x", x_path, "--y", y_path]
         out = tmp_path / "out"
-        assert run(subcommand, "--x", x_path, "--y", y_path, f"--{flag}", value,
-                   "--out-dir", out) == 2
+        assert run(subcommand, *inputs, f"--{flag}", value, "--out-dir", out) == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == flag_error(subcommand, flag, value, low=0)
         assert not out.exists()
@@ -205,7 +208,29 @@ class TestUsageErrors:
     def test_gen_data_non_finite_noise_exit_2(self, tmp_path, capsys, noise):
         out = tmp_path / "out"
         assert run("gen-data", "--n", 5, "--len", 50, "--noise", noise, "--out-dir", out) == 2
-        assert capsys.readouterr().err == "error: noise_scale must be positive and finite\n"
+        assert capsys.readouterr().err.splitlines()[-1] == flag_error("gen-data", "noise", noise)
+        assert not (out / "series.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, domain",
+        [("strength", "0", "(0, 1)"), ("strength", "1", "(0, 1)"), ("strength", "nan", "(0, 1)"),
+         ("anisotropy", "0", "(0, 1]"), ("anisotropy", "1.5", "(0, 1]"),
+         ("anisotropy", "-inf", "(0, 1]")],
+    )
+    def test_gen_data_fraction_flag_rejects_bad_value(self, tmp_path, capsys, flag, value, domain):
+        out = tmp_path / "out"
+        assert run("gen-data", "--n", 5, "--len", 50, f"--{flag}={value}", "--out-dir", out) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == (f"ntkalign gen-data: error: argument --{flag}: "
+                        f"expected a value in {domain}, got {value!r}")
+        assert not out.exists()
+
+    def test_gen_data_failing_pair_extraction_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run("gen-data", "--n", 5, "--len", 50, "--m-train", 200, "--dt", 1,
+                   "--out-dir", out)
+        assert code == 2
+        assert "only 49 fit the horizon" in capsys.readouterr().err
         assert not (out / "series.csv").exists()
 
     def test_gen_data_without_nodes_exit_2(self, tmp_path, capsys):
@@ -523,7 +548,7 @@ class TestNtkCommand:
                    "--out-dir", out) == 0
         blin = filter_ntk(cross_covariance(x, y), x, 2).matrix
         assert np.array_equal(load_csv(out / "ntk.csv"), blin)
-        dense = NtkMatrix(blin, NtkKind.FILTER_ANALYTIC)
+        dense = NtkMatrix(blin)
         report = json.loads((out / "report.json").read_text())
         assert report["rank_estimate"] == dense.rank_estimate() == 2
         assert report["operator_norm"] == pytest.approx(dense.operator_norm, rel=1e-10)
@@ -760,7 +785,7 @@ class TestTrainCommand:
         assert big_eigs == [] and dense_reads == []
         monkeypatch.undo()
         s = cross_covariance(x, y)
-        dense_theta = NtkMatrix(filter_ntk(s, x, 2).matrix, NtkKind.FILTER_ANALYTIC)
+        dense_theta = NtkMatrix(filter_ntk(s, x, 2).matrix)
         oracle = predicted_param_movement(dense_theta, stack(y))
         report = json.loads((out / "report.json").read_text())
         assert report["predicted_param_movement"] == pytest.approx(oracle, rel=1e-10)

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from ntkalign.core import (
     Dataset,
-    NtkKind,
     NtkMatrix,
     ShiftOperator,
     stack,
-    unstack,
 )
 
 
@@ -37,15 +35,11 @@ class TestStacking:
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, n, m, seed):
         x = np.random.default_rng(seed).standard_normal((n, m))
-        assert np.array_equal(unstack(stack(x), n, m), x)
+        assert np.array_equal(stack(x).reshape(m, n).T, x)
 
     def test_stack_rejects_vector(self):
         with pytest.raises(ValueError):
             stack(np.ones(5))
-
-    def test_unstack_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            unstack(np.ones(7), 2, 3)
 
 
 class TestDataset:
@@ -65,7 +59,6 @@ class TestDataset:
         ds = Dataset(rng.standard_normal((4, 6)), rng.standard_normal((4, 6)))
         nds = ds.normalized()
         assert nds.max_column_norm == pytest.approx(1.0, abs=1e-14)
-        assert nds.is_normalized()
 
     def test_normalize_zero_dataset(self):
         with pytest.raises(ValueError):
@@ -105,7 +98,7 @@ class TestNtkMatrix:
     def test_valid_psd(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 3))
-        ntk = NtkMatrix(a @ a.T, NtkKind.FILTER_ANALYTIC)
+        ntk = NtkMatrix(a @ a.T)
         assert ntk.size == 5
         assert ntk.rank_estimate() == 3
         assert ntk.eigenvalues[0] >= -1e-8 * ntk.operator_norm
@@ -113,18 +106,18 @@ class TestNtkMatrix:
     def test_asymmetric_rejected(self):
         m = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            NtkMatrix(m, NtkKind.EMPIRICAL)
+            NtkMatrix(m)
 
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError):
-            NtkMatrix(np.diag([1.0, -0.5]), NtkKind.EMPIRICAL)
+            NtkMatrix(np.diag([1.0, -0.5]))
 
     def test_tiny_negative_eig_accepted(self):
         m = np.diag([1.0, -5e-9])
-        NtkMatrix(m, NtkKind.GNN_MONTE_CARLO, info={"draws": 16})
+        NtkMatrix(m, info={"draws": 16})
 
     def test_quadratic_form(self):
-        ntk = NtkMatrix(np.diag([2.0, 3.0]), NtkKind.FILTER_ANALYTIC)
+        ntk = NtkMatrix(np.diag([2.0, 3.0]))
         assert ntk.quadratic_form(np.array([1.0, 1.0])) == pytest.approx(5.0)
 
 
@@ -133,8 +126,8 @@ class TestFactoredNtkMatrix:
 
     def test_spectrum_and_forms_match_dense_kernel(self, kernel_factor):
         f = kernel_factor
-        factored = NtkMatrix(f, NtkKind.EMPIRICAL, factored=True)
-        dense = NtkMatrix(f @ f.T, NtkKind.EMPIRICAL)
+        factored = NtkMatrix(f, factored=True)
+        dense = NtkMatrix(f @ f.T)
         scale = dense.operator_norm
         assert factored.size == dense.size == f.shape[0]
         np.testing.assert_allclose(
@@ -149,7 +142,7 @@ class TestFactoredNtkMatrix:
 
     def test_eigenpairs_span_the_factor(self, kernel_factor):
         f = kernel_factor
-        evals, vecs = NtkMatrix(f, NtkKind.EMPIRICAL, factored=True).eigenpairs
+        evals, vecs = NtkMatrix(f, factored=True).eigenpairs
         assert evals.shape == (min(f.shape),)
         assert np.all(np.diff(evals) >= 0.0)
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(evals.size), atol=1e-12)
@@ -159,7 +152,7 @@ class TestFactoredNtkMatrix:
         )
 
     def test_dense_eigenpairs_are_cached(self):
-        ntk = NtkMatrix(np.diag([2.0, 3.0]), NtkKind.FILTER_ANALYTIC)
+        ntk = NtkMatrix(np.diag([2.0, 3.0]))
         assert ntk.eigenpairs is ntk.eigenpairs
         np.testing.assert_array_equal(ntk.eigenpairs[0], [2.0, 3.0])
 
@@ -171,4 +164,4 @@ class TestFactoredNtkMatrix:
     )
     def test_factored_rejects_non_finite_and_non_matrix(self, factor):
         with pytest.raises(ValueError):
-            NtkMatrix(factor, NtkKind.EMPIRICAL, factored=True)
+            NtkMatrix(factor, factored=True)

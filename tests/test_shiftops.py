@@ -17,7 +17,6 @@ from ntkalign.shiftops import (
     mu_from_budget,
     power_sum_root,
     solve_optimal_gso,
-    solve_optimal_gso_linear_gnn,
 )
 from ntkalign.training import TrainConfig, train
 
@@ -192,6 +191,7 @@ class TestPowerSumRoot:
         assert power_sum_root(1.0, 3) == pytest.approx(0.0, abs=1e-12)
         # 1 + s + s^2 = 3 has roots 1 and -2
         assert power_sum_root(3.0, 3) == pytest.approx(1.0, abs=1e-12)
+        assert type(power_sum_root(3.0, 3)) is float
 
     def test_five_taps(self):
         # s = 1 solves sum_{k<5} s^k = 5; the other real root is near -1.65
@@ -308,7 +308,7 @@ class TestSolveOptimalGso:
         with pytest.raises(ValueError):
             solve_optimal_gso(np.eye(3), num_taps=1)
 
-    @pytest.mark.parametrize("solver", [solve_optimal_gso, solve_optimal_gso_linear_gnn])
+    @pytest.mark.parametrize("solver", [solve_optimal_gso])
     @pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive_or_non_finite_mu(self, solver, mu):
         with pytest.raises(ValueError, match=f"^mu must be positive and finite, got {mu}$"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntkalign import models, training
-from ntkalign.core import Dataset, DivergenceError, NtkKind, NtkMatrix, ShiftOperator, stack
+from ntkalign.core import Dataset, DivergenceError, NtkMatrix, ShiftOperator, stack
 from ntkalign.models import (
     FilterParams,
     InitConfig,
@@ -529,7 +529,7 @@ class TestLinearizedDynamics:
 
     def test_null_space_part_stays_constant(self):
         # the identity kernel's null space within R^3 is the last axis: that part never moves
-        theta = NtkMatrix(np.eye(3)[:, :2], NtkKind.EMPIRICAL, factored=True)
+        theta = NtkMatrix(np.eye(3)[:, :2], factored=True)
         r0 = np.array([1.0, 1.0, 2.0])
         out = linearized_dynamics(theta, np.zeros(3), r0, eta=0.5, epochs=4)
         expected = np.sqrt(2.0 * 0.25 ** np.arange(5) + 4.0)
@@ -562,8 +562,8 @@ class TestFactoredKernelOracle:
 
     def test_pinv_and_dynamics_match_dense_kernel(self, kernel_factor):
         f = kernel_factor
-        factored = NtkMatrix(f, NtkKind.EMPIRICAL, factored=True)
-        dense = NtkMatrix(f @ f.T, NtkKind.EMPIRICAL)
+        factored = NtkMatrix(f, factored=True)
+        dense = NtkMatrix(f @ f.T)
         rng = np.random.default_rng(8)
         y, f0 = rng.standard_normal((2, f.shape[0]))
         assert pinv_quadratic(factored, y) == pytest.approx(pinv_quadratic(dense, y), rel=1e-10)
@@ -588,7 +588,7 @@ class TestFactoredKernelOracle:
         monkeypatch.setattr(
             training,
             "filter_ntk",
-            lambda *args: NtkMatrix(factored(*args).matrix, NtkKind.FILTER_ANALYTIC),
+            lambda *args: NtkMatrix(factored(*args).matrix),
         )
         want = generalization_bound(s, data, num_taps, cfg).to_dict()
         assert got.keys() == want.keys()
