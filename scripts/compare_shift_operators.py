@@ -4,8 +4,8 @@
 For each seed: draw a planted VAR series, extract prediction pairs, build
 both operators from the training split, and train a graph filter and a
 two-layer GNN per operator with the replication protocol (Adam, GNN rate
-0.0125, filter rate 50x that).  Prints a win table and writes the mean
-training curves per arm to CSV.
+0.0125, filter rate 50x that), one ``compare_gso`` repetition per seed.
+Prints a win table and writes the mean training curves per arm to CSV.
 """
 
 import argparse
@@ -22,9 +22,8 @@ from ntkalign.dataio import (
     planted_transition,
     save_csv,
 )
-from ntkalign.models import InitConfig, init_filter, init_gnn2
 from ntkalign.shiftops import covariance, cross_covariance
-from ntkalign.training import TrainConfig, train
+from ntkalign.training import TrainConfig, compare_gso
 
 GNN_RATE = 0.0125
 FILTER_RATE = 50 * GNN_RATE
@@ -65,28 +64,18 @@ def main(argv=None):
         train_split, test_split = extract_pairs(
             series, PairExtractionConfig(args.dt, args.m_train, args.m_test, seed=seed)
         )
-        arms = {
-            "cxy": cross_covariance(train_split.x, train_split.y),
-            "cxx": covariance(train_split.x),
-        }
+        arms = [
+            ("cxy", cross_covariance(train_split.x, train_split.y)),
+            ("cxx", covariance(train_split.x)),
+        ]
         for model, eta in models.items():
-            traces = {}
-            for arm, s in arms.items():
-                params = (
-                    init_filter(args.k, InitConfig(1.0, seed))
-                    if model == "filter"
-                    else init_gnn2(args.width, args.k, InitConfig(1.0, seed))
-                )
-                cfg = TrainConfig(eta=eta, epochs=args.epochs, optimizer="adam",
-                                  kappa=1.0, seed=seed)
-                traces[arm] = train(params, s, train_split, cfg, test_data=test_split)
-                curves[(model, arm)].append(traces[arm].train_losses)
-            wins[model]["train"] += bool(
-                traces["cxy"].train_losses[-1] < traces["cxx"].train_losses[-1]
-            )
-            wins[model]["test"] += bool(
-                traces["cxy"].test_losses[-1] < traces["cxx"].test_losses[-1]
-            )
+            cfg = TrainConfig(eta=eta, epochs=args.epochs, optimizer="adam", kappa=1.0, seed=seed)
+            result = compare_gso(train_split, args.k, cfg, arms, model=model, width=args.width,
+                                 reps=1, test_data=test_split)
+            for arm, _ in arms:
+                curves[(model, arm)].append(result.train_curves[arm][0])
+            for metric in ("train", "test"):
+                wins[model][metric] += result.win_count("cxy", "cxx", metric=metric)
         print(f"seed {seed} done")
 
     header, columns = ["epoch"], [np.arange(args.epochs + 1, dtype=float)]

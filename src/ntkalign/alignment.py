@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -124,7 +124,11 @@ def xi_observed(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one inequality check: passes when lhs >= rhs - tol."""
+    """Outcome of one inequality check: passes when lhs >= rhs - tol.
+
+    A skipped check (its assumption not met) passes; a vacuous one (its
+    bound asserts nothing) does not pass, but is no violation either.
+    """
 
     name: str
     passed: bool
@@ -134,6 +138,16 @@ class CheckReport:
     skipped: bool = False
     reason: str = ""
     details: dict = field(default_factory=dict)
+    vacuous: bool = False
+
+    @property
+    def verdict(self) -> str:
+        """'skipped', 'vacuous', 'passed' or 'failed'."""
+        if self.skipped:
+            return "skipped"
+        if self.vacuous:
+            return "vacuous"
+        return "passed" if self.passed else "failed"
 
 
 def _verdict(name, lhs, rhs, **details) -> CheckReport:
@@ -307,117 +321,20 @@ def _conditional_alignment_check(
         )
     factor = gain - penalty / xi_used
     report = _verdict(name, a_value, factor * a_lin, xi_observed=xi_obs, factor=factor)
-    if factor <= 0:
-        report.details["vacuous"] = True
+    if factor <= 0:  # xi_used <= penalty / gain: the right side is <= 0 <= A, so asserts nothing
+        return replace(report, passed=False, vacuous=True)
     return report
 
 
 @dataclass(frozen=True)
-class GnnAlignmentTerms:
-    """Per-instance quantities shared by the alignment report and both checks.
-
-    ``a`` and ``a_first_layer`` are tr(Q E) and tr(Q E1), next to A_filt and
-    A_lin; ``layers`` holds each expectation's diagnostics (method, degree, residual).
-    """
-
-    a: float
-    a_first_layer: float
-    a_filt: float
-    a_lin: float
-    xi_observed: float
-    constants: ExpansionConstants
-    layers: dict
-
-
-def gnn_alignment_terms(
-    s: ShiftOperator, data: Dataset, num_taps: int, spectral_bound: float = 1.0
-) -> GnnAlignmentTerms:
-    """Build z, Zy, C, E, E1 and the constants of one instance once.
-
-    E and E1 come from the certified Hermite series; the quadrature
-    references stay available as ``expectation_E_quadrature`` and
-    ``expectation_E_first_layer``.  Q = Zy Zy^T and B_lin = Z Z^T are
-    used only through their factors, and A_filt and A_lin through C.
-    """
-    z, zy, c = _tap_stacks(s, data, num_taps)
-    e, e1 = expectation_E_series(z), expectation_E_first_layer_series(z)
-    a_lin = float(np.sum(c * c))
-    return GnnAlignmentTerms(
-        a=_trace_q(zy.matrix, e.matrix),
-        a_first_layer=_trace_q(zy.matrix, e1.matrix),
-        a_filt=float(c[0] @ c[0]),
-        a_lin=a_lin,
-        xi_observed=_xi(a_lin, zy.matrix, z.matrix),
-        constants=expansion_constants(num_taps, spectral_bound),
-        layers={"second": expectation_info(e), "first": expectation_info(e1)},
-    )
-
-
-def _instance_terms(s, data, num_taps, spectral_bound, terms) -> GnnAlignmentTerms:
-    """``terms`` if given and built for num_taps and spectral_bound, else fresh ones."""
-    if terms is None:
-        return gnn_alignment_terms(s, data, num_taps, spectral_bound)
-    built_for = (terms.constants.num_taps, terms.constants.spectral_bound)
-    if built_for != (num_taps, spectral_bound):
-        raise ValueError(
-            f"terms were built for (num_taps, spectral_bound) = {built_for}, "
-            f"not {(num_taps, spectral_bound)}"
-        )
-    return terms
-
-
-def check_gnn_alignment_lower_bound(
-    s: ShiftOperator,
-    data: Dataset,
-    num_taps: int,
-    spectral_bound: float = 1.0,
-    xi: float | None = None,
-    terms: GnnAlignmentTerms | None = None,
-) -> CheckReport:
-    """A >= (c - d/xi) A_lin for the infinite-width tanh GNN second layer.
-
-    xi=None measures xi on the instance; a requested xi below the observed
-    level skips the instance (reported, not failed).  When the factor
-    c - d/xi is nonpositive the bound is vacuous and passes trivially.
-    ``terms`` from ``gnn_alignment_terms`` for the same instance, num_taps
-    and spectral_bound replaces their computation.
-    """
-    terms = _instance_terms(s, data, num_taps, spectral_bound, terms)
-    return _conditional_alignment_check(
-        "gnn_alignment_lower_bound",
-        terms.a,
-        terms.a_lin,
-        terms.xi_observed,
-        terms.constants.gain_second_layer,
-        terms.constants.penalty_second_layer,
-        xi,
-    )
-
-
-def check_first_layer_alignment_lower_bound(
-    s: ShiftOperator,
-    data: Dataset,
-    num_taps: int,
-    spectral_bound: float = 1.0,
-    xi: float | None = None,
-    terms: GnnAlignmentTerms | None = None,
-) -> CheckReport:
-    """First-layer analog with tau-based constants."""
-    terms = _instance_terms(s, data, num_taps, spectral_bound, terms)
-    return _conditional_alignment_check(
-        "first_layer_alignment_lower_bound",
-        terms.a_first_layer,
-        terms.a_lin,
-        terms.xi_observed,
-        terms.constants.gain_first_layer,
-        terms.constants.penalty_first_layer,
-        xi,
-    )
-
-
-@dataclass(frozen=True)
 class AlignmentReport:
-    """All alignment functionals and constants for one (S, X, Y, K)."""
+    """All alignment functionals, bounds and constants for one (S, X, Y, K).
+
+    ``a`` and ``a_first_layer`` are tr(Q E) and tr(Q E1) for the two GNN
+    layers; ``layers`` holds each expectation's diagnostics (method,
+    degree, residual).  The record carries its own K and spectral bound in
+    ``constants``, so the conditional checks read everything from it.
+    """
 
     a: float
     a_filt: float
@@ -427,12 +344,15 @@ class AlignmentReport:
     constraint_lhs: float
     budget: float
     xi_observed: float
+    a_first_layer: float
     constants: ExpansionConstants
+    layers: dict
 
     def to_dict(self) -> dict:
         c = self.constants
         return {
-            **{k: v for k, v in asdict(self).items() if k != "constants"},
+            **{k: v for k, v in asdict(self).items()
+               if k not in ("a_first_layer", "constants", "layers")},
             "rho": c.rho,
             "rho_first_layer": c.rho_first_layer,
             "beta": c.beta,
@@ -441,6 +361,8 @@ class AlignmentReport:
             "penalty_second_layer": c.penalty_second_layer,
             "gain_first_layer": c.gain_first_layer,
             "penalty_first_layer": c.penalty_first_layer,
+            "xi_threshold_second_layer": c.xi_threshold_second_layer,
+            "xi_threshold_first_layer": c.xi_threshold_first_layer,
         }
 
 
@@ -451,21 +373,67 @@ def alignment_report(
     eta: float = 1.0,
     alpha: float = 1.0,
     spectral_bound: float = 1.0,
-    terms: GnnAlignmentTerms | None = None,
 ) -> AlignmentReport:
-    """All alignment functionals; ``terms`` as in the conditional checks."""
+    """Build z, Zy, C, E, E1 and the constants of one instance once.
+
+    E and E1 come from the certified Hermite series; the quadrature
+    references stay available as ``expectation_E_quadrature`` and
+    ``expectation_E_first_layer``.  Q = Zy Zy^T and B_lin = Z Z^T are
+    used only through their factors, and A_filt and A_lin through C.
+    """
     budget = frobenius_budget(alpha, eta, data.num_samples)
-    terms = _instance_terms(s, data, num_taps, spectral_bound, terms)
+    z, zy, c = _tap_stacks(s, data, num_taps)
+    e, e1 = expectation_E_series(z), expectation_E_first_layer_series(z)
+    a_lin = float(np.sum(c * c))
     return AlignmentReport(
-        a=terms.a,
-        a_filt=terms.a_filt,
-        a_lin=terms.a_lin,
+        a=_trace_q(zy.matrix, e.matrix),
+        a_first_layer=_trace_q(zy.matrix, e1.matrix),
+        a_filt=float(c[0] @ c[0]),
+        a_lin=a_lin,
+        xi_observed=_xi(a_lin, zy.matrix, z.matrix),
+        constants=expansion_constants(num_taps, spectral_bound),
+        layers={"second": expectation_info(e), "first": expectation_info(e1)},
         a_lower=alignment_lower_bound(s, data, num_taps),
         a_lin_lower=alignment_lin_lower_bound(s, data, num_taps),
         constraint_lhs=constraint_lhs(s, num_taps),
         budget=budget,
-        xi_observed=terms.xi_observed,
-        constants=terms.constants,
+    )
+
+
+def check_gnn_alignment_lower_bound(
+    report: AlignmentReport, xi: float | None = None
+) -> CheckReport:
+    """A >= (c - d/xi) A_lin for the infinite-width tanh GNN second layer.
+
+    xi=None measures xi on the instance; a requested xi below the observed
+    level skips the instance (reported, not failed).  When the factor
+    c - d/xi is nonpositive the bound says nothing and the check is vacuous.
+    """
+    c = report.constants
+    return _conditional_alignment_check(
+        "gnn_alignment_lower_bound",
+        report.a,
+        report.a_lin,
+        report.xi_observed,
+        c.gain_second_layer,
+        c.penalty_second_layer,
+        xi,
+    )
+
+
+def check_first_layer_alignment_lower_bound(
+    report: AlignmentReport, xi: float | None = None
+) -> CheckReport:
+    """First-layer analog with tau-based constants."""
+    c = report.constants
+    return _conditional_alignment_check(
+        "first_layer_alignment_lower_bound",
+        report.a_first_layer,
+        report.a_lin,
+        report.xi_observed,
+        c.gain_first_layer,
+        c.penalty_first_layer,
+        xi,
     )
 
 
@@ -527,6 +495,7 @@ class SweepResult:
     num_instances: int
     violations: int
     skipped: int
+    vacuous: int
     worst_margin: float
     failing_seeds: tuple
 
@@ -539,7 +508,7 @@ class SweepResult:
 
 
 def _sweep(name, reports, seeds) -> SweepResult:
-    violations, skipped, failing = 0, 0, []
+    violations, skipped, vacuous, failing = 0, 0, 0, []
     worst = math.inf
     for seed, report in zip(seeds, reports):
         if report.skipped:
@@ -547,7 +516,9 @@ def _sweep(name, reports, seeds) -> SweepResult:
             continue
         if math.isfinite(report.margin):
             worst = min(worst, report.margin)
-        if not report.passed:
+        if report.vacuous:
+            vacuous += 1
+        elif not report.passed:
             violations += 1
             failing.append(seed)
     return SweepResult(
@@ -555,6 +526,7 @@ def _sweep(name, reports, seeds) -> SweepResult:
         num_instances=len(seeds),
         violations=violations,
         skipped=skipped,
+        vacuous=vacuous,
         worst_margin=worst if math.isfinite(worst) else float("nan"),
         failing_seeds=tuple(failing),
     )
@@ -574,8 +546,11 @@ SWEEP_CHECKS = {
                                check_series_tail_domination(z_vectors(s, data.x, num_taps))),
     "first_term_lower_bound_first_layer": (
         _nonnegative_entries, functools.partial(check_first_term_lower_bound, layer="first")),
-    "gnn_alignment_lower_bound": (planted_instance, check_gnn_alignment_lower_bound),
-    "first_layer_alignment_lower_bound": (planted_instance, check_first_layer_alignment_lower_bound),
+    "gnn_alignment_lower_bound": (
+        planted_instance, lambda *inst: check_gnn_alignment_lower_bound(alignment_report(*inst))),
+    "first_layer_alignment_lower_bound": (
+        planted_instance,
+        lambda *inst: check_first_layer_alignment_lower_bound(alignment_report(*inst))),
 }
 DEFAULT_SWEEP_CHECKS = tuple(SWEEP_CHECKS)[:5]
 

@@ -35,7 +35,6 @@ from .alignment import (
     check_first_layer_alignment_lower_bound,
     check_gnn_alignment_lower_bound,
     check_names,
-    gnn_alignment_terms,
     optimality_sweep,
     run_inequality_sweeps,
 )
@@ -294,29 +293,22 @@ def _cmd_ntk(cfg: dict) -> int:
 def _cmd_align(cfg: dict) -> int:
     data = _load_dataset(cfg)
     s = _shift_from(cfg, data)
-    terms = gnn_alignment_terms(s, data, cfg["k"], spectral_bound=cfg["nu"])
     rep = alignment_report(
-        s, data, cfg["k"], eta=cfg["eta"], alpha=cfg["alpha"], spectral_bound=cfg["nu"], terms=terms
+        s, data, cfg["k"], eta=cfg["eta"], alpha=cfg["alpha"], spectral_bound=cfg["nu"]
     )
     checks = {}
-    for name, fn in (
-        ("gnn_alignment_lower_bound", check_gnn_alignment_lower_bound),
-        ("first_layer_alignment_lower_bound", check_first_layer_alignment_lower_bound),
-    ):
-        result = fn(s, data, cfg["k"], spectral_bound=cfg["nu"], xi=cfg["xi"], terms=terms)
-        checks[name] = {
-            "passed": result.passed,
-            "skipped": result.skipped,
-            "reason": result.reason,
-            "margin": result.margin,
-            "details": {k: v for k, v in result.details.items()},
-        }
-    failed = [n for n, c in checks.items() if not c["passed"] and not c["skipped"]]
+    for check in (check_gnn_alignment_lower_bound, check_first_layer_alignment_lower_bound):
+        result = check(rep, xi=cfg["xi"])
+        checks[result.name] = {key: getattr(result, key) for key in (
+            "verdict", "passed", "skipped", "vacuous", "reason", "margin", "details")}
+    failed = [n for n, c in checks.items() if c["verdict"] == "failed"]
+    vacuous = [n for n, c in checks.items() if c["verdict"] == "vacuous"]
     report = {
         "alignment": rep.to_dict(),
         "conditional_checks": checks,
-        "info": {"layers": terms.layers},
+        "info": {"layers": rep.layers},
         "summary": f"A = {rep.a:.6g}, xi_observed = {rep.xi_observed:.4f}"
+        + (f", vacuous: {', '.join(vacuous)}" if vacuous else "")
         + (f", FAILED: {', '.join(failed)}" if failed else ""),
     }
     return _finish(cfg, "align", report, [], exit_code=1 if failed else 0)
@@ -572,6 +564,9 @@ def _fraction(text: str, closed: bool = False) -> float:
     return value
 
 
+_closed_fraction = functools.partial(_fraction, closed=True)  # --anisotropy, --xi
+
+
 def _sweep_names(text: str) -> tuple:
     """argparse type of --checks: a comma list of known sweep names."""
     try:
@@ -600,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_size, default=20, help="number of nodes")
     p.add_argument("--len", type=_size, default=1000, help="series length")
     p.add_argument("--strength", type=_fraction, default=0.9, help="planted eigenvalue in (0, 1)")
-    p.add_argument("--anisotropy", type=functools.partial(_fraction, closed=True), default=0.8,
+    p.add_argument("--anisotropy", type=_closed_fraction, default=0.8,
                    help="planted-direction dominance in (0, 1]")
     p.add_argument("--noise", type=_positive, default=1.0, help="innovation scale")
     p.add_argument("--dt", type=_count, help="also extract pairs at this horizon")
@@ -626,7 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_positive, default=1.0, help="learning rate in the budget")
     p.add_argument("--alpha", type=_positive, default=1.0, help="kernel-norm budget")
     p.add_argument("--nu", type=_positive, default=1.0, help="spectral bound for the constants")
-    p.add_argument("--xi", type=_positive, help="assumed alignment ratio for conditionals")
+    p.add_argument("--xi", type=_closed_fraction,
+                   help="assumed alignment ratio for conditionals, in (0, 1]")
     _add_gso_flags(p)
     _add_shared_flags(p)
 

@@ -459,6 +459,17 @@ class ExpansionConstants:
     gain_first_layer: float
     penalty_first_layer: float
 
+    # the bound's factor gain - penalty / xi is positive only for xi above
+    # penalty / gain; xi <= 1 by Cauchy-Schwarz, so a threshold >= 1 makes
+    # that layer's bound vacuous on every instance
+    @property
+    def xi_threshold_second_layer(self) -> float:
+        return self.penalty_second_layer / self.gain_second_layer
+
+    @property
+    def xi_threshold_first_layer(self) -> float:
+        return self.penalty_first_layer / self.gain_first_layer
+
 
 def expansion_constants(num_taps: int, spectral_bound: float = 1.0) -> ExpansionConstants:
     if num_taps < 1:

@@ -22,7 +22,6 @@ from ntkalign.alignment import (
     check_gnn_alignment_lower_bound,
     check_linear_lower_bound,
     check_series_tail_domination,
-    gnn_alignment_terms,
     optimality_sweep,
     planted_instance,
     random_instance,
@@ -30,7 +29,7 @@ from ntkalign.alignment import (
     xi_observed,
 )
 from ntkalign.core import Dataset, NtkMatrix, ShiftOperator, stack
-from ntkalign.hermite import coeff_g
+from ntkalign.hermite import coeff_g, expansion_constants
 from ntkalign.ntk import (
     expectation_E_first_layer_series,
     expectation_E_quadrature,
@@ -81,7 +80,7 @@ def test_alignment_leaves_a_factored_kernel_factored(monkeypatch):
 @pytest.mark.parametrize("seed", range(6))
 def test_factored_alignment_terms_match_dense_formulas(seed):
     s, data, k = random_instance(seed)
-    terms = gnn_alignment_terms(s, data, k)
+    terms = alignment_report(s, data, k)
     z = z_vectors(s, data.x, k)
     q, b_lin = filter_ntk(s, data.y, k).matrix, filter_ntk(s, data.x, k).matrix
     e, e1 = expectation_E_series(z), expectation_E_first_layer_series(z)
@@ -136,7 +135,7 @@ def test_alignments_match_multiplicity_weighted_power_traces(seed):
     a_lin = float(multiplicities @ (traces * traces))
     assert alignment_filt(s, data, k) == pytest.approx(a_filt, rel=1e-12)
     assert alignment_lin(s, data, k) == pytest.approx(a_lin, rel=1e-12)
-    terms = gnn_alignment_terms(s, data, k)
+    terms = alignment_report(s, data, k)
     assert terms.a_filt == pytest.approx(a_filt, rel=1e-12)
     assert terms.a_lin == pytest.approx(a_lin, rel=1e-12)
 
@@ -291,10 +290,10 @@ def test_alignment_terms_peak_memory():
     x = rng.standard_normal((20, 50))
     data = Dataset(x, 0.8 * x + 0.2 * rng.standard_normal((20, 50))).normalized()
     s = cross_covariance(data.x, data.y)
-    gnn_alignment_terms(s, data, 2)  # builds the cached Hermite rules
+    alignment_report(s, data, 2)  # builds the cached Hermite rules
     tracemalloc.start()
     try:
-        gnn_alignment_terms(s, data, 2)
+        alignment_report(s, data, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,45 +302,81 @@ def test_alignment_terms_peak_memory():
 
 class TestConditionalAlignmentChecks:
     def test_skips_when_requested_xi_exceeds_observed(self):
-        s, data, k = random_instance(11)  # measured xi ~ 0.70
-        rep = check_gnn_alignment_lower_bound(s, data, k, xi=0.99)
+        report = alignment_report(*random_instance(11))  # measured xi ~ 0.70
+        rep = check_gnn_alignment_lower_bound(report, xi=0.99)
         assert rep.skipped
+        assert rep.verdict == "skipped"
         assert "assumption" in rep.reason
         assert not math.isfinite(rep.margin)
 
     def test_runs_when_requested_xi_is_met(self):
-        s, data, k = planted_instance(1)
-        assert xi_observed(s, data, k) >= 0.3
-        rep = check_gnn_alignment_lower_bound(s, data, k, xi=0.3)
+        report = alignment_report(*planted_instance(1))
+        assert report.xi_observed >= 0.3
+        rep = check_gnn_alignment_lower_bound(report, xi=0.3)
         assert not rep.skipped
-        assert rep.passed
+        # 0.3 is below the threshold penalty / gain, so the bound asserts nothing
+        assert rep.vacuous and not rep.passed
+        assert rep.lhs >= rep.rhs
 
     @pytest.mark.parametrize(
         "check", [check_gnn_alignment_lower_bound, check_first_layer_alignment_lower_bound]
     )
     def test_planted_instances_pass(self, check):
         for seed in range(40):
-            s, data, k = planted_instance(seed)
-            rep = check(s, data, k)
-            assert rep.passed
+            rep = check(alignment_report(*planted_instance(seed)))
+            assert rep.verdict != "failed"
             # saturating activations keep rho well below the tail weight on
-            # this domain, so the factor is nonpositive and the bound holds
-            # with room to spare
+            # this domain, so the factor is nonpositive and the bound, vacuous,
+            # holds with room to spare
             if not rep.skipped:
+                assert rep.vacuous
+                assert rep.details["factor"] <= 0
                 assert rep.lhs >= -1e-12
 
+    @pytest.mark.parametrize("num_taps", [1, 2, 3, 4])
+    @pytest.mark.parametrize("nu", [0.1, 0.25, 0.5, 1.0])
+    def test_xi_thresholds_exceed_one(self, num_taps, nu):
+        # xi_observed <= 1 by Cauchy-Schwarz, so neither bound can bind
+        consts = expansion_constants(num_taps, nu)
+        for layer in ("second", "first"):
+            threshold = getattr(consts, f"xi_threshold_{layer}_layer")
+            gain = getattr(consts, f"gain_{layer}_layer")
+            assert threshold == getattr(consts, f"penalty_{layer}_layer") / gain
+            assert threshold > 1.0
+
     @pytest.mark.parametrize(
-        "check",
-        [check_gnn_alignment_lower_bound, check_first_layer_alignment_lower_bound, alignment_report],
+        "a_value, xi_obs, gain, penalty, xi, verdict",
+        [
+            (2.0, 0.5, 4.0, 1.0, None, "passed"),  # factor 4 - 1/0.5 = 2, A = 2 >= 2 A_lin
+            (1.0, 0.5, 4.0, 1.0, None, "failed"),  # A = 1 < 2 A_lin
+            (2.0, 0.5, 4.0, 1.0, 0.8, "skipped"),  # xi_observed below the requested 0.8
+            (2.0, 0.5, 1.0, 1.0, None, "vacuous"),  # factor 1 - 1/0.5 = -1
+            (2.0, 0.5, 2.0, 1.0, None, "vacuous"),  # factor 0 at the threshold xi = 1/2
+        ],
     )
-    def test_shared_terms_must_match_the_arguments(self, check):
-        s, data, k = planted_instance(3)
-        terms = gnn_alignment_terms(s, data, k, spectral_bound=0.5)
-        shared = check(s, data, k, spectral_bound=0.5, terms=terms)
-        assert shared == check(s, data, k, spectral_bound=0.5)
-        for num_taps, bound in ((k, 1.0), (k + 1, 0.5)):
-            with pytest.raises(ValueError, match="terms were built for"):
-                check(s, data, num_taps, spectral_bound=bound, terms=terms)
+    def test_conditional_check_verdicts(self, a_value, xi_obs, gain, penalty, xi, verdict):
+        rep = alignment_module._conditional_alignment_check(
+            "synthetic", a_value, 1.0, xi_obs, gain, penalty, xi
+        )
+        assert rep.verdict == verdict
+        assert rep.passed == (verdict in ("passed", "skipped"))
+        assert rep.vacuous == (verdict == "vacuous")
+        assert rep.skipped == (verdict == "skipped")
+
+    def test_sweep_counts_vacuous_apart_from_violations(self):
+        vacuous = CheckReport(name="x", passed=False, lhs=1.0, rhs=-1.0, margin=2.0, vacuous=True)
+        failed = CheckReport(name="x", passed=False, lhs=0.0, rhs=1.0, margin=-1.0)
+        result = alignment_module._sweep("x", [vacuous, failed, vacuous], [0, 1, 2])
+        assert (result.vacuous, result.violations, result.failing_seeds) == (2, 1, (1,))
+        assert result.worst_margin == -1.0
+
+    def test_conditional_sweeps_are_vacuous_not_violations(self):
+        names = ("gnn_alignment_lower_bound", "first_layer_alignment_lower_bound")
+        for result in run_inequality_sweeps(num_instances=20, checks=names).values():
+            assert result.violations == 0
+            assert result.vacuous + result.skipped == 20
+            assert result.vacuous > 0
+            assert result.to_dict()["vacuous"] == result.vacuous
 
 
 def test_planted_targets_are_exact_filter_outputs():

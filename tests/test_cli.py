@@ -37,9 +37,15 @@ def flag_error(subcommand, flag, value, low=None):
     return f"ntkalign {subcommand}: error: argument --{flag}: {reason}"
 
 
+def fraction_error(subcommand, flag, value, domain="(0, 1]"):
+    """The last stderr line when a fraction flag is outside its domain."""
+    reason = f"expected a value in {domain}, got {value!r}"
+    return f"ntkalign {subcommand}: error: argument --{flag}: {reason}"
+
+
 # every flag whose domain is the positive reals, by subcommand
 POSITIVE_FLAGS = [
-    ("align", "eta"), ("align", "alpha"), ("align", "nu"), ("align", "xi"),
+    ("align", "eta"), ("align", "alpha"), ("align", "nu"),
     ("optimize-gso", "mu"), ("optimize-gso", "alpha"), ("optimize-gso", "eta"),
     ("train", "eta"), ("train", "kappa"), ("compare", "eta"), ("compare", "kappa"),
     ("verify-bounds", "alpha"), ("verify-bounds", "eta"),
@@ -176,10 +182,7 @@ class TestUsageErrors:
         assert err.splitlines()[-1] == flag_error(subcommand, flag, value, low=0)
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("xi", "nan"), ("xi", "inf"), ("xi", "-0.5"), ("alpha", "nan"), ("eta", "inf")],
-    )
+    @pytest.mark.parametrize("flag, value", [("alpha", "nan"), ("eta", "inf")])
     def test_align_rejects_non_positive_or_non_finite(
         self, tiny_data, tmp_path, capsys, flag, value
     ):
@@ -190,6 +193,17 @@ class TestUsageErrors:
         assert capsys.readouterr().err.splitlines()[-1] == flag_error("align", flag, value)
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "-0.5", "1.5"])
+    def test_align_xi_rejects_value_outside_closed_fraction(
+        self, tiny_data, tmp_path, capsys, value
+    ):
+        # xi_observed <= 1 by Cauchy-Schwarz: an --xi above 1 would skip every check
+        _, _, x_path, y_path = tiny_data
+        out = tmp_path / "out"
+        assert run("align", "--x", x_path, "--y", y_path, f"--xi={value}", "--out-dir", out) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == fraction_error("align", "xi", value)
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("eta", "inf"), ("alpha", "nan"), ("xi", "-1")])
     def test_align_rejects_budget_before_building_a_kernel(
         self, tiny_data, tmp_path, capsys, monkeypatch, flag, value
@@ -197,12 +211,13 @@ class TestUsageErrors:
         def no_kernels(*args, **kwargs):
             raise AssertionError("the kernels were built before the flags were checked")
 
-        monkeypatch.setattr(cli, "gnn_alignment_terms", no_kernels)
+        monkeypatch.setattr(cli, "alignment_report", no_kernels)
         _, _, x_path, y_path = tiny_data
         code = run("align", "--x", x_path, "--y", y_path, f"--{flag}", value,
                    "--out-dir", tmp_path / "out")
         assert code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == flag_error("align", flag, value)
+        expected = (fraction_error if flag == "xi" else flag_error)("align", flag, value)
+        assert capsys.readouterr().err.splitlines()[-1] == expected
 
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_gen_data_non_finite_noise_exit_2(self, tmp_path, capsys, noise):
@@ -221,8 +236,7 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert run("gen-data", "--n", 5, "--len", 50, f"--{flag}={value}", "--out-dir", out) == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == (f"ntkalign gen-data: error: argument --{flag}: "
-                        f"expected a value in {domain}, got {value!r}")
+        assert last == fraction_error("gen-data", flag, value, domain)
         assert not out.exists()
 
     def test_gen_data_failing_pair_extraction_writes_nothing(self, tmp_path, capsys):
@@ -655,7 +669,13 @@ class TestAlignCommand:
         assert set(checks) == {"gnn_alignment_lower_bound",
                                "first_layer_alignment_lower_bound"}
         for entry in checks.values():
-            assert entry["passed"] or entry["skipped"]
+            # penalty / gain > 1 >= xi_observed: both bounds are vacuous, which is no failure
+            assert entry["verdict"] == "vacuous"
+            assert entry["vacuous"] and not entry["passed"] and not entry["skipped"]
+        for layer in ("second", "first"):
+            assert block[f"xi_threshold_{layer}_layer"] > 1.0
+        assert report["summary"].endswith(
+            "vacuous: gnn_alignment_lower_bound, first_layer_alignment_lower_bound")
 
     def test_each_kernel_builder_runs_once(self, tiny_data, tmp_path, monkeypatch):
         calls = {}
