@@ -43,13 +43,24 @@ def fraction_error(subcommand, flag, value, domain="(0, 1]"):
     return f"ntkalign {subcommand}: error: argument --{flag}: {reason}"
 
 
-# every flag whose domain is the positive reals, by subcommand
+# every flag that rejects the non-positive and non-finite reals, by subcommand
 POSITIVE_FLAGS = [
-    ("align", "eta"), ("align", "alpha"), ("align", "nu"),
+    ("align", "eta"), ("align", "alpha"), ("align", "nu"), ("align", "xi"),
     ("optimize-gso", "mu"), ("optimize-gso", "alpha"), ("optimize-gso", "eta"),
     ("train", "eta"), ("train", "kappa"), ("compare", "eta"), ("compare", "kappa"),
     ("verify-bounds", "alpha"), ("verify-bounds", "eta"),
 ]
+
+# the flags among them whose domain is (0, 1], which their error message names
+FRACTION_FLAGS = {("align", "xi")}
+
+
+def bad_value_error(subcommand, flag, value):
+    """The last stderr line when a positive or fraction flag gets a bad value."""
+    if (subcommand, flag) in FRACTION_FLAGS:
+        return fraction_error(subcommand, flag, value)
+    return flag_error(subcommand, flag, value)
+
 
 # every flag whose domain is the integers >= 1, by subcommand
 SIZE_FLAGS = [
@@ -150,7 +161,8 @@ class TestUsageErrors:
             inputs = ["--instances", 1, "--optimality-instances", 0]
         out = tmp_path / "out"
         assert run(subcommand, *inputs, f"--{flag}={value}", "--out-dir", out) == 2
-        assert capsys.readouterr().err.splitlines()[-1] == flag_error(subcommand, flag, value)
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == bad_value_error(subcommand, flag, value)
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-2"])
@@ -182,7 +194,10 @@ class TestUsageErrors:
         assert err.splitlines()[-1] == flag_error(subcommand, flag, value, low=0)
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("alpha", "nan"), ("eta", "inf")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("xi", "nan"), ("xi", "inf"), ("xi", "-0.5"), ("alpha", "nan"), ("eta", "inf")],
+    )
     def test_align_rejects_non_positive_or_non_finite(
         self, tiny_data, tmp_path, capsys, flag, value
     ):
@@ -190,14 +205,14 @@ class TestUsageErrors:
         out = tmp_path / "out"
         code = run("align", "--x", x_path, "--y", y_path, f"--{flag}", value, "--out-dir", out)
         assert code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == flag_error("align", flag, value)
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == bad_value_error("align", flag, value)
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "-0.5", "1.5"])
-    def test_align_xi_rejects_value_outside_closed_fraction(
-        self, tiny_data, tmp_path, capsys, value
-    ):
-        # xi_observed <= 1 by Cauchy-Schwarz: an --xi above 1 would skip every check
+    @pytest.mark.parametrize("value", ["1.5", "2"])
+    def test_align_xi_rejects_value_above_one(self, tiny_data, tmp_path, capsys, value):
+        # xi_observed <= 1 by Cauchy-Schwarz: an --xi above 1 would skip every check;
+        # its non-positive and non-finite values run with the positive flags
         _, _, x_path, y_path = tiny_data
         out = tmp_path / "out"
         assert run("align", "--x", x_path, "--y", y_path, f"--xi={value}", "--out-dir", out) == 2
@@ -216,8 +231,8 @@ class TestUsageErrors:
         code = run("align", "--x", x_path, "--y", y_path, f"--{flag}", value,
                    "--out-dir", tmp_path / "out")
         assert code == 2
-        expected = (fraction_error if flag == "xi" else flag_error)("align", flag, value)
-        assert capsys.readouterr().err.splitlines()[-1] == expected
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == bad_value_error("align", flag, value)
 
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_gen_data_non_finite_noise_exit_2(self, tmp_path, capsys, noise):
