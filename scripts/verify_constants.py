@@ -26,8 +26,12 @@ def main(argv=None):
     beta = payload["beta"]["value"]
     sup = payload["sigma_hat_sup"]["unnormalized"]
     print(f"tail constant beta       {beta:.6f}  (target 0.570796)")
-    print(f"first-layer beta (K=3)   {payload['beta_first_layer_3']['value']:.6f}")
+    beta_first = payload["beta_first_layer_3"].get("value", float("nan"))
+    excess = payload["bessel_excess"]
+    print(f"first-layer beta (K=3)   {beta_first:.6f}")
     print(f"slope-transform supremum {sup:.6f}  (bound 2.51, bare-weight scale)")
+    print(f"{excess['n_points']}-point Bessel excess {excess['value']:.3e}  "
+          f"(bound {excess['bound']:.1e})")
     print(f"expansion self-check     {payload['violations']} violations")
     failures += payload["violations"]
 

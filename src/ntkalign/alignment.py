@@ -126,8 +126,8 @@ def xi_observed(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
 class CheckReport:
     """Outcome of one inequality check: passes when lhs >= rhs - tol.
 
-    A skipped check (its assumption not met) passes; a vacuous one (its
-    bound asserts nothing) does not pass, but is no violation either.
+    Neither a skipped check (its assumption not met) nor a vacuous one (its
+    bound asserts nothing) passes, but neither is a violation either.
     """
 
     name: str
@@ -299,7 +299,7 @@ def _conditional_alignment_check(
     if xi_required is not None and xi_obs < xi_required:
         return CheckReport(
             name=name,
-            passed=True,
+            passed=False,
             lhs=a_value,
             rhs=float("nan"),
             margin=float("nan"),
@@ -311,7 +311,7 @@ def _conditional_alignment_check(
     if xi_used <= 0:
         return CheckReport(
             name=name,
-            passed=True,
+            passed=False,
             lhs=a_value,
             rhs=float("nan"),
             margin=float("nan"),

@@ -13,22 +13,28 @@ identical under both conventions.  ``sigma_hat`` has supremum 1 here;
 
 Quadrature rules are built by Golub-Welsch on the Jacobi matrix rather than
 ``numpy.polynomial.hermite_e.hermegauss``, whose weight computation
-overflows near 512 nodes.  ``hermite_coefficients`` is the one projection:
-it evaluates f(y u) on one rule's nodes and projects with the Jacobi
-eigenvectors themselves (see ``hermite_projection``), returning E[f(y u)^2]
-on the same rule.  Forming w_i p_j(x_i) from separately computed weights
-and polynomial values instead multiplies tiny, inaccurate extreme-node
-weights into huge polynomial values, and the 512-point rule's Gram
-residual reaches 9e7 at degree 20 that way.
+overflows near 512 nodes.  ``hermite_values`` evaluates f(y u) on one
+rule's nodes, with E[f(y u)^2] on the same rule, and
+``hermite_coefficients``, the one projection, projects those values with
+the Jacobi eigenvectors themselves (see ``hermite_projection``).  Forming
+w_i p_j(x_i) from separately computed weights and polynomial values
+instead multiplies tiny, inaccurate extreme-node weights into huge
+polynomial values, and the 512-point rule's Gram residual reaches 9e7 at
+degree 20 that way.
 
 Rule policy: coefficient tables and the constants built on them use the
 MAX_POINTS-point rule.  Truncated series (the kernels E and E1 in ``ntk``
 and ``beta_first_layer``) all go through ``hermite_series``, which tries
 SERIES_RULES in turn, each up to half its size, and stops at the first
-degree whose same-rule tail meets the caller's target.  Fixed rules
-degrade for arguments beyond y ~ 5, so limit constants are evaluated
-through closed-form sign-function coefficients and Parseval identities
-instead of brute large-y quadrature.
+degree whose same-rule tail meets the caller's target.  Each rule's values
+are evaluated once and projected SERIES_BLOCK degrees at a time, and
+projection stops with the first block that holds such a degree.  Two
+checks keep the tails honest: ``series_tails`` rejects a tail below
+round-off at every projected degree, and ``bessel_excess``, once per rule,
+bounds the energy of all degrees up to half the rule's size, the ones not
+projected included.  Fixed rules degrade for arguments beyond y ~ 5, so
+limit constants are evaluated through closed-form sign-function
+coefficients and Parseval identities instead of brute large-y quadrature.
 """
 
 from __future__ import annotations
@@ -51,6 +57,9 @@ SERIES_RTOL = 1e-10
 # beta_first_layer stops at the first degree whose certified residual is at
 # most this fraction of tau_0^2.
 BETA_FIRST_RTOL = 1e-6
+# Coefficients hermite_series projects at a time: E needs one block and E1
+# two on data normalized to unit columns at K = 2 (degrees 29-31 and 38-40).
+SERIES_BLOCK = 16
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SIGMA_HAT_SUP = 1.0
@@ -115,6 +124,23 @@ def hermite_projection(n_points: int = MAX_POINTS) -> tuple[np.ndarray, np.ndarr
     return nodes, proj
 
 
+@lru_cache(maxsize=16)
+def bessel_excess(n_points: int) -> float:
+    """Gershgorin excess of the n-point rule's projection rows 0..n/2.
+
+    With V_D the first n/2 + 1 rows of the sign-fixed Jacobi eigenvectors,
+    the coefficients of any f are c = V_D g with g_i = sqrt(w_i) f(x_i), so
+    sum_{d <= n/2} c_d^2 <= (1 + gamma) sum_i w_i f(x_i)^2 for
+    gamma = max_i sum_j |(V_D V_D')_ij| - 1, which bounds the largest
+    eigenvalue of V_D V_D' minus 1.  A gamma of at most TAIL_ROUNDOFF makes
+    every tail up to degree n/2 at least -TAIL_ROUNDOFF times the total,
+    the round-off that ``series_tails`` allows, without projecting them.
+    """
+    _, vecs = _jacobi_eigensystem(n_points)
+    head = vecs[: n_points // 2 + 1]
+    return float(np.abs(head @ head.T).sum(axis=1).max()) - 1.0
+
+
 def series_tails(coeffs: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """totals minus the running sum of squared coefficients along the last axis.
 
@@ -162,23 +188,33 @@ def hermite_eval(degree: int, u) -> np.ndarray:
 def sech2(x: np.ndarray) -> np.ndarray:
     """sech^2 = tanh' as 1 - tanh^2, the form the GNN's derivative takes."""
     t = np.tanh(x)
-    return 1.0 - t * t
+    t *= t  # in place for arrays: a series' values are one array, not three
+    return np.subtract(1.0, t, out=t) if isinstance(t, np.ndarray) else 1.0 - t
 
 
-def hermite_coefficients(fn, y, degrees: slice, n_points: int = MAX_POINTS):
-    """Coefficients E[fn(y u) p_j(u)] for j in ``degrees``, and E[fn(y u)^2].
+def hermite_values(fn, y, n_points: int = MAX_POINTS):
+    """fn(y u) at the n-point rule's nodes, and the rule's E[fn(y u)^2].
 
-    fn is evaluated once at y * nodes of the n-point rule and projected
-    with ``hermite_projection``.  Returns the coefficients, shape
-    ``y.shape + (number of degrees,)``, and the totals, shape ``y.shape``;
-    both come from the one rule, so ``series_tails`` of the pair is a
-    discrete Bessel gap.
+    Returns the values, shape ``y.shape + (n_points,)``, for
+    ``hermite_coefficients``, and the totals, shape ``y.shape``.
     """
-    if not 0 < degrees.stop <= n_points:
-        raise ValueError(f"degrees must lie in [0, {n_points})")
     nodes, proj = hermite_projection(n_points)
     vals = fn(np.multiply.outer(y, nodes))
-    return vals @ proj[degrees].T, (vals * vals) @ proj[0]
+    return vals, (vals * vals) @ proj[0]
+
+
+def hermite_coefficients(values: np.ndarray, degrees: slice) -> np.ndarray:
+    """Coefficients E[fn(y u) p_j(u)] for j in ``degrees``, from ``hermite_values``.
+
+    The values are projected with ``hermite_projection`` of the rule they
+    were taken on, so the coefficients and the totals of the same call to
+    ``hermite_values`` come from one rule and ``series_tails`` of the pair
+    is a discrete Bessel gap.  Shape ``y.shape + (number of degrees,)``.
+    """
+    n_points = values.shape[-1]
+    if not 0 < degrees.stop <= n_points:
+        raise ValueError(f"degrees must lie in [0, {n_points})")
+    return values @ hermite_projection(n_points)[1][degrees].T
 
 
 def hermite_series(fn, y, parity, target=None, row_weight=None):
@@ -195,21 +231,40 @@ def hermite_series(fn, y, parity, target=None, row_weight=None):
     beyond it aliasing from degrees past the rule's exactness makes the
     same-rule tail an underestimate (a 2048-point rule shows the 512-point
     rule's sech^2 tail off by 9% at degree 338 and 2.7x at 402).
+
+    fn is evaluated once per rule, and its values are projected
+    SERIES_BLOCK degrees at a time, up to the first block holding a degree
+    that meets the target; ``target`` sees the coefficients projected so
+    far.  ``series_tails`` checks the tails of every projected degree, and
+    the rule's ``bessel_excess`` those of the degrees up to half its size
+    that were not projected.
     """
     weight = np.ones_like(y) if row_weight is None else row_weight
     for n_points in SERIES_RULES:
-        coeffs, totals = hermite_coefficients(fn, y, slice(parity, n_points // 2 + 1, 2), n_points)
-        tails = series_tails(coeffs, totals) * weight[:, None]
-        residuals = np.abs(tails).max(axis=0, initial=0.0)
-        if target is None:
-            goal = SERIES_RTOL * float((totals * weight).max(initial=0.0))
-        else:
-            goal = target(coeffs, totals)
-        met = np.flatnonzero(residuals <= goal)
-        if met.size:
-            keep = int(met[0]) + 1
-            degree = parity + 2 * (keep - 1)
-            return coeffs[:, :keep], totals, degree, float(residuals[keep - 1]), n_points
+        excess = bessel_excess(n_points)
+        if excess > TAIL_ROUNDOFF:
+            raise TruncationError(
+                f"the {n_points}-point rule's Bessel excess {excess:.3e} is above "
+                f"round-off {TAIL_ROUNDOFF:.1e}: its projection rows are not orthonormal"
+            )
+        values, totals = hermite_values(fn, y, n_points)
+        degrees = range(parity, n_points // 2 + 1, 2)
+        blocks = []
+        for start in range(0, len(degrees), SERIES_BLOCK):
+            block = degrees[start : start + SERIES_BLOCK]
+            blocks.append(hermite_coefficients(values, slice(block.start, block.stop, 2)))
+            coeffs = np.concatenate(blocks, axis=-1)
+            tails = series_tails(coeffs, totals) * weight[:, None]
+            residuals = np.abs(tails).max(axis=0, initial=0.0)
+            if target is None:
+                goal = SERIES_RTOL * float((totals * weight).max(initial=0.0))
+            else:
+                goal = target(coeffs, totals)
+            met = np.flatnonzero(residuals <= goal)
+            if met.size:
+                keep = int(met[0]) + 1
+                degree = parity + 2 * (keep - 1)
+                return coeffs[:, :keep], totals, degree, float(residuals[keep - 1]), n_points
     raise TruncationError(
         f"series residual {residuals[-1]:.3e} still above {goal:.1e} at degree "
         f"{parity + 2 * (coeffs.shape[1] - 1)}: row norm {y.max():.3f} is beyond "
@@ -225,7 +280,7 @@ def coeff_g_table(max_degree: int, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise ValueError("y must be >= 0")
-    return hermite_coefficients(np.tanh, y, slice(0, max_degree + 1))[0]
+    return hermite_coefficients(hermite_values(np.tanh, y)[0], slice(0, max_degree + 1))
 
 
 def coeff_tau_table(max_degree: int, z_sq) -> np.ndarray:
@@ -233,7 +288,7 @@ def coeff_tau_table(max_degree: int, z_sq) -> np.ndarray:
     z_sq = np.asarray(z_sq, dtype=float)
     if np.any(z_sq < 0):
         raise ValueError("z_sq must be >= 0")
-    return hermite_coefficients(sech2, np.sqrt(z_sq), slice(0, max_degree + 1))[0]
+    return hermite_coefficients(hermite_values(sech2, np.sqrt(z_sq))[0], slice(0, max_degree + 1))
 
 
 def coeff_g(degree: int, y):
@@ -355,7 +410,8 @@ def parseval_gap(y: float, max_degree: int) -> float:
     nonnegative up to round-off and non-increasing in max_degree.
     """
     y = np.asarray(y, dtype=float)
-    coeffs, total = hermite_coefficients(np.tanh, y, slice(0, max_degree + 1))
+    values, total = hermite_values(np.tanh, y)
+    coeffs = hermite_coefficients(values, slice(0, max_degree + 1))
     return float(total) - float(coeffs @ coeffs)
 
 
@@ -526,6 +582,17 @@ def self_check() -> dict:
         "passed": ortho_ok,
     }
 
+    # what certifies hermite_series' tails at the degrees it does not project
+    excess = bessel_excess(MAX_POINTS)
+    excess_ok = excess <= TAIL_ROUNDOFF
+    violations += not excess_ok
+    report["bessel_excess"] = {
+        "n_points": MAX_POINTS,
+        "value": excess,
+        "bound": TAIL_ROUNDOFF,
+        "passed": excess_ok,
+    }
+
     pair_worst = 0.0
     for rho in (-0.9, -0.3, 0.0, 0.5, 0.99):
         for j in range(7):
@@ -564,16 +631,21 @@ def self_check() -> dict:
         "passed": beta_ok,
     }
 
-    b1 = beta_first_layer(3.0)
-    b1_ok = abs(b1.value - 0.732) < 2e-2
-    violations += not b1_ok
-    report["beta_first_layer_3"] = {
-        "value": b1.value,
-        "parseval_value": b1.parseval_value,
-        "num_pairs": b1.num_pairs,
-        "truncation_residual": b1.truncation_residual,
-        "passed": b1_ok,
-    }
+    try:
+        b1 = beta_first_layer(3.0)
+    except TruncationError as exc:  # a rule the series cannot certify
+        report["beta_first_layer_3"] = {"error": str(exc), "passed": False}
+        violations += 1
+    else:
+        b1_ok = abs(b1.value - 0.732) < 2e-2
+        violations += not b1_ok
+        report["beta_first_layer_3"] = {
+            "value": b1.value,
+            "parseval_value": b1.parseval_value,
+            "num_pairs": b1.num_pairs,
+            "truncation_residual": b1.truncation_residual,
+            "passed": b1_ok,
+        }
 
     # sigma_hat is non-increasing, at most its supremum, and reaches it at 0
     sig = sigma_hat(np.geomspace(1e-14, 10.0, 61))

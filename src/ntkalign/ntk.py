@@ -39,6 +39,9 @@ from .models import FilterParams, TwoLayerGnnParams, filter_jacobian, gnn2_jacob
 DEFAULT_QUADRATURE_POINTS = 64
 RHO_OVERSHOOT_TOL = 1e-9
 ROW_BLOCK = 256  # rows per in-place product with an nM x nM array
+# Entries per row block of the Mehler sum: 512 KB per block array, so the
+# block's accumulator, rho^2 and term stay in a 2 MB L2 cache across degrees.
+MEHLER_BLOCK = 65536
 
 
 class CorrelationOvershootError(RuntimeError):
@@ -219,20 +222,28 @@ def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray, parity: int) -> np.ndarray:
 
     E[f(u) g(u')] for rho-correlated standard Gaussians is sum_d f_d g_d
     rho^d (Mehler), so one sum serves both layers; Horner in rho^2 keeps
-    it to three passes over the matrix per degree.  Every term is an outer
-    product of one vector times a power of the symmetric rho, so the sum
-    is symmetric entry for entry.
+    it to three passes over the matrix per degree.  The passes run one
+    block of max(1, MEHLER_BLOCK // nM) rows at a time, every degree on a
+    block before the next, so the block stays in cache; each entry gets the
+    same operations in the same order at any block size.  Every term is an
+    outer product of one vector times a power of the symmetric rho, so the
+    sum is symmetric entry for entry.
     """
-    rho_sq = rho * rho
-    acc = np.zeros_like(rho)
-    term = np.empty_like(rho)
-    for c in coeffs.T[::-1]:
-        acc *= rho_sq
-        np.multiply.outer(c, c, out=term)
-        acc += term
-    if parity:
-        acc *= rho
-    return acc
+    out = np.empty_like(rho)
+    step = max(1, MEHLER_BLOCK // rho.shape[1])
+    for start in range(0, rho.shape[0], step):
+        rows = slice(start, start + step)
+        rho_sq = rho[rows] * rho[rows]
+        acc = out[rows]
+        acc[...] = 0.0
+        term = np.empty_like(acc)
+        for c in coeffs.T[::-1]:
+            acc *= rho_sq
+            np.multiply.outer(c[rows], c, out=term)
+            acc += term
+        if parity:
+            acc *= rho[rows]
+    return out
 
 
 def expectation_E_series(z: TapStack) -> ExpectationMatrix:

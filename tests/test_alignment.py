@@ -359,7 +359,7 @@ class TestConditionalAlignmentChecks:
             "synthetic", a_value, 1.0, xi_obs, gain, penalty, xi
         )
         assert rep.verdict == verdict
-        assert rep.passed == (verdict in ("passed", "skipped"))
+        assert rep.passed == (verdict == "passed")
         assert rep.vacuous == (verdict == "vacuous")
         assert rep.skipped == (verdict == "skipped")
 

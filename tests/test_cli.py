@@ -692,6 +692,24 @@ class TestAlignCommand:
         assert report["summary"].endswith(
             "vacuous: gnn_alignment_lower_bound, first_layer_alignment_lower_bound")
 
+    def test_skipped_checks_do_not_pass(self, tmp_path):
+        # the README generator at --m-train 10 measures xi_observed ~ 0.20,
+        # below the requested 0.3, so both checks test nothing
+        data = tmp_path / "data"
+        assert run("gen-data", "--n", 20, "--len", 1000, "--dt", 1, "--m-train", 10,
+                   "--anisotropy", 0.6, "--seed", 1, "--out-dir", data) == 0
+        out = tmp_path / "out"
+        assert run("align", "--x", data / "x_train.csv", "--y", data / "y_train.csv",
+                   "--nu", 0.8, "--xi", 0.3, "--out-dir", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["alignment"]["xi_observed"] < 0.3
+        checks = report["conditional_checks"]
+        assert len(checks) == 2
+        for entry in checks.values():
+            assert entry["verdict"] == "skipped"
+            assert entry["skipped"] and not entry["passed"] and not entry["vacuous"]
+            assert "assumption not met" in entry["reason"]
+
     def test_each_kernel_builder_runs_once(self, tiny_data, tmp_path, monkeypatch):
         calls = {}
 
@@ -1029,6 +1047,9 @@ class TestVerifyCommands:
         report = json.loads(capsys.readouterr().out)
         assert abs(report["beta"]["value"] - (math.pi - 2) / 2) < 1e-3
         assert report["violations"] == 0
+        excess = report["bessel_excess"]
+        assert excess["n_points"] == 512 and excess["passed"]
+        assert 0.0 <= excess["value"] <= excess["bound"] == 1e-12
 
     def test_verify_bounds_small_sweep_passes(self, tmp_path):
         out = tmp_path / "out"

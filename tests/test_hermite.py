@@ -211,6 +211,151 @@ class TestBetaConstant:
         assert 0.9 < partial[-1] < 1.0
 
 
+def full_series(fn, y, parity, target=None, row_weight=None):
+    """Reference for ``hermite_series``: every degree up to half each rule in one product.
+
+    Returns what ``hermite_series`` returns, or None past the last rule's reach.
+    """
+    weight = np.ones_like(y) if row_weight is None else row_weight
+    for n_points in hm.SERIES_RULES:
+        nodes, proj = hm.hermite_projection(n_points)
+        vals = fn(np.multiply.outer(y, nodes))
+        coeffs = vals @ proj[parity : n_points // 2 + 1 : 2].T
+        totals = (vals * vals) @ proj[0]
+        tails = hm.series_tails(coeffs, totals) * weight[:, None]
+        residuals = np.abs(tails).max(axis=0, initial=0.0)
+        if target is None:
+            goal = hm.SERIES_RTOL * float((totals * weight).max(initial=0.0))
+        else:
+            goal = target(coeffs, totals)
+        met = np.flatnonzero(residuals <= goal)
+        if met.size:
+            keep = int(met[0]) + 1
+            degree = parity + 2 * (keep - 1)
+            return coeffs[:, :keep], totals, degree, float(residuals[keep - 1]), n_points
+    return None
+
+
+def _beta_target(c, _):
+    return hm.BETA_FIRST_RTOL * c[0, 0] ** 2
+
+
+# row norms like those of unit-column data at K = 2: E keeps degree 29, E1 degree 36
+_NORMS = np.random.default_rng(4).uniform(0.05, 0.6, 60)
+
+
+class TestBlockedSeries:
+    @pytest.mark.parametrize(
+        "fn, y, parity, target, weighted, rule",
+        [
+            (np.tanh, _NORMS, 1, None, False, 512),
+            (hm.sech2, _NORMS, 0, None, True, 512),
+            (hm.sech2, _NORMS, 0, None, False, 512),
+            (np.tanh, _NORMS[:7], 1, None, True, 512),
+            (hm.sech2, np.sqrt([3.0]), 0, _beta_target, False, 512),
+            (hm.sech2, np.sqrt([10.0]), 0, _beta_target, False, 1024),
+            # one row past each rule's reach moves the whole series up
+            (np.tanh, np.append(_NORMS[:5], 2.5), 1, None, False, 1024),
+            (hm.sech2, np.append(_NORMS[:5], 2.5), 0, None, True, 2048),
+            (np.tanh, np.array([4.0, 0.3]), 1, None, False, 2048),
+        ],
+    )
+    def test_matches_the_full_projection(self, fn, y, parity, target, weighted, rule):
+        row_weight = y * y if weighted else None
+        got = hm.hermite_series(fn, y, parity, target, row_weight)
+        want = full_series(fn, y, parity, target, row_weight)
+        coeffs, totals, degree, residual, n_points = got
+        assert (degree, n_points) == (want[2], want[4]) and n_points == rule
+        assert coeffs.shape == want[0].shape == (y.size, (degree - parity) // 2 + 1)
+        assert np.array_equal(totals, want[1])
+        # one product per block rounds like the single product up to a few ulp
+        # (a BLAS picks its kernel by the product's shape)
+        np.testing.assert_allclose(coeffs, want[0], rtol=0.0, atol=8 * np.finfo(float).eps)
+        assert residual == pytest.approx(want[3], rel=0.0, abs=1e-14 * totals.max())
+
+    @pytest.mark.parametrize("fn, parity", [(np.tanh, 1), (hm.sech2, 0)])
+    def test_past_reach_raises_like_the_full_projection(self, fn, parity):
+        y = np.array([5.0, 0.3])
+        assert full_series(fn, y, parity) is None
+        with pytest.raises(hm.TruncationError, match="row norm 5.000 .* 2048-point rule"):
+            hm.hermite_series(fn, y, parity)
+
+    def test_projects_only_the_blocks_it_needs(self, monkeypatch):
+        columns, checked = [], []
+        project, tails = hm.hermite_coefficients, hm.series_tails
+
+        def counted_project(values, degrees):
+            out = project(values, degrees)
+            columns.append(out.shape[-1])
+            return out
+
+        def counted_tails(coeffs, totals):
+            checked.append(coeffs.shape[-1])
+            return tails(coeffs, totals)
+
+        monkeypatch.setattr(hm, "hermite_coefficients", counted_project)
+        monkeypatch.setattr(hm, "series_tails", counted_tails)
+        coeffs = hm.hermite_series(hm.sech2, _NORMS, 0, row_weight=_NORMS**2)[0]
+        assert coeffs.shape[1] == 19
+        assert columns == [16, 16]
+        # every projected degree's tail is checked, the last block's included
+        assert checked == [16, 32]
+
+
+class TestBesselExcess:
+    @pytest.mark.parametrize("n_points", hm.SERIES_RULES)
+    def test_rules_are_orthonormal_to_round_off(self, n_points):
+        excess = hm.bessel_excess(n_points)
+        assert 0.0 <= excess <= hm.TAIL_ROUNDOFF
+
+    @pytest.mark.parametrize("n_points", [16, 64])
+    def test_bounds_the_energy_up_to_half_the_rule(self, n_points):
+        # sum_{d <= n/2} c_d^2 <= (1 + gamma) total for any values on the rule
+        values = np.random.default_rng(n_points).standard_normal((50, n_points))
+        proj = hm.hermite_projection(n_points)[1]
+        coeffs = values @ proj[: n_points // 2 + 1].T
+        totals = (values * values) @ proj[0]
+        bound = (1.0 + hm.bessel_excess(n_points)) * totals
+        assert np.all(np.sum(coeffs * coeffs, axis=1) <= bound)
+
+    def test_computed_once_per_rule(self, monkeypatch):
+        hm.hermite_projection(512)
+        hm.bessel_excess.cache_clear()
+        calls = []
+        eigensystem = hm._jacobi_eigensystem
+        monkeypatch.setattr(hm, "_jacobi_eigensystem", lambda n: calls.append(n) or eigensystem(n))
+        for _ in range(3):
+            hm.hermite_series(np.tanh, _NORMS, 1)
+        assert calls == [512]
+
+    @pytest.fixture
+    def corrupted_rule(self, monkeypatch):
+        """The 512-point rule with one unprojected row 1e-9 too long."""
+        eigensystem = hm._jacobi_eigensystem
+
+        def corrupted(n_points):
+            nodes, vecs = eigensystem(n_points)
+            if n_points == 512:
+                vecs = vecs.copy()
+                vecs[200] *= 1.0 + 1e-9
+            return nodes, vecs
+
+        caches = (hm.gauss_hermite_rule, hm.hermite_projection, hm.bessel_excess)
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(hm, "_jacobi_eigensystem", corrupted)
+        yield
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+
+    def test_a_non_orthonormal_rule_raises(self, corrupted_rule):
+        assert hm.bessel_excess(512) > hm.TAIL_ROUNDOFF
+        # degree 200 lies far past the degrees this series projects
+        with pytest.raises(hm.TruncationError, match="512-point rule's Bessel excess"):
+            hm.hermite_series(np.tanh, _NORMS, 1)
+
+
 class TestBetaFirstLayer:
     def test_value_and_residual(self):
         res = hm.beta_first_layer(3.0)
@@ -238,7 +383,8 @@ class TestBetaFirstLayer:
         # where this reads 1.031e-6
         res = hm.beta_first_layer(b)
         degrees = slice(0, 2 * res.num_pairs + 1, 2)
-        taus, total = hm.hermite_coefficients(hm.sech2, np.sqrt([b]), degrees, 2048)
+        values, total = hm.hermite_values(hm.sech2, np.sqrt([b]), 2048)
+        taus = hm.hermite_coefficients(values, degrees)
         tail = total[0] - np.sum(taus[0] ** 2)
         assert 0.0 <= tail <= hm.BETA_FIRST_RTOL * taus[0, 0] ** 2
 
@@ -347,6 +493,8 @@ def test_self_check_clean():
     assert report["violations"] == 0
     assert report["orthonormality"]["projection_max_degree"] == 511
     assert report["orthonormality"]["projection_max_residual"] <= 1e-12
+    assert report["bessel_excess"]["n_points"] == 512
+    assert 0.0 <= report["bessel_excess"]["value"] <= report["bessel_excess"]["bound"]
     assert report["beta"]["value"] == pytest.approx(0.5707963267948966, abs=1e-3)
 
 
@@ -386,3 +534,13 @@ def test_self_check_catches_a_wrong_beta(monkeypatch, name, wrong):
     report = hm.self_check()
     assert report["beta"]["passed"] is False
     assert report["violations"] == 1
+
+
+def test_self_check_catches_a_bessel_excess_above_round_off(monkeypatch):
+    monkeypatch.setattr(hm, "bessel_excess", lambda n_points: 2.0 * hm.TAIL_ROUNDOFF)
+    report = hm.self_check()
+    assert report["bessel_excess"]["passed"] is False
+    # beta_first_layer's series refuses the same rule, and the report says so
+    assert report["beta_first_layer_3"]["passed"] is False
+    assert "Bessel excess" in report["beta_first_layer_3"]["error"]
+    assert report["violations"] == 2

@@ -17,10 +17,11 @@ from ntkalign.hermite import (
     TruncationError,
     hermite_coefficients,
     hermite_series,
+    hermite_values,
     sech2,
     series_tails,
 )
-from ntkalign import ntk, training
+from ntkalign import hermite, ntk, training
 from ntkalign.models import (
     FilterParams,
     InitConfig,
@@ -103,6 +104,29 @@ def within_residual(series, reference):
     return gap <= series.truncation_residual + 64 * np.finfo(float).eps * max(
         1.0, np.abs(reference.matrix).max()
     )
+
+
+def single_block_mehler(coeffs, rho, parity):
+    """Reference for ``ntk._mehler_sum``: Horner in rho^2 over the whole matrix at once."""
+    rho_sq = rho * rho
+    acc = np.zeros_like(rho)
+    term = np.empty_like(rho)
+    for c in coeffs.T[::-1]:
+        acc *= rho_sq
+        np.multiply.outer(c, c, out=term)
+        acc += term
+    if parity:
+        acc *= rho
+    return acc
+
+
+def benchmark_tap_stack():
+    """Z of gen-data --n 20 --len 1000 --dt 1 --anisotropy 0.6 --m-train 3 --seed 0, cxy, K = 2."""
+    transition, _ = planted_transition(20, seed=0, strength=0.9, background=0.36)
+    series = generate_var(VarProcessConfig(20, 1000, transition, 1.0, 0))
+    train_split, _ = extract_pairs(series, PairExtractionConfig(1, 3, 1, 0))
+    s = cross_covariance(train_split.x, train_split.y)
+    return z_vectors(s, train_split.x, 2)
 
 
 def gaussian_expectation(f):
@@ -324,13 +348,7 @@ class TestExpectationSeries:
         assert e.matrix[1, 0] == 0.0
 
     def test_benchmark_inputs_at_degree_41_within_residual(self):
-        # gen-data --n 20 --len 1000 --dt 1 --anisotropy 0.6 --m-train 3
-        # --m-test 1 --seed 0, cxy shift, K = 2
-        transition, _ = planted_transition(20, seed=0, strength=0.9, background=0.36)
-        series = generate_var(VarProcessConfig(20, 1000, transition, 1.0, 0))
-        train_split, _ = extract_pairs(series, PairExtractionConfig(1, 3, 1, 0))
-        s = cross_covariance(train_split.x, train_split.y)
-        z = z_vectors(s, train_split.x, 2)
+        z = benchmark_tap_stack()
         e = expectation_E_series(z)
         assert e.truncation_residual <= SERIES_RTOL * np.abs(e.matrix).max()
         assert within_residual(e, expectation_E_quadrature(z, n_points=256))
@@ -354,7 +372,8 @@ class TestExpectationSeries:
         degree = e.info["max_degree"]
         assert e.info["n_points"] == 512
         # the residual one degree lower, from the same rule
-        coeffs, totals = hermite_coefficients(np.tanh, z.norms, slice(1, degree, 2))
+        values, totals = hermite_values(np.tanh, z.norms)
+        coeffs = hermite_coefficients(values, slice(1, degree, 2))
         shallower = np.abs(series_tails(coeffs, totals)[:, -1]).max()
         assert e.truncation_residual <= SERIES_RTOL * np.abs(e.matrix).max() < shallower
 
@@ -378,6 +397,47 @@ class TestExpectationSeries:
         z = TapStack(np.array([[5.0, 0.0], [0.3, 0.2]]), num_nodes=2, num_samples=1)
         with pytest.raises(TruncationError, match="row norm 5.000"):
             build(z)
+
+
+class TestMehlerSum:
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_row_blocks_match_the_single_block_sum(self, monkeypatch, parity):
+        # 16 rows per block at nM = 60: blocks of 16, 16, 16 and 12 rows
+        z = benchmark_tap_stack()
+        norms, rho, _ = z.correlations
+        fn = sech2 if parity == 0 else np.tanh
+        coeffs = hermite_series(fn, norms, parity)[0]
+        monkeypatch.setattr(ntk, "MEHLER_BLOCK", 16 * rho.shape[0] + 15)
+        blocked = ntk._mehler_sum(coeffs, rho, parity)
+        assert np.array_equal(blocked, single_block_mehler(coeffs, rho, parity))
+        assert np.array_equal(blocked, blocked.T)
+
+    def test_one_row_per_block_when_rows_exceed_the_block(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-1.0, 1.0, (5, 5))
+        rho = (a + a.T) / 2.0
+        coeffs = rng.standard_normal((5, 4))
+        monkeypatch.setattr(ntk, "MEHLER_BLOCK", 3)
+        assert np.array_equal(ntk._mehler_sum(coeffs, rho, 1), single_block_mehler(coeffs, rho, 1))
+
+    def test_benchmark_inputs_project_at_most_two_blocks_per_layer(self, monkeypatch):
+        # the full projection formed 128 (E) and 129 (E1) columns per series
+        columns = []
+        project = hermite.hermite_coefficients
+
+        def counted(values, degrees):
+            out = project(values, degrees)
+            columns[-1] += out.shape[-1]
+            return out
+
+        monkeypatch.setattr(hermite, "hermite_coefficients", counted)
+        z = benchmark_tap_stack()
+        for build in (expectation_E_series, expectation_E_first_layer_series):
+            columns.append(0)
+            e = build(z)
+            assert e.info["n_points"] == 512
+            assert e.info["max_degree"] // 2 + 1 <= columns[-1] <= 2 * hermite.SERIES_BLOCK
+        assert len(columns) == 2
 
 
 class TestExpectationFirstLayerSeries:

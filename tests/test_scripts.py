@@ -5,6 +5,7 @@ that breaks a script fails here.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -45,3 +46,10 @@ def test_script_exits_cleanly(name, argv, tmp_path):
             values = load_csv(tmp_path / table)
             assert values.shape == (2, 3)  # one row per width
             assert np.all(np.isfinite(values))
+
+
+def test_verify_constants_prints_the_bessel_excess(capsys):
+    assert load_script("verify_constants").main(
+        ["--instances", "1", "--optimality-instances", "1"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^512-point Bessel excess \d\.\d{3}e-\d\d  \(bound 1\.0e-12\)$", out, re.M)
