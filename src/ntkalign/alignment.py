@@ -206,10 +206,15 @@ def check_budget_implies_kernel_bound(
     )
 
 
-def _leading_term(z: TapStack) -> np.ndarray:
-    """B = g_1 g_1' * rho, the degree-1 term of the second layer's E."""
-    g1 = coeff_g(1, z.norms)
-    return np.outer(g1, g1) * z.correlations[1]
+def _leading_term(z: TapStack, layer: str) -> np.ndarray:
+    """B = c c' * rho, the degree-1 term of the layer's odd Mehler series.
+
+    c is g_1(|z|) for the second layer's E and tau_0(|z|^2) |z| for the
+    first layer's E1, whose B is then tau_0 tau_0' <z_a, z_b>.
+    """
+    norms, rho, _ = z.correlations
+    c = coeff_g(1, norms) if layer == "second" else coeff_tau(0, norms**2) * norms
+    return np.outer(c, c) * rho
 
 
 def check_first_term_lower_bound(
@@ -232,20 +237,15 @@ def check_first_term_lower_bound(
     are coordinatewise monotone); mixed-sign instances can dip below the
     bound and the sweeps draw from the nonnegative domain accordingly.
     """
+    if layer not in ("first", "second"):
+        raise ValueError(f"layer must be 'first' or 'second', got {layer!r}")
     op_norm = float(np.abs(np.linalg.eigvalsh(s.matrix)).max())
     if op_norm > spectral_bound + 1e-12:
         raise ValueError(f"operator norm {op_norm:.6f} exceeds spectral bound {spectral_bound}")
     z, zy, c = _tap_stacks(s, data, num_taps)
     consts = expansion_constants(num_taps, spectral_bound)
-    if layer == "second":
-        b = _leading_term(z)
-        rho = consts.rho
-    elif layer == "first":
-        tau0 = np.asarray(coeff_tau(0, z.norms**2))
-        b = np.outer(tau0, tau0) * z.gram()
-        rho = consts.rho_first_layer
-    else:
-        raise ValueError(f"layer must be 'first' or 'second', got {layer!r}")
+    b = _leading_term(z, layer)
+    rho = consts.rho if layer == "second" else consts.rho_first_layer
     return _verdict(
         f"first_term_lower_bound_{layer}",
         _trace_q(zy.matrix, b),
@@ -262,7 +262,7 @@ def check_series_tail_domination(z: TapStack) -> CheckReport:
     smaller.  beta is the exact closed-form series ratio at the saturation
     limit.
     """
-    b = _leading_term(z)
+    b = _leading_term(z, "second")
     delta = expectation_E_series(z).matrix - b
     beta = BETA_SATURATION
     meaningful = (np.abs(b) > SIGN_ZERO_ATOL) & (np.abs(delta) > SIGN_ZERO_ATOL)

@@ -428,6 +428,19 @@ class GridCheckResult:
         return not self.violations
 
 
+# grid-check kind -> its coefficient table and the base degree of its ratios
+_GRID_KINDS = {"tanh_odd": (coeff_g_table, 1), "sech2_even": (coeff_tau_table, 0)}
+
+
+def _grid_table(kind: str, degrees, grid):
+    """The grid (default 40 points geometric on [0.1, 10]), kind's table on it, its base degree."""
+    grid = np.geomspace(0.1, 10.0, 40) if grid is None else np.asarray(grid, dtype=float)
+    if kind not in _GRID_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    table, base = _GRID_KINDS[kind]
+    return grid, table(max(degrees), grid), base
+
+
 def verify_sign_constancy(
     kind: str = "tanh_odd",
     degrees: tuple[int, ...] = (1, 3, 5, 7, 9),
@@ -438,15 +451,7 @@ def verify_sign_constancy(
     ``tanh_odd`` checks g_degree over y in the grid, ``sech2_even`` checks
     tau_degree with the grid read as squared norms.
     """
-    if grid is None:
-        grid = np.geomspace(0.1, 10.0, 40)
-    grid = np.asarray(grid, dtype=float)
-    if kind == "tanh_odd":
-        table = coeff_g_table(max(degrees), grid)
-    elif kind == "sech2_even":
-        table = coeff_tau_table(max(degrees), grid)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    grid, table, _ = _grid_table(kind, degrees, grid)
     violations = []
     worst = math.inf
     for deg in degrees:
@@ -470,21 +475,11 @@ def verify_ratio_monotonicity(
     Base degree is 1 for ``tanh_odd`` and 0 for ``sech2_even``.  Steps may
     regress by at most ``tol``.
     """
-    if grid is None:
-        grid = np.geomspace(0.1, 10.0, 40)
-    grid = np.asarray(grid, dtype=float)
-    if kind == "tanh_odd":
-        table = coeff_g_table(max(degrees), grid)
-        base = table[:, 1]
-    elif kind == "sech2_even":
-        table = coeff_tau_table(max(degrees), grid)
-        base = table[:, 0]
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    grid, table, base = _grid_table(kind, degrees, grid)
     violations = []
     worst = math.inf
     for deg in degrees:
-        ratio = np.abs(table[:, deg] / base)
+        ratio = np.abs(table[:, deg] / table[:, base])
         steps = np.diff(ratio)
         margin = float(steps.min())
         worst = min(worst, margin)

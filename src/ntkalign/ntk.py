@@ -5,9 +5,10 @@ Four routes to the stacked nM x nM kernel:
 * empirical: Jacobian product of a concrete finite-width model;
 * analytic graph filter: sum_k S~^k x~ x~^T S~^k, parameter-free;
 * infinite-width GNN: conjugated expectation matrix E (or the first-layer
-  E1) of the tanh network, each a Mehler sum of Hermite coefficients
-  truncated at a certified residual (odd tanh degrees for E, even sech^2
-  degrees for E1), with pair quadrature kept as the reference;
+  E1) of the tanh network, each one odd Mehler series sum_i c_i c_i'
+  rho^(2i+1) truncated at a certified residual (c_i the odd tanh
+  coefficients for E, the even sech^2 ones times |z_a| for E1), with pair
+  quadrature kept as the reference;
 * Monte Carlo: the empirical kernel of a random network with a finite
   number of hidden features, for width studies.
 
@@ -38,7 +39,6 @@ from .models import FilterParams, TwoLayerGnnParams, filter_jacobian, gnn2_jacob
 
 DEFAULT_QUADRATURE_POINTS = 64
 RHO_OVERSHOOT_TOL = 1e-9
-ROW_BLOCK = 256  # rows per in-place product with an nM x nM array
 # Entries per row block of the Mehler sum: 512 KB per block array, so the
 # block's accumulator, rho^2 and term stay in a 2 MB L2 cache across degrees.
 MEHLER_BLOCK = 65536
@@ -217,15 +217,16 @@ def expectation_E_quadrature(
     return ExpectationMatrix(e, "quadrature", zero_rows=zero_rows, info={"n_points": n_points})
 
 
-def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray, parity: int) -> np.ndarray:
-    """sum_d c_d c_d' * rho^d, column i of coeffs holding degree parity + 2i.
+def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_i c_i c_i' * rho^(2i+1), c_i the column i of coeffs.
 
     E[f(u) g(u')] for rho-correlated standard Gaussians is sum_d f_d g_d
-    rho^d (Mehler), so one sum serves both layers; Horner in rho^2 keeps
-    it to three passes over the matrix per degree.  The passes run one
-    block of max(1, MEHLER_BLOCK // nM) rows at a time, every degree on a
-    block before the next, so the block stays in cache; each entry gets the
-    same operations in the same order at any block size.  Every term is an
+    rho^d (Mehler), and both layers' matrices are odd series in rho; Horner
+    in rho^2 keeps it to three passes over the matrix per degree, and one
+    last product with rho.  The passes run one block of
+    max(1, MEHLER_BLOCK // nM) rows at a time, every degree on a block
+    before the next, so the block stays in cache; each entry gets the same
+    operations in the same order at any block size.  Every term is an
     outer product of one vector times a power of the symmetric rho, so the
     sum is symmetric entry for entry.
     """
@@ -241,8 +242,7 @@ def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray, parity: int) -> np.ndarray:
             acc *= rho_sq
             np.multiply.outer(c[rows], c, out=term)
             acc += term
-        if parity:
-            acc *= rho[rows]
+        acc *= rho[rows]
     return out
 
 
@@ -258,30 +258,25 @@ def expectation_E_series(z: TapStack) -> ExpectationMatrix:
     norms, rho, zero_rows = z.correlations
     coeffs, _, degree, residual, n_points = hermite_series(np.tanh, norms, 1)
     info = {"max_degree": degree, "n_points": n_points}
-    return ExpectationMatrix(_mehler_sum(coeffs, rho, 1), "series", zero_rows, residual, info)
+    return ExpectationMatrix(_mehler_sum(coeffs, rho), "series", zero_rows, residual, info)
 
 
 def expectation_E_first_layer_series(z: TapStack) -> ExpectationMatrix:
-    """E1 = (sum_d tau_d tau_d' rho^d) * <z_a, z_b> over the even degrees of sech^2.
+    """E1 = sum_i t_i t_i' rho^(2i+1), t_i = tau_2i(|z_a|) |z_a|, over the even sech^2 degrees.
 
-    The series counterpart of ``expectation_E_first_layer``, truncated like
-    ``expectation_E_series`` with each row's tail scaled by |z_a|^2, so
-    sqrt(tail_a tail_b) |z_a| |z_b| bounds the entrywise error.  The Gram
-    factor <z_a, z_b> = rho_ab (|z_a| |z_b|) is applied in place, a block of
-    rows at a time, so no nM x nM array is made beyond rho and the sum, and
-    the sum stays exactly symmetric.  Zero rows come out exactly 0, because
-    rho is 0 there.
+    The series counterpart of ``expectation_E_first_layer``: with <z_a, z_b>
+    = rho_ab |z_a| |z_b|, its term tau tau' rho^(2i) <z_a, z_b> is the odd
+    term t_i t_i' rho^(2i+1), so E1 is the same odd Mehler sum as E.  Each
+    row's tail is scaled by |z_a|^2 and |rho| <= 1, so sqrt(tail_a tail_b)
+    |z_a| |z_b| still bounds the entrywise error.  E1 is exactly symmetric,
+    as every Mehler sum is, and zero rows are exactly 0 (rho is 0 there).
     """
     norms, rho, zero_rows = z.correlations
     coeffs, _, degree, residual, n_points = hermite_series(
         sech2, norms, 0, row_weight=norms * norms
     )
-    e1 = _mehler_sum(coeffs, rho, 0)
-    e1 *= rho
-    for start in range(0, len(norms), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        e1[rows] *= np.multiply.outer(norms[rows], norms)
     info = {"max_degree": degree, "n_points": n_points}
+    e1 = _mehler_sum(coeffs * norms[:, None], rho)
     return ExpectationMatrix(e1, "first_layer_series", zero_rows, residual, info)
 
 

@@ -29,7 +29,7 @@ from ntkalign.alignment import (
     xi_observed,
 )
 from ntkalign.core import Dataset, NtkMatrix, ShiftOperator, stack
-from ntkalign.hermite import coeff_g, expansion_constants
+from ntkalign.hermite import coeff_g, coeff_tau, expansion_constants
 from ntkalign.ntk import (
     expectation_E_first_layer_series,
     expectation_E_quadrature,
@@ -272,6 +272,26 @@ class TestFirstTermCheck:
         s, data, k = random_instance(0)
         with pytest.raises(ValueError, match="layer"):
             check_first_term_lower_bound(s, data, k, layer="third")
+
+    @pytest.mark.parametrize("seed, zero_column", [(0, None), (1, None), (2, None), (3, None), (5, 1)])
+    def test_leading_term_is_c_c_rho_for_both_layers(self, seed, zero_column):
+        # the first layer's (tau_0 |z|)(tau_0 |z|)' rho is tau_0 tau_0' Z Z' up to
+        # round-off; the second layer's B is g_1 g_1' rho bit for bit
+        s, data, k = random_instance(seed)
+        x = data.x.copy()
+        if zero_column is not None:
+            x[:, zero_column] = 0.0
+        z = z_vectors(s, x, k)
+        norms, rho, zero_rows = z.correlations
+        assert bool(zero_rows) == (zero_column is not None)
+        first = alignment_module._leading_term(z, "first")
+        tau0 = coeff_tau(0, norms**2)
+        expected = np.outer(tau0, tau0) * z.gram()
+        assert np.abs(first - expected).max() <= 1e-15 * np.abs(expected).max()
+        assert np.array_equal(first, first.T)
+        assert not first[list(zero_rows)].any()
+        g1 = coeff_g(1, norms)
+        assert np.array_equal(alignment_module._leading_term(z, "second"), np.outer(g1, g1) * rho)
 
 
 def test_series_tail_domination_on_random_instances():

@@ -106,8 +106,12 @@ def within_residual(series, reference):
     )
 
 
-def single_block_mehler(coeffs, rho, parity):
-    """Reference for ``ntk._mehler_sum``: Horner in rho^2 over the whole matrix at once."""
+def single_block_mehler(coeffs, rho, parity=1):
+    """sum_i c_i c_i' rho^(2i + parity): Horner in rho^2 over the whole matrix at once.
+
+    The odd sum (parity 1) is the reference for ``ntk._mehler_sum``; the
+    even one times Z Z' is E1 in its Gram-matrix form.
+    """
     rho_sq = rho * rho
     acc = np.zeros_like(rho)
     term = np.empty_like(rho)
@@ -348,10 +352,20 @@ class TestExpectationSeries:
         assert e.matrix[1, 0] == 0.0
 
     def test_benchmark_inputs_at_degree_41_within_residual(self):
+        """On the benchmark's inputs E keeps degree 31 and E1 degree 40, each within its residual.
+
+        The id names degree 41, which neither layer keeps; it stays so the
+        test keeps its id.
+        """
         z = benchmark_tap_stack()
-        e = expectation_E_series(z)
-        assert e.truncation_residual <= SERIES_RTOL * np.abs(e.matrix).max()
-        assert within_residual(e, expectation_E_quadrature(z, n_points=256))
+        for build, oracle, degree in (
+            (expectation_E_series, expectation_E_quadrature, 31),
+            (expectation_E_first_layer_series, expectation_E_first_layer, 40),
+        ):
+            e = build(z)
+            assert e.info["max_degree"] == degree
+            assert e.truncation_residual <= SERIES_RTOL * np.abs(e.matrix).max()
+            assert within_residual(e, oracle(z, n_points=256))
 
     @pytest.mark.parametrize("seed", [2, 10, 0, 1])  # K = 1, 2, 3, 4
     def test_both_layers_match_quadrature_within_residual(self, seed):
@@ -402,14 +416,18 @@ class TestExpectationSeries:
 class TestMehlerSum:
     @pytest.mark.parametrize("parity", [0, 1])
     def test_row_blocks_match_the_single_block_sum(self, monkeypatch, parity):
-        # 16 rows per block at nM = 60: blocks of 16, 16, 16 and 12 rows
+        # 16 rows per block at nM = 60: blocks of 16, 16, 16 and 12 rows; the
+        # even sech^2 coefficients times |z_a| are E1's, the odd tanh ones E's
         z = benchmark_tap_stack()
         norms, rho, _ = z.correlations
-        fn = sech2 if parity == 0 else np.tanh
-        coeffs = hermite_series(fn, norms, parity)[0]
+        if parity == 0:
+            coeffs = hermite_series(sech2, norms, 0, row_weight=norms * norms)[0]
+            coeffs = coeffs * norms[:, None]
+        else:
+            coeffs = hermite_series(np.tanh, norms, 1)[0]
         monkeypatch.setattr(ntk, "MEHLER_BLOCK", 16 * rho.shape[0] + 15)
-        blocked = ntk._mehler_sum(coeffs, rho, parity)
-        assert np.array_equal(blocked, single_block_mehler(coeffs, rho, parity))
+        blocked = ntk._mehler_sum(coeffs, rho)
+        assert np.array_equal(blocked, single_block_mehler(coeffs, rho))
         assert np.array_equal(blocked, blocked.T)
 
     def test_one_row_per_block_when_rows_exceed_the_block(self, monkeypatch):
@@ -418,7 +436,7 @@ class TestMehlerSum:
         rho = (a + a.T) / 2.0
         coeffs = rng.standard_normal((5, 4))
         monkeypatch.setattr(ntk, "MEHLER_BLOCK", 3)
-        assert np.array_equal(ntk._mehler_sum(coeffs, rho, 1), single_block_mehler(coeffs, rho, 1))
+        assert np.array_equal(ntk._mehler_sum(coeffs, rho), single_block_mehler(coeffs, rho))
 
     def test_benchmark_inputs_project_at_most_two_blocks_per_layer(self, monkeypatch):
         # the full projection formed 128 (E) and 129 (E1) columns per series
@@ -441,20 +459,22 @@ class TestMehlerSum:
 
 
 class TestExpectationFirstLayerSeries:
-    @pytest.mark.parametrize("row_block", [3, 256])
-    def test_gram_factor_in_place_matches_gram_matrix(self, monkeypatch, row_block):
-        # rho |z_a| |z_b| a block of rows at a time against the Mehler sum times Z Z'
-        monkeypatch.setattr(ntk, "ROW_BLOCK", row_block)
+    @pytest.mark.parametrize("rows", [3, 256])
+    def test_gram_factor_in_place_matches_gram_matrix(self, monkeypatch, rows):
+        # the odd sum of tau_2i |z_a|, in Mehler blocks of 3 or 256 rows,
+        # against the even sum of tau_2i times the Gram matrix Z Z'
         s, data, k = random_instance(5)
         x = data.x.copy()
         x[:, 1] = 0.0
         z = z_vectors(s, x, k)
-        norms, rho, _ = z.correlations
+        norms, rho, zero_rows = z.correlations
+        monkeypatch.setattr(ntk, "MEHLER_BLOCK", rows * rho.shape[0])
         coeffs = hermite_series(sech2, norms, 0, row_weight=norms * norms)[0]
-        expected = ntk._mehler_sum(coeffs, rho, 0) * z.gram()
+        expected = single_block_mehler(coeffs, rho, parity=0) * z.gram()
         e1 = expectation_E_first_layer_series(z).matrix
         assert np.abs(e1 - expected).max() <= 1e-15 * np.abs(expected).max()
         assert np.array_equal(e1, e1.T)
+        assert zero_rows and not e1[list(zero_rows)].any()
 
     def test_zero_rows_vanish(self):
         rng = np.random.default_rng(10)
