@@ -1,4 +1,4 @@
-"""Synthetic time series with planted cross-covariance structure, plus CSV I/O.
+r"""Synthetic time series with planted cross-covariance structure, plus CSV I/O.
 
 The generator is a first-order vector autoregression.  Its transition
 matrix controls the lag cross-covariance directly, which is what the
@@ -9,11 +9,22 @@ the symmetrized cross-covariance of (input, lagged-output) pairs.
 Normalization of extracted pairs is a single global scalar over the
 train and test columns together, so covariance and cross-covariance
 directions are untouched and every column norm is at most 1.
+
+CSV files carry every float at 17 significant digits, so a float64 reads
+back exactly.  ``save_csv`` formats blocks of rows with one ``%``
+operation each and writes the bytes ``np.savetxt(fmt="%.17g")`` would;
+``format_rows`` is the one row formatter, which ``models.save_params``
+shares.  ``load_csv`` reads the text once and splits it on ``\n``,
+``\r\n`` and ``\r`` line ends and on commas; only a text holding a quote
+character goes through ``csv.reader``.  Either way the cells, and so the
+header detection, blank-row handling and error messages, are those
+``csv.reader`` gives.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -22,6 +33,7 @@ import numpy as np
 from .core import Dataset
 
 BURN_IN_STEPS = 100
+BLOCK_CELLS = 1024  # cells formatted per % operation in save_csv
 
 
 class UnstableProcessError(ValueError):
@@ -163,17 +175,52 @@ def extract_pairs(series: np.ndarray, cfg: PairExtractionConfig):
     return train, test
 
 
+def format_rows(block: np.ndarray) -> str:
+    """CSV lines of a 2-d float array, 17 significant digits, in one ``%`` operation."""
+    rows, cols = block.shape
+    line = ",".join(["%.17g"] * cols) + "\n"
+    return (line * rows) % tuple(block.ravel().tolist())
+
+
 def save_csv(matrix: np.ndarray, path, header=None) -> None:
-    """Write a 2-d array as CSV at full float precision (17 digits)."""
+    """Write a 2-d array as CSV at full float precision (17 digits).
+
+    A 1-d array is one row.  The header line is written only when the
+    joined header is non-empty.  Rows are formatted BLOCK_CELLS cells at a
+    time (one row at a time when a row is longer); the file is
+    byte-identical to ``np.savetxt(..., delimiter=",", fmt="%.17g")``.
+    """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if matrix.ndim > 2:
+        raise ValueError(f"Expected 1D or 2D array, got {matrix.ndim}D array instead")
     head = ",".join(header) if header is not None else ""
-    np.savetxt(path, matrix, delimiter=",", fmt="%.17g", header=head, comments="")
+    step = max(1, BLOCK_CELLS // max(matrix.shape[1], 1))
+    with open(path, "w") as fh:
+        if head:
+            fh.write(head + "\n")
+        for start in range(0, matrix.shape[0], step):
+            fh.write(format_rows(matrix[start : start + step]))
+
+
+def _split_rows(text: str) -> list:
+    r"""Cells of each line, as ``csv.reader`` gives them for this text.
+
+    Lines end at ``\r\n``, ``\r`` or ``\n`` only (``str.splitlines`` would
+    also split on ``\x0c``, ``\x85`` and U+2028, which ``csv.reader`` keeps
+    in a cell), and an empty line has no cells.  Quoted cells need
+    ``csv.reader`` itself, so a text holding ``"`` goes through it.
+    """
+    if '"' in text:
+        return list(csv.reader(io.StringIO(text, newline="")))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return [line.split(",") if line else [] for line in text.split("\n")]
 
 
 def load_csv(path) -> np.ndarray:
     """Read a rectangular numeric CSV; a non-numeric first row is a header."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = _split_rows(fh.read())
     while rows and not any(cell.strip() for cell in rows[-1]):
         rows.pop()
     if not rows:

@@ -199,8 +199,11 @@ def hermite_values(fn, y, n_points: int = MAX_POINTS):
     ``hermite_coefficients``, and the totals, shape ``y.shape``.
     """
     nodes, proj = hermite_projection(n_points)
-    vals = fn(np.multiply.outer(y, nodes))
-    return vals, (vals * vals) @ proj[0]
+    grid = np.multiply.outer(y, nodes)
+    vals = fn(grid)
+    # the squares go into the argument grid's buffer unless fn's values live there
+    squares = np.multiply(vals, vals, out=None if np.shares_memory(vals, grid) else grid)
+    return vals, squares @ proj[0]
 
 
 def hermite_coefficients(values: np.ndarray, degrees: slice) -> np.ndarray:

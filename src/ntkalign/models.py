@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ShiftOperator, _frozen_array, matrix_powers_applied
+from .dataio import format_rows
 
 PARAMS_SCHEMA_VERSION = 1
 
@@ -271,7 +272,7 @@ def save_params(path, params) -> None:
     flat = flatten_params(params)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
-        fh.write(",".join(f"{v:.17g}" for v in flat) + "\n")
+        fh.write(format_rows(flat[None, :]))
 
 
 def load_params(path):

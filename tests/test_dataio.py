@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from ntkalign import dataio
 from ntkalign.shiftops import cross_covariance_matrix
 from ntkalign.dataio import (
     CsvFormatError,
@@ -292,6 +293,25 @@ class TestLoadCsvMatchesPerCellParser:
     @pytest.mark.parametrize(
         "text",
         [
+            "1\x0c,2\n3,\x854\n5,6\u2028\n",
+            "a,b\r1,2\r3,4\r",
+            "a,b\r\n1,2\r\n3,4\r\n",
+            "1,2\r\n3,4\r5,6\n7,8\r\r\n\r",
+            "1,2\n3,4",
+            '"a","b"\n"1",2\n3," 4 "\n\n',
+        ],
+        ids=["cells-with-splitlines-breaks", "lone-cr", "crlf", "mixed-line-ends",
+             "no-final-newline", "quoted"],
+    )
+    def test_line_ends_and_quoted_cells(self, tmp_path, text):
+        path = tmp_path / "lines.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_csv(path).shape[1] == 2
+        self.assert_same_array(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
             "1,2,3\n4,5\n",
             "1,2\n3,oops\n",
             "1,2\n3,\n",
@@ -301,9 +321,20 @@ class TestLoadCsvMatchesPerCellParser:
             "\n,\n",
             "alpha,beta\n",
             "alpha,beta\n\n",
+            "1,2\n3\x0c4,5\n",
+            "1,2\n3,4\x855\n",
+            "1,2\n3\u20284,5\n",
+            "1,2\n\n3,4\n",
+            "1,2\r\n\r\n3,4\r\n",
+            "1,2\r3\r",
+            "1,2\n3",
+            '1,2\n"x",3\n',
         ],
         ids=["short-row", "non-numeric", "empty-cell", "hex-after-header", "comma-decimal",
-             "empty-file", "blank-rows-only", "header-only", "header-and-blank-row"],
+             "empty-file", "blank-rows-only", "header-only", "header-and-blank-row",
+             "form-feed-in-cell", "nel-in-cell", "line-separator-in-cell", "blank-middle-row",
+             "blank-middle-row-crlf", "lone-cr-short-row", "no-final-newline-short-row",
+             "quoted-non-numeric"],
     )
     def test_same_error(self, tmp_path, text):
         path = tmp_path / "bad.csv"
@@ -314,3 +345,85 @@ class TestLoadCsvMatchesPerCellParser:
             per_cell_load_csv(path)
         assert type(new.value) in (CsvFormatError, EmptyInputError)
         assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))
+
+
+def savetxt_save_csv(matrix, path, header=None):
+    """The ``np.savetxt`` writer that ``save_csv`` replaced, kept as its oracle."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    head = ",".join(header) if header is not None else ""
+    np.savetxt(path, matrix, delimiter=",", fmt="%.17g", header=head, comments="")
+
+
+class TestSaveCsvMatchesSavetxt:
+    def assert_same_bytes(self, tmp_path, matrix, header=None):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        save_csv(matrix, new, header=header)
+        savetxt_save_csv(matrix, old, header=header)
+        assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("header", [None, [], ["a", "b", "c"]], ids=["none", "empty", "list"])
+    def test_special_values(self, tmp_path, header):
+        matrix = np.array([
+            [np.nan, np.inf, -np.inf],
+            [-0.0, 0.0, 5e-324],
+            [1e308, -1.7976931348623157e308, 2.2250738585072014e-308],
+            [0.1, -1 / 3, 123456789012345678.0],
+        ])
+        self.assert_same_bytes(tmp_path, matrix, header)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.array([1.5, -0.0, np.nan]), np.zeros((1, 0)), np.zeros((0, 3)), np.float64(2.5)],
+        ids=["1-d", "1x0", "0x3", "0-d"],
+    )
+    def test_degenerate_shapes(self, tmp_path, matrix):
+        self.assert_same_bytes(tmp_path, matrix)
+        self.assert_same_bytes(tmp_path, matrix, header=["h"])
+
+    def test_several_blocks_ending_in_a_partial_block(self, tmp_path):
+        cols = 7
+        step = dataio.BLOCK_CELLS // cols
+        rng = np.random.default_rng(11)
+        matrix = rng.standard_normal((3 * step + 5, cols)) * 10.0 ** rng.integers(-300, 300, cols)
+        self.assert_same_bytes(tmp_path, matrix, header=[f"c{j}" for j in range(cols)])
+        self.assert_same_bytes(tmp_path, np.asfortranarray(matrix))
+
+    def test_row_wider_than_a_block(self, tmp_path):
+        rng = np.random.default_rng(12)
+        self.assert_same_bytes(tmp_path, rng.standard_normal((3, dataio.BLOCK_CELLS + 9)))
+
+    def test_three_dimensional_input_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="got 3D array"):
+            save_csv(np.zeros((2, 2, 2)), tmp_path / "cube.csv")
+
+
+def test_cli_round_trip_uses_neither_savetxt_nor_csv_reader(tmp_path, monkeypatch):
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "savetxt", recording("savetxt", np.savetxt))
+    monkeypatch.setattr(csv, "reader", recording("reader", csv.reader))
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["gen-data", "--n", "5", "--len", "120", "--dt", "1", "--m-train", "40",
+                 "--seed", "2", "--out-dir", str(data)]) == 0
+    xy = ["--x", str(data / "x_train.csv"), "--y", str(data / "y_train.csv")]
+    assert main(["train", *xy, "--model", "filter", "--k", "2", "--epochs", "3",
+                 "--out-dir", str(out / "train")]) == 0
+    assert main(["ntk", *xy, "--kind", "filter", "--k", "2", "--out-dir", str(out / "ntk")]) == 0
+    assert main(["compare", "--series", str(data / "series.csv"), "--dt", "1", "--m-train", "30",
+                 "--m-test", "5", "--gso", "cxy,cxx", "--k", "2", "--model", "filter",
+                 "--epochs", "3", "--reps", "1", "--out-dir", str(out / "compare")]) == 0
+    written = sorted(data.glob("*.csv")) + sorted(out.glob("*/*.csv"))
+    assert {p.name for p in written} >= {"series.csv", "trace.csv", "ntk.csv", "curves.csv"}
+    for path in written:
+        assert load_csv(path).size > 0
+    assert calls == []
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text('"1",2\n')
+    assert np.array_equal(load_csv(quoted), [[1.0, 2.0]])
+    assert calls == ["reader"]

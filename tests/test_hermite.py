@@ -160,6 +160,36 @@ class TestCoefficients:
             hm.coeff_tau(0, -1.0)
 
 
+class TestHermiteValues:
+    @pytest.mark.parametrize(
+        "fn,reference",
+        [
+            (lambda g: g, lambda g: g),
+            (lambda g: g[..., ::-1][..., ::-1], lambda g: g),
+            (lambda g: np.tanh(g, out=g), np.tanh),
+            (np.tanh, np.tanh),
+            (hm.sech2, hm.sech2),
+        ],
+        ids=["argument", "view", "in-place", "tanh", "sech2"],
+    )
+    def test_values_and_totals_whatever_fn_returns(self, fn, reference):
+        # the squares reuse the argument grid's buffer unless fn's values live there
+        y = np.array([[0.3, 1.0, 2.5], [0.0, 4.0, 0.7]])
+        nodes, proj = hm.hermite_projection(64)
+        want = reference(np.multiply.outer(y, nodes))
+        values, totals = hm.hermite_values(fn, y, 64)
+        assert values.shape == y.shape + (64,)
+        assert values.tobytes() == want.tobytes()
+        assert totals.tobytes() == ((want * want) @ proj[0]).tobytes()
+
+    def test_totals_of_the_identity_are_the_second_moments(self):
+        # E[(y u)^2] = y^2, exact on the rule for a polynomial of degree 2
+        y = np.array([0.0, 0.5, 3.0])
+        values, totals = hm.hermite_values(lambda g: g, y, 64)
+        np.testing.assert_allclose(totals, y * y, rtol=1e-13, atol=0)
+        assert np.array_equal(values, np.multiply.outer(y, hm.hermite_projection(64)[0]))
+
+
 class TestSigmaHat:
     def test_value_at_zero_and_scaled_supremum(self):
         assert hm.sigma_hat(0.0) == 1.0

@@ -375,6 +375,13 @@ class TestSerialization:
         assert type(loaded) is type(params)
         assert np.array_equal(flatten_params(loaded), flatten_params(params))
 
+    def test_flat_line_is_the_17_digit_join(self, tmp_path):
+        # save_params shares dataio's row formatter; the line is unchanged
+        taps = np.array([0.1, -1 / 3, -0.0, 5e-324, 1e308, -2.2250738585072014e-308, 123456789.0])
+        path = tmp_path / "params.txt"
+        save_params(path, FilterParams(taps))
+        assert path.read_text().splitlines()[1] == ",".join(f"{v:.17g}" for v in taps)
+
     def test_flatten_round_trip_preserves_layout(self):
         params = init_gnn2(2, 3, InitConfig(kappa=1.0, seed=33))
         flat = flatten_params(params)
