@@ -10,13 +10,14 @@ import argparse
 import sys
 
 from ntkalign.alignment import optimality_sweep, run_inequality_sweeps
+from ntkalign.cli import _count
 from ntkalign.hermite import self_check
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--instances", type=int, default=500, help="per inequality sweep")
-    parser.add_argument("--optimality-instances", type=int, default=1000)
+    parser.add_argument("--instances", type=_count, default=500, help="per inequality sweep")
+    parser.add_argument("--optimality-instances", type=_count, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 

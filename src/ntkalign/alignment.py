@@ -7,9 +7,11 @@ alignment has closed trace forms in S, X, Y, which admit Cauchy-Schwarz
 lower bounds whose maximizers over a Frobenius ball are functions of the
 symmetrized cross-covariance C_XY.  They are read off the tap stacks Z, Zy
 of X and Y as C = Zy^T Z (K x K): A_filt = ||C[0]||^2, A_lin = ||C||_F^2.
-For tanh GNNs the bounds become conditional: they hold when the linear
-alignment is a large enough fraction xi of its Cauchy-Schwarz ceiling,
-with constants from the Hermite expansion of tanh.
+For tanh GNNs each layer's A = tr(Q E) is bounded below by c_data A_lin,
+with a factor c_data certified on the instance itself from the degree-1
+term of E's Hermite series and its truncation residual (Cauchy-Schwarz on
+the rest), so the A_lin that the closed-form GSO maximizes controls A
+wherever c_data > 0.
 
 Checkers return CheckReport values rather than raising on violation, so
 sweeps can count failures and record the seeds that produced them.
@@ -31,13 +33,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    ShiftOperator,
-    require_positive_finite,
-)
+from .core import Dataset, ShiftOperator
 from .hermite import BETA_SATURATION, ExpansionConstants, coeff_g, coeff_tau, expansion_constants
 from .ntk import (  # the quadrature references stay bound here for perfbench/tracer.py
+    ExpectationMatrix,
     TapStack,
     expectation_E_first_layer,
     expectation_E_first_layer_series,
@@ -110,24 +109,28 @@ def alignment_lin_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) ->
     return (float(_multiplicities(num_taps) @ traces) / num_taps) ** 2
 
 
-def _xi(a_lin: float, zy: np.ndarray, z: np.ndarray) -> float:
-    # ||Q||_F = ||Zy^T Zy||_F and ||B_lin||_F = ||Z^T Z||_F: K x K, not nM x nM
-    denom = np.linalg.norm(zy.T @ zy) * np.linalg.norm(z.T @ z)
+def _q_norm(zy: np.ndarray) -> float:
+    """||Q||_F = ||Zy^T Zy||_F: K x K, not nM x nM."""
+    return float(np.linalg.norm(zy.T @ zy))
+
+
+def _xi(a_lin: float, q_norm: float, z: np.ndarray) -> float:
+    denom = q_norm * np.linalg.norm(z.T @ z)  # ||B_lin||_F = ||Z^T Z||_F
     return 0.0 if denom == 0.0 else a_lin / denom
 
 
 def xi_observed(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
-    """A_lin / (||Q||_F ||B_lin||_F), the measured assumption level."""
+    """A_lin / (||Q||_F ||B_lin||_F): A_lin as a fraction of its Cauchy-Schwarz ceiling."""
     z, zy, c = _tap_stacks(s, data, num_taps)
-    return _xi(float(np.sum(c * c)), zy.matrix, z.matrix)
+    return _xi(float(np.sum(c * c)), _q_norm(zy.matrix), z.matrix)
 
 
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one inequality check: passes when lhs >= rhs - tol.
 
-    Neither a skipped check (its assumption not met) nor a vacuous one (its
-    bound asserts nothing) passes, but neither is a violation either.
+    A vacuous check (its bound asserts nothing) does not pass, but it is no
+    violation either.
     """
 
     name: str
@@ -135,16 +138,12 @@ class CheckReport:
     lhs: float
     rhs: float
     margin: float
-    skipped: bool = False
-    reason: str = ""
     details: dict = field(default_factory=dict)
     vacuous: bool = False
 
     @property
     def verdict(self) -> str:
-        """'skipped', 'vacuous', 'passed' or 'failed'."""
-        if self.skipped:
-            return "skipped"
+        """'vacuous', 'passed' or 'failed'."""
         if self.vacuous:
             return "vacuous"
         return "passed" if self.passed else "failed"
@@ -285,55 +284,16 @@ def check_series_tail_domination(z: TapStack) -> CheckReport:
     )
 
 
-def _conditional_alignment_check(
-    name: str,
-    a_value: float,
-    a_lin: float,
-    xi_obs: float,
-    gain: float,
-    penalty: float,
-    xi_required: float | None,
-) -> CheckReport:
-    if xi_required is not None:
-        require_positive_finite("xi", xi_required)
-    if xi_required is not None and xi_obs < xi_required:
-        return CheckReport(
-            name=name,
-            passed=False,
-            lhs=a_value,
-            rhs=float("nan"),
-            margin=float("nan"),
-            skipped=True,
-            reason=f"assumption not met: xi_observed {xi_obs:.4f} < required {xi_required:.4f}",
-            details={"xi_observed": xi_obs},
-        )
-    xi_used = xi_required if xi_required is not None else xi_obs
-    if xi_used <= 0:
-        return CheckReport(
-            name=name,
-            passed=False,
-            lhs=a_value,
-            rhs=float("nan"),
-            margin=float("nan"),
-            skipped=True,
-            reason="xi is zero; bound undefined",
-            details={"xi_observed": xi_obs},
-        )
-    factor = gain - penalty / xi_used
-    report = _verdict(name, a_value, factor * a_lin, xi_observed=xi_obs, factor=factor)
-    if factor <= 0:  # xi_used <= penalty / gain: the right side is <= 0 <= A, so asserts nothing
-        return replace(report, passed=False, vacuous=True)
-    return report
-
-
 @dataclass(frozen=True)
 class AlignmentReport:
     """All alignment functionals, bounds and constants for one (S, X, Y, K).
 
     ``a`` and ``a_first_layer`` are tr(Q E) and tr(Q E1) for the two GNN
-    layers; ``layers`` holds each expectation's diagnostics (method,
-    degree, residual).  The record carries its own K and spectral bound in
-    ``constants``, so the conditional checks read everything from it.
+    layers, and ``c_data`` and ``c_data_first_layer`` their certified
+    factors (``_certified_factor``): A >= c_data A_lin per layer.
+    ``layers`` holds each expectation's diagnostics (method, degree,
+    residual); ``constants`` the Hermite constants at the record's K and
+    spectral bound.
     """
 
     a: float
@@ -345,6 +305,8 @@ class AlignmentReport:
     budget: float
     xi_observed: float
     a_first_layer: float
+    c_data: float
+    c_data_first_layer: float
     constants: ExpansionConstants
     layers: dict
 
@@ -357,13 +319,24 @@ class AlignmentReport:
             "rho_first_layer": c.rho_first_layer,
             "beta": c.beta,
             "beta_first_layer": c.beta_first,
-            "gain_second_layer": c.gain_second_layer,
-            "penalty_second_layer": c.penalty_second_layer,
-            "gain_first_layer": c.gain_first_layer,
-            "penalty_first_layer": c.penalty_first_layer,
-            "xi_threshold_second_layer": c.xi_threshold_second_layer,
-            "xi_threshold_first_layer": c.xi_threshold_first_layer,
         }
+
+
+def _certified_factor(e: ExpectationMatrix, rho, zy, q_norm: float, a_lin: float) -> float:
+    """c_data = (tr(Q B) - ||Q||_F (||E - B||_F + nM r_E)) / A_lin for one layer.
+
+    B = c_0 c_0' * rho is the series' degree-1 term and r_E its truncation
+    residual, which bounds every entry of the untruncated E minus E, so
+    that difference is at most nM r_E in Frobenius norm.  By Cauchy-Schwarz
+    on tr(Q (E - B)), A >= c_data A_lin for the untruncated E and for its
+    truncation alike.  NaN when A_lin = 0.
+    """
+    b = np.outer(e.leading, e.leading)
+    b *= rho
+    lower = _trace_q(zy, b)
+    np.subtract(e.matrix, b, out=b)
+    tail = float(np.linalg.norm(b)) + b.shape[0] * e.truncation_residual
+    return (lower - q_norm * tail) / a_lin if a_lin > 0 else math.nan
 
 
 def alignment_report(
@@ -385,12 +358,15 @@ def alignment_report(
     z, zy, c = _tap_stacks(s, data, num_taps)
     e, e1 = expectation_E_series(z), expectation_E_first_layer_series(z)
     a_lin = float(np.sum(c * c))
+    q_norm, rho = _q_norm(zy.matrix), z.correlations[1]
     return AlignmentReport(
         a=_trace_q(zy.matrix, e.matrix),
         a_first_layer=_trace_q(zy.matrix, e1.matrix),
+        c_data=_certified_factor(e, rho, zy.matrix, q_norm, a_lin),
+        c_data_first_layer=_certified_factor(e1, rho, zy.matrix, q_norm, a_lin),
         a_filt=float(c[0] @ c[0]),
         a_lin=a_lin,
-        xi_observed=_xi(a_lin, zy.matrix, z.matrix),
+        xi_observed=_xi(a_lin, q_norm, z.matrix),
         constants=expansion_constants(num_taps, spectral_bound),
         layers={"second": expectation_info(e), "first": expectation_info(e1)},
         a_lower=alignment_lower_bound(s, data, num_taps),
@@ -400,40 +376,29 @@ def alignment_report(
     )
 
 
-def check_gnn_alignment_lower_bound(
-    report: AlignmentReport, xi: float | None = None
-) -> CheckReport:
-    """A >= (c - d/xi) A_lin for the infinite-width tanh GNN second layer.
+def _certified_check(name: str, a_value: float, c_data: float, a_lin: float) -> CheckReport:
+    report = _verdict(name, a_value, c_data * a_lin, c_data=c_data)
+    if not c_data > 0:  # NaN included: the right side is <= 0 <= A or undefined
+        return replace(report, passed=False, vacuous=True)
+    return report
 
-    xi=None measures xi on the instance; a requested xi below the observed
-    level skips the instance (reported, not failed).  When the factor
-    c - d/xi is nonpositive the bound says nothing and the check is vacuous.
+
+def check_gnn_alignment_lower_bound(report: AlignmentReport) -> CheckReport:
+    """A >= c_data A_lin for the infinite-width tanh GNN's second layer.
+
+    It holds on every instance, so a failure is a bug; a c_data <= 0 (or
+    NaN, at A_lin = 0) makes the bound vacuous.
     """
-    c = report.constants
-    return _conditional_alignment_check(
-        "gnn_alignment_lower_bound",
-        report.a,
-        report.a_lin,
-        report.xi_observed,
-        c.gain_second_layer,
-        c.penalty_second_layer,
-        xi,
-    )
+    return _certified_check("gnn_alignment_lower_bound", report.a, report.c_data, report.a_lin)
 
 
-def check_first_layer_alignment_lower_bound(
-    report: AlignmentReport, xi: float | None = None
-) -> CheckReport:
-    """First-layer analog with tau-based constants."""
-    c = report.constants
-    return _conditional_alignment_check(
+def check_first_layer_alignment_lower_bound(report: AlignmentReport) -> CheckReport:
+    """A_first_layer >= c_data_first_layer A_lin, the first layer's analog."""
+    return _certified_check(
         "first_layer_alignment_lower_bound",
         report.a_first_layer,
+        report.c_data_first_layer,
         report.a_lin,
-        report.xi_observed,
-        c.gain_first_layer,
-        c.penalty_first_layer,
-        xi,
     )
 
 
@@ -494,7 +459,6 @@ class SweepResult:
     name: str
     num_instances: int
     violations: int
-    skipped: int
     vacuous: int
     worst_margin: float
     failing_seeds: tuple
@@ -508,12 +472,9 @@ class SweepResult:
 
 
 def _sweep(name, reports, seeds) -> SweepResult:
-    violations, skipped, vacuous, failing = 0, 0, 0, []
+    violations, vacuous, failing = 0, 0, []
     worst = math.inf
     for seed, report in zip(seeds, reports):
-        if report.skipped:
-            skipped += 1
-            continue
         if math.isfinite(report.margin):
             worst = min(worst, report.margin)
         if report.vacuous:
@@ -525,7 +486,6 @@ def _sweep(name, reports, seeds) -> SweepResult:
         name=name,
         num_instances=len(seeds),
         violations=violations,
-        skipped=skipped,
         vacuous=vacuous,
         worst_margin=worst if math.isfinite(worst) else float("nan"),
         failing_seeds=tuple(failing),
@@ -535,7 +495,7 @@ def _sweep(name, reports, seeds) -> SweepResult:
 _nonnegative_entries = functools.partial(random_instance, entries="nonnegative")
 
 # sweep name -> (instance builder: seed -> (s, data, num_taps), check of that instance);
-# the first five, the unconditional inequalities, are the default sweeps
+# the first five are the default sweeps
 SWEEP_CHECKS = {
     "filter_lower_bound": (random_instance, check_filter_lower_bound),
     "linear_lower_bound": (random_instance, check_linear_lower_bound),

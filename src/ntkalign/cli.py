@@ -298,16 +298,17 @@ def _cmd_align(cfg: dict) -> int:
     )
     checks = {}
     for check in (check_gnn_alignment_lower_bound, check_first_layer_alignment_lower_bound):
-        result = check(rep, xi=cfg["xi"])
+        result = check(rep)
         checks[result.name] = {key: getattr(result, key) for key in (
-            "verdict", "passed", "skipped", "vacuous", "reason", "margin", "details")}
+            "verdict", "passed", "vacuous", "margin", "details")}
     failed = [n for n, c in checks.items() if c["verdict"] == "failed"]
     vacuous = [n for n, c in checks.items() if c["verdict"] == "vacuous"]
     report = {
         "alignment": rep.to_dict(),
         "conditional_checks": checks,
         "info": {"layers": rep.layers},
-        "summary": f"A = {rep.a:.6g}, xi_observed = {rep.xi_observed:.4f}"
+        "summary": f"A = {rep.a:.6g}, c_data = {rep.c_data:.4f}, "
+        f"c_data_first_layer = {rep.c_data_first_layer:.4f}"
         + (f", vacuous: {', '.join(vacuous)}" if vacuous else "")
         + (f", FAILED: {', '.join(failed)}" if failed else ""),
     }
@@ -564,15 +565,18 @@ def _fraction(text: str, closed: bool = False) -> float:
     return value
 
 
-_closed_fraction = functools.partial(_fraction, closed=True)  # --anisotropy, --xi
+_closed_fraction = functools.partial(_fraction, closed=True)  # --anisotropy
 
 
 def _sweep_names(text: str) -> tuple:
-    """argparse type of --checks: a comma list of known sweep names."""
+    """argparse type of --checks: a comma list of at least one known sweep name."""
     try:
-        return check_names(t.strip() for t in text.split(",") if t.strip())
+        names = check_names(t.strip() for t in text.split(",") if t.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected at least one sweep name, got {text!r}")
+    return names
 
 
 def _add_gso_flags(sp: argparse.ArgumentParser) -> None:
@@ -614,15 +618,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gso_flags(p)
     _add_shared_flags(p)
 
-    p = sub.add_parser("align", help="alignment report and conditional bound checks")
+    p = sub.add_parser("align", help="alignment report and certified bound checks")
     p.add_argument("--x", help="inputs CSV")
     p.add_argument("--y", help="targets CSV")
     p.add_argument("--k", type=_size, default=2, help="filter taps")
     p.add_argument("--eta", type=_positive, default=1.0, help="learning rate in the budget")
     p.add_argument("--alpha", type=_positive, default=1.0, help="kernel-norm budget")
     p.add_argument("--nu", type=_positive, default=1.0, help="spectral bound for the constants")
-    p.add_argument("--xi", type=_closed_fraction,
-                   help="assumed alignment ratio for conditionals, in (0, 1]")
     _add_gso_flags(p)
     _add_shared_flags(p)
 

@@ -25,7 +25,7 @@ NTK_PSD_RTOL = 1e-8
 
 
 def require_positive_finite(name: str, value: float) -> None:
-    """The one rule for mu, alpha, eta and xi: ValueError unless positive and finite."""
+    """The rule for mu, alpha, eta, kappa, nu and noise: ValueError unless positive and finite."""
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 

@@ -63,7 +63,6 @@ SERIES_BLOCK = 16
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SIGMA_HAT_SUP = 1.0
-TAU_SUP = 1.0
 # beta_constant's closed form, (pi - 2) / 2: the tail ratio in the saturation limit.
 BETA_SATURATION = (1.0 - 2.0 / math.pi) / (2.0 / math.pi)
 
@@ -493,12 +492,12 @@ def verify_ratio_monotonicity(
 
 @dataclass(frozen=True)
 class ExpansionConstants:
-    """Constants entering the alignment lower bounds for a K-tap architecture.
+    """Hermite constants of tanh for a K-tap architecture at spectral bound nu.
 
     ``rho`` is sigma_hat(sum_k nu^{2k})^2 and bounds the squared smallest
     diagonal rescaling of the linear kernel; ``rho_first_layer`` is the
-    tau_0 analogue.  The guarantee/penalty pairs assemble the conditional
-    bound A >= (gain - penalty / xi) A_lin for each layer.
+    tau_0 analogue.  ``beta`` and ``beta_first`` are the layers' tail
+    ratios.  The first-term checks read rho; ``align`` reports all four.
     """
 
     num_taps: int
@@ -508,21 +507,6 @@ class ExpansionConstants:
     rho_first_layer: float
     beta: float
     beta_first: float
-    gain_second_layer: float
-    penalty_second_layer: float
-    gain_first_layer: float
-    penalty_first_layer: float
-
-    # the bound's factor gain - penalty / xi is positive only for xi above
-    # penalty / gain; xi <= 1 by Cauchy-Schwarz, so a threshold >= 1 makes
-    # that layer's bound vacuous on every instance
-    @property
-    def xi_threshold_second_layer(self) -> float:
-        return self.penalty_second_layer / self.gain_second_layer
-
-    @property
-    def xi_threshold_first_layer(self) -> float:
-        return self.penalty_first_layer / self.gain_first_layer
 
 
 def expansion_constants(num_taps: int, spectral_bound: float = 1.0) -> ExpansionConstants:
@@ -531,22 +515,14 @@ def expansion_constants(num_taps: int, spectral_bound: float = 1.0) -> Expansion
     if not (spectral_bound > 0 and math.isfinite(spectral_bound)):
         raise ValueError("spectral_bound must be positive and finite")
     norm_sq = float(np.sum(spectral_bound ** (2.0 * np.arange(num_taps))))
-    rho = float(sigma_hat(norm_sq)) ** 2
-    rho1 = float(coeff_tau(0, norm_sq)) ** 2
-    beta = BETA_SATURATION
-    beta1 = beta_first_layer(norm_sq).value
     return ExpansionConstants(
         num_taps=num_taps,
         spectral_bound=spectral_bound,
         norm_sq_bound=norm_sq,
-        rho=rho,
-        rho_first_layer=rho1,
-        beta=beta,
-        beta_first=beta1,
-        gain_second_layer=rho * (1.0 + beta / 2.0),
-        penalty_second_layer=(beta / 2.0) * (SIGMA_HAT_SUP / rho) ** 2,
-        gain_first_layer=rho1 * (1.0 + beta1 / 2.0),
-        penalty_first_layer=(beta1 / 2.0) * (TAU_SUP / rho1) ** 2,
+        rho=float(sigma_hat(norm_sq)) ** 2,
+        rho_first_layer=float(coeff_tau(0, norm_sq)) ** 2,
+        beta=BETA_SATURATION,
+        beta_first=beta_first_layer(norm_sq).value,
     )
 
 

@@ -274,22 +274,3 @@ def save_params(path, params) -> None:
         fh.write(json.dumps(header) + "\n")
         fh.write(format_rows(flat[None, :]))
 
-
-def load_params(path):
-    """Read ``save_params`` output; a gnn2 header must name tanh as its activation."""
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        values = np.array([float(v) for v in fh.readline().strip().split(",")])
-    if header.get("schema_version") != PARAMS_SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {header.get('schema_version')!r}")
-    kind = header["kind"]
-    if kind == "filter":
-        like = FilterParams(np.zeros(header["num_taps"]))
-    elif kind == "gnn2":
-        if header.get("activation") != "tanh":
-            raise ValueError(f"unsupported activation {header.get('activation')!r}; only tanh")
-        shape = (header["width"], header["num_taps"])
-        like = TwoLayerGnnParams(np.zeros(shape), np.zeros(shape))
-    else:
-        raise ValueError(f"unknown params kind {kind!r}")
-    return unflatten_params(values, like)

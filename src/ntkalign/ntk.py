@@ -162,7 +162,8 @@ class ExpectationMatrix:
     ``zero_rows`` lists stacked indices whose shift profile vanishes; their
     rows and columns are defined as 0.  For the series methods
     ``truncation_residual`` bounds the entrywise error against the
-    untruncated series.
+    untruncated series, and ``leading`` is the coefficient column c_0 of
+    the series' degree-1 term B = c_0 c_0' * rho.
     """
 
     matrix: np.ndarray
@@ -170,6 +171,7 @@ class ExpectationMatrix:
     zero_rows: tuple = ()
     truncation_residual: float | None = None
     info: dict = field(default_factory=dict)
+    leading: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_array(self.matrix, ndim=2))
@@ -258,7 +260,8 @@ def expectation_E_series(z: TapStack) -> ExpectationMatrix:
     norms, rho, zero_rows = z.correlations
     coeffs, _, degree, residual, n_points = hermite_series(np.tanh, norms, 1)
     info = {"max_degree": degree, "n_points": n_points}
-    return ExpectationMatrix(_mehler_sum(coeffs, rho), "series", zero_rows, residual, info)
+    e = _mehler_sum(coeffs, rho)
+    return ExpectationMatrix(e, "series", zero_rows, residual, info, coeffs[:, 0])
 
 
 def expectation_E_first_layer_series(z: TapStack) -> ExpectationMatrix:
@@ -276,8 +279,9 @@ def expectation_E_first_layer_series(z: TapStack) -> ExpectationMatrix:
         sech2, norms, 0, row_weight=norms * norms
     )
     info = {"max_degree": degree, "n_points": n_points}
-    e1 = _mehler_sum(coeffs * norms[:, None], rho)
-    return ExpectationMatrix(e1, "first_layer_series", zero_rows, residual, info)
+    coeffs *= norms[:, None]
+    e1 = _mehler_sum(coeffs, rho)
+    return ExpectationMatrix(e1, "first_layer_series", zero_rows, residual, info, coeffs[:, 0])
 
 
 def expectation_E_first_layer(

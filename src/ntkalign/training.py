@@ -69,8 +69,8 @@ class TrainConfig:
     ``delta_budget`` is the failure probability in the kernel-regime
     slack: an initialization scale kappa = eps sqrt(delta/(nM)) keeps the
     finite-width deviation terms O(eps) with probability 1 - delta
-    (``kappa_for_budget``, ``slack_from_kappa``).  eta and kappa must be
-    positive and finite.
+    (``kappa_for_budget``, ``slack_from_kappa``), so it lies in (0, 1).
+    eta and kappa must be positive and finite.
     """
 
     eta: float
@@ -90,8 +90,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 0 (0 = full batch)")
         if self.optimizer not in ("gd", "adam"):
             raise ValueError(f"optimizer must be 'gd' or 'adam', got {self.optimizer!r}")
-        if self.delta_budget <= 0:
-            raise ValueError("delta_budget must be > 0")
+        if not 0.0 < self.delta_budget < 1.0:  # a probability; NaN fails too
+            raise ValueError(f"delta_budget must lie in (0, 1), got {self.delta_budget}")
 
 
 def kappa_for_budget(eps: float, delta: float, num_nodes: int, num_samples: int) -> float:

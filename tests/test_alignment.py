@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from ntkalign.alignment import (
 from ntkalign.core import Dataset, NtkMatrix, ShiftOperator, stack
 from ntkalign.hermite import coeff_g, coeff_tau, expansion_constants
 from ntkalign.ntk import (
+    expectation_E_first_layer,
     expectation_E_first_layer_series,
     expectation_E_quadrature,
     expectation_E_series,
@@ -320,68 +322,72 @@ def test_alignment_terms_peak_memory():
     assert peak <= 6 * 8 * 1000**2
 
 
+def dense_c_data(report, s, data, k, layer):
+    """c_data with Q = Zy Zy' formed as an nM x nM array and B from ``_leading_term``."""
+    z = z_vectors(s, data.x, k)
+    q = filter_ntk(s, data.y, k).matrix
+    b = alignment_module._leading_term(z, layer)
+    e = (expectation_E_series if layer == "second" else expectation_E_first_layer_series)(z)
+    tail = np.linalg.norm(e.matrix - b) + q.shape[0] * e.truncation_residual
+    return (np.sum(q * b) - np.linalg.norm(q) * tail) / report.a_lin
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("build", [random_instance, planted_instance])
+def test_c_data_matches_dense_computation(build, seed):
+    s, data, k = build(seed)
+    report = alignment_report(s, data, k)
+    assert report.c_data == pytest.approx(dense_c_data(report, s, data, k, "second"), rel=1e-12)
+    assert report.c_data_first_layer == pytest.approx(
+        dense_c_data(report, s, data, k, "first"), rel=1e-12)
+
+
 class TestConditionalAlignmentChecks:
-    def test_skips_when_requested_xi_exceeds_observed(self):
-        report = alignment_report(*random_instance(11))  # measured xi ~ 0.70
-        rep = check_gnn_alignment_lower_bound(report, xi=0.99)
-        assert rep.skipped
-        assert rep.verdict == "skipped"
-        assert "assumption" in rep.reason
-        assert not math.isfinite(rep.margin)
-
-    def test_runs_when_requested_xi_is_met(self):
-        report = alignment_report(*planted_instance(1))
-        assert report.xi_observed >= 0.3
-        rep = check_gnn_alignment_lower_bound(report, xi=0.3)
-        assert not rep.skipped
-        # 0.3 is below the threshold penalty / gain, so the bound asserts nothing
-        assert rep.vacuous and not rep.passed
-        assert rep.lhs >= rep.rhs
-
     @pytest.mark.parametrize(
         "check", [check_gnn_alignment_lower_bound, check_first_layer_alignment_lower_bound]
     )
     def test_planted_instances_pass(self, check):
-        for seed in range(40):
+        # c_data A_lin <= A holds on every instance; on planted ones c_data > 0
+        for seed in range(200):
             rep = check(alignment_report(*planted_instance(seed)))
-            assert rep.verdict != "failed"
-            # saturating activations keep rho well below the tail weight on
-            # this domain, so the factor is nonpositive and the bound, vacuous,
-            # holds with room to spare
-            if not rep.skipped:
-                assert rep.vacuous
-                assert rep.details["factor"] <= 0
-                assert rep.lhs >= -1e-12
+            assert rep.verdict == "passed", seed
+            assert rep.details["c_data"] > 0
+            assert rep.rhs <= rep.lhs
+
+    @pytest.mark.parametrize("layer", ["second", "first"])
+    def test_c_data_bounds_the_untruncated_alignment(self, layer):
+        # the pair quadrature stands in for the untruncated E, to about 1e-8
+        reference = {"second": expectation_E_quadrature, "first": expectation_E_first_layer}
+        for seed in range(8):
+            s, data, k = planted_instance(seed)
+            report = alignment_report(s, data, k)
+            z = z_vectors(s, data.x, k)
+            e = reference[layer](z).matrix
+            a = float(np.sum(filter_ntk(s, data.y, k).matrix * e))
+            c = report.c_data if layer == "second" else report.c_data_first_layer
+            assert c * report.a_lin <= a + 1e-8 * a
 
     @pytest.mark.parametrize("num_taps", [1, 2, 3, 4])
     @pytest.mark.parametrize("nu", [0.1, 0.25, 0.5, 1.0])
     def test_xi_thresholds_exceed_one(self, num_taps, nu):
-        # xi_observed <= 1 by Cauchy-Schwarz, so neither bound can bind
+        # why c_data replaced the a-priori bound A >= (gain - penalty / xi) A_lin:
+        # its factor is positive only for xi above penalty / gain, above 1 for
+        # every K and nu here, while xi_observed <= 1 by Cauchy-Schwarz
         consts = expansion_constants(num_taps, nu)
-        for layer in ("second", "first"):
-            threshold = getattr(consts, f"xi_threshold_{layer}_layer")
-            gain = getattr(consts, f"gain_{layer}_layer")
-            assert threshold == getattr(consts, f"penalty_{layer}_layer") / gain
-            assert threshold > 1.0
+        for rho, beta in ((consts.rho, consts.beta), (consts.rho_first_layer, consts.beta_first)):
+            gain, penalty = rho * (1.0 + beta / 2.0), (beta / 2.0) / rho**2
+            assert penalty / gain > 1.0
 
-    @pytest.mark.parametrize(
-        "a_value, xi_obs, gain, penalty, xi, verdict",
-        [
-            (2.0, 0.5, 4.0, 1.0, None, "passed"),  # factor 4 - 1/0.5 = 2, A = 2 >= 2 A_lin
-            (1.0, 0.5, 4.0, 1.0, None, "failed"),  # A = 1 < 2 A_lin
-            (2.0, 0.5, 4.0, 1.0, 0.8, "skipped"),  # xi_observed below the requested 0.8
-            (2.0, 0.5, 1.0, 1.0, None, "vacuous"),  # factor 1 - 1/0.5 = -1
-            (2.0, 0.5, 2.0, 1.0, None, "vacuous"),  # factor 0 at the threshold xi = 1/2
-        ],
-    )
-    def test_conditional_check_verdicts(self, a_value, xi_obs, gain, penalty, xi, verdict):
-        rep = alignment_module._conditional_alignment_check(
-            "synthetic", a_value, 1.0, xi_obs, gain, penalty, xi
-        )
-        assert rep.verdict == verdict
-        assert rep.passed == (verdict == "passed")
-        assert rep.vacuous == (verdict == "vacuous")
-        assert rep.skipped == (verdict == "skipped")
+    def test_not_positive_c_data_is_vacuous(self):
+        report = alignment_report(*random_instance(1))  # c_data -1.25 and -5.54
+        for check in (check_gnn_alignment_lower_bound, check_first_layer_alignment_lower_bound):
+            rep = check(report)
+            assert rep.details["c_data"] <= 0
+            assert rep.verdict == "vacuous" and rep.vacuous and not rep.passed
+            assert rep.lhs >= rep.rhs
+        # A_lin = 0 leaves c_data undefined: NaN, and the bound says nothing
+        rep = check_gnn_alignment_lower_bound(replace(report, c_data=math.nan, a_lin=0.0))
+        assert rep.verdict == "vacuous" and not rep.passed
 
     def test_sweep_counts_vacuous_apart_from_violations(self):
         vacuous = CheckReport(name="x", passed=False, lhs=1.0, rhs=-1.0, margin=2.0, vacuous=True)
@@ -390,13 +396,12 @@ class TestConditionalAlignmentChecks:
         assert (result.vacuous, result.violations, result.failing_seeds) == (2, 1, (1,))
         assert result.worst_margin == -1.0
 
-    def test_conditional_sweeps_are_vacuous_not_violations(self):
+    def test_conditional_sweeps_certify_every_instance(self):
         names = ("gnn_alignment_lower_bound", "first_layer_alignment_lower_bound")
         for result in run_inequality_sweeps(num_instances=20, checks=names).values():
-            assert result.violations == 0
-            assert result.vacuous + result.skipped == 20
-            assert result.vacuous > 0
-            assert result.to_dict()["vacuous"] == result.vacuous
+            assert (result.violations, result.vacuous) == (0, 0)
+            assert result.worst_margin >= 0
+            assert "skipped" not in result.to_dict()
 
 
 def test_planted_targets_are_exact_filter_outputs():
@@ -417,8 +422,9 @@ def test_alignment_report_fields_and_payload():
     payload = report.to_dict()
     for key in ("a", "a_filt", "a_lin", "a_lower", "a_lin_lower", "xi_observed", "rho", "beta"):
         assert key in payload
-    assert payload["gain_second_layer"] > 0
-    assert payload["penalty_second_layer"] > 0
+    assert payload["c_data"] == report.c_data
+    assert payload["c_data_first_layer"] == report.c_data_first_layer
+    assert not any(key.startswith(("gain_", "penalty_", "xi_threshold")) for key in payload)
 
 
 def test_quadrature_alignment_matches_series_alignment():
@@ -478,4 +484,5 @@ def test_optimality_sweep_requires_two_taps():
 def test_check_report_is_plain_data():
     rep = CheckReport(name="x", passed=True, lhs=1.0, rhs=0.5, margin=0.5)
     assert rep.details == {}
-    assert not rep.skipped
+    assert not rep.vacuous
+    assert rep.verdict == "passed"

@@ -45,22 +45,11 @@ def fraction_error(subcommand, flag, value, domain="(0, 1]"):
 
 # every flag that rejects the non-positive and non-finite reals, by subcommand
 POSITIVE_FLAGS = [
-    ("align", "eta"), ("align", "alpha"), ("align", "nu"), ("align", "xi"),
+    ("align", "eta"), ("align", "alpha"), ("align", "nu"),
     ("optimize-gso", "mu"), ("optimize-gso", "alpha"), ("optimize-gso", "eta"),
     ("train", "eta"), ("train", "kappa"), ("compare", "eta"), ("compare", "kappa"),
     ("verify-bounds", "alpha"), ("verify-bounds", "eta"),
 ]
-
-# the flags among them whose domain is (0, 1], which their error message names
-FRACTION_FLAGS = {("align", "xi")}
-
-
-def bad_value_error(subcommand, flag, value):
-    """The last stderr line when a positive or fraction flag gets a bad value."""
-    if (subcommand, flag) in FRACTION_FLAGS:
-        return fraction_error(subcommand, flag, value)
-    return flag_error(subcommand, flag, value)
-
 
 # every flag whose domain is the integers >= 1, by subcommand
 SIZE_FLAGS = [
@@ -162,7 +151,7 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert run(subcommand, *inputs, f"--{flag}={value}", "--out-dir", out) == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == bad_value_error(subcommand, flag, value)
+        assert last == flag_error(subcommand, flag, value)
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-2"])
@@ -194,10 +183,7 @@ class TestUsageErrors:
         assert err.splitlines()[-1] == flag_error(subcommand, flag, value, low=0)
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("xi", "nan"), ("xi", "inf"), ("xi", "-0.5"), ("alpha", "nan"), ("eta", "inf")],
-    )
+    @pytest.mark.parametrize("flag, value", [("alpha", "nan"), ("eta", "inf")])
     def test_align_rejects_non_positive_or_non_finite(
         self, tiny_data, tmp_path, capsys, flag, value
     ):
@@ -206,20 +192,19 @@ class TestUsageErrors:
         code = run("align", "--x", x_path, "--y", y_path, f"--{flag}", value, "--out-dir", out)
         assert code == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == bad_value_error("align", flag, value)
+        assert last == flag_error("align", flag, value)
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("value", ["1.5", "2"])
-    def test_align_xi_rejects_value_above_one(self, tiny_data, tmp_path, capsys, value):
-        # xi_observed <= 1 by Cauchy-Schwarz: an --xi above 1 would skip every check;
-        # its non-positive and non-finite values run with the positive flags
+    def test_align_has_no_xi_flag(self, tiny_data, tmp_path, capsys):
+        # the certified checks assume no alignment level, so there is none to pass
         _, _, x_path, y_path = tiny_data
         out = tmp_path / "out"
-        assert run("align", "--x", x_path, "--y", y_path, f"--xi={value}", "--out-dir", out) == 2
-        assert capsys.readouterr().err.splitlines()[-1] == fraction_error("align", "xi", value)
+        assert run("align", "--x", x_path, "--y", y_path, "--xi", "0.5", "--out-dir", out) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "ntkalign: error: unrecognized arguments: --xi 0.5")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("eta", "inf"), ("alpha", "nan"), ("xi", "-1")])
+    @pytest.mark.parametrize("flag, value", [("eta", "inf"), ("alpha", "nan")])
     def test_align_rejects_budget_before_building_a_kernel(
         self, tiny_data, tmp_path, capsys, monkeypatch, flag, value
     ):
@@ -232,7 +217,7 @@ class TestUsageErrors:
                    "--out-dir", tmp_path / "out")
         assert code == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == bad_value_error("align", flag, value)
+        assert last == flag_error("align", flag, value)
 
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_gen_data_non_finite_noise_exit_2(self, tmp_path, capsys, noise):
@@ -683,32 +668,28 @@ class TestAlignCommand:
         checks = report["conditional_checks"]
         assert set(checks) == {"gnn_alignment_lower_bound",
                                "first_layer_alignment_lower_bound"}
-        for entry in checks.values():
-            # penalty / gain > 1 >= xi_observed: both bounds are vacuous, which is no failure
-            assert entry["verdict"] == "vacuous"
-            assert entry["vacuous"] and not entry["passed"] and not entry["skipped"]
-        for layer in ("second", "first"):
-            assert block[f"xi_threshold_{layer}_layer"] > 1.0
-        assert report["summary"].endswith(
-            "vacuous: gnn_alignment_lower_bound, first_layer_alignment_lower_bound")
+        factors = {"gnn_alignment_lower_bound": block["c_data"],
+                   "first_layer_alignment_lower_bound": block["c_data_first_layer"]}
+        for name, entry in checks.items():
+            assert set(entry) == {"verdict", "passed", "vacuous", "margin", "details"}
+            assert entry["details"] == {"c_data": factors[name]}
+            # the bound holds on every instance; it says something where c_data > 0
+            assert entry["verdict"] == ("passed" if factors[name] > 0 else "vacuous")
+        assert not any(key.startswith(("gain_", "penalty_", "xi_threshold")) for key in block)
+        assert report["summary"].startswith(f"A = {block['a']:.6g}, c_data = ")
 
-    def test_skipped_checks_do_not_pass(self, tmp_path):
-        # the README generator at --m-train 10 measures xi_observed ~ 0.20,
-        # below the requested 0.3, so both checks test nothing
+    def test_readme_data_certifies_both_layers(self, tmp_path):
         data = tmp_path / "data"
-        assert run("gen-data", "--n", 20, "--len", 1000, "--dt", 1, "--m-train", 10,
+        assert run("gen-data", "--n", 20, "--len", 1000, "--dt", 1, "--m-train", 100,
                    "--anisotropy", 0.6, "--seed", 1, "--out-dir", data) == 0
         out = tmp_path / "out"
         assert run("align", "--x", data / "x_train.csv", "--y", data / "y_train.csv",
-                   "--nu", 0.8, "--xi", 0.3, "--out-dir", out) == 0
+                   "--out-dir", out) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["alignment"]["xi_observed"] < 0.3
-        checks = report["conditional_checks"]
-        assert len(checks) == 2
-        for entry in checks.values():
-            assert entry["verdict"] == "skipped"
-            assert entry["skipped"] and not entry["passed"] and not entry["vacuous"]
-            assert "assumption not met" in entry["reason"]
+        assert report["alignment"]["c_data"] == pytest.approx(0.8805, abs=1e-4)
+        assert report["alignment"]["c_data_first_layer"] == pytest.approx(0.8627, abs=1e-4)
+        for entry in report["conditional_checks"].values():
+            assert entry["verdict"] == "passed" and entry["passed"]
 
     def test_each_kernel_builder_runs_once(self, tiny_data, tmp_path, monkeypatch):
         calls = {}
@@ -1102,8 +1083,10 @@ class TestVerifyCommands:
             (["--optimality-instances", "-1"],
              "argument --optimality-instances: expected an integer >= 0, got '-1'"),
             (["--instances", "two"], "argument --instances: expected an integer >= 0, got 'two'"),
+            (["--checks=", "--optimality-instances", "0"],
+             "argument --checks: expected at least one sweep name, got ''"),
         ],
-        ids=["unknown-after-known", "instances", "optimality-instances", "not-int"],
+        ids=["unknown-after-known", "instances", "optimality-instances", "not-int", "no-checks"],
     )
     def test_verify_bounds_rejects_bad_input_before_any_sweep(
         self, tmp_path, capsys, monkeypatch, args, error

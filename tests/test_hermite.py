@@ -491,13 +491,9 @@ class TestExpansionConstants:
         ec = hm.expansion_constants(2)
         assert ec.norm_sq_bound == pytest.approx(2.0)
         assert ec.rho == pytest.approx(hm.sigma_hat(2.0) ** 2, abs=1e-12)
-        assert ec.gain_second_layer == pytest.approx(ec.rho * (1 + ec.beta / 2), abs=1e-15)
-        assert ec.penalty_second_layer == pytest.approx(
-            (ec.beta / 2) * (1.0 / ec.rho) ** 2, abs=1e-12
-        )
-        assert ec.gain_first_layer == pytest.approx(
-            ec.rho_first_layer * (1 + ec.beta_first / 2), abs=1e-15
-        )
+        assert ec.rho_first_layer == pytest.approx(hm.coeff_tau(0, 2.0) ** 2, abs=1e-12)
+        assert ec.beta == hm.BETA_SATURATION
+        assert ec.beta_first == hm.beta_first_layer(2.0).value
 
     def test_beta_is_the_closed_form_without_the_partial_sum(self, monkeypatch):
         exact = hm.beta_constant().value

@@ -48,6 +48,15 @@ def test_script_exits_cleanly(name, argv, tmp_path):
             assert np.all(np.isfinite(values))
 
 
+@pytest.mark.parametrize("flag", ["--instances", "--optimality-instances"])
+def test_verify_constants_rejects_a_negative_count(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        load_script("verify_constants").main([flag, "-5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument {flag}: expected an integer >= 0, got '-5'")
+
+
 def test_verify_constants_prints_the_bessel_excess(capsys):
     assert load_script("verify_constants").main(
         ["--instances", "1", "--optimality-instances", "1"]) == 0

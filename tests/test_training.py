@@ -69,6 +69,11 @@ class TestTrainConfig:
             {"eta": math.inf, "epochs": 1},
             {"eta": 0.1, "epochs": 1, "kappa": math.nan},
             {"eta": 0.1, "epochs": 1, "kappa": math.inf},
+            # delta_budget is a failure probability: in (0, 1), so NaN and inf too
+            {"eta": 0.1, "epochs": 1, "delta_budget": math.nan},
+            {"eta": 0.1, "epochs": 1, "delta_budget": math.inf},
+            {"eta": 0.1, "epochs": 1, "delta_budget": 0.0},
+            {"eta": 0.1, "epochs": 1, "delta_budget": 1.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
