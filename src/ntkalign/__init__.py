@@ -9,7 +9,6 @@ from .alignment import (
     alignment_report,
     optimality_sweep,
     run_inequality_sweeps,
-    xi_observed,
 )
 from .core import (
     Dataset,
@@ -60,7 +59,6 @@ from .training import (
     TrainTrace,
     check_training_sandwich,
     compare_gso,
-    generalization_bound,
     kappa_for_budget,
     linearized_dynamics,
     ntk_drift,
@@ -97,7 +95,6 @@ __all__ = [
     "expansion_constants",
     "extract_pairs",
     "filter_ntk",
-    "generalization_bound",
     "generate_var",
     "gnn_infinite_ntk",
     "gnn_monte_carlo_ntk",
@@ -117,6 +114,5 @@ __all__ = [
     "solve_optimal_gso",
     "stack",
     "train",
-    "xi_observed",
     "__version__",
 ]

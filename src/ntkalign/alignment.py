@@ -115,14 +115,9 @@ def _q_norm(zy: np.ndarray) -> float:
 
 
 def _xi(a_lin: float, q_norm: float, z: np.ndarray) -> float:
+    """A_lin / (||Q||_F ||B_lin||_F): A_lin as a fraction of its Cauchy-Schwarz ceiling."""
     denom = q_norm * np.linalg.norm(z.T @ z)  # ||B_lin||_F = ||Z^T Z||_F
     return 0.0 if denom == 0.0 else a_lin / denom
-
-
-def xi_observed(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
-    """A_lin / (||Q||_F ||B_lin||_F): A_lin as a fraction of its Cauchy-Schwarz ceiling."""
-    z, zy, c = _tap_stacks(s, data, num_taps)
-    return _xi(float(np.sum(c * c)), _q_norm(zy.matrix), z.matrix)
 
 
 @dataclass(frozen=True)
@@ -205,15 +200,15 @@ def check_budget_implies_kernel_bound(
     )
 
 
-def _leading_term(z: TapStack, layer: str) -> np.ndarray:
-    """B = c c' * rho, the degree-1 term of the layer's odd Mehler series.
+def _leading_term(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """B = c c' * rho, the degree-1 term of a layer's odd Mehler series.
 
     c is g_1(|z|) for the second layer's E and tau_0(|z|^2) |z| for the
     first layer's E1, whose B is then tau_0 tau_0' <z_a, z_b>.
     """
-    norms, rho, _ = z.correlations
-    c = coeff_g(1, norms) if layer == "second" else coeff_tau(0, norms**2) * norms
-    return np.outer(c, c) * rho
+    b = np.outer(c, c)
+    b *= rho
+    return b
 
 
 def check_first_term_lower_bound(
@@ -243,11 +238,12 @@ def check_first_term_lower_bound(
         raise ValueError(f"operator norm {op_norm:.6f} exceeds spectral bound {spectral_bound}")
     z, zy, c = _tap_stacks(s, data, num_taps)
     consts = expansion_constants(num_taps, spectral_bound)
-    b = _leading_term(z, layer)
+    norms, corr, _ = z.correlations
+    lead = coeff_g(1, norms) if layer == "second" else coeff_tau(0, norms**2) * norms
     rho = consts.rho if layer == "second" else consts.rho_first_layer
     return _verdict(
         f"first_term_lower_bound_{layer}",
-        _trace_q(zy.matrix, b),
+        _trace_q(zy.matrix, _leading_term(lead, corr)),
         rho * float(np.sum(c * c)),
         rho=rho,
     )
@@ -261,8 +257,9 @@ def check_series_tail_domination(z: TapStack) -> CheckReport:
     smaller.  beta is the exact closed-form series ratio at the saturation
     limit.
     """
-    b = _leading_term(z, "second")
-    delta = expectation_E_series(z).matrix - b
+    e = expectation_E_series(z)
+    b = _leading_term(e.leading, z.correlations[1])
+    delta = e.matrix - b
     beta = BETA_SATURATION
     meaningful = (np.abs(b) > SIGN_ZERO_ATOL) & (np.abs(delta) > SIGN_ZERO_ATOL)
     sign_violations = int(np.count_nonzero((np.sign(b) * np.sign(delta) < 0) & meaningful))
@@ -314,7 +311,7 @@ class AlignmentReport:
         c = self.constants
         return {
             **{k: v for k, v in asdict(self).items()
-               if k not in ("a_first_layer", "constants", "layers")},
+               if k not in ("constants", "layers")},
             "rho": c.rho,
             "rho_first_layer": c.rho_first_layer,
             "beta": c.beta,
@@ -331,8 +328,7 @@ def _certified_factor(e: ExpectationMatrix, rho, zy, q_norm: float, a_lin: float
     on tr(Q (E - B)), A >= c_data A_lin for the untruncated E and for its
     truncation alike.  NaN when A_lin = 0.
     """
-    b = np.outer(e.leading, e.leading)
-    b *= rho
+    b = _leading_term(e.leading, rho)
     lower = _trace_q(zy, b)
     np.subtract(e.matrix, b, out=b)
     tail = float(np.linalg.norm(b)) + b.shape[0] * e.truncation_residual

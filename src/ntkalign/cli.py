@@ -519,7 +519,7 @@ COMMANDS = {
 
 
 def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    sp.add_argument("--seed", type=_count, default=0, help="master RNG seed")
     sp.add_argument("--out-dir", default=".", help="directory for artifacts")
     sp.add_argument("--config", help="key = value settings file (flags win)")
     sp.add_argument(
@@ -531,7 +531,7 @@ def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _count(text: str, low: int = 0) -> int:
-    """argparse type of a count (instances, epochs, batch size, horizon): an integer >= ``low``."""
+    """argparse type of a count (instances, epochs, batch size, horizon) or seed: an int >= ``low``."""
     if not re.fullmatch(r"\s*\+?\d+\s*", text) or int(text) < low:
         raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return int(text)

@@ -242,13 +242,6 @@ class NtkMatrix:
     def operator_norm(self) -> float:
         return float(np.abs(self.eigenvalues).max(initial=0.0))
 
-    @property
-    def frobenius_norm(self) -> float:
-        """||Theta~||_F; for a factored kernel ||F' F||_F, which is equal."""
-        if self.factor is None:
-            return float(np.linalg.norm(self._dense))
-        return float(np.linalg.norm(self.factor.T @ self.factor))
-
     def rank_estimate(self, rtol: float = 1e-10) -> int:
         cutoff = rtol * max(self.operator_norm, 1e-300)
         return int(np.count_nonzero(self.eigenvalues > cutoff))

@@ -12,20 +12,14 @@ Passes and the descent work on the flat parameter vector; a params object
 is built only where a model is needed.  Because a filter is linear,
 its gradient-descent trace is reproduced exactly by the constant-kernel
 dynamics r_{t+1} = (I - eta Theta~) r_t with Theta~ = Z Z', which is what
-the sandwich check, the parameter-movement prediction, and the
-generalization bound all lean on.
-
-The generalization sandwich is evaluated with the target projected onto
-the kernel's range.  The unprojected form is not an identity: a filter
-kernel has rank at most K, and any null-space component of the target
-breaks the lower bound.
+the sandwich check and the parameter-movement prediction lean on.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +33,8 @@ from .core import (
     require_positive_finite,
     stack,
 )
-from .models import (  # filter_jacobian and gnn2_forward stay bound here for perfbench/tracer.py
+# filter_forward, filter_jacobian and gnn2_forward stay bound here for perfbench/tracer.py
+from .models import (
     FilterParams,
     InitConfig,
     TwoLayerGnnParams,
@@ -461,108 +456,17 @@ def check_training_sandwich(
     )
 
 
-def _range_coefficients(theta, y):
-    """Eigenvalues above PINV_RTOL lambda_max and y's coefficients on their eigenvectors."""
-    evals, vecs = _eigenpairs(theta)
-    keep = evals > PINV_RTOL * max(evals.max(initial=0.0), 0.0)
-    return evals[keep], vecs[:, keep].T @ as_stacked(y)
-
-
 def pinv_quadratic(theta, y) -> float:
     """y~' pinv(Theta~) y~ with eigenvalues below 1e-10 lambda_max dropped."""
-    evals, coeffs = _range_coefficients(theta, y)
-    return float(np.sum(coeffs * coeffs / evals))
+    evals, vecs = _eigenpairs(theta)
+    keep = evals > PINV_RTOL * max(evals.max(initial=0.0), 0.0)
+    coeffs = vecs[:, keep].T @ as_stacked(y)
+    return float(np.sum(coeffs * coeffs / evals[keep]))
 
 
 def predicted_param_movement(theta, y) -> float:
     """sqrt(y~' pinv(Theta~) y~), the kernel-regime parameter displacement."""
     return math.sqrt(pinv_quadratic(theta, y))
-
-
-def rademacher_bound_value(
-    s: ShiftOperator, data: Dataset, num_taps: int, b: float, rho_clip: float
-) -> float:
-    """B rho sqrt(2K max_{k,i} ||S^k x_i||^2 / M)."""
-    if b < 0:
-        raise ValueError("movement radius must be >= 0")
-    blocks = z_vectors(s, data.x, num_taps).blocks  # (M, n, K)
-    max_sq = float(np.max(np.sum(blocks * blocks, axis=1)))
-    return b * rho_clip * math.sqrt(2.0 * num_taps * max_sq / data.num_samples)
-
-
-@dataclass(frozen=True)
-class GeneralizationBound:
-    """Bound value with its two terms and the alignment sandwich.
-
-    The sandwich brackets ``pinv_quadratic`` between ||y_r||^4 / A and
-    (lambda_max / lambda_min+) ||y_r||^4 / A, where y_r is the target
-    projected onto the kernel's range; with a unit-norm in-range target
-    this is the plain 1/A form.
-    """
-
-    value: float
-    rademacher_term: float
-    concentration_term: float
-    pinv_quadratic: float
-    alignment: float
-    sandwich_lower: float
-    sandwich_upper: float
-    rho: float
-    movement_bound: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def generalization_bound(
-    s: ShiftOperator,
-    data: Dataset,
-    num_taps: int,
-    cfg: TrainConfig,
-    rho_clip: float | None = None,
-    b_movement: float | None = None,
-    params=None,
-) -> GeneralizationBound:
-    """Generalization gap bound for graph filters, plus the 1/A sandwich.
-
-    rho defaults to the largest per-sample residual, of the given params
-    or of the zero predictor (the small-kappa anchor) when none are given.
-    """
-    theta = filter_ntk(s, data.x, num_taps)
-    y_st = stack(data.y)
-    a = theta.quadratic_form(y_st)
-    scale = theta.frobenius_norm * float(y_st @ y_st)
-    if a <= 1e-12 * max(scale, 1e-300):
-        raise ValueError("alignment is zero; the sandwich and the bound are undefined")
-
-    if rho_clip is None:
-        preds = filter_forward(s, params, data.x) if params is not None else 0.0
-        rho = float(np.linalg.norm(data.y - preds, axis=0).max())
-    else:
-        rho = float(rho_clip)
-
-    pq = pinv_quadratic(theta, y_st)
-    movement = float(b_movement) if b_movement is not None else math.sqrt(pq)
-    rademacher_term = 2.0 * rademacher_bound_value(s, data, num_taps, movement, rho)
-    concentration_term = 4.0 * rho**2 * math.sqrt(
-        2.0 * math.log(4.0 / cfg.delta_budget) / data.num_samples
-    )
-
-    evals, coeffs = _range_coefficients(theta, y_st)
-    range_sq = float(coeffs @ coeffs)
-    lam_max = float(evals.max()) if evals.size else 0.0
-    lam_min = float(evals.min()) if evals.size else 0.0
-    return GeneralizationBound(
-        value=rademacher_term + concentration_term,
-        rademacher_term=rademacher_term,
-        concentration_term=concentration_term,
-        pinv_quadratic=pq,
-        alignment=a,
-        sandwich_lower=range_sq**2 / a,
-        sandwich_upper=(lam_max / lam_min) * range_sq**2 / a if lam_min > 0 else math.inf,
-        rho=rho,
-        movement_bound=movement,
-    )
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from ntkalign.alignment import (
     planted_instance,
     random_instance,
     run_inequality_sweeps,
-    xi_observed,
 )
 from ntkalign.core import Dataset, NtkMatrix, ShiftOperator, stack
 from ntkalign.hermite import coeff_g, coeff_tau, expansion_constants
@@ -50,6 +49,12 @@ def random_shift(rng, n):
 
 def random_dataset(rng, n, m):
     return Dataset(rng.standard_normal((n, m)), rng.standard_normal((n, m))).normalized()
+
+
+def closed_form_leading(z, layer):
+    """c of the degree-1 term B = c c' * rho: g_1(|z|), or tau_0(|z|^2) |z| for the first layer."""
+    norms = z.norms
+    return coeff_g(1, norms) if layer == "second" else coeff_tau(0, norms**2) * norms
 
 
 def dense_block_shift(s, num_samples):
@@ -91,7 +96,6 @@ def test_factored_alignment_terms_match_dense_formulas(seed):
     assert terms.a == pytest.approx(float(np.sum(q * e.matrix)), rel=1e-12)
     assert terms.a_first_layer == pytest.approx(float(np.sum(q * e1.matrix)), rel=1e-12)
     assert terms.xi_observed == pytest.approx(xi, rel=1e-12)
-    assert xi_observed(s, data, k) == pytest.approx(xi, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -210,10 +214,10 @@ def test_lower_bounds_hold_across_random_instances():
 def test_xi_observed_unit_interval_and_target_scale_invariance():
     for seed in range(100):
         s, data, k = random_instance(seed)
-        xi = xi_observed(s, data, k)
+        xi = alignment_report(s, data, k).xi_observed
         assert -1e-12 <= xi <= 1.0 + 1e-12
         doubled = Dataset(data.x, 2.0 * data.y)
-        assert xi_observed(s, doubled, k) == pytest.approx(xi, rel=1e-10)
+        assert alignment_report(s, doubled, k).xi_observed == pytest.approx(xi, rel=1e-10)
 
 
 class TestBudgetCheck:
@@ -286,14 +290,30 @@ class TestFirstTermCheck:
         z = z_vectors(s, x, k)
         norms, rho, zero_rows = z.correlations
         assert bool(zero_rows) == (zero_column is not None)
-        first = alignment_module._leading_term(z, "first")
+        first = alignment_module._leading_term(closed_form_leading(z, "first"), rho)
         tau0 = coeff_tau(0, norms**2)
         expected = np.outer(tau0, tau0) * z.gram()
         assert np.abs(first - expected).max() <= 1e-15 * np.abs(expected).max()
         assert np.array_equal(first, first.T)
         assert not first[list(zero_rows)].any()
         g1 = coeff_g(1, norms)
-        assert np.array_equal(alignment_module._leading_term(z, "second"), np.outer(g1, g1) * rho)
+        second = alignment_module._leading_term(closed_form_leading(z, "second"), rho)
+        assert np.array_equal(second, np.outer(g1, g1) * rho)
+
+    @pytest.mark.parametrize("layer, rtol", [("second", 1e-15), ("first", 5e-14)])
+    def test_series_leading_term_matches_closed_form(self, layer, rtol):
+        # B from the series' projected degree-1 column (what the tail check and
+        # c_data read) against B from the closed-form coefficient; over these
+        # 500 seeds the largest gap measured 9.7e-16 (second) and 2.8e-14
+        # (first) of max |B|
+        build = expectation_E_series if layer == "second" else expectation_E_first_layer_series
+        for seed in range(500):
+            s, data, k = random_instance(seed)
+            z = z_vectors(s, data.x, k)
+            rho = z.correlations[1]
+            got = alignment_module._leading_term(build(z).leading, rho)
+            want = alignment_module._leading_term(closed_form_leading(z, layer), rho)
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max(), seed
 
 
 def test_series_tail_domination_on_random_instances():
@@ -323,10 +343,11 @@ def test_alignment_terms_peak_memory():
 
 
 def dense_c_data(report, s, data, k, layer):
-    """c_data with Q = Zy Zy' formed as an nM x nM array and B from ``_leading_term``."""
+    """c_data with Q = Zy Zy' formed as an nM x nM array and B from the closed-form c."""
     z = z_vectors(s, data.x, k)
     q = filter_ntk(s, data.y, k).matrix
-    b = alignment_module._leading_term(z, layer)
+    c = closed_form_leading(z, layer)
+    b = np.outer(c, c) * z.correlations[1]
     e = (expectation_E_series if layer == "second" else expectation_E_first_layer_series)(z)
     tail = np.linalg.norm(e.matrix - b) + q.shape[0] * e.truncation_residual
     return (np.sum(q * b) - np.linalg.norm(q) * tail) / report.a_lin
@@ -422,6 +443,7 @@ def test_alignment_report_fields_and_payload():
     payload = report.to_dict()
     for key in ("a", "a_filt", "a_lin", "a_lower", "a_lin_lower", "xi_observed", "rho", "beta"):
         assert key in payload
+    assert payload["a_first_layer"] == report.a_first_layer
     assert payload["c_data"] == report.c_data
     assert payload["c_data_first_layer"] == report.c_data_first_layer
     assert not any(key.startswith(("gain_", "penalty_", "xi_threshold")) for key in payload)

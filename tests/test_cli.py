@@ -64,6 +64,7 @@ COUNT_FLAGS = [
     ("gen-data", "dt"), ("gen-data", "m-test"),
     ("train", "epochs"), ("train", "batch-size"), ("compare", "epochs"), ("compare", "batch-size"),
     ("compare", "dt"), ("compare", "m-test"),
+    *((subcommand, "seed") for subcommand in cli.COMMANDS),
 ]
 
 
@@ -174,7 +175,7 @@ class TestUsageErrors:
         self, tiny_data, tmp_path, capsys, subcommand, flag, value
     ):
         # at parse time, with the flag's name: the TrainConfig and
-        # PairExtractionConfig checks name none
+        # PairExtractionConfig checks and numpy's seed check name none
         _, _, x_path, y_path = tiny_data
         inputs = [] if subcommand == "gen-data" else ["--x", x_path, "--y", y_path]
         out = tmp_path / "out"
@@ -677,6 +678,17 @@ class TestAlignCommand:
             assert entry["verdict"] == ("passed" if factors[name] > 0 else "vacuous")
         assert not any(key.startswith(("gain_", "penalty_", "xi_threshold")) for key in block)
         assert report["summary"].startswith(f"A = {block['a']:.6g}, c_data = ")
+
+    def test_report_gives_the_first_layer_alignment(self, tiny_data, tmp_path):
+        x, y, x_path, y_path = tiny_data
+        out = tmp_path / "out"
+        assert run("align", "--x", x_path, "--y", y_path, "--out-dir", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        block = report["alignment"]
+        expected = alignment.alignment_report(cross_covariance(x, y), core.Dataset(x, y), 2)
+        assert block["a_first_layer"] == expected.a_first_layer
+        margin = report["conditional_checks"]["first_layer_alignment_lower_bound"]["margin"]
+        assert margin == block["a_first_layer"] - block["c_data_first_layer"] * block["a_lin"]
 
     def test_readme_data_certifies_both_layers(self, tmp_path):
         data = tmp_path / "data"

@@ -28,12 +28,10 @@ from ntkalign.training import (
     TrainTrace,
     check_training_sandwich,
     compare_gso,
-    generalization_bound,
     kappa_for_budget,
     linearized_dynamics,
     pinv_quadratic,
     predicted_param_movement,
-    rademacher_bound_value,
     slack_from_kappa,
     train,
 )
@@ -582,24 +580,6 @@ class TestFactoredKernelOracle:
         assert got.eta_lambda_max == pytest.approx(want.eta_lambda_max, rel=1e-10)
         assert got.convergent == want.convergent
 
-    @pytest.mark.parametrize("n, m, num_taps", [(5, 3, 2), (4, 2, 3), (2, 1, 3), (3, 1, 4)])
-    def test_generalization_bound_matches_dense_kernel(self, n, m, num_taps, monkeypatch):
-        rng = np.random.default_rng(n * 100 + m * 10 + num_taps)
-        s = random_shift(rng, n)
-        data = random_dataset(rng, n, m)
-        cfg = TrainConfig(eta=0.1, epochs=1)
-        got = generalization_bound(s, data, num_taps, cfg).to_dict()
-        factored = training.filter_ntk
-        monkeypatch.setattr(
-            training,
-            "filter_ntk",
-            lambda *args: NtkMatrix(factored(*args).matrix),
-        )
-        want = generalization_bound(s, data, num_taps, cfg).to_dict()
-        assert got.keys() == want.keys()
-        for key in want:
-            assert got[key] == pytest.approx(want[key], rel=1e-10), key
-
 
 class TestTrainingSandwich:
     def test_sweep_has_no_violations(self):
@@ -727,14 +707,27 @@ class TestParameterMovement:
             )
 
 
+def pinv_sandwich(theta, y_st):
+    """(||y_r||^4 / A, (lambda_max / lambda_min+) ||y_r||^4 / A), y_r the target's range part."""
+    evals, vecs = np.linalg.eigh(theta.matrix)
+    keep = evals > 1e-10 * evals[-1]
+    range_sq = float(np.sum((vecs[:, keep].T @ y_st) ** 2))
+    a = theta.quadratic_form(y_st)
+    lam = evals[keep]
+    return range_sq**2 / a, (lam.max() / lam.min()) * range_sq**2 / a
+
+
 class TestGeneralizationBound:
+    """y' pinv(Theta~) y between ||y_r||^4 / A and kappa ||y_r||^4 / A, as criterion 10 checks."""
+
     def test_rank_one_kernel_collapses_sandwich(self):
         rng = np.random.default_rng(30)
         s = random_shift(rng, 4)
         data = random_dataset(rng, 4, 2)
-        gb = generalization_bound(s, data, 1, TrainConfig(eta=0.1, epochs=1))
-        assert gb.sandwich_lower == pytest.approx(gb.pinv_quadratic, rel=1e-12)
-        assert gb.sandwich_upper == pytest.approx(gb.pinv_quadratic, rel=1e-12)
+        theta, y_st = filter_ntk(s, data.x, 1), stack(data.y)
+        lower, upper = pinv_sandwich(theta, y_st)
+        assert lower == pytest.approx(pinv_quadratic(theta, y_st), rel=1e-12)
+        assert upper == pytest.approx(pinv_quadratic(theta, y_st), rel=1e-12)
 
     def test_unit_norm_in_range_target_reduces_to_inverse_alignment(self):
         rng = np.random.default_rng(31)
@@ -743,11 +736,11 @@ class TestGeneralizationBound:
         theta = filter_ntk(s, x, 2)
         y_st = theta.matrix @ rng.standard_normal(12)
         y_st /= np.linalg.norm(y_st)
-        data = Dataset(x, y_st.reshape(4, 3, order="F"))
-        gb = generalization_bound(s, data, 2, TrainConfig(eta=0.1, epochs=1))
-        assert gb.sandwich_lower == pytest.approx(1.0 / gb.alignment, rel=1e-12)
-        assert gb.sandwich_lower <= gb.pinv_quadratic * (1 + 1e-9)
-        assert gb.pinv_quadratic <= gb.sandwich_upper * (1 + 1e-9)
+        lower, upper = pinv_sandwich(theta, y_st)
+        pq = pinv_quadratic(theta, y_st)
+        assert lower == pytest.approx(1.0 / theta.quadratic_form(y_st), rel=1e-12)
+        assert lower <= pq * (1 + 1e-9)
+        assert pq <= upper * (1 + 1e-9)
 
     def test_sandwich_is_an_identity_on_random_instances(self):
         for seed in range(50):
@@ -756,80 +749,11 @@ class TestGeneralizationBound:
             num_taps = int(rng.integers(1, 4))
             s = random_shift(rng, n)
             data = random_dataset(rng, n, m)
-            gb = generalization_bound(s, data, num_taps, TrainConfig(eta=0.1, epochs=1))
-            assert gb.sandwich_lower <= gb.pinv_quadratic * (1 + 1e-9)
-            assert gb.pinv_quadratic <= gb.sandwich_upper * (1 + 1e-9)
-
-    def test_null_space_target_raises(self):
-        rng = np.random.default_rng(32)
-        s = random_shift(rng, 4)
-        x = rng.standard_normal((4, 2))
-        theta = filter_ntk(s, x, 1)
-        y_st = rng.standard_normal(8)
-        evals, vecs = np.linalg.eigh(theta.matrix)
-        keep = evals > 1e-10 * evals[-1]
-        y_st -= vecs[:, keep] @ (vecs[:, keep].T @ y_st)
-        data = Dataset(x, y_st.reshape(4, 2, order="F"))
-        with pytest.raises(ValueError, match="alignment"):
-            generalization_bound(s, data, 1, TrainConfig(eta=0.1, epochs=1))
-
-    def test_default_rho_is_largest_sample_norm(self):
-        rng = np.random.default_rng(33)
-        s = random_shift(rng, 4)
-        data = random_dataset(rng, 4, 3)
-        gb = generalization_bound(s, data, 2, TrainConfig(eta=0.1, epochs=1))
-        assert gb.rho == pytest.approx(np.linalg.norm(data.y, axis=0).max())
-
-    def test_bound_value_sums_both_terms(self):
-        rng = np.random.default_rng(34)
-        s = random_shift(rng, 4)
-        data = random_dataset(rng, 4, 3)
-        gb = generalization_bound(
-            s, data, 2, TrainConfig(eta=0.1, epochs=1), rho_clip=0.5, b_movement=2.0
-        )
-        assert gb.rho == 0.5
-        assert gb.movement_bound == 2.0
-        assert gb.value == pytest.approx(gb.rademacher_term + gb.concentration_term)
-        assert gb.rademacher_term == pytest.approx(
-            2.0 * rademacher_bound_value(s, data, 2, 2.0, 0.5)
-        )
-
-
-class TestRademacherBound:
-    def test_zero_movement_radius_gives_zero(self):
-        rng = np.random.default_rng(40)
-        s = random_shift(rng, 4)
-        data = random_dataset(rng, 4, 3)
-        assert rademacher_bound_value(s, data, 2, 0.0, 1.0) == 0.0
-
-    def test_zero_shift_single_tap_closed_form(self):
-        rng = np.random.default_rng(41)
-        s = ShiftOperator(np.zeros((3, 3)))
-        x = rng.standard_normal((3, 4))
-        data = Dataset(x, x.copy())
-        max_sq = float((x * x).sum(axis=0).max())
-        expected = 1.5 * 0.7 * math.sqrt(2.0 * max_sq / 4)
-        assert rademacher_bound_value(s, data, 1, 1.5, 0.7) == pytest.approx(expected)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10_000), num_taps=st.integers(1, 4))
-    def test_doubling_samples_scales_by_root_two(self, seed, num_taps):
-        rng = np.random.default_rng(seed)
-        s = random_shift(rng, 4)
-        x = rng.standard_normal((4, 3))
-        single = Dataset(x, x.copy())
-        doubled = Dataset(np.hstack([x, x]), np.hstack([x, x]))
-        ratio = rademacher_bound_value(s, single, num_taps, 1.0, 1.0) / (
-            rademacher_bound_value(s, doubled, num_taps, 1.0, 1.0)
-        )
-        assert ratio == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-    def test_negative_radius_rejected(self):
-        rng = np.random.default_rng(42)
-        s = random_shift(rng, 3)
-        data = random_dataset(rng, 3, 2)
-        with pytest.raises(ValueError, match=">= 0"):
-            rademacher_bound_value(s, data, 1, -1.0, 1.0)
+            theta, y_st = filter_ntk(s, data.x, num_taps), stack(data.y)
+            lower, upper = pinv_sandwich(theta, y_st)
+            pq = pinv_quadratic(theta, y_st)
+            assert lower <= pq * (1 + 1e-9)
+            assert pq <= upper * (1 + 1e-9)
 
 
 class TestCompareGso:
