@@ -3,8 +3,10 @@
 
 For each seed: draw a planted VAR series, extract prediction pairs, build
 both operators from the training split, and train a graph filter and a
-two-layer GNN per operator with the replication protocol (Adam, GNN rate
-0.0125, filter rate 50x that), one ``compare_gso`` repetition per seed.
+two-layer GNN per operator with the replication protocol (Adam at the
+CLI's rates: ``cli.GNN_LEARNING_RATE`` for the GNN and
+``cli.FILTER_RATE_MULTIPLIER`` times that for the filter), one
+``compare_gso`` repetition per seed.
 Prints a win table and writes the mean training curves per arm to CSV.
 """
 
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ntkalign.cli import FILTER_RATE_MULTIPLIER, GNN_LEARNING_RATE, _count, _size
 from ntkalign.dataio import (
     PairExtractionConfig,
     VarProcessConfig,
@@ -25,23 +28,19 @@ from ntkalign.dataio import (
 from ntkalign.shiftops import covariance, cross_covariance
 from ntkalign.training import TrainConfig, compare_gso
 
-GNN_RATE = 0.0125
-FILTER_RATE = 50 * GNN_RATE
-
-
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=10, help="independent data draws")
-    parser.add_argument("--n", type=int, default=20, help="number of nodes")
-    parser.add_argument("--len", type=int, default=1000, dest="t_len", help="series length")
-    parser.add_argument("--dt", type=int, default=1, help="prediction horizon")
-    parser.add_argument("--m-train", type=int, default=200)
-    parser.add_argument("--m-test", type=int, default=50)
+    parser.add_argument("--seeds", type=_size, default=10, help="independent data draws")
+    parser.add_argument("--n", type=_size, default=20, help="number of nodes")
+    parser.add_argument("--len", type=_size, default=1000, dest="t_len", help="series length")
+    parser.add_argument("--dt", type=_count, default=1, help="prediction horizon")
+    parser.add_argument("--m-train", type=_size, default=200)
+    parser.add_argument("--m-test", type=_count, default=50)
     parser.add_argument("--strength", type=float, default=0.9)
     parser.add_argument("--background", type=float, default=0.35)
-    parser.add_argument("--k", type=int, default=2, help="filter taps")
-    parser.add_argument("--width", type=int, default=50, help="GNN hidden features")
-    parser.add_argument("--epochs", type=int, default=150)
+    parser.add_argument("--k", type=_size, default=2, help="filter taps")
+    parser.add_argument("--width", type=_size, default=50, help="GNN hidden features")
+    parser.add_argument("--epochs", type=_size, default=150)
     parser.add_argument("--out-dir", default="compare_out")
     return parser.parse_args(argv)
 
@@ -50,7 +49,7 @@ def main(argv=None):
     args = parse_args(argv)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    models = {"filter": FILTER_RATE, "gnn2": GNN_RATE}
+    models = {"filter": GNN_LEARNING_RATE * FILTER_RATE_MULTIPLIER, "gnn2": GNN_LEARNING_RATE}
     curves = {(m, a): [] for m in models for a in ("cxy", "cxx")}
     wins = {m: {"train": 0, "test": 0} for m in models}
 

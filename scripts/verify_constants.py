@@ -18,7 +18,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--instances", type=_count, default=500, help="per inequality sweep")
     parser.add_argument("--optimality-instances", type=_count, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_count, default=0)
     args = parser.parse_args(argv)
 
     failures = 0

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ntkalign.cli import _count, _positive, _size
 from ntkalign.core import Dataset, ShiftOperator
 from ntkalign.dataio import save_csv
 from ntkalign.ntk import gnn_infinite_ntk, gnn_monte_carlo_ntk
@@ -30,15 +31,15 @@ def make_instance(seed, n, m):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--widths", type=int, nargs="+",
+    parser.add_argument("--widths", type=_size, nargs="+",
                         default=[64, 128, 256, 512, 1024, 2048, 4096])
-    parser.add_argument("--seeds", type=int, default=5, help="Monte Carlo draws per width")
-    parser.add_argument("--n", type=int, default=5)
-    parser.add_argument("--m", type=int, default=10)
-    parser.add_argument("--k", type=int, default=2, help="filter taps")
-    parser.add_argument("--eta", type=float, default=0.1, help="drift-run learning rate")
-    parser.add_argument("--steps", type=int, default=15, help="drift-run length")
-    parser.add_argument("--seed", type=int, default=0, help="instance seed")
+    parser.add_argument("--seeds", type=_size, default=5, help="Monte Carlo draws per width")
+    parser.add_argument("--n", type=_size, default=5)
+    parser.add_argument("--m", type=_size, default=10)
+    parser.add_argument("--k", type=_size, default=2, help="filter taps")
+    parser.add_argument("--eta", type=_positive, default=0.1, help="drift-run learning rate")
+    parser.add_argument("--steps", type=_size, default=15, help="drift-run length")
+    parser.add_argument("--seed", type=_count, default=0, help="instance seed")
     parser.add_argument("--out-dir", default="width_out")
     args = parser.parse_args(argv)
 

@@ -1,8 +1,11 @@
 """Command-line experiment runner and verification driver.
 
 Every subcommand resolves its settings as flags > config file > defaults,
-writes a JSON report plus CSV artifacts into --out-dir, and records a run
-manifest listing every output file.  Numeric CSV output is fixed to 17
+does its work, and hands ``_finish`` a report and a map from artifact name to
+a writer.  ``_finish`` is the one place that writes: it creates --out-dir,
+writes those artifacts, then ``report.json`` and a run manifest whose
+``outputs`` are exactly those names followed by ``report.json``.  A run that
+fails before then leaves no out-dir.  Numeric CSV output is fixed to 17
 significant digits, so a rerun with the same manifest is byte-identical.
 
 Exit codes: 0 success, 1 property-violation findings, 2 usage or input
@@ -149,6 +152,16 @@ def _maybe_test_dataset(cfg: dict):
     return _load_dataset(cfg, "x_test", "y_test") if has_x else None
 
 
+# The data-derived shift operators by arm name: --gso's choices, ``_shift_from``
+# and compare's arms read it; ``raw`` is compare's --raw-cxy.  The lambdas look up
+# cross_covariance and covariance when called, so perfbench's tracer, which
+# rebinds module attributes, sees every call.
+GSO_ARMS = {
+    "cxy": lambda data, raw=False: cross_covariance(data.x, data.y, symmetrize=not raw),
+    "cxx": lambda data, raw=False: covariance(data.x),
+}
+
+
 def _shift_from(cfg: dict, data: Dataset) -> ShiftOperator:
     if cfg.get("gso_file"):
         matrix = _load_matrix(cfg["gso_file"], "shift operator")
@@ -156,57 +169,58 @@ def _shift_from(cfg: dict, data: Dataset) -> ShiftOperator:
             return ShiftOperator(matrix)
         except ValueError as exc:
             raise CliError(f"--gso-file: {exc}; symmetrize the matrix first") from None
-    if cfg["gso"] == "cxy":
-        return cross_covariance(data.x, data.y)
-    return covariance(data.x)
-
-
-def _numpy_value(value):
-    """json.dumps hook for the numpy scalars and arrays that json cannot encode."""
-    if isinstance(value, (np.generic, np.ndarray)):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return GSO_ARMS[cfg["gso"]](data)
 
 
 def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_numpy_value)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _finite(value, path: str, nonfinite: list):
-    """``value`` with each NaN or infinity as None; their dotted key paths go to ``nonfinite``."""
-    if isinstance(value, np.ndarray):
+    """``value`` in JSON types (numpy scalars and arrays converted), each NaN or
+    infinity as None; their dotted key paths go to ``nonfinite``."""
+    if isinstance(value, (np.ndarray, np.generic)):
         value = value.tolist()
     if isinstance(value, dict):
         return {k: _finite(v, f"{path}{k}.", nonfinite) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_finite(v, f"{path}{i}.", nonfinite) for i, v in enumerate(value)]
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         nonfinite.append(path[:-1])
         return None
     return value
 
 
-def _finish(cfg: dict, subcommand: str, report: dict, outputs, exit_code: int = 0) -> int:
-    """Write the report (each NaN or infinity as null, its key path in ``nonfinite``) and manifest."""
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _csv(matrix: np.ndarray, header=None):
+    """An artifact writer of ``matrix`` as CSV; ``save_csv`` is looked up when it writes."""
+    return lambda path: save_csv(matrix, path, header=header)
+
+
+def _finish(cfg: dict, subcommand: str, report: dict, files: dict, exit_code: int = 0) -> int:
+    """Write ``files`` (artifact name -> writer taking its path), the report and the manifest.
+
+    The report's NaNs and infinities are written as null, their key paths
+    listed in ``nonfinite``.  The manifest's ``outputs`` are the names of
+    ``files`` in order, then ``report.json``.
+    """
     nonfinite = []
     report = _finite(report, "", nonfinite)
     report = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand, **report,
               "nonfinite": nonfinite}
-    report_path = out_dir / "report.json"
-    report_path.write_text(_dumps(report) + "\n")
-    outputs = [*outputs, report_path.name]
+    text = _dumps(report) + "\n"
+    files = {**files, "report.json": lambda path: path.write_text(text)}
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(out_dir / name)
+    outputs = list(files)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": subcommand,
         "config": {k: v for k, v in sorted(cfg.items()) if k != "emit_json"},
         "seed": cfg.get("seed"),
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "ntkalign": __version__,
-        },
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "ntkalign": __version__},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": outputs,
     }
@@ -235,31 +249,21 @@ def _cmd_gen_data(cfg: dict) -> int:
     series = generate_var(
         VarProcessConfig(cfg["n"], cfg["len"], transition, cfg["noise"], cfg["seed"])
     )
-    pairs = _extract_pairs(cfg, series) if cfg["dt"] is not None else None  # fails before writing
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_csv(series, out_dir / "series.csv")
-    outputs = ["series.csv"]
+    files = {"series.csv": _csv(series)}
     report = {
         "num_nodes": cfg["n"],
         "num_steps": cfg["len"],
         "spectral_radius": spectral_radius(transition),
-        "planted_direction": direction.tolist(),
+        "planted_direction": direction,
         "summary": f"series {cfg['n']} x {cfg['len']}",
     }
-    if pairs is not None:
-        train_split, test_split = pairs
-        save_csv(train_split.x, out_dir / "x_train.csv")
-        save_csv(train_split.y, out_dir / "y_train.csv")
-        outputs += ["x_train.csv", "y_train.csv"]
-        report["num_train"] = train_split.num_samples
-        if test_split is not None:
-            save_csv(test_split.x, out_dir / "x_test.csv")
-            save_csv(test_split.y, out_dir / "y_test.csv")
-            outputs += ["x_test.csv", "y_test.csv"]
-            report["num_test"] = test_split.num_samples
+    if cfg["dt"] is not None:
+        for name, split in zip(("train", "test"), _extract_pairs(cfg, series)):
+            if split is not None:
+                files.update({f"x_{name}.csv": _csv(split.x), f"y_{name}.csv": _csv(split.y)})
+                report[f"num_{name}"] = split.num_samples
         report["summary"] += f", pairs at dt={cfg['dt']}"
-    return _finish(cfg, "gen-data", report, outputs)
+    return _finish(cfg, "gen-data", report, files)
 
 
 def _compute_ntk(cfg: dict, s: ShiftOperator, data: Dataset) -> NtkMatrix:
@@ -275,9 +279,6 @@ def _cmd_ntk(cfg: dict) -> int:
     data = _load_dataset(cfg)
     s = _shift_from(cfg, data)
     theta = _compute_ntk(cfg, s, data)
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_csv(theta.matrix, out_dir / "ntk.csv")
     report = {
         "kind": cfg["kind"],
         "size": theta.size,
@@ -287,7 +288,7 @@ def _cmd_ntk(cfg: dict) -> int:
         "info": theta.info,
         "summary": f"{cfg['kind']} kernel, size {theta.size}, rank {theta.rank_estimate()}",
     }
-    return _finish(cfg, "ntk", report, ["ntk.csv"])
+    return _finish(cfg, "ntk", report, {"ntk.csv": _csv(theta.matrix)})
 
 
 def _cmd_align(cfg: dict) -> int:
@@ -312,7 +313,7 @@ def _cmd_align(cfg: dict) -> int:
         + (f", vacuous: {', '.join(vacuous)}" if vacuous else "")
         + (f", FAILED: {', '.join(failed)}" if failed else ""),
     }
-    return _finish(cfg, "align", report, [], exit_code=1 if failed else 0)
+    return _finish(cfg, "align", report, {}, exit_code=1 if failed else 0)
 
 
 def _cmd_optimize_gso(cfg: dict) -> int:
@@ -341,18 +342,15 @@ def _cmd_optimize_gso(cfg: dict) -> int:
         solution = solve_optimal_gso(c, num_taps=cfg["k"], mu=mu, normalize=normalize)
     except ValueError as exc:
         raise CliError(f"no shift operator solves the system: {exc}") from None
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_csv(solution.operator.matrix, out_dir / "gso.csv")
     report = {
         "mu": solution.mu,
         "residual": solution.residual,
         "scale": solution.scale,
         "num_taps": cfg["k"],
-        "frobenius_norm": float(np.linalg.norm(solution.operator.matrix)),
+        "frobenius_norm": np.linalg.norm(solution.operator.matrix),
         "summary": f"mu = {solution.mu:.6g}, residual = {solution.residual:.3e}",
     }
-    return _finish(cfg, "optimize-gso", report, ["gso.csv"])
+    return _finish(cfg, "optimize-gso", report, {"gso.csv": _csv(solution.operator.matrix)})
 
 
 def _default_eta(cfg: dict) -> float:
@@ -364,14 +362,8 @@ def _default_eta(cfg: dict) -> float:
 
 
 def _train_config(cfg: dict, eta: float) -> TrainConfig:
-    return TrainConfig(
-        eta=eta,
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        optimizer=cfg["optimizer"],
-        kappa=cfg["kappa"],
-        seed=cfg["seed"],
-    )
+    return TrainConfig(eta=eta, epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+                       optimizer=cfg["optimizer"], kappa=cfg["kappa"], seed=cfg["seed"])
 
 
 def _cmd_train(cfg: dict) -> int:
@@ -387,21 +379,18 @@ def _cmd_train(cfg: dict) -> int:
         params0 = init_gnn2(cfg["width"], cfg["k"], init)
     trace = train(params0, s, data, train_cfg, test_data=test_data)
 
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     epochs = np.arange(trace.num_epochs + 1, dtype=float)
-    table = np.column_stack(
-        [epochs, trace.train_losses, trace.test_losses, trace.param_movement]
-    )
-    save_csv(table, out_dir / "trace.csv",
-             header=["epoch", "train_loss", "test_loss", "param_movement"])
-    save_params(out_dir / "params.txt", trace.final_params)
+    table = np.column_stack([epochs, trace.train_losses, trace.test_losses, trace.param_movement])
+    files = {
+        "trace.csv": _csv(table, ["epoch", "train_loss", "test_loss", "param_movement"]),
+        "params.txt": lambda path: save_params(path, trace.final_params),
+    }
     report = {
         "model": cfg["model"],
         "eta": eta,
-        "final_train_loss": float(trace.train_losses[-1]),
+        "final_train_loss": trace.train_losses[-1],
         "final_test_loss": trace.test_losses[-1],
-        "param_movement": float(trace.param_movement[-1]),
+        "param_movement": trace.param_movement[-1],
         "summary": f"{cfg['model']} trained {trace.num_epochs} epochs, "
         f"final loss {trace.train_losses[-1]:.6g}",
     }
@@ -410,7 +399,7 @@ def _cmd_train(cfg: dict) -> int:
         report["predicted_param_movement"] = predicted_param_movement(theta, stack(data.y))
         report["kernel_rank"] = theta.rank_estimate()
         report["eta_lambda_max"] = eta * theta.operator_norm
-    return _finish(cfg, "train", report, ["trace.csv", "params.txt"])
+    return _finish(cfg, "train", report, files)
 
 
 def _compare_data(cfg: dict):
@@ -421,14 +410,11 @@ def _compare_data(cfg: dict):
 
 def _comparison_arms(cfg: dict, data: Dataset):
     arms = []
-    for token in (t.strip() for t in cfg["gso"].split(",")):
-        if token == "cxy":
-            name = "cxy_raw" if cfg["raw_cxy"] else "cxy"
-            arms.append((name, cross_covariance(data.x, data.y, symmetrize=not cfg["raw_cxy"])))
-        elif token == "cxx":
-            arms.append(("cxx", covariance(data.x)))
-        elif token:
-            raise CliError(f"unknown GSO arm {token!r}; choose from cxy, cxx")
+    for token in filter(None, (t.strip() for t in cfg["gso"].split(","))):
+        if token not in GSO_ARMS:
+            raise CliError(f"unknown GSO arm {token!r}; choose from {', '.join(GSO_ARMS)}")
+        raw = cfg["raw_cxy"] and token == "cxy"
+        arms.append((f"{token}_raw" if raw else token, GSO_ARMS[token](data, raw)))
     if not arms:
         raise CliError("--gso must name at least one arm")
     return arms
@@ -439,18 +425,8 @@ def _cmd_compare(cfg: dict) -> int:
     arms = _comparison_arms(cfg, data)
     eta = _default_eta(cfg)
     train_cfg = _train_config(cfg, eta)
-    result = compare_gso(
-        data,
-        cfg["k"],
-        train_cfg,
-        arms,
-        model=cfg["model"],
-        width=cfg["width"],
-        reps=cfg["reps"],
-        test_data=test_data,
-    )
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    result = compare_gso(data, cfg["k"], train_cfg, arms, model=cfg["model"], width=cfg["width"],
+                         reps=cfg["reps"], test_data=test_data)
     epochs = np.arange(cfg["epochs"] + 1, dtype=float)
     columns, header = [epochs], ["epoch"]
     for name in result.names:
@@ -458,7 +434,6 @@ def _cmd_compare(cfg: dict) -> int:
         header.append(f"{name}_train_mean")
         columns.append(result.test_curves[name].mean(axis=0))
         header.append(f"{name}_test_mean")
-    save_csv(np.column_stack(columns), out_dir / "curves.csv", header=header)
 
     metric = "train" if test_data is None else "test"
     report = {
@@ -475,7 +450,7 @@ def _cmd_compare(cfg: dict) -> int:
         report["wins"] = {f"{first}_over_{second}": wins, "out_of": result.num_reps}
         report["final_gap"] = result.gap(first, second, metric=metric)
         report["summary"] += f"; {first} wins {wins}/{result.num_reps} on {metric}"
-    return _finish(cfg, "compare", report, ["curves.csv"])
+    return _finish(cfg, "compare", report, {"curves.csv": _csv(np.column_stack(columns), header)})
 
 
 def _cmd_verify_bounds(cfg: dict) -> int:
@@ -494,7 +469,7 @@ def _cmd_verify_bounds(cfg: dict) -> int:
         "summary": f"{len(cfg['checks'])} sweeps x {cfg['instances']} instances, "
         f"{violations} violations",
     }
-    return _finish(cfg, "verify-bounds", report, [], exit_code=0 if violations == 0 else 1)
+    return _finish(cfg, "verify-bounds", report, {}, exit_code=0 if violations == 0 else 1)
 
 
 def _cmd_verify_hermite(cfg: dict) -> int:
@@ -503,7 +478,7 @@ def _cmd_verify_hermite(cfg: dict) -> int:
         f"beta = {payload['beta']['value']:.6g}, {payload['violations']} violations"
     )
     code = 0 if payload["violations"] == 0 else 1
-    return _finish(cfg, "verify-hermite", payload, [], exit_code=code)
+    return _finish(cfg, "verify-hermite", payload, {}, exit_code=code)
 
 
 COMMANDS = {
@@ -580,10 +555,31 @@ def _sweep_names(text: str) -> tuple:
 
 
 def _add_gso_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--gso", choices=["cxy", "cxx"], default="cxy", help="data-derived shift operator"
-    )
+    sp.add_argument("--gso", choices=list(GSO_ARMS), default="cxy",
+                    help="data-derived shift operator")
     sp.add_argument("--gso-file", help="shift operator CSV")
+
+
+def _add_data_flags(sp: argparse.ArgumentParser, test: bool = False) -> None:
+    """--x and --y, and with ``test`` the test split's --x-test and --y-test."""
+    sp.add_argument("--x", help="inputs CSV (nodes x samples)")
+    sp.add_argument("--y", help="targets CSV (nodes x samples)")
+    if test:
+        sp.add_argument("--x-test", help="test inputs CSV")
+        sp.add_argument("--y-test", help="test targets CSV")
+
+
+def _add_training_flags(sp: argparse.ArgumentParser, model: str, epochs: int) -> None:
+    """The model and optimizer flags ``train`` and ``compare`` share, after their
+    ``_add_data_flags(sp, test=True)``; only the --model and --epochs defaults differ."""
+    sp.add_argument("--k", type=_size, default=2, help="filter taps")
+    sp.add_argument("--model", choices=["filter", "gnn2"], default=model, help="model class")
+    sp.add_argument("--width", type=_size, default=50, help="hidden features for gnn2")
+    sp.add_argument("--eta", type=_positive, help="learning rate")
+    sp.add_argument("--epochs", type=_count, default=epochs, help="training epochs")
+    sp.add_argument("--kappa", type=_positive, default=1.0, help="initialization scale")
+    sp.add_argument("--optimizer", choices=["gd", "adam"], default="adam", help="update rule")
+    sp.add_argument("--batch-size", type=_count, default=0, help="0 = full batch")
 
 
 @functools.cache
@@ -608,8 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(p)
 
     p = sub.add_parser("ntk", help="compute a stacked tangent kernel")
-    p.add_argument("--x", help="inputs CSV (nodes x samples)")
-    p.add_argument("--y", help="targets CSV (nodes x samples)")
+    _add_data_flags(p)
     p.add_argument("--k", type=_size, default=2, help="filter taps")
     p.add_argument(
         "--kind", choices=["filter", "gnn", "gnn-mc"], default="filter", help="kernel kind"
@@ -619,8 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(p)
 
     p = sub.add_parser("align", help="alignment report and certified bound checks")
-    p.add_argument("--x", help="inputs CSV")
-    p.add_argument("--y", help="targets CSV")
+    _add_data_flags(p)
     p.add_argument("--k", type=_size, default=2, help="filter taps")
     p.add_argument("--eta", type=_positive, default=1.0, help="learning rate in the budget")
     p.add_argument("--alpha", type=_positive, default=1.0, help="kernel-norm budget")
@@ -629,8 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(p)
 
     p = sub.add_parser("optimize-gso", help="solve for the alignment-optimal shift operator")
-    p.add_argument("--x", help="inputs CSV")
-    p.add_argument("--y", help="targets CSV")
+    _add_data_flags(p)
     p.add_argument("--c", help="cross-covariance CSV (overrides --x/--y)")
     p.add_argument("--k", type=_size, default=2, help="filter taps (>= 2)")
     p.add_argument("--mu", type=_positive, help="explicit multiplier")
@@ -644,18 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(p)
 
     p = sub.add_parser("train", help="train one model and write its trace")
-    p.add_argument("--x", help="inputs CSV")
-    p.add_argument("--y", help="targets CSV")
-    p.add_argument("--x-test", help="test inputs CSV")
-    p.add_argument("--y-test", help="test targets CSV")
-    p.add_argument("--k", type=_size, default=2, help="filter taps")
-    p.add_argument("--model", choices=["filter", "gnn2"], default="filter", help="model class")
-    p.add_argument("--width", type=_size, default=50, help="hidden features for gnn2")
-    p.add_argument("--eta", type=_positive, help="learning rate")
-    p.add_argument("--epochs", type=_count, default=100, help="training epochs")
-    p.add_argument("--kappa", type=_positive, default=1.0, help="initialization scale")
-    p.add_argument("--optimizer", choices=["gd", "adam"], default="adam", help="update rule")
-    p.add_argument("--batch-size", type=_count, default=0, help="0 = full batch")
+    _add_data_flags(p, test=True)
+    _add_training_flags(p, model="filter", epochs=100)
     _add_gso_flags(p)
     _add_shared_flags(p)
 
@@ -664,25 +647,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=_count, default=1, help="pair horizon for --series")
     p.add_argument("--m-train", type=_size, default=200, help="training pairs")
     p.add_argument("--m-test", type=_count, help="test pairs (default m_train/10)")
-    p.add_argument("--x", help="inputs CSV (alternative to --series)")
-    p.add_argument("--y", help="targets CSV")
-    p.add_argument("--x-test", help="test inputs CSV")
-    p.add_argument("--y-test", help="test targets CSV")
-    p.add_argument("--gso", default="cxy,cxx", help="comma list of arms from {cxy, cxx}")
+    _add_data_flags(p, test=True)
+    p.add_argument("--gso", default=",".join(GSO_ARMS),
+                   help=f"comma list of arms from {{{', '.join(GSO_ARMS)}}}")
     p.add_argument(
         "--raw-cxy",
         action=argparse.BooleanOptionalAction,
         default=False,
         help="use the unsymmetrized cross-covariance for the cxy arm",
     )
-    p.add_argument("--k", type=_size, default=2, help="filter taps")
-    p.add_argument("--model", choices=["filter", "gnn2"], default="gnn2", help="model class")
-    p.add_argument("--width", type=_size, default=50, help="hidden features for gnn2")
-    p.add_argument("--eta", type=_positive, help="learning rate")
-    p.add_argument("--epochs", type=_count, default=50, help="training epochs")
-    p.add_argument("--kappa", type=_positive, default=1.0, help="initialization scale")
-    p.add_argument("--optimizer", choices=["gd", "adam"], default="adam", help="update rule")
-    p.add_argument("--batch-size", type=_count, default=0, help="0 = full batch")
+    _add_training_flags(p, model="gnn2", epochs=50)
     p.add_argument("--reps", type=_size, default=10, help="seeded repetitions")
     _add_shared_flags(p)
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, require_positive_finite
 
 BURN_IN_STEPS = 100
 BLOCK_CELLS = 1024  # cells formatted per % operation in save_csv
@@ -70,8 +69,7 @@ class VarProcessConfig:
             )
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
-        if not (self.noise_scale > 0 and math.isfinite(self.noise_scale)):
-            raise ValueError("noise_scale must be positive and finite")
+        require_positive_finite("noise_scale", self.noise_scale)
         radius = spectral_radius(a)
         if radius >= 1.0:
             raise UnstableProcessError(

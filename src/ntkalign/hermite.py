@@ -45,6 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import require_positive_finite
+
 DEFAULT_POINTS = 64
 MAX_POINTS = 512
 # Rules tried in turn by hermite_series; the largest reaches row norm ~4.5
@@ -375,8 +377,7 @@ def beta_first_layer(norm_sq_bound: float) -> FirstLayerBetaResult:
     half-rule cap as the kernels E and E1; the total sum_{i>=0} tau_{2i}^2
     equals E[sech^4(sqrt(b) u)] because odd coefficients vanish.
     """
-    if not (norm_sq_bound > 0 and math.isfinite(norm_sq_bound)):
-        raise ValueError("norm_sq_bound must be positive and finite")
+    require_positive_finite("norm_sq_bound", norm_sq_bound)
     taus, totals, degree, residual, _ = hermite_series(
         sech2, np.sqrt([norm_sq_bound]), 0, lambda c, _: BETA_FIRST_RTOL * c[0, 0] ** 2
     )
@@ -512,8 +513,7 @@ class ExpansionConstants:
 def expansion_constants(num_taps: int, spectral_bound: float = 1.0) -> ExpansionConstants:
     if num_taps < 1:
         raise ValueError("num_taps must be >= 1")
-    if not (spectral_bound > 0 and math.isfinite(spectral_bound)):
-        raise ValueError("spectral_bound must be positive and finite")
+    require_positive_finite("spectral_bound", spectral_bound)
     norm_sq = float(np.sum(spectral_bound ** (2.0 * np.arange(num_taps))))
     return ExpansionConstants(
         num_taps=num_taps,

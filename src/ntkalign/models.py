@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ShiftOperator, _frozen_array, matrix_powers_applied
+from .core import ShiftOperator, _frozen_array, matrix_powers_applied, require_positive_finite
 from .dataio import format_rows
 
 PARAMS_SCHEMA_VERSION = 1
@@ -35,8 +35,7 @@ class InitConfig:
     seed: int
 
     def __post_init__(self):
-        if not (self.kappa > 0 and math.isfinite(self.kappa)):
-            raise ValueError("kappa must be positive and finite")
+        require_positive_finite("kappa", self.kappa)
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,8 @@ class ExpectationMatrix:
     rows and columns are defined as 0.  For the series methods
     ``truncation_residual`` bounds the entrywise error against the
     untruncated series, and ``leading`` is the coefficient column c_0 of
-    the series' degree-1 term B = c_0 c_0' * rho.
+    the series' degree-1 term B = c_0 c_0' * rho, copied out so the
+    nM x degree coefficient table is freed.
     """
 
     matrix: np.ndarray
@@ -261,7 +262,7 @@ def expectation_E_series(z: TapStack) -> ExpectationMatrix:
     coeffs, _, degree, residual, n_points = hermite_series(np.tanh, norms, 1)
     info = {"max_degree": degree, "n_points": n_points}
     e = _mehler_sum(coeffs, rho)
-    return ExpectationMatrix(e, "series", zero_rows, residual, info, coeffs[:, 0])
+    return ExpectationMatrix(e, "series", zero_rows, residual, info, coeffs[:, 0].copy())
 
 
 def expectation_E_first_layer_series(z: TapStack) -> ExpectationMatrix:
@@ -281,7 +282,9 @@ def expectation_E_first_layer_series(z: TapStack) -> ExpectationMatrix:
     info = {"max_degree": degree, "n_points": n_points}
     coeffs *= norms[:, None]
     e1 = _mehler_sum(coeffs, rho)
-    return ExpectationMatrix(e1, "first_layer_series", zero_rows, residual, info, coeffs[:, 0])
+    return ExpectationMatrix(
+        e1, "first_layer_series", zero_rows, residual, info, coeffs[:, 0].copy()
+    )
 
 
 def expectation_E_first_layer(

@@ -447,6 +447,38 @@ class TestStrictJson:
         with pytest.raises(ValueError):
             cli._dumps({"value": float("nan")})
 
+    def test_numpy_values_become_json_types(self):
+        nonfinite = []
+        report = cli._finite({"n": np.int64(3), "ok": np.bool_(True), "x": np.float32(0.5),
+                              "v": np.array([1.0, np.inf]), "bad": np.float64("nan")},
+                             "", nonfinite)
+        assert report == {"n": 3, "ok": True, "x": 0.5, "v": [1.0, None], "bad": None}
+        assert [type(report[k]) for k in ("n", "ok", "x")] == [int, bool, float]
+        assert nonfinite == ["v.1", "bad"]
+        assert cli._dumps(report)
+
+
+class TestOneArtifactWriter:
+    """``_finish`` writes every artifact, and the manifest lists exactly those files."""
+
+    @pytest.mark.parametrize("name", list(SUBCOMMAND_RUNS))
+    def test_manifest_outputs_are_the_out_dir(self, tiny_data, tmp_path, name):
+        _, _, x_path, y_path = tiny_data
+        argv = [{"X": x_path, "Y": y_path}.get(a, a) for a in SUBCOMMAND_RUNS[name]]
+        out = tmp_path / "out"
+        assert run(*argv, "--out-dir", out) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs[-1] == "report.json" and len(set(outputs)) == len(outputs)
+        assert set(outputs) == {p.name for p in out.iterdir()} - {"manifest.json"}
+
+    def test_a_run_failing_after_parsing_leaves_no_out_dir(self, tiny_data, tmp_path, capsys):
+        _, _, x_path, y_path = tiny_data
+        out = tmp_path / "out"
+        assert run("train", "--x", x_path, "--y", y_path, "--optimizer", "gd", "--eta", "1e4",
+                   "--epochs", 50, "--out-dir", out) == 2
+        assert "diverged" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSharedParser:
     """Calls of ``main`` in one process share one parser and nothing else."""

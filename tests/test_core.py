@@ -9,6 +9,9 @@ from ntkalign.core import (
     ShiftOperator,
     stack,
 )
+from ntkalign.dataio import VarProcessConfig
+from ntkalign.hermite import beta_first_layer, expansion_constants
+from ntkalign.models import InitConfig
 
 
 def random_symmetric(rng, n, unit_fro=True):
@@ -17,6 +20,23 @@ def random_symmetric(rng, n, unit_fro=True):
     if unit_fro:
         s = s / np.linalg.norm(s)
     return s
+
+
+# every library site whose domain is the positive reals, as (name, call)
+POSITIVE_SITES = [
+    ("kappa", lambda v: InitConfig(kappa=v, seed=0)),
+    ("noise_scale", lambda v: VarProcessConfig(2, 5, np.zeros((2, 2)), noise_scale=v)),
+    ("spectral_bound", lambda v: expansion_constants(2, spectral_bound=v)),
+    ("norm_sq_bound", beta_first_layer),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0, -1])
+@pytest.mark.parametrize("name, call", POSITIVE_SITES, ids=[n for n, _ in POSITIVE_SITES])
+def test_one_positive_finite_rule(name, call, value):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == f"{name} must be positive and finite, got {value}"
 
 
 class TestStacking:

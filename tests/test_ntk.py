@@ -322,6 +322,14 @@ class TestExpectationQuadrature:
 
 
 class TestExpectationSeries:
+    @pytest.mark.parametrize("build", [expectation_E_series, expectation_E_first_layer_series])
+    def test_leading_column_owns_its_memory(self, build):
+        # a view would keep the whole nM x degree coefficient table alive
+        s, data, k = random_instance(3)
+        e = build(z_vectors(s, data.x, k))
+        assert e.leading.base is None
+        assert e.leading.shape == (data.x.size,)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_agrees_with_quadrature(self, seed):
         rng = np.random.default_rng(seed)

@@ -48,6 +48,33 @@ def test_script_exits_cleanly(name, argv, tmp_path):
             assert np.all(np.isfinite(values))
 
 
+# (script, flag, bad value, the reason argparse gives): every integer flag
+# parses through cli._count or cli._size, and --eta through cli._positive
+BAD_FLAGS = [
+    ("verify_constants", "--seed", "-1", "expected an integer >= 0, got '-1'"),
+    *(("compare_shift_operators", flag, "0", "expected an integer >= 1, got '0'")
+      for flag in ("--seeds", "--n", "--len", "--m-train", "--k", "--width", "--epochs")),
+    *(("compare_shift_operators", flag, "-1", "expected an integer >= 0, got '-1'")
+      for flag in ("--dt", "--m-test")),
+    *(("width_convergence", flag, "0", "expected an integer >= 1, got '0'")
+      for flag in ("--widths", "--seeds", "--n", "--m", "--k", "--steps")),
+    ("width_convergence", "--seed", "-1", "expected an integer >= 0, got '-1'"),
+    ("width_convergence", "--eta", "nan", "value must be positive and finite, got nan"),
+    ("width_convergence", "--eta", "0", "value must be positive and finite, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("name, flag, value, reason", BAD_FLAGS,
+                         ids=[f"{n}{f}={v}" for n, f, v, _ in BAD_FLAGS])
+def test_script_rejects_a_bad_flag_value(capsys, tmp_path, name, flag, value, reason):
+    with pytest.raises(SystemExit) as exc:
+        out = [] if name == "verify_constants" else ["--out-dir", str(tmp_path / "out")]
+        load_script(name).main([flag, value, *out])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {flag}: {reason}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag", ["--instances", "--optimality-instances"])
 def test_verify_constants_rejects_a_negative_count(capsys, flag):
     with pytest.raises(SystemExit) as exc:
