@@ -16,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ntkalign.cli import FILTER_RATE_MULTIPLIER, GNN_LEARNING_RATE, _count, _size
+from ntkalign.cli import (
+    FILTER_RATE_MULTIPLIER,
+    GNN_LEARNING_RATE,
+    _count,
+    _fraction,
+    _size,
+    refuse_bad_input,
+)
 from ntkalign.dataio import (
     PairExtractionConfig,
     VarProcessConfig,
@@ -36,7 +43,7 @@ def parse_args(argv):
     parser.add_argument("--dt", type=_count, default=1, help="prediction horizon")
     parser.add_argument("--m-train", type=_size, default=200)
     parser.add_argument("--m-test", type=_count, default=50)
-    parser.add_argument("--strength", type=float, default=0.9)
+    parser.add_argument("--strength", type=_fraction, default=0.9)
     parser.add_argument("--background", type=float, default=0.35)
     parser.add_argument("--k", type=_size, default=2, help="filter taps")
     parser.add_argument("--width", type=_size, default=50, help="GNN hidden features")
@@ -46,9 +53,10 @@ def parse_args(argv):
 
 
 def main(argv=None):
-    args = parse_args(argv)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    return refuse_bad_input(run, parse_args(argv))
+
+
+def run(args):
     models = {"filter": GNN_LEARNING_RATE * FILTER_RATE_MULTIPLIER, "gnn2": GNN_LEARNING_RATE}
     curves = {(m, a): [] for m in models for a in ("cxy", "cxx")}
     wins = {m: {"train": 0, "test": 0} for m in models}
@@ -77,6 +85,8 @@ def main(argv=None):
                 wins[model][metric] += result.win_count("cxy", "cxx", metric=metric)
         print(f"seed {seed} done")
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     header, columns = ["epoch"], [np.arange(args.epochs + 1, dtype=float)]
     for (model, arm), runs in curves.items():
         header.append(f"{model}_{arm}_train_mean")

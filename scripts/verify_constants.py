@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from ntkalign.alignment import optimality_sweep, run_inequality_sweeps
-from ntkalign.cli import _count
+from ntkalign.cli import _count, refuse_bad_input
 from ntkalign.hermite import self_check
 
 
@@ -19,8 +19,10 @@ def main(argv=None):
     parser.add_argument("--instances", type=_count, default=500, help="per inequality sweep")
     parser.add_argument("--optimality-instances", type=_count, default=1000)
     parser.add_argument("--seed", type=_count, default=0)
-    args = parser.parse_args(argv)
+    return refuse_bad_input(run, parser.parse_args(argv))
 
+
+def run(args):
     failures = 0
 
     payload = self_check()

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ntkalign.cli import _count, _positive, _size
+from ntkalign.cli import _count, _positive, _size, refuse_bad_input
 from ntkalign.core import Dataset, ShiftOperator
 from ntkalign.dataio import save_csv
 from ntkalign.ntk import gnn_infinite_ntk, gnn_monte_carlo_ntk
@@ -41,8 +41,10 @@ def main(argv=None):
     parser.add_argument("--steps", type=_size, default=15, help="drift-run length")
     parser.add_argument("--seed", type=_count, default=0, help="instance seed")
     parser.add_argument("--out-dir", default="width_out")
-    args = parser.parse_args(argv)
+    return refuse_bad_input(run, parser.parse_args(argv))
 
+
+def run(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     s, data = make_instance(args.seed, args.n, args.m)

@@ -176,28 +176,24 @@ def check_linear_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) -> 
 
 
 def check_budget_implies_kernel_bound(
-    s: ShiftOperator, data: Dataset, num_taps: int, eta: float = 1.0
+    s: ShiftOperator, data: Dataset, num_taps: int
 ) -> CheckReport:
     """Frobenius budget on sum_k S^k caps the kernel operator norm.
 
     Sets alpha so the budget is exactly tight for this S, then checks
-    eta ||Theta~||_op <= alpha.  Needs ||x_i|| <= 1 and a shift with
-    nonnegative spectrum: per eigenvalue the even-power sum is capped by
-    the squared power sum only when the cross terms are nonnegative, and
-    an indefinite shift with data on a negative eigenvector violates the
-    conclusion outright (see the tests for a two-node example).
+    ||Theta~||_op <= alpha; a learning rate would scale both sides alike.
+    Needs ||x_i|| <= 1 and a shift with nonnegative spectrum: per
+    eigenvalue the even-power sum is capped by the squared power sum only
+    when the cross terms are nonnegative, and an indefinite shift with
+    data on a negative eigenvector violates the conclusion outright (see
+    the tests for a two-node example).
     """
     if data.max_column_norm > 1.0 + 1e-12:
         raise ValueError("inputs must satisfy ||x_i|| <= 1")
     lhs_budget = constraint_lhs(s, num_taps)
-    alpha = eta * data.num_samples * lhs_budget**2
+    alpha = data.num_samples * lhs_budget**2
     theta = filter_ntk(s, data.x, num_taps)
-    return _verdict(
-        "budget_implies_kernel_bound",
-        alpha,
-        eta * theta.operator_norm,
-        budget=lhs_budget,
-    )
+    return _verdict("budget_implies_kernel_bound", alpha, theta.operator_norm, budget=lhs_budget)
 
 
 def _leading_term(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -215,15 +211,14 @@ def check_first_term_lower_bound(
     s: ShiftOperator,
     data: Dataset,
     num_taps: int,
-    spectral_bound: float = 1.0,
     layer: str = "second",
 ) -> CheckReport:
     """tr(Q B) >= rho A_lin for the leading Hermite term B of either layer.
 
     The second layer's B is the degree-1 tanh term g_1 g_1' rho; the first
     layer's is the even-expansion leading term tau_0 tau_0 <z_a, z_b>.  rho
-    is the squared coefficient floor over the bounded norm domain, so the
-    operator norm of S must not exceed the declared spectral bound.
+    is the squared coefficient floor over the bounded norm domain, taken
+    at spectral bound 1, so the operator norm of S must not exceed 1.
 
     B is B_lin conjugated by a diagonal D with entries in [sqrt(rho), 1],
     and pinching the quadratic form by min(D)^2 is only sound when the
@@ -234,10 +229,10 @@ def check_first_term_lower_bound(
     if layer not in ("first", "second"):
         raise ValueError(f"layer must be 'first' or 'second', got {layer!r}")
     op_norm = float(np.abs(np.linalg.eigvalsh(s.matrix)).max())
-    if op_norm > spectral_bound + 1e-12:
-        raise ValueError(f"operator norm {op_norm:.6f} exceeds spectral bound {spectral_bound}")
+    if op_norm > 1.0 + 1e-12:
+        raise ValueError(f"operator norm {op_norm:.6f} exceeds spectral bound 1")
     z, zy, c = _tap_stacks(s, data, num_taps)
-    consts = expansion_constants(num_taps, spectral_bound)
+    consts = expansion_constants(num_taps)
     norms, corr, _ = z.correlations
     lead = coeff_g(1, norms) if layer == "second" else coeff_tau(0, norms**2) * norms
     rho = consts.rho if layer == "second" else consts.rho_first_layer
@@ -398,15 +393,13 @@ def check_first_layer_alignment_lower_bound(report: AlignmentReport) -> CheckRep
     )
 
 
-def random_instance(
-    seed: int,
-    max_nodes: int = 8,
-    max_samples: int = 6,
-    max_taps: int = 4,
-    spectrum: str = "any",
-    entries: str = "any",
-):
-    """Normalized random instance: unit-Frobenius GOE shift, unit-ball data.
+def _draw_sizes(rng) -> tuple:
+    """The sweeps' instance sizes: n in 2..8 nodes, then M in 1..6 samples."""
+    return int(rng.integers(2, 9)), int(rng.integers(1, 7))
+
+
+def random_instance(seed: int, spectrum: str = "any", entries: str = "any"):
+    """Normalized random instance: unit-Frobenius GOE shift, unit-ball data, K in 1..4.
 
     ``spectrum='nonnegative'`` draws a Gram-matrix shift, for checks whose
     derivation needs a PSD operator.  ``entries='nonnegative'`` makes the
@@ -415,9 +408,8 @@ def random_instance(
     first-term bound actually holds.
     """
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, max_nodes + 1))
-    m = int(rng.integers(1, max_samples + 1))
-    num_taps = int(rng.integers(1, max_taps + 1))
+    n, m = _draw_sizes(rng)
+    num_taps = int(rng.integers(1, 5))
     a = rng.standard_normal((n, n))
     if spectrum == "nonnegative":
         sym = a @ a.T
@@ -435,12 +427,11 @@ def random_instance(
     return s, Dataset(x, y).normalized(), num_taps
 
 
-def planted_instance(seed: int, max_nodes: int = 8, max_samples: int = 6, max_taps: int = 3):
-    """High-alignment instance: targets are a noise-free filter output."""
+def planted_instance(seed: int):
+    """High-alignment instance: targets are a noise-free filter output, K in 1..3."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, max_nodes + 1))
-    m = int(rng.integers(1, max_samples + 1))
-    num_taps = int(rng.integers(1, max_taps + 1))
+    n, m = _draw_sizes(rng)
+    num_taps = int(rng.integers(1, 4))
     a = rng.standard_normal((n, n))
     sym = (a + a.T) / 2.0
     s = ShiftOperator(sym).normalized()
@@ -559,8 +550,6 @@ def optimality_sweep(
     num_instances: int = 1000,
     seed: int = 0,
     num_taps: int = 2,
-    max_nodes: int = 8,
-    max_samples: int = 6,
     alpha: float = 1.0,
     eta: float = 1.0,
 ) -> OptimalitySweepResult:
@@ -573,8 +562,7 @@ def optimality_sweep(
     if num_taps != 2:
         raise ValueError("boundary rescaling is exact only for K = 2")
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, max_nodes + 1))
-    m = int(rng.integers(1, max_samples + 1))
+    n, m = _draw_sizes(rng)
     data = Dataset(rng.standard_normal((n, m)), rng.standard_normal((n, m))).normalized()
     c = cross_covariance_matrix(data.x, data.y)
     budget = frobenius_budget(alpha, eta, m)

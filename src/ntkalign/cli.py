@@ -680,30 +680,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+def refuse_bad_input(run, *args) -> int:
+    """``run(*args)``, or exit 2 with one ``error:`` line when the input is bad or out of reach."""
     try:
-        ns = parser.parse_args(argv)
-        if ns.config:
-            # file flags go before the command line's, so a flag given there wins
-            ns = parser.parse_args([argv[0], *_config_flags(ns), *argv[1:]])
-        cfg = vars(ns)
-        return COMMANDS[cfg.pop("subcommand")](cfg)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return run(*args)
     except DivergenceError as exc:
         print(
             f"error: training diverged at epoch {exc.step}; reduce --eta or --kappa",
             file=sys.stderr,
         )
         return 2
-    except (ValueError, OSError, TruncationError, CorrelationOvershootError) as exc:
+    except (CliError, ValueError, OSError, TruncationError, CorrelationOvershootError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _run(argv: list) -> int:
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config:
+        # file flags go before the command line's, so a flag given there wins
+        ns = parser.parse_args([argv[0], *_config_flags(ns), *argv[1:]])
+    cfg = vars(ns)
+    return COMMANDS[cfg.pop("subcommand")](cfg)
+
+
+def main(argv=None) -> int:
+    try:
+        return refuse_bad_input(_run, sys.argv[1:] if argv is None else list(argv))
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
 
 
 if __name__ == "__main__":

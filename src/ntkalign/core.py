@@ -31,9 +31,13 @@ def require_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _frozen_array(a, dtype=float, ndim=None) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    if ndim is not None and out.ndim != ndim:
+def _frozen_array(a, ndim: int) -> np.ndarray:
+    return _frozen(np.array(a, dtype=float), ndim)
+
+
+def _frozen(out: np.ndarray, ndim: int) -> np.ndarray:
+    """``out`` itself, made read-only once it is checked to be ``ndim``-d and finite."""
+    if out.ndim != ndim:
         raise ValueError(f"expected {ndim}-d array, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise ValueError("array contains non-finite entries")
@@ -49,8 +53,8 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _frozen_array(self.x, ndim=2))
-        object.__setattr__(self, "y", _frozen_array(self.y, ndim=2))
+        object.__setattr__(self, "x", _frozen_array(self.x, 2))
+        object.__setattr__(self, "y", _frozen_array(self.y, 2))
         if self.x.shape != self.y.shape:
             raise ValueError(
                 f"x and y must have matching shapes, got {self.x.shape} vs {self.y.shape}"
@@ -129,7 +133,7 @@ class ShiftOperator(_MatrixShift):
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _frozen_array(self.matrix, ndim=2)
+        m = _frozen_array(self.matrix, 2)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"shift operator must be square, got {m.shape}")
         asym = np.abs(m - m.T).max(initial=0.0)
@@ -159,7 +163,9 @@ class NtkMatrix:
 
     Dense (the default): ``matrix`` is the nM x nM kernel.  Construction
     validates symmetry (relative Frobenius) and positive semidefiniteness
-    (smallest eigenvalue above -1e-8 times the operator norm).
+    (smallest eigenvalue above -1e-8 times the operator norm).  Both the
+    validation and ``eigenpairs`` read the lower triangle, so their
+    eigenvalues agree.
 
     Factored (``factored=True``): ``matrix`` is a factor F of size nM x r
     and the kernel is F F', symmetric PSD by construction, so only F's
@@ -173,7 +179,7 @@ class NtkMatrix:
     """
 
     def __init__(self, matrix, info: Mapping | None = None, *, factored: bool = False):
-        m = _frozen_array(matrix, ndim=2)
+        m = _frozen_array(matrix, 2)
         self.info = dict(info or {})
         if factored:
             self.factor, self._dense, self._eigenvalues = m, None, None
@@ -185,7 +191,7 @@ class NtkMatrix:
             asym = np.linalg.norm(m - m.T) / fro
             if asym > NTK_SYMMETRY_RTOL:
                 raise ValueError(f"kernel not symmetric: relative asymmetry {asym:.3e}")
-        eigs = np.linalg.eigvalsh((m + m.T) / 2.0)
+        eigs = np.linalg.eigvalsh(m)
         op_norm = float(np.abs(eigs).max(initial=0.0))
         if eigs.size and eigs[0] < -NTK_PSD_RTOL * max(op_norm, 1e-300):
             raise ValueError(
@@ -243,8 +249,9 @@ class NtkMatrix:
     def operator_norm(self) -> float:
         return float(np.abs(self.eigenvalues).max(initial=0.0))
 
-    def rank_estimate(self, rtol: float = 1e-10) -> int:
-        cutoff = rtol * max(self.operator_norm, 1e-300)
+    def rank_estimate(self) -> int:
+        """The number of eigenvalues above 1e-10 times the operator norm."""
+        cutoff = 1e-10 * max(self.operator_norm, 1e-300)
         return int(np.count_nonzero(self.eigenvalues > cutoff))
 
     def quadratic_form(self, v: np.ndarray) -> float:

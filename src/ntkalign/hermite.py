@@ -67,6 +67,8 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 SIGMA_HAT_SUP = 1.0
 # beta_constant's closed form, (pi - 2) / 2: the tail ratio in the saturation limit.
 BETA_SATURATION = (1.0 - 2.0 / math.pi) / (2.0 / math.pi)
+# Terms of the partial sum beta_constant reports next to the closed form.
+BETA_TERMS = 1000
 
 
 # A series tail below -TAIL_ROUNDOFF times the largest total is not round-off.
@@ -336,24 +338,22 @@ class BetaResult:
     truncation_residual: float
 
 
-def beta_constant(max_terms: int = 1000) -> BetaResult:
+def beta_constant() -> BetaResult:
     """Tail-ratio constant of tanh via its saturation (sign-function) limit.
 
     The limit's coefficient ratios are t_i = ((2i-1)!!)^2 / (2i+1)!, and
     Parseval for the sign function (E[sign^2] = 1, g_1 = sqrt(2/pi)) sums
     the whole series to (1 - 2/pi) / (2/pi) = (pi - 2)/2 exactly.  The raw
     partial sums converge like i^{-1/2}, so `value` uses the closed form;
-    the partial sum is reported for diagnostics.
+    the partial sum over BETA_TERMS terms is reported for diagnostics.
     """
-    if max_terms < 1:
-        raise ValueError("max_terms must be >= 1")
     exact = BETA_SATURATION
     partial = 0.0
     term = 1.0  # t_0, the g_1 term itself (excluded from the sum)
-    for i in range(1, max_terms + 1):
+    for i in range(1, BETA_TERMS + 1):
         term *= (2 * i - 1) ** 2 / ((2 * i) * (2 * i + 1))
         partial += term
-    return BetaResult(exact, partial, max_terms, exact - partial)
+    return BetaResult(exact, partial, BETA_TERMS, exact - partial)
 
 
 @dataclass(frozen=True)
@@ -391,14 +391,14 @@ def beta_first_layer(norm_sq_bound: float) -> FirstLayerBetaResult:
     )
 
 
-def correlated_pair_expectation(f, g, rho: float, n_points: int = DEFAULT_POINTS) -> float:
-    """E[f(u) g(u')] for rho-correlated standard Gaussians, by a tensor rule.
+def correlated_pair_expectation(f, g, rho: float) -> float:
+    """E[f(u) g(u')] for rho-correlated standard Gaussians, by a DEFAULT_POINTS tensor rule.
 
     Uses u' = rho u + sqrt(1 - rho^2) v with independent u, v.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
-    nodes, weights = gauss_hermite_rule(n_points)
+    nodes, weights = gauss_hermite_rule(DEFAULT_POINTS)
     u = nodes[:, None]
     v = nodes[None, :]
     uprime = rho * u + math.sqrt(max(0.0, 1.0 - rho * rho)) * v
@@ -435,9 +435,9 @@ class GridCheckResult:
 _GRID_KINDS = {"tanh_odd": (coeff_g_table, 1), "sech2_even": (coeff_tau_table, 0)}
 
 
-def _grid_table(kind: str, degrees, grid):
-    """The grid (default 40 points geometric on [0.1, 10]), kind's table on it, its base degree."""
-    grid = np.geomspace(0.1, 10.0, 40) if grid is None else np.asarray(grid, dtype=float)
+def _grid_table(kind: str, degrees):
+    """The checks' grid (40 points geometric on [0.1, 10]), kind's table on it, its base degree."""
+    grid = np.geomspace(0.1, 10.0, 40)
     if kind not in _GRID_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     table, base = _GRID_KINDS[kind]
@@ -447,14 +447,13 @@ def _grid_table(kind: str, degrees, grid):
 def verify_sign_constancy(
     kind: str = "tanh_odd",
     degrees: tuple[int, ...] = (1, 3, 5, 7, 9),
-    grid: np.ndarray | None = None,
 ) -> GridCheckResult:
     """Check each coefficient keeps one strict sign across a y grid.
 
     ``tanh_odd`` checks g_degree over y in the grid, ``sech2_even`` checks
     tau_degree with the grid read as squared norms.
     """
-    grid, table, _ = _grid_table(kind, degrees, grid)
+    grid, table, _ = _grid_table(kind, degrees)
     violations = []
     worst = math.inf
     for deg in degrees:
@@ -470,15 +469,13 @@ def verify_sign_constancy(
 def verify_ratio_monotonicity(
     kind: str = "tanh_odd",
     degrees: tuple[int, ...] = (3, 5, 7, 9),
-    grid: np.ndarray | None = None,
-    tol: float = 1e-7,
 ) -> GridCheckResult:
     """Check |coeff_degree / coeff_base| is non-decreasing along the grid.
 
     Base degree is 1 for ``tanh_odd`` and 0 for ``sech2_even``.  Steps may
-    regress by at most ``tol``.
+    regress by at most 1e-7.
     """
-    grid, table, base = _grid_table(kind, degrees, grid)
+    grid, table, base = _grid_table(kind, degrees)
     violations = []
     worst = math.inf
     for deg in degrees:
@@ -486,7 +483,7 @@ def verify_ratio_monotonicity(
         steps = np.diff(ratio)
         margin = float(steps.min())
         worst = min(worst, margin)
-        if margin < -tol:
+        if margin < -1e-7:
             violations.append((deg, margin))
     return GridCheckResult(kind, tuple(degrees), grid, tuple(violations), worst)
 

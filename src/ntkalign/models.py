@@ -9,10 +9,9 @@ The two-layer GNN's nonlinearity is tanh, the activation whose Hermite
 expansion (``hermite``) the infinite-width kernels and alignment bounds
 are built on; its derivative is taken from its value, sigma' = 1 - t^2.
 
-Signals may be a single vector (n,) or a matrix (n, M) of sample columns.
-Forward passes preserve that shape; Jacobians return (n, P) for a vector and
-the sample-major stacked (n*M, P) for a matrix, matching the stacking
-convention in core.
+Signals are (n, M) matrices of sample columns.  Forward passes return that
+shape; Jacobians return the sample-major stacked (n*M, P), matching the
+stacking convention in core.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class FilterParams:
     taps: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "taps", _frozen_array(self.taps, ndim=1))
+        object.__setattr__(self, "taps", _frozen_array(self.taps, 1))
         if self.taps.shape[0] < 1:
             raise ValueError(f"num_taps must be >= 1, got {self.taps.shape[0]}")
 
@@ -66,8 +65,8 @@ class TwoLayerGnnParams:
     h: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "g", _frozen_array(self.g, ndim=2))
-        object.__setattr__(self, "h", _frozen_array(self.h, ndim=2))
+        object.__setattr__(self, "g", _frozen_array(self.g, 2))
+        object.__setattr__(self, "h", _frozen_array(self.h, 2))
         if self.g.shape != self.h.shape:
             raise ValueError(f"layer shapes differ: {self.g.shape} vs {self.h.shape}")
         if self.g.shape[0] < 1:
@@ -96,7 +95,7 @@ def init_gnn2(width: int, num_taps: int, cfg: InitConfig) -> TwoLayerGnnParams:
 
 def _check_signal(s: ShiftOperator, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[0] != s.num_nodes:
+    if x.ndim != 2 or x.shape[0] != s.num_nodes:
         raise ValueError(f"signal shape {x.shape} does not fit {s.num_nodes} nodes")
     return x
 
@@ -114,11 +113,9 @@ def filter_forward(s: ShiftOperator, params: FilterParams, x: np.ndarray) -> np.
 
 
 def filter_jacobian(s: ShiftOperator, x: np.ndarray, num_taps: int) -> np.ndarray:
-    """Columns S^k x for k < K; rows stacked sample-major when x is a matrix."""
+    """Columns S^k x for k < K, rows stacked sample-major."""
     x = _check_signal(s, x)
-    powers = s.powers_applied(x, num_taps)  # (K, n) or (K, n, M)
-    if x.ndim == 1:
-        return powers.T.copy()
+    powers = s.powers_applied(x, num_taps)
     # (K, n, M) -> (M, n, K) -> (n*M, K), sample-major rows
     return powers.transpose(2, 1, 0).reshape(-1, num_taps)
 
@@ -126,7 +123,7 @@ def filter_jacobian(s: ShiftOperator, x: np.ndarray, num_taps: int) -> np.ndarra
 def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x_powers: np.ndarray):
     """The GNN's output on the tap stack X = [S^k x]_k, and its pullback r -> J' r.
 
-    ``x_powers`` is ``s.powers_applied(x, K)``, shape (K,) + x.shape; a
+    ``x_powers`` is ``s.powers_applied(x, K)``, shape (K, n, M); a
     training run builds it once, since x does not change.  Adjoint
     (Horner) form: with u1 = g X, the output is sum_k S^k v_k / sqrt(F)
     with v_k = sum_f h_{f,k} sigma(u1_f), summed by Horner's rule; no
@@ -151,16 +148,15 @@ def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x_powers:
         raise ValueError(f"tap stack of {len(x_powers)} taps for a {num_taps}-tap GNN")
     _check_signal(s, x_powers[0])  # the first tap is x itself
     scale = math.sqrt(width)
-    block = (s.num_nodes, -1)  # an (n, M) view of a signal or residual
 
     x_cols = x_powers.reshape(num_taps, -1)  # (K, n*M)
     q1 = params.g @ x_cols  # u1, (F, n*M), overwritten by tanh(u1), then by sigma'
     np.tanh(q1, out=q1)
-    v = (params.h.T @ q1).reshape((num_taps,) + block)  # (K, n, M)
+    v = (params.h.T @ q1).reshape(x_powers.shape)  # (K, n, M)
     out = v[-1]
     for k in range(num_taps - 2, -1, -1):
         out = s.matrix @ out + v[k]
-    out = (out / scale).reshape(x_powers.shape[1:])
+    out = out / scale
     spent = False
 
     def pullback(resid: np.ndarray) -> np.ndarray:
@@ -171,8 +167,7 @@ def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x_powers:
         if r.shape != out.shape:
             raise ValueError(f"residual shape {r.shape} does not match output {out.shape}")
         spent = True
-        r_powers = matrix_powers_applied(s.matrix.T, r.reshape(block), num_taps)
-        r_powers = r_powers.reshape(num_taps, -1)  # (S')^j r, (K, n*M)
+        r_powers = matrix_powers_applied(s.matrix.T, r, num_taps).reshape(num_taps, -1)
         grad_h = q1 @ r_powers.T
         mixed = (r_powers[:, None, :] * x_cols[None, :, :]).reshape(num_taps * num_taps, -1)
         np.subtract(1.0, np.multiply(q1, q1, out=q1), out=q1)  # sigma' = 1 - tanh^2
@@ -211,8 +206,7 @@ def gnn2_jacobian(
     if which_layer not in ("first", "second", "both"):
         raise ValueError(f"which_layer must be first/second/both, got {which_layer!r}")
     x = _check_signal(s, x)
-    xm = x[:, None] if x.ndim == 1 else x
-    x_powers = s.powers_applied(xm, params.num_taps)  # (K, n, M)
+    x_powers = s.powers_applied(x, params.num_taps)  # (K, n, M)
     s_powers = s.powers_applied(np.eye(s.num_nodes), params.num_taps)  # S^j, (K, n, n)
     q1 = np.tanh(np.einsum("fk,knm->fnm", params.g, x_powers))  # sigma(u1), (F, n, M)
     blocks = []  # each (M, n, F, K): sample-major rows, (feature, tap) columns
@@ -221,7 +215,7 @@ def gnn2_jacobian(
         blocks.append(np.einsum("fj,jab,fkbm->mafk", params.h, s_powers, w, optimize=True))
     if which_layer in ("second", "both"):
         blocks.append(np.einsum("kab,fbm->mafk", s_powers, q1, optimize=True))
-    return np.hstack([b.reshape(xm.size, -1) for b in blocks]) / math.sqrt(params.width)
+    return np.hstack([b.reshape(x.size, -1) for b in blocks]) / math.sqrt(params.width)
 
 
 def flatten_params(params) -> np.ndarray:

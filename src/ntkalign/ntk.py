@@ -32,16 +32,18 @@ from .core import (
     Dataset,
     NtkMatrix,
     ShiftOperator,
+    _frozen,
     _frozen_array,
 )
-from .hermite import gauss_hermite_rule, hermite_series, sech2
+from .hermite import DEFAULT_POINTS, gauss_hermite_rule, hermite_series, sech2
 from .models import FilterParams, TwoLayerGnnParams, filter_jacobian, gnn2_jacobian
 
-DEFAULT_QUADRATURE_POINTS = 64
 RHO_OVERSHOOT_TOL = 1e-9
 # Entries per row block of the Mehler sum: 512 KB per block array, so the
 # block's accumulator, rho^2 and term stay in a 2 MB L2 cache across degrees.
 MEHLER_BLOCK = 65536
+# Pairs per block of the quadrature references.
+QUADRATURE_CHUNK = 512
 
 
 class CorrelationOvershootError(RuntimeError):
@@ -68,7 +70,7 @@ class TapStack:
     num_samples: int
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen_array(self.matrix, ndim=2))
+        object.__setattr__(self, "matrix", _frozen_array(self.matrix, 2))
         if self.matrix.shape[0] != self.num_nodes * self.num_samples:
             raise ValueError("row count must be num_nodes * num_samples")
 
@@ -164,7 +166,8 @@ class ExpectationMatrix:
     ``truncation_residual`` bounds the entrywise error against the
     untruncated series, and ``leading`` is the coefficient column c_0 of
     the series' degree-1 term B = c_0 c_0' * rho, copied out so the
-    nM x degree coefficient table is freed.
+    nM x degree coefficient table is freed.  Each builder below hands
+    over a fresh ``matrix``, which is kept, made read-only, not copied.
     """
 
     matrix: np.ndarray
@@ -175,10 +178,10 @@ class ExpectationMatrix:
     leading: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen_array(self.matrix, ndim=2))
+        _frozen(self.matrix, 2)
 
 
-def _pair_quadrature(fn, norms, rho, n_points, chunk=512) -> np.ndarray:
+def _pair_quadrature(fn, norms, rho, n_points) -> np.ndarray:
     """E[fn(|z_a| u) fn(|z_b| u')] over rho-correlated pairs, upper triangle."""
     nm = norms.shape[0]
     nodes, weights = gauss_hermite_rule(n_points)
@@ -187,9 +190,9 @@ def _pair_quadrature(fn, norms, rho, n_points, chunk=512) -> np.ndarray:
     v = nodes[None, None, :]
     ii, jj = np.triu_indices(nm)
     out = np.zeros((nm, nm))
-    for start in range(0, ii.size, chunk):
-        a = ii[start : start + chunk]
-        b = jj[start : start + chunk]
+    for start in range(0, ii.size, QUADRATURE_CHUNK):
+        a = ii[start : start + QUADRATURE_CHUNK]
+        b = jj[start : start + QUADRATURE_CHUNK]
         r = rho[a, b][:, None, None]
         uprime = r * u + np.sqrt(1.0 - r * r) * v
         vals = fn(norms[a][:, None, None] * u) * fn(norms[b][:, None, None] * uprime)
@@ -208,7 +211,7 @@ def _zero_out(matrix: np.ndarray, zero_rows) -> np.ndarray:
 
 
 def expectation_E_quadrature(
-    z: TapStack, n_points: int = DEFAULT_QUADRATURE_POINTS
+    z: TapStack, n_points: int = DEFAULT_POINTS
 ) -> ExpectationMatrix:
     """E_ab = E[tanh(|z_a| u) tanh(|z_b| u')] by tensor Gauss-Hermite.
 
@@ -288,7 +291,7 @@ def expectation_E_first_layer_series(z: TapStack) -> ExpectationMatrix:
 
 
 def expectation_E_first_layer(
-    z: TapStack, n_points: int = DEFAULT_QUADRATURE_POINTS
+    z: TapStack, n_points: int = DEFAULT_POINTS
 ) -> ExpectationMatrix:
     """First-layer analog: E[sech^2(|z_a| u) sech^2(|z_b| u')] <z_a, z_b>.
 

@@ -164,7 +164,8 @@ def solve_optimal_gso(
     K = 2 has the closed form S = mu C - I; larger K goes through the
     eigendecomposition of mu C, one scalar power-sum root per eigenvalue.
     The relative residual of the power sum against mu C must stay below
-    RESIDUAL_RTOL.  ``normalize`` rescales the result to unit Frobenius
+    RESIDUAL_RTOL, else ValueError: mu C is beyond the solver's reach, as
+    a budget so small that I swamps it is.  ``normalize`` rescales the result to unit Frobenius
     norm after that check, for use where only the direction of the
     operator matters.
     """
@@ -186,8 +187,9 @@ def solve_optimal_gso(
     s_matrix = (s_matrix + s_matrix.T) / 2.0
     scale_ref = max(np.linalg.norm(target), 1e-300)
     residual = float(np.linalg.norm(power_sum(s_matrix, num_taps) - target) / scale_ref)
-    if residual > RESIDUAL_RTOL:
-        raise RuntimeError(
+    residual = residual if math.isfinite(scale_ref) else math.nan  # an infinite scale hides any error
+    if not residual <= RESIDUAL_RTOL:  # NaN included
+        raise ValueError(
             f"reconstructed power sum misses the target: relative residual {residual:.3e}"
         )
 

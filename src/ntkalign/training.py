@@ -51,7 +51,7 @@ from .models import (
 from .ntk import TapStack, filter_ntk, z_vectors
 
 PINV_RTOL = 1e-10
-DEFAULT_SLACK_FACTOR = 10.0
+SLACK_FACTOR = 10.0  # the constant the kernel-regime bounds hide
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -94,15 +94,9 @@ def kappa_for_budget(eps: float, delta: float, num_nodes: int, num_samples: int)
     return eps * math.sqrt(delta / (num_nodes * num_samples))
 
 
-def slack_from_kappa(
-    kappa: float,
-    delta: float,
-    num_nodes: int,
-    num_samples: int,
-    c_slack: float = DEFAULT_SLACK_FACTOR,
-) -> float:
-    """c_slack * eps with eps recovered from kappa; the bounds hide constants."""
-    return c_slack * kappa * math.sqrt(num_nodes * num_samples / delta)
+def slack_from_kappa(kappa: float, delta: float, num_nodes: int, num_samples: int) -> float:
+    """SLACK_FACTOR * eps with eps recovered from kappa."""
+    return SLACK_FACTOR * kappa * math.sqrt(num_nodes * num_samples / delta)
 
 
 @dataclass(frozen=True)
@@ -176,8 +170,10 @@ def _training_pass(s: ShiftOperator, model, taps: TapStack, y: np.ndarray, param
 
         def filter_pass(flat, idx):
             if idx is None:
-                resid = r @ flat - c  # a K-vector: a dot spares np.sum's overhead
-                return 0.5 * float(resid @ resid) + floor, lambda: r.T @ resid
+                with _loss_errstate():
+                    resid = r @ flat - c  # a K-vector: a dot spares np.sum's overhead
+                    loss = 0.5 * float(resid @ resid) + floor
+                return loss, lambda: r.T @ resid
             zb = z[idx].reshape(-1, taps.num_taps)
             resid = zb @ flat - y[idx].ravel()
             return _half_loss(resid), lambda: zb.T @ resid
@@ -212,8 +208,14 @@ def _split_passes(s: ShiftOperator, model, *splits):
     return stacks, passes
 
 
+def _loss_errstate():
+    """No warning where a loss is computed: the divergence rule reports an inf or NaN loss."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _half_loss(resid: np.ndarray) -> float:
-    return 0.5 * float(np.sum(resid * resid))
+    with _loss_errstate():
+        return 0.5 * float(np.sum(resid * resid))
 
 
 def _descent(flat0: np.ndarray, training_pass, num_samples: int, cfg: TrainConfig):
@@ -314,26 +316,25 @@ def ntk_drift(
     eta: float,
     num_steps: int,
     seed: int,
-    kappa: float = 1.0,
 ) -> tuple[DriftPoint, ...]:
     """Largest relative two-layer-GNN NTK movement during a short GD run.
 
-    For each width F, runs ``_descent`` (full-batch GD on the squared loss,
-    ``TrainConfig(eta, num_steps, kappa=kappa, seed=seed)``) and reports
-    max_t ||Theta_t - Theta_0||_F / ||Theta_0||_F with Theta_t = J_t J_t'
-    over steps t = 0..num_steps; wider GNNs should drift less.  (A graph
-    filter's NTK is parameter-free, so it cannot drift.)  Divergence is
-    ``train``'s rule: DivergenceError when a post-step loss, checked
-    through the last step, exceeds 10^6 times the initial loss floored at
-    1e-12.  (A separate loop here once checked only the pre-step losses of
-    steps 0..num_steps-1, with the floor at 1e-300.)  An eta or kappa
-    that is not positive and finite raises ValueError.
+    For each width F, initializes at kappa = 1, runs ``_descent``
+    (full-batch GD on the squared loss, ``TrainConfig(eta, num_steps,
+    seed=seed)``) and reports max_t ||Theta_t - Theta_0||_F / ||Theta_0||_F
+    with Theta_t = J_t J_t' over steps t = 0..num_steps; wider GNNs should
+    drift less.  (A graph filter's NTK is parameter-free, so it cannot
+    drift.)  Divergence is ``train``'s rule: DivergenceError when a
+    post-step loss, checked through the last step, exceeds 10^6 times the
+    initial loss floored at 1e-12.  (A separate loop here once checked
+    only the pre-step losses of steps 0..num_steps-1, with the floor at
+    1e-300.)  An eta that is not positive and finite raises ValueError.
     """
-    cfg = TrainConfig(eta, num_steps, kappa=kappa, seed=seed)
+    cfg = TrainConfig(eta, num_steps, seed=seed)
     taps = z_vectors(s, data.x, num_taps)  # one tap stack serves every width
     out = []
     for width in widths:
-        model = init_gnn2(int(width), num_taps, InitConfig(kappa=kappa, seed=seed))
+        model = init_gnn2(int(width), num_taps, InitConfig(kappa=cfg.kappa, seed=seed))
         drift = 0.0
         params_of = _params_of(model)
         training_pass = _training_pass(s, model, taps, data.y, params_of)
@@ -418,7 +419,6 @@ def check_training_sandwich(
     data: Dataset,
     num_taps: int,
     cfg: TrainConfig,
-    c_slack: float = DEFAULT_SLACK_FACTOR,
 ) -> BoundCheck:
     """Constant-kernel sandwich for a trained graph filter.
 
@@ -440,7 +440,7 @@ def check_training_sandwich(
     y_st = stack(data.y)
     yty = float(y_st @ y_st)
     a = theta.quadratic_form(y_st)
-    slack = slack_from_kappa(cfg.kappa, cfg.delta_budget, data.num_nodes, data.num_samples, c_slack)
+    slack = slack_from_kappa(cfg.kappa, cfg.delta_budget, data.num_nodes, data.num_samples)
 
     t = np.arange(1, cfg.epochs + 1, dtype=float)
     lower = yty - 2.0 * t * cfg.eta * a - slack

@@ -269,10 +269,10 @@ class TestFirstTermCheck:
 
     def test_spectral_precondition_enforced(self):
         rng = np.random.default_rng(8)
-        s = random_shift(rng, 2)  # unit Frobenius on 2 nodes: norm >= 1/sqrt(2)
+        s = ShiftOperator(np.diag([1.5, 0.2]))  # operator norm 1.5, above the bound 1
         data = random_dataset(rng, 2, 2)
         with pytest.raises(ValueError, match="spectral bound"):
-            check_first_term_lower_bound(s, data, 2, spectral_bound=0.5)
+            check_first_term_lower_bound(s, data, 2)
 
     def test_rejects_unknown_layer(self):
         s, data, k = random_instance(0)

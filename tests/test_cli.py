@@ -4,6 +4,7 @@ import math
 import re
 import shlex
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,23 @@ class TestUsageErrors:
                    "--out-dir", tmp_path / "out")
         assert code == 2
         assert "--eta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    @pytest.mark.parametrize("model", ["filter", "gnn2"])
+    def test_diverging_run_prints_only_its_error_line(self, tiny_data, tmp_path, capsys, model,
+                                                      optimizer):
+        # the loss overflows; the divergence rule reports it, and numpy does not warn
+        _, _, x_path, y_path = tiny_data
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # every warning a shell would show
+            code = run("train", "--x", x_path, "--y", y_path, "--model", model, "--width", 3,
+                       "--optimizer", optimizer, "--eta", "1e300", "--epochs", 3,
+                       "--out-dir", tmp_path / "out")
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "error: training diverged at epoch 1; reduce --eta or --kappa"
+        ]
 
 
 class TestConfigResolution:

@@ -140,6 +140,18 @@ class TestNtkMatrix:
         ntk = NtkMatrix(np.diag([2.0, 3.0]))
         assert ntk.quadratic_form(np.array([1.0, 1.0])) == pytest.approx(5.0)
 
+    def test_validation_eigenvalues_match_eigenpairs(self):
+        # an asymmetry under the symmetry bound: validation and eigenpairs read
+        # the same triangle, so the two spectra agree to round-off
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((40, 40))
+        m = a @ a.T
+        upper = np.triu_indices(40, 1)
+        m[upper] *= 1.0 + 1e-9
+        ntk = NtkMatrix(m)
+        scale = ntk.operator_norm
+        assert np.abs(ntk.eigenvalues - ntk.eigenpairs[0]).max() <= 1e-13 * scale
+
 
 class TestFactoredNtkMatrix:
     """The dense kernel NtkMatrix(F F') is the oracle for the factored one."""

@@ -223,12 +223,6 @@ class TestBetaConstant:
         assert res.value == pytest.approx((math.pi - 2) / 2, abs=1e-15)
         assert res.value == pytest.approx((1 - 2 / math.pi) / (2 / math.pi), abs=1e-15)
 
-    def test_partial_sums_increase_to_value(self):
-        r3 = hm.beta_constant(max_terms=3)
-        r100 = hm.beta_constant(max_terms=100)
-        assert r3.partial_sum < r100.partial_sum < r100.value
-        assert r3.truncation_residual > r100.truncation_residual > 0
-
     def test_sign_coefficients_match_quadrature_at_saturation(self):
         # g_ell(y) approaches the sign-function coefficient as y grows
         for ell in (1, 3, 5):

@@ -62,13 +62,13 @@ class TestFilterForward:
     def test_identity_filter(self):
         rng = np.random.default_rng(0)
         s = random_shift(rng, 5)
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((5, 1))
         out = filter_forward(s, FilterParams(np.array([1.0, 0.0, 0.0])), x)
         assert np.allclose(out, x)
 
     def test_zero_shift_keeps_first_tap(self):
         s = ShiftOperator(np.zeros((4, 4)))
-        x = np.arange(4.0)
+        x = np.arange(4.0)[:, None]
         out = filter_forward(s, FilterParams(np.array([2.0, 5.0, -1.0])), x)
         assert np.allclose(out, 2.0 * x)
 
@@ -87,7 +87,7 @@ class TestFilterForward:
     def test_shape_mismatch(self):
         s = ShiftOperator(np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            filter_forward(s, FilterParams(np.ones(2)), np.ones(5))
+            filter_forward(s, FilterParams(np.ones(2)), np.ones((5, 1)))
 
     def test_empty_taps_are_rejected(self):
         with pytest.raises(ValueError, match="num_taps must be >= 1, got 0"):
@@ -98,21 +98,21 @@ class TestFilterJacobian:
     def test_single_tap_is_signal(self):
         rng = np.random.default_rng(1)
         s = random_shift(rng, 4)
-        x = rng.standard_normal(4)
-        assert np.allclose(filter_jacobian(s, x, 1), x[:, None])
+        x = rng.standard_normal((4, 1))
+        assert np.allclose(filter_jacobian(s, x, 1), x)
 
     def test_identity_shift_repeats_columns(self):
-        x = np.arange(3.0)
+        x = np.arange(3.0)[:, None]
         jac = filter_jacobian(ShiftOperator(np.eye(3)), x, 4)
-        assert np.allclose(jac, np.tile(x[:, None], (1, 4)))
+        assert np.allclose(jac, np.tile(x, (1, 4)))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         s = random_shift(rng, 5)
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((5, 1))
         params = FilterParams(rng.standard_normal(3))
         jac = filter_jacobian(s, x, 3)
-        fd = fd_jacobian(lambda p: filter_forward(s, p, x), params)
+        fd = fd_jacobian(lambda p: stack(filter_forward(s, p, x)), params)
         assert np.linalg.norm(jac - fd) <= 1e-7 * max(np.linalg.norm(fd), 1.0)
 
     def test_stacked_rows_are_sample_major(self):
@@ -122,7 +122,7 @@ class TestFilterJacobian:
         jac = filter_jacobian(s, x, 2)
         assert jac.shape == (12, 2)
         for i in range(3):
-            assert np.allclose(jac[i * 4 : (i + 1) * 4], filter_jacobian(s, x[:, i], 2))
+            assert np.allclose(jac[i * 4 : (i + 1) * 4], filter_jacobian(s, x[:, [i]], 2))
 
 
 class TestGnn2Forward:
@@ -130,12 +130,12 @@ class TestGnn2Forward:
         rng = np.random.default_rng(4)
         s = random_shift(rng, 4)
         params = TwoLayerGnnParams(np.zeros((3, 2)), np.zeros((3, 2)))
-        assert np.allclose(gnn2_forward(s, params, rng.standard_normal(4)), 0.0)
+        assert np.allclose(gnn2_forward(s, params, rng.standard_normal((4, 1))), 0.0)
 
     def test_two_identity_filters(self):
         rng = np.random.default_rng(5)
         s = random_shift(rng, 5)
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((5, 1))
         e0 = np.array([[1.0, 0.0]])
         params = TwoLayerGnnParams(e0, e0)
         assert np.allclose(gnn2_forward(s, params, x), np.tanh(x), atol=1e-14)
@@ -155,7 +155,7 @@ class TestGnn2Forward:
         params = init_gnn2(2, 3, InitConfig(kappa=1.0, seed=8))
         out = gnn2_forward(s, params, x)
         for i in range(3):
-            assert np.allclose(out[:, i], gnn2_forward(s, params, x[:, i]))
+            assert np.allclose(out[:, [i]], gnn2_forward(s, params, x[:, [i]]))
 
 
 class TestGnn2Jacobian:
@@ -163,7 +163,7 @@ class TestGnn2Jacobian:
         # g = e0 passes x through the first filter, so every feature is tanh(x)
         rng = np.random.default_rng(8)
         s = random_shift(rng, 4)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((4, 1))
         width, k = 3, 2
         g = np.tile([1.0, 0.0], (width, 1))
         params = TwoLayerGnnParams(g, rng.standard_normal((width, k)))
@@ -171,22 +171,22 @@ class TestGnn2Jacobian:
         powers = s.powers_applied(np.tanh(x), k)
         for f in range(width):
             for j in range(k):
-                assert np.allclose(jac[:, f * k + j], powers[j] / np.sqrt(width))
+                assert np.allclose(jac[:, f * k + j], stack(powers[j]) / np.sqrt(width))
 
     def test_first_layer_vanishes_without_readout(self):
         rng = np.random.default_rng(9)
         s = random_shift(rng, 5)
         params = TwoLayerGnnParams(rng.standard_normal((3, 2)), np.zeros((3, 2)))
-        jac = gnn2_jacobian(s, params, rng.standard_normal(5), which_layer="first")
+        jac = gnn2_jacobian(s, params, rng.standard_normal((5, 1)), which_layer="first")
         assert np.allclose(jac, 0.0)
 
     def test_tanh_against_finite_differences(self):
         rng = np.random.default_rng(10)
         s = random_shift(rng, 4)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((4, 1))
         params = init_gnn2(3, 2, InitConfig(kappa=0.9, seed=21))
         jac = gnn2_jacobian(s, params, x)
-        fd = fd_jacobian(lambda p: gnn2_forward(s, p, x), params)
+        fd = fd_jacobian(lambda p: stack(gnn2_forward(s, p, x)), params)
         assert np.linalg.norm(jac - fd) <= 1e-5 * np.linalg.norm(fd)
 
     @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
@@ -197,11 +197,11 @@ class TestGnn2Jacobian:
             width = int(rng.integers(1, 4))
             k = int(rng.integers(1, 4))
             s = random_shift(rng, n)
-            x = rng.standard_normal(n)
+            x = rng.standard_normal((n, 1))
             g, h = rng.standard_normal((2, width, k))
             params = TwoLayerGnnParams(g, h)
             jac = gnn2_jacobian(s, params, x)
-            fd = fd_jacobian(lambda p: gnn2_forward(s, p, x), params)
+            fd = fd_jacobian(lambda p: stack(gnn2_forward(s, p, x)), params)
             assert np.linalg.norm(jac - fd) <= 1e-4 * max(np.linalg.norm(fd), 1e-12)
 
     def test_both_is_first_then_second(self):
@@ -227,7 +227,7 @@ class TestGnn2Jacobian:
         s = ShiftOperator(np.zeros((2, 2)))
         params = init_gnn2(1, 1, InitConfig(kappa=1.0, seed=0))
         with pytest.raises(ValueError):
-            gnn2_jacobian(s, params, np.ones(2), which_layer="third")
+            gnn2_jacobian(s, params, np.ones((2, 1)), which_layer="third")
 
 
 class TestGnn2ForwardPullback:
@@ -241,19 +241,18 @@ class TestGnn2ForwardPullback:
         return AsymmetricShift(a / np.linalg.norm(a))
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
-    @pytest.mark.parametrize("samples", [None, 4], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("samples", [4], ids=["matrix"])
     @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     def test_pullback_matches_jacobian_transpose(self, activation, samples, symmetric):
         rng = np.random.default_rng(12)
         n = 6
         s = self.make_shift(rng, n, symmetric)
-        shape = (n,) if samples is None else (n, samples)
-        x = rng.standard_normal(shape)
-        r = rng.standard_normal(shape)
+        x = rng.standard_normal((n, samples))
+        r = rng.standard_normal((n, samples))
         params = init_gnn2(7, 3, InitConfig(kappa=0.9, seed=5))
         out, pullback = gnn2_forward_pullback(s, params, s.powers_applied(x, 3))
         jac = gnn2_jacobian(s, params, x)
-        expected = jac.T @ (r if samples is None else stack(r))
+        expected = jac.T @ stack(r)
         got = pullback(r)
         assert got.shape == expected.shape
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -277,13 +276,13 @@ class TestGnn2ForwardPullback:
         assert np.linalg.norm(pullback(r) - grad) <= 1e-12 * np.linalg.norm(grad)
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
-    @pytest.mark.parametrize("samples", [None, 3], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("samples", [3], ids=["matrix"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_horner_output_matches_explicit_sum(self, k, samples, symmetric):
         rng = np.random.default_rng(40 + k)
         n, width = 6, 5
         s = self.make_shift(rng, n, symmetric)
-        x = rng.standard_normal((n,) if samples is None else (n, samples))
+        x = rng.standard_normal((n, samples))
         params = init_gnn2(width, k, InitConfig(kappa=0.9, seed=k))
         powers = [np.linalg.matrix_power(s.matrix, j) for j in range(k)]
         expected = np.zeros_like(x)
@@ -343,7 +342,7 @@ class TestInit:
     def test_small_kappa_shrinks_output(self):
         rng = np.random.default_rng(14)
         s = random_shift(rng, 4)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((4, 1))
         out = gnn2_forward(s, init_gnn2(3, 2, InitConfig(kappa=1e-8, seed=2)), x)
         assert np.linalg.norm(out) < 1e-12
 

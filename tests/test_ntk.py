@@ -330,6 +330,17 @@ class TestExpectationSeries:
         assert e.leading.base is None
         assert e.leading.shape == (data.x.size,)
 
+    @pytest.mark.parametrize("build", [expectation_E_series, expectation_E_first_layer_series])
+    def test_matrix_is_the_mehler_sum_itself(self, build, monkeypatch):
+        # the builder's fresh array is kept, not copied, and made read-only
+        sums = []
+        mehler_sum = ntk._mehler_sum
+        monkeypatch.setattr(ntk, "_mehler_sum", lambda *a: sums.append(mehler_sum(*a)) or sums[-1])
+        s, data, k = random_instance(3)
+        e = build(z_vectors(s, data.x, k))
+        assert len(sums) == 1 and e.matrix is sums[0]
+        assert not e.matrix.flags.writeable
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_agrees_with_quadrature(self, seed):
         rng = np.random.default_rng(seed)
