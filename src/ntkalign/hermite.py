@@ -375,13 +375,19 @@ def beta_first_layer(norm_sq_bound: float) -> FirstLayerBetaResult:
     truncates the even series at the first degree whose certified residual
     is at most BETA_FIRST_RTOL tau_0^2, the same rule escalation and
     half-rule cap as the kernels E and E1; the total sum_{i>=0} tau_{2i}^2
-    equals E[sech^4(sqrt(b) u)] because odd coefficients vanish.
+    equals E[sech^4(sqrt(b) u)] because odd coefficients vanish.  A b so
+    large that tau_0^2 is not positive on the rule raises TruncationError.
     """
     require_positive_finite("norm_sq_bound", norm_sq_bound)
-    taus, totals, degree, residual, _ = hermite_series(
+    taus, totals, degree, residual, n_points = hermite_series(
         sech2, np.sqrt([norm_sq_bound]), 0, lambda c, _: BETA_FIRST_RTOL * c[0, 0] ** 2
     )
     tau0_sq = taus[0, 0] ** 2
+    if not tau0_sq > 0.0:
+        raise TruncationError(
+            f"tau_0^2 of sech^2 at b = {norm_sq_bound:.4g} is {tau0_sq:.3e} on the "
+            f"{n_points}-point rule, and the tail ratio divides by it"
+        )
     return FirstLayerBetaResult(
         value=float(np.sum(taus[0, 1:] ** 2)) / tau0_sq,
         parseval_value=(float(totals[0]) - tau0_sq) / tau0_sq,

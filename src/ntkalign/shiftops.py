@@ -165,9 +165,10 @@ def solve_optimal_gso(
     eigendecomposition of mu C, one scalar power-sum root per eigenvalue.
     The relative residual of the power sum against mu C must stay below
     RESIDUAL_RTOL, else ValueError: mu C is beyond the solver's reach, as
-    a budget so small that I swamps it is.  ``normalize`` rescales the result to unit Frobenius
-    norm after that check, for use where only the direction of the
-    operator matters.
+    a budget so small that I swamps it is; one whose squared norm
+    overflows is refused before anything is computed.  ``normalize``
+    rescales the result to unit Frobenius norm after that check, for use
+    where only the direction of the operator matters.
     """
     require_positive_finite("mu", mu)
     c = np.asarray(c, dtype=float)
@@ -177,6 +178,11 @@ def solve_optimal_gso(
         raise ValueError("cross-covariance must be symmetric")
     if num_taps < 2:
         raise ValueError("num_taps must be >= 2; K = 1 leaves no taps to solve for")
+    fro = mu * float(np.linalg.norm(c))
+    if not math.isfinite(fro * fro):  # the residual's norms square it
+        raise ValueError(
+            f"||mu C||_F = {fro:.3e} is beyond the solver's reach: its square overflows"
+        )
     target = mu * c
     gammas, vecs = np.linalg.eigh(target)
     if num_taps == 2:

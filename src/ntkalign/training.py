@@ -17,8 +17,11 @@ the sandwich check and the parameter-movement prediction lean on.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,7 +108,7 @@ class TrainTrace:
 
     ``train_losses`` holds (1/2) sum_i ||f(x_i) - y_i||^2; ``test_losses``
     is NaN-filled when no test split was given.  ``tap_stack`` is the
-    training split's stack, when the run built it (``train``).
+    training split's stack.
     """
 
     train_losses: np.ndarray
@@ -170,10 +173,8 @@ def _training_pass(s: ShiftOperator, model, taps: TapStack, y: np.ndarray, param
 
         def filter_pass(flat, idx):
             if idx is None:
-                with _loss_errstate():
-                    resid = r @ flat - c  # a K-vector: a dot spares np.sum's overhead
-                    loss = 0.5 * float(resid @ resid) + floor
-                return loss, lambda: r.T @ resid
+                resid = r @ flat - c  # a K-vector: a dot spares np.sum's overhead
+                return 0.5 * float(resid @ resid) + floor, lambda: r.T @ resid
             zb = z[idx].reshape(-1, taps.num_taps)
             resid = zb @ flat - y[idx].ravel()
             return _half_loss(resid), lambda: zb.T @ resid
@@ -191,31 +192,29 @@ def _training_pass(s: ShiftOperator, model, taps: TapStack, y: np.ndarray, param
     return gnn_pass
 
 
-def _split_passes(s: ShiftOperator, model, *splits):
-    """Tap stacks and ``_training_pass``es of the splits (None for None), as two lists.
+def _tap_stacks(s: ShiftOperator, model, *splits):
+    """The splits' tap stacks (None for None), X included for a GNN.
 
-    ``model`` gives type and K; the passes share one ``_params_of``.  A type
-    that cannot be trained raises TypeError before any stack is built.
+    ``model`` gives type and K; a type that cannot be trained raises
+    TypeError before any stack is built.  A GNN pass reads the cached X, so
+    it is filled here, in the calling thread, before any run reads it.
     """
     if not isinstance(model, (FilterParams, TwoLayerGnnParams)):
         raise TypeError(f"cannot train parameters of type {type(model).__name__}")
-    params_of = _params_of(model)
     stacks = [None if split is None else z_vectors(s, split.x, model.num_taps) for split in splits]
-    passes = [
-        None if taps is None else _training_pass(s, model, taps, split.y, params_of)
-        for taps, split in zip(stacks, splits)
-    ]
-    return stacks, passes
+    if isinstance(model, TwoLayerGnnParams):
+        for taps in filter(None, stacks):
+            taps.x_powers  # noqa: B018
+    return stacks
 
 
-def _loss_errstate():
-    """No warning where a loss is computed: the divergence rule reports an inf or NaN loss."""
+def _run_errstate():
+    """A training run's error state: steps and losses do not warn, the divergence rule reports."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
 def _half_loss(resid: np.ndarray) -> float:
-    with _loss_errstate():
-        return 0.5 * float(np.sum(resid * resid))
+    return 0.5 * float(np.sum(resid * resid))
 
 
 def _descent(flat0: np.ndarray, training_pass, num_samples: int, cfg: TrainConfig):
@@ -276,29 +275,33 @@ def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: D
     the train loss exceeds 10^6 times its initial value (or stops being
     finite).
     """
-    stacks, passes = _split_passes(s, model, data, test_data)
-    return _trace(model, cfg, data.num_samples, *passes, tap_stack=stacks[0])
+    splits = (data, test_data)
+    return _trace(model, cfg, s, _tap_stacks(s, model, *splits), splits)
 
 
-def _trace(
-    model, cfg: TrainConfig, num_samples: int, train_pass, test_pass, tap_stack=None
-) -> TrainTrace:
-    """``train`` on passes already built; ``test_pass`` None records no test loss."""
+def _trace(model, cfg: TrainConfig, s: ShiftOperator, stacks, splits) -> TrainTrace:
+    """``train`` on the (train, test) splits' stacks, with passes of its own (test may be None)."""
     flat0 = flatten_params(model)
     train_losses = np.empty(cfg.epochs + 1)
     test_losses = np.full(cfg.epochs + 1, np.nan)
     movement = np.zeros(cfg.epochs + 1)
-    for epoch, flat, loss in _descent(flat0, train_pass, num_samples, cfg):
-        train_losses[epoch] = loss
-        movement[epoch] = float(np.linalg.norm(flat - flat0))
-        if test_pass is not None:
-            test_losses[epoch] = test_pass(flat, None)[0]
+    params_of = _params_of(model)
+    with _run_errstate():
+        train_pass, test_pass = (
+            None if taps is None else _training_pass(s, model, taps, split.y, params_of)
+            for taps, split in zip(stacks, splits)
+        )
+        for epoch, flat, loss in _descent(flat0, train_pass, splits[0].num_samples, cfg):
+            train_losses[epoch] = loss
+            movement[epoch] = float(np.linalg.norm(flat - flat0))
+            if test_pass is not None:
+                test_losses[epoch] = test_pass(flat, None)[0]
     return TrainTrace(
         train_losses=train_losses,
         test_losses=test_losses,
         param_movement=movement,
         final_params=unflatten_params(flat, model),
-        tap_stack=tap_stack,
+        tap_stack=stacks[0],
     )
 
 
@@ -338,13 +341,15 @@ def ntk_drift(
         drift = 0.0
         params_of = _params_of(model)
         training_pass = _training_pass(s, model, taps, data.y, params_of)
-        for step, flat, _ in _descent(flatten_params(model), training_pass, data.num_samples, cfg):
-            jac = gnn2_jacobian(s, params_of(flat), data.x)
-            theta = jac @ jac.T
-            if step == 0:
-                theta0, norm0 = theta, np.linalg.norm(theta)
-            else:
-                drift = max(drift, float(np.linalg.norm(theta - theta0) / norm0))
+        steps = _descent(flatten_params(model), training_pass, data.num_samples, cfg)
+        with _run_errstate():
+            for step, flat, _ in steps:
+                jac = gnn2_jacobian(s, params_of(flat), data.x)
+                theta = jac @ jac.T
+                if step == 0:
+                    theta0, norm0 = theta, np.linalg.norm(theta)
+                else:
+                    drift = max(drift, float(np.linalg.norm(theta - theta0) / norm0))
         out.append(DriftPoint(width=int(width), drift=drift))
     return tuple(out)
 
@@ -520,7 +525,9 @@ def compare_gso(
 
     Repetition r initializes every arm from the same seed (cfg.seed + r),
     so differences come from the operator alone.  Identical operators in
-    the list therefore produce identical curves.  Repetitions share tap stacks.
+    the list therefore produce identical curves.  Repetitions share tap
+    stacks.  The runs are dealt out to this thread and the ones it starts;
+    the first error in (arm, rep) order is raised.
     """
     gso_list = list(gso_list)
     names = tuple(name for name, _ in gso_list)
@@ -535,12 +542,38 @@ def compare_gso(
     models0 = [init(num_taps, InitConfig(cfg.kappa, cfg.seed + rep)) for rep in range(reps)]
     train_curves = {name: np.empty((reps, cfg.epochs + 1)) for name in names}
     test_curves = {name: np.empty((reps, cfg.epochs + 1)) for name in names}
+    splits, runs = (data, test_data), {}
     for name, s in gso_list:
-        passes = _split_passes(s, models0[0], data, test_data)[1]  # reused by every repetition
+        stacks = _tap_stacks(s, models0[0], *splits)  # shared by every repetition
         for rep, params0 in enumerate(models0):
-            trace = _trace(params0, cfg, data.num_samples, *passes)
-            train_curves[name][rep] = trace.train_losses
-            test_curves[name][rep] = trace.test_losses
+            runs[name, rep] = functools.partial(_trace, params0, cfg, s, stacks, splits)
+    # a GNN run's time is in tanh and BLAS products, which release the GIL;
+    # a filter's K-vector epochs hold it, so a second thread only slows them
+    workers = 1 if model == "filter" else min(len(runs), len(os.sched_getaffinity(0)))
+    keys, outcomes = list(runs), {}
+
+    def chunk(first):  # runs first, first + workers, ... in turn, up to the first error
+        for key in keys[first::workers]:
+            try:
+                outcomes[key] = runs[key]()
+            except Exception as exc:  # raised below, in (arm, rep) order
+                outcomes[key] = exc
+                return
+
+    # each thread runs in a copy of this context: numpy's error state is a contextvar
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(chunk, i))
+               for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    chunk(0)  # this thread takes a share: its allocator arena is warm already
+    for thread in threads:
+        thread.join()
+    for name, rep in keys:
+        trace = outcomes[name, rep]  # a run its chunk skipped comes after that chunk's error
+        if isinstance(trace, Exception):
+            raise trace
+        train_curves[name][rep] = trace.train_losses
+        test_curves[name][rep] = trace.test_losses
     return GsoComparison(
         names=names, num_reps=reps, train_curves=train_curves, test_curves=test_curves
     )

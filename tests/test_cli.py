@@ -291,22 +291,45 @@ class TestUsageErrors:
         assert code == 2
         assert "--eta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    @pytest.mark.parametrize("flags", [
+        pytest.param(("--optimizer", "gd", "--eta", "1e300"), id="gd"),
+        pytest.param(("--optimizer", "adam", "--eta", "1e300"), id="adam"),
+        # Adam's second moment g * g overflows in the first minibatch's step
+        pytest.param(("--optimizer", "adam", "--kappa", "1e300", "--batch-size", 2),
+                     id="adam-kappa-minibatch"),
+    ])
     @pytest.mark.parametrize("model", ["filter", "gnn2"])
     def test_diverging_run_prints_only_its_error_line(self, tiny_data, tmp_path, capsys, model,
-                                                      optimizer):
+                                                      flags):
         # the loss overflows; the divergence rule reports it, and numpy does not warn
         _, _, x_path, y_path = tiny_data
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # every warning a shell would show
             code = run("train", "--x", x_path, "--y", y_path, "--model", model, "--width", 3,
-                       "--optimizer", optimizer, "--eta", "1e300", "--epochs", 3,
-                       "--out-dir", tmp_path / "out")
+                       *flags, "--epochs", 3, "--out-dir", tmp_path / "out")
         assert code == 2
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err.splitlines() == [
             "error: training diverged at epoch 1; reduce --eta or --kappa"
         ]
+
+    @pytest.mark.parametrize("argv, message", [
+        # sech^2's tau_0^2 at b = 1 + 274^2 is 0 on the rule: the tail ratio has no denominator
+        (("align", "--nu", 274), "tau_0^2 of sech^2 at b = 7.508e+04 is 0.000e+00"),
+        # ||mu C||_F^2 overflows before any product is taken
+        (("optimize-gso", "--mu", "1e300"), "||mu C||_F = "),
+    ], ids=["align-nu", "optimize-gso-mu"])
+    def test_input_beyond_reach_prints_only_its_error_line(self, tiny_data, tmp_path, capsys,
+                                                           argv, message):
+        _, _, x_path, y_path = tiny_data
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(*argv, "--x", x_path, "--y", y_path, "--out-dir", tmp_path / "out")
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigResolution:

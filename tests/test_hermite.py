@@ -400,6 +400,12 @@ class TestBetaFirstLayer:
         with pytest.raises(hm.TruncationError, match="degree 1024.*2048-point rule"):
             hm.beta_first_layer(91.0)
 
+    def test_truncation_error_when_tau0_vanishes_on_the_rule(self):
+        # at b = 1 + 274^2 (K = 2, nu = 274) tau_0^2 is 0 on the 512-point rule,
+        # and every ratio over it would be 0/0
+        with pytest.raises(hm.TruncationError, match=r"tau_0\^2 .* is 0\.000e\+00 on the 512-"):
+            hm.beta_first_layer(1.0 + 274.0**2)
+
     @pytest.mark.parametrize("b", [3.0, 7.0, 7.5, 10.0])
     def test_certified_tail_holds_on_a_finer_rule(self, b):
         # the 2048-point rule's tail past the returned degree meets the target;

@@ -308,14 +308,17 @@ class TestSolveOptimalGso:
         with pytest.raises(ValueError):
             solve_optimal_gso(np.eye(3), num_taps=1)
 
-    @pytest.mark.parametrize("mu, residual", [(1e-38, r"\d\.\d{3}e-01"), (1e300, "nan")],
-                             ids=["tiny", "huge"])
-    def test_target_beyond_reach_is_an_input_error(self, mu, residual):
-        # I swamps a tiny mu C; a huge one overflows its norm, which would make
-        # any residual read 0
+    @pytest.mark.parametrize("mu, message", [
+        (1e-38, r"relative residual \d\.\d{3}e-01$"),
+        (1e300, r"^\|\|mu C\|\|_F = 1\.000e\+300 is beyond the solver's reach: its square "
+                r"overflows$"),
+    ], ids=["tiny", "huge"])
+    def test_target_beyond_reach_is_an_input_error(self, mu, message):
+        # I swamps a tiny mu C; a huge one is refused before anything is computed,
+        # as its squared norm overflows, which would make any residual read 0
         rng = np.random.default_rng(6)
         c = cross_covariance(rng.standard_normal((4, 7)), rng.standard_normal((4, 7))).matrix
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"residual {residual}$"):
+        with pytest.raises(ValueError, match=message):  # numpy warnings are errors here
             solve_optimal_gso(c, num_taps=2, mu=mu)
 
     @pytest.mark.parametrize("solver", [solve_optimal_gso])

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -819,3 +821,105 @@ class TestCompareGso:
         assert payload["names"] == ["a"]
         assert payload["num_reps"] == 2
         assert len(payload["mean_train_curves"]["a"]) == 3
+
+
+class TestCompareGsoPool:
+    """compare_gso's (arm, rep) runs on several threads against one ``train`` per run."""
+
+    @staticmethod
+    def sequential(data, test_data, cfg, gso_list, model, reps, width=5):
+        """The oracle: each (arm, rep) run in turn, on stacks of its own."""
+        init = init_filter if model == "filter" else lambda k, c: init_gnn2(width, k, c)
+        curves = {}
+        for name, s in gso_list:
+            traces = [
+                train(init(2, InitConfig(cfg.kappa, cfg.seed + rep)), s, data, cfg, test_data)
+                for rep in range(reps)
+            ]
+            curves[name] = (
+                np.array([t.train_losses for t in traces]),
+                np.array([t.test_losses for t in traces]),
+            )
+        return curves
+
+    @staticmethod
+    def arms(rng, n, scales):
+        return [(f"arm{i}", ShiftOperator(scale * random_shift(rng, n).matrix))
+                for i, scale in enumerate(scales)]
+
+    @pytest.mark.parametrize("model", ["filter", "gnn2"])
+    def test_curves_match_sequential_runs_bit_for_bit(self, model):
+        rng = np.random.default_rng(70)
+        data, test_data = random_dataset(rng, 6, 30), random_dataset(rng, 6, 8)
+        gso_list = self.arms(rng, 6, [1.0, 1.0, 1.0])
+        cfg = TrainConfig(eta=0.05, epochs=6, optimizer="adam", kappa=0.7, seed=71)
+        report = compare_gso(data, 2, cfg, gso_list, model=model, width=5, reps=3,
+                             test_data=test_data)
+        oracle = self.sequential(data, test_data, cfg, gso_list, model, reps=3)
+        for name, _ in gso_list:
+            assert np.array_equal(report.train_curves[name], oracle[name][0])
+            assert np.array_equal(report.test_curves[name], oracle[name][1])
+
+    def test_more_threads_than_cores_with_fast_switching(self, monkeypatch):
+        # 8 threads for 12 runs, switching every microsecond: a buffer or a
+        # parameter cache that two runs shared would change their curves
+        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: range(8))
+        rng = np.random.default_rng(75)
+        data, test_data = random_dataset(rng, 5, 20), random_dataset(rng, 5, 6)
+        gso_list = self.arms(rng, 5, [1.0, 1.0, 1.0])
+        cfg = TrainConfig(eta=0.05, epochs=5, optimizer="adam", kappa=0.7, seed=76)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = compare_gso(data, 2, cfg, gso_list, model="gnn2", width=5, reps=4,
+                                 test_data=test_data)
+        finally:
+            sys.setswitchinterval(interval)
+        oracle = self.sequential(data, test_data, cfg, gso_list, "gnn2", reps=4)
+        for name, _ in gso_list:
+            assert np.array_equal(report.train_curves[name], oracle[name][0])
+            assert np.array_equal(report.test_curves[name], oracle[name][1])
+
+    @pytest.mark.parametrize("model", ["filter", "gnn2"])
+    def test_first_divergence_in_arm_rep_order_is_raised(self, monkeypatch, model):
+        # a GNN gets two threads: this one runs the first arm, which diverges
+        # later and starts late, while the other runs the second, which
+        # diverges at once; the first arm's error is raised
+        rng = np.random.default_rng(72)
+        data = random_dataset(rng, 5, 12)
+        gso_list = self.arms(rng, 5, [3.0, 300.0, 1.0])
+        cfg = TrainConfig(eta=0.5, epochs=40, kappa=0.7, seed=73)
+        with pytest.raises(DivergenceError) as expected:
+            self.sequential(data, None, cfg, gso_list, model, reps=1)
+        with pytest.raises(DivergenceError) as second:
+            self.sequential(data, None, cfg, gso_list[1:2], model, reps=1)
+        assert second.value.step < expected.value.step
+        trace = training._trace
+
+        def first_arm_starts_late(params0, cfg, s, *args):
+            if s is gso_list[0][1]:
+                time.sleep(0.1)
+            return trace(params0, cfg, s, *args)
+
+        monkeypatch.setattr(training, "_trace", first_arm_starts_late)
+        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: range(2))
+        with pytest.raises(DivergenceError) as raised:
+            compare_gso(data, 2, cfg, gso_list, model=model, width=5, reps=1)
+        assert (raised.value.step, raised.value.loss) == (expected.value.step, expected.value.loss)
+
+    def test_runs_see_the_callers_numpy_error_state(self, monkeypatch):
+        rng = np.random.default_rng(74)
+        data = random_dataset(rng, 4, 6)
+        seen, trace = [], training._trace
+
+        def recording_trace(*args):
+            seen.append(np.geterr())
+            return trace(*args)
+
+        monkeypatch.setattr(training, "_trace", recording_trace)
+        with np.errstate(divide="raise", over="print", under="warn", invalid="ignore"):
+            caller = np.geterr()
+            compare_gso(data, 2, TrainConfig(eta=0.05, epochs=2), self.arms(rng, 4, [1.0, 1.0]),
+                        model="gnn2", width=3, reps=2)
+        assert caller != np.geterr()
+        assert seen == [caller] * 4
