@@ -4,12 +4,15 @@ Training is plain full-batch (or minibatch/Adam) gradient descent on the
 squared loss, tracked per epoch.  The tap stack [S^k x]_k does not depend
 on the parameters, so each split's is built once per run (per arm in
 ``compare_gso``).  A graph filter is linear in its taps: the stack is its
-Jacobian Z, whose thin QR is taken once per split, so a full-batch epoch
-works on K-vectors only; a minibatch step takes its samples' rows of Z.
-A two-layer GNN takes the stack into one fused forward-and-pullback pass
-per step, and the test loss takes the same pass on the test stack.
-Passes and the descent work on the flat parameter vector; a params object
-is built only where a model is needed.  Because a filter is linear,
+Jacobian Z, whose thin QR is taken once per split, so a full-batch run
+works on K Python floats (R and c = Q'y as lists) and makes no numpy call
+per epoch, where numpy's per-call overhead on K-vectors would be the cost;
+a minibatch step takes its samples' rows of Z.  A two-layer GNN takes the
+stack into one fused forward-and-pullback pass per step, and the test loss
+takes the same pass on the test stack.  GNN and minibatch passes and their
+descent work on the flat parameter vector; a params object is built only
+where a model is needed.  One GD/Adam step formula serves a whole numpy
+vector and each float coordinate.  Because a filter is linear,
 its gradient-descent trace is reproduced exactly by the constant-kernel
 dynamics r_{t+1} = (I - eta Theta~) r_t with Theta~ = Z Z', which is what
 the sandwich check and the parameter-movement prediction lean on.
@@ -20,6 +23,7 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -146,35 +150,54 @@ def _params_of(model):
     return params_of
 
 
+def _qr_pass(taps: TapStack, y: np.ndarray):
+    """A graph filter's full batch on Python floats: h -> (loss, thunk of the gradient).
+
+    ``taps`` is the split's tap stack Z and ``y`` its targets.  Set-up takes
+    the thin QR Z = QR once, with c = Q'y and floor = (1/2)||y - Qc||^2, and
+    keeps R and c as lists; at the taps ``h`` (K floats) the loss is
+    (1/2)||R h - c||^2 + floor and the gradient R'(R h - c), a list.  Both
+    are exact for any Z (a rank-deficient one too) because Q has orthonormal
+    columns, and nothing of size nM is read after set-up.  (The Gram form
+    (1/2)(y'y - 2b'h + h'Gh) would cancel near a good fit.)  Squares are
+    x * x under a plain sum: a float overflows to inf there, where ** and
+    math.fsum raise.
+    """
+    y = stack(y)
+    q, r = np.linalg.qr(taps.matrix)
+    c = q.T @ y
+    floor = _half_loss(y - q @ c)
+    rows, columns, c = r.tolist(), r.T.tolist(), c.tolist()
+
+    def qr_pass(h):
+        resid = [sum(map(operator.mul, row, h)) - ci for row, ci in zip(rows, c)]
+        loss = 0.5 * sum(map(operator.mul, resid, resid)) + floor
+        return loss, lambda: [sum(map(operator.mul, col, resid)) for col in columns]
+
+    return qr_pass
+
+
 def _training_pass(s: ShiftOperator, model, taps: TapStack, y: np.ndarray, params_of=None):
-    """One split's pass: (flat, idx) -> (loss, thunk of the flat gradient).
+    """One split's pass for ``_descent``: (flat, idx) -> (loss, thunk of the flat gradient).
 
     ``taps`` is the split's tap stack and ``y`` its targets; ``idx`` picks
     a minibatch of samples (None: all of them).  The loss is (1/2)||f - y||^2
     over the batch and the thunk gives J' (f - y), in flatten_params order.
 
-    A graph filter's taps are ``flat`` itself.  Its full batch runs on the
-    thin QR Z = QR taken here, with c = Q'y and floor = (1/2)||y - Qc||^2:
-    the loss is (1/2)||R h - c||^2 + floor and the gradient R'(R h - c),
-    exact for any Z (a rank-deficient one too) because Q has orthonormal
-    columns, and nothing of size nM is read after set-up.  (The Gram form
-    (1/2)(y'y - 2b'h + h'Gh) would cancel near a good fit.)  A minibatch
-    takes its samples' rows Z_b of the stack: Z_b'(Z_b h - y_b).  A GNN
-    takes its X (K, n, M) into one fused gnn2_forward_pullback pass, on the
-    params ``params_of(flat)`` gives (default: its own ``_params_of``).
+    A graph filter's taps are ``flat`` itself.  This pass serves its
+    minibatch runs: a minibatch takes its samples' rows Z_b of the stack,
+    Z_b'(Z_b h - y_b), and an epoch's full-batch loss is ``_qr_pass``'s.  A
+    GNN takes its X (K, n, M) into one fused gnn2_forward_pullback pass, on
+    the params ``params_of(flat)`` gives (default: its own ``_params_of``).
     """
     if isinstance(model, FilterParams):
-        y = stack(y)
-        q, r = np.linalg.qr(taps.matrix)
-        c = q.T @ y
-        floor = _half_loss(y - q @ c)
-        y = y.reshape(taps.num_samples, -1)  # sample-major, like the blocks
+        full_batch = _qr_pass(taps, y)
+        y = stack(y).reshape(taps.num_samples, -1)  # sample-major, like the blocks
         z = taps.blocks
 
         def filter_pass(flat, idx):
             if idx is None:
-                resid = r @ flat - c  # a K-vector: a dot spares np.sum's overhead
-                return 0.5 * float(resid @ resid) + floor, lambda: r.T @ resid
+                return full_batch(flat.tolist())  # the loss; minibatches give the steps
             zb = z[idx].reshape(-1, taps.num_taps)
             resid = zb @ flat - y[idx].ravel()
             return _half_loss(resid), lambda: zb.T @ resid
@@ -217,6 +240,37 @@ def _half_loss(resid: np.ndarray) -> float:
     return 0.5 * float(np.sum(resid * resid))
 
 
+def _optimizer_step(cfg: TrainConfig, grad, m, v, t: int, sqrt=np.sqrt):
+    """cfg's step at gradient ``grad``: (the step to subtract, m, v).
+
+    ``m`` and ``v`` are Adam's moment estimates before step ``t`` (from 1);
+    gd returns them as given.  The arithmetic holds for an ndarray and for a
+    float, so one formula serves a whole vector and each coordinate of a
+    float descent, which passes ``math.sqrt`` (a float's ** 0.5 is not
+    always the correctly rounded root that np.sqrt gives).
+    """
+    if cfg.optimizer == "gd":
+        return cfg.eta * grad, m, v
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return cfg.eta * m_hat / (sqrt(v_hat) + ADAM_EPS), m, v
+
+
+def _divergence_rule(loss0: float):
+    """(epoch, loss) -> loss, raising DivergenceError once the loss stops
+    being finite or exceeds 10^6 times ``loss0`` (floored at 1e-12)."""
+    loss_ceiling = DIVERGENCE_FACTOR * max(loss0, 1e-12)
+
+    def checked(epoch, loss):
+        if not math.isfinite(loss) or loss > loss_ceiling:
+            raise DivergenceError(epoch, loss)
+        return loss
+
+    return checked
+
+
 def _descent(flat0: np.ndarray, training_pass, num_samples: int, cfg: TrainConfig):
     """Gradient-descent iterates from ``flat0``: yields (epoch, flat, loss).
 
@@ -232,12 +286,11 @@ def _descent(flat0: np.ndarray, training_pass, num_samples: int, cfg: TrainConfi
     """
     flat = np.array(flat0, dtype=float)
     loss, gradient = training_pass(flat, None)
-    loss_ceiling = DIVERGENCE_FACTOR * max(loss, 1e-12)
+    checked = _divergence_rule(loss)
     yield 0, flat, loss
 
     rng = np.random.default_rng(cfg.seed)
-    adam_m = np.zeros_like(flat)
-    adam_v = np.zeros_like(flat)
+    adam_m = adam_v = 0.0
     adam_steps = 0
 
     for epoch in range(1, cfg.epochs + 1):
@@ -249,21 +302,35 @@ def _descent(flat0: np.ndarray, training_pass, num_samples: int, cfg: TrainConfi
         for idx in batches:
             if idx is not None:
                 gradient = training_pass(flat, idx)[1]
-            grad = gradient()
-            if cfg.optimizer == "gd":
-                flat -= cfg.eta * grad
-            else:
-                adam_steps += 1
-                adam_m = ADAM_BETA1 * adam_m + (1.0 - ADAM_BETA1) * grad
-                adam_v = ADAM_BETA2 * adam_v + (1.0 - ADAM_BETA2) * grad * grad
-                m_hat = adam_m / (1.0 - ADAM_BETA1**adam_steps)
-                v_hat = adam_v / (1.0 - ADAM_BETA2**adam_steps)
-                flat -= cfg.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            adam_steps += 1
+            step, adam_m, adam_v = _optimizer_step(cfg, gradient(), adam_m, adam_v, adam_steps)
+            flat -= step
 
         loss, gradient = training_pass(flat, None)
-        if not math.isfinite(loss) or loss > loss_ceiling:
-            raise DivergenceError(epoch, loss)
-        yield epoch, flat, loss
+        yield epoch, flat, checked(epoch, loss)
+
+
+def _qr_descent(h0: list, qr_pass, cfg: TrainConfig):
+    """``_descent``'s full batch for a graph filter on K Python floats: yields (epoch, h, loss).
+
+    ``h`` is a copy of ``h0`` updated in place, coordinate by coordinate,
+    with ``qr_pass`` giving each epoch's loss and the next step's gradient;
+    no numpy call is made per epoch.  The divergence rule is ``_descent``'s.
+    """
+    h = list(h0)
+    loss, gradient = qr_pass(h)
+    checked = _divergence_rule(loss)
+    yield 0, h, loss
+
+    adam_m, adam_v = [0.0] * len(h), [0.0] * len(h)
+    for epoch in range(1, cfg.epochs + 1):
+        for j, grad in enumerate(gradient()):
+            step, adam_m[j], adam_v[j] = _optimizer_step(
+                cfg, grad, adam_m[j], adam_v[j], epoch, math.sqrt
+            )
+            h[j] -= step
+        loss, gradient = qr_pass(h)
+        yield epoch, h, checked(epoch, loss)
 
 
 def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: Dataset | None = None) -> TrainTrace:
@@ -280,22 +347,38 @@ def train(model, s: ShiftOperator, data: Dataset, cfg: TrainConfig, test_data: D
 
 
 def _trace(model, cfg: TrainConfig, s: ShiftOperator, stacks, splits) -> TrainTrace:
-    """``train`` on the (train, test) splits' stacks, with passes of its own (test may be None)."""
+    """``train`` on the (train, test) splits' stacks, with passes of its own (test may be None).
+
+    A graph filter's full batch descends on K Python floats (``_qr_pass``,
+    ``_qr_descent``); GNNs and minibatches on numpy vectors
+    (``_training_pass``, ``_descent``).
+    """
     flat0 = flatten_params(model)
     train_losses = np.empty(cfg.epochs + 1)
     test_losses = np.full(cfg.epochs + 1, np.nan)
     movement = np.zeros(cfg.epochs + 1)
-    params_of = _params_of(model)
+    floats = isinstance(model, FilterParams) and cfg.batch_size == 0
     with _run_errstate():
+        build = (_qr_pass if floats
+                 else functools.partial(_training_pass, s, model, params_of=_params_of(model)))
         train_pass, test_pass = (
-            None if taps is None else _training_pass(s, model, taps, split.y, params_of)
-            for taps, split in zip(stacks, splits)
+            None if taps is None else build(taps, split.y) for taps, split in zip(stacks, splits)
         )
-        for epoch, flat, loss in _descent(flat0, train_pass, splits[0].num_samples, cfg):
+        if floats:
+            h0 = flat0.tolist()
+            steps, distance = _qr_descent(h0, train_pass, cfg), functools.partial(math.dist, h0)
+        else:
+            steps = _descent(flat0, train_pass, splits[0].num_samples, cfg)
+            if test_pass is not None:  # its full batch, called as a float pass is
+                test_pass = functools.partial(test_pass, idx=None)
+
+            def distance(flat):
+                return float(np.linalg.norm(flat - flat0))
+        for epoch, flat, loss in steps:
             train_losses[epoch] = loss
-            movement[epoch] = float(np.linalg.norm(flat - flat0))
+            movement[epoch] = distance(flat)
             if test_pass is not None:
-                test_losses[epoch] = test_pass(flat, None)[0]
+                test_losses[epoch] = test_pass(flat)[0]
     return TrainTrace(
         train_losses=train_losses,
         test_losses=test_losses,
@@ -548,7 +631,7 @@ def compare_gso(
         for rep, params0 in enumerate(models0):
             runs[name, rep] = functools.partial(_trace, params0, cfg, s, stacks, splits)
     # a GNN run's time is in tanh and BLAS products, which release the GIL;
-    # a filter's K-vector epochs hold it, so a second thread only slows them
+    # a filter's float epochs hold it, so a second thread only slows them
     workers = 1 if model == "filter" else min(len(runs), len(os.sched_getaffinity(0)))
     keys, outcomes = list(runs), {}
 

@@ -313,6 +313,35 @@ class TestUsageErrors:
             "error: training diverged at epoch 1; reduce --eta or --kappa"
         ]
 
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--kappa", "1e300", 2),  # the first loss is inf
+        ("--eta", "1e300", 2),
+        ("--kappa", "1e-300", 0),
+        ("--eta", "5e-324", 0),  # the steps are subnormal or 0
+    ])
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    def test_filter_float_descent_at_extreme_scales(self, tiny_data, tmp_path, capsys, optimizer,
+                                                    flag, value, code):
+        # a full-batch filter descends on Python floats, which raise where numpy
+        # warns (** overflow, division by 0): the run still ends in the divergence
+        # rule's one line or in success, as the numpy descent did
+        _, _, x_path, y_path = tiny_data
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("train", "--x", x_path, "--y", y_path, "--model", "filter",
+                       "--optimizer", optimizer, flag, value, "--epochs", 3,
+                       "--out-dir", out) == code
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        if code:
+            assert err.splitlines() == ["error: training diverged at epoch 1; reduce --eta or --kappa"]
+        else:
+            assert err == ""
+            report = json.loads((out / "report.json").read_text())
+            assert math.isfinite(report["final_train_loss"])
+            assert math.isfinite(report["param_movement"])
+
     @pytest.mark.parametrize("argv, message", [
         # sech^2's tau_0^2 at b = 1 + 274^2 is 0 on the rule: the tail ratio has no denominator
         (("align", "--nu", 274), "tau_0^2 of sech^2 at b = 7.508e+04 is 0.000e+00"),

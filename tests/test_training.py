@@ -374,8 +374,44 @@ def _poison(obj, size) -> int:
     return 1
 
 
+def numpy_qr_pass(taps, y):
+    """The numpy K-vector full-batch filter pass the float pass replaced, for ``_descent``."""
+    y = stack(y)
+    q, r = np.linalg.qr(taps.matrix)
+    c = q.T @ y
+    floor = 0.5 * float(np.sum((y - q @ c) * (y - q @ c)))
+
+    def filter_pass(flat, idx):
+        assert idx is None, "the reference is full-batch only"
+        resid = r @ flat - c
+        return 0.5 * float(resid @ resid) + floor, lambda: r.T @ resid
+
+    return filter_pass
+
+
+def numpy_filter_trace(params, s, data, cfg, test_data=None):
+    """(train losses, test losses, movement, final taps) of a full-batch filter run on numpy K-vectors."""
+    train_pass, test_pass = (
+        None if split is None else numpy_qr_pass(z_vectors(s, split.x, params.num_taps), split.y)
+        for split in (data, test_data)
+    )
+    train_losses, test_losses, movement = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, flat, loss in training._descent(params.taps, train_pass, data.num_samples, cfg):
+            train_losses.append(loss)
+            movement.append(float(np.linalg.norm(flat - params.taps)))
+            test_losses.append(np.nan if test_pass is None else test_pass(flat, None)[0])
+    return np.array(train_losses), np.array(test_losses), np.array(movement), flat
+
+
+def near_identity_shift(case, rng, n):
+    """S = I makes every tap S^k x equal; S = I + 1e-9 E makes them 1e-9 apart."""
+    e = rng.standard_normal((n, n))
+    return ShiftOperator(np.eye(n) + (0.0 if case == "equal-taps" else 1e-9) * (e + e.T))
+
+
 class TestFilterQrPass:
-    """The filter pass's thin-QR full batch against the residual form 1/2 ||Z h - y||^2."""
+    """The filter's float full batch against the residual form 1/2 ||Z h - y||^2."""
 
     @pytest.mark.parametrize("case", ["random", "equal-taps", "near-collinear", "planted"])
     def test_loss_and_gradient_match_residual_form(self, case):
@@ -389,41 +425,54 @@ class TestFilterQrPass:
         else:
             y_st = rng.standard_normal(n * m)
         y = y_st.reshape(m, n).T  # (n, M), sample-major when stacked
-        training_pass = training._training_pass(None, FilterParams(h), TapStack(z, n, m), y)
+        taps = TapStack(z, n, m)
+        float_pass = training._qr_pass(taps, y)
+        minibatch_pass = training._training_pass(None, FilterParams(h), taps, y)
         for idx in (None, np.array([5, 1, 3])):
             rows = slice(None) if idx is None else (idx[:, None] * n + np.arange(n)).ravel()
             resid = z[rows] @ h - y_st[rows]
-            loss, gradient = training_pass(h, idx)
+            if idx is None:
+                loss, gradient = float_pass(h.tolist())
+                assert isinstance(loss, float) and all(type(g) is float for g in gradient())
+            else:
+                loss, gradient = minibatch_pass(h, idx)
             assert loss == pytest.approx(0.5 * float(resid @ resid), rel=1e-12, abs=0.0)
             expected = z[rows].T @ resid
-            assert np.linalg.norm(gradient() - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert np.linalg.norm(np.array(gradient()) - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_full_batch_epochs_touch_nothing_of_size_nm(self, monkeypatch):
-        # once a split's pass is built, every nM-sized array it holds is NaN-filled:
+        # once a split's float pass is set up, its stack and targets are NaN-filled:
         # full-batch training and test losses come out as before, minibatches diverge
-        rng = np.random.default_rng(61)
-        s = random_shift(rng, 5)
-        data = random_dataset(rng, 5, 9)
-        test_data = random_dataset(rng, 5, 4)
+        def fresh():  # the splits, drawn anew so that poisoning one run leaves the next clean
+            rng = np.random.default_rng(61)
+            return random_shift(rng, 5), random_dataset(rng, 5, 9), random_dataset(rng, 5, 4)
+
         params = init_filter(3, InitConfig(kappa=0.8, seed=62))
         cfg = TrainConfig(eta=0.02, epochs=8, optimizer="adam")
+        minibatches = TrainConfig(eta=0.02, epochs=2, batch_size=4)
+        s, data, test_data = fresh()
         clean = train(params, s, data, cfg, test_data=test_data)
-        build, poisoned = training._training_pass, []
+        train(params, s, data, minibatches, test_data)  # converges while nothing is poisoned
+        build, poisoned = training._qr_pass, []
 
-        def build_then_poison(s, model, taps, y, *args):
-            training_pass = build(s, model, taps, y, *args)
-            cells = [cell.cell_contents for cell in training_pass.__closure__]
-            poisoned.append(sum(_poison(c, taps.num_nodes * taps.num_samples) for c in cells))
-            return training_pass
+        def build_then_poison(taps, y):
+            qr_pass = build(taps, y)
+            cells = [cell.cell_contents for cell in qr_pass.__closure__]
+            poisoned.append(sum(_poison(c, taps.num_nodes * taps.num_samples)
+                                for c in [taps, y, *cells]))
+            return qr_pass
 
-        monkeypatch.setattr(training, "_training_pass", build_then_poison)
+        monkeypatch.setattr(training, "_qr_pass", build_then_poison)
+        s, data, test_data = fresh()
         trace = train(params, s, data, cfg, test_data=test_data)
         assert len(poisoned) == 2 and min(poisoned) >= 2  # each split's stack and targets
         assert np.array_equal(trace.train_losses, clean.train_losses)
         assert np.array_equal(trace.test_losses, clean.test_losses)
+        assert np.array_equal(trace.param_movement, clean.param_movement)
         assert np.array_equal(trace.final_params.taps, clean.final_params.taps)
+        s, data, test_data = fresh()
         with pytest.raises(DivergenceError):
-            train(params, s, data, TrainConfig(eta=0.02, epochs=2, batch_size=4), test_data)
+            train(params, s, data, minibatches, test_data)
 
     def test_trace_carries_the_training_stack(self):
         rng = np.random.default_rng(63)
@@ -451,6 +500,45 @@ class TestFilterQrPass:
               test_data=random_dataset(rng, 4, 3))
         steps = 1 if batch_size == 0 else math.ceil(data.num_samples / batch_size)
         assert len(built) == cfg.epochs * steps + 1
+
+
+class TestFloatDescentOracle:
+    """The float full-batch filter descent against the numpy K-vector pass run through ``_descent``."""
+
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    @pytest.mark.parametrize("with_test", [False, True], ids=["no-test", "test"])
+    @pytest.mark.parametrize("num_taps", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", ["equal-taps", "near-collinear"])
+    def test_trajectory_matches_numpy_pass(self, case, num_taps, with_test, optimizer):
+        rng = np.random.default_rng(80 + num_taps)
+        s = near_identity_shift(case, rng, 5)
+        data = random_dataset(rng, 5, 9)
+        test_data = random_dataset(rng, 5, 4) if with_test else None
+        params = init_filter(num_taps, InitConfig(kappa=0.8, seed=81))
+        cfg = TrainConfig(eta=0.01, epochs=30, optimizer=optimizer)
+        trace = train(params, s, data, cfg, test_data=test_data)
+        train_losses, test_losses, movement, taps = numpy_filter_trace(params, s, data, cfg, test_data)
+        assert np.allclose(trace.train_losses, train_losses, rtol=1e-12, atol=0.0)
+        assert np.allclose(trace.test_losses, test_losses, rtol=1e-12, atol=0.0, equal_nan=True)
+        assert np.isnan(trace.test_losses).all() != with_test
+        assert np.allclose(trace.param_movement, movement, rtol=1e-12, atol=0.0)
+        assert movement[-1] > 0.0
+        assert np.allclose(trace.final_params.taps, taps, rtol=1e-12, atol=0.0)
+
+    # gd passes the ceiling at epoch 3; Adam's first step moves every tap by eta
+    @pytest.mark.parametrize("optimizer, eta, epoch", [("gd", 5.0, 3), ("adam", 3e3, 1)])
+    def test_diverging_eta_stops_at_the_same_epoch(self, optimizer, eta, epoch):
+        rng = np.random.default_rng(82)
+        s = random_shift(rng, 5)
+        data = random_dataset(rng, 5, 9)
+        params = init_filter(2, InitConfig(kappa=0.8, seed=83))
+        cfg = TrainConfig(eta=eta, epochs=200, optimizer=optimizer)
+        with pytest.raises(DivergenceError) as expected:
+            numpy_filter_trace(params, s, data, cfg)
+        with pytest.raises(DivergenceError) as raised:
+            train(params, s, data, cfg)
+        assert raised.value.step == expected.value.step == epoch
+        assert raised.value.loss == pytest.approx(expected.value.loss, rel=1e-12, abs=0.0)
 
 
 class TestGnnPassShape:
