@@ -36,13 +36,10 @@ import numpy as np
 from .core import Dataset, ShiftOperator
 from .hermite import BETA_SATURATION, ExpansionConstants, coeff_g, coeff_tau, expansion_constants
 from .ntk import (  # the quadrature references stay bound here for perfbench/tracer.py
-    ExpectationMatrix,
     TapStack,
     expectation_E_first_layer,
-    expectation_E_first_layer_series,
     expectation_E_quadrature,
-    expectation_E_series,
-    expectation_info,
+    expectation_series,
     filter_ntk,
     z_vectors,
 )
@@ -252,7 +249,7 @@ def check_series_tail_domination(z: TapStack) -> CheckReport:
     smaller.  beta is the exact closed-form series ratio at the saturation
     limit.
     """
-    e = expectation_E_series(z)
+    e = expectation_series(z, "second")
     b = _leading_term(e.leading, z.correlations[1])
     delta = e.matrix - b
     beta = BETA_SATURATION
@@ -282,7 +279,7 @@ class AlignmentReport:
 
     ``a`` and ``a_first_layer`` are tr(Q E) and tr(Q E1) for the two GNN
     layers, and ``c_data`` and ``c_data_first_layer`` their certified
-    factors (``_certified_factor``): A >= c_data A_lin per layer.
+    factors (``_layer_terms``): A >= c_data A_lin per layer.
     ``layers`` holds each expectation's diagnostics (method, degree,
     residual); ``constants`` the Hermite constants at the record's K and
     spectral bound.
@@ -314,20 +311,23 @@ class AlignmentReport:
         }
 
 
-def _certified_factor(e: ExpectationMatrix, rho, zy, q_norm: float, a_lin: float) -> float:
-    """c_data = (tr(Q B) - ||Q||_F (||E - B||_F + nM r_E)) / A_lin for one layer.
+def _layer_terms(z: TapStack, layer: str, zy, q_norm: float, a_lin: float):
+    """A = tr(Q E), c_data and the diagnostics of one layer's series E, freed on return.
 
-    B = c_0 c_0' * rho is the series' degree-1 term and r_E its truncation
+    c_data = (tr(Q B) - ||Q||_F (||E - B||_F + nM r_E)) / A_lin, with
+    B = c_0 c_0' * rho the series' degree-1 term and r_E its truncation
     residual, which bounds every entry of the untruncated E minus E, so
     that difference is at most nM r_E in Frobenius norm.  By Cauchy-Schwarz
     on tr(Q (E - B)), A >= c_data A_lin for the untruncated E and for its
     truncation alike.  NaN when A_lin = 0.
     """
-    b = _leading_term(e.leading, rho)
+    e = expectation_series(z, layer)
+    b = _leading_term(e.leading, z.correlations[1])
     lower = _trace_q(zy, b)
     np.subtract(e.matrix, b, out=b)
-    tail = float(np.linalg.norm(b)) + b.shape[0] * e.truncation_residual
-    return (lower - q_norm * tail) / a_lin if a_lin > 0 else math.nan
+    tail = float(np.linalg.norm(b)) + b.shape[0] * e.info["truncation_residual"]
+    c_data = (lower - q_norm * tail) / a_lin if a_lin > 0 else math.nan
+    return _trace_q(zy, e.matrix), c_data, e.info
 
 
 def alignment_report(
@@ -340,26 +340,27 @@ def alignment_report(
 ) -> AlignmentReport:
     """Build z, Zy, C, E, E1 and the constants of one instance once.
 
-    E and E1 come from the certified Hermite series; the quadrature
-    references stay available as ``expectation_E_quadrature`` and
-    ``expectation_E_first_layer``.  Q = Zy Zy^T and B_lin = Z Z^T are
+    E and E1 come from the certified Hermite series, one held at a time;
+    the quadrature references stay available as ``expectation_E_quadrature``
+    and ``expectation_E_first_layer``.  Q = Zy Zy^T and B_lin = Z Z^T are
     used only through their factors, and A_filt and A_lin through C.
     """
     budget = frobenius_budget(alpha, eta, data.num_samples)
     z, zy, c = _tap_stacks(s, data, num_taps)
-    e, e1 = expectation_E_series(z), expectation_E_first_layer_series(z)
     a_lin = float(np.sum(c * c))
-    q_norm, rho = _q_norm(zy.matrix), z.correlations[1]
+    q_norm = _q_norm(zy.matrix)
+    (a, c_data, second), (a_first, c_data_first, first) = (
+        _layer_terms(z, layer, zy.matrix, q_norm, a_lin) for layer in ("second", "first"))
     return AlignmentReport(
-        a=_trace_q(zy.matrix, e.matrix),
-        a_first_layer=_trace_q(zy.matrix, e1.matrix),
-        c_data=_certified_factor(e, rho, zy.matrix, q_norm, a_lin),
-        c_data_first_layer=_certified_factor(e1, rho, zy.matrix, q_norm, a_lin),
+        a=a,
+        a_first_layer=a_first,
+        c_data=c_data,
+        c_data_first_layer=c_data_first,
         a_filt=float(c[0] @ c[0]),
         a_lin=a_lin,
         xi_observed=_xi(a_lin, q_norm, z.matrix),
         constants=expansion_constants(num_taps, spectral_bound),
-        layers={"second": expectation_info(e), "first": expectation_info(e1)},
+        layers={"second": second, "first": first},
         a_lower=alignment_lower_bound(s, data, num_taps),
         a_lin_lower=alignment_lin_lower_bound(s, data, num_taps),
         constraint_lhs=constraint_lhs(s, num_taps),

@@ -7,8 +7,10 @@ Four routes to the stacked nM x nM kernel:
 * infinite-width GNN: conjugated expectation matrix E (or the first-layer
   E1) of the tanh network, each one odd Mehler series sum_i c_i c_i'
   rho^(2i+1) truncated at a certified residual (c_i the odd tanh
-  coefficients for E, the even sech^2 ones times |z_a| for E1), with pair
-  quadrature kept as the reference;
+  coefficients for E, the even sech^2 ones times |z_a| for E1), built by
+  ``expectation_series`` from one per-layer table, with pair quadrature
+  kept as the reference; the full kernel sums E + E1 in one Mehler pass
+  over both layers' coefficient columns;
 * Monte Carlo: the empirical kernel of a random network with a finite
   number of hidden features, for width studies.
 
@@ -23,7 +25,7 @@ so Z Z^T is the linear kernel B_lin; row norms feed the Hermite series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -161,24 +163,25 @@ def empirical_ntk(s: ShiftOperator, params, data) -> NtkMatrix:
 class ExpectationMatrix:
     """Hidden-feature second-moment matrix E (or its first-layer analog).
 
-    ``zero_rows`` lists stacked indices whose shift profile vanishes; their
-    rows and columns are defined as 0.  For the series methods
-    ``truncation_residual`` bounds the entrywise error against the
-    untruncated series, and ``leading`` is the coefficient column c_0 of
-    the series' degree-1 term B = c_0 c_0' * rho, copied out so the
-    nM x degree coefficient table is freed.  Each builder below hands
-    over a fresh ``matrix``, which is kept, made read-only, not copied.
+    ``info`` is its diagnostics as a report carries them: ``method``,
+    ``n_points``, for the series ``max_degree`` and ``truncation_residual``
+    (a bound on the entrywise error against the untruncated series), and
+    ``zero_rows``, the stacked indices whose shift profile vanishes (their
+    rows and columns are 0), when there are any.  ``leading`` is a series'
+    degree-1 column c_0 (B = c_0 c_0' * rho), copied so the coefficient
+    table is freed.  ``matrix`` is the builder's fresh array, kept read-only.
     """
 
     matrix: np.ndarray
-    method: str
-    zero_rows: tuple = ()
-    truncation_residual: float | None = None
-    info: dict = field(default_factory=dict)
+    info: dict
     leading: np.ndarray | None = None
 
     def __post_init__(self):
         _frozen(self.matrix, 2)
+
+
+def _report_info(method: str, zero_rows: tuple, **diagnostics) -> dict:
+    return {"method": method, **diagnostics, **({"zero_rows": zero_rows} if zero_rows else {})}
 
 
 def _pair_quadrature(fn, norms, rho, n_points) -> np.ndarray:
@@ -220,21 +223,23 @@ def expectation_E_quadrature(
     """
     norms, rho, zero_rows = z.correlations
     e = _zero_out(_pair_quadrature(np.tanh, norms, rho, n_points), zero_rows)
-    return ExpectationMatrix(e, "quadrature", zero_rows=zero_rows, info={"n_points": n_points})
+    return ExpectationMatrix(e, _report_info("quadrature", zero_rows, n_points=n_points))
 
 
-def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_i c_i c_i' * rho^(2i+1), c_i the column i of coeffs.
+def _mehler_sum(columns: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_i C_i C_i' * rho^(2i+1) over the (L, nM, r) column blocks C_i of columns.
 
     E[f(u) g(u')] for rho-correlated standard Gaussians is sum_d f_d g_d
-    rho^d (Mehler), and both layers' matrices are odd series in rho; Horner
-    in rho^2 keeps it to three passes over the matrix per degree, and one
-    last product with rho.  The passes run one block of
-    max(1, MEHLER_BLOCK // nM) rows at a time, every degree on a block
-    before the next, so the block stays in cache; each entry gets the same
-    operations in the same order at any block size.  Every term is an
-    outer product of one vector times a power of the symmetric rho, so the
-    sum is symmetric entry for entry.
+    rho^d (Mehler); both layers' matrices are odd series in rho, and C_i
+    holds r layers' degree-i columns, so r = 2 sums both in one pass.
+    Horner in rho^2 takes three passes over the matrix per degree, one
+    ``np.dot`` for C_i C_i' (BLAS even at r = 1, where ``np.matmul`` is
+    slower than an outer product), and one last product with rho.  The
+    passes run one block of max(1, MEHLER_BLOCK // nM) rows at a time,
+    every degree on a block before the next, so the block stays in cache;
+    each entry gets the same operations in the same order at any block
+    size.  At r = 1 each term is one vector's outer product times a power
+    of the symmetric rho, so the sum is symmetric entry for entry.
     """
     out = np.empty_like(rho)
     step = max(1, MEHLER_BLOCK // rho.shape[1])
@@ -244,50 +249,54 @@ def _mehler_sum(coeffs: np.ndarray, rho: np.ndarray) -> np.ndarray:
         acc = out[rows]
         acc[...] = 0.0
         term = np.empty_like(acc)
-        for c in coeffs.T[::-1]:
+        for c in columns[::-1]:
             acc *= rho_sq
-            np.multiply.outer(c[rows], c, out=term)
+            np.dot(c[rows], c.T, out=term)
             acc += term
         acc *= rho[rows]
     return out
 
 
-def expectation_E_series(z: TapStack) -> ExpectationMatrix:
-    """E_ab = sum_d g_d(|z_a|) g_d(|z_b|) rho_ab^d over the odd degrees of tanh.
+# layer -> (activation, degree parity of its Hermite series, report method name)
+_LAYERS = {"second": (np.tanh, 1, "series"), "first": (sech2, 0, "first_layer_series")}
 
-    ``hermite_series`` truncates the coefficients at the first degree whose
-    certified residual meets hermite.SERIES_RTOL; Cauchy-Schwarz over the
-    dropped degrees bounds each entry's error by sqrt(tail_a tail_b), and
-    ``truncation_residual`` is the largest bound.  Zero rows come out
-    exactly 0, because rho is 0 there.
+
+def _layer_series(z: TapStack, layer: str):
+    """A layer's Mehler coefficient columns (nM x degrees) and report-form info.
+
+    ``hermite_series`` truncates at the first degree whose certified
+    residual meets hermite.SERIES_RTOL; Cauchy-Schwarz over the dropped
+    degrees bounds each entry's error by sqrt(tail_a tail_b), and
+    ``truncation_residual`` is the largest bound.  The first layer's even
+    sech^2 series times <z_a, z_b> = rho_ab |z_a| |z_b| is odd in rho, its
+    coefficients tau_2i(|z_a|) scaled by |z_a|; with its tails scaled by
+    |z_a|^2 the bound holds, as |rho| <= 1.  No matrix is formed here.
     """
-    norms, rho, zero_rows = z.correlations
-    coeffs, _, degree, residual, n_points = hermite_series(np.tanh, norms, 1)
-    info = {"max_degree": degree, "n_points": n_points}
-    e = _mehler_sum(coeffs, rho)
-    return ExpectationMatrix(e, "series", zero_rows, residual, info, coeffs[:, 0].copy())
-
-
-def expectation_E_first_layer_series(z: TapStack) -> ExpectationMatrix:
-    """E1 = sum_i t_i t_i' rho^(2i+1), t_i = tau_2i(|z_a|) |z_a|, over the even sech^2 degrees.
-
-    The series counterpart of ``expectation_E_first_layer``: with <z_a, z_b>
-    = rho_ab |z_a| |z_b|, its term tau tau' rho^(2i) <z_a, z_b> is the odd
-    term t_i t_i' rho^(2i+1), so E1 is the same odd Mehler sum as E.  Each
-    row's tail is scaled by |z_a|^2 and |rho| <= 1, so sqrt(tail_a tail_b)
-    |z_a| |z_b| still bounds the entrywise error.  E1 is exactly symmetric,
-    as every Mehler sum is, and zero rows are exactly 0 (rho is 0 there).
-    """
-    norms, rho, zero_rows = z.correlations
+    if layer not in _LAYERS:
+        raise ValueError(f"unknown layer {layer!r}; the layers are 'second' and 'first'")
+    fn, parity, method = _LAYERS[layer]
+    norms, _, zero_rows = z.correlations
+    scale = norms if parity == 0 else np.ones_like(norms)
     coeffs, _, degree, residual, n_points = hermite_series(
-        sech2, norms, 0, row_weight=norms * norms
+        fn, norms, parity, row_weight=scale * scale
     )
-    info = {"max_degree": degree, "n_points": n_points}
-    coeffs *= norms[:, None]
-    e1 = _mehler_sum(coeffs, rho)
-    return ExpectationMatrix(
-        e1, "first_layer_series", zero_rows, residual, info, coeffs[:, 0].copy()
-    )
+    coeffs *= scale[:, None]
+    info = _report_info(method, zero_rows, max_degree=degree, n_points=n_points,
+                        truncation_residual=residual)
+    return coeffs, info
+
+
+def expectation_series(z: TapStack, layer: str) -> ExpectationMatrix:
+    """E (``layer='second'``) or E1 (``'first'``) as sum_i c_i c_i' rho^(2i+1).
+
+    c_i are the odd tanh coefficients g_(2i+1)(|z_a|) for E and the even
+    sech^2 ones times the row norm, tau_2i(|z_a|) |z_a|, for E1, the series
+    counterpart of ``expectation_E_first_layer``.  Both are exactly
+    symmetric and exactly 0 on zero rows, where rho is 0.
+    """
+    coeffs, info = _layer_series(z, layer)
+    matrix = _mehler_sum(coeffs.T[:, :, None], z.correlations[1])
+    return ExpectationMatrix(matrix, info, coeffs[:, 0].copy())
 
 
 def expectation_E_first_layer(
@@ -299,9 +308,8 @@ def expectation_E_first_layer(
     """
     norms, rho, zero_rows = z.correlations
     e1 = _zero_out(_pair_quadrature(sech2, norms, rho, n_points) * z.gram(), zero_rows)
-    return ExpectationMatrix(
-        e1, "first_layer_quadrature", zero_rows=zero_rows, info={"n_points": n_points}
-    )
+    info = _report_info("first_layer_quadrature", zero_rows, n_points=n_points)
+    return ExpectationMatrix(e1, info)
 
 
 def conjugated_power_sum(
@@ -333,19 +341,6 @@ def conjugated_power_sum(
     return acc
 
 
-_LAYER_SERIES = {"second": expectation_E_series, "first": expectation_E_first_layer_series}
-
-
-def expectation_info(e: ExpectationMatrix) -> dict:
-    """The diagnostics of one expectation matrix, as a report carries them."""
-    info = {"method": e.method, **e.info}
-    if e.truncation_residual is not None:
-        info["truncation_residual"] = e.truncation_residual
-    if e.zero_rows:
-        info["zero_rows"] = e.zero_rows
-    return info
-
-
 def gnn_infinite_ntk(
     s: ShiftOperator,
     data,
@@ -356,24 +351,25 @@ def gnn_infinite_ntk(
 
     ``layer='second'`` uses the tanh second-moment matrix E,
     ``layer='first'`` the derivative-weighted Gram E1, and ``layer='both'``
-    their sum, the full kernel: one ``z_vectors``, one set of correlations
-    and one conjugated power sum (the map is linear), with each layer's
-    diagnostics under ``info['layers']``.  Each layer's Hermite series is
-    truncated at a certified residual.
+    their sum, the full kernel, with each layer's diagnostics under
+    ``info['layers']``.  Each layer's Hermite series is truncated at a
+    certified residual.  One Mehler pass sums the layers' coefficient
+    columns side by side, the shorter series padded with zero columns, and
+    the tap stack's correlation matrix is released before the conjugated
+    power sum (the map is linear, so one sum serves both layers).
     """
     layers = ("second", "first") if layer == "both" else (layer,)
-    if any(name not in _LAYER_SERIES for name in layers):
-        raise ValueError(f"layer must be 'first', 'second' or 'both', got {layer!r}")
     z = z_vectors(s, data, num_taps)
-    parts = {name: _LAYER_SERIES[name](z) for name in layers}
-    total = sum(e.matrix for e in parts.values())
-    theta = conjugated_power_sum(s, total, num_taps, z.num_samples)
-    if layer == "both":
-        info = {name: expectation_info(e) for name, e in parts.items()}
-        info = {"layer": layer, "num_taps": num_taps, "layers": info}
-    else:
-        info = {"layer": layer, "num_taps": num_taps, **expectation_info(parts[layer])}
-    return NtkMatrix(theta, info=info)
+    series = [_layer_series(z, name) for name in layers]
+    columns = np.zeros((max(c.shape[1] for c, _ in series), z.matrix.shape[0], len(series)))
+    for j, (coeffs, _) in enumerate(series):
+        columns[: coeffs.shape[1], :, j] = coeffs.T
+    theta, num_samples = _mehler_sum(columns, z.correlations[1]), z.num_samples
+    del z  # and with it the correlation matrix
+    theta = conjugated_power_sum(s, theta, num_taps, num_samples)
+    infos = {name: info for name, (_, info) in zip(layers, series)}
+    info = {"layers": infos} if layer == "both" else infos[layer]
+    return NtkMatrix(theta, info={"layer": layer, "num_taps": num_taps, **info})
 
 
 def gnn_monte_carlo_ntk(

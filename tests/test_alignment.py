@@ -32,9 +32,8 @@ from ntkalign.core import Dataset, NtkMatrix, ShiftOperator, stack
 from ntkalign.hermite import coeff_g, coeff_tau, expansion_constants
 from ntkalign.ntk import (
     expectation_E_first_layer,
-    expectation_E_first_layer_series,
     expectation_E_quadrature,
-    expectation_E_series,
+    expectation_series,
     filter_ntk,
     z_vectors,
 )
@@ -90,7 +89,7 @@ def test_factored_alignment_terms_match_dense_formulas(seed):
     terms = alignment_report(s, data, k)
     z = z_vectors(s, data.x, k)
     q, b_lin = filter_ntk(s, data.y, k).matrix, filter_ntk(s, data.x, k).matrix
-    e, e1 = expectation_E_series(z), expectation_E_first_layer_series(z)
+    e, e1 = expectation_series(z, "second"), expectation_series(z, "first")
     xi = float(np.sum(q * b_lin)) / (np.linalg.norm(q) * np.linalg.norm(b_lin))
     assert terms.a_filt == pytest.approx(float(stack(data.y) @ b_lin @ stack(data.y)), rel=1e-12)
     assert terms.a == pytest.approx(float(np.sum(q * e.matrix)), rel=1e-12)
@@ -306,12 +305,11 @@ class TestFirstTermCheck:
         # c_data read) against B from the closed-form coefficient; over these
         # 500 seeds the largest gap measured 9.7e-16 (second) and 2.8e-14
         # (first) of max |B|
-        build = expectation_E_series if layer == "second" else expectation_E_first_layer_series
         for seed in range(500):
             s, data, k = random_instance(seed)
             z = z_vectors(s, data.x, k)
             rho = z.correlations[1]
-            got = alignment_module._leading_term(build(z).leading, rho)
+            got = alignment_module._leading_term(expectation_series(z, layer).leading, rho)
             want = alignment_module._leading_term(closed_form_leading(z, layer), rho)
             assert np.abs(got - want).max() <= rtol * np.abs(want).max(), seed
 
@@ -322,12 +320,14 @@ def test_series_tail_domination_on_random_instances():
         z = z_vectors(s, data.x, k)
         rep = check_series_tail_domination(z)
         assert rep.passed, rep.details
-        tail_diagonal = expectation_E_series(z).matrix.diagonal() - coeff_g(1, z.norms) ** 2
+        second = expectation_series(z, "second").matrix
+        tail_diagonal = second.diagonal() - coeff_g(1, z.norms) ** 2
         assert tail_diagonal.min(initial=0.0) >= -1e-15
 
 
 def test_alignment_terms_peak_memory():
-    # E and E1 are one Mehler sum each; the peak measures 5.2 nM^2 doubles
+    # one layer's matrix is held at a time: the peak measures 3.0 nM^2
+    # doubles, against 4.0 with E and E1 held together
     rng = np.random.default_rng(3)
     x = rng.standard_normal((20, 50))
     data = Dataset(x, 0.8 * x + 0.2 * rng.standard_normal((20, 50))).normalized()
@@ -339,7 +339,7 @@ def test_alignment_terms_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 8 * 1000**2
+    assert peak <= 3.5 * 8 * 1000**2
 
 
 def dense_c_data(report, s, data, k, layer):
@@ -348,8 +348,8 @@ def dense_c_data(report, s, data, k, layer):
     q = filter_ntk(s, data.y, k).matrix
     c = closed_form_leading(z, layer)
     b = np.outer(c, c) * z.correlations[1]
-    e = (expectation_E_series if layer == "second" else expectation_E_first_layer_series)(z)
-    tail = np.linalg.norm(e.matrix - b) + q.shape[0] * e.truncation_residual
+    e = expectation_series(z, layer)
+    tail = np.linalg.norm(e.matrix - b) + q.shape[0] * e.info["truncation_residual"]
     return (np.sum(q * b) - np.linalg.norm(q) * tail) / report.a_lin
 
 
@@ -454,9 +454,9 @@ def test_quadrature_alignment_matches_series_alignment():
     z = z_vectors(s, data.x, k)
     q = filter_ntk(s, data.y, k).matrix
     via_quad = float(np.sum(q * expectation_E_quadrature(z, n_points=256).matrix))
-    series = expectation_E_series(z)
+    series = expectation_series(z, "second")
     via_series = float(np.sum(q * series.matrix))
-    slack = series.truncation_residual * np.abs(q).sum() + 1e-8
+    slack = series.info["truncation_residual"] * np.abs(q).sum() + 1e-8
     assert abs(via_quad - via_series) <= slack
 
 

@@ -817,7 +817,7 @@ class TestAlignCommand:
 
             monkeypatch.setattr(alignment, name, wrapper)
 
-        for name in ("expectation_E_series", "expectation_E_first_layer_series",
+        for name in ("expectation_series",
                      "expectation_E_quadrature", "expectation_E_first_layer",
                      "z_vectors", "expansion_constants"):
             counted(name)
@@ -825,8 +825,7 @@ class TestAlignCommand:
         out = tmp_path / "out"
         assert run("align", "--x", x_path, "--y", y_path, "--out-dir", out) == 0
         assert calls == {
-            "expectation_E_series": 1,
-            "expectation_E_first_layer_series": 1,
+            "expectation_series": 2,  # once per layer
             "z_vectors": 2,  # the inputs' and the targets' shift profiles
             "expansion_constants": 1,
         }

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,9 +41,8 @@ from ntkalign.ntk import (
     conjugated_power_sum,
     empirical_ntk,
     expectation_E_first_layer,
-    expectation_E_first_layer_series,
     expectation_E_quadrature,
-    expectation_E_series,
+    expectation_series,
     filter_ntk,
     gnn_infinite_ntk,
     gnn_monte_carlo_ntk,
@@ -101,7 +102,7 @@ def dense_monte_carlo_layer(s, x, num_taps, g, h, layer, activation="tanh"):
 def within_residual(series, reference):
     """Entrywise gap to a reference is inside the residual, up to round-off."""
     gap = np.abs(series.matrix - reference.matrix).max()
-    return gap <= series.truncation_residual + 64 * np.finfo(float).eps * max(
+    return gap <= series.info["truncation_residual"] + 64 * np.finfo(float).eps * max(
         1.0, np.abs(reference.matrix).max()
     )
 
@@ -124,12 +125,25 @@ def single_block_mehler(coeffs, rho, parity=1):
     return acc
 
 
+# Each layer, with the id its tests carried when each layer had a builder of its own.
+LAYERS = [
+    pytest.param("second", id="expectation_E_series"),
+    pytest.param("first", id="expectation_E_first_layer_series"),
+]
+
+
+def generated_split(m_train, seed):
+    """cxy and the training split of gen-data --n 20 --len 1000 --dt 1 --anisotropy 0.6."""
+    transition, _ = planted_transition(20, seed=seed, strength=0.9, background=0.36)
+    series = generate_var(VarProcessConfig(20, 1000, transition, 1.0, seed))
+    m_test = max(1, m_train // 10)  # gen-data's default
+    train_split, _ = extract_pairs(series, PairExtractionConfig(1, m_train, m_test, seed))
+    return cross_covariance(train_split.x, train_split.y), train_split
+
+
 def benchmark_tap_stack():
     """Z of gen-data --n 20 --len 1000 --dt 1 --anisotropy 0.6 --m-train 3 --seed 0, cxy, K = 2."""
-    transition, _ = planted_transition(20, seed=0, strength=0.9, background=0.36)
-    series = generate_var(VarProcessConfig(20, 1000, transition, 1.0, 0))
-    train_split, _ = extract_pairs(series, PairExtractionConfig(1, 3, 1, 0))
-    s = cross_covariance(train_split.x, train_split.y)
+    s, train_split = generated_split(3, 0)
     return z_vectors(s, train_split.x, 2)
 
 
@@ -306,7 +320,7 @@ class TestExpectationQuadrature:
         x[:, 1] = 0.0
         z = z_vectors(s, x, 2)
         e = expectation_E_quadrature(z)
-        assert e.zero_rows == (3, 4, 5)
+        assert e.info["zero_rows"] == (3, 4, 5)
         assert np.allclose(e.matrix[3:, :], 0.0)
         assert np.allclose(e.matrix[:, 3:], 0.0)
 
@@ -322,22 +336,22 @@ class TestExpectationQuadrature:
 
 
 class TestExpectationSeries:
-    @pytest.mark.parametrize("build", [expectation_E_series, expectation_E_first_layer_series])
-    def test_leading_column_owns_its_memory(self, build):
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_leading_column_owns_its_memory(self, layer):
         # a view would keep the whole nM x degree coefficient table alive
         s, data, k = random_instance(3)
-        e = build(z_vectors(s, data.x, k))
+        e = expectation_series(z_vectors(s, data.x, k), layer)
         assert e.leading.base is None
         assert e.leading.shape == (data.x.size,)
 
-    @pytest.mark.parametrize("build", [expectation_E_series, expectation_E_first_layer_series])
-    def test_matrix_is_the_mehler_sum_itself(self, build, monkeypatch):
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_matrix_is_the_mehler_sum_itself(self, layer, monkeypatch):
         # the builder's fresh array is kept, not copied, and made read-only
         sums = []
         mehler_sum = ntk._mehler_sum
         monkeypatch.setattr(ntk, "_mehler_sum", lambda *a: sums.append(mehler_sum(*a)) or sums[-1])
         s, data, k = random_instance(3)
-        e = build(z_vectors(s, data.x, k))
+        e = expectation_series(z_vectors(s, data.x, k), layer)
         assert len(sums) == 1 and e.matrix is sums[0]
         assert not e.matrix.flags.writeable
 
@@ -347,9 +361,9 @@ class TestExpectationSeries:
         s = random_shift(rng, 4)
         data = random_dataset(rng, 4, 5)
         z = z_vectors(s, data, 2)
-        series = expectation_E_series(z)
+        series = expectation_series(z, "second")
         quad = expectation_E_quadrature(z)
-        tol = max(1e-6, series.truncation_residual)
+        tol = max(1e-6, series.info["truncation_residual"])
         assert np.abs(series.matrix - quad.matrix).max() <= tol
 
     @pytest.mark.parametrize("seed", range(20))
@@ -359,14 +373,15 @@ class TestExpectationSeries:
         x[:, seed % x.shape[1]] = 0.0
         z = z_vectors(s, x, k)
         assert z.correlations[2]
-        for build in (expectation_E_series, expectation_E_first_layer_series):
-            e = build(z).matrix
-            assert np.array_equal(e, e.T)
-            assert not e[list(z.correlations[2])].any()
+        for layer in ("second", "first"):
+            e = expectation_series(z, layer)
+            assert e.info["zero_rows"] == z.correlations[2]
+            assert np.array_equal(e.matrix, e.matrix.T)
+            assert not e.matrix[list(z.correlations[2])].any()
 
     def test_orthogonal_rows_vanish_in_both_parts(self):
         z = TapStack(np.array([[1.0, 0.0], [0.0, 2.0]]), num_nodes=2, num_samples=1)
-        e = expectation_E_series(z)
+        e = expectation_series(z, "second")
         assert e.matrix[0, 1] == 0.0
         assert e.matrix[1, 0] == 0.0
 
@@ -377,59 +392,71 @@ class TestExpectationSeries:
         test keeps its id.
         """
         z = benchmark_tap_stack()
-        for build, oracle, degree in (
-            (expectation_E_series, expectation_E_quadrature, 31),
-            (expectation_E_first_layer_series, expectation_E_first_layer, 40),
+        for layer, oracle, degree in (
+            ("second", expectation_E_quadrature, 31),
+            ("first", expectation_E_first_layer, 40),
         ):
-            e = build(z)
+            e = expectation_series(z, layer)
             assert e.info["max_degree"] == degree
-            assert e.truncation_residual <= SERIES_RTOL * np.abs(e.matrix).max()
+            assert e.info["truncation_residual"] <= SERIES_RTOL * np.abs(e.matrix).max()
             assert within_residual(e, oracle(z, n_points=256))
 
     @pytest.mark.parametrize("seed", [2, 10, 0, 1])  # K = 1, 2, 3, 4
     def test_both_layers_match_quadrature_within_residual(self, seed):
         s, data, k = random_instance(seed)
         z = z_vectors(s, data.x, k)
-        for build, oracle in (
-            (expectation_E_series, expectation_E_quadrature),
-            (expectation_E_first_layer_series, expectation_E_first_layer),
+        for layer, oracle in (
+            ("second", expectation_E_quadrature),
+            ("first", expectation_E_first_layer),
         ):
-            e = build(z)
-            assert 0.0 <= e.truncation_residual <= SERIES_RTOL * np.abs(e.matrix).max()
+            e = expectation_series(z, layer)
+            residual = e.info["truncation_residual"]
+            assert 0.0 <= residual <= SERIES_RTOL * np.abs(e.matrix).max()
             assert within_residual(e, oracle(z, n_points=256))
 
     def test_adaptive_degree_is_the_smallest_meeting_the_target(self):
         s, data, k = random_instance(23)
         z = z_vectors(s, data.x, k)
-        e = expectation_E_series(z)
+        e = expectation_series(z, "second")
         degree = e.info["max_degree"]
         assert e.info["n_points"] == 512
         # the residual one degree lower, from the same rule
         values, totals = hermite_values(np.tanh, z.norms)
         coeffs = hermite_coefficients(values, slice(1, degree, 2))
         shallower = np.abs(series_tails(coeffs, totals)[:, -1]).max()
-        assert e.truncation_residual <= SERIES_RTOL * np.abs(e.matrix).max() < shallower
+        assert e.info["truncation_residual"] <= SERIES_RTOL * np.abs(e.matrix).max() < shallower
 
     def test_norm_beyond_the_first_rule_escalates(self):
         # |z_0| = 2.5 needs more than the 256 degrees of the 512-point rule
         # for both layers (E1 more than the 512 of the 1024-point rule); the
         # 512-point pair rule is itself off by 2e-11 on E's diagonal here
         z = TapStack(np.array([[2.0, 1.5], [-0.9, 1.1]]), num_nodes=2, num_samples=1)
-        for build, oracle, rule in (
-            (expectation_E_series, expectation_E_quadrature, 1024),
-            (expectation_E_first_layer_series, expectation_E_first_layer, 2048),
+        for layer, oracle, rule in (
+            ("second", expectation_E_quadrature, 1024),
+            ("first", expectation_E_first_layer, 2048),
         ):
-            e = build(z)
+            e = expectation_series(z, layer)
             assert e.info["n_points"] == rule
             assert e.info["max_degree"] > 256
-            assert 0.0 < e.truncation_residual <= SERIES_RTOL * np.abs(e.matrix).max()
+            assert 0.0 < e.info["truncation_residual"] <= SERIES_RTOL * np.abs(e.matrix).max()
             assert within_residual(e, oracle(z, n_points=1024))
 
-    @pytest.mark.parametrize("build", [expectation_E_series, expectation_E_first_layer_series])
-    def test_target_beyond_rule_raises(self, build):
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_target_beyond_rule_raises(self, layer):
         z = TapStack(np.array([[5.0, 0.0], [0.3, 0.2]]), num_nodes=2, num_samples=1)
         with pytest.raises(TruncationError, match="row norm 5.000"):
-            build(z)
+            expectation_series(z, layer)
+
+    def test_rejects_an_unknown_layer(self):
+        z = TapStack(np.array([[1.0, 0.0], [0.3, 0.2]]), num_nodes=2, num_samples=1)
+        for layer in ("both", "middle"):
+            with pytest.raises(ValueError, match="unknown layer"):
+                expectation_series(z, layer)
+
+
+def one_column_block(coeffs):
+    """The (L, nM, 1) layout ``ntk._mehler_sum`` takes, of one layer's nM x L coefficients."""
+    return coeffs.T[:, :, None]
 
 
 class TestMehlerSum:
@@ -438,14 +465,10 @@ class TestMehlerSum:
         # 16 rows per block at nM = 60: blocks of 16, 16, 16 and 12 rows; the
         # even sech^2 coefficients times |z_a| are E1's, the odd tanh ones E's
         z = benchmark_tap_stack()
-        norms, rho, _ = z.correlations
-        if parity == 0:
-            coeffs = hermite_series(sech2, norms, 0, row_weight=norms * norms)[0]
-            coeffs = coeffs * norms[:, None]
-        else:
-            coeffs = hermite_series(np.tanh, norms, 1)[0]
+        rho = z.correlations[1]
+        coeffs = ntk._layer_series(z, "second" if parity else "first")[0]
         monkeypatch.setattr(ntk, "MEHLER_BLOCK", 16 * rho.shape[0] + 15)
-        blocked = ntk._mehler_sum(coeffs, rho)
+        blocked = ntk._mehler_sum(one_column_block(coeffs), rho)
         assert np.array_equal(blocked, single_block_mehler(coeffs, rho))
         assert np.array_equal(blocked, blocked.T)
 
@@ -455,7 +478,24 @@ class TestMehlerSum:
         rho = (a + a.T) / 2.0
         coeffs = rng.standard_normal((5, 4))
         monkeypatch.setattr(ntk, "MEHLER_BLOCK", 3)
-        assert np.array_equal(ntk._mehler_sum(coeffs, rho), single_block_mehler(coeffs, rho))
+        expected = single_block_mehler(coeffs, rho)
+        assert np.array_equal(ntk._mehler_sum(one_column_block(coeffs), rho), expected)
+
+    @pytest.mark.parametrize("rows", [1, 16, 1000])
+    def test_two_layers_in_one_pass_are_the_sum_of_one_layer_passes(self, monkeypatch, rows):
+        # E + E1 from both layers' columns side by side, E's shorter series
+        # padded with zero columns, in blocks of 1, 16 or all 60 rows
+        z = benchmark_tap_stack()
+        rho = z.correlations[1]
+        second, first = (ntk._layer_series(z, layer)[0] for layer in ("second", "first"))
+        assert second.shape[1] < first.shape[1]
+        columns = np.zeros((first.shape[1], rho.shape[0], 2))
+        columns[: second.shape[1], :, 0] = second.T
+        columns[:, :, 1] = first.T
+        monkeypatch.setattr(ntk, "MEHLER_BLOCK", rows * rho.shape[0])
+        both = ntk._mehler_sum(columns, rho)
+        expected = single_block_mehler(second, rho) + single_block_mehler(first, rho)
+        assert np.abs(both - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_benchmark_inputs_project_at_most_two_blocks_per_layer(self, monkeypatch):
         # the full projection formed 128 (E) and 129 (E1) columns per series
@@ -469,9 +509,9 @@ class TestMehlerSum:
 
         monkeypatch.setattr(hermite, "hermite_coefficients", counted)
         z = benchmark_tap_stack()
-        for build in (expectation_E_series, expectation_E_first_layer_series):
+        for layer in ("second", "first"):
             columns.append(0)
-            e = build(z)
+            e = expectation_series(z, layer)
             assert e.info["n_points"] == 512
             assert e.info["max_degree"] // 2 + 1 <= columns[-1] <= 2 * hermite.SERIES_BLOCK
         assert len(columns) == 2
@@ -490,7 +530,7 @@ class TestExpectationFirstLayerSeries:
         monkeypatch.setattr(ntk, "MEHLER_BLOCK", rows * rho.shape[0])
         coeffs = hermite_series(sech2, norms, 0, row_weight=norms * norms)[0]
         expected = single_block_mehler(coeffs, rho, parity=0) * z.gram()
-        e1 = expectation_E_first_layer_series(z).matrix
+        e1 = expectation_series(z, "first").matrix
         assert np.abs(e1 - expected).max() <= 1e-15 * np.abs(expected).max()
         assert np.array_equal(e1, e1.T)
         assert zero_rows and not e1[list(zero_rows)].any()
@@ -500,8 +540,8 @@ class TestExpectationFirstLayerSeries:
         x = rng.standard_normal((3, 2))
         x[:, 1] = 0.0
         z = z_vectors(random_shift(rng, 3), x, 2)
-        e1 = expectation_E_first_layer_series(z)
-        assert e1.zero_rows == (3, 4, 5)
+        e1 = expectation_series(z, "first")
+        assert e1.info["zero_rows"] == (3, 4, 5)
         assert np.all(e1.matrix[3:, :] == 0.0) and np.all(e1.matrix[:, 3:] == 0.0)
 
 
@@ -588,10 +628,45 @@ class TestInfiniteNtk:
         assert np.abs(theta - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_infinite_kernel_is_exactly_symmetric(self):
+        """Exactly symmetric at K = 3 and at K = 1, where no power is applied.
+
+        The one Mehler pass over both layers adds two products per entry,
+        which BLAS need not round alike on both sides of the diagonal, so
+        the symmetry comes from ``conjugated_power_sum``'s copy of the upper
+        triangle onto the lower one, which runs at every K.
+        """
         rng = np.random.default_rng(27)
         s = random_shift(rng, 6)
-        theta = gnn_infinite_ntk(s, random_dataset(rng, 6, 5), 3, layer="both").matrix
-        assert np.array_equal(theta, theta.T)
+        data = random_dataset(rng, 6, 5)
+        for num_taps in (3, 1):
+            theta = gnn_infinite_ntk(s, data, num_taps, layer="both").matrix
+            assert np.array_equal(theta, theta.T)
+
+    def test_both_layers_take_one_mehler_pass_and_no_expectation_matrix(self, monkeypatch):
+        passes = []
+        mehler_sum = ntk._mehler_sum
+        monkeypatch.setattr(ntk, "_mehler_sum", lambda *a: passes.append(a[0].shape) or mehler_sum(*a))
+        monkeypatch.setattr(ntk, "ExpectationMatrix", lambda *a: pytest.fail("per-layer matrix"))
+        rng = np.random.default_rng(28)
+        s = random_shift(rng, 4)
+        gnn_infinite_ntk(s, random_dataset(rng, 4, 3), 2, layer="both")
+        assert len(passes) == 1 and passes[0][1:] == (12, 2)
+
+    def test_both_layers_peak_memory(self):
+        # nM = 600 from the README generator: the Mehler pass writes one
+        # nM x nM array and the correlation matrix is gone before the power
+        # sum; two passes and their sum, with rho kept, peaked at 7.0 nM^2
+        s, split = generated_split(30, 1)
+        nm = split.x.size
+        assert nm == 600
+        gnn_infinite_ntk(s, split.x, 2, layer="both")  # builds the cached Hermite rules
+        tracemalloc.start()
+        try:
+            gnn_infinite_ntk(s, split.x, 2, layer="both")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * nm**2
 
     def test_first_layer_kind_and_restrictions(self):
         rng = np.random.default_rng(20)
