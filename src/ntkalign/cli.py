@@ -20,6 +20,7 @@ in-process; each call parses into a fresh namespace.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -64,6 +65,7 @@ from .models import InitConfig, init_filter, init_gnn2, save_params
 from .ntk import CorrelationOvershootError, filter_ntk, gnn_infinite_ntk, gnn_monte_carlo_ntk
 from .shiftops import covariance, cross_covariance, mu_from_budget, solve_optimal_gso
 from .training import (
+    GsoComparison,
     TrainConfig,
     compare_gso,
     predicted_param_movement,
@@ -233,12 +235,10 @@ def _finish(cfg: dict, subcommand: str, report: dict, files: dict, exit_code: in
     return exit_code
 
 
-def _extract_pairs(cfg: dict, series: np.ndarray):
+def _extract_pairs(cfg: dict, series: np.ndarray, seed: int):
     """Train and test pairs at horizon dt; m_test defaults to a tenth of m_train."""
     m_test = cfg["m_test"] if cfg["m_test"] is not None else max(1, cfg["m_train"] // 10)
-    return extract_pairs(
-        series, PairExtractionConfig(cfg["dt"], cfg["m_train"], m_test, cfg["seed"])
-    )
+    return extract_pairs(series, PairExtractionConfig(cfg["dt"], cfg["m_train"], m_test, seed))
 
 
 def _cmd_gen_data(cfg: dict) -> int:
@@ -258,7 +258,7 @@ def _cmd_gen_data(cfg: dict) -> int:
         "summary": f"series {cfg['n']} x {cfg['len']}",
     }
     if cfg["dt"] is not None:
-        for name, split in zip(("train", "test"), _extract_pairs(cfg, series)):
+        for name, split in zip(("train", "test"), _extract_pairs(cfg, series, cfg["seed"])):
             if split is not None:
                 files.update({f"x_{name}.csv": _csv(split.x), f"y_{name}.csv": _csv(split.y)})
                 report[f"num_{name}"] = split.num_samples
@@ -402,10 +402,20 @@ def _cmd_train(cfg: dict) -> int:
     return _finish(cfg, "train", report, files)
 
 
-def _compare_data(cfg: dict):
-    if cfg["series"] is not None:
-        return _extract_pairs(cfg, _load_matrix(cfg["series"], "series"))
-    return _load_dataset(cfg), _maybe_test_dataset(cfg)
+def _compare_draws(cfg: dict) -> list:
+    """(series path, seed, train split, test split) per data draw.
+
+    Draw i is the i-th --series file, its pairs extracted at --seed + i;
+    without --series the one draw is --x/--y (and --x-test/--y-test) at --seed.
+    """
+    if cfg["series"] is None:
+        return [(None, cfg["seed"], _load_dataset(cfg), _maybe_test_dataset(cfg))]
+    given = [f"--{key.replace('_', '-')}" for key in ("x", "y", "x_test", "y_test")
+             if cfg[key] is not None]
+    if given:
+        raise CliError(f"--series cannot be combined with {'/'.join(given)}; pass one or the other")
+    return [(path, seed, *_extract_pairs(cfg, _load_matrix(path, "series"), seed))
+            for seed, path in enumerate(cfg["series"], start=cfg["seed"])]
 
 
 def _comparison_arms(cfg: dict, data: Dataset):
@@ -420,13 +430,29 @@ def _comparison_arms(cfg: dict, data: Dataset):
     return arms
 
 
+def _head_to_head(result: GsoComparison, metric: str) -> dict:
+    """Wins of the first arm over the second, and their mean final gap, on ``metric``."""
+    if len(result.names) < 2:
+        return {}
+    first, second = result.names[:2]
+    return {
+        "wins": {f"{first}_over_{second}": result.win_count(first, second, metric=metric),
+                 "out_of": result.num_reps},
+        "final_gap": result.gap(first, second, metric=metric),
+    }
+
+
 def _cmd_compare(cfg: dict) -> int:
-    data, test_data = _compare_data(cfg)
-    arms = _comparison_arms(cfg, data)
+    draws = _compare_draws(cfg)
     eta = _default_eta(cfg)
     train_cfg = _train_config(cfg, eta)
-    result = compare_gso(data, cfg["k"], train_cfg, arms, model=cfg["model"], width=cfg["width"],
-                         reps=cfg["reps"], test_data=test_data)
+    results = [
+        compare_gso(data, cfg["k"], dataclasses.replace(train_cfg, seed=seed),
+                    _comparison_arms(cfg, data), model=cfg["model"], width=cfg["width"],
+                    reps=cfg["reps"], test_data=test_data)
+        for _, seed, data, test_data in draws
+    ]
+    result = GsoComparison.pooled(results)
     epochs = np.arange(cfg["epochs"] + 1, dtype=float)
     columns, header = [epochs], ["epoch"]
     for name in result.names:
@@ -435,21 +461,23 @@ def _cmd_compare(cfg: dict) -> int:
         columns.append(result.test_curves[name].mean(axis=0))
         header.append(f"{name}_test_mean")
 
-    metric = "train" if test_data is None else "test"
+    metric = "train" if draws[0][3] is None else "test"  # draws share --m-test
     report = {
         "model": cfg["model"],
         "eta": eta,
         "reps": cfg["reps"],
         "metric": metric,
         "comparison": result.to_dict(),
-        "summary": f"{' vs '.join(result.names)} over {cfg['reps']} reps",
+        "summary": f"{' vs '.join(result.names)} over {result.num_reps} reps",
     }
-    if len(result.names) >= 2:
-        first, second = result.names[:2]
-        wins = result.win_count(first, second, metric=metric)
-        report["wins"] = {f"{first}_over_{second}": wins, "out_of": result.num_reps}
-        report["final_gap"] = result.gap(first, second, metric=metric)
-        report["summary"] += f"; {first} wins {wins}/{result.num_reps} on {metric}"
+    pair = _head_to_head(result, metric)
+    if pair:
+        report.update(pair)
+        wins, out_of = pair["wins"].values()
+        report["summary"] += f"; {result.names[0]} wins {wins}/{out_of} on {metric}"
+    if cfg["series"] is not None:
+        report["draws"] = [{"series": path, "seed": seed, **_head_to_head(r, metric)}
+                           for (path, seed, _, _), r in zip(draws, results)]
     return _finish(cfg, "compare", report, {"curves.csv": _csv(np.column_stack(columns), header)})
 
 
@@ -643,7 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(p)
 
     p = sub.add_parser("compare", help="train matched models across shift operators")
-    p.add_argument("--series", help="series CSV to extract pairs from")
+    p.add_argument("--series", nargs="+",
+                   help="series CSVs to extract pairs from, one data draw each")
     p.add_argument("--dt", type=_count, default=1, help="pair horizon for --series")
     p.add_argument("--m-train", type=_size, default=200, help="training pairs")
     p.add_argument("--m-test", type=_count, help="test pairs (default m_train/10)")

@@ -566,6 +566,17 @@ class GsoComparison:
     train_curves: dict = field(default_factory=dict)  # name -> (reps, T+1)
     test_curves: dict = field(default_factory=dict)
 
+    @classmethod
+    def pooled(cls, comparisons: list) -> GsoComparison:
+        """One comparison whose runs are those of ``comparisons``, in order; they share arms."""
+        first = comparisons[0]
+        return cls(
+            first.names,
+            sum(c.num_reps for c in comparisons),
+            {n: np.concatenate([c.train_curves[n] for c in comparisons]) for n in first.names},
+            {n: np.concatenate([c.test_curves[n] for c in comparisons]) for n in first.names},
+        )
+
     def mean_train_curve(self, name: str) -> np.ndarray:
         return self.train_curves[name].mean(axis=0)
 

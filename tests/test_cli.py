@@ -982,6 +982,45 @@ class TestCompareCommand:
         assert report["wins"]["out_of"] == 2
         assert set(report["comparison"]["names"]) == {"cxy", "cxx"}
 
+    @pytest.mark.parametrize("model", ["filter", "gnn2"])
+    def test_several_series_pool_single_series_runs(self, tmp_path, model):
+        # draw i of --series runs exactly as that file alone at --seed + i
+        series = []
+        for seed in (0, 1):
+            gen = tmp_path / f"gen{seed}"
+            assert run("gen-data", "--n", 4, "--len", 80, "--seed", seed, "--out-dir", gen) == 0
+            series.append(gen / "series.csv")
+        argv = ["--m-train", 10, "--m-test", 3, "--model", model, "--width", 3,
+                "--epochs", 3, "--reps", 2]
+
+        def compare(out, *paths, seed=5):
+            assert run("compare", "--series", *paths, *argv, "--seed", seed,
+                       "--out-dir", tmp_path / out) == 0
+            return json.loads((tmp_path / out / "report.json").read_text())
+
+        pooled = compare("pooled", *series)
+        alone = [compare("first", series[0]), compare("second", series[1], seed=6)]
+        for split in ("final_train", "final_test"):
+            for name in ("cxy", "cxx"):
+                runs = [value for report in alone for value in report["comparison"][split][name]]
+                assert pooled["comparison"][split][name] == runs
+        assert pooled["wins"]["out_of"] == pooled["comparison"]["num_reps"] == 4
+        assert pooled["wins"]["cxy_over_cxx"] == sum(r["wins"]["cxy_over_cxx"] for r in alone)
+        assert [(d["series"], d["seed"]) for d in pooled["draws"]] == [
+            (str(series[0]), 5), (str(series[1]), 6)]
+        for draw, report in zip(pooled["draws"], alone):
+            assert (draw["wins"], draw["final_gap"]) == (report["wins"], report["final_gap"])
+            assert report["draws"] == [draw]
+
+    @pytest.mark.parametrize("flag", ["--x", "--y", "--x-test", "--y-test"])
+    def test_series_with_xy_is_a_usage_error(self, tiny_data, tmp_path, capsys, flag):
+        _, _, x_path, _ = tiny_data
+        out = tmp_path / "out"
+        assert run("compare", "--series", x_path, flag, x_path, "--out-dir", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --series cannot be combined with {flag}; pass one or the other"]
+        assert not out.exists()
+
     def test_raw_cxy_renames_the_arm(self, tiny_data, tmp_path):
         _, _, x_path, y_path = tiny_data
         out = tmp_path / "out"

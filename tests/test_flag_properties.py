@@ -41,11 +41,10 @@ BASE = {
     "train-gnn2": [*DATA, "--model", "gnn2", "--width", "3", "--epochs", "2"],
     "compare": ["--series", "{series}", "--m-train", "4", "--width", "3", "--epochs", "2",
                 "--reps", "1"],
+    "compare-draws": ["--series", "{series}", "{series2}", "--m-train", "4", "--width", "3",
+                      "--epochs", "2", "--reps", "1"],
     "verify-bounds": ["--instances", "2", "--optimality-instances", "2"],
     "verify-hermite": [],
-    "verify_constants": ["--instances", "2", "--optimality-instances", "2"],
-    "compare_shift_operators": ["--seeds", "1", "--n", "3", "--len", "40", "--m-train", "4",
-                                "--m-test", "2", "--width", "2", "--epochs", "2"],
     "width_convergence": ["--widths", "2", "--seeds", "1", "--n", "3", "--m", "2",
                           "--steps", "1"],
 }
@@ -61,26 +60,28 @@ FLAGS = {
     "train-gnn2": ["k", "width", "eta", "epochs", "kappa", "batch-size"],
     "compare": ["dt", "m-train", "m-test", "k", "width", "eta", "epochs", "kappa",
                 "batch-size", "reps", *SHARED],
+    "compare-draws": ["dt", "m-train", "m-test", "reps", "seed"],
     "verify-bounds": ["instances", "optimality-instances", "alpha", "eta", *SHARED],
     "verify-hermite": SHARED,
-    "verify_constants": ["instances", "optimality-instances", "seed"],
-    "compare_shift_operators": ["seeds", "n", "len", "dt", "m-train", "m-test", "strength",
-                                "background", "k", "width", "epochs"],
     "width_convergence": ["widths", "seeds", "n", "m", "k", "eta", "steps", "seed"],
 }
 CASES = [(case, flag) for case, flags in FLAGS.items() for flag in flags]
-SUBCOMMAND = {"ntk-mc": "ntk", "train-gnn2": "train"}  # the other cases name their own
+SUBCOMMAND = {"ntk-mc": "ntk", "train-gnn2": "train",
+              "compare-draws": "compare"}  # the other cases name their own
 
 
 @pytest.fixture(scope="module")
 def paths():
     with tempfile.TemporaryDirectory() as tmp:
-        data = Path(tmp) / "data"
+        data, data2 = Path(tmp) / "data", Path(tmp) / "data2"
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["gen-data", "--n", "4", "--len", "60", "--dt", "1", "--m-train", "6",
                              "--out-dir", str(data)]) == 0
+            assert cli.main(["gen-data", "--n", "4", "--len", "60", "--seed", "1",
+                             "--out-dir", str(data2)]) == 0
         yield {"x": data / "x_train.csv", "y": data / "y_train.csv",
-               "series": data / "series.csv", "out": Path(tmp) / "out"}
+               "series": data / "series.csv", "series2": data2 / "series.csv",
+               "out": Path(tmp) / "out"}
 
 
 def _run(case: str, argv: list, out: Path) -> int:
@@ -88,9 +89,8 @@ def _run(case: str, argv: list, out: Path) -> int:
     subcommand = SUBCOMMAND.get(case, case)
     if subcommand in cli.COMMANDS:
         return cli.main([subcommand, *argv, "--out-dir", str(out)])
-    script_out = [] if case == "verify_constants" else ["--out-dir", str(out)]
     try:
-        return load_script(case).main([*argv, *script_out])
+        return load_script(case).main([*argv, "--out-dir", str(out)])
     except SystemExit as exc:  # a script's argparse refusing a value
         return exc.code
 

@@ -5,8 +5,10 @@ import re
 from pathlib import Path
 
 import ntkalign
+from ntkalign import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_public_names_resolve_and_star_import_works():
@@ -35,9 +37,13 @@ def test_readme_names_resolve():
     entry_points = set(re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", paragraph))
     assert len(names) >= 10 and len(entry_points) >= 8
     assert sorted(name for name in names | entry_points if not _resolves(name)) == []
+    # and every script and subcommand it names still exists
+    scripts = set(re.findall(r"\bscripts/(\w+\.py)\b", text))
+    subcommands = set(re.findall(r"(?<!import )\bntkalign ([a-z][\w-]*)", text))
+    assert scripts and len(subcommands) >= 3
+    assert sorted(s for s in scripts if not (ROOT / "scripts" / s).is_file()) == []
+    assert sorted(subcommands - set(cli.COMMANDS)) == []
 
-
-ROOT = README.parent
 
 # Defaulted parameters that no call in src/, scripts/ or perfbench/ sets, kept
 # on purpose: "module.callable.parameter" -> why.
