@@ -43,7 +43,6 @@ from .ntk import (
     empirical_ntk,
     filter_ntk,
     gnn_infinite_ntk,
-    gnn_monte_carlo_ntk,
 )
 from .shiftops import (
     AsymmetricShift,
@@ -97,7 +96,6 @@ __all__ = [
     "filter_ntk",
     "generate_var",
     "gnn_infinite_ntk",
-    "gnn_monte_carlo_ntk",
     "init_filter",
     "init_gnn2",
     "kappa_for_budget",

@@ -62,7 +62,7 @@ from .dataio import (
 )
 from .hermite import TruncationError, self_check
 from .models import InitConfig, init_filter, init_gnn2, save_params
-from .ntk import CorrelationOvershootError, filter_ntk, gnn_infinite_ntk, gnn_monte_carlo_ntk
+from .ntk import CorrelationOvershootError, empirical_ntk, filter_ntk, gnn_infinite_ntk
 from .shiftops import covariance, cross_covariance, mu_from_budget, solve_optimal_gso
 from .training import (
     GsoComparison,
@@ -91,10 +91,13 @@ def _config_flags(ns: argparse.Namespace) -> list:
     ``#`` starts a comment unless it is inside a double-quoted value.
     Values are parsed as JSON when possible and kept as strings otherwise.
     ``true`` / ``false`` give ``--key`` / ``--no-key``, ``null`` gives
-    nothing (the default stays), and any other value gives ``--key=value``,
+    nothing (the default stays), a list for a flag declared with ``nargs``
+    gives ``--key item ...``, and any other value gives ``--key=value``,
     which argparse then checks exactly like a flag typed on the command line.
     """
     path, allowed = ns.config, set(vars(ns)) - {"subcommand", "config", "emit_json"}
+    subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
+    multi = {a.dest for a in subparsers.choices[ns.subcommand]._actions if a.nargs in ("+", "*")}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -120,6 +123,8 @@ def _config_flags(ns: argparse.Namespace) -> list:
         flag = key.replace("_", "-")
         if isinstance(parsed, bool):
             flags.append(f"--{flag}" if parsed else f"--no-{flag}")
+        elif isinstance(parsed, list) and key in multi:
+            flags += [f"--{flag}", *map(str, parsed)]
         elif parsed is not None:
             flags.append(f"--{flag}={parsed if isinstance(parsed, str) else value}")
     return flags
@@ -272,7 +277,9 @@ def _compute_ntk(cfg: dict, s: ShiftOperator, data: Dataset) -> NtkMatrix:
         return filter_ntk(s, data.x, cfg["k"])
     if kind == "gnn":
         return gnn_infinite_ntk(s, data.x, cfg["k"], layer="both")
-    return gnn_monte_carlo_ntk(s, data.x, cfg["k"], cfg["width"], cfg["seed"], which_layer="both")
+    # the kernel `train --model gnn2` starts from at its default --kappa 1
+    params = init_gnn2(cfg["width"], cfg["k"], InitConfig(1.0, cfg["seed"]))
+    return empirical_ntk(s, params, data.x)
 
 
 def _cmd_ntk(cfg: dict) -> int:

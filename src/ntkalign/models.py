@@ -187,35 +187,26 @@ def gnn2_forward(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray) -> 
     return gnn2_forward_pullback(s, params, s.powers_applied(x, params.num_taps))[0]
 
 
-def gnn2_jacobian(
-    s: ShiftOperator,
-    params: TwoLayerGnnParams,
-    x: np.ndarray,
-    which_layer: str = "both",
-) -> np.ndarray:
-    """Analytic Jacobian of gnn2_forward with respect to the taps.
+def gnn2_jacobian(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian of gnn2_forward with respect to the taps, [first | second].
 
     Column (f, k) of the second-layer block is (1/sqrt(F)) S^k sigma(u1_f);
     of the first-layer block, (1/sqrt(F)) H_f(S) [sigma'(u1_f) * S^k x]
     with H_f(S) = sum_j h_{f,j} S^j, sigma = tanh and sigma' = 1 - tanh^2.
-    Column order matches flatten_params: layer 1 first, feature-major.
+    Column order matches flatten_params: layer 1 first, feature-major, so
+    columns [:F*K] are the first layer's block and [F*K:] the second's.
     Every column is formed from the dense powers S^j: J is the reference
-    for gnn2_forward_pullback and the factor of empirical_ntk, the Monte
-    Carlo kernel and ntk_drift.
+    for gnn2_forward_pullback and the factor of empirical_ntk and ntk_drift.
     """
-    if which_layer not in ("first", "second", "both"):
-        raise ValueError(f"which_layer must be first/second/both, got {which_layer!r}")
     x = _check_signal(s, x)
     x_powers = s.powers_applied(x, params.num_taps)  # (K, n, M)
     s_powers = s.powers_applied(np.eye(s.num_nodes), params.num_taps)  # S^j, (K, n, n)
     q1 = np.tanh(np.einsum("fk,knm->fnm", params.g, x_powers))  # sigma(u1), (F, n, M)
-    blocks = []  # each (M, n, F, K): sample-major rows, (feature, tap) columns
-    if which_layer in ("first", "both"):
-        w = (1.0 - q1 * q1)[:, None] * x_powers  # sigma'(u1_f) * S^k x, (F, K, n, M)
-        blocks.append(np.einsum("fj,jab,fkbm->mafk", params.h, s_powers, w, optimize=True))
-    if which_layer in ("second", "both"):
-        blocks.append(np.einsum("kab,fbm->mafk", s_powers, q1, optimize=True))
-    return np.hstack([b.reshape(x.size, -1) for b in blocks]) / math.sqrt(params.width)
+    w = (1.0 - q1 * q1)[:, None] * x_powers  # sigma'(u1_f) * S^k x, (F, K, n, M)
+    # each block (M, n, F, K): sample-major rows, (feature, tap) columns
+    first = np.einsum("fj,jab,fkbm->mafk", params.h, s_powers, w, optimize=True)
+    second = np.einsum("kab,fbm->mafk", s_powers, q1, optimize=True)
+    return np.hstack([b.reshape(x.size, -1) for b in (first, second)]) / math.sqrt(params.width)
 
 
 def flatten_params(params) -> np.ndarray:

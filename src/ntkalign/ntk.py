@@ -1,8 +1,10 @@
 """Tangent-kernel construction for graph filters and two-layer GNNs.
 
-Four routes to the stacked nM x nM kernel:
+Three routes to the stacked nM x nM kernel:
 
-* empirical: Jacobian product of a concrete finite-width model;
+* empirical: Jacobian product J J^T of a concrete model; for a random
+  two-layer GNN (``init_gnn2``) this is the finite-width kernel that width
+  studies compare with the infinite-width limit;
 * analytic graph filter: sum_k S~^k x~ x~^T S~^k, parameter-free;
 * infinite-width GNN: conjugated expectation matrix E (or the first-layer
   E1) of the tanh network, each one odd Mehler series sum_i c_i c_i'
@@ -10,14 +12,12 @@ Four routes to the stacked nM x nM kernel:
   coefficients for E, the even sech^2 ones times |z_a| for E1), built by
   ``expectation_series`` from one per-layer table, with pair quadrature
   kept as the reference; the full kernel sums E + E1 in one Mehler pass
-  over both layers' coefficient columns;
-* Monte Carlo: the empirical kernel of a random network with a finite
-  number of hidden features, for width studies.
+  over both layers' coefficient columns.
 
-The analytic filter, empirical and Monte Carlo kernels are returned in
-factored form (F = Z or F = J, kernel F F^T), so their spectra come from a
-thin SVD and nothing nM x nM is formed unless ``.matrix`` is read.  The
-infinite-width kernel is dense; intended for nM up to a few thousand.
+The analytic filter and empirical kernels are returned in factored form
+(F = Z or F = J, kernel F F^T), so their spectra come from a thin SVD and
+nothing nM x nM is formed unless ``.matrix`` is read.  The infinite-width
+kernel is dense; intended for nM up to a few thousand.
 Kernels, training and alignment read the tap stack [S~^k x~]_k from one
 ``TapStack`` per (S, x, K).  Row ell of its Z is [x~_ell, (S~ x~)_ell, ...],
 so Z Z^T is the linear kernel B_lin; row norms feed the Hermite series.
@@ -142,21 +142,16 @@ def filter_ntk(s: ShiftOperator, data, num_taps: int) -> NtkMatrix:
 
 
 def empirical_ntk(s: ShiftOperator, params, data) -> NtkMatrix:
-    """Jacobian-product NTK J J^T of a concrete model, factored as F = J."""
-    x = _signals(data)
+    """Jacobian-product NTK J J^T of a concrete model, factored as F = J.
+
+    A filter's J is the tap stack Z, so its kernel is ``filter_ntk``.
+    """
     if isinstance(params, FilterParams):
-        jac = filter_jacobian(s, x, params.num_taps)
-        info = {"model": "filter", "num_taps": params.num_taps}
-    elif isinstance(params, TwoLayerGnnParams):
-        jac = gnn2_jacobian(s, params, x)
-        info = {
-            "model": "gnn2",
-            "width": params.width,
-            "num_taps": params.num_taps,
-        }
-    else:
+        return filter_ntk(s, data, params.num_taps)
+    if not isinstance(params, TwoLayerGnnParams):
         raise TypeError(f"no Jacobian route for {type(params).__name__}")
-    return NtkMatrix(jac, info=info, factored=True)
+    info = {"model": "gnn2", "width": params.width, "num_taps": params.num_taps}
+    return NtkMatrix(gnn2_jacobian(s, params, _signals(data)), info=info, factored=True)
 
 
 @dataclass(frozen=True)
@@ -370,47 +365,3 @@ def gnn_infinite_ntk(
     infos = {name: info for name, (_, info) in zip(layers, series)}
     info = {"layers": infos} if layer == "both" else infos[layer]
     return NtkMatrix(theta, info={"layer": layer, "num_taps": num_taps, **info})
-
-
-def gnn_monte_carlo_ntk(
-    s: ShiftOperator,
-    data,
-    num_taps: int,
-    num_features: int,
-    seed: int,
-    which_layer: str = "second",
-) -> NtkMatrix:
-    """Finite random-feature estimate of the infinite-width NTK layer terms.
-
-    The estimate is the empirical kernel J J' of a random width-F tanh network
-    with taps g, h ~ N(0, I_K) per feature, kept factored as F = J.  The
-    second layer's block has columns S~^k sigma(Z g_f) / sqrt(F); the first
-    layer's has H_f(S~)[sigma'(Z g_f) * S~^k x~] / sqrt(F), the readout
-    taps h_f giving the polynomial in front of the derivative.  Each block
-    is ``gnn2_jacobian`` of that layer.  ``which_layer='both'`` stacks them
-    as [J_second, J_first] into one kernel, the second layer drawn from
-    ``seed`` and the first from ``seed + 1``, with each layer's info under
-    ``info['layers']``.  Each layer draws g, then h, from
-    ``np.random.default_rng`` of its seed.
-    """
-    if num_features < 1:
-        raise ValueError("num_features must be >= 1")
-    seeds = {"second": seed, "first": seed + 1} if which_layer == "both" else {which_layer: seed}
-    if any(name not in ("second", "first") for name in seeds):
-        raise ValueError(f"which_layer must be 'first', 'second' or 'both', got {which_layer!r}")
-    x = _signals(data)
-    blocks = []
-    infos = {}
-    for name, layer_seed in seeds.items():
-        rng = np.random.default_rng(layer_seed)
-        g = rng.standard_normal((num_features, num_taps))
-        h = rng.standard_normal((num_features, num_taps))
-        blocks.append(gnn2_jacobian(s, TwoLayerGnnParams(g, h), x, name))
-        infos[name] = {
-            "layer": name,
-            "num_features": num_features,
-            "seed": layer_seed,
-            "num_taps": num_taps,
-        }
-    info = {"layers": infos} if which_layer == "both" else infos[which_layer]
-    return NtkMatrix(np.hstack(blocks), info=info, factored=True)

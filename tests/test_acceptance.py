@@ -28,12 +28,7 @@ from ntkalign.hermite import (
     verify_sign_constancy,
 )
 from ntkalign.models import InitConfig, init_filter, init_gnn2
-from ntkalign.ntk import (
-    empirical_ntk,
-    filter_ntk,
-    gnn_infinite_ntk,
-    gnn_monte_carlo_ntk,
-)
+from ntkalign.ntk import empirical_ntk, filter_ntk, gnn_infinite_ntk
 from ntkalign.shiftops import covariance, cross_covariance
 from ntkalign.training import (
     TrainConfig,
@@ -94,10 +89,15 @@ def test_filter_kernel_equals_jacobian_product():
         s = random_shift(rng, n)
         data = random_dataset(rng, n, m)
         params = init_filter(num_taps, InitConfig(1.0, seed))
-        analytic = filter_ntk(s, data.x, num_taps).matrix
-        empirical = empirical_ntk(s, params, data.x).matrix
-        gap = np.linalg.norm(empirical - analytic) / max(np.linalg.norm(analytic), 1e-300)
-        assert gap <= 1e-10, f"seed {seed}: relative gap {gap:.3e}"
+        # the oracle: sum_k (L^k x~)(L^k x~)' with the dense lifted shift L = I_M (x) S
+        lift = np.kron(np.eye(m), s.matrix)
+        taps = [np.linalg.matrix_power(lift, k) @ stack(data.x) for k in range(num_taps)]
+        analytic = sum(np.outer(tap, tap) for tap in taps)
+        scale = max(np.linalg.norm(analytic), 1e-300)
+        for name, theta in [("filter_ntk", filter_ntk(s, data.x, num_taps)),
+                            ("empirical_ntk", empirical_ntk(s, params, data.x))]:
+            gap = np.linalg.norm(theta.matrix - analytic) / scale
+            assert gap <= 1e-10, f"seed {seed}: {name} relative gap {gap:.3e}"
     assert time.perf_counter() - start < 10.0
 
 
@@ -111,13 +111,9 @@ def test_monte_carlo_kernel_converges_with_width():
     ref_norm = np.linalg.norm(reference)
 
     def mc_error(num_features, seed):
-        total = (
-            gnn_monte_carlo_ntk(s, data, 2, num_features, seed).matrix
-            + gnn_monte_carlo_ntk(
-                s, data, 2, num_features, seed, which_layer="first"
-            ).matrix
-        )
-        return np.linalg.norm(total - reference) / ref_norm
+        params = init_gnn2(num_features, 2, InitConfig(1.0, seed))
+        theta = empirical_ntk(s, params, data).matrix
+        return np.linalg.norm(theta - reference) / ref_norm
 
     wins = 0
     for seed in range(10):

@@ -392,8 +392,9 @@ class TestConfigResolution:
             ('eta = "fast"', "argument --eta: invalid float value: 'fast'"),
             ("batch_size = 2.5", "argument --batch-size: expected an integer >= 0, got '2.5'"),
             ('width = "x"', "argument --width: expected an integer >= 1, got 'x'"),
+            ("k = [1, 2]", "argument --k: expected an integer >= 1, got '[1, 2]'"),
         ],
-        ids=["k-string", "k-float", "eta-string", "batch-size-float", "width-string"],
+        ids=["k-string", "k-float", "eta-string", "batch-size-float", "width-string", "k-list"],
     )
     def test_file_values_are_checked_like_flags(self, tiny_data, tmp_path, capsys, line, error):
         _, _, x_path, y_path = tiny_data
@@ -434,6 +435,20 @@ class TestConfigResolution:
         snap = json.loads((out / "manifest.json").read_text())["config"]
         assert snap["n"] == 20 and snap["len"] == 120 and snap["m_test"] is None
         assert load_csv(out / "x_test.csv").shape == (20, 3)  # m_train / 10
+
+    def test_list_value_gives_a_multi_value_flag_its_values(self, tmp_path):
+        for seed in (1, 2):
+            assert run("gen-data", "--n", 5, "--len", 120, "--seed", seed,
+                       "--out-dir", tmp_path / f"d{seed}") == 0
+        files = [str(tmp_path / f"d{seed}" / "series.csv") for seed in (1, 2)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"series = {json.dumps(files)}\n")
+        common = ["--m-train", 20, "--model", "filter", "--epochs", 3, "--reps", 2]
+        assert run("compare", "--config", cfg, *common, "--out-dir", tmp_path / "file") == 0
+        assert run("compare", "--series", *files, *common, "--out-dir", tmp_path / "flag") == 0
+        for name in ("report.json", "curves.csv"):
+            from_file = (tmp_path / "file" / name).read_bytes()
+            assert from_file == (tmp_path / "flag" / name).read_bytes()
 
     def test_hash_inside_quotes_is_not_a_comment(self, tiny_data, tmp_path):
         x, y, _, _ = tiny_data
@@ -727,9 +742,25 @@ class TestNtkCommand:
         assert run("ntk", "--x", x_path, "--y", y_path, "--kind", "gnn-mc",
                    "--width", 32, "--out-dir", out) == 0
         assert load_csv(out / "ntk.csv").shape == (60, 60)
-        layers = json.loads((out / "report.json").read_text())["info"]["layers"]
-        assert layers["second"]["num_features"] == layers["first"]["num_features"] == 32
-        assert (layers["second"]["seed"], layers["first"]["seed"]) == (0, 1)
+        info = json.loads((out / "report.json").read_text())["info"]
+        assert info == {"model": "gnn2", "width": 32, "num_taps": 2}
+        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 0
+
+    def test_monte_carlo_kind_is_trains_initial_kernel(self, tiny_data, tmp_path):
+        # gnn-mc is J0 J0' at the parameters train --model gnn2 starts from
+        x, y, x_path, y_path = tiny_data
+        data = ["--x", x_path, "--y", y_path, "--width", 8, "--seed", 3]
+        assert run("train", *data, "--model", "gnn2", "--epochs", 0,
+                   "--out-dir", tmp_path / "train") == 0
+        assert run("ntk", *data, "--kind", "gnn-mc", "--out-dir", tmp_path / "ntk") == 0
+        header, flat = (tmp_path / "train" / "params.txt").read_text().splitlines()
+        assert json.loads(header)["width"] == 8
+        like = init_gnn2(8, 2, InitConfig(1.0, 0))  # a shape template only
+        params0 = unflatten_params(np.array(flat.split(","), dtype=float), like)
+        jac = gnn2_jacobian(cross_covariance(x, y), params0, x)
+        expected = jac @ jac.T
+        written = load_csv(tmp_path / "ntk" / "ntk.csv")
+        assert np.linalg.norm(written - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_monte_carlo_kind_validates_one_kernel(self, tiny_data, tmp_path, monkeypatch):
         x, _, x_path, y_path = tiny_data

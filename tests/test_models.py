@@ -167,7 +167,7 @@ class TestGnn2Jacobian:
         width, k = 3, 2
         g = np.tile([1.0, 0.0], (width, 1))
         params = TwoLayerGnnParams(g, rng.standard_normal((width, k)))
-        jac = gnn2_jacobian(s, params, x, which_layer="second")
+        jac = gnn2_jacobian(s, params, x)[:, width * k :]  # the second layer's block
         powers = s.powers_applied(np.tanh(x), k)
         for f in range(width):
             for j in range(k):
@@ -177,8 +177,9 @@ class TestGnn2Jacobian:
         rng = np.random.default_rng(9)
         s = random_shift(rng, 5)
         params = TwoLayerGnnParams(rng.standard_normal((3, 2)), np.zeros((3, 2)))
-        jac = gnn2_jacobian(s, params, rng.standard_normal((5, 1)), which_layer="first")
-        assert np.allclose(jac, 0.0)
+        jac = gnn2_jacobian(s, params, rng.standard_normal((5, 1)))
+        assert np.allclose(jac[:, : params.g.size], 0.0)  # the first layer's block
+        assert not np.allclose(jac[:, params.g.size :], 0.0)
 
     def test_tanh_against_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -205,14 +206,21 @@ class TestGnn2Jacobian:
             assert np.linalg.norm(jac - fd) <= 1e-4 * max(np.linalg.norm(fd), 1e-12)
 
     def test_both_is_first_then_second(self):
+        # each block against its column formula, built with dense powers of S
         rng = np.random.default_rng(12)
         s = random_shift(rng, 4)
         x = rng.standard_normal((4, 2))
-        params = init_gnn2(2, 2, InitConfig(kappa=1.1, seed=3))
-        both = gnn2_jacobian(s, params, x, which_layer="both")
-        first = gnn2_jacobian(s, params, x, which_layer="first")
-        second = gnn2_jacobian(s, params, x, which_layer="second")
-        assert np.allclose(both, np.hstack([first, second]))
+        width, k = 2, 2
+        params = init_gnn2(width, k, InitConfig(kappa=1.1, seed=3))
+        powers = [np.linalg.matrix_power(s.matrix, j) for j in range(k)]
+        first, second = [], []
+        for f in range(width):
+            u1 = sum(params.g[f, j] * powers[j] @ x for j in range(k))
+            readout = sum(params.h[f, j] * powers[j] for j in range(k))
+            first += [stack(readout @ (sech2(u1) * (powers[j] @ x))) for j in range(k)]
+            second += [stack(powers[j] @ np.tanh(u1)) for j in range(k)]
+        expected = np.column_stack(first + second) / np.sqrt(width)
+        assert np.allclose(gnn2_jacobian(s, params, x), expected, rtol=1e-12, atol=1e-14)
 
     def test_stacked_rows_match_stack_convention(self):
         rng = np.random.default_rng(13)
@@ -222,12 +230,6 @@ class TestGnn2Jacobian:
         jac = gnn2_jacobian(s, params, x)
         fd = fd_jacobian(lambda p: stack(gnn2_forward(s, p, x)), params)
         assert np.linalg.norm(jac - fd) <= 1e-5 * np.linalg.norm(fd)
-
-    def test_rejects_unknown_layer_choice(self):
-        s = ShiftOperator(np.zeros((2, 2)))
-        params = init_gnn2(1, 1, InitConfig(kappa=1.0, seed=0))
-        with pytest.raises(ValueError):
-            gnn2_jacobian(s, params, np.ones((2, 1)), which_layer="third")
 
 
 class TestGnn2ForwardPullback:
@@ -270,7 +272,7 @@ class TestGnn2ForwardPullback:
         r = rng.standard_normal((n, samples))
         params = init_gnn2(4, k, InitConfig(kappa=0.9, seed=k))
         out, pullback = gnn2_forward_pullback(s, params, s.powers_applied(x, k))
-        expected = gnn2_jacobian(s, params, x, which_layer="second") @ params.h.ravel()
+        expected = gnn2_jacobian(s, params, x)[:, params.g.size :] @ params.h.ravel()
         assert np.linalg.norm(stack(out) - expected) <= 1e-12 * np.linalg.norm(expected)
         grad = gnn2_jacobian(s, params, x).T @ stack(r)
         assert np.linalg.norm(pullback(r) - grad) <= 1e-12 * np.linalg.norm(grad)

@@ -28,6 +28,7 @@ from ntkalign.models import (
     FilterParams,
     InitConfig,
     TwoLayerGnnParams,
+    filter_forward,
     flatten_params,
     gnn2_forward,
     gnn2_jacobian,
@@ -45,7 +46,6 @@ from ntkalign.ntk import (
     expectation_series,
     filter_ntk,
     gnn_infinite_ntk,
-    gnn_monte_carlo_ntk,
     z_vectors,
 )
 from ntkalign.training import TrainConfig, ntk_drift, train
@@ -75,12 +75,13 @@ ACTIVATIONS = {"tanh": (np.tanh, sech2)}
 
 
 def dense_monte_carlo_layer(s, x, num_taps, g, h, layer, activation="tanh"):
-    """One layer's random-feature kernel as a dense sum over the F features.
+    """One layer's term of a width-F GNN's kernel as a dense sum over the F features.
 
-    The reference for the factored ``gnn_monte_carlo_ntk``: the second
-    layer conjugates the feature Gram sigma(Z g') sigma(Z g')' / F by the
-    shift powers; the first adds, per feature f, the rank-K term c c' / F
-    with c = sum_j h_fj S~^j [sigma'(Z g_f) * Z], (sigma, sigma') = ACTIVATIONS[activation].
+    The reference for ``empirical_ntk`` of ``TwoLayerGnnParams(g, h)``, whose
+    kernel is the first layer's term plus the second's: the second layer
+    conjugates the feature Gram sigma(Z g') sigma(Z g')' / F by the shift
+    powers; the first adds, per feature f, the rank-K term c c' / F with
+    c = sum_j h_fj S~^j [sigma'(Z g_f) * Z], (sigma, sigma') = ACTIVATIONS[activation].
     """
     fn, deriv = ACTIVATIONS[activation]
     z = z_vectors(s, x, num_taps).matrix
@@ -247,6 +248,7 @@ class TestFilterNtk:
 
 class TestEmpiricalNtk:
     def test_filter_matches_analytic_fifty_instances(self):
+        # a filter is linear in its taps: Jacobian column k is the filter with taps e_k
         rng = np.random.default_rng(5)
         for _ in range(50):
             n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
@@ -254,10 +256,10 @@ class TestEmpiricalNtk:
             s = random_shift(rng, n) if n > 1 else ShiftOperator(rng.standard_normal((1, 1)))
             x = rng.standard_normal((n, m))
             emp = empirical_ntk(s, FilterParams(rng.standard_normal(k)), x)
-            ana = filter_ntk(s, x, k)
-            scale = max(np.linalg.norm(ana.matrix), 1.0)
-            assert np.linalg.norm(emp.matrix - ana.matrix) <= 1e-10 * scale
-            assert emp.info == {"model": "filter", "num_taps": k}
+            jac = np.column_stack([stack(filter_forward(s, FilterParams(e), x)) for e in np.eye(k)])
+            scale = max(np.linalg.norm(jac) ** 2, 1.0)
+            assert np.linalg.norm(emp.matrix - jac @ jac.T) <= 1e-10 * scale
+            assert emp.info == filter_ntk(s, x, k).info == {"num_taps": k}
 
     def test_gnn_second_layer_block_ignores_readout(self):
         # c2 columns depend only on the hidden features, not on h
@@ -680,15 +682,24 @@ class TestInfiniteNtk:
 
 
 class TestMonteCarloNtk:
+    """The kernel of one random width-F network, ``empirical_ntk`` at ``init_gnn2`` taps."""
+
+    @staticmethod
+    def kernel(s, data, num_taps, width, seed, layer="both"):
+        params = init_gnn2(width, num_taps, InitConfig(1.0, seed))
+        if layer == "both":
+            return empirical_ntk(s, params, data).matrix
+        jac = gnn2_jacobian(s, params, data.x)
+        block = jac[:, : width * num_taps] if layer == "first" else jac[:, width * num_taps :]
+        return block @ block.T
+
     def test_same_seed_is_deterministic(self):
         rng = np.random.default_rng(21)
         s = random_shift(rng, 3)
         data = random_dataset(rng, 3, 3)
-        a = gnn_monte_carlo_ntk(s, data, 2, num_features=16, seed=7)
-        b = gnn_monte_carlo_ntk(s, data, 2, num_features=16, seed=7)
-        assert np.array_equal(a.matrix, b.matrix)
-        c = gnn_monte_carlo_ntk(s, data, 2, num_features=16, seed=8)
-        assert not np.array_equal(a.matrix, c.matrix)
+        a = self.kernel(s, data, 2, 16, seed=7)
+        assert np.array_equal(a, self.kernel(s, data, 2, 16, seed=7))
+        assert not np.array_equal(a, self.kernel(s, data, 2, 16, seed=8))
 
     def test_second_layer_converges_to_quadrature(self):
         rng = np.random.default_rng(23)
@@ -698,10 +709,10 @@ class TestMonteCarloNtk:
         ref_norm = np.linalg.norm(reference)
         wins = 0
         for seed in range(5):
-            small = gnn_monte_carlo_ntk(s, data, 2, num_features=128, seed=seed)
-            large = gnn_monte_carlo_ntk(s, data, 2, num_features=4096, seed=seed)
-            err_small = np.linalg.norm(small.matrix - reference) / ref_norm
-            err_large = np.linalg.norm(large.matrix - reference) / ref_norm
+            small = self.kernel(s, data, 2, 128, seed, layer="second")
+            large = self.kernel(s, data, 2, 4096, seed, layer="second")
+            err_small = np.linalg.norm(small - reference) / ref_norm
+            err_large = np.linalg.norm(large - reference) / ref_norm
             wins += err_large < err_small
         assert wins >= 4
 
@@ -713,64 +724,47 @@ class TestMonteCarloNtk:
         ref_norm = np.linalg.norm(reference)
         wins = 0
         for seed in range(3):
-            small = gnn_monte_carlo_ntk(s, data, 2, 256, seed=seed, which_layer="first")
-            large = gnn_monte_carlo_ntk(s, data, 2, 4096, seed=seed, which_layer="first")
-            wins += (
-                np.linalg.norm(large.matrix - reference) < np.linalg.norm(small.matrix - reference)
-            )
+            small = self.kernel(s, data, 2, 256, seed, layer="first")
+            large = self.kernel(s, data, 2, 4096, seed, layer="first")
+            wins += np.linalg.norm(large - reference) < np.linalg.norm(small - reference)
         assert wins >= 2
-        assert np.linalg.norm(large.matrix - reference) / ref_norm < 0.2
-
-    def test_both_layers_sum_the_seeded_layers(self):
-        rng = np.random.default_rng(26)
-        s = random_shift(rng, 3)
-        data = random_dataset(rng, 3, 3)
-        both = gnn_monte_carlo_ntk(s, data, 2, num_features=16, seed=7, which_layer="both")
-        second = gnn_monte_carlo_ntk(s, data, 2, num_features=16, seed=7)
-        first = gnn_monte_carlo_ntk(s, data, 2, num_features=16, seed=8, which_layer="first")
-        assert np.array_equal(both.factor, np.hstack([second.factor, first.factor]))
-        total = second.matrix + first.matrix
-        assert np.linalg.norm(both.matrix - total) <= 1e-12 * np.linalg.norm(total)
-        assert both.info == {"layers": {"second": second.info, "first": first.info}}
+        assert np.linalg.norm(large - reference) / ref_norm < 0.2
 
     @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
-    @pytest.mark.parametrize("which_layer", ["second", "first", "both"])
-    def test_matches_dense_per_feature_sum(self, activation, which_layer):
+    @pytest.mark.parametrize("layer", ["second", "first", "both"])
+    def test_matches_dense_per_feature_sum(self, activation, layer):
         rng = np.random.default_rng(32)
         s = random_shift(rng, 4)
         data = random_dataset(rng, 4, 3)
-        seeds = {"second": 5, "first": 6} if which_layer == "both" else {which_layer: 5}
-        expected = 0.0
-        for layer, seed in seeds.items():
-            draw = np.random.default_rng(seed)
-            g, h = draw.standard_normal((12, 3)), draw.standard_normal((12, 3))
-            expected = expected + dense_monte_carlo_layer(s, data.x, 3, g, h, layer, activation)
-        theta = gnn_monte_carlo_ntk(s, data, 3, 12, seed=5, which_layer=which_layer)
-        assert theta.factor is not None
-        assert np.linalg.norm(theta.matrix - expected) <= 1e-12 * np.linalg.norm(expected)
+        params = init_gnn2(12, 3, InitConfig(1.0, 5))
+        layers = ("second", "first") if layer == "both" else (layer,)
+        expected = sum(
+            dense_monte_carlo_layer(s, data.x, 3, params.g, params.h, name, activation)
+            for name in layers
+        )
+        theta = self.kernel(s, data, 3, 12, seed=5, layer=layer)
+        assert np.linalg.norm(theta - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    @pytest.mark.parametrize("which_layer", ["second", "first", "both"])
-    def test_fixed_draws_match_dense_per_feature_sum(self, which_layer):
+    @pytest.mark.parametrize("layer", ["second", "first", "both"])
+    def test_fixed_draws_match_dense_per_feature_sum(self, layer):
         rng = np.random.default_rng(33)
         s = random_shift(rng, 3)
         data = random_dataset(rng, 3, 4)
-        seeds = {"second": 0, "first": 1} if which_layer == "both" else {which_layer: 0}
-        expected = 0.0
-        for layer, seed in seeds.items():
-            draw = np.random.default_rng(seed)  # g first, then h, as the function draws them
-            g, h = draw.standard_normal((5, 2)), draw.standard_normal((5, 2))
-            expected = expected + dense_monte_carlo_layer(s, data.x, 2, g, h, layer)
-        theta = gnn_monte_carlo_ntk(s, data, 2, 5, seed=0, which_layer=which_layer)
-        assert np.linalg.norm(theta.matrix - expected) <= 1e-12 * np.linalg.norm(expected)
+        draw = np.random.default_rng(0)  # g first, then h, as init_gnn2 draws them at kappa 1
+        g, h = draw.standard_normal((5, 2)), draw.standard_normal((5, 2))
+        layers = ("second", "first") if layer == "both" else (layer,)
+        expected = sum(dense_monte_carlo_layer(s, data.x, 2, g, h, name) for name in layers)
+        theta = self.kernel(s, data, 2, 5, seed=0, layer=layer)
+        assert np.linalg.norm(theta - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(25)
         s = random_shift(rng, 3)
         data = random_dataset(rng, 3, 2)
         with pytest.raises(ValueError):
-            gnn_monte_carlo_ntk(s, data, 2, num_features=0, seed=0)
+            self.kernel(s, data, 2, 0, seed=0)  # no hidden features
         with pytest.raises(ValueError):
-            gnn_monte_carlo_ntk(s, data, 2, num_features=4, seed=0, which_layer="third")
+            self.kernel(random_shift(rng, 4), data, 2, 4, seed=0)  # 3-node signals
 
 
 class TestNtkDrift:

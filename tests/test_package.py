@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -19,13 +20,13 @@ def test_public_names_resolve_and_star_import_works():
     assert set(ntkalign.__all__) <= namespace.keys()
 
 
-def _resolves(name: str) -> bool:
-    """``name`` is bound on ``ntkalign`` or on one of its submodules."""
+def _lookup(name: str):
+    """What ``name`` is bound to on ``ntkalign`` or on one of its submodules, or None."""
     modules = [ntkalign] + [
         importlib.import_module(f"ntkalign.{info.name}")
         for info in pkgutil.iter_modules(ntkalign.__path__)
     ]
-    return any(hasattr(module, name) for module in modules)
+    return next((getattr(m, name) for m in modules if hasattr(m, name)), None)
 
 
 def test_readme_names_resolve():
@@ -36,7 +37,17 @@ def test_readme_names_resolve():
     paragraph = re.search(r"Other entry points:(.*?)\n\n", text, flags=re.S).group(1)
     entry_points = set(re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", paragraph))
     assert len(names) >= 10 and len(entry_points) >= 8
-    assert sorted(name for name in names | entry_points if not _resolves(name)) == []
+    assert sorted(name for name in names | entry_points if _lookup(name) is None) == []
+    # every keyword the paragraph shows, such as `layer="both"`, is a parameter of
+    # a function it names
+    keywords = set(re.findall(r"`(\w+)=[^`]*`", paragraph))
+    parameters = {
+        param
+        for name in entry_points
+        if callable(_lookup(name))
+        for param in inspect.signature(_lookup(name)).parameters
+    }
+    assert keywords and sorted(keywords - parameters) == []
     # and every script and subcommand it names still exists
     scripts = set(re.findall(r"\bscripts/(\w+\.py)\b", text))
     subcommands = set(re.findall(r"(?<!import )\bntkalign ([a-z][\w-]*)", text))
