@@ -120,16 +120,18 @@ def filter_jacobian(s: ShiftOperator, x: np.ndarray, num_taps: int) -> np.ndarra
     return powers.transpose(2, 1, 0).reshape(-1, num_taps)
 
 
-def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x_powers: np.ndarray):
+def gnn2_forward_pullback(s: ShiftOperator, g: np.ndarray, h: np.ndarray, x_powers: np.ndarray):
     """The GNN's output on the tap stack X = [S^k x]_k, and its pullback r -> J' r.
 
-    ``x_powers`` is ``s.powers_applied(x, K)``, shape (K, n, M); a
-    training run builds it once, since x does not change.  Adjoint
-    (Horner) form: with u1 = g X, the output is sum_k S^k v_k / sqrt(F)
+    ``g`` and ``h`` are the layers' (F, K) taps, unchecked, so a training
+    step passes views of its flat vector (non-finite taps give a non-finite
+    output); the pullback reads ``h`` when it runs.  ``x_powers`` is
+    ``s.powers_applied(x, K)``, (K, n, M); a training run builds it once.
+    Adjoint (Horner) form: with u1 = g X, the output is sum_k S^k v_k / sqrt(F)
     with v_k = sum_f h_{f,k} sigma(u1_f), summed by Horner's rule; no
     feature is ever shifted.  The pullback takes a residual r of the
     output's shape and returns the flat gradient in flatten_params order,
-    the same vector as ``gnn2_jacobian(s, params, x).T @ r`` (stacked)
+    ``gnn2_jacobian(s, TwoLayerGnnParams(g, h), x).T @ r`` (stacked)
     without forming J:
 
         grad_h[f, k] = (1/sqrt(F)) <sigma(u1_f), (S')^k r>
@@ -143,16 +145,16 @@ def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x_powers:
     asymmetric shift the transpose it needs.
     """
     x_powers = np.asarray(x_powers, dtype=float)
-    width, num_taps = params.g.shape
+    width, num_taps = g.shape
     if len(x_powers) != num_taps:
         raise ValueError(f"tap stack of {len(x_powers)} taps for a {num_taps}-tap GNN")
     _check_signal(s, x_powers[0])  # the first tap is x itself
     scale = math.sqrt(width)
 
     x_cols = x_powers.reshape(num_taps, -1)  # (K, n*M)
-    q1 = params.g @ x_cols  # u1, (F, n*M), overwritten by tanh(u1), then by sigma'
+    q1 = g @ x_cols  # u1, (F, n*M), overwritten by tanh(u1), then by sigma'
     np.tanh(q1, out=q1)
-    v = (params.h.T @ q1).reshape(x_powers.shape)  # (K, n, M)
+    v = (h.T @ q1).reshape(x_powers.shape)  # (K, n, M)
     out = v[-1]
     for k in range(num_taps - 2, -1, -1):
         out = s.matrix @ out + v[k]
@@ -172,7 +174,7 @@ def gnn2_forward_pullback(s: ShiftOperator, params: TwoLayerGnnParams, x_powers:
         mixed = (r_powers[:, None, :] * x_cols[None, :, :]).reshape(num_taps * num_taps, -1)
         np.subtract(1.0, np.multiply(q1, q1, out=q1), out=q1)  # sigma' = 1 - tanh^2
         inner = q1 @ mixed.T  # (F, K^2)
-        grad_g = np.einsum("fj,fjk->fk", params.h, inner.reshape(width, num_taps, num_taps))
+        grad_g = np.einsum("fj,fjk->fk", h, inner.reshape(width, num_taps, num_taps))
         return np.concatenate([grad_g.ravel(), grad_h.ravel()]) / scale
 
     return out, pullback
@@ -184,7 +186,7 @@ def gnn2_forward(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray) -> 
     The final layer is linear; no output nonlinearity is applied.
     """
     x = _check_signal(s, x)
-    return gnn2_forward_pullback(s, params, s.powers_applied(x, params.num_taps))[0]
+    return gnn2_forward_pullback(s, params.g, params.h, s.powers_applied(x, params.num_taps))[0]
 
 
 def gnn2_jacobian(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray) -> np.ndarray:

@@ -149,9 +149,6 @@ def power_sum_root(gamma: float, num_taps: int) -> float:
 class GsoSolution:
     operator: ShiftOperator
     mu: float
-    num_taps: int
-    eigenvalues: np.ndarray  # of mu C
-    roots: np.ndarray  # per-eigenvalue solution s_i
     residual: float  # relative, pre-normalization
     scale: float  # 1.0 unless unit-Frobenius normalization was applied
 
@@ -184,10 +181,10 @@ def solve_optimal_gso(
             f"||mu C||_F = {fro:.3e} is beyond the solver's reach: its square overflows"
         )
     target = mu * c
-    gammas, vecs = np.linalg.eigh(target)
     if num_taps == 2:
-        s_matrix, roots = target - np.eye(target.shape[0]), gammas - 1.0
+        s_matrix = target - np.eye(target.shape[0])
     else:
+        gammas, vecs = np.linalg.eigh(target)
         roots = np.array([power_sum_root(g, num_taps) for g in gammas])
         s_matrix = (vecs * roots) @ vecs.T
     s_matrix = (s_matrix + s_matrix.T) / 2.0
@@ -208,9 +205,6 @@ def solve_optimal_gso(
     return GsoSolution(
         operator=ShiftOperator(s_matrix * scale if normalize else s_matrix),
         mu=float(mu),
-        num_taps=num_taps,
-        eigenvalues=gammas,
-        roots=roots,
         residual=residual,
         scale=scale,
     )

@@ -10,12 +10,13 @@ per epoch, where numpy's per-call overhead on K-vectors would be the cost;
 a minibatch step takes its samples' rows of Z.  A two-layer GNN takes the
 stack into one fused forward-and-pullback pass per step, and the test loss
 takes the same pass on the test stack.  GNN and minibatch passes and their
-descent work on the flat parameter vector; a params object is built only
-where a model is needed.  One GD/Adam step formula serves a whole numpy
-vector and each float coordinate.  Because a filter is linear,
-its gradient-descent trace is reproduced exactly by the constant-kernel
-dynamics r_{t+1} = (I - eta Theta~) r_t with Theta~ = Z Z', which is what
-the sandwich check and the parameter-movement prediction lean on.
+descent work on the flat parameter vector, a GNN's two layers as views of
+it; a run builds one params object, for its final parameters.  One GD/Adam
+step formula serves a whole numpy vector and each float coordinate.
+Because a filter is linear, its gradient-descent trace is reproduced
+exactly by the constant-kernel dynamics r_{t+1} = (I - eta Theta~) r_t
+with Theta~ = Z Z', which is what the sandwich check and the
+parameter-movement prediction lean on.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ from .ntk import TapStack, filter_ntk, z_vectors
 
 PINV_RTOL = 1e-10
 SLACK_FACTOR = 10.0  # the constant the kernel-regime bounds hide
+# the kernel-regime slack's failure probability delta: at kappa = eps sqrt(delta/(nM))
+# the finite-width deviation terms stay O(eps) with probability 1 - delta
+DELTA_BUDGET = 0.05
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -66,14 +70,7 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer settings plus the probabilistic-bound budget.
-
-    ``delta_budget`` is the failure probability in the kernel-regime
-    slack: an initialization scale kappa = eps sqrt(delta/(nM)) keeps the
-    finite-width deviation terms O(eps) with probability 1 - delta
-    (``kappa_for_budget``, ``slack_from_kappa``), so it lies in (0, 1).
-    eta and kappa must be positive and finite.
-    """
+    """Optimizer settings; eta and kappa must be positive and finite."""
 
     eta: float
     epochs: int
@@ -81,7 +78,6 @@ class TrainConfig:
     optimizer: str = "gd"
     kappa: float = 1.0
     seed: int = 0
-    delta_budget: float = 0.05
 
     def __post_init__(self):
         require_positive_finite("eta", self.eta)
@@ -92,8 +88,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 0 (0 = full batch)")
         if self.optimizer not in ("gd", "adam"):
             raise ValueError(f"optimizer must be 'gd' or 'adam', got {self.optimizer!r}")
-        if not 0.0 < self.delta_budget < 1.0:  # a probability; NaN fails too
-            raise ValueError(f"delta_budget must lie in (0, 1), got {self.delta_budget}")
 
 
 def kappa_for_budget(eps: float, delta: float, num_nodes: int, num_samples: int) -> float:
@@ -131,25 +125,6 @@ class TrainTrace:
         return len(self.train_losses) - 1
 
 
-def _params_of(model):
-    """flat -> params shaped like ``model`` (at first ``model`` itself), rebuilt when flat changes.
-
-    The passes of one run share it, so an epoch's train and test pass read
-    one params object, as do a step and the Jacobian ``ntk_drift`` takes.
-    A change is told by flat's bytes, which is cheaper than array_equal.
-    """
-    last_key, last = flatten_params(model).tobytes(), model
-
-    def params_of(flat):
-        nonlocal last_key, last
-        key = flat.tobytes()
-        if key != last_key:
-            last_key, last = key, unflatten_params(flat, model)
-        return last
-
-    return params_of
-
-
 def _qr_pass(taps: TapStack, y: np.ndarray):
     """A graph filter's full batch on Python floats: h -> (loss, thunk of the gradient).
 
@@ -177,7 +152,7 @@ def _qr_pass(taps: TapStack, y: np.ndarray):
     return qr_pass
 
 
-def _training_pass(s: ShiftOperator, model, taps: TapStack, y: np.ndarray, params_of=None):
+def _training_pass(s: ShiftOperator, model, taps: TapStack, y: np.ndarray):
     """One split's pass for ``_descent``: (flat, idx) -> (loss, thunk of the flat gradient).
 
     ``taps`` is the split's tap stack and ``y`` its targets; ``idx`` picks
@@ -187,15 +162,18 @@ def _training_pass(s: ShiftOperator, model, taps: TapStack, y: np.ndarray, param
     A graph filter's taps are ``flat`` itself.  This pass serves its
     minibatch runs: a minibatch takes its samples' rows Z_b of the stack,
     Z_b'(Z_b h - y_b), and an epoch's full-batch loss is ``_qr_pass``'s.  A
-    GNN takes its X (K, n, M) into one fused gnn2_forward_pullback pass, on
-    the params ``params_of(flat)`` gives (default: its own ``_params_of``).
+    GNN takes its X (K, n, M) into one fused gnn2_forward_pullback pass on
+    its layers g and h, views of ``flat`` taken per call, with no copy and no
+    check: non-finite taps give a non-finite loss, which the divergence rule
+    reports.  The thunk reads h when it runs; ``_descent`` runs it before it
+    updates ``flat`` in place, so the views still hold that step's taps.
     """
     if isinstance(model, FilterParams):
         full_batch = _qr_pass(taps, y)
         y = stack(y).reshape(taps.num_samples, -1)  # sample-major, like the blocks
         z = taps.blocks
 
-        def filter_pass(flat, idx):
+        def filter_pass(flat, idx=None):
             if idx is None:
                 return full_batch(flat.tolist())  # the loss; minibatches give the steps
             zb = z[idx].reshape(-1, taps.num_taps)
@@ -203,12 +181,11 @@ def _training_pass(s: ShiftOperator, model, taps: TapStack, y: np.ndarray, param
             return _half_loss(resid), lambda: zb.T @ resid
 
         return filter_pass
-    x_powers = taps.x_powers
-    params_of = params_of or _params_of(model)
+    x_powers, layers = taps.x_powers, (2, *model.g.shape)
 
-    def gnn_pass(flat, idx):
+    def gnn_pass(flat, idx=None):
         xb, yb = (x_powers, y) if idx is None else (x_powers[:, :, idx], y[:, idx])
-        out, pullback = gnn2_forward_pullback(s, params_of(flat), xb)
+        out, pullback = gnn2_forward_pullback(s, *flat.reshape(layers), xb)
         resid = out - yb
         return _half_loss(resid), lambda: pullback(resid)
 
@@ -359,8 +336,7 @@ def _trace(model, cfg: TrainConfig, s: ShiftOperator, stacks, splits) -> TrainTr
     movement = np.zeros(cfg.epochs + 1)
     floats = isinstance(model, FilterParams) and cfg.batch_size == 0
     with _run_errstate():
-        build = (_qr_pass if floats
-                 else functools.partial(_training_pass, s, model, params_of=_params_of(model)))
+        build = _qr_pass if floats else functools.partial(_training_pass, s, model)
         train_pass, test_pass = (
             None if taps is None else build(taps, split.y) for taps, split in zip(stacks, splits)
         )
@@ -369,8 +345,6 @@ def _trace(model, cfg: TrainConfig, s: ShiftOperator, stacks, splits) -> TrainTr
             steps, distance = _qr_descent(h0, train_pass, cfg), functools.partial(math.dist, h0)
         else:
             steps = _descent(flat0, train_pass, splits[0].num_samples, cfg)
-            if test_pass is not None:  # its full batch, called as a float pass is
-                test_pass = functools.partial(test_pass, idx=None)
 
             def distance(flat):
                 return float(np.linalg.norm(flat - flat0))
@@ -422,12 +396,11 @@ def ntk_drift(
     for width in widths:
         model = init_gnn2(int(width), num_taps, InitConfig(kappa=cfg.kappa, seed=seed))
         drift = 0.0
-        params_of = _params_of(model)
-        training_pass = _training_pass(s, model, taps, data.y, params_of)
+        training_pass = _training_pass(s, model, taps, data.y)
         steps = _descent(flatten_params(model), training_pass, data.num_samples, cfg)
         with _run_errstate():
             for step, flat, _ in steps:
-                jac = gnn2_jacobian(s, params_of(flat), data.x)
+                jac = gnn2_jacobian(s, unflatten_params(flat, model), data.x)
                 theta = jac @ jac.T
                 if step == 0:
                     theta0, norm0 = theta, np.linalg.norm(theta)
@@ -528,7 +501,7 @@ def check_training_sandwich(
     y_st = stack(data.y)
     yty = float(y_st @ y_st)
     a = theta.quadratic_form(y_st)
-    slack = slack_from_kappa(cfg.kappa, cfg.delta_budget, data.num_nodes, data.num_samples)
+    slack = slack_from_kappa(cfg.kappa, DELTA_BUDGET, data.num_nodes, data.num_samples)
 
     t = np.arange(1, cfg.epochs + 1, dtype=float)
     lower = yty - 2.0 * t * cfg.eta * a - slack

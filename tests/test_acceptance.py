@@ -31,6 +31,7 @@ from ntkalign.models import InitConfig, init_filter, init_gnn2
 from ntkalign.ntk import empirical_ntk, filter_ntk, gnn_infinite_ntk
 from ntkalign.shiftops import covariance, cross_covariance
 from ntkalign.training import (
+    DELTA_BUDGET,
     TrainConfig,
     check_training_sandwich,
     kappa_for_budget,
@@ -190,7 +191,7 @@ def test_parameter_movement_matches_prediction():
         cfg = TrainConfig(eta=1.0 / lam_max, epochs=epochs, kappa=kappa, seed=seed)
         trace = train(init_filter(2, InitConfig(kappa, seed)), s, data, cfg)
         predicted = predicted_param_movement(theta, stack(data.y))
-        slack = slack_from_kappa(kappa, cfg.delta_budget, 5, 2)
+        slack = slack_from_kappa(kappa, DELTA_BUDGET, 5, 2)
         observed = trace.param_movement[-1]
         assert abs(observed - predicted) <= 0.05 * predicted + slack, (
             f"seed {seed}: observed {observed}, predicted {predicted}"

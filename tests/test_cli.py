@@ -297,21 +297,36 @@ class TestUsageErrors:
         # Adam's second moment g * g overflows in the first minibatch's step
         pytest.param(("--optimizer", "adam", "--kappa", "1e300", "--batch-size", 2),
                      id="adam-kappa-minibatch"),
+        # a GNN's taps turn non-finite in the first step: its loss does, too
+        pytest.param(("--optimizer", "gd", "--kappa", "1e300", "--eta", "1e300"),
+                     id="gd-kappa-eta"),
+        pytest.param(("--optimizer", "adam", "--kappa", "1e300", "--eta", "1e300"),
+                     id="adam-kappa-eta"),
     ])
     @pytest.mark.parametrize("model", ["filter", "gnn2"])
     def test_diverging_run_prints_only_its_error_line(self, tiny_data, tmp_path, capsys, model,
                                                       flags):
         # the loss overflows; the divergence rule reports it, and numpy does not warn
-        _, _, x_path, y_path = tiny_data
+        self.assert_diverges(capsys, "train", *tiny_data[2:], "--model", model, "--width", 3,
+                             *flags, "--epochs", 3, "--out-dir", tmp_path / "out")
+
+    def test_diverging_gnn_comparison_prints_only_its_error_line(self, tiny_data, tmp_path,
+                                                                 capsys):
+        self.assert_diverges(capsys, "compare", *tiny_data[2:], "--model", "gnn2", "--width", 3,
+                             "--reps", 2, "--optimizer", "gd", "--kappa", "1e300",
+                             "--eta", "1e300", "--epochs", 3, "--out-dir", tmp_path / "out")
+
+    @staticmethod
+    def assert_diverges(capsys, command, x_path, y_path, *argv):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # every warning a shell would show
-            code = run("train", "--x", x_path, "--y", y_path, "--model", model, "--width", 3,
-                       *flags, "--epochs", 3, "--out-dir", tmp_path / "out")
+            code = run(command, "--x", x_path, "--y", y_path, *argv)
         assert code == 2
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err.splitlines() == [
             "error: training diverged at epoch 1; reduce --eta or --kappa"
         ]
+        assert not (argv[-1] / "report.json").exists()
 
     @pytest.mark.parametrize("flag, value, code", [
         ("--kappa", "1e300", 2),  # the first loss is inf

@@ -252,7 +252,7 @@ class TestGnn2ForwardPullback:
         x = rng.standard_normal((n, samples))
         r = rng.standard_normal((n, samples))
         params = init_gnn2(7, 3, InitConfig(kappa=0.9, seed=5))
-        out, pullback = gnn2_forward_pullback(s, params, s.powers_applied(x, 3))
+        out, pullback = gnn2_forward_pullback(s, params.g, params.h, s.powers_applied(x, 3))
         jac = gnn2_jacobian(s, params, x)
         expected = jac.T @ stack(r)
         got = pullback(r)
@@ -271,7 +271,7 @@ class TestGnn2ForwardPullback:
         x = rng.standard_normal((n, samples))
         r = rng.standard_normal((n, samples))
         params = init_gnn2(4, k, InitConfig(kappa=0.9, seed=k))
-        out, pullback = gnn2_forward_pullback(s, params, s.powers_applied(x, k))
+        out, pullback = gnn2_forward_pullback(s, params.g, params.h, s.powers_applied(x, k))
         expected = gnn2_jacobian(s, params, x)[:, params.g.size :] @ params.h.ravel()
         assert np.linalg.norm(stack(out) - expected) <= 1e-12 * np.linalg.norm(expected)
         grad = gnn2_jacobian(s, params, x).T @ stack(r)
@@ -301,7 +301,7 @@ class TestGnn2ForwardPullback:
         s = random_shift(rng, 4)
         params = init_gnn2(3, 2, InitConfig(kappa=1.0, seed=0))
         x_powers = s.powers_applied(rng.standard_normal((4, 2)), 2)
-        _, pullback = gnn2_forward_pullback(s, params, x_powers)
+        _, pullback = gnn2_forward_pullback(s, params.g, params.h, x_powers)
         with pytest.raises(ValueError, match="residual shape"):
             pullback(np.zeros(8))
 
@@ -312,7 +312,7 @@ class TestGnn2ForwardPullback:
         s = random_shift(rng, 4)
         params = init_gnn2(3, 2, InitConfig(kappa=1.0, seed=0))
         x = rng.standard_normal((4, 2))
-        _, pullback = gnn2_forward_pullback(s, params, s.powers_applied(x, 2))
+        _, pullback = gnn2_forward_pullback(s, params.g, params.h, s.powers_applied(x, 2))
         r = rng.standard_normal((4, 2))
         grad = pullback(r)
         assert np.linalg.norm(grad - gnn2_jacobian(s, params, x).T @ stack(r)) <= (
@@ -324,8 +324,9 @@ class TestGnn2ForwardPullback:
         rng = np.random.default_rng(6)
         s = random_shift(rng, 4)
         params = init_gnn2(3, 2, InitConfig(kappa=1.0, seed=0))
+        x_powers = s.powers_applied(rng.standard_normal(4), 3)
         with pytest.raises(ValueError, match="tap stack of 3 taps"):
-            gnn2_forward_pullback(s, params, s.powers_applied(rng.standard_normal(4), 3))
+            gnn2_forward_pullback(s, params.g, params.h, x_powers)
 
 
 class TestInit:

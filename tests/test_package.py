@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib
 import inspect
 import pkgutil
@@ -60,15 +61,25 @@ def test_readme_names_resolve():
 # on purpose: "module.callable.parameter" -> why.
 UNSET_DEFAULTS_KEPT = {
     "alignment.optimality_sweep.num_taps": "acceptance criterion 7 passes num_taps=2",
-    "training.TrainConfig.delta_budget": "acceptance criterion 9 reads it into its slack",
     "ntk.expectation_E_quadrature.n_points": "tests pass it; perfbench/tracer.py reads it",
     "ntk.expectation_E_first_layer.n_points": "tests pass it; perfbench/tracer.py reads it",
 }
 
 
+def _admits(node: ast.FunctionDef):
+    """Whether a call (positional count, keyword names) fits ``node``'s parameters."""
+    a = node.args
+    names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+    positional = len(a.posonlyargs + a.args)
+    return lambda npos, kws: ((a.vararg or npos <= positional)
+                              and (a.kwarg or kws <= names))
+
+
 def _defaulted_parameters(tree: ast.Module, module: str):
-    """(module.callable.name, callable, positional index or None) per defaulted
-    parameter or dataclass field; a class's ``__init__`` is called by the class name."""
+    """(module.callable.name, callable, positional index or None, admits) per
+    defaulted parameter or dataclass field; a class's ``__init__`` is called by
+    the class name.  ``admits`` is None but for a nested function, which a call
+    through a variable may reach: then it is ``_admits`` of that function."""
     for cls in [None, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
         body = tree.body if cls is None else cls.body
         decorators = [] if cls is None else cls.decorator_list
@@ -76,19 +87,20 @@ def _defaulted_parameters(tree: ast.Module, module: str):
             fields = [s for s in body if isinstance(s, ast.AnnAssign)]
             for i, f in enumerate(fields):
                 if f.value is not None:
-                    yield f"{module}.{cls.name}.{f.target.id}", cls.name, i
+                    yield f"{module}.{cls.name}.{f.target.id}", cls.name, i, None
         for fn in (n for n in body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))):
             nodes = [fn] + [n for n in ast.walk(fn) if n is not fn and isinstance(n, ast.FunctionDef)]
             for node in nodes:
                 name = cls.name if cls is not None and node.name == "__init__" else node.name
+                admits = None if node is fn else _admits(node)
                 args = node.args.posonlyargs + node.args.args
                 skip = int(cls is not None and node is fn and bool(args) and args[0].arg == "self")
                 first = len(args) - len(node.args.defaults)
                 for i, arg in enumerate(args[first:], start=first):
-                    yield f"{module}.{name}.{arg.arg}", name, i - skip
+                    yield f"{module}.{name}.{arg.arg}", name, i - skip, admits
                 for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
                     if default is not None:
-                        yield f"{module}.{name}.{arg.arg}", name, None
+                        yield f"{module}.{name}.{arg.arg}", name, None, admits
 
 
 def _callee(func) -> str | None:
@@ -96,41 +108,94 @@ def _callee(func) -> str | None:
 
 
 def _calls(tree: ast.Module):
-    """(callee name, positional count, keyword names, passes ** or *) per call;
-    ``functools.partial(f, ...)`` is a call of f, ``dataclasses.replace(obj, ...)``
-    one of every dataclass (callee None)."""
+    """(callee name, callee is a bare name, positional count, keyword names,
+    passes ** or *) per call; ``functools.partial(f, ...)`` is a call of f,
+    ``dataclasses.replace(obj, ...)`` one of every dataclass (callee None)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            name, args = _callee(node.func), node.args
-            if name == "partial" and args:
-                name, args = _callee(args[0]), args[1:]
-            elif name == "replace":
+            func, args = node.func, node.args
+            if _callee(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            name = _callee(func)
+            if name == "replace":
                 name, args = None, []
             star = any(isinstance(a, ast.Starred) for a in args)
             star |= any(k.arg is None for k in node.keywords)
-            yield name, len(args), {k.arg for k in node.keywords}, star
+            yield name, isinstance(func, ast.Name), len(args), {k.arg for k in node.keywords}, star
 
 
-def unset_defaults() -> list:
-    """Defaulted parameters of src/ntkalign that no call in src/, scripts/ or
-    perfbench/ passes by keyword, by position or through functools.partial."""
-    calls = [
-        call
-        for folder in ("src", "scripts", "perfbench")
-        for path in sorted((ROOT / folder).rglob("*.py"))
-        for call in _calls(ast.parse(path.read_text()))
-    ]
+def _bound_names(tree: ast.Module) -> set:
+    """Names a ``def``, ``class`` or import binds in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+def unset_defaults_in(modules: dict, callers: list) -> list:
+    """Defaulted parameters of ``modules`` (name -> source) that no call in the
+    ``callers`` sources passes by keyword, by position or through
+    functools.partial.  A call names its callable, or, when it calls a bare
+    name that no ``def``, ``class``, import or builtin binds (a variable, such
+    as a pass closure handed to a loop), may reach any nested function whose
+    parameters admit it."""
+    trees = [ast.parse(source) for source in callers]
+    known = set(dir(builtins)).union(*map(_bound_names, trees))
+    calls = [call for tree in trees for call in _calls(tree)]
     unset = []
-    for path in sorted((ROOT / "src" / "ntkalign").glob("*.py")):
-        for key, name, index in _defaulted_parameters(ast.parse(path.read_text()), path.stem):
+    for module, source in modules.items():
+        for key, name, index, admits in _defaulted_parameters(ast.parse(source), module):
             param = key.rsplit(".", 1)[1]
             if not any(
-                callee in (name, None)
+                (callee in (name, None)
+                 or (admits and bare and callee not in known and admits(npos, kws)))
                 and (param in kws or star or (index is not None and callee and npos > index))
-                for callee, npos, kws, star in calls
+                for callee, bare, npos, kws, star in calls
             ):
                 unset.append(key)
     return unset
+
+
+def unset_defaults() -> list:
+    """``unset_defaults_in`` src/ntkalign, with the calls in src/, scripts/ and perfbench/."""
+    modules = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "ntkalign").glob("*.py"))}
+    callers = [p.read_text() for folder in ("src", "scripts", "perfbench")
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    return unset_defaults_in(modules, callers)
+
+
+CLOSURE_PASSED_BY_VARIABLE = """
+def top(a, b=None):
+    return a, b
+def outer():
+    def inner(flat, idx=None):
+        return flat, idx
+    run, alias = inner, top
+    return run(1, 2), alias(1, 2)
+"""
+
+CLOSURE_NEVER_PASSED = """
+def outer():
+    def inner(flat, idx=None):
+        return flat, idx
+    run = inner
+    return run(1), print(1, 2)
+"""
+
+
+def test_a_call_through_a_variable_sets_a_closure_default():
+    # but not a module-level function's: those keep the exact name match
+    source = CLOSURE_PASSED_BY_VARIABLE
+    assert unset_defaults_in({"m": source}, [source]) == ["m.top.b"]
+
+
+def test_a_closure_default_never_passed_is_reported():
+    # run(1) leaves idx unset, and a builtin's call reaches no closure
+    source = CLOSURE_NEVER_PASSED
+    assert unset_defaults_in({"m": source}, [source]) == ["m.inner.idx"]
 
 
 def test_every_defaulted_parameter_is_set_somewhere():

@@ -24,6 +24,7 @@ from ntkalign.models import (
 from ntkalign.ntk import TapStack, filter_ntk, z_vectors
 from ntkalign.shiftops import AsymmetricShift
 from ntkalign.training import (
+    DELTA_BUDGET,
     BoundCheck,
     GsoComparison,
     TrainConfig,
@@ -65,15 +66,9 @@ class TestTrainConfig:
             {"eta": 0.1, "epochs": 1, "optimizer": "sgd"},
             {"eta": 0.1, "epochs": 1, "kappa": 0.0},
             {"eta": math.nan, "epochs": 1},
-            {"eta": 0.1, "epochs": 1, "delta_budget": -0.5},
             {"eta": math.inf, "epochs": 1},
             {"eta": 0.1, "epochs": 1, "kappa": math.nan},
             {"eta": 0.1, "epochs": 1, "kappa": math.inf},
-            # delta_budget is a failure probability: in (0, 1), so NaN and inf too
-            {"eta": 0.1, "epochs": 1, "delta_budget": math.nan},
-            {"eta": 0.1, "epochs": 1, "delta_budget": math.inf},
-            {"eta": 0.1, "epochs": 1, "delta_budget": 0.0},
-            {"eta": 0.1, "epochs": 1, "delta_budget": 1.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -483,23 +478,23 @@ class TestFilterQrPass:
         assert np.array_equal(trace.tap_stack.matrix, filter_jacobian(s, data.x, 2))
 
     @pytest.mark.parametrize("batch_size", [0, 4], ids=["full-batch", "minibatch"])
-    def test_gnn_builds_one_params_object_per_step(self, monkeypatch, batch_size):
-        # the train and test pass of an epoch share it; the final params are one more
+    def test_gnn_builds_one_params_object(self, monkeypatch, batch_size):
+        # the steps read views of the flat vector; the one object is the final params
         rng = np.random.default_rng(65)
         s = random_shift(rng, 4)
         data = random_dataset(rng, 4, 9)
         built = []
 
         def counting_unflatten(flat, like):
-            built.append(flat.shape)
+            built.append(np.array(flat))
             return unflatten_params(flat, like)
 
         monkeypatch.setattr(training, "unflatten_params", counting_unflatten)
         cfg = TrainConfig(eta=0.05, epochs=5, batch_size=batch_size)
-        train(init_gnn2(6, 2, InitConfig(kappa=0.8, seed=66)), s, data, cfg,
-              test_data=random_dataset(rng, 4, 3))
-        steps = 1 if batch_size == 0 else math.ceil(data.num_samples / batch_size)
-        assert len(built) == cfg.epochs * steps + 1
+        trace = train(init_gnn2(6, 2, InitConfig(kappa=0.8, seed=66)), s, data, cfg,
+                      test_data=random_dataset(rng, 4, 3))
+        assert len(built) == 1
+        assert np.array_equal(built[0], flatten_params(trace.final_params))
 
 
 class TestFloatDescentOracle:
@@ -790,7 +785,7 @@ class TestParameterMovement:
             cfg = TrainConfig(eta=eta, epochs=epochs, kappa=kappa, seed=seed)
             trace = train(init_filter(2, InitConfig(kappa, seed)), s, data, cfg)
             predicted = predicted_param_movement(theta, stack(data.y))
-            slack = slack_from_kappa(kappa, cfg.delta_budget, 5, 2)
+            slack = slack_from_kappa(kappa, DELTA_BUDGET, 5, 2)
             observed = trace.param_movement[-1]
             assert abs(observed - predicted) <= 0.05 * predicted + slack, (
                 f"seed {seed}: observed {observed}, predicted {predicted}"
