@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .core import Dataset, ShiftOperator
-from .hermite import BETA_SATURATION, ExpansionConstants, coeff_g, coeff_tau, expansion_constants
+from .hermite import BETA_SATURATION, ExpansionConstants, coeff_g, expansion_constants
 from .ntk import (  # the quadrature references stay bound here for perfbench/tracer.py
     TapStack,
     expectation_E_first_layer,
@@ -196,26 +196,22 @@ def check_budget_implies_kernel_bound(
 def _leading_term(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """B = c c' * rho, the degree-1 term of a layer's odd Mehler series.
 
-    c is g_1(|z|) for the second layer's E and tau_0(|z|^2) |z| for the
-    first layer's E1, whose B is then tau_0 tau_0' <z_a, z_b>.
+    c is the layer's leading column, which by Stein's identity is g_1(|z|)
+    for both: the first layer's tau_0(|z|^2) |z| equals it, and its B,
+    tau_0 tau_0' <z_a, z_b>, is the second layer's g_1 g_1' * rho.
     """
     b = np.outer(c, c)
     b *= rho
     return b
 
 
-def check_first_term_lower_bound(
-    s: ShiftOperator,
-    data: Dataset,
-    num_taps: int,
-    layer: str = "second",
-) -> CheckReport:
-    """tr(Q B) >= rho A_lin for the leading Hermite term B of either layer.
+def check_first_term_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) -> CheckReport:
+    """tr(Q B) >= rho A_lin for the leading Hermite term B = g_1 g_1' * rho.
 
-    The second layer's B is the degree-1 tanh term g_1 g_1' rho; the first
-    layer's is the even-expansion leading term tau_0 tau_0 <z_a, z_b>.  rho
-    is the squared coefficient floor over the bounded norm domain, taken
-    at spectral bound 1, so the operator norm of S must not exceed 1.
+    B is the leading term of both layers (``_leading_term``), and rho the
+    squared coefficient floor of both over the bounded norm domain
+    |z_a|^2 <= K, taken at spectral bound 1: the operator norm of S must
+    not exceed 1, and every input must satisfy ||x_i|| <= 1.
 
     B is B_lin conjugated by a diagonal D with entries in [sqrt(rho), 1],
     and pinching the quadratic form by min(D)^2 is only sound when the
@@ -223,19 +219,17 @@ def check_first_term_lower_bound(
     are coordinatewise monotone); mixed-sign instances can dip below the
     bound and the sweeps draw from the nonnegative domain accordingly.
     """
-    if layer not in ("first", "second"):
-        raise ValueError(f"layer must be 'first' or 'second', got {layer!r}")
+    if data.max_column_norm > 1.0 + 1e-12:
+        raise ValueError("inputs must satisfy ||x_i|| <= 1")
     op_norm = float(np.abs(np.linalg.eigvalsh(s.matrix)).max())
     if op_norm > 1.0 + 1e-12:
         raise ValueError(f"operator norm {op_norm:.6f} exceeds spectral bound 1")
     z, zy, c = _tap_stacks(s, data, num_taps)
-    consts = expansion_constants(num_taps)
+    rho = expansion_constants(num_taps).rho
     norms, corr, _ = z.correlations
-    lead = coeff_g(1, norms) if layer == "second" else coeff_tau(0, norms**2) * norms
-    rho = consts.rho if layer == "second" else consts.rho_first_layer
     return _verdict(
-        f"first_term_lower_bound_{layer}",
-        _trace_q(zy.matrix, _leading_term(lead, corr)),
+        "first_term_lower_bound",
+        _trace_q(zy.matrix, _leading_term(coeff_g(1, norms), corr)),
         rho * float(np.sum(c * c)),
         rho=rho,
     )
@@ -305,7 +299,6 @@ class AlignmentReport:
             **{k: v for k, v in asdict(self).items()
                if k not in ("constants", "layers")},
             "rho": c.rho,
-            "rho_first_layer": c.rho_first_layer,
             "beta": c.beta,
             "beta_first_layer": c.beta_first,
         }
@@ -480,8 +473,6 @@ def _sweep(name, reports, seeds) -> SweepResult:
     )
 
 
-_nonnegative_entries = functools.partial(random_instance, entries="nonnegative")
-
 # sweep name -> (instance builder: seed -> (s, data, num_taps), check of that instance);
 # the first five are the default sweeps
 SWEEP_CHECKS = {
@@ -489,11 +480,10 @@ SWEEP_CHECKS = {
     "linear_lower_bound": (random_instance, check_linear_lower_bound),
     "budget_implies_kernel_bound": (functools.partial(random_instance, spectrum="nonnegative"),
                                     check_budget_implies_kernel_bound),
-    "first_term_lower_bound": (_nonnegative_entries, check_first_term_lower_bound),
+    "first_term_lower_bound": (functools.partial(random_instance, entries="nonnegative"),
+                               check_first_term_lower_bound),
     "series_tail_domination": (random_instance, lambda s, data, num_taps:
                                check_series_tail_domination(z_vectors(s, data.x, num_taps))),
-    "first_term_lower_bound_first_layer": (
-        _nonnegative_entries, functools.partial(check_first_term_lower_bound, layer="first")),
     "gnn_alignment_lower_bound": (
         planted_instance, lambda *inst: check_gnn_alignment_lower_bound(alignment_report(*inst))),
     "first_layer_alignment_lower_bound": (
@@ -550,18 +540,17 @@ class OptimalitySweepResult:
 def optimality_sweep(
     num_instances: int = 1000,
     seed: int = 0,
-    num_taps: int = 2,
     alpha: float = 1.0,
     eta: float = 1.0,
 ) -> OptimalitySweepResult:
-    """No boundary-feasible S beats the closed-form optimum of A_L.
+    """No boundary-feasible S beats the closed-form optimum of A_L at K = 2.
 
     Draws random symmetric S, rescales sum_k S^k onto the Frobenius budget
     sphere, and compares A_L against the solution of sum_k (S*)^k = mu C.
-    Exact for K = 2, where the power sum is affine in S.
+    K is fixed at 2, where the power sum I + S is affine in S and the
+    rescaling lands exactly on the boundary.
     """
-    if num_taps != 2:
-        raise ValueError("boundary rescaling is exact only for K = 2")
+    num_taps = 2
     rng = np.random.default_rng(seed)
     n, m = _draw_sizes(rng)
     data = Dataset(rng.standard_normal((n, m)), rng.standard_normal((n, m))).normalized()

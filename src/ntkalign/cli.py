@@ -72,7 +72,7 @@ from .training import (
     train,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 GNN_LEARNING_RATE = 0.0125
 FILTER_RATE_MULTIPLIER = 50.0
 

@@ -22,7 +22,7 @@ instead multiplies tiny, inaccurate extreme-node weights into huge
 polynomial values, and the 512-point rule's Gram residual reaches 9e7 at
 degree 20 that way.
 
-Rule policy: coefficient tables and the constants built on them use the
+Rule policy: ``coefficient_table`` and the constants built on it use the
 MAX_POINTS-point rule.  Truncated series (the kernels E and E1 in ``ntk``
 and ``beta_first_layer``) all go through ``hermite_series``, which tries
 SERIES_RULES in turn, each up to half its size, and stops at the first
@@ -183,16 +183,16 @@ def hermite_eval_upto(max_degree: int, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermite_eval(degree: int, u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    return hermite_eval_upto(degree, u)[degree]
-
-
 def sech2(x: np.ndarray) -> np.ndarray:
     """sech^2 = tanh' as 1 - tanh^2, the form the GNN's derivative takes."""
     t = np.tanh(x)
     t *= t  # in place for arrays: a series' values are one array, not three
     return np.subtract(1.0, t, out=t) if isinstance(t, np.ndarray) else 1.0 - t
+
+
+# GNN layer -> (activation whose Hermite series builds its expectation matrix,
+# degree parity of that series, report method name)
+LAYERS = {"second": (np.tanh, 1, "series"), "first": (sech2, 0, "first_layer_series")}
 
 
 def hermite_values(fn, y, n_points: int = MAX_POINTS):
@@ -278,34 +278,21 @@ def hermite_series(fn, y, parity, target=None, row_weight=None):
     )
 
 
-def coeff_g_table(max_degree: int, y) -> np.ndarray:
-    """Hermite coefficients of u -> tanh(y u) for degrees 0..max_degree.
+def coefficient_table(fn, y, max_degree: int) -> np.ndarray:
+    """Hermite coefficients of u -> fn(y u) for degrees 0..max_degree.
 
-    Returns shape ``y.shape + (max_degree + 1,)``.
+    y is a row norm; the MAX_POINTS rule projects every degree.  Returns
+    shape ``y.shape + (max_degree + 1,)``.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise ValueError("y must be >= 0")
-    return hermite_coefficients(hermite_values(np.tanh, y)[0], slice(0, max_degree + 1))
-
-
-def coeff_tau_table(max_degree: int, z_sq) -> np.ndarray:
-    """Hermite coefficients of u -> sech^2(sqrt(z_sq) u), degrees 0..max_degree."""
-    z_sq = np.asarray(z_sq, dtype=float)
-    if np.any(z_sq < 0):
-        raise ValueError("z_sq must be >= 0")
-    return hermite_coefficients(hermite_values(sech2, np.sqrt(z_sq))[0], slice(0, max_degree + 1))
+    return hermite_coefficients(hermite_values(fn, y)[0], slice(0, max_degree + 1))
 
 
 def coeff_g(degree: int, y):
     """g_degree(y) = E[tanh(y u) p_degree(u)]."""
-    out = coeff_g_table(degree, y)[..., degree]
-    return float(out) if out.ndim == 0 else out
-
-
-def coeff_tau(degree: int, z_sq):
-    """tau_degree(z_sq) = E[sech^2(sqrt(z_sq) u) p_degree(u)]."""
-    out = coeff_tau_table(degree, z_sq)[..., degree]
+    out = coefficient_table(np.tanh, y, degree)[..., degree]
     return float(out) if out.ndim == 0 else out
 
 
@@ -335,7 +322,6 @@ class BetaResult:
     value: float
     partial_sum: float
     num_terms: int
-    truncation_residual: float
 
 
 def beta_constant() -> BetaResult:
@@ -353,7 +339,7 @@ def beta_constant() -> BetaResult:
     for i in range(1, BETA_TERMS + 1):
         term *= (2 * i - 1) ** 2 / ((2 * i) * (2 * i + 1))
         partial += term
-    return BetaResult(exact, partial, BETA_TERMS, exact - partial)
+    return BetaResult(exact, partial, BETA_TERMS)
 
 
 @dataclass(frozen=True)
@@ -379,8 +365,9 @@ def beta_first_layer(norm_sq_bound: float) -> FirstLayerBetaResult:
     large that tau_0^2 is not positive on the rule raises TruncationError.
     """
     require_positive_finite("norm_sq_bound", norm_sq_bound)
+    fn, parity, _ = LAYERS["first"]
     taus, totals, degree, residual, n_points = hermite_series(
-        sech2, np.sqrt([norm_sq_bound]), 0, lambda c, _: BETA_FIRST_RTOL * c[0, 0] ** 2
+        fn, np.sqrt([norm_sq_bound]), parity, lambda c, _: BETA_FIRST_RTOL * c[0, 0] ** 2
     )
     tau0_sq = taus[0, 0] ** 2
     if not tau0_sq > 0.0:
@@ -437,8 +424,9 @@ class GridCheckResult:
         return not self.violations
 
 
-# grid-check kind -> its coefficient table and the base degree of its ratios
-_GRID_KINDS = {"tanh_odd": (coeff_g_table, 1), "sech2_even": (coeff_tau_table, 0)}
+# grid-check kind -> its GNN layer in LAYERS, whose parity is the base degree of its
+# ratios; the even kind reads the grid as squared norms
+_GRID_KINDS = {"tanh_odd": "second", "sech2_even": "first"}
 
 
 def _grid_table(kind: str, degrees):
@@ -446,8 +434,8 @@ def _grid_table(kind: str, degrees):
     grid = np.geomspace(0.1, 10.0, 40)
     if kind not in _GRID_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    table, base = _GRID_KINDS[kind]
-    return grid, table(max(degrees), grid), base
+    fn, base, _ = LAYERS[_GRID_KINDS[kind]]
+    return grid, coefficient_table(fn, grid if base else np.sqrt(grid), max(degrees)), base
 
 
 def verify_sign_constancy(
@@ -498,17 +486,19 @@ def verify_ratio_monotonicity(
 class ExpansionConstants:
     """Hermite constants of tanh for a K-tap architecture at spectral bound nu.
 
-    ``rho`` is sigma_hat(sum_k nu^{2k})^2 and bounds the squared smallest
-    diagonal rescaling of the linear kernel; ``rho_first_layer`` is the
-    tau_0 analogue.  ``beta`` and ``beta_first`` are the layers' tail
-    ratios.  The first-term checks read rho; ``align`` reports all four.
+    ``rho`` is sigma_hat(b)^2 at b = sum_k nu^{2k} and bounds the squared
+    smallest diagonal rescaling of the linear kernel, for both GNN layers:
+    by Stein's identity E[tanh(y u) u] = y E[sech^2(y u)], the first
+    layer's leading coefficient tau_0(|z|^2) |z| is the second layer's
+    g_1(|z|), so its floor tau_0(b)^2 is rho.  ``beta`` and ``beta_first``
+    are the layers' tail ratios.  The first-term check reads rho; ``align``
+    reports all three.
     """
 
     num_taps: int
     spectral_bound: float
     norm_sq_bound: float
     rho: float
-    rho_first_layer: float
     beta: float
     beta_first: float
 
@@ -523,7 +513,6 @@ def expansion_constants(num_taps: int, spectral_bound: float = 1.0) -> Expansion
         spectral_bound=spectral_bound,
         norm_sq_bound=norm_sq,
         rho=float(sigma_hat(norm_sq)) ** 2,
-        rho_first_layer=float(coeff_tau(0, norm_sq)) ** 2,
         beta=BETA_SATURATION,
         beta_first=beta_first_layer(norm_sq).value,
     )
@@ -539,7 +528,7 @@ def self_check() -> dict:
 
     Returns a JSON-ready report; ``violations`` counts failed checks.
     """
-    report: dict = {"schema_version": 1}
+    report: dict = {}
     violations = 0
 
     nodes, weights = gauss_hermite_rule(DEFAULT_POINTS)
@@ -575,8 +564,8 @@ def self_check() -> dict:
         for j in range(7):
             for k in range(7):
                 got = correlated_pair_expectation(
-                    lambda u, j=j: hermite_eval(j, u),
-                    lambda u, k=k: hermite_eval(k, u),
+                    lambda u, j=j: hermite_eval_upto(j, u)[j],
+                    lambda u, k=k: hermite_eval_upto(k, u)[k],
                     rho,
                 )
                 want = rho**j if j == k else 0.0

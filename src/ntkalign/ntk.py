@@ -10,9 +10,9 @@ Three routes to the stacked nM x nM kernel:
   E1) of the tanh network, each one odd Mehler series sum_i c_i c_i'
   rho^(2i+1) truncated at a certified residual (c_i the odd tanh
   coefficients for E, the even sech^2 ones times |z_a| for E1), built by
-  ``expectation_series`` from one per-layer table, with pair quadrature
-  kept as the reference; the full kernel sums E + E1 in one Mehler pass
-  over both layers' coefficient columns.
+  ``expectation_series`` from the per-layer table ``hermite.LAYERS``, with
+  pair quadrature kept as the reference; the full kernel sums E + E1 in
+  one Mehler pass over both layers' coefficient columns.
 
 The analytic filter and empirical kernels are returned in factored form
 (F = Z or F = J, kernel F F^T), so their spectra come from a thin SVD and
@@ -37,7 +37,7 @@ from .core import (
     _frozen,
     _frozen_array,
 )
-from .hermite import DEFAULT_POINTS, gauss_hermite_rule, hermite_series, sech2
+from .hermite import DEFAULT_POINTS, LAYERS, gauss_hermite_rule, hermite_series, sech2
 from .models import FilterParams, TwoLayerGnnParams, filter_jacobian, gnn2_jacobian
 
 RHO_OVERSHOOT_TOL = 1e-9
@@ -164,7 +164,9 @@ class ExpectationMatrix:
     ``zero_rows``, the stacked indices whose shift profile vanishes (their
     rows and columns are 0), when there are any.  ``leading`` is a series'
     degree-1 column c_0 (B = c_0 c_0' * rho), copied so the coefficient
-    table is freed.  ``matrix`` is the builder's fresh array, kept read-only.
+    table is freed; by Stein's identity it is g_1(|z|) for either layer
+    (tau_0(|z|^2) |z| for E1), up to each series' projection round-off.
+    ``matrix`` is the builder's fresh array, kept read-only.
     """
 
     matrix: np.ndarray
@@ -252,10 +254,6 @@ def _mehler_sum(columns: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-# layer -> (activation, degree parity of its Hermite series, report method name)
-_LAYERS = {"second": (np.tanh, 1, "series"), "first": (sech2, 0, "first_layer_series")}
-
-
 def _layer_series(z: TapStack, layer: str):
     """A layer's Mehler coefficient columns (nM x degrees) and report-form info.
 
@@ -267,9 +265,9 @@ def _layer_series(z: TapStack, layer: str):
     coefficients tau_2i(|z_a|) scaled by |z_a|; with its tails scaled by
     |z_a|^2 the bound holds, as |rho| <= 1.  No matrix is formed here.
     """
-    if layer not in _LAYERS:
+    if layer not in LAYERS:
         raise ValueError(f"unknown layer {layer!r}; the layers are 'second' and 'first'")
-    fn, parity, method = _LAYERS[layer]
+    fn, parity, method = LAYERS[layer]
     norms, _, zero_rows = z.correlations
     scale = norms if parity == 0 else np.ones_like(norms)
     coeffs, _, degree, residual, n_points = hermite_series(

@@ -142,7 +142,7 @@ def test_closed_form_shift_operator_is_optimal():
     from ntkalign.alignment import optimality_sweep
 
     start = time.perf_counter()
-    result = optimality_sweep(num_instances=1000, seed=0, num_taps=2)
+    result = optimality_sweep(num_instances=1000, seed=0)
     assert result.passed, f"max excess {result.max_excess:.3e}"
     assert time.perf_counter() - start < 60.0
 

@@ -29,7 +29,7 @@ from ntkalign.alignment import (
     run_inequality_sweeps,
 )
 from ntkalign.core import Dataset, NtkMatrix, ShiftOperator, stack
-from ntkalign.hermite import coeff_g, coeff_tau, expansion_constants
+from ntkalign.hermite import coeff_g, coefficient_table, expansion_constants, sech2
 from ntkalign.ntk import (
     expectation_E_first_layer,
     expectation_E_quadrature,
@@ -53,7 +53,9 @@ def random_dataset(rng, n, m):
 def closed_form_leading(z, layer):
     """c of the degree-1 term B = c c' * rho: g_1(|z|), or tau_0(|z|^2) |z| for the first layer."""
     norms = z.norms
-    return coeff_g(1, norms) if layer == "second" else coeff_tau(0, norms**2) * norms
+    if layer == "second":
+        return coeff_g(1, norms)
+    return coefficient_table(sech2, norms, 0)[:, 0] * norms
 
 
 def dense_block_shift(s, num_samples):
@@ -242,11 +244,10 @@ class TestBudgetCheck:
 
 
 class TestFirstTermCheck:
-    @pytest.mark.parametrize("layer", ["second", "first"])
-    def test_holds_on_nonnegative_instances(self, layer):
+    def test_holds_on_nonnegative_instances(self):
         for seed in range(200):
             s, data, k = random_instance(seed, entries="nonnegative")
-            assert check_first_term_lower_bound(s, data, k, layer=layer).passed
+            assert check_first_term_lower_bound(s, data, k).passed
 
     def test_can_fail_for_mixed_sign_instances(self):
         # pinching by the smallest diagonal entry is not sound once the
@@ -256,16 +257,6 @@ class TestFirstTermCheck:
         assert not rep.passed
         assert rep.margin < -1e-3
 
-    def test_layers_coincide_for_tanh(self):
-        # the derivative's even leading coefficient equals the rescaled
-        # odd one (Gaussian integration by parts), so both leading-term
-        # matrices and floors are identical
-        s, data, k = random_instance(233, entries="nonnegative")
-        second = check_first_term_lower_bound(s, data, k, layer="second")
-        first = check_first_term_lower_bound(s, data, k, layer="first")
-        assert second.lhs == pytest.approx(first.lhs, rel=1e-9)
-        assert second.rhs == pytest.approx(first.rhs, rel=1e-9)
-
     def test_spectral_precondition_enforced(self):
         rng = np.random.default_rng(8)
         s = ShiftOperator(np.diag([1.5, 0.2]))  # operator norm 1.5, above the bound 1
@@ -273,10 +264,13 @@ class TestFirstTermCheck:
         with pytest.raises(ValueError, match="spectral bound"):
             check_first_term_lower_bound(s, data, 2)
 
-    def test_rejects_unknown_layer(self):
-        s, data, k = random_instance(0)
-        with pytest.raises(ValueError, match="layer"):
-            check_first_term_lower_bound(s, data, k, layer="third")
+    def test_rejects_inputs_outside_the_unit_ball(self):
+        # |z_a|^2 <= K needs ||x_i|| <= 1; at three times these inputs the bound
+        # itself fails (margin -0.384), so the check refuses them instead
+        s, data, k = random_instance(2, entries="nonnegative")
+        big = Dataset(3.0 * data.x, data.y)
+        with pytest.raises(ValueError, match=r"\|\|x_i\|\| <= 1"):
+            check_first_term_lower_bound(s, big, k)
 
     @pytest.mark.parametrize("seed, zero_column", [(0, None), (1, None), (2, None), (3, None), (5, 1)])
     def test_leading_term_is_c_c_rho_for_both_layers(self, seed, zero_column):
@@ -290,7 +284,7 @@ class TestFirstTermCheck:
         norms, rho, zero_rows = z.correlations
         assert bool(zero_rows) == (zero_column is not None)
         first = alignment_module._leading_term(closed_form_leading(z, "first"), rho)
-        tau0 = coeff_tau(0, norms**2)
+        tau0 = coefficient_table(sech2, norms, 0)[:, 0]
         expected = np.outer(tau0, tau0) * z.gram()
         assert np.abs(first - expected).max() <= 1e-15 * np.abs(expected).max()
         assert np.array_equal(first, first.T)
@@ -395,7 +389,8 @@ class TestConditionalAlignmentChecks:
         # its factor is positive only for xi above penalty / gain, above 1 for
         # every K and nu here, while xi_observed <= 1 by Cauchy-Schwarz
         consts = expansion_constants(num_taps, nu)
-        for rho, beta in ((consts.rho, consts.beta), (consts.rho_first_layer, consts.beta_first)):
+        rho = consts.rho  # the floor of both layers
+        for beta in (consts.beta, consts.beta_first):
             gain, penalty = rho * (1.0 + beta / 2.0), (beta / 2.0) / rho**2
             assert penalty / gain > 1.0
 
@@ -496,11 +491,6 @@ def test_optimality_sweep_no_boundary_candidate_beats_solution():
     assert result.passed
     assert result.max_excess <= 1e-9
     assert result.best_value > 0
-
-
-def test_optimality_sweep_requires_two_taps():
-    with pytest.raises(ValueError, match="K = 2"):
-        optimality_sweep(num_instances=1, num_taps=3)
 
 
 def test_check_report_is_plain_data():

@@ -811,8 +811,12 @@ class TestAlignCommand:
         assert run("align", "--x", x_path, "--y", y_path, "--k", 2, "--out-dir", out) == 0
         report = json.loads((out / "report.json").read_text())
         block = report["alignment"]
-        for key in ("a", "a_filt", "a_lin", "a_lower", "xi_observed", "beta", "budget"):
-            assert key in block
+        # rho is the floor of both layers, so there is no rho_first_layer
+        assert set(block) == {
+            "a", "a_filt", "a_first_layer", "a_lin", "a_lin_lower", "a_lower", "budget",
+            "c_data", "c_data_first_layer", "constraint_lhs", "xi_observed",
+            "rho", "beta", "beta_first_layer",
+        }
         assert block["a_filt"] >= block["a_lower"] - 1e-9
         checks = report["conditional_checks"]
         assert set(checks) == {"gnn_alignment_lower_bound",
@@ -884,7 +888,7 @@ class TestAlignCommand:
         assert run("align", "--x", x_path, "--y", y_path, "--json",
                    "--out-dir", tmp_path / "out") == 0
         printed = json.loads(capsys.readouterr().out)
-        assert printed["schema_version"] == 1
+        assert printed["schema_version"] == cli.SCHEMA_VERSION
         assert printed["subcommand"] == "align"
 
 
@@ -1229,6 +1233,13 @@ class TestVerifyCommands:
         excess = report["bessel_excess"]
         assert excess["n_points"] == 512 and excess["passed"]
         assert 0.0 <= excess["value"] <= excess["bound"] == 1e-12
+
+    def test_verify_hermite_carries_the_cli_schema_version(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "SCHEMA_VERSION", 99)
+        out = tmp_path / "out"
+        assert run("verify-hermite", "--out-dir", out) == 0
+        for name in ("report.json", "manifest.json"):
+            assert json.loads((out / name).read_text())["schema_version"] == 99
 
     def test_verify_bounds_small_sweep_passes(self, tmp_path):
         out = tmp_path / "out"

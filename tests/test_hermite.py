@@ -37,10 +37,10 @@ def sign_coefficient(degree):
 
 class TestPolynomials:
     def test_low_degree_values(self):
-        assert hm.hermite_eval(1, 0.7) == pytest.approx(0.7, abs=1e-15)
-        assert hm.hermite_eval(2, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert hm.hermite_eval_upto(1, 0.7)[1] == pytest.approx(0.7, abs=1e-15)
+        assert hm.hermite_eval_upto(2, 1.0)[2] == pytest.approx(0.0, abs=1e-15)
         # p_3(2) = (2^3 - 3*2)/sqrt(6)
-        assert hm.hermite_eval(3, 2.0) == pytest.approx(0.8164965809277260, abs=1e-12)
+        assert hm.hermite_eval_upto(3, 2.0)[3] == pytest.approx(0.8164965809277260, abs=1e-12)
 
     def test_orthonormality_up_to_degree_ten(self):
         nodes, weights = hm.gauss_hermite_rule(64)
@@ -50,7 +50,9 @@ class TestPolynomials:
 
     def test_vectorized_eval(self):
         u = np.linspace(-3, 3, 7)
-        np.testing.assert_allclose(hm.hermite_eval(2, u), (u * u - 1) / math.sqrt(2), atol=1e-14)
+        np.testing.assert_allclose(
+            hm.hermite_eval_upto(2, u)[2], (u * u - 1) / math.sqrt(2), atol=1e-14
+        )
 
 
 class TestQuadratureRule:
@@ -112,9 +114,9 @@ class TestProjection:
 
     def test_degree_must_stay_below_rule_size(self):
         with pytest.raises(ValueError):
-            hm.coeff_g_table(hm.MAX_POINTS, 1.0)
+            hm.coefficient_table(np.tanh, 1.0, hm.MAX_POINTS)
         with pytest.raises(ValueError):
-            hm.coeff_tau(-1, 1.0)
+            hm.coefficient_table(hm.sech2, 1.0, -1)
 
 
 class TestCoefficients:
@@ -139,25 +141,26 @@ class TestCoefficients:
             assert hm.coeff_g(1, y) == pytest.approx(want, abs=1e-10)
 
     def test_odd_degree_sech2_coefficient_vanishes(self):
-        for z in (0.3, 1.0, 4.0):
-            assert abs(hm.coeff_tau(1, z)) < 1e-12
+        for y in (0.3, 1.0, 4.0):
+            assert abs(hm.coefficient_table(hm.sech2, y, 1)[1]) < 1e-12
 
     def test_tau0_continuity_at_zero(self):
-        assert hm.coeff_tau(0, 1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert hm.coefficient_table(hm.sech2, 1e-6, 0)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_tau0_matches_adaptive_oracle(self):
         # frozen from scipy.integrate.quad and confirmed by mpmath to 30 digits
-        assert hm.coeff_tau(0, 3.0) == pytest.approx(0.4105609155218697, abs=1e-8)
+        tau0 = hm.coefficient_table(hm.sech2, math.sqrt(3.0), 0)[0]
+        assert tau0 == pytest.approx(0.4105609155218697, abs=1e-8)
         live = adaptive_gaussian_expectation(
             lambda u: 1.0 - math.tanh(math.sqrt(3.0) * u) ** 2
         )
-        assert hm.coeff_tau(0, 3.0) == pytest.approx(live, abs=1e-8)
+        assert tau0 == pytest.approx(live, abs=1e-8)
 
     def test_negative_arguments_rejected(self):
         with pytest.raises(ValueError):
             hm.coeff_g(1, -0.5)
         with pytest.raises(ValueError):
-            hm.coeff_tau(0, -1.0)
+            hm.coefficient_table(hm.sech2, -1.0, 0)
 
 
 class TestHermiteValues:
@@ -212,9 +215,11 @@ class TestSigmaHat:
         assert hm.sigma_hat(2.0) == pytest.approx(0.4800242543360514, abs=1e-8)
 
     def test_stein_identity_links_sigma_hat_and_tau0(self):
-        # E[u tanh(yu)] = y E[sech^2(yu)] by Stein's lemma, so the two agree.
+        # E[u tanh(yu)] = y E[sech^2(yu)] by Stein's lemma, so sigma_hat(y^2) =
+        # g_1(y) / y is tau_0: both layers share one leading column and one floor
         for z in (0.5, 1.0, 2.0, 3.0):
-            assert hm.sigma_hat(z) == pytest.approx(hm.coeff_tau(0, z), abs=1e-10)
+            tau0 = hm.coefficient_table(hm.sech2, math.sqrt(z), 0)[0]
+            assert hm.sigma_hat(z) == pytest.approx(tau0, abs=1e-10)
 
 
 class TestBetaConstant:
@@ -445,8 +450,8 @@ class TestCorrelatedPair:
         for j in range(7):
             for k in range(7):
                 got = hm.correlated_pair_expectation(
-                    lambda u, j=j: hm.hermite_eval(j, u),
-                    lambda u, k=k: hm.hermite_eval(k, u),
+                    lambda u, j=j: hm.hermite_eval_upto(j, u)[j],
+                    lambda u, k=k: hm.hermite_eval_upto(k, u)[k],
                     rho,
                 )
                 want = rho**j if j == k else 0.0
@@ -491,7 +496,9 @@ class TestExpansionConstants:
         ec = hm.expansion_constants(2)
         assert ec.norm_sq_bound == pytest.approx(2.0)
         assert ec.rho == pytest.approx(hm.sigma_hat(2.0) ** 2, abs=1e-12)
-        assert ec.rho_first_layer == pytest.approx(hm.coeff_tau(0, 2.0) ** 2, abs=1e-12)
+        assert ec.rho == pytest.approx(
+            hm.coefficient_table(hm.sech2, math.sqrt(2.0), 0)[0] ** 2, abs=1e-12
+        )
         assert ec.beta == hm.BETA_SATURATION
         assert ec.beta_first == hm.beta_first_layer(2.0).value
 
@@ -552,7 +559,7 @@ def test_self_check_catches_a_wrong_supremum(monkeypatch, name, wrong):
         ("BETA_SATURATION", (math.pi - 2.0) / 2.0 + 0.01),
         ("BETA_SATURATION", (math.pi - 2.0) / 2.0 - 0.02),
         # a partial sum that claims to have converged
-        ("beta_constant", lambda: hm.BetaResult(hm.BETA_SATURATION, hm.BETA_SATURATION, 1000, 0.0)),
+        ("beta_constant", lambda: hm.BetaResult(hm.BETA_SATURATION, hm.BETA_SATURATION, 1000)),
     ],
 )
 def test_self_check_catches_a_wrong_beta(monkeypatch, name, wrong):

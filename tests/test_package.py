@@ -60,7 +60,6 @@ def test_readme_names_resolve():
 # Defaulted parameters that no call in src/, scripts/ or perfbench/ sets, kept
 # on purpose: "module.callable.parameter" -> why.
 UNSET_DEFAULTS_KEPT = {
-    "alignment.optimality_sweep.num_taps": "acceptance criterion 7 passes num_taps=2",
     "ntk.expectation_E_quadrature.n_points": "tests pass it; perfbench/tracer.py reads it",
     "ntk.expectation_E_first_layer.n_points": "tests pass it; perfbench/tracer.py reads it",
 }
