@@ -244,10 +244,20 @@ class TestBudgetCheck:
 
 
 class TestFirstTermCheck:
-    def test_holds_on_nonnegative_instances(self):
+    @pytest.mark.parametrize("layer", ["first", "second"])
+    def test_holds_on_nonnegative_instances(self, layer):
+        # the one check covers both layers: the layer's own closed-form
+        # leading term B also clears the floor rho A_lin the check reports
         for seed in range(200):
             s, data, k = random_instance(seed, entries="nonnegative")
-            assert check_first_term_lower_bound(s, data, k).passed
+            rep = check_first_term_lower_bound(s, data, k)
+            assert rep.passed, seed
+            z, zy = z_vectors(s, data.x, k), z_vectors(s, data.y, k)
+            b = alignment_module._leading_term(closed_form_leading(z, layer), z.correlations[1])
+            lhs = float(np.sum(zy.matrix * (b @ zy.matrix)))
+            tol = alignment_module.SWEEP_TOL * max(1.0, abs(lhs), abs(rep.rhs))
+            assert lhs >= rep.rhs - tol, seed
+            assert lhs == pytest.approx(rep.lhs, rel=1e-12), seed
 
     def test_can_fail_for_mixed_sign_instances(self):
         # pinching by the smallest diagonal entry is not sound once the
