@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .core import Dataset, ShiftOperator
-from .hermite import BETA_SATURATION, ExpansionConstants, coeff_g, expansion_constants
+from .hermite import BETA_SATURATION, ExpansionConstants, coeff_g, expansion_constants, sigma_hat
 from .ntk import (  # the quadrature references stay bound here for perfbench/tracer.py
     TapStack,
     expectation_E_first_layer,
@@ -74,12 +74,6 @@ def alignment_filt(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
     return float(c[0] @ c[0])
 
 
-def _multiplicities(num_taps: int) -> np.ndarray:
-    # number of (k, k') pairs with k + k' = j
-    j = np.arange(2 * num_taps - 1)
-    return (num_taps - np.abs(j - (num_taps - 1))).astype(float)
-
-
 def alignment_lin(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
     """tr(Q B_lin) = ||Zy^T Z||_F^2 = ||C||_F^2."""
     c = _tap_stacks(s, data, num_taps)[2]
@@ -94,16 +88,15 @@ def alignment_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) -> flo
 
 
 def alignment_lin_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int) -> float:
-    """Lower bound on tr(Q B_lin) with the Cauchy-Schwarz constant 1/K.
+    """A_L' = ((1/K) tr((sum_k S^k)^2 C_XY))^2, a lower bound on tr(Q B_lin).
 
-    The double power sum has K^2 terms, so the tight constant is 1/K (the
-    bound meets A_lin when all power traces coincide); at K = 1 it reduces
-    to the filter bound.
+    (sum_k S^k)^2 is the double power sum of K^2 terms, so the tight
+    Cauchy-Schwarz constant is 1/K (the bound meets A_lin when all power
+    traces coincide); at K = 1 it reduces to the filter bound.
     """
     c = cross_covariance_matrix(data.x, data.y)
-    powers = s.powers_applied(np.eye(s.num_nodes), 2 * num_taps - 1)
-    traces = np.einsum("jab,ab->j", powers, c)
-    return (float(_multiplicities(num_taps) @ traces) / num_taps) ** 2
+    p = power_sum(s.matrix, num_taps)
+    return float((np.sum((p @ p) * c) / num_taps) ** 2)
 
 
 def _q_norm(zy: np.ndarray) -> float:
@@ -225,7 +218,7 @@ def check_first_term_lower_bound(s: ShiftOperator, data: Dataset, num_taps: int)
     if op_norm > 1.0 + 1e-12:
         raise ValueError(f"operator norm {op_norm:.6f} exceeds spectral bound 1")
     z, zy, c = _tap_stacks(s, data, num_taps)
-    rho = expansion_constants(num_taps).rho
+    rho = sigma_hat(num_taps) ** 2
     norms, corr, _ = z.correlations
     return _verdict(
         "first_term_lower_bound",
@@ -275,8 +268,8 @@ class AlignmentReport:
     layers, and ``c_data`` and ``c_data_first_layer`` their certified
     factors (``_layer_terms``): A >= c_data A_lin per layer.
     ``layers`` holds each expectation's diagnostics (method, degree,
-    residual); ``constants`` the Hermite constants at the record's K and
-    spectral bound.
+    residual); ``constants`` the Hermite constants at the record's K.
+    Every field is a function of (S, X, Y, K) alone.
     """
 
     a: float
@@ -285,7 +278,6 @@ class AlignmentReport:
     a_lower: float
     a_lin_lower: float
     constraint_lhs: float
-    budget: float
     xi_observed: float
     a_first_layer: float
     c_data: float
@@ -323,22 +315,14 @@ def _layer_terms(z: TapStack, layer: str, zy, q_norm: float, a_lin: float):
     return _trace_q(zy, e.matrix), c_data, e.info
 
 
-def alignment_report(
-    s: ShiftOperator,
-    data: Dataset,
-    num_taps: int,
-    eta: float = 1.0,
-    alpha: float = 1.0,
-    spectral_bound: float = 1.0,
-) -> AlignmentReport:
-    """Build z, Zy, C, E, E1 and the constants of one instance once.
+def alignment_report(s: ShiftOperator, data: Dataset, num_taps: int) -> AlignmentReport:
+    """Build z, Zy, C, E, E1 and the constants of one instance (S, X, Y, K) once.
 
     E and E1 come from the certified Hermite series, one held at a time;
     the quadrature references stay available as ``expectation_E_quadrature``
     and ``expectation_E_first_layer``.  Q = Zy Zy^T and B_lin = Z Z^T are
     used only through their factors, and A_filt and A_lin through C.
     """
-    budget = frobenius_budget(alpha, eta, data.num_samples)
     z, zy, c = _tap_stacks(s, data, num_taps)
     a_lin = float(np.sum(c * c))
     q_norm = _q_norm(zy.matrix)
@@ -352,12 +336,11 @@ def alignment_report(
         a_filt=float(c[0] @ c[0]),
         a_lin=a_lin,
         xi_observed=_xi(a_lin, q_norm, z.matrix),
-        constants=expansion_constants(num_taps, spectral_bound),
+        constants=expansion_constants(num_taps),
         layers={"second": second, "first": first},
         a_lower=alignment_lower_bound(s, data, num_taps),
         a_lin_lower=alignment_lin_lower_bound(s, data, num_taps),
         constraint_lhs=constraint_lhs(s, num_taps),
-        budget=budget,
     )
 
 
@@ -494,11 +477,14 @@ DEFAULT_SWEEP_CHECKS = tuple(SWEEP_CHECKS)[:5]
 
 
 def check_names(names) -> tuple:
-    """``names`` as a tuple of SWEEP_CHECKS keys; ValueError names the first unknown one."""
+    """``names`` as a tuple of distinct SWEEP_CHECKS keys; ValueError names the
+    first unknown or repeated one."""
     names = tuple(names)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in SWEEP_CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {', '.join(SWEEP_CHECKS)}")
+        if name in names[:i]:
+            raise ValueError(f"check {name!r} is named twice")
     return names
 
 

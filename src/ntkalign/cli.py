@@ -72,7 +72,7 @@ from .training import (
     train,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 GNN_LEARNING_RATE = 0.0125
 FILTER_RATE_MULTIPLIER = 50.0
 
@@ -301,9 +301,7 @@ def _cmd_ntk(cfg: dict) -> int:
 def _cmd_align(cfg: dict) -> int:
     data = _load_dataset(cfg)
     s = _shift_from(cfg, data)
-    rep = alignment_report(
-        s, data, cfg["k"], eta=cfg["eta"], alpha=cfg["alpha"], spectral_bound=cfg["nu"]
-    )
+    rep = alignment_report(s, data, cfg["k"])
     checks = {}
     for check in (check_gnn_alignment_lower_bound, check_first_layer_alignment_lower_bound):
         result = check(rep)
@@ -651,9 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="alignment report and certified bound checks")
     _add_data_flags(p)
     p.add_argument("--k", type=_size, default=2, help="filter taps")
-    p.add_argument("--eta", type=_positive, default=1.0, help="learning rate in the budget")
-    p.add_argument("--alpha", type=_positive, default=1.0, help="kernel-norm budget")
-    p.add_argument("--nu", type=_positive, default=1.0, help="spectral bound for the constants")
     _add_gso_flags(p)
     _add_shared_flags(p)
 

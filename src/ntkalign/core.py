@@ -25,8 +25,8 @@ NTK_PSD_RTOL = 1e-8
 
 
 def require_positive_finite(name: str, value: float) -> None:
-    """The one rule for a positive real (mu, alpha, eta, kappa, nu, noise and the
-    expansion bounds): ValueError unless positive and finite."""
+    """The one rule for a positive real (mu, alpha, eta, kappa, noise and
+    ``beta_first_layer``'s norm bound): ValueError unless positive and finite."""
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 

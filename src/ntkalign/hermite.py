@@ -484,37 +484,32 @@ def verify_ratio_monotonicity(
 
 @dataclass(frozen=True)
 class ExpansionConstants:
-    """Hermite constants of tanh for a K-tap architecture at spectral bound nu.
+    """Hermite constants of tanh for a K-tap architecture.
 
-    ``rho`` is sigma_hat(b)^2 at b = sum_k nu^{2k} and bounds the squared
-    smallest diagonal rescaling of the linear kernel, for both GNN layers:
-    by Stein's identity E[tanh(y u) u] = y E[sech^2(y u)], the first
-    layer's leading coefficient tau_0(|z|^2) |z| is the second layer's
-    g_1(|z|), so its floor tau_0(b)^2 is rho.  ``beta`` and ``beta_first``
-    are the layers' tail ratios.  The first-term check reads rho; ``align``
-    reports all three.
+    They are taken on the norm domain |z_a|^2 <= b = K, which a shift of
+    operator norm at most 1 and inputs with ||x_i|| <= 1 guarantee.
+    ``rho`` is sigma_hat(K)^2 and bounds the squared smallest diagonal
+    rescaling of the linear kernel, for both GNN layers: by Stein's
+    identity E[tanh(y u) u] = y E[sech^2(y u)], the first layer's leading
+    coefficient tau_0(|z|^2) |z| is the second layer's g_1(|z|), so its
+    floor tau_0(K)^2 is rho.  ``beta`` and ``beta_first`` are the layers'
+    tail ratios.  ``align`` reports all three.
     """
 
     num_taps: int
-    spectral_bound: float
-    norm_sq_bound: float
     rho: float
     beta: float
     beta_first: float
 
 
-def expansion_constants(num_taps: int, spectral_bound: float = 1.0) -> ExpansionConstants:
+def expansion_constants(num_taps: int) -> ExpansionConstants:
     if num_taps < 1:
         raise ValueError("num_taps must be >= 1")
-    require_positive_finite("spectral_bound", spectral_bound)
-    norm_sq = float(np.sum(spectral_bound ** (2.0 * np.arange(num_taps))))
     return ExpansionConstants(
         num_taps=num_taps,
-        spectral_bound=spectral_bound,
-        norm_sq_bound=norm_sq,
-        rho=float(sigma_hat(norm_sq)) ** 2,
+        rho=float(sigma_hat(num_taps)) ** 2,
         beta=BETA_SATURATION,
-        beta_first=beta_first_layer(norm_sq).value,
+        beta_first=beta_first_layer(num_taps).value,
     )
 
 

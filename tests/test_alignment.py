@@ -29,7 +29,15 @@ from ntkalign.alignment import (
     run_inequality_sweeps,
 )
 from ntkalign.core import Dataset, NtkMatrix, ShiftOperator, stack
-from ntkalign.hermite import coeff_g, coefficient_table, expansion_constants, sech2
+from ntkalign import hermite
+from ntkalign.hermite import (
+    BETA_SATURATION,
+    beta_first_layer,
+    coeff_g,
+    coefficient_table,
+    sech2,
+    sigma_hat,
+)
 from ntkalign.ntk import (
     expectation_E_first_layer,
     expectation_E_quadrature,
@@ -189,6 +197,28 @@ def test_lower_bound_uses_the_unnormalised_cross_covariance():
     assert alignment_lower_bound(s, data, 2) == pytest.approx(expected, rel=1e-12)
 
 
+def multiplicity_lin_lower_bound(s, data, num_taps):
+    """A_L' from the 2K - 1 power traces, each weighted by its number of (k, k') pairs,
+    and the same sum over the entries' magnitudes, the scale of its round-off."""
+    c = (data.x @ data.y.T + data.y @ data.x.T) / 2.0
+    powers = s.powers_applied(np.eye(s.num_nodes), 2 * num_taps - 1)
+    j = np.arange(2 * num_taps - 1)
+    pairs = num_taps - np.abs(j - (num_taps - 1))
+    value, scale = (float(pairs @ np.einsum("jab,ab->j", p, q)) / num_taps
+                    for p, q in ((powers, c), (np.abs(powers), np.abs(c))))
+    return value**2, scale**2
+
+
+def test_linear_bound_matches_the_multiplicity_form():
+    # tr((sum_k S^k)^2 C) = sum_j #{(k, k'): k + k' = j} tr(S^j C); where the
+    # terms cancel, the agreement is relative to their magnitudes' sum
+    for seed in range(200):
+        s, data, k = random_instance(seed)
+        expected, scale = multiplicity_lin_lower_bound(s, data, k)
+        got = alignment_lin_lower_bound(s, data, k)
+        assert abs(got - expected) <= 1e-13 * scale, seed
+
+
 def test_alignment_functionals_invariant_to_target_sign_flip():
     rng = np.random.default_rng(6)
     s = random_shift(rng, 4)
@@ -258,6 +288,17 @@ class TestFirstTermCheck:
             tol = alignment_module.SWEEP_TOL * max(1.0, abs(lhs), abs(rep.rhs))
             assert lhs >= rep.rhs - tol, seed
             assert lhs == pytest.approx(rep.lhs, rel=1e-12), seed
+
+    def test_reads_only_the_floor(self, monkeypatch):
+        # rho = sigma_hat(K)^2 alone: the first layer's tail ratio is not computed
+        def no_tail_ratio(*args):
+            raise AssertionError("beta_first_layer ran")
+
+        monkeypatch.setattr(hermite, "beta_first_layer", no_tail_ratio)
+        s, data, k = random_instance(0, entries="nonnegative")
+        rep = check_first_term_lower_bound(s, data, k)
+        assert rep.verdict == "passed"
+        assert rep.details == {"rho": sigma_hat(k) ** 2}
 
     def test_can_fail_for_mixed_sign_instances(self):
         # pinching by the smallest diagonal entry is not sound once the
@@ -397,10 +438,11 @@ class TestConditionalAlignmentChecks:
     def test_xi_thresholds_exceed_one(self, num_taps, nu):
         # why c_data replaced the a-priori bound A >= (gain - penalty / xi) A_lin:
         # its factor is positive only for xi above penalty / gain, above 1 for
-        # every K and nu here, while xi_observed <= 1 by Cauchy-Schwarz
-        consts = expansion_constants(num_taps, nu)
-        rho = consts.rho  # the floor of both layers
-        for beta in (consts.beta, consts.beta_first):
+        # every K and nu here, while xi_observed <= 1 by Cauchy-Schwarz; the
+        # constants are taken at squared-norm bound b = sum_k nu^(2k)
+        b = float(np.sum(nu ** (2.0 * np.arange(num_taps))))
+        rho = sigma_hat(b) ** 2  # the floor of both layers
+        for beta in (BETA_SATURATION, beta_first_layer(b).value):
             gain, penalty = rho * (1.0 + beta / 2.0), (beta / 2.0) / rho**2
             assert penalty / gain > 1.0
 
@@ -439,18 +481,18 @@ def test_planted_targets_are_exact_filter_outputs():
 
 def test_alignment_report_fields_and_payload():
     s, data, k = random_instance(21)
-    report = alignment_report(s, data, k, eta=0.5, alpha=2.0)
+    report = alignment_report(s, data, k)
     assert isinstance(report, AlignmentReport)
     assert report.a >= -1e-12
     assert report.a_filt >= report.a_lower - 1e-9
     assert report.a_lin >= report.a_lin_lower - 1e-9
-    assert report.budget == pytest.approx(math.sqrt(2.0 / (0.5 * data.num_samples)))
     payload = report.to_dict()
     for key in ("a", "a_filt", "a_lin", "a_lower", "a_lin_lower", "xi_observed", "rho", "beta"):
         assert key in payload
     assert payload["a_first_layer"] == report.a_first_layer
     assert payload["c_data"] == report.c_data
     assert payload["c_data_first_layer"] == report.c_data_first_layer
+    assert "budget" not in payload  # a function of (S, X, Y, K) alone
     assert not any(key.startswith(("gain_", "penalty_", "xi_threshold")) for key in payload)
 
 
@@ -494,6 +536,14 @@ def test_rejects_unknown_check_name(monkeypatch):
         with pytest.raises(ValueError, match="unknown check 'made_up'"):
             run_inequality_sweeps(num_instances=1, checks=checks)
     assert calls == []  # every name is checked before the first sweep
+
+
+def test_rejects_a_repeated_check_name(monkeypatch):
+    calls = []
+    monkeypatch.setattr(alignment_module, "_run_check", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="check 'filter_lower_bound' is named twice"):
+        run_inequality_sweeps(num_instances=1, checks=("filter_lower_bound",) * 2)
+    assert calls == []
 
 
 def test_optimality_sweep_no_boundary_candidate_beats_solution():

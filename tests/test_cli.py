@@ -46,7 +46,6 @@ def fraction_error(subcommand, flag, value, domain="(0, 1]"):
 
 # every flag that rejects the non-positive and non-finite reals, by subcommand
 POSITIVE_FLAGS = [
-    ("align", "eta"), ("align", "alpha"), ("align", "nu"),
     ("optimize-gso", "mu"), ("optimize-gso", "alpha"), ("optimize-gso", "eta"),
     ("train", "eta"), ("train", "kappa"), ("compare", "eta"), ("compare", "kappa"),
     ("verify-bounds", "alpha"), ("verify-bounds", "eta"),
@@ -110,35 +109,6 @@ class TestUsageErrors:
         assert code == 2
         assert "symmetriz" in capsys.readouterr().err
 
-    def test_constants_beyond_series_reach_exit_2(self, tiny_data, tmp_path, capsys):
-        # --nu 3 at K = 3 puts the first-layer constant at squared norm 91
-        _, _, x_path, y_path = tiny_data
-        code = run("align", "--x", x_path, "--y", y_path, "--k", 3, "--nu", 3,
-                   "--out-dir", tmp_path / "out")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "degree 1024" in err and "2048-point rule" in err
-
-    def test_constants_within_series_reach_resolve(self, tiny_data, tmp_path):
-        # K = 2 with --nu 3 puts the first-layer constant at squared norm 10,
-        # which needs more degrees than the 512-point rule certifies
-        _, _, x_path, y_path = tiny_data
-        out = tmp_path / "out"
-        assert run("align", "--x", x_path, "--y", y_path, "--k", 2, "--nu", 3,
-                   "--out-dir", out) == 0
-        report = json.loads((out / "report.json").read_text())
-        beta_first = report["alignment"]["beta_first_layer"]
-        assert beta_first == pytest.approx(1.8101377588354324, rel=1e-12)
-
-    @pytest.mark.parametrize("nu", ["nan", "inf"])
-    def test_non_finite_spectral_bound_exit_2(self, tiny_data, tmp_path, capsys, nu):
-        _, _, x_path, y_path = tiny_data
-        code = run("align", "--x", x_path, "--y", y_path, "--nu", nu,
-                   "--out-dir", tmp_path / "out")
-        assert code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == flag_error("align", "nu", nu)
-
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
     @pytest.mark.parametrize("subcommand, flag", POSITIVE_FLAGS)
     def test_positive_flag_rejects_bad_value(
@@ -185,18 +155,6 @@ class TestUsageErrors:
         assert err.splitlines()[-1] == flag_error(subcommand, flag, value, low=0)
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("alpha", "nan"), ("eta", "inf")])
-    def test_align_rejects_non_positive_or_non_finite(
-        self, tiny_data, tmp_path, capsys, flag, value
-    ):
-        _, _, x_path, y_path = tiny_data
-        out = tmp_path / "out"
-        code = run("align", "--x", x_path, "--y", y_path, f"--{flag}", value, "--out-dir", out)
-        assert code == 2
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last == flag_error("align", flag, value)
-        assert not (out / "report.json").exists()
-
     def test_align_has_no_xi_flag(self, tiny_data, tmp_path, capsys):
         # the certified checks assume no alignment level, so there is none to pass
         _, _, x_path, y_path = tiny_data
@@ -206,20 +164,15 @@ class TestUsageErrors:
             "ntkalign: error: unrecognized arguments: --xi 0.5")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("eta", "inf"), ("alpha", "nan")])
-    def test_align_rejects_budget_before_building_a_kernel(
-        self, tiny_data, tmp_path, capsys, monkeypatch, flag, value
-    ):
-        def no_kernels(*args, **kwargs):
-            raise AssertionError("the kernels were built before the flags were checked")
-
-        monkeypatch.setattr(cli, "alignment_report", no_kernels)
+    @pytest.mark.parametrize("flag", ["eta", "alpha", "nu"])
+    def test_align_has_no_budget_or_spectral_flags(self, tiny_data, tmp_path, capsys, flag):
+        # A, its bounds and the constants depend on (S, X, Y, K) alone
         _, _, x_path, y_path = tiny_data
-        code = run("align", "--x", x_path, "--y", y_path, f"--{flag}", value,
-                   "--out-dir", tmp_path / "out")
-        assert code == 2
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last == flag_error("align", flag, value)
+        out = tmp_path / "out"
+        assert run("align", "--x", x_path, "--y", y_path, f"--{flag}", "1", "--out-dir", out) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"ntkalign: error: unrecognized arguments: --{flag} 1")
+        assert not out.exists()
 
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_gen_data_non_finite_noise_exit_2(self, tmp_path, capsys, noise):
@@ -358,11 +311,9 @@ class TestUsageErrors:
             assert math.isfinite(report["param_movement"])
 
     @pytest.mark.parametrize("argv, message", [
-        # sech^2's tau_0^2 at b = 1 + 274^2 is 0 on the rule: the tail ratio has no denominator
-        (("align", "--nu", 274), "tau_0^2 of sech^2 at b = 7.508e+04 is 0.000e+00"),
         # ||mu C||_F^2 overflows before any product is taken
         (("optimize-gso", "--mu", "1e300"), "||mu C||_F = "),
-    ], ids=["align-nu", "optimize-gso-mu"])
+    ], ids=["optimize-gso-mu"])
     def test_input_beyond_reach_prints_only_its_error_line(self, tiny_data, tmp_path, capsys,
                                                            argv, message):
         _, _, x_path, y_path = tiny_data
@@ -813,9 +764,8 @@ class TestAlignCommand:
         block = report["alignment"]
         # rho is the floor of both layers, so there is no rho_first_layer
         assert set(block) == {
-            "a", "a_filt", "a_first_layer", "a_lin", "a_lin_lower", "a_lower", "budget",
-            "c_data", "c_data_first_layer", "constraint_lhs", "xi_observed",
-            "rho", "beta", "beta_first_layer",
+            "a", "a_filt", "a_first_layer", "a_lin", "a_lin_lower", "a_lower", "c_data",
+            "c_data_first_layer", "constraint_lhs", "xi_observed", "rho", "beta", "beta_first_layer",
         }
         assert block["a_filt"] >= block["a_lower"] - 1e-9
         checks = report["conditional_checks"]
@@ -830,6 +780,8 @@ class TestAlignCommand:
             assert entry["verdict"] == ("passed" if factors[name] > 0 else "vacuous")
         assert not any(key.startswith(("gain_", "penalty_", "xi_threshold")) for key in block)
         assert report["summary"].startswith(f"A = {block['a']:.6g}, c_data = ")
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert not {"eta", "alpha", "nu"} & set(config)  # A depends on (S, X, Y, K) alone
 
     def test_report_gives_the_first_layer_alignment(self, tiny_data, tmp_path):
         x, y, x_path, y_path = tiny_data
@@ -1294,8 +1246,11 @@ class TestVerifyCommands:
             (["--instances", "two"], "argument --instances: expected an integer >= 0, got 'two'"),
             (["--checks=", "--optimality-instances", "0"],
              "argument --checks: expected at least one sweep name, got ''"),
+            (["--checks", "filter_lower_bound,filter_lower_bound"],
+             "argument --checks: check 'filter_lower_bound' is named twice"),
         ],
-        ids=["unknown-after-known", "instances", "optimality-instances", "not-int", "no-checks"],
+        ids=["unknown-after-known", "instances", "optimality-instances", "not-int", "no-checks",
+             "repeated"],
     )
     def test_verify_bounds_rejects_bad_input_before_any_sweep(
         self, tmp_path, capsys, monkeypatch, args, error

@@ -10,7 +10,7 @@ from ntkalign.core import (
     stack,
 )
 from ntkalign.dataio import VarProcessConfig
-from ntkalign.hermite import beta_first_layer, expansion_constants
+from ntkalign.hermite import beta_first_layer
 from ntkalign.models import InitConfig
 
 
@@ -26,7 +26,6 @@ def random_symmetric(rng, n, unit_fro=True):
 POSITIVE_SITES = [
     ("kappa", lambda v: InitConfig(kappa=v, seed=0)),
     ("noise_scale", lambda v: VarProcessConfig(2, 5, np.zeros((2, 2)), noise_scale=v)),
-    ("spectral_bound", lambda v: expansion_constants(2, spectral_bound=v)),
     ("norm_sq_bound", beta_first_layer),
 ]
 

@@ -54,7 +54,7 @@ FLAGS = {
                  *SHARED],
     "ntk": ["k", *SHARED],
     "ntk-mc": ["k", "width", *SHARED],
-    "align": ["k", "eta", "alpha", "nu", *SHARED],
+    "align": ["k", *SHARED],
     "optimize-gso": ["k", "mu", "alpha", "eta", *SHARED],
     "train": ["k", "eta", "epochs", "kappa", "batch-size", *SHARED],
     "train-gnn2": ["k", "width", "eta", "epochs", "kappa", "batch-size"],

@@ -493,32 +493,24 @@ class TestGridChecks:
 
 class TestExpansionConstants:
     def test_composition(self):
-        ec = hm.expansion_constants(2)
-        assert ec.norm_sq_bound == pytest.approx(2.0)
-        assert ec.rho == pytest.approx(hm.sigma_hat(2.0) ** 2, abs=1e-12)
-        assert ec.rho == pytest.approx(
-            hm.coefficient_table(hm.sech2, math.sqrt(2.0), 0)[0] ** 2, abs=1e-12
-        )
-        assert ec.beta == hm.BETA_SATURATION
-        assert ec.beta_first == hm.beta_first_layer(2.0).value
+        # the constants sit at squared-norm bound b = K
+        for num_taps in (1, 2, 3):
+            ec = hm.expansion_constants(num_taps)
+            assert ec.rho == hm.sigma_hat(float(num_taps)) ** 2
+            assert ec.rho == pytest.approx(
+                hm.coefficient_table(hm.sech2, math.sqrt(num_taps), 0)[0] ** 2, abs=1e-12
+            )
+            assert ec.beta == hm.BETA_SATURATION
+            assert ec.beta_first == hm.beta_first_layer(float(num_taps)).value
 
     def test_beta_is_the_closed_form_without_the_partial_sum(self, monkeypatch):
         exact = hm.beta_constant().value
         monkeypatch.setattr(hm, "beta_constant", None)  # its 1000-term loop must not run
         assert hm.expansion_constants(2).beta == exact == hm.BETA_SATURATION
 
-    def test_spectral_bound_shrinks_norm(self):
-        tight = hm.expansion_constants(3, spectral_bound=0.5)
-        loose = hm.expansion_constants(3, spectral_bound=1.0)
-        assert tight.norm_sq_bound < loose.norm_sq_bound
-        assert tight.rho > loose.rho
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             hm.expansion_constants(0)
-        for bad in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="positive and finite"):
-                hm.expansion_constants(2, spectral_bound=bad)
 
 
 def test_self_check_clean():

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import ntkalign
@@ -55,6 +56,41 @@ def test_readme_names_resolve():
     assert scripts and len(subcommands) >= 3
     assert sorted(s for s in scripts if not (ROOT / "scripts" / s).is_file()) == []
     assert sorted(subcommands - set(cli.COMMANDS)) == []
+    # and every flag it gives a subcommand is one that subcommand's parser has,
+    # but for the removed flags it names as removed, which the parser must not have
+    options = _parser_options()
+    uses = _readme_flag_uses(text)
+    assert len(uses) >= 20
+    unknown = {(sub, flag) for sub, flag in uses if flag not in options.get(sub, ())}
+    assert sorted(unknown - README_REMOVED_FLAGS) == []
+    assert sorted((set(uses) - unknown) & README_REMOVED_FLAGS) == []
+
+
+# Flags the README names only to say that they were removed.
+README_REMOVED_FLAGS = {("align", "--xi")}
+
+
+def _parser_options() -> dict:
+    """Subcommand -> the option strings its parser accepts."""
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    return {name: {opt for action in sp._actions for opt in action.option_strings}
+            for name, sp in subparsers.choices.items()}
+
+
+def _readme_flag_uses(text: str) -> list:
+    """(subcommand, --flag) for each flag of a backticked `<subcommand> --flag ...` span,
+    and of each `ntkalign <subcommand> ...` line of an sh block."""
+    names = "|".join(map(re.escape, cli.COMMANDS))
+    uses = [(sub, flag)
+            for sub, rest in re.findall(rf"`({names})\s+(--[^`]*)`", text)
+            for flag in re.findall(r"--[a-z][a-z0-9-]*", rest)]
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if words[:1] == ["ntkalign"] and len(words) > 1:
+                uses += [(words[1], word.partition("=")[0])
+                         for word in words[2:] if word.startswith("--")]
+    return uses
 
 
 # Defaulted parameters that no call in src/, scripts/ or perfbench/ sets, kept
