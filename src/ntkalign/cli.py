@@ -546,6 +546,7 @@ def _count(text: str, low: int = 0) -> int:
 
 
 _size = functools.partial(_count, low=1)  # taps, width, nodes, series length, samples, reps
+_solver_taps = functools.partial(_count, low=2)  # optimize-gso --k: K = 1 has no tap to solve for
 
 
 def _float(text: str) -> float:
@@ -655,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize-gso", help="solve for the alignment-optimal shift operator")
     _add_data_flags(p)
     p.add_argument("--c", help="cross-covariance CSV (overrides --x/--y)")
-    p.add_argument("--k", type=_size, default=2, help="filter taps (>= 2)")
+    p.add_argument("--k", type=_solver_taps, default=2, help="filter taps (>= 2)")
     p.add_argument("--mu", type=_positive, help="explicit multiplier")
     p.add_argument("--alpha", type=_positive, help="budget numerator for mu")
     p.add_argument("--eta", type=_positive, help="learning rate for mu")

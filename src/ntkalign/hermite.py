@@ -348,7 +348,6 @@ class FirstLayerBetaResult:
 
     value: float
     parseval_value: float
-    norm_sq_bound: float
     num_pairs: int
     truncation_residual: float
 
@@ -378,7 +377,6 @@ def beta_first_layer(norm_sq_bound: float) -> FirstLayerBetaResult:
     return FirstLayerBetaResult(
         value=float(np.sum(taus[0, 1:] ** 2)) / tau0_sq,
         parseval_value=(float(totals[0]) - tau0_sq) / tau0_sq,
-        norm_sq_bound=float(norm_sq_bound),
         num_pairs=degree // 2,
         truncation_residual=residual / tau0_sq,
     )
@@ -429,13 +427,28 @@ class GridCheckResult:
 _GRID_KINDS = {"tanh_odd": "second", "sech2_even": "first"}
 
 
-def _grid_table(kind: str, degrees):
-    """The checks' grid (40 points geometric on [0.1, 10]), kind's table on it, its base degree."""
-    grid = np.geomspace(0.1, 10.0, 40)
+def _grid_check(kind: str, degrees, margin, fails) -> GridCheckResult:
+    """margin(coeffs, base coeffs) of each degree on the checks' grid; ``fails`` flags violations.
+
+    The grid is 40 points geometric on [0.1, 10], read as squared norms by
+    the even kind.
+    """
     if kind not in _GRID_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    grid = np.geomspace(0.1, 10.0, 40)
     fn, base, _ = LAYERS[_GRID_KINDS[kind]]
-    return grid, coefficient_table(fn, grid if base else np.sqrt(grid), max(degrees)), base
+    table = coefficient_table(fn, grid if base else np.sqrt(grid), max(degrees))
+    margins = [(deg, margin(table[:, deg], table[:, base])) for deg in degrees]
+    violations = tuple((deg, m) for deg, m in margins if fails(m))
+    return GridCheckResult(kind, tuple(degrees), grid, violations, min(m for _, m in margins))
+
+
+def _sign_margin(vals: np.ndarray, _base: np.ndarray) -> float:
+    return float(np.min(math.copysign(1.0, vals[np.argmax(np.abs(vals))]) * vals))
+
+
+def _ratio_step_margin(vals: np.ndarray, base: np.ndarray) -> float:
+    return float(np.diff(np.abs(vals / base)).min())
 
 
 def verify_sign_constancy(
@@ -447,17 +460,7 @@ def verify_sign_constancy(
     ``tanh_odd`` checks g_degree over y in the grid, ``sech2_even`` checks
     tau_degree with the grid read as squared norms.
     """
-    grid, table, _ = _grid_table(kind, degrees)
-    violations = []
-    worst = math.inf
-    for deg in degrees:
-        vals = table[:, deg]
-        ref_sign = math.copysign(1.0, vals[np.argmax(np.abs(vals))])
-        margin = float(np.min(ref_sign * vals))
-        worst = min(worst, margin)
-        if margin <= 0.0:
-            violations.append((deg, margin))
-    return GridCheckResult(kind, tuple(degrees), grid, tuple(violations), worst)
+    return _grid_check(kind, degrees, _sign_margin, lambda m: m <= 0.0)
 
 
 def verify_ratio_monotonicity(
@@ -469,17 +472,7 @@ def verify_ratio_monotonicity(
     Base degree is 1 for ``tanh_odd`` and 0 for ``sech2_even``.  Steps may
     regress by at most 1e-7.
     """
-    grid, table, base = _grid_table(kind, degrees)
-    violations = []
-    worst = math.inf
-    for deg in degrees:
-        ratio = np.abs(table[:, deg] / table[:, base])
-        steps = np.diff(ratio)
-        margin = float(steps.min())
-        worst = min(worst, margin)
-        if margin < -1e-7:
-            violations.append((deg, margin))
-    return GridCheckResult(kind, tuple(degrees), grid, tuple(violations), worst)
+    return _grid_check(kind, degrees, _ratio_step_margin, lambda m: m < -1e-7)
 
 
 @dataclass(frozen=True)
@@ -496,7 +489,6 @@ class ExpansionConstants:
     tail ratios.  ``align`` reports all three.
     """
 
-    num_taps: int
     rho: float
     beta: float
     beta_first: float
@@ -506,7 +498,6 @@ def expansion_constants(num_taps: int) -> ExpansionConstants:
     if num_taps < 1:
         raise ValueError("num_taps must be >= 1")
     return ExpansionConstants(
-        num_taps=num_taps,
         rho=float(sigma_hat(num_taps)) ** 2,
         beta=BETA_SATURATION,
         beta_first=beta_first_layer(num_taps).value,
@@ -521,10 +512,9 @@ PARSEVAL_CHECK_DEGREES = (5, 11, 21, 41, 101, MAX_POINTS // 2 - 1)
 def self_check() -> dict:
     """Full self-verification of the Hermite layer; payload for the CLI.
 
-    Returns a JSON-ready report; ``violations`` counts failed checks.
+    Returns a JSON-ready report; ``violations`` counts its records that did not pass.
     """
     report: dict = {}
-    violations = 0
 
     nodes, weights = gauss_hermite_rule(DEFAULT_POINTS)
     p = hermite_eval_upto(10, nodes)
@@ -534,24 +524,20 @@ def self_check() -> dict:
     # every degree the largest rule carries
     _, vecs = _jacobi_eigensystem(MAX_POINTS)
     proj_residual = float(np.abs(vecs @ vecs.T - np.eye(MAX_POINTS)).max())
-    ortho_ok = ortho_residual < 1e-8 and proj_residual < 1e-12
-    violations += not ortho_ok
     report["orthonormality"] = {
         "max_residual": ortho_residual,
         "projection_max_residual": proj_residual,
         "projection_max_degree": MAX_POINTS - 1,
-        "passed": ortho_ok,
+        "passed": ortho_residual < 1e-8 and proj_residual < 1e-12,
     }
 
     # what certifies hermite_series' tails at the degrees it does not project
     excess = bessel_excess(MAX_POINTS)
-    excess_ok = excess <= TAIL_ROUNDOFF
-    violations += not excess_ok
     report["bessel_excess"] = {
         "n_points": MAX_POINTS,
         "value": excess,
         "bound": TAIL_ROUNDOFF,
-        "passed": excess_ok,
+        "passed": excess <= TAIL_ROUNDOFF,
     }
 
     pair_worst = 0.0
@@ -565,9 +551,7 @@ def self_check() -> dict:
                 )
                 want = rho**j if j == k else 0.0
                 pair_worst = max(pair_worst, abs(got - want))
-    pair_ok = pair_worst < 1e-6
-    violations += not pair_ok
-    report["correlated_pair_identity"] = {"max_residual": pair_worst, "passed": pair_ok}
+    report["correlated_pair_identity"] = {"max_residual": pair_worst, "passed": pair_worst < 1e-6}
 
     gaps_ok = True
     gaps = {}
@@ -576,47 +560,39 @@ def self_check() -> dict:
         gaps[str(y)] = series
         gaps_ok &= all(g >= -TAIL_ROUNDOFF for g in series)
         gaps_ok &= all(a >= b - TAIL_ROUNDOFF for a, b in zip(series, series[1:]))
-    violations += not gaps_ok
     report["parseval_gaps"] = {"by_scale": gaps, "passed": gaps_ok}
 
     # each term C(2i, i) / (4^i (2i + 1)) is below 1 / (2 sqrt(pi) i^1.5), so
     # the tail past N terms is below 1 / sqrt(pi N)
     beta = beta_constant()
     beta_gap = beta.value - beta.partial_sum
-    beta_ok = 0.0 < beta_gap <= 1.0 / math.sqrt(math.pi * beta.num_terms)
-    violations += not beta_ok
     report["beta"] = {
         "value": beta.value,
         "partial_sum": beta.partial_sum,
         "num_terms": beta.num_terms,
-        "passed": beta_ok,
+        "passed": 0.0 < beta_gap <= 1.0 / math.sqrt(math.pi * beta.num_terms),
     }
 
     try:
         b1 = beta_first_layer(3.0)
     except TruncationError as exc:  # a rule the series cannot certify
         report["beta_first_layer_3"] = {"error": str(exc), "passed": False}
-        violations += 1
     else:
-        b1_ok = abs(b1.value - 0.732) < 2e-2
-        violations += not b1_ok
         report["beta_first_layer_3"] = {
             "value": b1.value,
             "parseval_value": b1.parseval_value,
             "num_pairs": b1.num_pairs,
             "truncation_residual": b1.truncation_residual,
-            "passed": b1_ok,
+            "passed": abs(b1.value - 0.732) < 2e-2,
         }
 
     # sigma_hat is non-increasing, at most its supremum, and reaches it at 0
     sig = sigma_hat(np.geomspace(1e-14, 10.0, 61))
     bounded = np.all(np.diff(sig) <= 0.0) and sig.max() <= SIGMA_HAT_SUP
-    sup_ok = bool(bounded and abs(sig[0] - SIGMA_HAT_SUP) <= 1e-12)
-    violations += not sup_ok
     report["sigma_hat_sup"] = {
         "value": float(sig[0]),
         "unnormalized": float(sig[0]) * SQRT_2PI,
-        "passed": sup_ok,
+        "passed": bool(bounded and abs(sig[0] - SIGMA_HAT_SUP) <= 1e-12),
     }
 
     for name, check in (
@@ -625,12 +601,11 @@ def self_check() -> dict:
         ("ratio_monotonicity_odd", verify_ratio_monotonicity("tanh_odd", (3, 5, 7, 9))),
         ("ratio_monotonicity_even", verify_ratio_monotonicity("sech2_even", (2, 4, 6, 8))),
     ):
-        violations += not check.passed
         report[name] = {
             "violating_degrees": [d for d, _ in check.violations],
             "worst_margin": check.worst_margin,
             "passed": check.passed,
         }
 
-    report["violations"] = violations
+    report["violations"] = sum(not entry["passed"] for entry in report.values())
     return report

@@ -44,6 +44,8 @@ RHO_OVERSHOOT_TOL = 1e-9
 # Entries per row block of the Mehler sum: 512 KB per block array, so the
 # block's accumulator, rho^2 and term stay in a 2 MB L2 cache across degrees.
 MEHLER_BLOCK = 65536
+# Rows of n per chunk of the power sum's right product: 640 KB at n = 20.
+POWER_SUM_CHUNK = 4096
 # Pairs per block of the quadrature references.
 QUADRATURE_CHUNK = 512
 
@@ -310,21 +312,28 @@ def conjugated_power_sum(
 ) -> np.ndarray:
     """sum_k S~^k A S~^k for a symmetric A, without the block-diagonal lift.
 
-    The row and column products round differently, so the result's upper
-    triangle is copied onto its lower one, one block row at a time: the
-    sum is then exactly symmetric, as it is in exact arithmetic.
+    Horner in the conjugation, acc <- S~ acc S~ + A, on the result's own
+    buffer: S~ is applied from the left one sample block at a time and from
+    the right in chunks of POWER_SUM_CHUNK rows of n, so no nM x nM array
+    but the result is allocated.  The row and column products round
+    differently, so the result's upper triangle is copied onto its lower
+    one, one block row at a time: the sum is then exactly symmetric, as it
+    is in exact arithmetic.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = s.num_nodes
     if matrix.shape != (n * num_samples, n * num_samples):
         raise ValueError(f"matrix shape {matrix.shape} does not match lift size")
-    # apply S to the row blocks then the column blocks, once per power
-    blk = matrix.reshape(num_samples, n, num_samples, n)
     acc = matrix.copy()
+    by_node = acc.reshape(-1, n)  # row r holds one sample's n columns of one row of acc
     for _ in range(1, num_taps):
-        blk = np.einsum("ab,ibjc->iajc", s.matrix, blk)
-        blk = np.einsum("ibjd,dc->ibjc", blk, s.matrix)
-        acc += blk.reshape(matrix.shape)
+        for i in range(num_samples):
+            rows = acc[i * n : (i + 1) * n]
+            np.matmul(s.matrix, rows, out=rows)
+        for start in range(0, by_node.shape[0], POWER_SUM_CHUNK):
+            chunk = by_node[start : start + POWER_SUM_CHUNK]
+            np.matmul(chunk, s.matrix, out=chunk)
+        acc += matrix
     lower = np.tril_indices(n, -1)
     for i in range(num_samples):
         rows = slice(i * n, (i + 1) * n)

@@ -54,7 +54,7 @@ POSITIVE_FLAGS = [
 # every flag whose domain is the integers >= 1, by subcommand
 SIZE_FLAGS = [
     ("gen-data", "n"), ("gen-data", "len"), ("gen-data", "m-train"),
-    ("ntk", "k"), ("ntk", "width"), ("align", "k"), ("optimize-gso", "k"),
+    ("ntk", "k"), ("ntk", "width"), ("align", "k"),
     ("train", "k"), ("train", "width"),
     ("compare", "k"), ("compare", "width"), ("compare", "reps"), ("compare", "m-train"),
 ]
@@ -138,6 +138,18 @@ class TestUsageErrors:
         assert run(subcommand, *inputs, f"--{flag}", value, "--out-dir", out) == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == flag_error(subcommand, flag, value, low=1)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1", "0", "-2"])
+    def test_solver_taps_reject_fewer_than_two(self, tmp_path, capsys, value):
+        # K = 1 leaves optimize-gso no tap to solve for; it exits before reading
+        # the data, so inputs that do not exist are never opened
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "out"
+        assert run("optimize-gso", "--x", missing, "--y", missing, "--k", value,
+                   "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == flag_error("optimize-gso", "k", value, low=2)
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-1", "-3"])

@@ -1,0 +1,127 @@
+"""The problem's symmetries as exact oracles, at any size.
+
+Relabelling the n nodes by a permutation P (S -> P S P', X -> P X,
+Y -> P Y) and reordering the M samples permutes every stacked kernel by
+one index map, Θ(PSP', PX) = (I_M ⊗ P) Θ(S, X) (I_M ⊗ P)' with the sample
+blocks reordered too, and leaves the alignment report and full-batch
+training curves unchanged: the filters' taps are shared across nodes, and
+a full batch sums over samples.  The GNN's expectation matrices depend on
+the tap stack Z only through the Gram matrix of its rows, so rotating Z's
+K columns by an orthogonal Q leaves them unchanged.  None of these needs a
+slow reference path, so they hold at sizes no oracle reaches.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from ntkalign.alignment import alignment_report, random_instance
+from ntkalign.core import Dataset, ShiftOperator
+from ntkalign.models import InitConfig, init_filter, init_gnn2
+from ntkalign.ntk import (
+    TapStack,
+    conjugated_power_sum,
+    empirical_ntk,
+    expectation_series,
+    filter_ntk,
+    gnn_infinite_ntk,
+    z_vectors,
+)
+from ntkalign.training import TrainConfig, train
+
+# One tolerance for every identity, relative to the largest magnitude compared.
+RTOL = 1e-13
+SEEDS = range(6)
+
+
+def relabel(rng, s, data):
+    """(P S P', P X, P Y) with the samples reordered too, and the stacked index map.
+
+    P and the sample order are drawn from rng.  Row i*n + a of the
+    relabelled instance's stacked kernels is row idx[i*n + a] of the
+    original's, so Θ' = Θ[idx][:, idx].
+    """
+    n, m = data.x.shape
+    nodes, samples = rng.permutation(n), rng.permutation(m)
+    idx = (samples[:, None] * n + nodes[None, :]).ravel()
+    cells = np.ix_(nodes, samples)
+    return ShiftOperator(s.matrix[np.ix_(nodes, nodes)]), Dataset(data.x[cells], data.y[cells]), idx
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.abs(got - want).max(initial=0.0) <= RTOL * np.abs(want).max(initial=0.0)
+
+
+def assert_permuted(theta, relabelled, idx):
+    assert_close(relabelled, theta[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_kernel_route_is_relabelled_with_the_instance(seed):
+    s, data, num_taps = random_instance(seed)
+    s2, data2, idx = relabel(np.random.default_rng(seed), s, data)
+    assert_permuted(filter_ntk(s, data, num_taps).matrix,
+                    filter_ntk(s2, data2, num_taps).matrix, idx)
+    assert_permuted(gnn_infinite_ntk(s, data, num_taps, layer="both").matrix,
+                    gnn_infinite_ntk(s2, data2, num_taps, layer="both").matrix, idx)
+    params = init_gnn2(8, num_taps, InitConfig(1.0, seed))  # taps shared across nodes
+    assert_permuted(empirical_ntk(s, params, data).matrix,
+                    empirical_ntk(s2, params, data2).matrix, idx)
+
+
+def test_power_sum_is_relabelled_with_the_instance_at_nm_2000():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((20, 20))
+    s = ShiftOperator(a + a.T).normalized()
+    data = Dataset(rng.standard_normal((20, 100)), rng.standard_normal((20, 100)))
+    s2, _, idx = relabel(rng, s, data)
+    f = rng.standard_normal((2000, 6))
+    theta = conjugated_power_sum(s, f @ f.T, 3, 100)
+    assert_permuted(theta, conjugated_power_sum(s2, f[idx] @ f[idx].T, 3, 100), idx)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_alignment_report_is_invariant(seed):
+    s, data, num_taps = random_instance(seed)
+    s2, data2, _ = relabel(np.random.default_rng(seed), s, data)
+    report, relabelled = alignment_report(s, data, num_taps), alignment_report(s2, data2, num_taps)
+    floats, relabelled_floats = report.to_dict(), relabelled.to_dict()
+    # the alignments are quadratic forms of one target on one scale, their
+    # largest; a lower bound can sit far below it, as a square of a sum
+    # that cancels
+    alignments = [key for key in floats if key.startswith("a")]
+    assert_close([relabelled_floats[k] for k in alignments], [floats[k] for k in alignments])
+    for key in floats.keys() - alignments:
+        assert_close(relabelled_floats[key], floats[key])
+    for layer, info in report.layers.items():
+        for key, value in info.items():
+            if isinstance(value, float):
+                assert_close(relabelled.layers[layer][key], value)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("layer", ["second", "first"])
+def test_expectation_series_depends_on_the_tap_gram_only(seed, layer):
+    s, data, num_taps = random_instance(seed)
+    z = z_vectors(s, data, num_taps)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((num_taps, num_taps)))
+    rotated = TapStack(z.matrix @ q, z.num_nodes, z.num_samples)
+    assert_close(expectation_series(rotated, layer).matrix, expectation_series(z, layer).matrix)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+@pytest.mark.parametrize("model", ["filter", "gnn2"])
+def test_full_batch_training_curves_are_invariant(seed, model):
+    s, data, num_taps = random_instance(seed)
+    s2, data2, _ = relabel(np.random.default_rng(seed), s, data)
+    init = InitConfig(1.0, seed)
+    params = init_filter(num_taps, init) if model == "filter" else init_gnn2(8, num_taps, init)
+    cfg = TrainConfig(eta=0.05, epochs=20)
+    trace, relabelled = train(params, s, data, cfg), train(params, s2, data2, cfg)
+    for field in ("train_losses", "param_movement"):
+        assert_close(getattr(relabelled, field), getattr(trace, field))
+    for got, want in zip(dataclasses.astuple(relabelled.final_params),
+                         dataclasses.astuple(trace.final_params)):
+        assert_close(got, want)
