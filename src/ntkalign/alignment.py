@@ -46,7 +46,6 @@ from .ntk import (  # the quadrature references stay bound here for perfbench/tr
 from .shiftops import (
     constraint_lhs,
     cross_covariance_matrix,
-    frobenius_budget,
     mu_from_budget,
     power_sum,
     solve_optimal_gso,
@@ -523,26 +522,23 @@ class OptimalitySweepResult:
         return asdict(self)
 
 
-def optimality_sweep(
-    num_instances: int = 1000,
-    seed: int = 0,
-    alpha: float = 1.0,
-    eta: float = 1.0,
-) -> OptimalitySweepResult:
+def optimality_sweep(num_instances: int = 1000, seed: int = 0) -> OptimalitySweepResult:
     """No boundary-feasible S beats the closed-form optimum of A_L at K = 2.
 
     Draws random symmetric S, rescales sum_k S^k onto the Frobenius budget
-    sphere, and compares A_L against the solution of sum_k (S*)^k = mu C.
-    K is fixed at 2, where the power sum I + S is affine in S and the
-    rescaling lands exactly on the boundary.
+    sphere of radius sqrt(1 / M), and compares A_L against the solution of
+    sum_k (S*)^k = mu C.  K is fixed at 2, where the power sum I + S is
+    affine in S and the rescaling lands exactly on the boundary.  A_L is
+    homogeneous of degree 2 in the budget, so every budget gives this verdict.
     """
     num_taps = 2
     rng = np.random.default_rng(seed)
     n, m = _draw_sizes(rng)
     data = Dataset(rng.standard_normal((n, m)), rng.standard_normal((n, m))).normalized()
-    c = cross_covariance_matrix(data.x, data.y)
-    budget = frobenius_budget(alpha, eta, m)
-    s_star = solve_optimal_gso(c, num_taps, mu_from_budget(alpha, eta, m, np.linalg.norm(c)))
+    c = ShiftOperator(cross_covariance_matrix(data.x, data.y))
+    budget = math.sqrt(1.0 / m)  # sqrt(alpha / (eta M)) at alpha = eta = 1
+    mu = mu_from_budget(1.0, 1.0, m, np.linalg.norm(c.matrix))  # budget / ||C||_F
+    s_star = solve_optimal_gso(c, num_taps, mu)
     best = alignment_lower_bound(s_star.operator, data, num_taps)
     max_excess = -math.inf
     for _ in range(num_instances):

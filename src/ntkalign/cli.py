@@ -91,13 +91,17 @@ def _config_flags(ns: argparse.Namespace) -> list:
     ``#`` starts a comment unless it is inside a double-quoted value.
     Values are parsed as JSON when possible and kept as strings otherwise.
     ``true`` / ``false`` give ``--key`` / ``--no-key``, ``null`` gives
-    nothing (the default stays), a list for a flag declared with ``nargs``
-    gives ``--key item ...``, and any other value gives ``--key=value``,
-    which argparse then checks exactly like a flag typed on the command line.
+    nothing (the default stays), a list gives ``--key item ...`` for a flag
+    declared with ``nargs`` and ``--key=a,b`` for a comma-list flag
+    (``--checks``, compare's ``--gso``: the manifest records them as lists),
+    and any other value gives ``--key=value``, which argparse then checks
+    exactly like a flag typed on the command line.
     """
     path, allowed = ns.config, set(vars(ns)) - {"subcommand", "config", "emit_json"}
     subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
-    multi = {a.dest for a in subparsers.choices[ns.subcommand]._actions if a.nargs in ("+", "*")}
+    actions = subparsers.choices[ns.subcommand]._actions
+    multi = {a.dest for a in actions if a.nargs in ("+", "*")}
+    comma = {a.dest for a in actions if a.type in (_sweep_names, _arm_names)}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -125,6 +129,8 @@ def _config_flags(ns: argparse.Namespace) -> list:
             flags.append(f"--{flag}" if parsed else f"--no-{flag}")
         elif isinstance(parsed, list) and key in multi:
             flags += [f"--{flag}", *map(str, parsed)]
+        elif isinstance(parsed, list) and key in comma:
+            flags.append(f"--{flag}={','.join(map(str, parsed))}")
         elif parsed is not None:
             flags.append(f"--{flag}={parsed if isinstance(parsed, str) else value}")
     return flags
@@ -169,13 +175,16 @@ GSO_ARMS = {
 }
 
 
+def _load_shift(path, flag: str, what: str) -> ShiftOperator:
+    try:
+        return ShiftOperator(_load_matrix(path, what))
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}; symmetrize the matrix first") from None
+
+
 def _shift_from(cfg: dict, data: Dataset) -> ShiftOperator:
     if cfg.get("gso_file"):
-        matrix = _load_matrix(cfg["gso_file"], "shift operator")
-        try:
-            return ShiftOperator(matrix)
-        except ValueError as exc:
-            raise CliError(f"--gso-file: {exc}; symmetrize the matrix first") from None
+        return _load_shift(cfg["gso_file"], "--gso-file", "shift operator")
     return GSO_ARMS[cfg["gso"]](data)
 
 
@@ -324,38 +333,35 @@ def _cmd_align(cfg: dict) -> int:
 def _cmd_optimize_gso(cfg: dict) -> int:
     num_samples = None
     if cfg["c"] is not None:
-        c = _load_matrix(cfg["c"], "cross-covariance")
+        c = _load_shift(cfg["c"], "--c", "cross-covariance")
     else:
         data = _load_dataset(cfg)
-        c = cross_covariance(data.x, data.y).matrix
+        c = cross_covariance(data.x, data.y)
         num_samples = data.num_samples
 
-    if cfg["mu"] is not None:
-        mu, normalize = cfg["mu"], bool(cfg["normalize"])
-    elif cfg["alpha"] is not None:
+    mu, normalize = cfg["mu"], cfg["normalize"]
+    if mu is None and cfg["alpha"] is not None:
         if cfg["eta"] is None:
             raise CliError("--alpha needs --eta to determine the budget")
         if num_samples is None:
             raise CliError("budget mode needs --x/--y for the sample count; use --mu with --c")
         mu = mu_from_budget(cfg["alpha"], cfg["eta"], num_samples)
-        normalize = bool(cfg["normalize"])
-    else:
-        mu = 1.0
-        normalize = True if cfg["normalize"] is None else cfg["normalize"]
-
+    if normalize is None:  # only the direction is asked for when no scale is given
+        normalize = mu is None
     try:
-        solution = solve_optimal_gso(c, num_taps=cfg["k"], mu=mu, normalize=normalize)
+        solution = solve_optimal_gso(c, num_taps=cfg["k"], mu=1.0 if mu is None else mu)
+        s = solution.operator.normalized() if normalize else solution.operator
     except ValueError as exc:
         raise CliError(f"no shift operator solves the system: {exc}") from None
     report = {
         "mu": solution.mu,
         "residual": solution.residual,
-        "scale": solution.scale,
+        "scale": 1.0 / np.linalg.norm(solution.operator.matrix) if normalize else 1.0,
         "num_taps": cfg["k"],
-        "frobenius_norm": np.linalg.norm(solution.operator.matrix),
+        "frobenius_norm": np.linalg.norm(s.matrix),
         "summary": f"mu = {solution.mu:.6g}, residual = {solution.residual:.3e}",
     }
-    return _finish(cfg, "optimize-gso", report, {"gso.csv": _csv(solution.operator.matrix)})
+    return _finish(cfg, "optimize-gso", report, {"gso.csv": _csv(s.matrix)})
 
 
 def _default_eta(cfg: dict) -> float:
@@ -425,13 +431,9 @@ def _compare_draws(cfg: dict) -> list:
 
 def _comparison_arms(cfg: dict, data: Dataset):
     arms = []
-    for token in filter(None, (t.strip() for t in cfg["gso"].split(","))):
-        if token not in GSO_ARMS:
-            raise CliError(f"unknown GSO arm {token!r}; choose from {', '.join(GSO_ARMS)}")
-        raw = cfg["raw_cxy"] and token == "cxy"
-        arms.append((f"{token}_raw" if raw else token, GSO_ARMS[token](data, raw)))
-    if not arms:
-        raise CliError("--gso must name at least one arm")
+    for name in cfg["gso"]:  # checked by _arm_names as it was parsed
+        raw = cfg["raw_cxy"] and name == "cxy"
+        arms.append((f"{name}_raw" if raw else name, GSO_ARMS[name](data, raw)))
     return arms
 
 
@@ -489,8 +491,7 @@ def _cmd_compare(cfg: dict) -> int:
 def _cmd_verify_bounds(cfg: dict) -> int:
     opt = None
     if cfg["optimality_instances"] > 0:
-        opt = optimality_sweep(num_instances=cfg["optimality_instances"], seed=cfg["seed"],
-                               alpha=cfg["alpha"], eta=cfg["eta"])
+        opt = optimality_sweep(num_instances=cfg["optimality_instances"], seed=cfg["seed"])
     sweeps = run_inequality_sweeps(cfg["instances"], cfg["seed"], cfg["checks"])
     violations = sum(res.violations for res in sweeps.values())
     violations += 0 if opt is None or opt.passed else 1
@@ -588,6 +589,20 @@ def _sweep_names(text: str) -> tuple:
     return names
 
 
+def _arm_names(text: str) -> tuple:
+    """argparse type of compare's --gso: a comma list of at least one distinct GSO_ARMS name."""
+    names = tuple(t.strip() for t in text.split(",") if t.strip())
+    for i, name in enumerate(names):
+        if name not in GSO_ARMS:
+            raise argparse.ArgumentTypeError(
+                f"unknown arm {name!r}; choose from {', '.join(GSO_ARMS)}")
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"arm {name!r} is named twice")
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected at least one arm, got {text!r}")
+    return names
+
+
 def _add_gso_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--gso", choices=list(GSO_ARMS), default="cxy",
                     help="data-derived shift operator")
@@ -680,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-train", type=_size, default=200, help="training pairs")
     p.add_argument("--m-test", type=_count, help="test pairs (default m_train/10)")
     _add_data_flags(p, test=True)
-    p.add_argument("--gso", default=",".join(GSO_ARMS),
+    p.add_argument("--gso", type=_arm_names, default=",".join(GSO_ARMS),
                    help=f"comma list of arms from {{{', '.join(GSO_ARMS)}}}")
     p.add_argument(
         "--raw-cxy",
@@ -702,8 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1000,
         help="instances for the optimal-GSO sweep, which runs at K = 2 (0 disables)",
     )
-    p.add_argument("--alpha", type=_positive, default=1.0, help="budget numerator")
-    p.add_argument("--eta", type=_positive, default=1.0, help="learning rate in the budget")
     _add_shared_flags(p)
 
     p = sub.add_parser("verify-hermite", help="self-check the activation-expansion layer")

@@ -32,7 +32,11 @@ def require_positive_finite(name: str, value: float) -> None:
 
 
 def _frozen_array(a, ndim: int) -> np.ndarray:
-    return _frozen(np.array(a, dtype=float), ndim)
+    """A checked read-only float64 array: ``a`` itself when it already is one
+    that owns its data, else a copy, so a caller's array is never frozen."""
+    kept = (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
+            and not a.flags.writeable)
+    return _frozen(a if kept else np.array(a, dtype=float), ndim)
 
 
 def _frozen(out: np.ndarray, ndim: int) -> np.ndarray:

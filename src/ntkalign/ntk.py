@@ -371,4 +371,5 @@ def gnn_infinite_ntk(
     theta = conjugated_power_sum(s, theta, num_taps, num_samples)
     infos = {name: info for name, (_, info) in zip(layers, series)}
     info = {"layers": infos} if layer == "both" else infos[layer]
+    theta.setflags(write=False)  # so NtkMatrix keeps it rather than a copy
     return NtkMatrix(theta, info={"layer": layer, "num_taps": num_taps, **info})

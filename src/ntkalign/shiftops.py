@@ -8,11 +8,11 @@ is the one (unnormalised) C_XY formula, which the bounds also use.
 
 The optimal shift operator maximizing the filter-alignment lower bound under
 a Frobenius budget solves sum_{k=0}^{K-1} S^k = mu C for the (symmetrized)
-cross-covariance C, with mu = sqrt(alpha / (eta M)) / ||C||_F.  For K = 2
-this is the closed form S = mu C - I; for K > 2 it reduces, through the
-eigendecomposition of mu C, to one scalar polynomial root per eigenvalue.
-The scalar equation can lack a real root when K is odd (even-degree
-polynomial), which is surfaced rather than papered over.
+cross-covariance C, a ShiftOperator, with mu = sqrt(alpha / (eta M)) /
+||C||_F.  For K = 2 this is the closed form S = mu C - I; for K > 2 it
+reduces, through the eigendecomposition of mu C, to one scalar polynomial
+root per eigenvalue.  The scalar equation can lack a real root when K is
+odd (even-degree polynomial), which is surfaced rather than papered over.
 """
 
 from __future__ import annotations
@@ -102,19 +102,14 @@ def constraint_lhs(s: ShiftOperator | np.ndarray, num_taps: int) -> float:
     return float(np.linalg.norm(power_sum(m, num_taps)))
 
 
-def frobenius_budget(alpha: float, eta: float, num_samples: int) -> float:
-    """sqrt(alpha / (eta M)), the Frobenius budget on sum_k S^k."""
+def mu_from_budget(alpha: float, eta: float, num_samples: int, c_norm: float = 1.0) -> float:
+    """mu = sqrt(alpha / (eta M)) / ||C||_F, for the Frobenius budget sqrt(alpha / (eta M))."""
+    require_positive_finite("c_norm", c_norm)
     require_positive_finite("alpha", alpha)
     require_positive_finite("eta", eta)
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    return math.sqrt(alpha / (eta * num_samples))
-
-
-def mu_from_budget(alpha: float, eta: float, num_samples: int, c_norm: float = 1.0) -> float:
-    """mu = sqrt(alpha / (eta M)) / ||C||_F."""
-    require_positive_finite("c_norm", c_norm)
-    return frobenius_budget(alpha, eta, num_samples) / c_norm
+    return math.sqrt(alpha / (eta * num_samples)) / c_norm
 
 
 def power_sum_root(gamma: float, num_taps: int) -> float:
@@ -149,38 +144,32 @@ def power_sum_root(gamma: float, num_taps: int) -> float:
 class GsoSolution:
     operator: ShiftOperator
     mu: float
-    residual: float  # relative, pre-normalization
-    scale: float  # 1.0 unless unit-Frobenius normalization was applied
+    residual: float  # relative
 
 
-def solve_optimal_gso(
-    c: np.ndarray, num_taps: int, mu: float = 1.0, normalize: bool = False
-) -> GsoSolution:
-    """Solve sum_{k=0}^{K-1} S^k = mu C for a symmetric S, given the matrix C.
+def solve_optimal_gso(c: ShiftOperator, num_taps: int, mu: float = 1.0) -> GsoSolution:
+    """Solve sum_{k=0}^{K-1} S^k = mu C for a symmetric S, given C as a ShiftOperator.
 
-    K = 2 has the closed form S = mu C - I; larger K goes through the
+    K = 2 has the closed form S = mu C - I, which keeps the off-diagonal
+    entries exact however small mu is; larger K goes through the
     eigendecomposition of mu C, one scalar power-sum root per eigenvalue.
     The relative residual of the power sum against mu C must stay below
     RESIDUAL_RTOL, else ValueError: mu C is beyond the solver's reach, as
     a budget so small that I swamps it is; one whose squared norm
-    overflows is refused before anything is computed.  ``normalize``
-    rescales the result to unit Frobenius norm after that check, for use
-    where only the direction of the operator matters.
+    overflows is refused before anything is computed.  Where only the
+    direction of S matters, take ``operator.normalized()``.
     """
+    if not isinstance(c, ShiftOperator):
+        raise TypeError(f"C must be a ShiftOperator, got {type(c).__name__}")
     require_positive_finite("mu", mu)
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {c.shape}")
-    if np.abs(c - c.T).max(initial=0.0) > 1e-10:
-        raise ValueError("cross-covariance must be symmetric")
     if num_taps < 2:
         raise ValueError("num_taps must be >= 2; K = 1 leaves no taps to solve for")
-    fro = mu * float(np.linalg.norm(c))
+    fro = mu * float(np.linalg.norm(c.matrix))
     if not math.isfinite(fro * fro):  # the residual's norms square it
         raise ValueError(
             f"||mu C||_F = {fro:.3e} is beyond the solver's reach: its square overflows"
         )
-    target = mu * c
+    target = mu * c.matrix
     if num_taps == 2:
         s_matrix = target - np.eye(target.shape[0])
     else:
@@ -195,16 +184,4 @@ def solve_optimal_gso(
         raise ValueError(
             f"reconstructed power sum misses the target: relative residual {residual:.3e}"
         )
-
-    scale = 1.0
-    if normalize:
-        fro = np.linalg.norm(s_matrix)
-        if fro == 0.0:
-            raise ValueError("cannot normalize the zero solution")
-        scale = 1.0 / fro
-    return GsoSolution(
-        operator=ShiftOperator(s_matrix * scale if normalize else s_matrix),
-        mu=float(mu),
-        residual=residual,
-        scale=scale,
-    )
+    return GsoSolution(operator=ShiftOperator(s_matrix), mu=float(mu), residual=residual)

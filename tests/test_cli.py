@@ -48,7 +48,6 @@ def fraction_error(subcommand, flag, value, domain="(0, 1]"):
 POSITIVE_FLAGS = [
     ("optimize-gso", "mu"), ("optimize-gso", "alpha"), ("optimize-gso", "eta"),
     ("train", "eta"), ("train", "kappa"), ("compare", "eta"), ("compare", "kappa"),
-    ("verify-bounds", "alpha"), ("verify-bounds", "eta"),
 ]
 
 # every flag whose domain is the integers >= 1, by subcommand
@@ -114,14 +113,11 @@ class TestUsageErrors:
     def test_positive_flag_rejects_bad_value(
         self, tiny_data, tmp_path, capsys, subcommand, flag, value
     ):
-        # an unused flag is checked too: verify-bounds without its optimality
-        # sweep never reads --alpha or --eta
+        # an unused flag is checked too: optimize-gso --mu never reads --alpha or --eta
         _, _, x_path, y_path = tiny_data
-        inputs = ["--x", x_path, "--y", y_path]
-        if subcommand == "verify-bounds":
-            inputs = ["--instances", 1, "--optimality-instances", 0]
         out = tmp_path / "out"
-        assert run(subcommand, *inputs, f"--{flag}={value}", "--out-dir", out) == 2
+        assert run(subcommand, "--x", x_path, "--y", y_path, f"--{flag}={value}",
+                   "--out-dir", out) == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == flag_error(subcommand, flag, value)
         assert not out.exists()
@@ -427,6 +423,27 @@ class TestConfigResolution:
         for name in ("report.json", "curves.csv"):
             from_file = (tmp_path / "file" / name).read_bytes()
             assert from_file == (tmp_path / "flag" / name).read_bytes()
+
+    @pytest.mark.parametrize("command, key, names", [
+        (["verify-bounds", "--instances", 2, "--optimality-instances", 0], "checks",
+         ["filter_lower_bound", "linear_lower_bound"]),
+        (["compare", "--x", "{x}", "--y", "{y}", "--model", "filter", "--epochs", 2,
+          "--reps", 1], "gso", ["cxx", "cxy"]),
+    ], ids=["checks", "gso"])
+    def test_list_value_gives_a_comma_list_flag_its_names(
+        self, tiny_data, tmp_path, command, key, names
+    ):
+        # as the manifest records them, so its config snapshot reads back
+        _, _, x_path, y_path = tiny_data
+        command = [str(a).format(x=x_path, y=y_path) for a in command]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {json.dumps(names)}\n")
+        assert run(*command, "--config", cfg, "--out-dir", tmp_path / "file") == 0
+        assert run(*command, f"--{key}", ",".join(names), "--out-dir", tmp_path / "flag") == 0
+        from_file = (tmp_path / "file" / "report.json").read_bytes()
+        assert from_file == (tmp_path / "flag" / "report.json").read_bytes()
+        snap = json.loads((tmp_path / "file" / "manifest.json").read_text())["config"]
+        assert snap[key] == names
 
     def test_hash_inside_quotes_is_not_a_comment(self, tiny_data, tmp_path):
         x, y, _, _ = tiny_data
@@ -906,6 +923,32 @@ class TestOptimizeGso:
                    "--out-dir", out) == 0
         np.testing.assert_allclose(load_csv(out / "gso.csv"), c - np.eye(2), atol=1e-12)
 
+    def test_asymmetric_matrix_input_names_the_flag(self, tmp_path, capsys):
+        c_path = tmp_path / "c.csv"
+        save_csv(np.array([[2.0, 0.3], [0.0, 1.5]]), c_path)
+        out = tmp_path / "out"
+        assert run("optimize-gso", "--c", c_path, "--mu", 1.0, "--out-dir", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --c: shift operator not symmetric: max |S - S^T| = 3.000e-01; "
+            "symmetrize the matrix first"]
+        assert not out.exists()
+
+    def test_normalize_rescales_the_plain_solution(self, tiny_data, tmp_path):
+        _, _, x_path, y_path = tiny_data
+        reports = {}
+        for mode in ("--no-normalize", "--normalize"):
+            out = tmp_path / mode
+            assert run("optimize-gso", "--x", x_path, "--y", y_path, "--mu", 1.7, mode,
+                       "--out-dir", out) == 0
+            reports[mode] = json.loads((out / "report.json").read_text())
+        plain, unit = (load_csv(tmp_path / mode / "gso.csv") for mode in reports)
+        assert reports["--no-normalize"]["scale"] == 1.0
+        assert reports["--normalize"]["scale"] == 1.0 / np.linalg.norm(plain)
+        assert math.isclose(reports["--normalize"]["frobenius_norm"], 1.0, rel_tol=1e-15)
+        assert np.abs(unit - plain / np.linalg.norm(plain)).max() <= 1e-15
+        # the residual is checked before rescaling, so both report the same value
+        assert reports["--normalize"]["residual"] == reports["--no-normalize"]["residual"]
+
 
 class TestTrainCommand:
     def test_trace_has_one_row_per_epoch(self, tiny_data, tmp_path):
@@ -1083,6 +1126,20 @@ class TestCompareCommand:
                    "--out-dir", tmp_path) == 2
         assert "laplacian" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arms, error", [
+        ("cxy,laplacian", "unknown arm 'laplacian'; choose from cxy, cxx"),
+        ("cxy,cxy", "arm 'cxy' is named twice"),
+        (" , ", "expected at least one arm, got ' , '"),
+    ], ids=["unknown", "repeated", "empty"])
+    def test_bad_arm_list_exits_before_reading_data(self, tmp_path, capsys, arms, error):
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "out"
+        assert run("compare", "--x", missing, "--y", missing, f"--gso={arms}",
+                   "--out-dir", out) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"ntkalign compare: error: argument --gso: {error}")
+        assert not out.exists()
+
     def test_zero_width_is_a_usage_error(self, tiny_data, tmp_path, capsys):
         _, _, x_path, y_path = tiny_data
         assert run("compare", "--x", x_path, "--y", y_path, "--model", "gnn2",
@@ -1223,11 +1280,17 @@ class TestVerifyCommands:
     @pytest.mark.parametrize("flag", ["alpha", "eta"])
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_verify_bounds_rejects_a_bad_budget(self, tmp_path, capsys, flag, value):
+        # the optimality sweep's verdict is the same at every budget, so
+        # verify-bounds takes no budget at all, on the command line or in a config
         out = tmp_path / "out"
         assert run("verify-bounds", "--instances", 2, "--optimality-instances", 2,
                    f"--{flag}", value, "--out-dir", out) == 2
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1] == flag_error("verify-bounds", flag, value)
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"ntkalign: error: unrecognized arguments: --{flag} {value}")
+        cfg = tmp_path / "bounds.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        assert run("verify-bounds", "--config", cfg, "--out-dir", out) == 2
+        assert f"unknown key '{flag}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_verify_hermite_has_one_quadrature_rule(self, tmp_path, capsys):

@@ -151,6 +151,22 @@ class TestNtkMatrix:
         scale = ntk.operator_norm
         assert np.abs(ntk.eigenvalues - ntk.eigenpairs[0]).max() <= 1e-13 * scale
 
+    def test_keeps_a_frozen_array_and_copies_a_writable_one(self):
+        # a read-only float64 array that owns its data cannot change under the
+        # kernel, so it is kept; any other is copied and left as it was
+        rng = np.random.default_rng(4)
+        f = rng.standard_normal((6, 3))
+        frozen = f @ f.T
+        frozen.setflags(write=False)
+        assert NtkMatrix(frozen).matrix is frozen
+        writable = f @ f.T
+        ntk = NtkMatrix(writable)
+        assert ntk.matrix is not writable and writable.flags.writeable
+        assert not ntk.matrix.flags.writeable
+        view = writable[:, :]  # read-only, but its data belong to ``writable``
+        view.setflags(write=False)
+        assert NtkMatrix(view).matrix is not view
+
 
 class TestFactoredNtkMatrix:
     """The dense kernel NtkMatrix(F F') is the oracle for the factored one."""

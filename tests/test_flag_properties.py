@@ -61,7 +61,7 @@ FLAGS = {
     "compare": ["dt", "m-train", "m-test", "k", "width", "eta", "epochs", "kappa",
                 "batch-size", "reps", *SHARED],
     "compare-draws": ["dt", "m-train", "m-test", "reps", "seed"],
-    "verify-bounds": ["instances", "optimality-instances", "alpha", "eta", *SHARED],
+    "verify-bounds": ["instances", "optimality-instances", *SHARED],
     "verify-hermite": SHARED,
     "width_convergence": ["widths", "seeds", "n", "m", "k", "eta", "steps", "seed"],
 }

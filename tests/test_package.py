@@ -67,7 +67,7 @@ def test_readme_names_resolve():
 
 
 # Flags the README names only to say that they were removed.
-README_REMOVED_FLAGS = {("align", "--xi")}
+README_REMOVED_FLAGS = {("align", "--xi"), ("verify-bounds", "--alpha"), ("verify-bounds", "--eta")}
 
 
 def _parser_options() -> dict:

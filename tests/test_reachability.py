@@ -79,6 +79,8 @@ def _entry_point_runs(tmp_path):
     test = ["--x-test", data / "x_test.csv", "--y-test", data / "y_test.csv"]
     config = tmp_path / "align.cfg"
     config.write_text(f"x = {data / 'x_train.csv'}\ny = {data / 'y_train.csv'}\nk = 2\n")
+    c_path = tmp_path / "c.csv"
+    c_path.write_text("2.0,0.3\n0.3,1.5\n")
     fast = ["--epochs", "3", "--width", "4"]
     commands = [
         ["gen-data", "--n", "5", "--len", "120", "--dt", "1", "--m-train", "6",
@@ -90,6 +92,7 @@ def _entry_point_runs(tmp_path):
         ["optimize-gso", *xy],
         ["optimize-gso", *xy, "--k", "4", "--mu", "0.5", "--normalize"],
         ["optimize-gso", *xy, "--alpha", "1", "--eta", "0.1"],
+        ["optimize-gso", "--c", c_path, "--mu", "0.5"],
         *(["train", *xy, *test, "--model", model, *fast, *extra]
           for model in ("filter", "gnn2")
           for extra in ([], ["--optimizer", "gd", "--batch-size", "4"])),

@@ -224,21 +224,21 @@ class TestSolveOptimalGso:
         rng = np.random.default_rng(6)
         c = cross_covariance(rng.standard_normal((4, 7)), rng.standard_normal((4, 7)))
         mu = 2.3
-        sol = solve_optimal_gso(c.matrix, num_taps=2, mu=mu)
+        sol = solve_optimal_gso(c, num_taps=2, mu=mu)
         assert np.allclose(sol.operator.matrix, mu * c.matrix - np.eye(4), atol=1e-14)
         assert sol.residual <= 1e-8
 
     def test_scaled_identity_target(self):
         # mu C = 4 I with K = 2 gives S = 3 I
         n = 3
-        c = np.eye(n) / np.sqrt(n)
+        c = ShiftOperator(np.eye(n) / np.sqrt(n))
         sol = solve_optimal_gso(c, num_taps=2, mu=4.0 * np.sqrt(n))
         assert np.allclose(sol.operator.matrix, 3.0 * np.eye(n), atol=1e-12)
 
     def test_identity_target_three_taps_gives_zero(self):
         # I + S + S^2 = I is solved by S = 0 (smallest-magnitude root)
         n = 4
-        c = np.eye(n) / np.sqrt(n)
+        c = ShiftOperator(np.eye(n) / np.sqrt(n))
         sol = solve_optimal_gso(c, num_taps=3, mu=np.sqrt(n))
         assert np.allclose(sol.operator.matrix, 0.0, atol=1e-10)
 
@@ -248,10 +248,10 @@ class TestSolveOptimalGso:
         # the K = 2 closed form against V diag(power_sum_root(gamma, 2)) V'
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
-        c = cross_covariance(rng.standard_normal((n, 10)), rng.standard_normal((n, 10))).matrix
+        c = cross_covariance(rng.standard_normal((n, 10)), rng.standard_normal((n, 10)))
         mu = float(rng.uniform(0.1, 5.0))
         closed = solve_optimal_gso(c, num_taps=2, mu=mu)
-        gammas, vecs = np.linalg.eigh(mu * c)
+        gammas, vecs = np.linalg.eigh(mu * c.matrix)
         roots = np.array([power_sum_root(g, 2) for g in gammas])
         eigen = (vecs * roots) @ vecs.T
         assert np.abs(closed.operator.matrix - eigen).max() <= 1e-10
@@ -268,7 +268,7 @@ class TestSolveOptimalGso:
         gammas = rng.uniform(1.0, 4.0, size=n)
         target = symmetric_with_spectrum(rng, gammas)
         mu = float(np.linalg.norm(target))
-        sol = solve_optimal_gso(target / mu, num_taps=num_taps, mu=mu)
+        sol = solve_optimal_gso(ShiftOperator(target / mu), num_taps=num_taps, mu=mu)
         recon = power_sum(sol.operator.matrix, num_taps)
         assert np.linalg.norm(recon - target) <= 1e-8 * np.linalg.norm(target)
         assert sol.residual <= 1e-8
@@ -276,37 +276,35 @@ class TestSolveOptimalGso:
     def test_no_real_root_propagates(self):
         # K = 3 with tiny mu pushes every eigenvalue below the 3/4 threshold
         n = 3
-        c = np.eye(n) / np.sqrt(n)
+        c = ShiftOperator(np.eye(n) / np.sqrt(n))
         with pytest.raises(NoRealRootError) as exc:
             solve_optimal_gso(c, num_taps=3, mu=0.1)
         assert exc.value.num_taps == 3
         assert exc.value.gamma < 0.75
-
-    def test_normalize_mode(self):
-        rng = np.random.default_rng(7)
-        c = cross_covariance(rng.standard_normal((5, 9)), rng.standard_normal((5, 9))).matrix
-        plain = solve_optimal_gso(c, num_taps=2, mu=1.7)
-        unit = solve_optimal_gso(c, num_taps=2, mu=1.7, normalize=True)
-        assert np.isclose(np.linalg.norm(unit.operator.matrix), 1.0)
-        assert np.allclose(unit.operator.matrix, plain.operator.matrix * unit.scale)
-        # residual is checked before rescaling, so both report the same value
-        assert unit.residual == plain.residual
 
     def test_rejects_raw_cross_covariance(self):
         rng = np.random.default_rng(8)
         raw = cross_covariance(
             rng.standard_normal((4, 6)), rng.standard_normal((4, 6)), symmetrize=False
         )
-        with pytest.raises(ValueError, match="symmetric"):
-            solve_optimal_gso(raw.matrix, num_taps=2)
+        with pytest.raises(TypeError, match="^C must be a ShiftOperator, got AsymmetricShift$"):
+            solve_optimal_gso(raw, num_taps=2)
 
     def test_rejects_asymmetric_matrix(self):
-        with pytest.raises(ValueError):
+        # C is a ShiftOperator, which an asymmetric matrix cannot become
+        with pytest.raises(ValueError, match="not symmetric"):
+            ShiftOperator(np.arange(9.0).reshape(3, 3))
+        with pytest.raises(TypeError, match="^C must be a ShiftOperator, got ndarray$"):
             solve_optimal_gso(np.arange(9.0).reshape(3, 3), num_taps=2)
+
+    def test_rejects_a_plain_array(self):
+        # even a symmetric one: the symmetry check is ShiftOperator's alone
+        with pytest.raises(TypeError, match="^C must be a ShiftOperator, got ndarray$"):
+            solve_optimal_gso(np.eye(3), num_taps=2)
 
     def test_rejects_single_tap(self):
         with pytest.raises(ValueError):
-            solve_optimal_gso(np.eye(3), num_taps=1)
+            solve_optimal_gso(ShiftOperator(np.eye(3)), num_taps=1)
 
     @pytest.mark.parametrize("mu, message", [
         (1e-38, r"relative residual \d\.\d{3}e-01$"),
@@ -317,7 +315,7 @@ class TestSolveOptimalGso:
         # I swamps a tiny mu C; a huge one is refused before anything is computed,
         # as its squared norm overflows, which would make any residual read 0
         rng = np.random.default_rng(6)
-        c = cross_covariance(rng.standard_normal((4, 7)), rng.standard_normal((4, 7))).matrix
+        c = cross_covariance(rng.standard_normal((4, 7)), rng.standard_normal((4, 7)))
         with pytest.raises(ValueError, match=message):  # numpy warnings are errors here
             solve_optimal_gso(c, num_taps=2, mu=mu)
 
@@ -325,4 +323,4 @@ class TestSolveOptimalGso:
     @pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive_or_non_finite_mu(self, solver, mu):
         with pytest.raises(ValueError, match=f"^mu must be positive and finite, got {mu}$"):
-            solver(np.eye(3), num_taps=2, mu=mu)
+            solver(ShiftOperator(np.eye(3)), num_taps=2, mu=mu)

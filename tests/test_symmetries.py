@@ -5,10 +5,12 @@ Y -> P Y) and reordering the M samples permutes every stacked kernel by
 one index map, Θ(PSP', PX) = (I_M ⊗ P) Θ(S, X) (I_M ⊗ P)' with the sample
 blocks reordered too, and leaves the alignment report and full-batch
 training curves unchanged: the filters' taps are shared across nodes, and
-a full batch sums over samples.  The GNN's expectation matrices depend on
+a full batch sums over samples.  The same relabelling of the data carries
+the alignment-optimal shift S* to P S* P'.  The GNN's expectation matrices depend on
 the tap stack Z only through the Gram matrix of its rows, so rotating Z's
 K columns by an orthogonal Q leaves them unchanged.  None of these needs a
-slow reference path, so they hold at sizes no oracle reaches.
+slow reference path, so they hold at sizes no oracle reaches.  And the
+filter kernel is quadratic in the inputs: Θ(S, cX) = c^2 Θ(S, X).
 """
 
 import dataclasses
@@ -28,7 +30,8 @@ from ntkalign.ntk import (
     gnn_infinite_ntk,
     z_vectors,
 )
-from ntkalign.training import TrainConfig, train
+from ntkalign.shiftops import covariance, cross_covariance, solve_optimal_gso
+from ntkalign.training import TrainConfig, compare_gso, train
 
 # One tolerance for every identity, relative to the largest magnitude compared.
 RTOL = 1e-13
@@ -71,6 +74,37 @@ def test_every_kernel_route_is_relabelled_with_the_instance(seed):
                     empirical_ntk(s2, params, data2).matrix, idx)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("layer", ["second", "first"])
+def test_each_gnn_layer_is_relabelled_with_the_instance(seed, layer):
+    s, data, num_taps = random_instance(seed)
+    s2, data2, idx = relabel(np.random.default_rng(seed), s, data)
+    assert_permuted(gnn_infinite_ntk(s, data, num_taps, layer=layer).matrix,
+                    gnn_infinite_ntk(s2, data2, num_taps, layer=layer).matrix, idx)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_filter_kernel_is_quadratic_in_the_inputs(seed):
+    s, data, num_taps = random_instance(seed)
+    scale = 2.7
+    assert_close(filter_ntk(s, scale * data.x, num_taps).matrix,
+                 scale**2 * filter_ntk(s, data.x, num_taps).matrix)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+@pytest.mark.parametrize("num_taps", [2, 3])
+def test_optimal_shift_is_relabelled_with_the_data(seed, num_taps):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((6, 30))
+    data = Dataset(x, x + 0.1 * rng.standard_normal(x.shape))
+    c = cross_covariance(data.x, data.y)
+    mu = 2.0 / np.linalg.eigvalsh(c.matrix)[0]  # C is positive definite: every root is real
+    s_star = solve_optimal_gso(c, num_taps, mu).operator
+    s2, data2, _ = relabel(rng, s_star, data)  # P S* P' and the relabelled data
+    relabelled = solve_optimal_gso(cross_covariance(data2.x, data2.y), num_taps, mu).operator
+    assert_close(relabelled.matrix, s2.matrix)
+
+
 def test_power_sum_is_relabelled_with_the_instance_at_nm_2000():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((20, 20))
@@ -111,17 +145,45 @@ def test_expectation_series_depends_on_the_tap_gram_only(seed, layer):
     assert_close(expectation_series(rotated, layer).matrix, expectation_series(z, layer).matrix)
 
 
-@pytest.mark.parametrize("seed", SEEDS[:3])
-@pytest.mark.parametrize("model", ["filter", "gnn2"])
-def test_full_batch_training_curves_are_invariant(seed, model):
+def assert_training_invariant(seed, model, optimizer):
     s, data, num_taps = random_instance(seed)
     s2, data2, _ = relabel(np.random.default_rng(seed), s, data)
     init = InitConfig(1.0, seed)
     params = init_filter(num_taps, init) if model == "filter" else init_gnn2(8, num_taps, init)
-    cfg = TrainConfig(eta=0.05, epochs=20)
+    cfg = TrainConfig(eta=0.05, epochs=20, optimizer=optimizer)
     trace, relabelled = train(params, s, data, cfg), train(params, s2, data2, cfg)
     for field in ("train_losses", "param_movement"):
         assert_close(getattr(relabelled, field), getattr(trace, field))
     for got, want in zip(dataclasses.astuple(relabelled.final_params),
                          dataclasses.astuple(trace.final_params)):
         assert_close(got, want)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+@pytest.mark.parametrize("model", ["filter", "gnn2"])
+def test_full_batch_training_curves_are_invariant(seed, model):
+    assert_training_invariant(seed, model, "gd")
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+@pytest.mark.parametrize("model", ["filter", "gnn2"])
+def test_adam_training_curves_are_invariant(seed, model):
+    assert_training_invariant(seed, model, "adam")
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+@pytest.mark.parametrize("model", ["filter", "gnn2"])
+def test_compare_arms_are_invariant(seed, model):
+    # each arm's operator is built from the relabelled data, as compare builds it
+    s, data, num_taps = random_instance(seed)
+    _, data2, _ = relabel(np.random.default_rng(seed), s, data)
+    cfg = TrainConfig(eta=0.05, epochs=10, optimizer="adam", seed=seed)
+    results = [
+        compare_gso(d, num_taps, cfg, [("cxy", cross_covariance(d.x, d.y)),
+                                       ("cxy_raw", cross_covariance(d.x, d.y, symmetrize=False)),
+                                       ("cxx", covariance(d.x))],
+                    model=model, width=6, reps=2)
+        for d in (data, data2)
+    ]
+    for name in results[0].names:
+        assert_close(results[1].train_curves[name], results[0].train_curves[name])
