@@ -179,13 +179,18 @@ def _load_shift(path, flag: str, what: str) -> ShiftOperator:
     try:
         return ShiftOperator(_load_matrix(path, what))
     except ValueError as exc:
-        raise CliError(f"{flag}: {exc}; symmetrize the matrix first") from None
+        hint = "; symmetrize the matrix first" if "not symmetric" in str(exc) else ""
+        raise CliError(f"{flag}: {exc}{hint}") from None
 
 
 def _shift_from(cfg: dict, data: Dataset) -> ShiftOperator:
-    if cfg.get("gso_file"):
-        return _load_shift(cfg["gso_file"], "--gso-file", "shift operator")
-    return GSO_ARMS[cfg["gso"]](data)
+    if not cfg.get("gso_file"):
+        return GSO_ARMS[cfg["gso"]](data)
+    s = _load_shift(cfg["gso_file"], "--gso-file", "shift operator")
+    if s.num_nodes != data.num_nodes:
+        raise CliError(f"--gso-file: shift operator is {s.num_nodes} x {s.num_nodes}, "
+                       f"but the data have {data.num_nodes} nodes")
+    return s
 
 
 def _dumps(payload: dict) -> str:
@@ -331,21 +336,20 @@ def _cmd_align(cfg: dict) -> int:
 
 
 def _cmd_optimize_gso(cfg: dict) -> int:
-    num_samples = None
+    # argparse keeps --mu and --alpha apart; the budget needs both halves and M
+    budget = cfg["alpha"] is not None
+    if budget != (cfg["eta"] is not None):
+        raise CliError("--alpha and --eta set the budget together: pass both or neither")
+    if budget and cfg["c"] is not None:
+        raise CliError("budget mode needs --x/--y for the sample count; use --mu with --c")
+    mu, normalize = cfg["mu"], cfg["normalize"]
     if cfg["c"] is not None:
         c = _load_shift(cfg["c"], "--c", "cross-covariance")
     else:
         data = _load_dataset(cfg)
         c = cross_covariance(data.x, data.y)
-        num_samples = data.num_samples
-
-    mu, normalize = cfg["mu"], cfg["normalize"]
-    if mu is None and cfg["alpha"] is not None:
-        if cfg["eta"] is None:
-            raise CliError("--alpha needs --eta to determine the budget")
-        if num_samples is None:
-            raise CliError("budget mode needs --x/--y for the sample count; use --mu with --c")
-        mu = mu_from_budget(cfg["alpha"], cfg["eta"], num_samples)
+        if budget:
+            mu = mu_from_budget(cfg["alpha"], cfg["eta"], data.num_samples)
     if normalize is None:  # only the direction is asked for when no scale is given
         normalize = mu is None
     try:
@@ -672,8 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--c", help="cross-covariance CSV (overrides --x/--y)")
     p.add_argument("--k", type=_solver_taps, default=2, help="filter taps (>= 2)")
-    p.add_argument("--mu", type=_positive, help="explicit multiplier")
-    p.add_argument("--alpha", type=_positive, help="budget numerator for mu")
+    scale = p.add_mutually_exclusive_group()
+    scale.add_argument("--mu", type=_positive, help="explicit multiplier")
+    scale.add_argument("--alpha", type=_positive, help="budget numerator for mu (with --eta)")
     p.add_argument("--eta", type=_positive, help="learning rate for mu")
     p.add_argument(
         "--normalize",

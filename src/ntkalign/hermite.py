@@ -16,11 +16,13 @@ Quadrature rules are built by Golub-Welsch on the Jacobi matrix rather than
 overflows near 512 nodes.  ``hermite_values`` evaluates f(y u) on one
 rule's nodes, with E[f(y u)^2] on the same rule, and
 ``hermite_coefficients``, the one projection, projects those values with
-the Jacobi eigenvectors themselves (see ``hermite_projection``).  Forming
-w_i p_j(x_i) from separately computed weights and polynomial values
-instead multiplies tiny, inaccurate extreme-node weights into huge
-polynomial values, and the 512-point rule's Gram residual reaches 9e7 at
-degree 20 that way.
+the Jacobi eigenvectors themselves: w_i p_j(x_i) = V[0, i] V[j, i] for the
+sign-fixed eigenvectors V, each factor bounded by 1, formed for the
+degrees asked for only.  V is the one n x n array cached per rule (2, 8
+and 32 MiB at 512, 1024 and 2048 points).  Forming w_i p_j(x_i) from
+separately computed weights and polynomial values instead multiplies
+tiny, inaccurate extreme-node weights into huge polynomial values, and
+the 512-point rule's Gram residual reaches 9e7 at degree 20 that way.
 
 Rule policy: ``coefficient_table`` and the constants built on it use the
 MAX_POINTS-point rule.  Truncated series (the kernels E and E1 in ``ntk``
@@ -111,23 +113,6 @@ def gauss_hermite_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=16)
-def hermite_projection(n_points: int = MAX_POINTS) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and the projection P with c_j = sum_i P[j, i] f(x_i) ~ E[f p_j].
-
-    P[j, i] = V[0, i] V[j, i] = w_i p_j(x_i) from the sign-fixed Jacobi
-    eigenvectors V, so every factor is bounded by 1 and a coefficient of a
-    bounded f carries absolute error of order machine epsilon at any degree
-    up to n_points - 1.  Row 0 is the weights w_i = V[0, i]^2.  The rows of
-    V are orthonormal, so sum_j c_j^2 = sum_i w_i f(x_i)^2 exactly for the
-    rule: tails taken against that total are discrete Bessel gaps.
-    """
-    nodes, vecs = _jacobi_eigensystem(n_points)
-    proj = vecs * vecs[0]
-    proj.setflags(write=False)
-    return nodes, proj
-
-
-@lru_cache(maxsize=16)
 def bessel_excess(n_points: int) -> float:
     """Gershgorin excess of the n-point rule's projection rows 0..n/2.
 
@@ -147,11 +132,11 @@ def bessel_excess(n_points: int) -> float:
 def series_tails(coeffs: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """totals minus the running sum of squared coefficients along the last axis.
 
-    Both must come from one rule (``hermite_projection``), which makes each
-    tail a nonnegative Bessel gap up to round-off.  A tail below
-    -TAIL_ROUNDOFF times the largest total means the coefficients are not a
-    projection of the totals' function; it raises TruncationError rather
-    than being clamped to zero.
+    Both must come from one rule (``hermite_values`` and
+    ``hermite_coefficients``), which makes each tail a nonnegative Bessel
+    gap up to round-off.  A tail below -TAIL_ROUNDOFF times the largest
+    total means the coefficients are not a projection of the totals'
+    function; it raises TruncationError rather than being clamped to zero.
     """
     totals = np.asarray(totals, dtype=float)
     tails = totals[..., None] - np.cumsum(coeffs * coeffs, axis=-1)
@@ -201,26 +186,29 @@ def hermite_values(fn, y, n_points: int = MAX_POINTS):
     Returns the values, shape ``y.shape + (n_points,)``, for
     ``hermite_coefficients``, and the totals, shape ``y.shape``.
     """
-    nodes, proj = hermite_projection(n_points)
+    nodes, vecs = _jacobi_eigensystem(n_points)
     grid = np.multiply.outer(y, nodes)
     vals = fn(grid)
     # the squares go into the argument grid's buffer unless fn's values live there
     squares = np.multiply(vals, vals, out=None if np.shares_memory(vals, grid) else grid)
-    return vals, squares @ proj[0]
+    return vals, squares @ (vecs[0] * vecs[0])
 
 
 def hermite_coefficients(values: np.ndarray, degrees: slice) -> np.ndarray:
     """Coefficients E[fn(y u) p_j(u)] for j in ``degrees``, from ``hermite_values``.
 
-    The values are projected with ``hermite_projection`` of the rule they
-    were taken on, so the coefficients and the totals of the same call to
-    ``hermite_values`` come from one rule and ``series_tails`` of the pair
-    is a discrete Bessel gap.  Shape ``y.shape + (number of degrees,)``.
+    Coefficient j is sum_i V[0, i] V[j, i] fn(y x_i), that is
+    sum_i w_i p_j(x_i) fn(y x_i), with V the sign-fixed Jacobi eigenvectors
+    of the rule the values were taken on.  Row 0 of that projection gives ``hermite_values``' totals,
+    and the rows of V are orthonormal, so ``series_tails`` of the
+    coefficients and the totals of one rule is a discrete Bessel gap.
+    Shape ``y.shape + (number of degrees,)``.
     """
     n_points = values.shape[-1]
     if not 0 < degrees.stop <= n_points:
         raise ValueError(f"degrees must lie in [0, {n_points})")
-    return values @ hermite_projection(n_points)[1][degrees].T
+    vecs = _jacobi_eigensystem(n_points)[1]
+    return values @ (vecs[degrees] * vecs[0]).T
 
 
 def hermite_series(fn, y, parity, target=None, row_weight=None):

@@ -99,6 +99,29 @@ class TestUsageErrors:
         assert run("ntk", "--out-dir", tmp_path) == 2
         assert "--x" in capsys.readouterr().err
 
+    def test_non_finite_gso_file_names_the_fault(self, tiny_data, tmp_path, capsys):
+        # the symmetrize hint belongs to the asymmetry error alone
+        _, _, x_path, y_path = tiny_data
+        bad = tmp_path / "nan.csv"
+        bad.write_text("1,nan\nnan,1\n")
+        out = tmp_path / "out"
+        assert run("ntk", "--x", x_path, "--y", y_path, "--gso-file", bad,
+                   "--out-dir", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --gso-file: array contains non-finite entries"]
+        assert not out.exists()
+
+    def test_gso_file_of_another_size_names_both_sizes(self, tiny_data, tmp_path, capsys):
+        _, _, x_path, y_path = tiny_data
+        big = tmp_path / "big.csv"
+        save_csv(np.eye(20), big)
+        out = tmp_path / "out"
+        assert run("align", "--x", x_path, "--y", y_path, "--gso-file", big,
+                   "--out-dir", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --gso-file: shift operator is 20 x 20, but the data have 5 nodes"]
+        assert not out.exists()
+
     def test_asymmetric_gso_file_rejected(self, tiny_data, tmp_path, capsys):
         _, _, x_path, y_path = tiny_data
         bad = tmp_path / "asym.csv"
@@ -908,11 +931,33 @@ class TestOptimizeGso:
                    "--out-dir", out) == 0
         assert math.isclose(np.linalg.norm(load_csv(out / "gso.csv")), 1.0, rel_tol=1e-12)
 
-    def test_budget_mode_requires_eta(self, tiny_data, tmp_path, capsys):
-        _, _, x_path, y_path = tiny_data
-        assert run("optimize-gso", "--x", x_path, "--y", y_path, "--alpha", 1.0,
-                   "--out-dir", tmp_path) == 2
-        assert "--eta" in capsys.readouterr().err
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("flags, message", [
+        ({"mu": 0.5, "alpha": 1, "eta": 0.1},
+         "ntkalign optimize-gso: error: argument --alpha: not allowed with argument --mu"),
+        ({"mu": 0.5, "eta": 0.1},
+         "error: --alpha and --eta set the budget together: pass both or neither"),
+        ({"alpha": 1},
+         "error: --alpha and --eta set the budget together: pass both or neither"),
+        ({"c": "c.csv", "alpha": 1, "eta": 0.1},
+         "error: budget mode needs --x/--y for the sample count; use --mu with --c"),
+    ], ids=["mu-and-alpha", "eta-without-alpha", "alpha-without-eta", "budget-with-c"])
+    def test_budget_flags_are_refused_before_any_data_is_read(
+        self, tmp_path, capsys, source, flags, message
+    ):
+        # the inputs do not exist, so a refusal after reading would name them instead
+        missing = tmp_path / "missing.csv"
+        settings = {"x": missing, "y": missing, **flags}
+        if source == "flags":
+            argv = [a for key, value in settings.items() for a in (f"--{key}", value)]
+        else:
+            cfg = tmp_path / "gso.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+            argv = ["--config", cfg]
+        out = tmp_path / "out"
+        assert run("optimize-gso", *argv, "--out-dir", out) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
+        assert not out.exists()
 
     def test_explicit_matrix_input(self, tmp_path):
         c = np.array([[2.0, 0.3], [0.3, 1.5]])
@@ -931,6 +976,15 @@ class TestOptimizeGso:
         assert capsys.readouterr().err.splitlines() == [
             "error: --c: shift operator not symmetric: max |S - S^T| = 3.000e-01; "
             "symmetrize the matrix first"]
+        assert not out.exists()
+
+    def test_non_square_matrix_input_names_the_fault(self, tmp_path, capsys):
+        c_path = tmp_path / "c.csv"
+        save_csv(np.ones((20, 100)), c_path)
+        out = tmp_path / "out"
+        assert run("optimize-gso", "--c", c_path, "--mu", 1.0, "--out-dir", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --c: shift operator must be square, got (20, 100)"]
         assert not out.exists()
 
     def test_normalize_rescales_the_plain_solution(self, tiny_data, tmp_path):

@@ -37,6 +37,8 @@ BASE = {
     "ntk-mc": [*DATA, "--kind", "gnn-mc", "--width", "3"],
     "align": DATA,
     "optimize-gso": DATA,
+    # alone, --alpha or --eta is refused; with its partner set, the value reaches the solver
+    "optimize-gso-budget": [*DATA, "--alpha", "1", "--eta", "0.1"],
     "train": [*DATA, "--epochs", "2"],
     "train-gnn2": [*DATA, "--model", "gnn2", "--width", "3", "--epochs", "2"],
     "compare": ["--series", "{series}", "--m-train", "4", "--width", "3", "--epochs", "2",
@@ -56,6 +58,7 @@ FLAGS = {
     "ntk-mc": ["k", "width", *SHARED],
     "align": ["k", *SHARED],
     "optimize-gso": ["k", "mu", "alpha", "eta", *SHARED],
+    "optimize-gso-budget": ["alpha", "eta"],
     "train": ["k", "eta", "epochs", "kappa", "batch-size", *SHARED],
     "train-gnn2": ["k", "width", "eta", "epochs", "kappa", "batch-size"],
     "compare": ["dt", "m-train", "m-test", "k", "width", "eta", "epochs", "kappa",
@@ -66,7 +69,7 @@ FLAGS = {
     "width_convergence": ["widths", "seeds", "n", "m", "k", "eta", "steps", "seed"],
 }
 CASES = [(case, flag) for case, flags in FLAGS.items() for flag in flags]
-SUBCOMMAND = {"ntk-mc": "ntk", "train-gnn2": "train",
+SUBCOMMAND = {"ntk-mc": "ntk", "train-gnn2": "train", "optimize-gso-budget": "optimize-gso",
               "compare-draws": "compare"}  # the other cases name their own
 
 

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,19 @@ def adaptive_gaussian_expectation(f):
         epsrel=1e-13,
     )
     return val
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Every cached function in ``hermite`` with an empty cache of its own, for one test.
+
+    The warm caches come back after it, so later tests do not build the
+    large rules again.
+    """
+    for name, value in list(vars(hm).items()):
+        if hasattr(value, "cache_clear"):
+            fresh = functools.lru_cache(**value.cache_parameters())(value.__wrapped__)
+            monkeypatch.setattr(hm, name, fresh)
 
 
 def sign_coefficient(degree):
@@ -86,18 +101,16 @@ class TestProjection:
 
     def test_matches_weighted_polynomials_at_low_degree(self):
         # w_i p_j(x_i) is accurate below degree ten, where the Gram residual is small
-        nodes, proj = hm.hermite_projection(512)
+        nodes, vecs = hm._jacobi_eigensystem(512)
         naive = hm.gauss_hermite_rule(512)[1] * hm.hermite_eval_upto(10, nodes)
-        np.testing.assert_allclose(proj[:11], naive, atol=1e-12)
+        np.testing.assert_allclose(vecs[:11] * vecs[0], naive, atol=1e-12)
 
     def test_high_degree_coefficients_are_bounded_and_complete(self):
-        y = 3.0
-        nodes, proj = hm.hermite_projection(512)
-        t = np.tanh(y * nodes)
-        coeffs = proj @ t
+        values, total = hm.hermite_values(np.tanh, 3.0, 512)
+        coeffs = hm.hermite_coefficients(values, slice(0, 512))
         assert np.abs(coeffs).max() <= 1.0
         # discrete Parseval: all 512 coefficients carry the rule's E[tanh^2]
-        assert coeffs @ coeffs == pytest.approx(proj[0] @ (t * t), abs=1e-13)
+        assert coeffs @ coeffs == pytest.approx(total, abs=1e-13)
 
     def test_tail_below_roundoff_raises(self):
         # coefficients from separately computed weights and polynomial values
@@ -107,8 +120,8 @@ class TestProjection:
         unstable = hm.hermite_eval_upto(41, nodes) @ (weights * t)
         with pytest.raises(hm.TruncationError, match="round-off"):
             hm.series_tails(unstable, weights @ (t * t))
-        _, proj = hm.hermite_projection(512)
-        tails = hm.series_tails(proj[:42] @ t, proj[0] @ (t * t))
+        values, total = hm.hermite_values(np.tanh, 8.0, 512)
+        tails = hm.series_tails(hm.hermite_coefficients(values, slice(0, 42)), total)
         assert tails.min() >= 0.0
         assert np.all(np.diff(tails) <= 1e-15)
 
@@ -178,19 +191,19 @@ class TestHermiteValues:
     def test_values_and_totals_whatever_fn_returns(self, fn, reference):
         # the squares reuse the argument grid's buffer unless fn's values live there
         y = np.array([[0.3, 1.0, 2.5], [0.0, 4.0, 0.7]])
-        nodes, proj = hm.hermite_projection(64)
+        nodes, vecs = hm._jacobi_eigensystem(64)
         want = reference(np.multiply.outer(y, nodes))
         values, totals = hm.hermite_values(fn, y, 64)
         assert values.shape == y.shape + (64,)
         assert values.tobytes() == want.tobytes()
-        assert totals.tobytes() == ((want * want) @ proj[0]).tobytes()
+        assert totals.tobytes() == ((want * want) @ (vecs[0] * vecs[0])).tobytes()
 
     def test_totals_of_the_identity_are_the_second_moments(self):
         # E[(y u)^2] = y^2, exact on the rule for a polynomial of degree 2
         y = np.array([0.0, 0.5, 3.0])
         values, totals = hm.hermite_values(lambda g: g, y, 64)
         np.testing.assert_allclose(totals, y * y, rtol=1e-13, atol=0)
-        assert np.array_equal(values, np.multiply.outer(y, hm.hermite_projection(64)[0]))
+        assert np.array_equal(values, np.multiply.outer(y, hm._jacobi_eigensystem(64)[0]))
 
 
 class TestSigmaHat:
@@ -247,7 +260,8 @@ def full_series(fn, y, parity, target=None, row_weight=None):
     """
     weight = np.ones_like(y) if row_weight is None else row_weight
     for n_points in hm.SERIES_RULES:
-        nodes, proj = hm.hermite_projection(n_points)
+        nodes, vecs = hm._jacobi_eigensystem(n_points)
+        proj = vecs * vecs[0]  # P[j, i] = w_i p_j(x_i), every degree of the rule
         vals = fn(np.multiply.outer(y, nodes))
         coeffs = vals @ proj[parity : n_points // 2 + 1 : 2].T
         totals = (vals * vals) @ proj[0]
@@ -341,24 +355,35 @@ class TestBesselExcess:
     def test_bounds_the_energy_up_to_half_the_rule(self, n_points):
         # sum_{d <= n/2} c_d^2 <= (1 + gamma) total for any values on the rule
         values = np.random.default_rng(n_points).standard_normal((50, n_points))
-        proj = hm.hermite_projection(n_points)[1]
-        coeffs = values @ proj[: n_points // 2 + 1].T
-        totals = (values * values) @ proj[0]
+        coeffs = hm.hermite_coefficients(values, slice(0, n_points // 2 + 1))
+        totals = (values * values) @ hm.gauss_hermite_rule(n_points)[1]
         bound = (1.0 + hm.bessel_excess(n_points)) * totals
         assert np.all(np.sum(coeffs * coeffs, axis=1) <= bound)
 
-    def test_computed_once_per_rule(self, monkeypatch):
-        hm.hermite_projection(512)
-        hm.bessel_excess.cache_clear()
-        calls = []
-        eigensystem = hm._jacobi_eigensystem
-        monkeypatch.setattr(hm, "_jacobi_eigensystem", lambda n: calls.append(n) or eigensystem(n))
+    def test_computed_once_per_rule(self, fresh_caches):
         for _ in range(3):
             hm.hermite_series(np.tanh, _NORMS, 1)
-        assert calls == [512]
+        info = hm._jacobi_eigensystem.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_one_array_is_cached_per_rule(self, fresh_caches):
+        # the eigenvectors V, which every projection row and total is formed from
+        n_points = 1024
+        tracemalloc.start()
+        try:
+            values, totals = hm.hermite_values(np.tanh, _NORMS, n_points)
+            hm.hermite_coefficients(values, slice(1, n_points // 2 + 1, 2))
+            hm.bessel_excess(n_points)
+            hm.gauss_hermite_rule(n_points)
+            del values, totals
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        array = 8 * n_points**2
+        assert array <= held < array + 64 * n_points
 
     @pytest.fixture
-    def corrupted_rule(self, monkeypatch):
+    def corrupted_rule(self, fresh_caches, monkeypatch):
         """The 512-point rule with one unprojected row 1e-9 too long."""
         eigensystem = hm._jacobi_eigensystem
 
@@ -369,14 +394,7 @@ class TestBesselExcess:
                 vecs[200] *= 1.0 + 1e-9
             return nodes, vecs
 
-        caches = (hm.gauss_hermite_rule, hm.hermite_projection, hm.bessel_excess)
-        for cache in caches:
-            cache.cache_clear()
         monkeypatch.setattr(hm, "_jacobi_eigensystem", corrupted)
-        yield
-        monkeypatch.undo()
-        for cache in caches:
-            cache.cache_clear()
 
     def test_a_non_orthonormal_rule_raises(self, corrupted_rule):
         assert hm.bessel_excess(512) > hm.TAIL_ROUNDOFF

@@ -14,6 +14,8 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
+
 import ntkalign
 from ntkalign import cli
 from ntkalign.alignment import SWEEP_CHECKS
@@ -37,7 +39,6 @@ ALLOWLIST = {
     "training.slack_from_kappa": _CRITERION_8,
     "training.linearized_dynamics": "ROADMAP item 6's linearized-dynamics arm, not yet wired in",
     "alignment.SweepResult.passed": _TESTS_ONLY,
-    "core.Dataset.num_nodes": _TESTS_ONLY + " and criterion 8's check_training_sandwich",
 }
 
 
@@ -72,6 +73,12 @@ def _clear_caches():
                     value.cache_clear()
 
 
+def _write_cxy(data, path):
+    """The data's C_XY = (X Y' + Y X') / 2 as a shift-operator CSV, by numpy alone."""
+    x, y = (np.loadtxt(data / f"{name}_train.csv", delimiter=",") for name in "xy")
+    np.savetxt(path, (x @ y.T + y @ x.T) / 2, delimiter=",")
+
+
 def _entry_point_runs(tmp_path):
     """Each subcommand and script once, on data gen-data writes first."""
     data = tmp_path / "data"
@@ -81,6 +88,7 @@ def _entry_point_runs(tmp_path):
     config.write_text(f"x = {data / 'x_train.csv'}\ny = {data / 'y_train.csv'}\nk = 2\n")
     c_path = tmp_path / "c.csv"
     c_path.write_text("2.0,0.3\n0.3,1.5\n")
+    cxy_path = tmp_path / "cxy.csv"  # written once gen-data has run
     fast = ["--epochs", "3", "--width", "4"]
     commands = [
         ["gen-data", "--n", "5", "--len", "120", "--dt", "1", "--m-train", "6",
@@ -89,6 +97,8 @@ def _entry_point_runs(tmp_path):
         ["align", *xy, "--k", "2"],
         ["align", *xy, "--k", "3", "--gso", "cxx"],
         ["align", "--config", config],
+        ["ntk", *xy, "--kind", "gnn", "--gso-file", cxy_path],
+        ["align", *xy, "--gso-file", cxy_path],
         ["optimize-gso", *xy],
         ["optimize-gso", *xy, "--k", "4", "--mu", "0.5", "--normalize"],
         ["optimize-gso", *xy, "--alpha", "1", "--eta", "0.1"],
@@ -115,6 +125,8 @@ def _entry_point_runs(tmp_path):
         out = [] if argv[0] == "gen-data" else ["--out-dir", tmp_path / f"run{i}"]
         yield (argv[0], 0 if argv in commands else 2,
                lambda argv=argv, out=out: cli.main([str(a) for a in argv + out]))
+        if argv[0] == "gen-data":
+            _write_cxy(data, cxy_path)
     spec = importlib.util.spec_from_file_location("width_convergence",
                                                   SCRIPTS / "width_convergence.py")
     script = importlib.util.module_from_spec(spec)

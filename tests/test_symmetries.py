@@ -14,12 +14,15 @@ filter kernel is quadratic in the inputs: Θ(S, cX) = c^2 Θ(S, X).
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from ntkalign.alignment import alignment_report, random_instance
+from ntkalign.cli import main
 from ntkalign.core import Dataset, ShiftOperator
+from ntkalign.dataio import load_csv, save_csv
 from ntkalign.models import InitConfig, init_filter, init_gnn2
 from ntkalign.ntk import (
     TapStack,
@@ -187,3 +190,43 @@ def test_compare_arms_are_invariant(seed, model):
     ]
     for name in results[0].names:
         assert_close(results[1].train_curves[name], results[0].train_curves[name])
+
+
+def report_numbers(value, path=""):
+    """Every number in a JSON report, by its dotted key path."""
+    if isinstance(value, dict):
+        return {k: v for key, item in value.items()
+                for k, v in report_numbers(item, f"{path}{key}.").items()}
+    if isinstance(value, list):
+        return {k: v for i, item in enumerate(value)
+                for k, v in report_numbers(item, f"{path}{i}.").items()}
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return {path[:-1]: value} if is_number else {}
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+def test_cli_runs_on_a_relabelled_csv_pair(seed, tmp_path):
+    # ntk and align build their shift, C_XY, from the CSVs themselves
+    s, data, num_taps = random_instance(seed)
+    _, data2, idx = relabel(np.random.default_rng(seed), s, data)
+    for name, d in (("original", data), ("relabelled", data2)):
+        save_csv(d.x, tmp_path / f"{name}_x.csv")
+        save_csv(d.y, tmp_path / f"{name}_y.csv")
+        xy = ["--x", f"{tmp_path}/{name}_x.csv", "--y", f"{tmp_path}/{name}_y.csv",
+              "--k", str(num_taps)]
+        for command in (["ntk", "--kind", "gnn"], ["align"]):
+            assert main([*command, *xy, "--out-dir", str(tmp_path / name / command[0])]) == 0
+    assert_permuted(load_csv(tmp_path / "original" / "ntk" / "ntk.csv"),
+                    load_csv(tmp_path / "relabelled" / "ntk" / "ntk.csv"), idx)
+    for command in ("ntk", "align"):
+        want, got = (report_numbers(json.loads((tmp_path / name / command / "report.json")
+                                               .read_text()))
+                     for name in ("original", "relabelled"))
+        assert got.keys() == want.keys()
+        for key in want:
+            if key.endswith("truncation_residual"):
+                # a tail: totals of at most K (tanh^2 <= 1, sech^4 |z|^2 <= K) less the
+                # coefficients' energy, so its round-off is on the totals' scale
+                assert abs(got[key] - want[key]) <= RTOL * num_taps
+            else:
+                assert_close(got[key], want[key])
