@@ -33,9 +33,10 @@ def require_positive_finite(name: str, value: float) -> None:
 
 def _frozen_array(a, ndim: int) -> np.ndarray:
     """A checked read-only float64 array: ``a`` itself when it already is one
-    that owns its data, else a copy, so a caller's array is never frozen."""
-    kept = (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
-            and not a.flags.writeable)
+    whose data no array can write, else a copy, so a caller's array is never frozen."""
+    owner = a.base if type(a) is np.ndarray and a.base is not None else a
+    kept = (type(a) is type(owner) is np.ndarray and a.dtype == np.float64 and owner.flags.owndata
+            and not (a.flags.writeable or owner.flags.writeable))
     return _frozen(a if kept else np.array(a, dtype=float), ndim)
 
 
@@ -100,7 +101,7 @@ def as_stacked(v) -> np.ndarray:
     return stack(v) if v.ndim == 2 else v
 
 
-def matrix_powers_applied(matrix: np.ndarray, signals: np.ndarray, num_taps: int) -> np.ndarray:
+def krylov_sequence(matrix: np.ndarray, signals: np.ndarray, num_taps: int) -> np.ndarray:
     """Return [signals, A signals, ..., A^{K-1} signals] stacked on axis 0."""
     if num_taps < 1:
         raise ValueError("num_taps must be >= 1")
@@ -120,7 +121,7 @@ class _MatrixShift:
 
     def powers_applied(self, signals: np.ndarray, num_taps: int) -> np.ndarray:
         """Return [signals, S signals, ..., S^{K-1} signals] stacked on axis 0."""
-        return matrix_powers_applied(self.matrix, signals, num_taps)
+        return krylov_sequence(self.matrix, signals, num_taps)
 
     def normalized(self):
         """The same kind of operator rescaled to unit Frobenius norm."""

@@ -404,6 +404,7 @@ class GridCheckResult:
     grid: np.ndarray
     violations: tuple[tuple[int, float], ...]
     worst_margin: float
+    rule_change: float
 
     @property
     def passed(self) -> bool:
@@ -419,16 +420,20 @@ def _grid_check(kind: str, degrees, margin, fails) -> GridCheckResult:
     """margin(coeffs, base coeffs) of each degree on the checks' grid; ``fails`` flags violations.
 
     The grid is 40 points geometric on [0.1, 10], read as squared norms by
-    the even kind.
+    the even kind.  ``rule_change`` is the largest change of the MAX_POINTS
+    table, which gives the margins, on the rule of twice the size.
     """
     if kind not in _GRID_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     grid = np.geomspace(0.1, 10.0, 40)
     fn, base, _ = LAYERS[_GRID_KINDS[kind]]
-    table = coefficient_table(fn, grid if base else np.sqrt(grid), max(degrees))
+    y = grid if base else np.sqrt(grid)
+    table = coefficient_table(fn, y, max(degrees))
+    finer = hermite_coefficients(hermite_values(fn, y, 2 * MAX_POINTS)[0], slice(0, table.shape[1]))
     margins = [(deg, margin(table[:, deg], table[:, base])) for deg in degrees]
     violations = tuple((deg, m) for deg, m in margins if fails(m))
-    return GridCheckResult(kind, tuple(degrees), grid, violations, min(m for _, m in margins))
+    return GridCheckResult(kind, tuple(degrees), grid, violations, min(m for _, m in margins),
+                           float(np.abs(finer - table).max()))
 
 
 def _sign_margin(vals: np.ndarray, _base: np.ndarray) -> float:
@@ -592,6 +597,7 @@ def self_check() -> dict:
         report[name] = {
             "violating_degrees": [d for d, _ in check.violations],
             "worst_margin": check.worst_margin,
+            "rule_change": check.rule_change,
             "passed": check.passed,
         }
 

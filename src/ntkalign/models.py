@@ -11,7 +11,8 @@ are built on; its derivative is taken from its value, sigma' = 1 - t^2.
 
 Signals are (n, M) matrices of sample columns.  Forward passes return that
 shape; Jacobians return the sample-major stacked (n*M, P), matching the
-stacking convention in core.
+stacking convention in core.  The tap stack ``tap_powers`` and the fused
+GNN pass hold samples as rows instead, (K, M, n) and (M, n).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ShiftOperator, _frozen_array, matrix_powers_applied, require_positive_finite
+from .core import ShiftOperator, _frozen_array, krylov_sequence, require_positive_finite
 from .dataio import format_rows
 
 PARAMS_SCHEMA_VERSION = 1
@@ -112,53 +113,58 @@ def filter_forward(s: ShiftOperator, params: FilterParams, x: np.ndarray) -> np.
     return out
 
 
-def filter_jacobian(s: ShiftOperator, x: np.ndarray, num_taps: int) -> np.ndarray:
-    """Columns S^k x for k < K, rows stacked sample-major."""
+def tap_powers(s: ShiftOperator, x: np.ndarray, num_taps: int) -> np.ndarray:
+    """The sample-major tap stack X[k, m, a] = (S^k x_m)_a, (K, M, n), read-only:
+    the one array of a ``ntk.TapStack``, which Z (``filter_jacobian``) views."""
     x = _check_signal(s, x)
-    powers = s.powers_applied(x, num_taps)
-    # (K, n, M) -> (M, n, K) -> (n*M, K), sample-major rows
-    return powers.transpose(2, 1, 0).reshape(-1, num_taps)
+    out = np.ascontiguousarray(s.powers_applied(x, num_taps).transpose(0, 2, 1))
+    out.setflags(write=False)
+    return out
 
 
-def gnn2_forward_pullback(s: ShiftOperator, g: np.ndarray, h: np.ndarray, x_powers: np.ndarray):
-    """The GNN's output on the tap stack X = [S^k x]_k, and its pullback r -> J' r.
+def filter_jacobian(s: ShiftOperator, x: np.ndarray, num_taps: int) -> np.ndarray:
+    """Columns S^k x for k < K, rows stacked sample-major: Z = X.reshape(K, nM)',
+    a read-only Fortran-ordered view of X = ``tap_powers(s, x, K)``."""
+    return tap_powers(s, x, num_taps).reshape(num_taps, -1).T
+
+
+def gnn2_forward_pullback(s: ShiftOperator, g: np.ndarray, h: np.ndarray, powers: np.ndarray):
+    """The GNN's output on the tap stack X = ``tap_powers(s, x, K)``, and its pullback r -> J' r.
 
     ``g`` and ``h`` are the layers' (F, K) taps, unchecked, so a training
     step passes views of its flat vector (non-finite taps give a non-finite
-    output); the pullback reads ``h`` when it runs.  ``x_powers`` is
-    ``s.powers_applied(x, K)``, (K, n, M); a training run builds it once.
-    Adjoint (Horner) form: with u1 = g X, the output is sum_k S^k v_k / sqrt(F)
-    with v_k = sum_f h_{f,k} sigma(u1_f), summed by Horner's rule; no
-    feature is ever shifted.  The pullback takes a residual r of the
-    output's shape and returns the flat gradient in flatten_params order,
-    ``gnn2_jacobian(s, TwoLayerGnnParams(g, h), x).T @ r`` (stacked)
-    without forming J:
+    output); the pullback reads ``h`` when it runs.  X is (K, M, n), and the
+    output and the residual r are (M, n), one sample per row (gnn2_forward's
+    transpose).  Adjoint (Horner) form: with u1 = g X, the output is
+    sum_k v_k (S')^k / sqrt(F) with v_k = sum_f h_{f,k} sigma(u1_f), summed
+    on (n, M) views; no feature is ever shifted.  The pullback returns
+    ``gnn2_jacobian(s, TwoLayerGnnParams(g, h), x).T @ stack(r.T)``, in
+    flatten_params order, without forming J:
 
-        grad_h[f, k] = (1/sqrt(F)) <sigma(u1_f), (S')^k r>
-        grad_g[f, k] = (1/sqrt(F)) sum_j h_{f,j} <sigma'(u1_f), (S')^j r * S^k x>
+        grad_h[f, k] = (1/sqrt(F)) <sigma(u1_f), r S^k>
+        grad_g[f, k] = (1/sqrt(F)) sum_j h_{f,j} <sigma'(u1_f), r S^j * X_k>
 
     The inner products of the last line are one product of sigma'(u1)
-    with the K^2 stacked vectors (S')^j r * S^k x.  sigma' = 1 - t^2 is
-    taken in place from t = tanh(u1), in the pass's one (F, nM) buffer,
-    after grad_h has read it: tanh runs once per pass, and the pullback
-    may run once (a second call raises RuntimeError).  Powers of S' give an
-    asymmetric shift the transpose it needs.
+    with the K^2 stacked arrays r S^j * X_k.  sigma' = 1 - t^2 is taken in
+    place from t = tanh(u1), in the pass's one (F, nM) buffer, after grad_h
+    has read it: tanh runs once per pass, and the pullback may run once (a
+    second call raises RuntimeError).  S may be asymmetric: out S' shifts, r S adjoins.
     """
-    x_powers = np.asarray(x_powers, dtype=float)
+    powers = np.asarray(powers, dtype=float)
     width, num_taps = g.shape
-    if len(x_powers) != num_taps:
-        raise ValueError(f"tap stack of {len(x_powers)} taps for a {num_taps}-tap GNN")
-    _check_signal(s, x_powers[0])  # the first tap is x itself
+    if powers.ndim != 3 or powers.shape[::2] != (num_taps, s.num_nodes):
+        raise ValueError(f"tap stack of shape {powers.shape} for a {num_taps}-tap GNN on "
+                         f"{s.num_nodes} nodes; it must be (K, M, n)")
     scale = math.sqrt(width)
 
-    x_cols = x_powers.reshape(num_taps, -1)  # (K, n*M)
-    q1 = g @ x_cols  # u1, (F, n*M), overwritten by tanh(u1), then by sigma'
+    x_cols = powers.reshape(num_taps, -1)  # (K, M*n)
+    q1 = g @ x_cols  # u1, (F, M*n), overwritten by tanh(u1), then by sigma'
     np.tanh(q1, out=q1)
-    v = (h.T @ q1).reshape(x_powers.shape)  # (K, n, M)
-    out = v[-1]
+    v = (h.T @ q1).reshape(powers.shape)  # (K, M, n)
+    out = v[-1].T  # (n, M) views: S @ out, where out @ S' raised compare's peak RSS
     for k in range(num_taps - 2, -1, -1):
-        out = s.matrix @ out + v[k]
-    out = out / scale
+        out = s.matrix @ out + v[k].T
+    out = (out / scale).T
     spent = False
 
     def pullback(resid: np.ndarray) -> np.ndarray:
@@ -169,7 +175,8 @@ def gnn2_forward_pullback(s: ShiftOperator, g: np.ndarray, h: np.ndarray, x_powe
         if r.shape != out.shape:
             raise ValueError(f"residual shape {r.shape} does not match output {out.shape}")
         spent = True
-        r_powers = matrix_powers_applied(s.matrix.T, r, num_taps).reshape(num_taps, -1)
+        r_powers = krylov_sequence(s.matrix.T, r.T, num_taps)  # (S')^j r', (K, n, M)
+        r_powers = r_powers.transpose(0, 2, 1).reshape(num_taps, -1)  # r S^j, as X's rows
         grad_h = q1 @ r_powers.T
         mixed = (r_powers[:, None, :] * x_cols[None, :, :]).reshape(num_taps * num_taps, -1)
         np.subtract(1.0, np.multiply(q1, q1, out=q1), out=q1)  # sigma' = 1 - tanh^2
@@ -185,8 +192,7 @@ def gnn2_forward(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray) -> 
 
     The final layer is linear; no output nonlinearity is applied.
     """
-    x = _check_signal(s, x)
-    return gnn2_forward_pullback(s, params.g, params.h, s.powers_applied(x, params.num_taps))[0]
+    return gnn2_forward_pullback(s, params.g, params.h, tap_powers(s, x, params.num_taps))[0].T
 
 
 def gnn2_jacobian(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray) -> np.ndarray:
@@ -201,10 +207,10 @@ def gnn2_jacobian(s: ShiftOperator, params: TwoLayerGnnParams, x: np.ndarray) ->
     for gnn2_forward_pullback and the factor of empirical_ntk and ntk_drift.
     """
     x = _check_signal(s, x)
-    x_powers = s.powers_applied(x, params.num_taps)  # (K, n, M)
+    powers = s.powers_applied(x, params.num_taps)  # S^k x, (K, n, M)
     s_powers = s.powers_applied(np.eye(s.num_nodes), params.num_taps)  # S^j, (K, n, n)
-    q1 = np.tanh(np.einsum("fk,knm->fnm", params.g, x_powers))  # sigma(u1), (F, n, M)
-    w = (1.0 - q1 * q1)[:, None] * x_powers  # sigma'(u1_f) * S^k x, (F, K, n, M)
+    q1 = np.tanh(np.einsum("fk,knm->fnm", params.g, powers))  # sigma(u1), (F, n, M)
+    w = (1.0 - q1 * q1)[:, None] * powers  # sigma'(u1_f) * S^k x, (F, K, n, M)
     # each block (M, n, F, K): sample-major rows, (feature, tap) columns
     first = np.einsum("fj,jab,fkbm->mafk", params.h, s_powers, w, optimize=True)
     second = np.einsum("kab,fbm->mafk", s_powers, q1, optimize=True)

@@ -19,8 +19,9 @@ The analytic filter and empirical kernels are returned in factored form
 nothing nM x nM is formed unless ``.matrix`` is read.  The infinite-width
 kernel is dense; intended for nM up to a few thousand.
 Kernels, training and alignment read the tap stack [S~^k x~]_k from one
-``TapStack`` per (S, x, K).  Row ell of its Z is [x~_ell, (S~ x~)_ell, ...],
-so Z Z^T is the linear kernel B_lin; row norms feed the Hermite series.
+``TapStack`` per (S, x, K), one sample-major (K, M, n) array of which Z
+(nM x K) is a view.  Row ell of Z is [x~_ell, (S~ x~)_ell, ...], so
+Z Z^T is the linear kernel B_lin; row norms feed the Hermite series.
 """
 
 from __future__ import annotations
@@ -55,42 +56,35 @@ class CorrelationOvershootError(RuntimeError):
 
 
 def _signals(data) -> np.ndarray:
-    x = data.x if isinstance(data, Dataset) else np.asarray(data, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected (nodes, samples) signals, got shape {x.shape}")
-    return x
+    return data.x if isinstance(data, Dataset) else data
 
 
 @dataclass(frozen=True)
 class TapStack:
-    """The tap stack [S~^k x~]_k of one (S, x, K) in three layouts, built by ``z_vectors``.
+    """The tap stack [S~^k x~]_k of one (S, x, K), built by ``z_vectors``.
 
-    ``matrix`` is Z (nM x K), the filter Jacobian; ``blocks`` views it per
-    sample (M, n, K); ``x_powers`` is X (K, n, M) for the GNN pass, cached.
+    ``powers`` is its one array, read-only: X[k, m, a] = (S^k x_m)_a of
+    ``models.tap_powers``, (K, M, n), which the GNN pass reads as is.
+    ``matrix`` is Z (nM x K), the filter Jacobian, in Fortran order, and
+    ``blocks`` is Z per sample, (M, n, K); both are views of X.
     """
 
-    matrix: np.ndarray
-    num_nodes: int
-    num_samples: int
+    powers: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen_array(self.matrix, 2))
-        if self.matrix.shape[0] != self.num_nodes * self.num_samples:
-            raise ValueError("row count must be num_nodes * num_samples")
+        object.__setattr__(self, "powers", _frozen_array(self.powers, 3))
 
     @property
     def num_taps(self) -> int:
-        return self.matrix.shape[1]
+        return self.powers.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.powers.reshape(self.num_taps, -1).T
 
     @property
     def blocks(self) -> np.ndarray:
-        return self.matrix.reshape(self.num_samples, self.num_nodes, self.num_taps)
-
-    @cached_property
-    def x_powers(self) -> np.ndarray:
-        x = np.ascontiguousarray(self.blocks.transpose(2, 1, 0))  # s.powers_applied's layout
-        x.setflags(write=False)
-        return x
+        return self.powers.transpose(1, 2, 0)
 
     @property
     def norms(self) -> np.ndarray:
@@ -130,9 +124,9 @@ class TapStack:
 
 
 def z_vectors(s: ShiftOperator, data, num_taps: int) -> TapStack:
-    """The tap stack of (s, x, K): Z is ``filter_jacobian``, sample-major."""
-    x = _signals(data)
-    return TapStack(filter_jacobian(s, x, num_taps), num_nodes=x.shape[0], num_samples=x.shape[1])
+    """The tap stack of (s, x, K): X as ``filter_jacobian`` builds it, with no copy."""
+    z = filter_jacobian(s, _signals(data), num_taps)  # a view of X
+    return TapStack(z.T.reshape(num_taps, -1, s.num_nodes))
 
 
 def filter_ntk(s: ShiftOperator, data, num_taps: int) -> NtkMatrix:
@@ -366,7 +360,7 @@ def gnn_infinite_ntk(
     columns = np.zeros((max(c.shape[1] for c, _ in series), z.matrix.shape[0], len(series)))
     for j, (coeffs, _) in enumerate(series):
         columns[: coeffs.shape[1], :, j] = coeffs.T
-    theta, num_samples = _mehler_sum(columns, z.correlations[1]), z.num_samples
+    theta, num_samples = _mehler_sum(columns, z.correlations[1]), z.powers.shape[1]
     del z  # and with it the correlation matrix
     theta = conjugated_power_sum(s, theta, num_taps, num_samples)
     infos = {name: info for name, (_, info) in zip(layers, series)}

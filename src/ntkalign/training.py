@@ -3,20 +3,17 @@
 Training is plain full-batch (or minibatch/Adam) gradient descent on the
 squared loss, tracked per epoch.  The tap stack [S^k x]_k does not depend
 on the parameters, so each split's is built once per run (per arm in
-``compare_gso``).  A graph filter is linear in its taps: the stack is its
-Jacobian Z, whose thin QR is taken once per split, so a full-batch run
-works on K Python floats (R and c = Q'y as lists) and makes no numpy call
-per epoch, where numpy's per-call overhead on K-vectors would be the cost;
-a minibatch step takes its samples' rows of Z.  A two-layer GNN takes the
-stack into one fused forward-and-pullback pass per step, and the test loss
-takes the same pass on the test stack.  GNN and minibatch passes and their
-descent work on the flat parameter vector, a GNN's two layers as views of
-it; a run builds one params object, for its final parameters.  One GD/Adam
-step formula serves a whole numpy vector and each float coordinate.
-Because a filter is linear, its gradient-descent trace is reproduced
+``compare_gso``), in the calling thread, and runs only read it.  A graph
+filter is linear in its taps: the stack is its Jacobian Z, whose thin QR
+is taken once per split, so a full-batch run works on K Python floats (R
+and c = Q'y as lists) and makes no numpy call per epoch; a minibatch step
+takes its samples' rows of Z.  A two-layer GNN takes the stack's
+sample-major X (K, M, n) into one fused forward-and-pullback pass per
+step, on views of the flat parameter vector; the test loss takes the same
+pass on the test stack.  A filter's gradient-descent trace is reproduced
 exactly by the constant-kernel dynamics r_{t+1} = (I - eta Theta~) r_t
-with Theta~ = Z Z', which is what the sandwich check and the
-parameter-movement prediction lean on.
+with Theta~ = Z Z', which the sandwich check and the parameter-movement
+prediction lean on.
 """
 
 from __future__ import annotations
@@ -155,36 +152,38 @@ def _qr_pass(taps: TapStack, y: np.ndarray):
 def _training_pass(s: ShiftOperator, model, taps: TapStack, y: np.ndarray):
     """One split's pass for ``_descent``: (flat, idx) -> (loss, thunk of the flat gradient).
 
-    ``taps`` is the split's tap stack and ``y`` its targets; ``idx`` picks
-    a minibatch of samples (None: all of them).  The loss is (1/2)||f - y||^2
-    over the batch and the thunk gives J' (f - y), in flatten_params order.
+    ``taps`` is the split's tap stack and ``y`` its (n, M) targets; ``idx``
+    picks a minibatch of samples (None: all of them) from the stack and
+    from the targets' sample-major view y' (M, n).  The loss is
+    (1/2)||f - y||^2 over the batch and the thunk gives J' (f - y), in
+    flatten_params order.
 
     A graph filter's taps are ``flat`` itself.  This pass serves its
     minibatch runs: a minibatch takes its samples' rows Z_b of the stack,
     Z_b'(Z_b h - y_b), and an epoch's full-batch loss is ``_qr_pass``'s.  A
-    GNN takes its X (K, n, M) into one fused gnn2_forward_pullback pass on
-    its layers g and h, views of ``flat`` taken per call, with no copy and no
-    check: non-finite taps give a non-finite loss, which the divergence rule
-    reports.  The thunk reads h when it runs; ``_descent`` runs it before it
-    updates ``flat`` in place, so the views still hold that step's taps.
+    GNN takes its samples of X (K, M, n) into one fused
+    gnn2_forward_pullback pass on its layers g and h, views of ``flat``
+    taken per call, with no copy and no check: non-finite taps give a
+    non-finite loss, which the divergence rule reports.  The thunk reads h
+    when it runs; ``_descent`` runs it before it updates ``flat`` in place,
+    so the views still hold that step's taps.
     """
+    targets = np.asarray(y, dtype=float).T
     if isinstance(model, FilterParams):
         full_batch = _qr_pass(taps, y)
-        y = stack(y).reshape(taps.num_samples, -1)  # sample-major, like the blocks
-        z = taps.blocks
 
         def filter_pass(flat, idx=None):
             if idx is None:
                 return full_batch(flat.tolist())  # the loss; minibatches give the steps
-            zb = z[idx].reshape(-1, taps.num_taps)
-            resid = zb @ flat - y[idx].ravel()
+            zb = taps.blocks[idx].reshape(-1, taps.num_taps)
+            resid = zb @ flat - targets[idx].ravel()
             return _half_loss(resid), lambda: zb.T @ resid
 
         return filter_pass
-    x_powers, layers = taps.x_powers, (2, *model.g.shape)
+    powers, layers = taps.powers, (2, *model.g.shape)
 
     def gnn_pass(flat, idx=None):
-        xb, yb = (x_powers, y) if idx is None else (x_powers[:, :, idx], y[:, idx])
+        xb, yb = (powers, targets) if idx is None else (powers[:, idx], targets[idx])
         out, pullback = gnn2_forward_pullback(s, *flat.reshape(layers), xb)
         resid = out - yb
         return _half_loss(resid), lambda: pullback(resid)
@@ -193,19 +192,13 @@ def _training_pass(s: ShiftOperator, model, taps: TapStack, y: np.ndarray):
 
 
 def _tap_stacks(s: ShiftOperator, model, *splits):
-    """The splits' tap stacks (None for None), X included for a GNN.
+    """The splits' tap stacks (None for None), built in the calling thread; runs only read them.
 
-    ``model`` gives type and K; a type that cannot be trained raises
-    TypeError before any stack is built.  A GNN pass reads the cached X, so
-    it is filled here, in the calling thread, before any run reads it.
+    ``model`` gives type and K; a type that cannot be trained raises TypeError first.
     """
     if not isinstance(model, (FilterParams, TwoLayerGnnParams)):
         raise TypeError(f"cannot train parameters of type {type(model).__name__}")
-    stacks = [None if split is None else z_vectors(s, split.x, model.num_taps) for split in splits]
-    if isinstance(model, TwoLayerGnnParams):
-        for taps in filter(None, stacks):
-            taps.x_powers  # noqa: B018
-    return stacks
+    return [None if split is None else z_vectors(s, split.x, model.num_taps) for split in splits]
 
 
 def _run_errstate():
@@ -386,9 +379,8 @@ def ntk_drift(
     drift less.  (A graph filter's NTK is parameter-free, so it cannot
     drift.)  Divergence is ``train``'s rule: DivergenceError when a
     post-step loss, checked through the last step, exceeds 10^6 times the
-    initial loss floored at 1e-12.  (A separate loop here once checked
-    only the pre-step losses of steps 0..num_steps-1, with the floor at
-    1e-300.)  An eta that is not positive and finite raises ValueError.
+    initial loss floored at 1e-12.  An eta that is not positive and finite
+    raises ValueError.
     """
     cfg = TrainConfig(eta, num_steps, seed=seed)
     taps = z_vectors(s, data.x, num_taps)  # one tap stack serves every width

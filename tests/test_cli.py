@@ -1223,7 +1223,7 @@ class TestCompareCommand:
 class TestOneTapStack:
     """Each data split's tap stack [S^k x]_k is built once per (S, split, K).
 
-    The count is of ``core.matrix_powers_applied`` calls on a split's
+    The count is of ``core.krylov_sequence`` calls on a split's
     signals, which every ``powers_applied`` goes through.  The GNN
     pullback's powers of the residual go through ``models``' own binding
     and are not counted; nor are the powers of S alone (on the identity).
@@ -1244,7 +1244,7 @@ class TestOneTapStack:
     def stacks_built(monkeypatch, arrays, *argv):
         """Run the command; count stacks by (split, S, K), each split matched by value."""
         built = {}
-        powers_applied = core.matrix_powers_applied
+        powers_applied = core.krylov_sequence
 
         def counted(matrix, signals, num_taps):
             for name, a in arrays.items():
@@ -1253,7 +1253,7 @@ class TestOneTapStack:
                     built[key] = built.get(key, 0) + 1
             return powers_applied(matrix, signals, num_taps)
 
-        monkeypatch.setattr(core, "matrix_powers_applied", counted)
+        monkeypatch.setattr(core, "krylov_sequence", counted)
         assert run(*argv) == 0
         monkeypatch.undo()
         return sorted((name, count) for (name, _, _), count in built.items())

@@ -152,8 +152,9 @@ class TestNtkMatrix:
         assert np.abs(ntk.eigenvalues - ntk.eigenpairs[0]).max() <= 1e-13 * scale
 
     def test_keeps_a_frozen_array_and_copies_a_writable_one(self):
-        # a read-only float64 array that owns its data cannot change under the
-        # kernel, so it is kept; any other is copied and left as it was
+        # a read-only float64 array that owns its data, or views a read-only
+        # one that does, cannot change under the kernel, so it is kept; any
+        # other is copied and left as it was
         rng = np.random.default_rng(4)
         f = rng.standard_normal((6, 3))
         frozen = f @ f.T
@@ -166,6 +167,8 @@ class TestNtkMatrix:
         view = writable[:, :]  # read-only, but its data belong to ``writable``
         view.setflags(write=False)
         assert NtkMatrix(view).matrix is not view
+        frozen_view = frozen.T  # its data belong to ``frozen``, which nothing can write
+        assert NtkMatrix(frozen_view).matrix is frozen_view
 
 
 class TestFactoredNtkMatrix:

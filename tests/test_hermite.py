@@ -504,6 +504,26 @@ class TestGridChecks:
             res = hm.verify_ratio_monotonicity(kind, degrees)
             assert res.passed, (kind, res.violations)
 
+    @pytest.mark.parametrize(
+        "check, kind, degrees",
+        [
+            (hm.verify_sign_constancy, "tanh_odd", (1, 3, 5, 7, 9)),
+            (hm.verify_sign_constancy, "sech2_even", (0, 2, 4, 6, 8)),
+            (hm.verify_ratio_monotonicity, "tanh_odd", (3, 5, 7, 9)),
+            (hm.verify_ratio_monotonicity, "sech2_even", (2, 4, 6, 8)),
+        ],
+    )
+    def test_rule_change_is_the_tables_change_on_the_larger_rule(self, check, kind, degrees):
+        res = check(kind, degrees)
+        fn, y = (np.tanh, res.grid) if kind == "tanh_odd" else (hm.sech2, np.sqrt(res.grid))
+        table, finer = (
+            hm.hermite_coefficients(hm.hermite_values(fn, y, n)[0], slice(0, max(degrees) + 1))
+            for n in (512, 1024)
+        )
+        assert res.rule_change == np.abs(finer - table).max() > 0.0
+        # tanh's top-of-grid degrees move by more than the ratio check's 1e-7 step tolerance
+        assert (res.rule_change > 1e-7) == (kind == "tanh_odd")
+
     def test_alternating_signs_of_odd_coefficients(self):
         # adaptive oracle signs: g3 < 0 < g5 across the grid
         assert hm.coeff_g(3, 1.0) < 0 < hm.coeff_g(5, 1.0)

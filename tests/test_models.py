@@ -20,6 +20,7 @@ from ntkalign.models import (
     init_filter,
     init_gnn2,
     save_params,
+    tap_powers,
     unflatten_params,
 )
 from ntkalign.shiftops import AsymmetricShift
@@ -252,13 +253,13 @@ class TestGnn2ForwardPullback:
         x = rng.standard_normal((n, samples))
         r = rng.standard_normal((n, samples))
         params = init_gnn2(7, 3, InitConfig(kappa=0.9, seed=5))
-        out, pullback = gnn2_forward_pullback(s, params.g, params.h, s.powers_applied(x, 3))
+        out, pullback = gnn2_forward_pullback(s, params.g, params.h, tap_powers(s, x, 3))
         jac = gnn2_jacobian(s, params, x)
         expected = jac.T @ stack(r)
-        got = pullback(r)
+        got = pullback(r.T)  # the pass holds one sample per row
         assert got.shape == expected.shape
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert np.array_equal(out, gnn2_forward(s, params, x))
+        assert np.array_equal(out.T, gnn2_forward(s, params, x))
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
     @pytest.mark.parametrize("k", [1, 4])
@@ -271,11 +272,11 @@ class TestGnn2ForwardPullback:
         x = rng.standard_normal((n, samples))
         r = rng.standard_normal((n, samples))
         params = init_gnn2(4, k, InitConfig(kappa=0.9, seed=k))
-        out, pullback = gnn2_forward_pullback(s, params.g, params.h, s.powers_applied(x, k))
+        out, pullback = gnn2_forward_pullback(s, params.g, params.h, tap_powers(s, x, k))
         expected = gnn2_jacobian(s, params, x)[:, params.g.size :] @ params.h.ravel()
-        assert np.linalg.norm(stack(out) - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(out.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
         grad = gnn2_jacobian(s, params, x).T @ stack(r)
-        assert np.linalg.norm(pullback(r) - grad) <= 1e-12 * np.linalg.norm(grad)
+        assert np.linalg.norm(pullback(r.T) - grad) <= 1e-12 * np.linalg.norm(grad)
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
     @pytest.mark.parametrize("samples", [3], ids=["matrix"])
@@ -300,10 +301,12 @@ class TestGnn2ForwardPullback:
         rng = np.random.default_rng(4)
         s = random_shift(rng, 4)
         params = init_gnn2(3, 2, InitConfig(kappa=1.0, seed=0))
-        x_powers = s.powers_applied(rng.standard_normal((4, 2)), 2)
-        _, pullback = gnn2_forward_pullback(s, params.g, params.h, x_powers)
+        powers = tap_powers(s, rng.standard_normal((4, 2)), 2)
+        _, pullback = gnn2_forward_pullback(s, params.g, params.h, powers)
         with pytest.raises(ValueError, match="residual shape"):
             pullback(np.zeros(8))
+        with pytest.raises(ValueError, match=r"residual shape \(4, 2\)"):
+            pullback(np.zeros((4, 2)))  # (n, M): the pass's residual is (M, n)
 
     @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     def test_pullback_runs_once(self, activation):
@@ -312,21 +315,25 @@ class TestGnn2ForwardPullback:
         s = random_shift(rng, 4)
         params = init_gnn2(3, 2, InitConfig(kappa=1.0, seed=0))
         x = rng.standard_normal((4, 2))
-        _, pullback = gnn2_forward_pullback(s, params.g, params.h, s.powers_applied(x, 2))
+        _, pullback = gnn2_forward_pullback(s, params.g, params.h, tap_powers(s, x, 2))
         r = rng.standard_normal((4, 2))
-        grad = pullback(r)
+        grad = pullback(r.T)
         assert np.linalg.norm(grad - gnn2_jacobian(s, params, x).T @ stack(r)) <= (
             1e-12 * np.linalg.norm(grad))
         with pytest.raises(RuntimeError, match="pullback has run"):
-            pullback(r)
+            pullback(r.T)
 
     def test_rejects_a_tap_stack_of_another_shape(self):
         rng = np.random.default_rng(6)
         s = random_shift(rng, 4)
         params = init_gnn2(3, 2, InitConfig(kappa=1.0, seed=0))
-        x_powers = s.powers_applied(rng.standard_normal(4), 3)
-        with pytest.raises(ValueError, match="tap stack of 3 taps"):
-            gnn2_forward_pullback(s, params.g, params.h, x_powers)
+        powers = tap_powers(s, rng.standard_normal((4, 5)), 3)
+        with pytest.raises(ValueError, match=r"shape \(3, 5, 4\) for a 2-tap GNN on 4 nodes"):
+            gnn2_forward_pullback(s, params.g, params.h, powers)
+        with pytest.raises(ValueError, match=r"shape \(2, 4, 5\) for a 2-tap GNN on 4 nodes"):
+            gnn2_forward_pullback(s, params.g, params.h, powers[:2].transpose(0, 2, 1))
+        with pytest.raises(ValueError, match="it must be \\(K, M, n\\)"):
+            gnn2_forward_pullback(s, params.g, params.h, powers[:2, 0])
 
 
 class TestInit:

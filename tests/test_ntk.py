@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from ntkalign.models import (
     InitConfig,
     TwoLayerGnnParams,
     filter_forward,
+    filter_jacobian,
     flatten_params,
     gnn2_forward,
     gnn2_jacobian,
@@ -59,6 +61,11 @@ def random_shift(rng, n):
 
 def random_dataset(rng, n, m):
     return Dataset(rng.standard_normal((n, m)), rng.standard_normal((n, m))).normalized()
+
+
+def one_sample_stack(z):
+    """The one-sample TapStack whose Z (n x K) is ``z``."""
+    return TapStack(np.asarray(z, dtype=float).T[:, None, :])
 
 
 def dense_block_diag(s, m):
@@ -199,22 +206,42 @@ class TestZVectors:
         )
         assert np.allclose(z_vectors(s, x, k).gram(), expected, atol=1e-12)
 
-    def test_layouts_hold_the_same_powers(self):
-        # Z, its per-sample blocks and X are one stack: X is s.powers_applied exactly
+    def test_views_hold_the_one_stack(self):
+        # Z and its per-sample blocks are views of X, the powers applied to the samples
         rng = np.random.default_rng(2)
         s = random_shift(rng, 4)
         x = rng.standard_normal((4, 5))
         z = z_vectors(s, x, 3)
         powers = s.powers_applied(x, 3)
-        assert np.array_equal(z.x_powers, powers)
-        assert z.x_powers.flags.c_contiguous and not z.x_powers.flags.writeable
-        assert z.x_powers is z.x_powers
+        assert np.array_equal(z.powers, powers.transpose(0, 2, 1))
+        assert z.powers.flags.c_contiguous and not z.powers.flags.writeable
+        assert z.num_taps == 3
         assert np.array_equal(z.blocks, powers.transpose(2, 1, 0))
-        assert np.shares_memory(z.blocks, z.matrix)
+        assert np.array_equal(z.matrix, filter_jacobian(s, x, 3))
+        assert z.matrix.flags.f_contiguous
+        for view in (z.matrix, z.blocks):
+            assert np.shares_memory(view, z.powers) and not view.flags.writeable
+        assert [f.name for f in dataclasses.fields(TapStack)] == ["powers"]
 
-    def test_rejects_bad_row_count(self):
-        with pytest.raises(ValueError):
-            TapStack(np.ones((5, 2)), num_nodes=2, num_samples=3)
+    def test_correlations_of_parallel_rows_are_clamped(self):
+        # rows that are exact multiples of one another have |rho| = 1, but
+        # Z Z' / (|z_a| |z_b|) rounds past 1 for about 1 in 5 such pairs
+        rng = np.random.default_rng(0)
+        scales = rng.uniform(0.5, 2.0, 40) * rng.choice([-1.0, 1.0], 40)
+        z = one_sample_stack(scales[:, None] * rng.standard_normal((1, 3)))
+        raw = z.gram() / np.outer(z.norms, z.norms)
+        assert np.abs(raw).max() > 1.0
+        rho = z.correlations[1]
+        assert np.abs(rho).max() <= 1.0
+        assert np.allclose(np.abs(rho), 1.0, rtol=0.0, atol=1e-15)
+
+    def test_keeps_a_frozen_stack_and_copies_a_writable_one(self):
+        x = np.random.default_rng(3).standard_normal((2, 3, 4))
+        assert TapStack(x).powers is not x and x.flags.writeable
+        x.setflags(write=False)
+        assert TapStack(x).powers is x
+        with pytest.raises(ValueError, match="3-d"):
+            TapStack(np.ones((6, 2)))
 
 
 class TestFilterNtk:
@@ -306,7 +333,7 @@ class TestExpectationQuadrature:
             assert 0.0 < e.matrix[a, a] < 1.0
 
     def test_orthogonal_rows_give_zero(self):
-        z = TapStack(np.array([[1.5, 0.0], [0.0, 0.8]]), num_nodes=2, num_samples=1)
+        z = one_sample_stack(np.array([[1.5, 0.0], [0.0, 0.8]]))
         e = expectation_E_quadrature(z)
         assert e.matrix[0, 1] == pytest.approx(0.0, abs=1e-12)
 
@@ -396,7 +423,7 @@ class TestExpectationSeries:
             assert not e.matrix[list(z.correlations[2])].any()
 
     def test_orthogonal_rows_vanish_in_both_parts(self):
-        z = TapStack(np.array([[1.0, 0.0], [0.0, 2.0]]), num_nodes=2, num_samples=1)
+        z = one_sample_stack(np.array([[1.0, 0.0], [0.0, 2.0]]))
         e = expectation_series(z, "second")
         assert e.matrix[0, 1] == 0.0
         assert e.matrix[1, 0] == 0.0
@@ -446,7 +473,7 @@ class TestExpectationSeries:
         # |z_0| = 2.5 needs more than the 256 degrees of the 512-point rule
         # for both layers (E1 more than the 512 of the 1024-point rule); the
         # 512-point pair rule is itself off by 2e-11 on E's diagonal here
-        z = TapStack(np.array([[2.0, 1.5], [-0.9, 1.1]]), num_nodes=2, num_samples=1)
+        z = one_sample_stack(np.array([[2.0, 1.5], [-0.9, 1.1]]))
         for layer, oracle, rule in (
             ("second", expectation_E_quadrature, 1024),
             ("first", expectation_E_first_layer, 2048),
@@ -459,12 +486,12 @@ class TestExpectationSeries:
 
     @pytest.mark.parametrize("layer", LAYERS)
     def test_target_beyond_rule_raises(self, layer):
-        z = TapStack(np.array([[5.0, 0.0], [0.3, 0.2]]), num_nodes=2, num_samples=1)
+        z = one_sample_stack(np.array([[5.0, 0.0], [0.3, 0.2]]))
         with pytest.raises(TruncationError, match="row norm 5.000"):
             expectation_series(z, layer)
 
     def test_rejects_an_unknown_layer(self):
-        z = TapStack(np.array([[1.0, 0.0], [0.3, 0.2]]), num_nodes=2, num_samples=1)
+        z = one_sample_stack(np.array([[1.0, 0.0], [0.3, 0.2]]))
         for layer in ("both", "middle"):
             with pytest.raises(ValueError, match="unknown layer"):
                 expectation_series(z, layer)

@@ -144,7 +144,7 @@ def test_expectation_series_depends_on_the_tap_gram_only(seed, layer):
     s, data, num_taps = random_instance(seed)
     z = z_vectors(s, data, num_taps)
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((num_taps, num_taps)))
-    rotated = TapStack(z.matrix @ q, z.num_nodes, z.num_samples)
+    rotated = TapStack((z.matrix @ q).T.reshape(z.powers.shape))  # Z Q
     assert_close(expectation_series(rotated, layer).matrix, expectation_series(z, layer).matrix)
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -420,7 +421,7 @@ class TestFilterQrPass:
         else:
             y_st = rng.standard_normal(n * m)
         y = y_st.reshape(m, n).T  # (n, M), sample-major when stacked
-        taps = TapStack(z, n, m)
+        taps = TapStack(z.T.reshape(-1, m, n))  # the stack whose Z is z
         float_pass = training._qr_pass(taps, y)
         minibatch_pass = training._training_pass(None, FilterParams(h), taps, y)
         for idx in (None, np.array([5, 1, 3])):
@@ -453,7 +454,7 @@ class TestFilterQrPass:
         def build_then_poison(taps, y):
             qr_pass = build(taps, y)
             cells = [cell.cell_contents for cell in qr_pass.__closure__]
-            poisoned.append(sum(_poison(c, taps.num_nodes * taps.num_samples)
+            poisoned.append(sum(_poison(c, taps.matrix.shape[0])
                                 for c in [taps, y, *cells]))
             return qr_pass
 
@@ -962,6 +963,41 @@ class TestCompareGsoPool:
         for name, _ in gso_list:
             assert np.array_equal(report.train_curves[name], oracle[name][0])
             assert np.array_equal(report.test_curves[name], oracle[name][1])
+
+    @pytest.mark.parametrize("batch_size", [0, 4], ids=["full-batch", "minibatch"])
+    def test_threads_share_one_stack_read_only(self, batch_size):
+        # 4 threads, more than the cores, train on one GNN stack while switching
+        # every microsecond; no run may write the stack or see another's buffers
+        rng = np.random.default_rng(77)
+        s = random_shift(rng, 5)
+        splits = (random_dataset(rng, 5, 12), random_dataset(rng, 5, 4))
+        model = init_gnn2(5, 3, InitConfig(kappa=0.7, seed=78))
+        cfg = TrainConfig(eta=0.05, epochs=5, batch_size=batch_size, optimizer="adam", seed=79)
+        stacks = training._tap_stacks(s, model, *splits)
+        before = [taps.powers.copy() for taps in stacks]
+        oracle = training._trace(model, cfg, s, stacks, splits)
+        traces = [None] * 4
+
+        def run(i):
+            traces[i] = training._trace(model, cfg, s, stacks, splits)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(traces))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for trace in traces:
+            assert np.array_equal(trace.train_losses, oracle.train_losses)
+            assert np.array_equal(trace.test_losses, oracle.test_losses)
+            assert np.array_equal(trace.param_movement, oracle.param_movement)
+        for taps, powers in zip(stacks, before):
+            assert np.array_equal(taps.powers, powers) and not taps.powers.flags.writeable
 
     @pytest.mark.parametrize("model", ["filter", "gnn2"])
     def test_first_divergence_in_arm_rep_order_is_raised(self, monkeypatch, model):
