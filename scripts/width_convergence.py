@@ -60,7 +60,8 @@ def run(args):
         errors = []
         for seed in range(args.seeds):
             params = init_gnn2(width, args.k, InitConfig(1.0, seed))
-            theta = empirical_ntk(s, params, data).matrix
+            jac = empirical_ntk(s, params, data).factor
+            theta = jac @ jac.T
             errors.append(np.linalg.norm(theta - reference) / ref_norm)
         rows.append([width, np.mean(errors), np.std(errors)])
         print(f"{width:6d}  {rows[-1][1]:.5f} +- {rows[-1][2]:.5f}")

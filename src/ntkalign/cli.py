@@ -72,7 +72,7 @@ from .training import (
     train,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 GNN_LEARNING_RATE = 0.0125
 FILTER_RATE_MULTIPLIER = 50.0
 
@@ -300,16 +300,22 @@ def _cmd_ntk(cfg: dict) -> int:
     data = _load_dataset(cfg)
     s = _shift_from(cfg, data)
     theta = _compute_ntk(cfg, s, data)
+    rank = theta.rank_estimate()
     report = {
         "kind": cfg["kind"],
         "size": theta.size,
-        "rank_estimate": theta.rank_estimate(),
+        "rank_estimate": rank,
         "operator_norm": theta.operator_norm,
         "alignment": theta.quadratic_form(stack(data.y)),
         "info": theta.info,
-        "summary": f"{cfg['kind']} kernel, size {theta.size}, rank {theta.rank_estimate()}",
+        "summary": f"{cfg['kind']} kernel, size {theta.size}, rank {rank}",
     }
-    return _finish(cfg, "ntk", report, {"ntk.csv": _csv(theta.matrix)})
+    if theta.factor is None:
+        return _finish(cfg, "ntk", report, {"ntk.csv": _csv(theta.matrix)})
+    # the spectral factor U diag(sqrt(lambda)), leading pair first: Theta = F F'
+    evals, vecs = theta.eigenpairs
+    factor = vecs[:, ::-1] * np.sqrt(evals[::-1])
+    return _finish(cfg, "ntk", report, {"factor.csv": _csv(factor)})
 
 
 def _cmd_align(cfg: dict) -> int:

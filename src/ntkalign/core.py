@@ -166,17 +166,18 @@ class NtkMatrix:
     ``info`` records how the kernel was built (model, layer, taps, seeds,
     truncation diagnostics); each constructor in ``ntk`` fills it in.
 
+    Exactly one of ``matrix`` and ``factor`` is set; the other is None.
+
     Dense (the default): ``matrix`` is the nM x nM kernel.  Construction
     validates symmetry (relative Frobenius) and positive semidefiniteness
     (smallest eigenvalue above -1e-8 times the operator norm).  Both the
     validation and ``eigenpairs`` read the lower triangle, so their
     eigenvalues agree.
 
-    Factored (``factored=True``): ``matrix`` is a factor F of size nM x r
-    and the kernel is F F', symmetric PSD by construction, so only F's
-    shape and finiteness are checked.  The spectrum comes from the thin
-    SVD of F, and the nM x nM kernel is formed only when ``.matrix`` is
-    read.
+    Factored (``factored=True``): ``factor`` is F of size nM x r and the
+    kernel is F F', symmetric PSD by construction, so only F's shape and
+    finiteness are checked.  The spectrum comes from the thin SVD of F,
+    and the nM x nM kernel is never formed.
 
     Each kernel holds one eigendecomposition, computed when first needed
     (a factored kernel's SVD, or a dense kernel's eigh), which every
@@ -187,7 +188,7 @@ class NtkMatrix:
         m = _frozen_array(matrix, 2)
         self.info = dict(info or {})
         if factored:
-            self.factor, self._dense, self._eigenvalues = m, None, None
+            self.matrix, self.factor, self._eigenvalues = None, m, None
             return
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"kernel matrix must be square, got {m.shape}")
@@ -203,20 +204,11 @@ class NtkMatrix:
                 f"kernel not PSD: min eigenvalue {eigs[0]:.3e} vs scale {op_norm:.3e}"
             )
         eigs.setflags(write=False)
-        self.factor, self._dense, self._eigenvalues = None, m, eigs
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The nM x nM kernel; a factored kernel forms F F' on first read."""
-        if self._dense is None:
-            dense = self.factor @ self.factor.T
-            dense.setflags(write=False)
-            self._dense = dense
-        return self._dense
+        self.matrix, self.factor, self._eigenvalues = m, None, eigs
 
     @property
     def size(self) -> int:
-        return (self._dense if self.factor is None else self.factor).shape[0]
+        return (self.matrix if self.factor is None else self.factor).shape[0]
 
     @cached_property
     def eigenpairs(self) -> tuple:
@@ -227,7 +219,7 @@ class NtkMatrix:
         are 0.
         """
         if self.factor is None:
-            evals, vecs = np.linalg.eigh(self._dense)
+            evals, vecs = np.linalg.eigh(self.matrix)
         else:
             u, sv, _ = np.linalg.svd(self.factor, full_matrices=False)
             evals, vecs = sv[::-1] ** 2, u[:, ::-1]

@@ -16,8 +16,8 @@ Three routes to the stacked nM x nM kernel:
 
 The analytic filter and empirical kernels are returned in factored form
 (F = Z or F = J, kernel F F^T), so their spectra come from a thin SVD and
-nothing nM x nM is formed unless ``.matrix`` is read.  The infinite-width
-kernel is dense; intended for nM up to a few thousand.
+their nM x nM kernel is never formed.  The infinite-width kernel is dense;
+intended for nM up to a few thousand.
 Kernels, training and alignment read the tap stack [S~^k x~]_k from one
 ``TapStack`` per (S, x, K), one sample-major (K, M, n) array of which Z
 (nM x K) is a view.  Row ell of Z is [x~_ell, (S~ x~)_ell, ...], so

@@ -51,3 +51,11 @@ def kernel_factor(request):
         f[:, 2] = f[:, 0] - 2.0 * f[:, 1]
         return f
     return np.zeros((6, 2))
+
+
+def dense(kernel):
+    """An ``NtkMatrix`` as its nM x nM array: ``.matrix`` if dense, F F' if factored.
+
+    The tests' one dense reference for a factored kernel, which never forms it.
+    """
+    return kernel.matrix if kernel.factor is None else kernel.factor @ kernel.factor.T

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import dense
 from ntkalign.cli import main as cli_main
 from ntkalign.core import Dataset, ShiftOperator, stack
 from ntkalign.dataio import (
@@ -97,7 +98,7 @@ def test_filter_kernel_equals_jacobian_product():
         scale = max(np.linalg.norm(analytic), 1e-300)
         for name, theta in [("filter_ntk", filter_ntk(s, data.x, num_taps)),
                             ("empirical_ntk", empirical_ntk(s, params, data.x))]:
-            gap = np.linalg.norm(theta.matrix - analytic) / scale
+            gap = np.linalg.norm(dense(theta) - analytic) / scale
             assert gap <= 1e-10, f"seed {seed}: {name} relative gap {gap:.3e}"
     assert time.perf_counter() - start < 10.0
 
@@ -113,7 +114,7 @@ def test_monte_carlo_kernel_converges_with_width():
 
     def mc_error(num_features, seed):
         params = init_gnn2(num_features, 2, InitConfig(1.0, seed))
-        theta = empirical_ntk(s, params, data).matrix
+        theta = dense(empirical_ntk(s, params, data))
         return np.linalg.norm(theta - reference) / ref_norm
 
     wins = 0
@@ -202,14 +203,15 @@ def test_parameter_movement_matches_prediction():
 @pytest.mark.criterion(10, "inverse-kernel quadratic sandwich identity")
 def test_inverse_kernel_quadratic_sandwich():
     def assert_sandwich(theta, y):
-        evals, vecs = np.linalg.eigh(theta.matrix)
+        kernel = dense(theta)
+        evals, vecs = np.linalg.eigh(kernel)
         keep = evals > 1e-10 * evals.max()
         in_range = vecs[:, keep] @ (vecs[:, keep].T @ y)
         range_sq = float(in_range @ in_range)
-        alignment = float(y @ theta.matrix @ y)
+        alignment = float(y @ kernel @ y)
         if alignment <= 1e-12:
             return
-        quad = pinv_quadratic(theta.matrix, y)
+        quad = pinv_quadratic(kernel, y)
         lower = range_sq**2 / alignment
         upper = (evals.max() / evals[keep].min()) * range_sq**2 / alignment
         assert lower <= quad * (1.0 + 1e-9) + 1e-300

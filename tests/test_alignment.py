@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense
 import ntkalign.alignment as alignment_module
 from ntkalign.alignment import (
     AlignmentReport,
@@ -28,7 +29,7 @@ from ntkalign.alignment import (
     random_instance,
     run_inequality_sweeps,
 )
-from ntkalign.core import Dataset, NtkMatrix, ShiftOperator, stack
+from ntkalign.core import Dataset, ShiftOperator, stack
 from ntkalign import hermite
 from ntkalign.hermite import (
     BETA_SATURATION,
@@ -80,16 +81,16 @@ def test_q_matrix_matches_dense_block_conjugation():
     for k in range(3):
         v = np.linalg.matrix_power(big, k) @ y_st
         expected += np.outer(v, v)
-    assert np.allclose(filter_ntk(s, y, 3).matrix, expected, atol=1e-12)
+    assert np.allclose(dense(filter_ntk(s, y, 3)), expected, atol=1e-12)
 
 
-def test_alignment_leaves_a_factored_kernel_factored(monkeypatch):
+def test_alignment_leaves_a_factored_kernel_factored():
     rng = np.random.default_rng(4)
     s = random_shift(rng, 4)
     data = random_dataset(rng, 4, 3)
     theta = filter_ntk(s, data.x, 2)
-    expected = float(stack(data.y) @ filter_ntk(s, data.x, 2).matrix @ stack(data.y))
-    monkeypatch.setattr(NtkMatrix, "matrix", property(lambda self: pytest.fail("materialised")))
+    expected = float(stack(data.y) @ dense(theta) @ stack(data.y))
+    assert theta.matrix is None  # no dense form to fall back on
     assert theta.quadratic_form(stack(data.y)) == pytest.approx(expected, rel=1e-12)
 
 
@@ -98,7 +99,7 @@ def test_factored_alignment_terms_match_dense_formulas(seed):
     s, data, k = random_instance(seed)
     terms = alignment_report(s, data, k)
     z = z_vectors(s, data.x, k)
-    q, b_lin = filter_ntk(s, data.y, k).matrix, filter_ntk(s, data.x, k).matrix
+    q, b_lin = dense(filter_ntk(s, data.y, k)), dense(filter_ntk(s, data.x, k))
     e, e1 = expectation_series(z, "second"), expectation_series(z, "first")
     xi = float(np.sum(q * b_lin)) / (np.linalg.norm(q) * np.linalg.norm(b_lin))
     assert terms.a_filt == pytest.approx(float(stack(data.y) @ b_lin @ stack(data.y)), rel=1e-12)
@@ -134,8 +135,8 @@ def test_linear_alignment_equals_trace_against_linear_kernel(n, m, k, seed):
     rng = np.random.default_rng(seed)
     s = random_shift(rng, n)
     data = random_dataset(rng, n, m)
-    q = filter_ntk(s, data.y, k).matrix
-    expected = float(np.sum(q * filter_ntk(s, data.x, k).matrix))
+    q = dense(filter_ntk(s, data.y, k))
+    expected = float(np.sum(q * dense(filter_ntk(s, data.x, k))))
     assert alignment_lin(s, data, k) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
@@ -390,7 +391,7 @@ def test_alignment_terms_peak_memory():
 def dense_c_data(report, s, data, k, layer):
     """c_data with Q = Zy Zy' formed as an nM x nM array and B from the closed-form c."""
     z = z_vectors(s, data.x, k)
-    q = filter_ntk(s, data.y, k).matrix
+    q = dense(filter_ntk(s, data.y, k))
     c = closed_form_leading(z, layer)
     b = np.outer(c, c) * z.correlations[1]
     e = expectation_series(z, layer)
@@ -429,7 +430,7 @@ class TestConditionalAlignmentChecks:
             report = alignment_report(s, data, k)
             z = z_vectors(s, data.x, k)
             e = reference[layer](z).matrix
-            a = float(np.sum(filter_ntk(s, data.y, k).matrix * e))
+            a = float(np.sum(dense(filter_ntk(s, data.y, k)) * e))
             c = report.c_data if layer == "second" else report.c_data_first_layer
             assert c * report.a_lin <= a + 1e-8 * a
 
@@ -499,7 +500,7 @@ def test_alignment_report_fields_and_payload():
 def test_quadrature_alignment_matches_series_alignment():
     s, data, k = random_instance(33)
     z = z_vectors(s, data.x, k)
-    q = filter_ntk(s, data.y, k).matrix
+    q = dense(filter_ntk(s, data.y, k))
     via_quad = float(np.sum(q * expectation_E_quadrature(z, n_points=256).matrix))
     series = expectation_series(z, "second")
     via_series = float(np.sum(q * series.matrix))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import dense
 from ntkalign import alignment, cli, core
 from ntkalign.cli import main
 from ntkalign.core import NtkMatrix, stack
@@ -22,7 +23,7 @@ from ntkalign.models import (
     init_gnn2,
     unflatten_params,
 )
-from ntkalign.ntk import TapStack, filter_ntk
+from ntkalign.ntk import TapStack, empirical_ntk, filter_ntk
 from ntkalign.shiftops import AsymmetricShift, covariance, cross_covariance
 from ntkalign.training import linearized_dynamics, predicted_param_movement
 
@@ -681,34 +682,60 @@ class TestGenData:
         assert "anisotropy" in capsys.readouterr().err
 
 
+def written_factor(out, kernel, y):
+    """The factor.csv of an ``ntk`` run, checked against the library ``kernel`` it factors.
+
+    Width min(nM, r), F F' within 1e-12 of the kernel (relative Frobenius), the
+    report's alignment ||F' y||^2, and no ntk.csv.
+    """
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+        "factor.csv", "report.json"]
+    assert not (out / "ntk.csv").exists()
+    written = load_csv(out / "factor.csv")
+    assert written.shape == (kernel.size, min(kernel.factor.shape))
+    expected = dense(kernel)
+    assert np.linalg.norm(written @ written.T - expected) <= 1e-12 * np.linalg.norm(expected)
+    w = written.T @ stack(y)
+    report = json.loads((out / "report.json").read_text())
+    assert report["alignment"] == pytest.approx(float(w @ w), rel=1e-12)
+    return written, report
+
+
 class TestNtkCommand:
     def test_filter_kernel_matches_library(self, tiny_data, tmp_path):
         x, y, x_path, y_path = tiny_data
         out = tmp_path / "out"
         assert run("ntk", "--x", x_path, "--y", y_path, "--k", 2, "--out-dir", out) == 0
-        written = load_csv(out / "ntk.csv")
-        s = cross_covariance(x, y)
-        expected = filter_ntk(s, x, 2).matrix
-        np.testing.assert_allclose(written, expected, rtol=1e-12)
+        written, _ = written_factor(out, filter_ntk(cross_covariance(x, y), x, 2), y)
+        assert written.shape == (60, 2)
 
-    def test_filter_kernel_is_written_dense(self, tiny_data, tmp_path):
+    def test_filter_kernel_is_written_as_its_spectral_factor(self, tiny_data, tmp_path):
         x, y, x_path, y_path = tiny_data
         out = tmp_path / "out"
         assert run("ntk", "--x", x_path, "--y", y_path, "--kind", "filter", "--k", 2,
                    "--out-dir", out) == 0
-        blin = filter_ntk(cross_covariance(x, y), x, 2).matrix
-        assert np.array_equal(load_csv(out / "ntk.csv"), blin)
-        dense = NtkMatrix(blin)
-        report = json.loads((out / "report.json").read_text())
-        assert report["rank_estimate"] == dense.rank_estimate() == 2
-        assert report["operator_norm"] == pytest.approx(dense.operator_norm, rel=1e-10)
-        assert report["alignment"] == pytest.approx(dense.quadratic_form(stack(y)), rel=1e-10)
+        kernel = filter_ntk(cross_covariance(x, y), x, 2)
+        dense_theta = NtkMatrix(dense(kernel))
+        written, report = written_factor(out, kernel, y)
+        # U diag(sqrt(lambda)), leading pair first: orthogonal columns of norm^2 lambda
+        gram = written.T @ written
+        evals = np.diag(gram)
+        assert np.all(np.diff(evals) <= 0.0)
+        assert np.abs(gram - np.diag(evals)).max() <= 1e-12 * evals[0]
+        np.testing.assert_allclose(evals, dense_theta.eigenvalues[::-1][:2], rtol=1e-10)
+        assert report["rank_estimate"] == dense_theta.rank_estimate() == 2
+        assert report["operator_norm"] == pytest.approx(dense_theta.operator_norm, rel=1e-10)
+        assert report["alignment"] == pytest.approx(
+            dense_theta.quadratic_form(stack(y)), rel=1e-10)
 
     def test_gnn_kernel_is_psd_and_reported(self, tiny_data, tmp_path):
         _, _, x_path, y_path = tiny_data
         out = tmp_path / "out"
         assert run("ntk", "--x", x_path, "--y", y_path, "--kind", "gnn",
                    "--out-dir", out) == 0
+        assert not (out / "factor.csv").exists()
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+            "ntk.csv", "report.json"]
         kernel = load_csv(out / "ntk.csv")
         np.testing.assert_allclose(kernel, kernel.T, atol=1e-10)
         eigs = np.linalg.eigvalsh(kernel)
@@ -755,13 +782,16 @@ class TestNtkCommand:
         assert layers["first"]["zero_rows"] == [0, 1, 2]
 
     def test_monte_carlo_kind_runs(self, tiny_data, tmp_path):
-        _, _, x_path, y_path = tiny_data
+        # at the default --width 256, J is 60 x 1024: the factor is 60 wide
+        x, y, x_path, y_path = tiny_data
         out = tmp_path / "out"
-        assert run("ntk", "--x", x_path, "--y", y_path, "--kind", "gnn-mc",
-                   "--width", 32, "--out-dir", out) == 0
-        assert load_csv(out / "ntk.csv").shape == (60, 60)
-        info = json.loads((out / "report.json").read_text())["info"]
-        assert info == {"model": "gnn2", "width": 32, "num_taps": 2}
+        assert run("ntk", "--x", x_path, "--y", y_path, "--kind", "gnn-mc", "--out-dir", out) == 0
+        params = init_gnn2(256, 2, InitConfig(1.0, 0))
+        kernel = empirical_ntk(cross_covariance(x, y), params, x)
+        assert kernel.factor.shape == (60, 1024)
+        written, report = written_factor(out, kernel, y)
+        assert written.shape == (60, 60)
+        assert report["info"] == {"model": "gnn2", "width": 256, "num_taps": 2}
         assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 0
 
     def test_monte_carlo_kind_is_trains_initial_kernel(self, tiny_data, tmp_path):
@@ -776,9 +806,8 @@ class TestNtkCommand:
         like = init_gnn2(8, 2, InitConfig(1.0, 0))  # a shape template only
         params0 = unflatten_params(np.array(flat.split(","), dtype=float), like)
         jac = gnn2_jacobian(cross_covariance(x, y), params0, x)
-        expected = jac @ jac.T
-        written = load_csv(tmp_path / "ntk" / "ntk.csv")
-        assert np.linalg.norm(written - expected) <= 1e-12 * np.linalg.norm(expected)
+        written, _ = written_factor(tmp_path / "ntk", NtkMatrix(jac, factored=True), y)
+        assert written.shape == (60, 32)  # J is 60 x 2KF = 60 x 32
 
     def test_monte_carlo_kind_validates_one_kernel(self, tiny_data, tmp_path, monkeypatch):
         x, _, x_path, y_path = tiny_data
@@ -1021,7 +1050,7 @@ class TestTrainCommand:
     def test_filter_model_stays_factored(self, tiny_data, tmp_path, monkeypatch):
         x, y, x_path, y_path = tiny_data
         stacked_size = x.size
-        big_eigs, dense_reads = [], []
+        big_eigs = []
 
         def counted(original):
             def eig(a, *args, **kwargs):
@@ -1033,17 +1062,13 @@ class TestTrainCommand:
 
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
-        dense = NtkMatrix.matrix
-        monkeypatch.setattr(
-            NtkMatrix, "matrix", property(lambda self: dense_reads.append(self) or dense.fget(self))
-        )
         out = tmp_path / "out"
         assert run("train", "--x", x_path, "--y", y_path, "--model", "filter", "--k", 2,
                    "--epochs", 8, "--out-dir", out) == 0
-        assert big_eigs == [] and dense_reads == []
+        assert big_eigs == []
         monkeypatch.undo()
         s = cross_covariance(x, y)
-        dense_theta = NtkMatrix(filter_ntk(s, x, 2).matrix)
+        dense_theta = NtkMatrix(dense(filter_ntk(s, x, 2)))
         oracle = predicted_param_movement(dense_theta, stack(y))
         report = json.loads((out / "report.json").read_text())
         assert report["predicted_param_movement"] == pytest.approx(oracle, rel=1e-10)

@@ -187,7 +187,8 @@ class TestFactoredNtkMatrix:
         assert factored.rank_estimate() == dense.rank_estimate()
         v = np.random.default_rng(3).standard_normal(f.shape[0])
         assert factored.quadratic_form(v) == pytest.approx(dense.quadratic_form(v), rel=1e-10)
-        assert np.array_equal(factored.matrix, f @ f.T)
+        assert factored.matrix is None and dense.factor is None  # each holds one form
+        assert np.array_equal(factored.factor, f)
 
     def test_eigenpairs_span_the_factor(self, kernel_factor):
         f = kernel_factor

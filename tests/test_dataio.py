@@ -419,7 +419,7 @@ def test_cli_round_trip_uses_neither_savetxt_nor_csv_reader(tmp_path, monkeypatc
                  "--m-test", "5", "--gso", "cxy,cxx", "--k", "2", "--model", "filter",
                  "--epochs", "3", "--reps", "1", "--out-dir", str(out / "compare")]) == 0
     written = sorted(data.glob("*.csv")) + sorted(out.glob("*/*.csv"))
-    assert {p.name for p in written} >= {"series.csv", "trace.csv", "ntk.csv", "curves.csv"}
+    assert {p.name for p in written} >= {"series.csv", "trace.csv", "factor.csv", "curves.csv"}
     for path in written:
         assert load_csv(path).size > 0
     assert calls == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense
 from ntkalign.alignment import random_instance
 from ntkalign.core import Dataset, DivergenceError, NtkMatrix, ShiftOperator, stack
 from ntkalign.dataio import (
@@ -249,14 +250,14 @@ class TestFilterNtk:
         s = ShiftOperator(np.array([[0.7]]))
         x = np.array([[1.3]])
         theta = filter_ntk(s, x, 2)
-        assert np.isclose(theta.matrix[0, 0], 1.3**2 * (1.0 + 0.7**2))
+        assert np.isclose(dense(theta)[0, 0], 1.3**2 * (1.0 + 0.7**2))
 
     def test_single_sample_one_tap(self):
         rng = np.random.default_rng(2)
         s = random_shift(rng, 5)
         x = rng.standard_normal((5, 1))
         theta = filter_ntk(s, x, 1)
-        assert np.allclose(theta.matrix, np.outer(x[:, 0], x[:, 0]))
+        assert np.allclose(dense(theta), np.outer(x[:, 0], x[:, 0]))
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -276,7 +277,7 @@ class TestFilterNtk:
         theta = filter_ntk(s, x, 2)
         lift, xt = dense_block_diag(s.matrix, 3), stack(x)
         b_lin = np.outer(xt, xt) + lift @ np.outer(xt, xt) @ lift
-        assert np.allclose(theta.matrix, b_lin, atol=1e-12)
+        assert np.allclose(dense(theta), b_lin, atol=1e-12)
         assert theta.info == {"num_taps": 2}
 
     def test_diag_is_z_row_norms(self):
@@ -284,7 +285,7 @@ class TestFilterNtk:
         s = random_shift(rng, 4)
         x = rng.standard_normal((4, 3))
         z = z_vectors(s, x, 3)
-        assert np.allclose(np.diag(filter_ntk(s, x, 3).matrix), z.norms**2)
+        assert np.allclose(np.diag(dense(filter_ntk(s, x, 3))), z.norms**2)
 
 
 class TestEmpiricalNtk:
@@ -299,7 +300,7 @@ class TestEmpiricalNtk:
             emp = empirical_ntk(s, FilterParams(rng.standard_normal(k)), x)
             jac = np.column_stack([stack(filter_forward(s, FilterParams(e), x)) for e in np.eye(k)])
             scale = max(np.linalg.norm(jac) ** 2, 1.0)
-            assert np.linalg.norm(emp.matrix - jac @ jac.T) <= 1e-10 * scale
+            assert np.linalg.norm(dense(emp) - jac @ jac.T) <= 1e-10 * scale
             assert emp.info == filter_ntk(s, x, k).info == {"num_taps": k}
 
     def test_gnn_second_layer_block_ignores_readout(self):
@@ -756,7 +757,7 @@ class TestMonteCarloNtk:
     def kernel(s, data, num_taps, width, seed, layer="both"):
         params = init_gnn2(width, num_taps, InitConfig(1.0, seed))
         if layer == "both":
-            return empirical_ntk(s, params, data).matrix
+            return dense(empirical_ntk(s, params, data))
         jac = gnn2_jacobian(s, params, data.x)
         block = jac[:, : width * num_taps] if layer == "first" else jac[:, width * num_taps :]
         return block @ block.T
@@ -905,13 +906,13 @@ class TestNtkDrift:
         got = ntk_drift(s, data, 2, widths=[8, 32], eta=0.1, num_steps=6, seed=2)
         for point in got:
             params = init_gnn2(point.width, 2, InitConfig(kappa=1.0, seed=2))
-            theta0 = empirical_ntk(s, params, data.x).matrix
+            theta0 = dense(empirical_ntk(s, params, data.x))
             drift = 0.0
             for _ in range(6):
                 resid = stack(gnn2_forward(s, params, data.x)) - stack(data.y)
                 grad = gnn2_jacobian(s, params, data.x).T @ resid
                 params = unflatten_params(flatten_params(params) - 0.1 * grad, params)
-                theta = empirical_ntk(s, params, data.x).matrix
+                theta = dense(empirical_ntk(s, params, data.x))
                 drift = max(drift, float(np.linalg.norm(theta - theta0) / np.linalg.norm(theta0)))
             # the run's gradient is the fused pullback, which sums in another order
             assert point.drift == pytest.approx(drift, rel=1e-12)

@@ -19,6 +19,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import dense
 from ntkalign.alignment import alignment_report, random_instance
 from ntkalign.cli import main
 from ntkalign.core import Dataset, ShiftOperator
@@ -68,13 +69,13 @@ def assert_permuted(theta, relabelled, idx):
 def test_every_kernel_route_is_relabelled_with_the_instance(seed):
     s, data, num_taps = random_instance(seed)
     s2, data2, idx = relabel(np.random.default_rng(seed), s, data)
-    assert_permuted(filter_ntk(s, data, num_taps).matrix,
-                    filter_ntk(s2, data2, num_taps).matrix, idx)
+    assert_permuted(dense(filter_ntk(s, data, num_taps)),
+                    dense(filter_ntk(s2, data2, num_taps)), idx)
     assert_permuted(gnn_infinite_ntk(s, data, num_taps, layer="both").matrix,
                     gnn_infinite_ntk(s2, data2, num_taps, layer="both").matrix, idx)
     params = init_gnn2(8, num_taps, InitConfig(1.0, seed))  # taps shared across nodes
-    assert_permuted(empirical_ntk(s, params, data).matrix,
-                    empirical_ntk(s2, params, data2).matrix, idx)
+    assert_permuted(dense(empirical_ntk(s, params, data)),
+                    dense(empirical_ntk(s2, params, data2)), idx)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -90,8 +91,8 @@ def test_each_gnn_layer_is_relabelled_with_the_instance(seed, layer):
 def test_filter_kernel_is_quadratic_in_the_inputs(seed):
     s, data, num_taps = random_instance(seed)
     scale = 2.7
-    assert_close(filter_ntk(s, scale * data.x, num_taps).matrix,
-                 scale**2 * filter_ntk(s, data.x, num_taps).matrix)
+    assert_close(dense(filter_ntk(s, scale * data.x, num_taps)),
+                 scale**2 * dense(filter_ntk(s, data.x, num_taps)))
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
@@ -230,3 +231,22 @@ def test_cli_runs_on_a_relabelled_csv_pair(seed, tmp_path):
                 assert abs(got[key] - want[key]) <= RTOL * num_taps
             else:
                 assert_close(got[key], want[key])
+
+
+@pytest.mark.parametrize("kind", ["filter", "gnn-mc"])
+@pytest.mark.parametrize("seed", SEEDS[:2])
+def test_cli_factor_is_relabelled_with_its_kernel(seed, kind, tmp_path):
+    # a spectral factor is unique only up to rotations within an eigenspace,
+    # so the identity is checked on the kernel F F' that each factor.csv gives
+    s, data, num_taps = random_instance(seed)
+    _, data2, idx = relabel(np.random.default_rng(seed), s, data)
+    kernels = []
+    for name, d in (("original", data), ("relabelled", data2)):
+        save_csv(d.x, tmp_path / f"{name}_x.csv")
+        save_csv(d.y, tmp_path / f"{name}_y.csv")
+        assert main(["ntk", "--kind", kind, "--width", "8", "--k", str(num_taps),
+                     "--x", f"{tmp_path}/{name}_x.csv", "--y", f"{tmp_path}/{name}_y.csv",
+                     "--out-dir", str(tmp_path / name)]) == 0
+        factor = load_csv(tmp_path / name / "factor.csv")
+        kernels.append(factor @ factor.T)
+    assert_permuted(*kernels, idx)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense
 from ntkalign import models, training
 from ntkalign.core import Dataset, DivergenceError, NtkMatrix, ShiftOperator, stack
 from ntkalign.models import (
@@ -795,7 +796,7 @@ class TestParameterMovement:
 
 def pinv_sandwich(theta, y_st):
     """(||y_r||^4 / A, (lambda_max / lambda_min+) ||y_r||^4 / A), y_r the target's range part."""
-    evals, vecs = np.linalg.eigh(theta.matrix)
+    evals, vecs = np.linalg.eigh(dense(theta))
     keep = evals > 1e-10 * evals[-1]
     range_sq = float(np.sum((vecs[:, keep].T @ y_st) ** 2))
     a = theta.quadratic_form(y_st)
@@ -820,7 +821,7 @@ class TestGeneralizationBound:
         s = random_shift(rng, 4)
         x = rng.standard_normal((4, 3))
         theta = filter_ntk(s, x, 2)
-        y_st = theta.matrix @ rng.standard_normal(12)
+        y_st = dense(theta) @ rng.standard_normal(12)
         y_st /= np.linalg.norm(y_st)
         lower, upper = pinv_sandwich(theta, y_st)
         pq = pinv_quadratic(theta, y_st)
